@@ -2,7 +2,7 @@
 
 Layout::
 
-    8 bytes   magic, "PFCK" + 4-digit format version ("PFCK0001")
+    8 bytes   magic, "PFCK" + 4-digit format version ("PFCK0002")
     4 bytes   section count, little-endian u32
     sections  u32 name length, name (utf-8),
               u64 body length, body
@@ -28,7 +28,7 @@ import numpy as np
 
 __all__ = ["Checkpoint", "CheckpointError", "MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"PFCK0001"
+MAGIC = b"PFCK0002"
 _MAGIC_PREFIX = b"PFCK"
 _TEXT_SECTIONS = ("config", "state")
 

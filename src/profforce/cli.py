@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .checkpoint import CheckpointError, load_checkpoint
+from .checkpoint import MAGIC, CheckpointError, load_checkpoint
 from .config import MODE_ALIASES, ConfigError, build_config
 from .data import make_batches  # noqa: F401  (re-exported for scripting)
 from .diagnostics import (
@@ -22,7 +22,9 @@ from .diagnostics import (
 from .engine import unroll_free_running
 from .trainer import Trainer, TrainingDiverged, generator_from_checkpoint
 
-_LOG_LEVELS = {"error": logging.ERROR, "info": logging.INFO, "debug": logging.DEBUG}
+# The standard level names of the logging module, accepted in any case.
+_LOG_LEVELS = {name.lower(): getattr(logging, name)
+               for name in ("CRITICAL", "ERROR", "WARNING", "INFO", "DEBUG", "NOTSET")}
 
 
 def _setup_logging() -> None:
@@ -143,7 +145,8 @@ def cmd_diagnose(args) -> int:
 
 def cmd_inspect(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
-    print(f"format: PFCK0001")
+    # load_checkpoint accepts no other format version than this one.
+    print(f"format: {MAGIC.decode('ascii')}")
     print(f"step: {ckpt.state.get('step', '?')}")
     print("config:")
     for line in ckpt.config_text.strip().splitlines():

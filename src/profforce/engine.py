@@ -38,9 +38,8 @@ from .nets import (
     MlpParams,
     OutputHeadParams,
     bigru_encode,
-    gru_step_t,
+    gru_step,
     mlp_forward,
-    transpose_cell,
 )
 from .optim import AdamState, adam_step
 from .tensor import (
@@ -289,11 +288,10 @@ def _x_step(x_seq, t: int, batch: int) -> Tensor | None:
 
 
 class _Stepper:
-    """Caches weight transposes for one unroll of a generator."""
+    """One unroll of a generator; holds the output head's transpose."""
 
     def __init__(self, g: GeneratorParams):
         self.g = g
-        self.cells_t = [transpose_cell(c) for c in g.cells]
         self.w_head = transpose(g.head.W_o)
 
     def zero_states(self, batch: int) -> list[Tensor]:
@@ -306,8 +304,8 @@ class _Stepper:
             x = concat((x, x_t), axis=-1)
         new_states = []
         pre = None
-        for tc, h in zip(self.cells_t, states):
-            h_new, pre = gru_step_t(tc, h, x)
+        for cell, h in zip(self.g.cells, states):
+            h_new, pre = gru_step(cell, h, x)
             new_states.append(h_new)
             x = h_new
         return new_states, pre, x  # x is the top-layer state

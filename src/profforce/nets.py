@@ -7,12 +7,19 @@ hidden state is either ``[H]`` or ``[B, H]``.
 The gate equations, with ``x`` the step input and ``h`` the previous
 state::
 
-    z = sigmoid(W_z x + U_z h + b_z)          update gate
-    r = sigmoid(W_r x + U_r h + b_r)          reset gate
-    c = tanh(W_c x + U_c (r * h) + b_c)       candidate state
+    z = sigmoid(x W_z + h U_z + b_z)          update gate
+    r = sigmoid(x W_r + h U_r + b_r)          reset gate
+    c = tanh(x W_c + (r * h) U_c + b_c)       candidate state
     h_new = (1 - z) * h + z * c
 
-The candidate's pre-tanh value ``W_c x + U_c (r * h) + b_c`` is exposed
+A cell stores its gates stacked side by side in the order z, r, c, in
+the layout the row-batched products use: ``W`` is ``[I, 3H]``, ``U`` is
+``[H, 3H]`` and ``b`` is ``[3H]``, so ``W_z`` is ``W[:, :H]``, ``W_r``
+is ``W[:, H:2H]`` and ``W_c`` is ``W[:, 2H:]``.  One step is two
+products for the gates and one for the candidate, and :func:`gru_step`
+records it as a single tape node with a hand-written backward.
+
+The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
 discriminator consumes.
 """
@@ -20,20 +27,17 @@ discriminator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
 from .tensor import (
     Tensor,
+    _record,
+    _sigmoid,
     add,
     concat,
     matmul,
-    mul,
-    one_minus,
     relu,
-    sigmoid,
-    tanh,
     transpose,
 )
 
@@ -42,11 +46,8 @@ __all__ = [
     "OutputHeadParams",
     "MlpParams",
     "BiGruParams",
-    "TransposedGruCell",
     "init_params",
-    "transpose_cell",
     "gru_step",
-    "gru_step_t",
     "output_head",
     "mlp_forward",
     "bigru_encode",
@@ -67,81 +68,96 @@ def init_params(kind: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
+def _stack_gates(rng: np.random.Generator, hidden: int, fan_in: int) -> Tensor:
+    """Three [H, fan_in] gate draws, transposed and stacked into one [fan_in, 3H]."""
+    blocks = [init_params("weight", (hidden, fan_in), rng).data for _ in range(3)]
+    # concatenate(...).T is Fortran-ordered; in-place flat views need C order.
+    return Tensor(np.ascontiguousarray(np.concatenate(blocks, axis=0).T))
+
+
 @dataclass
 class GruCellParams:
-    """Input-to-hidden matrices are [H, I], recurrent ones [H, H]."""
+    """Gate-stacked weights, gate order z, r, c: W [I, 3H], U [H, 3H], b [3H]."""
 
-    W_z: Tensor
-    W_r: Tensor
-    W_c: Tensor
-    U_z: Tensor
-    U_r: Tensor
-    U_c: Tensor
-    b_z: Tensor
-    b_r: Tensor
-    b_c: Tensor
+    W: Tensor
+    U: Tensor
+    b: Tensor
 
     @classmethod
     def create(cls, hidden: int, input_size: int, rng: np.random.Generator) -> "GruCellParams":
         if hidden < 1 or input_size < 1:
             raise ValueError("hidden and input sizes must be positive")
-        w = lambda: init_params("weight", (hidden, input_size), rng)
-        u = lambda: init_params("weight", (hidden, hidden), rng)
-        b = lambda: init_params("bias", (hidden,), rng)
-        return cls(W_z=w(), W_r=w(), W_c=w(), U_z=u(), U_r=u(), U_c=u(),
-                   b_z=b(), b_r=b(), b_c=b())
+        W = _stack_gates(rng, hidden, input_size)
+        U = _stack_gates(rng, hidden, hidden)
+        return cls(W=W, U=U, b=init_params("bias", (3 * hidden,), rng))
 
     @property
     def hidden_size(self) -> int:
-        return self.W_z.shape[0]
+        return self.U.shape[0]
 
     @property
     def input_size(self) -> int:
-        return self.W_z.shape[1]
+        return self.W.shape[0]
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        fields = ("W_z", "W_r", "W_c", "U_z", "U_r", "U_c", "b_z", "b_r", "b_c")
-        return [(prefix + f, getattr(self, f)) for f in fields]
-
-
-class TransposedGruCell(NamedTuple):
-    """Weights pre-transposed for the x @ W.T step form, cached per unroll."""
-
-    wz: Tensor
-    wr: Tensor
-    wc: Tensor
-    uz: Tensor
-    ur: Tensor
-    uc: Tensor
-    bz: Tensor
-    br: Tensor
-    bc: Tensor
-
-
-def transpose_cell(p: GruCellParams) -> TransposedGruCell:
-    return TransposedGruCell(
-        wz=transpose(p.W_z), wr=transpose(p.W_r), wc=transpose(p.W_c),
-        uz=transpose(p.U_z), ur=transpose(p.U_r), uc=transpose(p.U_c),
-        bz=p.b_z, br=p.b_r, bc=p.b_c,
-    )
-
-
-def gru_step_t(tc: TransposedGruCell, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
-    z = sigmoid(add(add(matmul(x_in, tc.wz), matmul(h_prev, tc.uz)), tc.bz))
-    r = sigmoid(add(add(matmul(x_in, tc.wr), matmul(h_prev, tc.ur)), tc.br))
-    pre = add(add(matmul(x_in, tc.wc), matmul(mul(r, h_prev), tc.uc)), tc.bc)
-    c = tanh(pre)
-    h_new = add(mul(one_minus(z), h_prev), mul(z, c))
-    return h_new, pre
+        return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
 def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
-    """One GRU update; returns the new state and the candidate pre-tanh value."""
-    if h_prev.shape[-1] != p.hidden_size:
-        raise ValueError(f"state width {h_prev.shape[-1]} != hidden size {p.hidden_size}")
-    if x_in.shape[-1] != p.input_size:
-        raise ValueError(f"input width {x_in.shape[-1]} != cell input size {p.input_size}")
-    return gru_step_t(transpose_cell(p), h_prev, x_in)
+    """One GRU update; returns the new state and the candidate pre-tanh value.
+
+    ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
+    row batches.  The step is one tape node whose backward is written
+    out in numpy; either output may be left out of the loss.
+    """
+    hd, xd = h_prev.data, x_in.data
+    H = p.hidden_size
+    if hd.shape[-1] != H:
+        raise ValueError(f"state width {hd.shape[-1]} != hidden size {H}")
+    if xd.shape[-1] != p.input_size:
+        raise ValueError(f"input width {xd.shape[-1]} != cell input size {p.input_size}")
+    if hd.shape[:-1] != xd.shape[:-1] or hd.ndim > 2:
+        raise ValueError(f"state {hd.shape} and input {xd.shape} must both be [H]/[I] "
+                         f"or share a leading batch dimension")
+    W, U, b = p.W.data, p.U.data, p.b.data
+    h, x = hd.reshape(-1, H), xd.reshape(-1, xd.shape[-1])
+    xw = x @ W
+    zr = h @ U[:, :2 * H]
+    zr += xw[:, :2 * H]
+    zr += b[:2 * H]
+    zr = _sigmoid(zr)
+    z, r = zr[:, :H], zr[:, H:]
+    rh = r * h
+    pre = rh @ U[:, 2 * H:]
+    pre += xw[:, 2 * H:]
+    pre += b[2 * H:]
+    c = np.tanh(pre)
+    h_new = (1.0 - z) * h + z * c
+
+    def back(g_h, g_pre):
+        # d/d(gate pre-activations), stacked z, r, c like the weights
+        da = np.empty((h.shape[0], 3 * H))
+        if g_h is None:
+            g_h = np.zeros_like(h)
+        else:
+            g_h = g_h.reshape(h.shape)
+        d_pre = da[:, 2 * H:]
+        np.multiply(g_h * z, 1.0 - c * c, out=d_pre)
+        if g_pre is not None:
+            d_pre += g_pre.reshape(h.shape)
+        d_rh = d_pre @ U[:, 2 * H:].T
+        da[:, :H] = g_h * (c - h)
+        da[:, H:2 * H] = d_rh * h
+        da[:, :2 * H] *= zr * (1.0 - zr)
+        d_h = g_h * (1.0 - z) + d_rh * r + da[:, :2 * H] @ U[:, :2 * H].T
+        d_U = np.empty_like(U)
+        np.matmul(h.T, da[:, :2 * H], out=d_U[:, :2 * H])
+        np.matmul(rh.T, d_pre, out=d_U[:, 2 * H:])
+        return (d_h.reshape(hd.shape), (da @ W.T).reshape(xd.shape),
+                x.T @ da, d_U, da.sum(axis=0))
+
+    out = (Tensor(h_new.reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
+    return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
 @dataclass
@@ -233,18 +249,17 @@ def bigru_encode(p: BiGruParams, seq: list[Tensor]) -> list[Tensor]:
     if width != p.input_size:
         raise ValueError(f"feature width {width} does not match encoder input {p.input_size}")
     h_shape = seq[0].shape[:-1] + (p.hidden_size,)
-    tf, tb = transpose_cell(p.fwd), transpose_cell(p.bwd)
 
     h = Tensor(np.zeros(h_shape))
     fwd_states = []
     for x in seq:
-        h, _ = gru_step_t(tf, h, x)
+        h, _ = gru_step(p.fwd, h, x)
         fwd_states.append(h)
 
     h = Tensor(np.zeros(h_shape))
     bwd_states: list[Tensor] = []
     for x in reversed(seq):
-        h, _ = gru_step_t(tb, h, x)
+        h, _ = gru_step(p.bwd, h, x)
         bwd_states.append(h)
     bwd_states.reverse()
 

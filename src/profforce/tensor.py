@@ -6,6 +6,11 @@ backward closure.  With no tape active the same functions are plain
 numpy math, which is how evaluation-only code paths (sampling,
 validation, metric probes) run without autodiff overhead.
 
+A node may have more than one output (the fused GRU step in
+:mod:`profforce.nets` records its new state and its candidate pre-tanh
+value together); its closure gets ``None`` for each output the loss does
+not reach.
+
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
 is a valid topological order because nodes are appended as they are
@@ -102,8 +107,10 @@ class Tape:
     """Ordered record of primitive ops, used once for one backward pass."""
 
     def __init__(self):
-        # node: (out tensor, input tensors, backward closure)
-        self.nodes: list[tuple[Tensor, tuple[Tensor, ...], Callable]] = []
+        # node: (output tensors, input tensors, backward closure); the
+        # closure takes one gradient per output, None for an output the
+        # loss does not reach, and returns one gradient per input.
+        self.nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -131,12 +138,15 @@ def stop_recording() -> _RecordingOff:
     return _RecordingOff()
 
 
-def _record(out: Tensor, inputs: tuple[Tensor, ...], backfn: Callable) -> Tensor:
+def _record(out, inputs: tuple[Tensor, ...], backfn: Callable):
+    """Record one node; ``out`` is a Tensor or a tuple of output Tensors."""
     if _TAPES:
         tape = _TAPES[-1]
         if tape is not None:
-            out.node_id = len(tape.nodes)
-            tape.nodes.append((out, inputs, backfn))
+            outs = out if isinstance(out, tuple) else (out,)
+            for o in outs:
+                o.node_id = len(tape.nodes)
+            tape.nodes.append((outs, inputs, backfn))
     return out
 
 
@@ -152,14 +162,15 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None) -
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     # Reset node-output grads so a second backward on the same tape is
     # bit-identical to the first rather than compounding.
-    for out, _, _ in tape.nodes:
-        out.grad = None
+    for outs, _, _ in tape.nodes:
+        for out in outs:
+            out.grad = None
     loss.grad = np.ones((), dtype=np.float64)
-    for out, inputs, backfn in reversed(tape.nodes):
-        g = out.grad
-        if g is None:
+    for outs, inputs, backfn in reversed(tape.nodes):
+        grads = [out.grad for out in outs]
+        if all(g is None for g in grads):
             continue
-        for t, gi in zip(inputs, backfn(g)):
+        for t, gi in zip(inputs, backfn(*grads)):
             if gi is None:
                 continue
             if t.grad is None:
@@ -271,17 +282,16 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g.T,))
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
+    s = np.tanh(0.5 * x)
+    s += 1.0
+    s *= 0.5
+    return s
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    s = _stable_sigmoid(a.data)
+    s = _sigmoid(a.data)
     out = Tensor(s, copy=False)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 

@@ -30,6 +30,7 @@ from profforce.engine import (
     unroll_free_running,
     unroll_teacher_forced,
 )
+from profforce.nets import GruCellParams, gru_step
 from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
@@ -97,6 +98,13 @@ def convergence_run(tmp_path_factory):
 # ---------------------------------------------------------------------------
 
 
+def gru_params(rng, batch, hidden=4, width=3):
+    """Leaves (h, x, W, U, b) for one fused GRU step, gates stacked z, r, c."""
+    shapes = [batch + (hidden,), batch + (width,), (width, 3 * hidden),
+              (hidden, 3 * hidden), (3 * hidden,)]
+    return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
+
+
 class TestA1GradientIntegrity:
     def test_a1_gradient_integrity(self, capsys):
         with verdict(capsys, "[A1] gradient integrity") as info:
@@ -140,6 +148,17 @@ class TestA1GradientIntegrity:
                 "sum_all": (lambda p: sum_all(mul(p[0], p[0])), [t((4, 3))]),
                 "mean_all": (lambda p: mean_all(mul(p[0], p[0])), [t((4, 3))]),
                 "mean_axis0": (lambda p: sum_all(tanh(mean_axis0(p[0]))), [t((4, 3))]),
+                # fused GRU step, inputs (h, x, W, U, b): both outputs, the
+                # state alone (no grad reaches pre), the candidate alone
+                "gru_step": (
+                    lambda p: sum_all(mul(*gru_step(GruCellParams(*p[2:]), p[0], p[1]))),
+                    gru_params(rng, batch=(3,))),
+                "gru_step_state": (
+                    lambda p: sum_all(tanh(gru_step(GruCellParams(*p[2:]), p[0], p[1])[0])),
+                    gru_params(rng, batch=(3,))),
+                "gru_step_pre": (
+                    lambda p: sum_all(tanh(gru_step(GruCellParams(*p[2:]), p[0], p[1])[1])),
+                    gru_params(rng, batch=())),
             }
             worst_prim = 0.0
             for name, (f, params) in cases.items():

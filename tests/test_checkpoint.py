@@ -42,7 +42,7 @@ class TestRoundTrip:
     def test_file_starts_with_magic(self, sample, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(sample, path)
-        assert path.read_bytes()[:8] == MAGIC == b"PFCK0001"
+        assert path.read_bytes()[:8] == MAGIC == b"PFCK0002"
 
     def test_no_temp_file_left_behind(self, sample, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -106,11 +106,21 @@ class TestCorruption:
     def test_future_version_named_in_error(self, sample, tmp_path):
         path = self._saved(sample, tmp_path)
         blob = bytearray(path.read_bytes())
-        blob[:8] = b"PFCK0002"
+        blob[:8] = b"PFCK0003"
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
-        assert "0002" in str(exc.value) and "0001" in str(exc.value)
+        assert "0003" in str(exc.value) and "0002" in str(exc.value)
+
+    def test_previous_version_rejected(self, sample, tmp_path):
+        # PFCK0001 stored per-gate GRU matrices; those tensor names are gone.
+        path = self._saved(sample, tmp_path)
+        blob = bytearray(path.read_bytes())
+        blob[:8] = b"PFCK0001"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError) as exc:
+            load_checkpoint(path)
+        assert "0001" in str(exc.value) and "0002" in str(exc.value)
 
     def test_missing_state_section(self, tmp_path):
         import struct

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from profforce.checkpoint import MAGIC
 from profforce.cli import main
 
 
@@ -173,7 +174,7 @@ class TestInspectCommand:
     def test_lists_format_config_tensors(self, trained, capsys):
         assert main(["inspect-checkpoint", str(trained / "final.ckpt")]) == 0
         out = capsys.readouterr().out
-        assert "format: PFCK0001" in out
+        assert f"format: {MAGIC.decode('ascii')}" in out
         assert "step: 4" in out
         assert "seed=5" in out
         assert "g.embedding  shape=(5, 4)" in out
@@ -199,3 +200,8 @@ class TestLogging:
     def test_valid_levels_accepted(self, monkeypatch, tmp_path, capsys):
         monkeypatch.setenv("PF_LOG_LEVEL", "error")
         assert main(["sample", str(tmp_path / "no.ckpt")]) == 2  # reaches the handler
+
+    def test_warning_accepted(self, monkeypatch, tmp_path, capsys):
+        for name in ("warning", "WARNING"):
+            monkeypatch.setenv("PF_LOG_LEVEL", name)
+            assert main(["sample", str(tmp_path / "no.ckpt")]) == 2  # reaches the handler

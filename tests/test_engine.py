@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from profforce import engine
+from profforce.config import TrainConfig
 from profforce.engine import (
     BehaviorSequence,
     DiscriminatorParams,
@@ -37,7 +39,9 @@ from profforce.tensor import (
     stop_recording,
     zero_grads,
 )
+from profforce.trainer import Trainer
 
+from test_acceptance import TINY_PF
 from test_nets import gru_oracle
 
 
@@ -601,3 +605,39 @@ class TestTrainStep:
             return add(nll, adv)
 
         assert grad_check(f, params, 1e-5) < 1e-4
+
+
+class TestTapeNodeCeiling:
+    """Tape nodes recorded by one training step at acceptance check A7's size.
+
+    At desk sizes a step costs Python dispatch per tape node more than
+    arithmetic, so these ceilings guard the fused GRU step.  A change
+    that records fewer nodes lowers them; none may raise them.
+    """
+
+    PF_CEILING = 223
+    TF_CEILING = 45
+
+    def _one_step(self, monkeypatch, tmp_path, mode):
+        recorded = []
+        tape_exit = Tape.__exit__
+
+        def counting_exit(tape, *exc):
+            recorded.append(len(tape))
+            return tape_exit(tape, *exc)
+
+        monkeypatch.setattr(Tape, "__exit__", counting_exit)
+        # Open the generator's gate so the pf step runs every discriminator pass.
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        cfg = TrainConfig(**dict(TINY_PF, max_steps=1, mode=mode))
+        row = Trainer(cfg, tmp_path).run()[0]
+        return sum(recorded), row
+
+    def test_professor_forcing_step(self, monkeypatch, tmp_path):
+        nodes, row = self._one_step(monkeypatch, tmp_path, "professor_forcing")
+        assert row["gate_gen"] and row["gate_disc"]
+        assert nodes <= self.PF_CEILING
+
+    def test_teacher_forcing_step(self, monkeypatch, tmp_path):
+        nodes, _ = self._one_step(monkeypatch, tmp_path, "teacher_forcing")
+        assert nodes <= self.TF_CEILING

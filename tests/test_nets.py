@@ -18,10 +18,14 @@ from profforce.tensor import Tensor, grad_check, sum_all, tanh
 
 
 def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):
-    """Scalar-loop reference for one GRU update; returns (h_new, pre_tanh)."""
+    """Scalar-loop reference for one GRU update; returns (h_new, pre_tanh).
+
+    Reads the gate-stacked weights column by column: unit i of gate k
+    (z, r, c for k = 0, 1, 2) is column k*H + i of W, U and b.
+    """
     H, I = cell.hidden_size, cell.input_size
-    W = {k: getattr(cell, k).data for k in ("W_z", "W_r", "W_c", "U_z", "U_r", "U_c",
-                                            "b_z", "b_r", "b_c")}
+    W, U, b = cell.W.data, cell.U.data, cell.b.data
+    Z, R, C = 0, H, 2 * H
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -29,24 +33,24 @@ def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):
     z = np.zeros(H)
     r = np.zeros(H)
     for i in range(H):
-        az, ar = W["b_z"][i], W["b_r"][i]
+        az, ar = b[Z + i], b[R + i]
         for j in range(I):
-            az += W["W_z"][i, j] * x[j]
-            ar += W["W_r"][i, j] * x[j]
+            az += W[j, Z + i] * x[j]
+            ar += W[j, R + i] * x[j]
         for j in range(H):
-            az += W["U_z"][i, j] * h[j]
-            ar += W["U_r"][i, j] * h[j]
+            az += U[j, Z + i] * h[j]
+            ar += U[j, R + i] * h[j]
         z[i], r[i] = sig(az), sig(ar)
 
     rh = r * h
     pre = np.zeros(H)
     h_new = np.zeros(H)
     for i in range(H):
-        acc = W["b_c"][i]
+        acc = b[C + i]
         for j in range(I):
-            acc += W["W_c"][i, j] * x[j]
+            acc += W[j, C + i] * x[j]
         for j in range(H):
-            acc += W["U_c"][i, j] * rh[j]
+            acc += U[j, C + i] * rh[j]
         pre[i] = acc
         h_new[i] = (1.0 - z[i]) * h[i] + z[i] * math.tanh(acc)
     return h_new, pre
@@ -73,7 +77,7 @@ class TestGruStep:
         np.testing.assert_array_equal(pre.data, np.zeros(6))
 
     def test_large_negative_update_bias_freezes_state(self, small_cell):
-        small_cell.b_z.data[:] = -50.0
+        small_cell.b.data[:6] = -50.0  # b_z
         rng = np.random.default_rng(102)
         h = rng.uniform(-1, 1, 6)
         x = rng.uniform(-1, 1, 4)
@@ -128,11 +132,22 @@ class TestInit:
         for (_, ta), (_, tb) in zip(a.named(), b.named()):
             assert np.array_equal(ta.data, tb.data)
 
+    def test_gates_stacked_from_per_gate_draws(self):
+        # The cell draws [H, I] blocks for z, r, c, then [H, H] blocks, and
+        # stores their transposes side by side, C-ordered.
+        cell = GruCellParams.create(5, 3, np.random.default_rng(7))
+        rng = np.random.default_rng(7)
+        w = [init_params("weight", (5, 3), rng).data for _ in range(3)]
+        u = [init_params("weight", (5, 5), rng).data for _ in range(3)]
+        for k in range(3):
+            np.testing.assert_array_equal(cell.W.data[:, 5 * k:5 * (k + 1)], w[k].T)
+            np.testing.assert_array_equal(cell.U.data[:, 5 * k:5 * (k + 1)], u[k].T)
+        assert cell.W.shape == (3, 15) and cell.U.shape == (5, 15) and cell.b.shape == (15,)
+        assert all(t.data.flags.c_contiguous for _, t in cell.named())
+
     def test_biases_exactly_zero(self):
         cell = GruCellParams.create(5, 3, np.random.default_rng(8))
-        for name, t in cell.named():
-            if name.startswith("b_"):
-                np.testing.assert_array_equal(t.data, np.zeros(5))
+        np.testing.assert_array_equal(cell.b.data, np.zeros(15))
 
     def test_weight_bound_and_mean(self):
         rng = np.random.default_rng(9)
