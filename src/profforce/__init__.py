@@ -12,8 +12,6 @@ from .engine import (
     GateState,
     GeneratorParams,
     Mode,
-    SequenceBatch,
-    disc_accuracy,
     discriminate,
     gate,
     loss_discriminator,
@@ -41,14 +39,12 @@ __all__ = [
     "adam_step",
     "Mode",
     "BehaviorSequence",
-    "SequenceBatch",
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",
     "EngineSettings",
     "gate",
     "discriminate",
-    "disc_accuracy",
     "loss_nll",
     "loss_discriminator",
     "loss_fool_free_running",

@@ -18,9 +18,15 @@ teacher forced:
     c_f        mean(-log D(b_fr))                     generator side
     c_t        mean(-log(1 - D(b_tf)))                optional extra
 
-The adversarial signal reaches the generator only while the
-discriminator's batch accuracy is above 0.75, and the discriminator
-itself stops updating once its accuracy exceeds 0.99.
+c_d is c_f + c_t with the labels swapped: ``loss_discriminator(d_fr,
+d_tf)`` is the generator's term with ``use_ct``.  The adversarial signal
+reaches the generator only while the discriminator's batch accuracy is
+above 0.75, and the discriminator itself stops updating once its
+accuracy exceeds 0.99.
+
+A training step stacks both behaviors into one batch, teacher-forced
+rows first, and runs the discriminator on it once; every term above
+comes from that one forward (see :func:`train_step`).
 """
 
 from __future__ import annotations
@@ -53,13 +59,14 @@ from .tensor import (
     log,
     matmul,
     mean_axis0,
+    mul,
     one_minus,
     reshape,
     scale,
     sigmoid,
     softmax,
     softmax_cross_entropy_rows,
-    stop_recording,
+    split,
     sum_all,
     transpose,
     zero_grads,
@@ -68,7 +75,6 @@ from .tensor import (
 __all__ = [
     "Mode",
     "BehaviorSequence",
-    "SequenceBatch",
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",
@@ -84,7 +90,6 @@ __all__ = [
     "loss_fool_free_running",
     "loss_match_teacher_forced",
     "gate",
-    "disc_accuracy",
     "accuracy_from_probs",
     "train_step",
     "sample_rows",
@@ -128,27 +133,6 @@ class BehaviorSequence:
         """Same values as tape-free leaves, blocking gradients upstream."""
         return BehaviorSequence([s.detach() for s in self.steps],
                                 self.mode, self.include_outputs)
-
-
-@dataclass
-class SequenceBatch:
-    """Equal counts of teacher-forced and free-running behaviors."""
-
-    teacher_forced: list[BehaviorSequence]
-    free_running: list[BehaviorSequence]
-
-    def __post_init__(self):
-        n_tf = sum(b.batch for b in self.teacher_forced)
-        n_fr = sum(b.batch for b in self.free_running)
-        if n_tf != n_fr or n_tf == 0:
-            raise ValueError(f"need matching nonzero mode counts, got {n_tf} and {n_fr}")
-        widths = {b.width for b in self.teacher_forced + self.free_running}
-        if len(widths) != 1:
-            raise ValueError(f"mixed behavior widths {sorted(widths)}")
-
-    @property
-    def n(self) -> int:
-        return sum(b.batch for b in self.teacher_forced)
 
 
 @dataclass(frozen=True)
@@ -460,19 +444,25 @@ def extract_behavior(pre_tanh_seq: list[Tensor], softmax_seq: list[Tensor] | Non
 # discriminator and losses
 
 
-def discriminate(d: DiscriminatorParams, b: BehaviorSequence) -> Tensor:
+def _as_sequence(b: BehaviorSequence) -> Tensor:
+    """The steps of ``b`` as one time-major [T, B, width] tensor."""
+    return reshape(concat(b.steps, axis=0), (len(b.steps), b.batch, b.width))
+
+
+def discriminate(d: DiscriminatorParams, b: BehaviorSequence | Tensor) -> Tensor:
     """Probability per sequence that the behavior is teacher forced.
 
-    BiGRU encoding, a shared per-step MLP score, mean pooling over time,
-    a clamp of the pooled logit to [-10, 10], then a sigmoid.
+    ``b`` is a behavior sequence or its time-major ``[T, B, width]``
+    tensor.  BiGRU encoding, a shared per-step MLP score, mean pooling
+    over time, a clamp of the pooled logit to [-10, 10], then a sigmoid.
     """
-    if b.width != d.feature_width:
-        raise ValueError(f"behavior width {b.width} does not match "
+    seq = _as_sequence(b) if isinstance(b, BehaviorSequence) else b
+    t_len, batch, width = seq.shape
+    if width != d.feature_width:
+        raise ValueError(f"behavior width {width} does not match "
                          f"discriminator input {d.feature_width}")
-    states = bigru_encode(d.encoder, b.steps)
-    t_len, batch = len(states), b.batch
-    stacked = concat(states, axis=0)                 # [(T*B), 2H]
-    scores = mlp_forward(d.classifier, stacked)      # [(T*B), 1]
+    states = bigru_encode(d.encoder, seq)                              # [T, B, 2H]
+    scores = mlp_forward(d.classifier, reshape(states, (t_len * batch, states.shape[-1])))
     per_step = reshape(scores, (t_len, batch))
     pooled = mean_axis0(per_step)                    # [B]
     return sigmoid(clip(pooled, -LOGIT_CLIP, LOGIT_CLIP))
@@ -538,15 +528,6 @@ def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
     return correct / (p_tf.size + p_fr.size)
 
 
-def disc_accuracy(d: DiscriminatorParams, batch: SequenceBatch) -> float:
-    with stop_recording():
-        p_tf = np.concatenate([discriminate(d, b).data.reshape(-1)
-                               for b in batch.teacher_forced])
-        p_fr = np.concatenate([discriminate(d, b).data.reshape(-1)
-                               for b in batch.free_running])
-    return accuracy_from_probs(p_tf, p_fr)
-
-
 # ---------------------------------------------------------------------------
 # one optimisation step
 
@@ -556,10 +537,27 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                g_adam: AdamState, d_adam: AdamState) -> dict:
     """One combined update over a minibatch.
 
-    Order: unroll both regimes, measure discriminator accuracy and gate,
-    step the generator on nll (per-step mean) plus the gated adversarial
-    terms, then, if the gate allows, step the discriminator on c_d
-    computed from the same behaviors with generator gradients blocked.
+    Order of work:
+
+    1. On the generator tape, unroll both regimes and stack their
+       behaviors into one ``[T, 2B, width]`` tensor, teacher-forced rows
+       first.
+    2. Run the discriminator once, on a detached leaf of that stack and
+       on a tape of its own.  Its probabilities give the accuracy, the
+       gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
+       which makes the generator term c_d with the labels swapped).
+    3. If the gate lets the adversarial term reach the generator, sweep
+       the discriminator tape for that term, into the leaf, and add
+       ``sum(stack * leaf_grad)`` to the generator loss: its gradient
+       reaches the generator exactly as if the discriminator had run on
+       the generator tape.
+    4. If the gate lets the discriminator learn, sweep its tape again,
+       for c_d, into the discriminator parameters.  This sweep comes
+       second so that those parameters end the step holding the c_d
+       gradient their update used.
+    5. Sweep the generator tape, then take both Adam steps.  Adam
+       mutates weights that the backward closures read, so no update
+       runs before every sweep has finished.
 
     When the adversarial weight is zero and the discriminator is frozen
     the free-running unroll and all discriminator work are skipped
@@ -573,48 +571,50 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     nan = float("nan")
     metrics = {"c_d": nan, "c_f": nan, "c_t": nan, "disc_acc": nan,
                "gate_gen": False, "gate_disc": False}
-    d_tape = None
-    c_d_tensor = None
-    gs = None
+    update_d = False
+    d_params = d.tensors()
 
     with Tape() as gen_tape:
         ss = scheduled_sampling_unroll(g, ids, p_sample, rng,
                                        include_outputs=settings.include_outputs)
-        fr = None
+        loss = scale(ss.nll, 1.0 / t_len)
         if run_adv:
             fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
                                      batch=b, include_outputs=settings.include_outputs)
+            stacked = concat((_as_sequence(ss.behavior), _as_sequence(fr.behavior)), axis=1)
+            leaf = stacked.detach()
             with Tape() as d_tape:
-                p_tf_t = discriminate(d, ss.behavior.detach())
-                p_fr_t = discriminate(d, fr.behavior.detach())
-                c_d_tensor = loss_discriminator(p_tf_t, p_fr_t)
-            p_tf, p_fr = p_tf_t.data, p_fr_t.data
-            gs = gate(accuracy_from_probs(p_tf, p_fr))
-            metrics.update(c_d=float(c_d_tensor.data),
+                p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
+                c_d = loss_discriminator(p_tf_t, p_fr_t)
+                p_tf, p_fr = p_tf_t.data, p_fr_t.data
+                gs = gate(accuracy_from_probs(p_tf, p_fr))
+                adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
+                if adv_on:
+                    adv = (loss_discriminator(p_fr_t, p_tf_t) if settings.use_ct
+                           else loss_fool_free_running(p_fr_t))
+                    adv = scale(adv, settings.adversarial_weight)
+            metrics.update(c_d=float(c_d.data),
                            c_f=loss_fool_free_running(p_fr),
                            c_t=loss_match_teacher_forced(p_tf),
                            disc_acc=gs.disc_accuracy,
                            gate_gen=gs.adversarial_to_generator,
                            gate_disc=gs.update_discriminator)
 
-        loss = scale(ss.nll, 1.0 / t_len)
-        adv_on = (run_adv and settings.adversarial_weight != 0.0
-                  and gs.adversarial_to_generator)
-        if adv_on:
-            adv = loss_fool_free_running(discriminate(d, fr.behavior))
-            if settings.use_ct:
-                adv = add(adv, loss_match_teacher_forced(discriminate(d, ss.behavior)))
-            loss = add(loss, scale(adv, settings.adversarial_weight))
+            if adv_on:
+                backward(d_tape, adv)
+                loss = add(loss, sum_all(mul(stacked, Tensor(leaf.grad, copy=False))))
+            update_d = not settings.freeze_discriminator and gs.update_discriminator
+            if update_d:
+                # The sweep above also added into these grads; resetting the
+                # leaf's leaves the array the generator loss holds intact.
+                zero_grads(d_params + [leaf])
+                backward(d_tape, c_d, params=d_params)
 
     g_params = g.tensors()
     zero_grads(g_params)
     backward(gen_tape, loss, params=g_params)
     adam_step(g_adam, g_params, [p.grad for p in g_params])
-
-    if run_adv and not settings.freeze_discriminator and gs.update_discriminator:
-        d_params = d.tensors()
-        zero_grads(d_params)  # the generator pass may have left grads on theta_d
-        backward(d_tape, c_d_tensor, params=d_params)
+    if update_d:
         adam_step(d_adam, d_params, [p.grad for p in d_params])
 
     nll_per_step = float(ss.nll.data) / t_len

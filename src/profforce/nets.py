@@ -1,8 +1,9 @@
 """GRU cells, output heads, MLPs and a bidirectional GRU encoder.
 
-All parameters are plain :class:`~profforce.tensor.Tensor` leaves; the
-step functions work on single vectors or on row-batched matrices, so a
-hidden state is either ``[H]`` or ``[B, H]``.
+All parameters are plain :class:`~profforce.tensor.Tensor` leaves.  The
+step function works on single vectors or on row-batched matrices, so a
+hidden state is either ``[H]`` or ``[B, H]``; the sequence function
+works on time-major ``[T, B, .]`` arrays.
 
 The gate equations, with ``x`` the step input and ``h`` the previous
 state::
@@ -18,6 +19,14 @@ the layout the row-batched products use: ``W`` is ``[I, 3H]``, ``U`` is
 is ``W[:, H:2H]`` and ``W_c`` is ``W[:, 2H:]``.  One step is two
 products for the gates and one for the candidate, and :func:`gru_step`
 records it as a single tape node with a hand-written backward.
+
+When every input of a sequence is known up front, :func:`gru_sequence`
+records the whole recursion as one tape node instead: the input
+projection ``X W`` of all steps is one product, the backward runs the
+recursion in numpy, and the input and weight gradients of all steps are
+one product each.  The discriminator's encoder, :func:`bigru_encode`,
+runs it once per direction.  Both functions share one numpy copy of the
+gate equations and of their backward.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -48,7 +57,7 @@ __all__ = [
     "BiGruParams",
     "init_params",
     "gru_step",
-    "output_head",
+    "gru_sequence",
     "mlp_forward",
     "bigru_encode",
 ]
@@ -103,6 +112,61 @@ class GruCellParams:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
+def _gru_cell(U: np.ndarray, b: np.ndarray, h: np.ndarray, xw: np.ndarray):
+    """Numpy forward of one step from the input projection ``xw = x @ W``.
+
+    ``h`` is ``[B, H]`` and ``xw`` is ``[B, 3H]``.  Returns the new
+    state, the candidate pre-tanh value and what the backward needs:
+    the stacked ``z, r`` gates, ``r * h`` and the candidate ``c``.
+    """
+    H = U.shape[0]
+    zr = h @ U[:, :2 * H]
+    zr += xw[:, :2 * H]
+    zr += b[:2 * H]
+    zr = _sigmoid(zr)
+    z = zr[:, :H]
+    rh = zr[:, H:] * h
+    pre = rh @ U[:, 2 * H:]
+    pre += xw[:, 2 * H:]
+    pre += b[2 * H:]
+    c = np.tanh(pre)
+    h_new = (1.0 - z) * h + z * c
+    return h_new, pre, zr, rh, c
+
+
+def _gru_cell_back(U: np.ndarray, h: np.ndarray, zr: np.ndarray, c: np.ndarray,
+                   g_h: np.ndarray, g_pre: np.ndarray | None):
+    """Numpy backward of one step: gradients of the stacked gate
+    pre-activations ``[B, 3H]`` (order z, r, c) and of the previous state."""
+    H = U.shape[0]
+    z, r = zr[:, :H], zr[:, H:]
+    da = np.empty((h.shape[0], 3 * H))
+    d_pre = da[:, 2 * H:]
+    np.multiply(g_h * z, 1.0 - c * c, out=d_pre)
+    if g_pre is not None:
+        d_pre += g_pre
+    d_rh = d_pre @ U[:, 2 * H:].T
+    da[:, :H] = g_h * (c - h)
+    da[:, H:2 * H] = d_rh * h
+    da[:, :2 * H] *= zr * (1.0 - zr)
+    d_h = g_h * (1.0 - z) + d_rh * r + da[:, :2 * H] @ U[:, :2 * H].T
+    return da, d_h
+
+
+def _gru_weight_grads(W: np.ndarray, U: np.ndarray, x: np.ndarray, h: np.ndarray,
+                      rh: np.ndarray, da: np.ndarray):
+    """Input and weight gradients over all rows of ``da`` at once.
+
+    ``x``, ``h`` and ``rh`` are the step inputs, previous states and
+    ``r * h`` aligned row for row with ``da``; returns dx, dW, dU, db.
+    """
+    H = U.shape[0]
+    d_U = np.empty_like(U)
+    np.matmul(h.T, da[:, :2 * H], out=d_U[:, :2 * H])
+    np.matmul(rh.T, da[:, 2 * H:], out=d_U[:, 2 * H:])
+    return da @ W.T, x.T @ da, d_U, da.sum(axis=0)
+
+
 def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
     """One GRU update; returns the new state and the candidate pre-tanh value.
 
@@ -111,53 +175,69 @@ def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Te
     out in numpy; either output may be left out of the loss.
     """
     hd, xd = h_prev.data, x_in.data
-    H = p.hidden_size
-    if hd.shape[-1] != H:
-        raise ValueError(f"state width {hd.shape[-1]} != hidden size {H}")
+    if hd.shape[-1] != p.hidden_size:
+        raise ValueError(f"state width {hd.shape[-1]} != hidden size {p.hidden_size}")
     if xd.shape[-1] != p.input_size:
         raise ValueError(f"input width {xd.shape[-1]} != cell input size {p.input_size}")
     if hd.shape[:-1] != xd.shape[:-1] or hd.ndim > 2:
         raise ValueError(f"state {hd.shape} and input {xd.shape} must both be [H]/[I] "
                          f"or share a leading batch dimension")
     W, U, b = p.W.data, p.U.data, p.b.data
-    h, x = hd.reshape(-1, H), xd.reshape(-1, xd.shape[-1])
-    xw = x @ W
-    zr = h @ U[:, :2 * H]
-    zr += xw[:, :2 * H]
-    zr += b[:2 * H]
-    zr = _sigmoid(zr)
-    z, r = zr[:, :H], zr[:, H:]
-    rh = r * h
-    pre = rh @ U[:, 2 * H:]
-    pre += xw[:, 2 * H:]
-    pre += b[2 * H:]
-    c = np.tanh(pre)
-    h_new = (1.0 - z) * h + z * c
+    h, x = hd.reshape(-1, p.hidden_size), xd.reshape(-1, xd.shape[-1])
+    h_new, pre, zr, rh, c = _gru_cell(U, b, h, x @ W)
 
     def back(g_h, g_pre):
-        # d/d(gate pre-activations), stacked z, r, c like the weights
-        da = np.empty((h.shape[0], 3 * H))
-        if g_h is None:
-            g_h = np.zeros_like(h)
-        else:
-            g_h = g_h.reshape(h.shape)
-        d_pre = da[:, 2 * H:]
-        np.multiply(g_h * z, 1.0 - c * c, out=d_pre)
-        if g_pre is not None:
-            d_pre += g_pre.reshape(h.shape)
-        d_rh = d_pre @ U[:, 2 * H:].T
-        da[:, :H] = g_h * (c - h)
-        da[:, H:2 * H] = d_rh * h
-        da[:, :2 * H] *= zr * (1.0 - zr)
-        d_h = g_h * (1.0 - z) + d_rh * r + da[:, :2 * H] @ U[:, :2 * H].T
-        d_U = np.empty_like(U)
-        np.matmul(h.T, da[:, :2 * H], out=d_U[:, :2 * H])
-        np.matmul(rh.T, d_pre, out=d_U[:, 2 * H:])
-        return (d_h.reshape(hd.shape), (da @ W.T).reshape(xd.shape),
-                x.T @ da, d_U, da.sum(axis=0))
+        g_h = np.zeros_like(h) if g_h is None else g_h.reshape(h.shape)
+        g_pre = None if g_pre is None else g_pre.reshape(h.shape)
+        da, d_h = _gru_cell_back(U, h, zr, c, g_h, g_pre)
+        d_x, d_W, d_U, d_b = _gru_weight_grads(W, U, x, h, rh, da)
+        return d_h.reshape(hd.shape), d_x.reshape(xd.shape), d_W, d_U, d_b
 
     out = (Tensor(h_new.reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
     return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
+
+
+def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
+    """Run a cell over a whole ``[T, B, I]`` sequence from a zero state.
+
+    Returns the states ``[T, B, H]``; with ``reverse`` the cell reads
+    step ``T-1`` first, and ``states[t]`` has seen inputs ``t..T-1``.
+    One tape node: the input projection of every step is one product,
+    the backward runs the step recursion in numpy and then forms the
+    input and weight gradients of all steps with one product each.
+    """
+    xd = xs.data
+    if xd.ndim != 3 or xd.shape[0] == 0:
+        raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
+    if xd.shape[-1] != p.input_size:
+        raise ValueError(f"input width {xd.shape[-1]} != cell input size {p.input_size}")
+    T, B, I = xd.shape
+    H = p.hidden_size
+    W, U, b = p.W.data, p.U.data, p.b.data
+    x = xd.reshape(T * B, I)
+    xw = (x @ W).reshape(T, B, 3 * H)
+    steps = range(T - 1, -1, -1) if reverse else range(T)
+    h_prev = np.empty((T, B, H))   # state each step read
+    rh = np.empty((T, B, H))
+    zr = np.empty((T, B, 2 * H))
+    c = np.empty((T, B, H))
+    states = np.empty((T, B, H))
+    h = np.zeros((B, H))
+    for t in steps:
+        h_prev[t] = h
+        h, _, zr[t], rh[t], c[t] = _gru_cell(U, b, h, xw[t])
+        states[t] = h
+
+    def back(g):
+        da = np.empty((T, B, 3 * H))
+        d_h = np.zeros((B, H))
+        for t in reversed(steps):
+            da[t], d_h = _gru_cell_back(U, h_prev[t], zr[t], c[t], g[t] + d_h, None)
+        d_x, d_W, d_U, d_b = _gru_weight_grads(
+            W, U, x, h_prev.reshape(T * B, H), rh.reshape(T * B, H), da.reshape(T * B, 3 * H))
+        return d_x.reshape(xd.shape), d_W, d_U, d_b
+
+    return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back)
 
 
 @dataclass
@@ -174,10 +254,6 @@ class OutputHeadParams:
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         return [(prefix + "W_o", self.W_o), (prefix + "b_o", self.b_o)]
-
-
-def output_head(p: OutputHeadParams, h: Tensor) -> Tensor:
-    return add(matmul(h, transpose(p.W_o)), p.b_o)
 
 
 @dataclass
@@ -237,30 +313,10 @@ class BiGruParams:
         return self.fwd.named(prefix + "fwd.") + self.bwd.named(prefix + "bwd.")
 
 
-def bigru_encode(p: BiGruParams, seq: list[Tensor]) -> list[Tensor]:
-    """Run both directions from zero states; step t gets [fwd_t ; bwd_t].
+def bigru_encode(p: BiGruParams, seq: Tensor) -> Tensor:
+    """Run both directions over ``[T, B, I]`` from zero states.
 
-    Output width is twice the encoder hidden size, and every output step
-    depends on the whole input sequence.
+    Returns ``[T, B, 2H]``: step t holds ``[fwd_t ; bwd_t]``, so every
+    output step depends on the whole input sequence.
     """
-    if not seq:
-        raise ValueError("bigru_encode on an empty sequence")
-    width = seq[0].shape[-1]
-    if width != p.input_size:
-        raise ValueError(f"feature width {width} does not match encoder input {p.input_size}")
-    h_shape = seq[0].shape[:-1] + (p.hidden_size,)
-
-    h = Tensor(np.zeros(h_shape))
-    fwd_states = []
-    for x in seq:
-        h, _ = gru_step(p.fwd, h, x)
-        fwd_states.append(h)
-
-    h = Tensor(np.zeros(h_shape))
-    bwd_states: list[Tensor] = []
-    for x in reversed(seq):
-        h, _ = gru_step(p.bwd, h, x)
-        bwd_states.append(h)
-    bwd_states.reverse()
-
-    return [concat((f, b), axis=-1) for f, b in zip(fwd_states, bwd_states)]
+    return concat((gru_sequence(p.fwd, seq), gru_sequence(p.bwd, seq, reverse=True)), axis=-1)

@@ -8,8 +8,8 @@ validation, metric probes) run without autodiff overhead.
 
 A node may have more than one output (the fused GRU step in
 :mod:`profforce.nets` records its new state and its candidate pre-tanh
-value together); its closure gets ``None`` for each output the loss does
-not reach.
+value together, and :func:`split` records every piece); its closure gets
+``None`` for each output the loss does not reach.
 
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
@@ -47,6 +47,7 @@ __all__ = [
     "softmax_cross_entropy_rows",
     "embed",
     "concat",
+    "split",
     "reshape",
     "sum_all",
     "mean_all",
@@ -356,11 +357,12 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
     if not 0 <= t < x.shape[0]:
         raise ValueError(f"target {t} out of range for {x.shape[0]} classes")
     m = np.max(x)
-    lse = m + np.log(np.sum(np.exp(x - m)))
-    out = Tensor(np.asarray(lse - x[t]), copy=False)
+    e = np.exp(x - m)
+    s = np.sum(e)
+    out = Tensor(np.asarray(m + np.log(s) - x[t]), copy=False)
 
     def back(g):
-        p = _stable_softmax(x).copy()
+        p = e / s
         p[t] -= 1.0
         return (p * g,)
 
@@ -375,15 +377,17 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     t = np.asarray(targets, dtype=np.int64)
     if t.shape != (x.shape[0],):
         raise ValueError(f"targets shape {t.shape} does not match {x.shape[0]} rows")
-    if np.any(t < 0) or np.any(t >= x.shape[1]):
+    if t.size and (t.min() < 0 or t.max() >= x.shape[1]):
         raise ValueError(f"target out of range for {x.shape[1]} classes")
+    rows = np.arange(x.shape[0])
     m = np.max(x, axis=-1)
-    lse = m + np.log(np.sum(np.exp(x - m[:, None]), axis=-1))
-    out = Tensor(lse - x[np.arange(x.shape[0]), t], copy=False)
+    e = np.exp(x - m[:, None])
+    s = np.sum(e, axis=-1)
+    out = Tensor(m + np.log(s) - x[rows, t], copy=False)
 
     def back(g):
-        p = _stable_softmax(x).copy()
-        p[np.arange(x.shape[0]), t] -= 1.0
+        p = e / s[:, None]
+        p[rows, t] -= 1.0
         return (p * g[:, None],)
 
     return _record(out, (logits,), back)
@@ -417,6 +421,18 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
         return tuple(np.split(g, bounds, axis=axis))
 
     return _record(out, tuple(parts), back)
+
+
+def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
+    """Cut ``a`` into ``parts`` equal pieces along ``axis``; the inverse of concat."""
+    pieces = np.split(a.data, parts, axis=axis)
+    out = tuple(Tensor(p, copy=False) for p in pieces)
+
+    def back(*gs):
+        return (np.concatenate([np.zeros_like(p) if g is None else g
+                                for p, g in zip(pieces, gs)], axis=axis),)
+
+    return _record(out, (a,), back)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -30,7 +30,7 @@ from profforce.engine import (
     unroll_free_running,
     unroll_teacher_forced,
 )
-from profforce.nets import GruCellParams, gru_step
+from profforce.nets import GruCellParams, gru_sequence, gru_step
 from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
@@ -54,6 +54,7 @@ from profforce.tensor import (
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_rows,
+    split,
     stop_recording,
     sub,
     sum_all,
@@ -103,6 +104,17 @@ def gru_params(rng, batch, hidden=4, width=3):
     shapes = [batch + (hidden,), batch + (width,), (width, 3 * hidden),
               (hidden, 3 * hidden), (3 * hidden,)]
     return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
+
+
+def gru_sequence_params(rng, t_len, batch, hidden=4, width=3):
+    """Leaves (xs, W, U, b) for one whole-sequence GRU node over [T, B, I]."""
+    shapes = [(t_len, batch, width), (width, 3 * hidden), (hidden, 3 * hidden),
+              (3 * hidden,)]
+    return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
+
+
+def gru_sequence_loss(reverse):
+    return lambda p: sum_all(tanh(gru_sequence(GruCellParams(*p[1:]), p[0], reverse)))
 
 
 class TestA1GradientIntegrity:
@@ -159,6 +171,13 @@ class TestA1GradientIntegrity:
                 "gru_step_pre": (
                     lambda p: sum_all(tanh(gru_step(GruCellParams(*p[2:]), p[0], p[1])[1])),
                     gru_params(rng, batch=())),
+                # whole-sequence GRU node, inputs (xs, W, U, b), both directions
+                "gru_sequence": (gru_sequence_loss(False), gru_sequence_params(rng, 4, 3)),
+                "gru_sequence_reverse": (gru_sequence_loss(True), gru_sequence_params(rng, 4, 3)),
+                "gru_sequence_one_row": (gru_sequence_loss(False), gru_sequence_params(rng, 5, 1)),
+                # both pieces, then a piece the loss does not reach
+                "split": (lambda p: sum_all(mul(*split(p[0], 2, axis=1))), [t((3, 4))]),
+                "split_one_piece": (lambda p: sum_all(tanh(split(p[0], 3)[1])), [t((6, 2))]),
             }
             worst_prim = 0.0
             for name, (f, params) in cases.items():

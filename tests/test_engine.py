@@ -11,9 +11,7 @@ from profforce.engine import (
     EngineSettings,
     GeneratorParams,
     Mode,
-    SequenceBatch,
     accuracy_from_probs,
-    disc_accuracy,
     discriminate,
     extract_behavior,
     gate,
@@ -28,7 +26,7 @@ from profforce.engine import (
     unroll_teacher_forced,
 )
 from profforce.nets import mlp_forward
-from profforce.optim import AdamState
+from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
     Tensor,
@@ -268,19 +266,6 @@ class TestBehavior:
         assert g.embedding.grad is None
         assert all(p.grad is not None for p in d_params)
 
-    def test_sequence_batch_validation(self):
-        b1 = BehaviorSequence([Tensor(np.zeros((2, 3)))], Mode.TEACHER_FORCED, False)
-        b2 = BehaviorSequence([Tensor(np.zeros((1, 3)))], Mode.FREE_RUNNING, False)
-        with pytest.raises(ValueError):
-            SequenceBatch(teacher_forced=[b1], free_running=[b2])
-        b3 = BehaviorSequence([Tensor(np.zeros((2, 4)))], Mode.FREE_RUNNING, False)
-        with pytest.raises(ValueError):
-            SequenceBatch(teacher_forced=[b1], free_running=[b3])
-        ok = SequenceBatch(teacher_forced=[b1],
-                           free_running=[b2, BehaviorSequence(
-                               [Tensor(np.zeros((1, 3)))], Mode.FREE_RUNNING, False)])
-        assert ok.n == 2
-
 
 class TestDiscriminate:
     def _behavior(self, rng, t_len=4, batch=3, width=5):
@@ -311,8 +296,9 @@ class TestDiscriminate:
         b = self._behavior(np.random.default_rng(45))
         got = discriminate(d, b).data
 
-        states = bigru_encode(d.encoder, b.steps)
-        scores = np.stack([mlp_forward(d.classifier, s).data[:, 0] for s in states])
+        seq = Tensor(np.stack([s.data for s in b.steps]))
+        states = bigru_encode(d.encoder, seq).data
+        scores = np.stack([mlp_forward(d.classifier, Tensor(s)).data[:, 0] for s in states])
         pooled = np.clip(scores.mean(axis=0), -10.0, 10.0)
         expected = 1.0 / (1.0 + np.exp(-pooled))
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -403,19 +389,6 @@ class TestAccuracyAndGate:
         assert g.adversarial_to_generator and not g.update_discriminator
         with pytest.raises(ValueError):
             gate(1.5)
-
-    def test_disc_accuracy_on_behavior_batches(self):
-        d = tiny_discriminator(width=5)
-        w, bias = d.classifier.layers[-1]
-        w.data[:] = 0.0
-        bias.data[:] = 0.0
-        rng = np.random.default_rng(50)
-        mk = lambda n: BehaviorSequence(
-            [Tensor(rng.uniform(-1, 1, (n, 5))) for _ in range(3)],
-            Mode.TEACHER_FORCED, False)
-        batch = SequenceBatch(teacher_forced=[mk(2)], free_running=[mk(1), mk(1)])
-        # a constant-half discriminator gets every sequence wrong
-        assert disc_accuracy(d, batch) == 0.0
 
 
 class TestSampleRows:
@@ -607,15 +580,73 @@ class TestTrainStep:
         assert grad_check(f, params, 1e-5) < 1e-4
 
 
+def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
+    """Reference for a step whose gates are both open.
+
+    The discriminator scores teacher-forced and free-running behavior
+    separately: detached for c_d, and again on the generator tape for
+    the adversarial term.
+    """
+    assert p_sample == 0.0
+    b, t_len = y.shape
+    with Tape() as gen_tape:
+        tf = unroll_teacher_forced(g, y, include_outputs=settings.include_outputs)
+        fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
+                                 batch=b, include_outputs=settings.include_outputs)
+        with Tape() as d_tape:
+            c_d = loss_discriminator(discriminate(d, tf.behavior.detach()),
+                                     discriminate(d, fr.behavior.detach()))
+        adv = loss_fool_free_running(discriminate(d, fr.behavior))
+        if settings.use_ct:
+            adv = add(adv, loss_match_teacher_forced(discriminate(d, tf.behavior)))
+        loss = add(scale(loss_nll(tf.logits, y), 1.0 / t_len),
+                   scale(adv, settings.adversarial_weight))
+    g_params, d_params = g.tensors(), d.tensors()
+    zero_grads(g_params)
+    backward(gen_tape, loss, params=g_params)
+    zero_grads(d_params)
+    backward(d_tape, c_d, params=d_params)
+    adam_step(g_adam, g_params, [p.grad for p in g_params])
+    adam_step(d_adam, d_params, [p.grad for p in d_params])
+
+
+class TestOnePassStep:
+    @pytest.mark.parametrize("use_ct", [False, True])
+    def test_matches_two_pass_reference(self, monkeypatch, use_ct):
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        settings = EngineSettings(adversarial_weight=0.7, use_ct=use_ct,
+                                  include_outputs=True, temperature=0.9)
+        vocab, hidden = 4, 5
+        params = []
+        for step in (train_step, two_pass_step):
+            g = GeneratorParams.create(vocab, 3, hidden, 1, np.random.default_rng(90))
+            d = DiscriminatorParams.create(hidden + vocab, 4, np.random.default_rng(91))
+            y = np.random.default_rng(92).integers(0, vocab, (4, 6))
+            ga = AdamState.for_params(g.tensors(), lr=1e-2)
+            da = AdamState.for_params(d.tensors(), lr=1e-2)
+            before = [t.data.copy() for t in g.tensors() + d.tensors()]
+            m = step(g, d, y, settings, 0.0, np.random.default_rng(93), ga, da)
+            after = [t.data.copy() for t in g.tensors() + d.tensors()]
+            assert any(not np.array_equal(a, b) for a, b in zip(before, after))
+            params.append(after)
+            if m is not None:
+                assert m["gate_gen"] and m["gate_disc"]
+                assert ga.t == 1 and da.t == 1
+        for ours, ref in zip(*params):
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
+
+
 class TestTapeNodeCeiling:
     """Tape nodes recorded by one training step at acceptance check A7's size.
 
     At desk sizes a step costs Python dispatch per tape node more than
-    arithmetic, so these ceilings guard the fused GRU step.  A change
+    arithmetic, so these ceilings guard the fused GRU step, the
+    whole-sequence discriminator encoder and the single stacked
+    discriminator pass.  A change
     that records fewer nodes lowers them; none may raise them.
     """
 
-    PF_CEILING = 223
+    PF_CEILING = 122
     TF_CEILING = 45
 
     def _one_step(self, monkeypatch, tmp_path, mode):
@@ -627,17 +658,28 @@ class TestTapeNodeCeiling:
             return tape_exit(tape, *exc)
 
         monkeypatch.setattr(Tape, "__exit__", counting_exit)
-        # Open the generator's gate so the pf step runs every discriminator pass.
+        rows_scored = []
+        discriminate_once = engine.discriminate
+
+        def counting_discriminate(d, b):
+            rows_scored.append(b.shape[1])
+            return discriminate_once(d, b)
+
+        monkeypatch.setattr(engine, "discriminate", counting_discriminate)
+        # Open the generator's gate so the pf step does all its discriminator work.
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
         cfg = TrainConfig(**dict(TINY_PF, max_steps=1, mode=mode))
         row = Trainer(cfg, tmp_path).run()[0]
-        return sum(recorded), row
+        return sum(recorded), row, rows_scored
 
     def test_professor_forcing_step(self, monkeypatch, tmp_path):
-        nodes, row = self._one_step(monkeypatch, tmp_path, "professor_forcing")
+        nodes, row, rows_scored = self._one_step(monkeypatch, tmp_path, "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
         assert nodes <= self.PF_CEILING
+        # one discriminator pass over both behaviors stacked
+        assert rows_scored == [2 * TINY_PF["batch_n"]]
 
     def test_teacher_forcing_step(self, monkeypatch, tmp_path):
-        nodes, _ = self._one_step(monkeypatch, tmp_path, "teacher_forcing")
+        nodes, _, rows_scored = self._one_step(monkeypatch, tmp_path, "teacher_forcing")
         assert nodes <= self.TF_CEILING
+        assert rows_scored == []

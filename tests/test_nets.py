@@ -7,12 +7,11 @@ from profforce.nets import (
     BiGruParams,
     GruCellParams,
     MlpParams,
-    OutputHeadParams,
     bigru_encode,
+    gru_sequence,
     gru_step,
     init_params,
     mlp_forward,
-    output_head,
 )
 from profforce.tensor import Tensor, grad_check, sum_all, tanh
 
@@ -125,6 +124,27 @@ class TestGruStep:
         assert grad_check(loss, params, 1e-5) < 1e-4
 
 
+class TestGruSequence:
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_matches_chained_steps(self, small_cell, reverse, batch):
+        xs = np.random.default_rng(107).uniform(-1, 1, (5, batch, 4))
+        got = gru_sequence(small_cell, Tensor(xs), reverse=reverse).data
+        assert got.shape == (5, batch, 6)
+        h = Tensor(np.zeros((batch, 6)))
+        for t in (reversed(range(5)) if reverse else range(5)):
+            h, _ = gru_step(small_cell, h, Tensor(xs[t]))
+            np.testing.assert_allclose(got[t], h.data, atol=1e-12)
+
+    def test_shape_validation(self, small_cell):
+        with pytest.raises(ValueError):
+            gru_sequence(small_cell, Tensor(np.zeros((5, 4))))
+        with pytest.raises(ValueError):
+            gru_sequence(small_cell, Tensor(np.zeros((0, 2, 4))))
+        with pytest.raises(ValueError):
+            gru_sequence(small_cell, Tensor(np.zeros((5, 2, 3))))
+
+
 class TestInit:
     def test_deterministic_given_seed(self):
         a = GruCellParams.create(5, 3, np.random.default_rng(7))
@@ -164,15 +184,6 @@ class TestInit:
             init_params("conv", (3, 3), rng)
         with pytest.raises(ValueError):
             init_params("weight", (3,), rng)
-
-
-class TestOutputHead:
-    def test_affine_oracle(self):
-        rng = np.random.default_rng(11)
-        head = OutputHeadParams.create(vocab=5, hidden=4, rng=rng)
-        h = rng.uniform(-1, 1, (3, 4))
-        got = output_head(head, Tensor(h)).data
-        np.testing.assert_allclose(got, h @ head.W_o.data.T + head.b_o.data, atol=1e-12)
 
 
 class TestMlp:
@@ -215,7 +226,7 @@ class TestBiGru:
         enc = BiGruParams.create(input_size=3, hidden=4, rng=np.random.default_rng(17))
         rng = np.random.default_rng(18)
         seq_np = [rng.uniform(-1, 1, 3) for _ in range(3)]
-        got = bigru_encode(enc, [Tensor(v) for v in seq_np])
+        got = bigru_encode(enc, Tensor(np.stack(seq_np)[:, None, :])).data
 
         h = np.zeros(4)
         fwd = []
@@ -229,33 +240,32 @@ class TestBiGru:
             bwd.append(h)
         bwd.reverse()
 
-        assert len(got) == 3
+        assert got.shape == (3, 1, 8)
         for t in range(3):
-            assert got[t].shape == (8,)
-            np.testing.assert_allclose(got[t].data[:4], fwd[t], atol=1e-12)
-            np.testing.assert_allclose(got[t].data[4:], bwd[t], atol=1e-12)
+            np.testing.assert_allclose(got[t, 0, :4], fwd[t], atol=1e-12)
+            np.testing.assert_allclose(got[t, 0, 4:], bwd[t], atol=1e-12)
 
     def test_every_step_sees_whole_sequence(self):
         enc = BiGruParams.create(input_size=2, hidden=3, rng=np.random.default_rng(19))
         rng = np.random.default_rng(20)
-        seq = [rng.uniform(-1, 1, 2) for _ in range(4)]
-        base = bigru_encode(enc, [Tensor(v) for v in seq])
-        bumped = list(seq)
-        bumped[-1] = bumped[-1] + 0.5
-        moved = bigru_encode(enc, [Tensor(v) for v in bumped])
+        seq = rng.uniform(-1, 1, (4, 1, 2))
+        base = bigru_encode(enc, Tensor(seq)).data
+        bumped = seq.copy()
+        bumped[-1] += 0.5
+        moved = bigru_encode(enc, Tensor(bumped)).data
         # the first output must feel a change at the last input
-        assert np.max(np.abs(base[0].data - moved[0].data)) > 1e-9
+        assert np.max(np.abs(base[0] - moved[0])) > 1e-9
 
     def test_batched_input(self):
         enc = BiGruParams.create(input_size=2, hidden=3, rng=np.random.default_rng(21))
         rng = np.random.default_rng(22)
-        seq = [Tensor(rng.uniform(-1, 1, (5, 2))) for _ in range(4)]
+        seq = Tensor(rng.uniform(-1, 1, (4, 5, 2)))
         out = bigru_encode(enc, seq)
-        assert [o.shape for o in out] == [(5, 6)] * 4
+        assert out.shape == (4, 5, 6)
 
     def test_rejects_empty_and_mismatched(self):
         enc = BiGruParams.create(input_size=2, hidden=3, rng=np.random.default_rng(23))
         with pytest.raises(ValueError):
-            bigru_encode(enc, [])
+            bigru_encode(enc, Tensor(np.zeros((0, 1, 2))))
         with pytest.raises(ValueError):
-            bigru_encode(enc, [Tensor(np.zeros(5))])
+            bigru_encode(enc, Tensor(np.zeros((1, 1, 5))))
