@@ -6,7 +6,6 @@ training step, synthetic tasks, divergence diagnostics and a CLI.
 """
 
 from .engine import (
-    BehaviorSequence,
     DiscriminatorParams,
     EngineSettings,
     GateState,
@@ -38,7 +37,6 @@ __all__ = [
     "AdamState",
     "adam_step",
     "Mode",
-    "BehaviorSequence",
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",

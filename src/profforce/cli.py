@@ -12,7 +12,6 @@ import numpy as np
 
 from .checkpoint import MAGIC, CheckpointError, load_checkpoint
 from .config import MODE_ALIASES, ConfigError, build_config
-from .data import make_batches  # noqa: F401  (re-exported for scripting)
 from .diagnostics import (
     collect_state_clouds,
     divergence_report,

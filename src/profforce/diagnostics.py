@@ -8,7 +8,6 @@ dynamics stayed in the region the network was trained in.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -21,14 +20,12 @@ __all__ = [
     "StateCloud",
     "DivergenceReport",
     "Projection",
-    "bits_per_character",
     "centroid_distance",
     "mean_cross_distance",
     "divergence_report",
     "project_2d",
     "collect_state_clouds",
     "CURVE_COLUMNS",
-    "emit_curves",
     "write_cloud_csv",
     "write_projection_csv",
 ]
@@ -53,12 +50,6 @@ class DivergenceReport:
     mean_cross_distance: float
     n_tf: int
     n_fr: int
-
-
-def bits_per_character(total_nll_nats: float, n_symbols: int) -> float:
-    if n_symbols < 1:
-        raise ValueError("n_symbols must be positive")
-    return float(total_nll_nats) / (n_symbols * math.log(2.0))
 
 
 def _check_pair(a: StateCloud, b: StateCloud) -> None:
@@ -190,14 +181,8 @@ def _format_value(key: str, value) -> str:
 
 
 def format_curve_row(row: dict) -> str:
+    """One curves.csv row; floats keep full round-trip precision."""
     return ",".join(_format_value(k, row[k]) for k in CURVE_COLUMNS)
-
-
-def emit_curves(history: list[dict], path) -> None:
-    """Write the training curves CSV; floats keep full round-trip precision."""
-    lines = [",".join(CURVE_COLUMNS)]
-    lines.extend(format_curve_row(row) for row in history)
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def write_cloud_csv(clouds: list[StateCloud], timestep: int, path) -> None:

@@ -2,12 +2,18 @@
 
 A generator RNN is unrolled in two regimes over the same minibatch:
 teacher forced, where each step reads the ground-truth previous symbol,
-and free running, where each step reads the model's own sample.  Both
-regimes emit a behavior sequence of per-step features (the GRU
-candidate pre-tanh values, optionally with the softmax outputs
-appended).  A bidirectional-GRU discriminator scores behavior sequences
-as teacher forced vs free running, and its judgement is fed back into
-the generator so the free-running dynamics are pulled toward the
+and free running, where each step reads the model's own sample.  One
+step loop serves every regime; the regimes differ only in which symbol
+it feeds back.  Scheduled sampling spans them with one probability:
+p = 0 is teacher forcing and p = 1 is free running.
+:func:`unroll_teacher_forced`, :func:`unroll_free_running` and
+:func:`scheduled_sampling_unroll` check their arguments and run that
+loop.  Every unroll emits its behavior as one [B, width] row per step
+(the GRU candidate pre-tanh values, optionally with the softmax outputs
+appended), and with targets also the sequence cross entropy.  A
+bidirectional-GRU discriminator scores behavior sequences as teacher
+forced vs free running, and its judgement is fed back into the
+generator so the free-running dynamics are pulled toward the
 teacher-forced ones.
 
 Loss pieces, with D(b) the discriminator probability that behavior b is
@@ -74,7 +80,6 @@ from .tensor import (
 
 __all__ = [
     "Mode",
-    "BehaviorSequence",
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",
@@ -83,7 +88,6 @@ __all__ = [
     "unroll_teacher_forced",
     "unroll_free_running",
     "scheduled_sampling_unroll",
-    "extract_behavior",
     "discriminate",
     "loss_nll",
     "loss_discriminator",
@@ -103,36 +107,6 @@ LOGIT_CLIP = 10.0         # discriminator output logit is clamped to [-10, 10]
 class Mode(Enum):
     TEACHER_FORCED = "teacher_forced"
     FREE_RUNNING = "free_running"
-
-
-@dataclass
-class BehaviorSequence:
-    """Per-step feature rows [B, width] describing one unroll regime."""
-
-    steps: list[Tensor]
-    mode: Mode
-    include_outputs: bool
-
-    def __post_init__(self):
-        if not self.steps:
-            raise ValueError("a behavior sequence needs at least one step")
-        w = self.steps[0].shape[-1]
-        if any(s.shape != self.steps[0].shape for s in self.steps):
-            raise ValueError("behavior steps must share one shape")
-        self._width = w
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    @property
-    def batch(self) -> int:
-        return self.steps[0].shape[0]
-
-    def detach(self) -> "BehaviorSequence":
-        """Same values as tape-free leaves, blocking gradients upstream."""
-        return BehaviorSequence([s.detach() for s in self.steps],
-                                self.mode, self.include_outputs)
 
 
 @dataclass(frozen=True)
@@ -165,12 +139,12 @@ class GeneratorParams:
 
     @classmethod
     def create(cls, vocab_size: int, embed_dim: int, hidden: int,
-               layers: int, rng: np.random.Generator, x_dim: int = 0) -> "GeneratorParams":
+               layers: int, rng: np.random.Generator) -> "GeneratorParams":
         if vocab_size < 2 or embed_dim < 1 or hidden < 1 or layers < 1:
             raise ValueError("generator sizes must be positive (vocab at least 2)")
         from .nets import init_params
         emb = init_params("weight", (vocab_size + 1, embed_dim), rng)
-        cells = [GruCellParams.create(hidden, embed_dim + x_dim if i == 0 else hidden, rng)
+        cells = [GruCellParams.create(hidden, embed_dim if i == 0 else hidden, rng)
                  for i in range(layers)]
         head = OutputHeadParams.create(vocab_size, hidden, rng)
         return cls(embedding=emb, cells=cells, head=head)
@@ -242,11 +216,11 @@ class EngineSettings:
 @dataclass
 class UnrollResult:
     logits: list[Tensor]                 # per step [B, V]
-    behavior: BehaviorSequence
+    behavior: list[Tensor]               # per step [B, width] behavior rows
     hidden: list[Tensor]                 # per step top-layer state [B, H]
-    sampled: np.ndarray | None = None    # [B, T] free-running / fed samples
-    nll: Tensor | None = None            # scheduled sampling only
-    used_sample: np.ndarray | None = None
+    sampled: np.ndarray                  # [B, T] draws if free running, else fed symbols
+    nll: Tensor | None = None            # with targets: cross entropy, batch mean
+    used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
 
 
 # ---------------------------------------------------------------------------
@@ -262,40 +236,11 @@ def _as_batch_ids(y_seq) -> np.ndarray:
     return ids
 
 
-def _x_step(x_seq, t: int, batch: int) -> Tensor | None:
-    if x_seq is None:
-        return None
-    x = np.asarray(x_seq[t] if isinstance(x_seq, (list, tuple)) else x_seq[:, t], dtype=np.float64)
-    if x.ndim == 1:
-        x = np.broadcast_to(x, (batch,) + x.shape)
-    return Tensor(x)
-
-
-class _Stepper:
-    """One unroll of a generator; holds the output head's transpose."""
-
-    def __init__(self, g: GeneratorParams):
-        self.g = g
-        self.w_head = transpose(g.head.W_o)
-
-    def zero_states(self, batch: int) -> list[Tensor]:
-        return [Tensor(np.zeros((batch, c.hidden_size))) for c in self.g.cells]
-
-    def step(self, states: list[Tensor], prev_ids: np.ndarray,
-             x_t: Tensor | None) -> tuple[list[Tensor], Tensor, Tensor]:
-        x = embed(self.g.embedding, prev_ids)
-        if x_t is not None:
-            x = concat((x, x_t), axis=-1)
-        new_states = []
-        pre = None
-        for cell, h in zip(self.g.cells, states):
-            h_new, pre = gru_step(cell, h, x)
-            new_states.append(h_new)
-            x = h_new
-        return new_states, pre, x  # x is the top-layer state
-
-    def logits(self, h_top: Tensor) -> Tensor:
-        return add(matmul(h_top, self.w_head), self.g.head.b_o)
+def _target_ids(g: GeneratorParams, y_seq) -> np.ndarray:
+    ids = _as_batch_ids(y_seq)
+    if ids.min() < 0 or ids.max() >= g.vocab_size:
+        raise ValueError("symbol id outside the generator vocabulary")
+    return ids
 
 
 def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
@@ -316,33 +261,67 @@ def _tempered_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def unroll_teacher_forced(g: GeneratorParams, y_seq, x_seq=None,
+def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
+            p_sample: float, rng: np.random.Generator | None, temperature: float,
+            include_outputs: bool) -> UnrollResult:
+    """The one step loop behind every unroll.
+
+    Each step embeds the fed symbol, runs every GRU layer once, applies
+    the output head and appends the behavior row.  With ``ids`` (the
+    [B, T] targets) it adds the row's cross entropy and feeds the next
+    step the true symbol, or with probability ``p_sample`` a draw from
+    the model; draws are made only when a next step exists, and never
+    at ``p_sample`` 0.  With ``ids`` None it runs free: every step,
+    the last included, draws from softmax(logits / temperature), and
+    the behavior's softmax rows are tempered alike.
+    """
+    w_head = transpose(g.head.W_o)
+    states = [Tensor(np.zeros((batch, c.hidden_size))) for c in g.cells]
+    prev = np.full(batch, g.start_id, dtype=np.int64)
+    sampled = np.empty((batch, t_len), dtype=np.int64)
+    used = np.zeros((batch, t_len), dtype=bool)
+    logits, behavior, hidden, xents = [], [], [], []
+    for t in range(t_len):
+        if ids is not None:
+            sampled[:, t] = prev
+        x = embed(g.embedding, prev)
+        for i, cell in enumerate(g.cells):
+            x, pre = gru_step(cell, states[i], x)
+            states[i] = x
+        lg = add(matmul(x, w_head), g.head.b_o)
+        logits.append(lg)
+        hidden.append(x)
+        if include_outputs:
+            probs = softmax(lg if temperature == 1.0 else scale(lg, 1.0 / temperature))
+            pre = concat((pre, probs), axis=-1)
+        behavior.append(pre)
+        if ids is None:
+            prev = sample_rows(rng, _tempered_probs(lg.data, temperature))
+            sampled[:, t] = prev
+            continue
+        xents.append(softmax_cross_entropy_rows(lg, ids[:, t]))
+        prev = ids[:, t]
+        if t + 1 < t_len and p_sample > 0.0:
+            coin = np.ones(batch, dtype=bool) if p_sample >= 1.0 else rng.random(batch) < p_sample
+            if coin.any():
+                prev = np.where(coin, sample_rows(rng, _tempered_probs(lg.data, temperature)),
+                                prev)
+            used[:, t + 1] = coin
+    if ids is None:
+        return UnrollResult(logits, behavior, hidden, sampled)
+    nll = scale(sum_all(concat(xents, axis=0)), 1.0 / batch)
+    return UnrollResult(logits, behavior, hidden, sampled, nll=nll, used_sample=used)
+
+
+def unroll_teacher_forced(g: GeneratorParams, y_seq, *,
                           include_outputs: bool = False) -> UnrollResult:
     """Open-loop unroll: step t reads the true y[t-1] (start token at t=0)."""
-    ids = _as_batch_ids(y_seq)
-    if ids.min() < 0 or ids.max() >= g.vocab_size:
-        raise ValueError("symbol id outside the generator vocabulary")
-    b, t_len = ids.shape
-    st = _Stepper(g)
-    states = st.zero_states(b)
-    prev = np.full(b, g.start_id, dtype=np.int64)
-    logits, pres, probs, hidden = [], [], [], []
-    for t in range(t_len):
-        states, pre, h_top = st.step(states, prev, _x_step(x_seq, t, b))
-        lg = st.logits(h_top)
-        logits.append(lg)
-        pres.append(pre)
-        hidden.append(h_top)
-        if include_outputs:
-            probs.append(softmax(lg))
-        prev = ids[:, t]
-    behavior = extract_behavior(pres, probs if include_outputs else None,
-                                include_outputs, Mode.TEACHER_FORCED)
-    return UnrollResult(logits=logits, behavior=behavior, hidden=hidden)
+    ids = _target_ids(g, y_seq)
+    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs)
 
 
-def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator,
-                        x_seq=None, temperature: float = 1.0, batch: int = 1,
+def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator, *,
+                        temperature: float = 1.0, batch: int = 1,
                         include_outputs: bool = False) -> UnrollResult:
     """Closed-loop unroll: step t reads the model's own previous sample.
 
@@ -354,109 +333,44 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError("unroll length must be positive")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    st = _Stepper(g)
-    states = st.zero_states(batch)
-    prev = np.full(batch, g.start_id, dtype=np.int64)
-    sampled = np.empty((batch, t_len), dtype=np.int64)
-    logits, pres, probs, hidden = [], [], [], []
-    inv_t = 1.0 / temperature
-    for t in range(t_len):
-        states, pre, h_top = st.step(states, prev, _x_step(x_seq, t, batch))
-        lg = st.logits(h_top)
-        logits.append(lg)
-        pres.append(pre)
-        hidden.append(h_top)
-        if include_outputs:
-            probs.append(softmax(scale(lg, inv_t)))
-        y_t = sample_rows(rng, _tempered_probs(lg.data, temperature))
-        sampled[:, t] = y_t
-        prev = y_t
-    behavior = extract_behavior(pres, probs if include_outputs else None,
-                                include_outputs, Mode.FREE_RUNNING)
-    return UnrollResult(logits=logits, behavior=behavior, hidden=hidden, sampled=sampled)
+    return _unroll(g, None, t_len, batch, 1.0, rng, temperature, include_outputs)
 
 
 def scheduled_sampling_unroll(g: GeneratorParams, y_seq, p_sample: float,
-                              rng: np.random.Generator, x_seq=None,
+                              rng: np.random.Generator, *,
                               include_outputs: bool = False) -> UnrollResult:
     """Per step, feed the model's own sample with probability p_sample.
 
-    Targets are always the ground truth.  The Bernoulli draw is skipped
-    at the degenerate settings, so p_sample = 0 consumes no randomness
-    and reproduces the teacher-forced unroll exactly, while p_sample = 1
-    draws precisely like the free-running unroll.
+    Targets are always the ground truth and samples are drawn at
+    temperature 1.  The Bernoulli draw is skipped at the degenerate
+    settings, so p_sample = 0 consumes no randomness and reproduces the
+    teacher-forced unroll exactly, while p_sample = 1 draws precisely
+    like the free-running unroll.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
-    ids = _as_batch_ids(y_seq)
-    if ids.min() < 0 or ids.max() >= g.vocab_size:
-        raise ValueError("symbol id outside the generator vocabulary")
-    b, t_len = ids.shape
-    st = _Stepper(g)
-    states = st.zero_states(b)
-    prev = np.full(b, g.start_id, dtype=np.int64)
-    fed = np.empty((b, t_len), dtype=np.int64)
-    used = np.zeros((b, t_len), dtype=bool)
-    logits, pres, probs, xents = [], [], [], []
-    for t in range(t_len):
-        fed[:, t] = prev
-        states, pre, h_top = st.step(states, prev, _x_step(x_seq, t, b))
-        lg = st.logits(h_top)
-        logits.append(lg)
-        pres.append(pre)
-        if include_outputs:
-            probs.append(softmax(lg))
-        xents.append(softmax_cross_entropy_rows(lg, ids[:, t]))
-        if t + 1 < t_len:
-            if p_sample <= 0.0:
-                prev = ids[:, t]
-            elif p_sample >= 1.0:
-                prev = sample_rows(rng, _tempered_probs(lg.data, 1.0))
-                used[:, t + 1] = True
-            else:
-                coin = rng.random(b) < p_sample
-                if coin.any():
-                    y_hat = sample_rows(rng, _tempered_probs(lg.data, 1.0))
-                    prev = np.where(coin, y_hat, ids[:, t])
-                else:
-                    prev = ids[:, t]
-                used[:, t + 1] = coin
-    nll = scale(sum_all(concat(xents, axis=0)), 1.0 / b)
-    behavior = extract_behavior(pres, probs if include_outputs else None,
-                                include_outputs, Mode.TEACHER_FORCED)
-    return UnrollResult(logits=logits, behavior=behavior, hidden=[],
-                        sampled=fed, nll=nll, used_sample=used)
-
-
-def extract_behavior(pre_tanh_seq: list[Tensor], softmax_seq: list[Tensor] | None,
-                     include_outputs: bool, mode: Mode) -> BehaviorSequence:
-    """Assemble per-step features: candidate pre-tanh, plus softmax rows if asked."""
-    if include_outputs:
-        if softmax_seq is None or len(softmax_seq) != len(pre_tanh_seq):
-            raise ValueError("softmax outputs missing or misaligned with the states")
-        steps = [concat((p, s), axis=-1) for p, s in zip(pre_tanh_seq, softmax_seq)]
-    else:
-        steps = list(pre_tanh_seq)
-    return BehaviorSequence(steps=steps, mode=mode, include_outputs=include_outputs)
+    ids = _target_ids(g, y_seq)
+    return _unroll(g, ids, ids.shape[1], ids.shape[0], p_sample, rng, 1.0, include_outputs)
 
 
 # ---------------------------------------------------------------------------
 # discriminator and losses
 
 
-def _as_sequence(b: BehaviorSequence) -> Tensor:
-    """The steps of ``b`` as one time-major [T, B, width] tensor."""
-    return reshape(concat(b.steps, axis=0), (len(b.steps), b.batch, b.width))
+def _as_sequence(rows: Sequence[Tensor]) -> Tensor:
+    """Per-step [B, width] behavior rows as one time-major [T, B, width] tensor."""
+    return reshape(concat(rows, axis=0), (len(rows),) + rows[0].shape)
 
 
-def discriminate(d: DiscriminatorParams, b: BehaviorSequence | Tensor) -> Tensor:
+def discriminate(d: DiscriminatorParams, b: Sequence[Tensor] | Tensor) -> Tensor:
     """Probability per sequence that the behavior is teacher forced.
 
-    ``b`` is a behavior sequence or its time-major ``[T, B, width]``
-    tensor.  BiGRU encoding, a shared per-step MLP score, mean pooling
-    over time, a clamp of the pooled logit to [-10, 10], then a sigmoid.
+    ``b`` is an unroll's behavior rows or their time-major
+    ``[T, B, width]`` tensor.  BiGRU encoding, a shared per-step MLP
+    score, mean pooling over time, a clamp of the pooled logit to
+    [-10, 10], then a sigmoid.
     """
-    seq = _as_sequence(b) if isinstance(b, BehaviorSequence) else b
+    seq = b if isinstance(b, Tensor) else _as_sequence(b)
     t_len, batch, width = seq.shape
     if width != d.feature_width:
         raise ValueError(f"behavior width {width} does not match "

@@ -36,7 +36,6 @@ from .engine import (
     DiscriminatorParams,
     EngineSettings,
     GeneratorParams,
-    loss_nll,
     train_step,
     unroll_teacher_forced,
 )
@@ -51,6 +50,21 @@ _VAL_CHUNK = 64
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+def _earlier_rows(path: Path, header: str, last_step: int) -> list[str]:
+    """``header`` and the rows of the CSV at ``path`` whose step is at most ``last_step``.
+
+    A missing file, or one with another header, contributes no rows.
+    """
+    lines = path.read_text().splitlines() if path.exists() else []
+    kept = [header]
+    if lines[:1] == [header]:
+        for line in lines[1:]:
+            step = line.split(",", 1)[0]
+            if step.isdigit() and int(step) <= last_step:
+                kept.append(line)
+    return kept
 
 
 def effective_settings(cfg: TrainConfig) -> EngineSettings:
@@ -241,7 +255,7 @@ class Trainer:
             for start in range(0, len(seqs), _VAL_CHUNK):
                 chunk = seqs[start:start + _VAL_CHUNK]
                 res = unroll_teacher_forced(self.g, chunk)
-                total += float(loss_nll(res.logits, chunk).data) * chunk.shape[0]
+                total += float(res.nll.data) * chunk.shape[0]
                 count += chunk.size
         nll_per_step = total / count
         return nll_per_step, nll_per_step / math.log(2.0)
@@ -249,14 +263,19 @@ class Trainer:
     # -- the loop -------------------------------------------------------------
 
     def run(self) -> list[dict]:
+        """Train to ``max_steps``.  curves.csv and val.csv keep the rows an
+        earlier run left in the out dir before the starting step (validation
+        rows up to it), so resuming into the run's own directory appends."""
         cfg = self.cfg
         settings = effective_settings(cfg)
         rows: list[dict] = []
         curves_path = self.out_dir / "curves.csv"
         val_path = self.out_dir / "val.csv"
+        curves_lines = _earlier_rows(curves_path, ",".join(CURVE_COLUMNS), self.step - 1)
+        val_lines = _earlier_rows(val_path, "step,val_nll_per_step,val_bpc", self.step)
         with open(curves_path, "w") as curves, open(val_path, "w") as valf:
-            curves.write(",".join(CURVE_COLUMNS) + "\n")
-            valf.write("step,val_nll_per_step,val_bpc\n")
+            curves.write("".join(line + "\n" for line in curves_lines))
+            valf.write("".join(line + "\n" for line in val_lines))
             while self.step < cfg.max_steps:
                 step = self.step
                 batch = self._batch_for_step(step)

@@ -6,11 +6,9 @@ import pytest
 from profforce.diagnostics import (
     CURVE_COLUMNS,
     StateCloud,
-    bits_per_character,
     centroid_distance,
     collect_state_clouds,
     divergence_report,
-    emit_curves,
     format_curve_row,
     mean_cross_distance,
     project_2d,
@@ -22,20 +20,6 @@ from profforce.engine import GeneratorParams, Mode
 
 def cloud(points, mode=Mode.TEACHER_FORCED):
     return StateCloud(np.asarray(points, dtype=np.float64), mode)
-
-
-class TestBitsPerCharacter:
-    def test_uniform_over_fifty_symbols(self):
-        # total nll of n uniform draws over V symbols is n ln V,
-        # which is log2 V bits per symbol
-        assert abs(bits_per_character(7 * math.log(50), 7) - math.log2(50)) < 1e-12
-
-    def test_binary_chance_is_one_bit(self):
-        assert abs(bits_per_character(100 * math.log(2), 100) - 1.0) < 1e-12
-
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            bits_per_character(1.0, 0)
 
 
 class TestDistances:
@@ -190,13 +174,9 @@ class TestCsvOutput:
                                  "c_t", "disc_acc", "gate_gen", "gate_disc",
                                  "wallclock_ms")
 
-    def test_round_trip_precision(self, tmp_path):
-        path = tmp_path / "curves.csv"
-        emit_curves([self._row(0), self._row(1)], path)
-        lines = path.read_text().strip().split("\n")
-        assert lines[0] == ",".join(CURVE_COLUMNS)
-        assert len(lines) == 3
-        fields = lines[1].split(",")
+    def test_round_trip_precision(self):
+        fields = format_curve_row(self._row(0)).split(",")
+        assert len(fields) == len(CURVE_COLUMNS)
         assert fields[0] == "0"
         assert float(fields[1]) == 1.25
         assert float(fields[3]) == 2 * math.log(2)  # repr round-trips exactly

@@ -6,14 +6,11 @@ import pytest
 from profforce import engine
 from profforce.config import TrainConfig
 from profforce.engine import (
-    BehaviorSequence,
     DiscriminatorParams,
     EngineSettings,
     GeneratorParams,
-    Mode,
     accuracy_from_probs,
     discriminate,
-    extract_behavior,
     gate,
     loss_discriminator,
     loss_fool_free_running,
@@ -52,6 +49,11 @@ def tiny_discriminator(width, seed=201, hidden=4):
     return DiscriminatorParams.create(width, hidden, np.random.default_rng(seed))
 
 
+def softmax_rows(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
 def zeroed(g: GeneratorParams) -> GeneratorParams:
     for t in g.tensors():
         t.data[:] = 0.0
@@ -77,7 +79,7 @@ class TestTeacherForcedUnroll:
             logits = h @ g.head.W_o.data.T + g.head.b_o.data
             np.testing.assert_allclose(res.logits[t].data[0], logits, atol=1e-12)
             np.testing.assert_allclose(res.hidden[t].data[0], h, atol=1e-12)
-            np.testing.assert_allclose(res.behavior.steps[t].data[0], pre, atol=1e-12)
+            np.testing.assert_allclose(res.behavior[t].data[0], pre, atol=1e-12)
             prev = y[t]
 
     def test_zeroed_model_gives_uniform_logits(self):
@@ -101,7 +103,7 @@ class TestTeacherForcedUnroll:
             h0, _ = gru_oracle(g.cells[0], h0, emb[prev])
             h1, pre = gru_oracle(g.cells[1], h1, h0)
             np.testing.assert_allclose(res.hidden[t].data[0], h1, atol=1e-12)
-            np.testing.assert_allclose(res.behavior.steps[t].data[0], pre, atol=1e-12)
+            np.testing.assert_allclose(res.behavior[t].data[0], pre, atol=1e-12)
             prev = y[t]
 
     def test_rejects_out_of_range_ids(self):
@@ -115,21 +117,12 @@ class TestTeacherForcedUnroll:
         g = tiny_generator()
         y = np.array([[0, 1], [2, 3]])
         plain = unroll_teacher_forced(g, y)
-        assert plain.behavior.mode is Mode.TEACHER_FORCED
-        assert plain.behavior.width == 5
+        assert [row.shape for row in plain.behavior] == [(2, 5)] * 2
         rich = unroll_teacher_forced(g, y, include_outputs=True)
-        assert rich.behavior.width == 5 + 4
-        for step in rich.behavior.steps:
-            np.testing.assert_allclose(step.data[:, 5:].sum(axis=-1),
+        assert [row.shape for row in rich.behavior] == [(2, 5 + 4)] * 2
+        for row in rich.behavior:
+            np.testing.assert_allclose(row.data[:, 5:].sum(axis=-1),
                                        np.ones(2), atol=1e-12)
-
-    def test_conditioning_input_path(self):
-        g = GeneratorParams.create(4, 3, 5, 1, np.random.default_rng(203), x_dim=2)
-        x_seq = [np.array([0.5, -0.5]) for _ in range(3)]
-        res = unroll_teacher_forced(g, np.array([[0, 1, 2], [3, 2, 1]]), x_seq=x_seq)
-        assert len(res.logits) == 3
-        assert res.logits[0].shape == (2, 4)
-        assert all(np.isfinite(lg.data).all() for lg in res.logits)
 
 
 class TestFreeRunningUnroll:
@@ -178,11 +171,35 @@ class TestFreeRunningUnroll:
         g = tiny_generator()
         res = unroll_free_running(g, 4, np.random.default_rng(35), batch=2,
                                   include_outputs=True)
-        assert res.behavior.mode is Mode.FREE_RUNNING
-        assert res.behavior.width == 9
-        for step in res.behavior.steps:
-            np.testing.assert_allclose(step.data[:, 5:].sum(axis=-1),
+        assert [row.shape for row in res.behavior] == [(2, 9)] * 4
+        for row in res.behavior:
+            np.testing.assert_allclose(row.data[:, 5:].sum(axis=-1),
                                        np.ones(2), atol=1e-12)
+
+    def test_advances_rng_by_one_draw_per_row_and_step(self):
+        g = tiny_generator()
+        t_len, b = 5, 3
+        rng = np.random.default_rng(53)
+        unroll_free_running(g, t_len, rng, batch=b)
+        expected = np.random.default_rng(53)
+        for _ in range(t_len):
+            expected.random(b)
+        assert rng.bit_generator.state == expected.bit_generator.state
+
+    def test_only_free_running_softmax_rows_are_tempered(self):
+        g = tiny_generator(seed=205)
+        fr = unroll_free_running(g, 4, np.random.default_rng(54), temperature=0.5,
+                                 batch=3, include_outputs=True)
+        for row, lg in zip(fr.behavior, fr.logits):
+            np.testing.assert_allclose(row.data[:, 5:], softmax_rows(lg.data / 0.5),
+                                       rtol=0, atol=1e-12)
+        tf = unroll_teacher_forced(g, fr.sampled, include_outputs=True)
+        ss = scheduled_sampling_unroll(g, fr.sampled, 0.5, np.random.default_rng(55),
+                                       include_outputs=True)
+        for res in (tf, ss):
+            for row, lg in zip(res.behavior, res.logits):
+                np.testing.assert_allclose(row.data[:, 5:], softmax_rows(lg.data),
+                                           rtol=0, atol=1e-12)
 
 
 class TestScheduledSampling:
@@ -204,6 +221,8 @@ class TestScheduledSampling:
         ss = scheduled_sampling_unroll(g, y, 0.0, np.random.default_rng(37))
         tf = unroll_teacher_forced(g, y)
         assert abs(ss.nll.item() - loss_nll(tf.logits, y).item()) < 1e-12
+        # the teacher-forced unroll carries the same sum, term for term
+        assert tf.nll.item() == loss_nll(tf.logits, y).item()
 
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
@@ -243,34 +262,9 @@ class TestScheduledSampling:
 # behaviors and the discriminator
 
 
-class TestBehavior:
-    def test_extract_requires_aligned_outputs(self):
-        steps = [Tensor(np.zeros((2, 3)))]
-        with pytest.raises(ValueError):
-            extract_behavior(steps, None, True, Mode.TEACHER_FORCED)
-        with pytest.raises(ValueError):
-            extract_behavior([], None, False, Mode.TEACHER_FORCED)
-
-    def test_detach_blocks_upstream_gradients(self):
-        g = tiny_generator()
-        d = tiny_discriminator(width=5)
-        y = np.array([[0, 1, 2]])
-        with Tape() as gen_tape:
-            res = unroll_teacher_forced(g, y)
-            with Tape() as d_tape:
-                p = discriminate(d, res.behavior.detach())
-                loss = loss_fool_free_running(p)
-        d_params = d.tensors()
-        zero_grads(g.tensors() + d_params)
-        backward(d_tape, loss, params=d_params)
-        assert g.embedding.grad is None
-        assert all(p.grad is not None for p in d_params)
-
-
 class TestDiscriminate:
     def _behavior(self, rng, t_len=4, batch=3, width=5):
-        steps = [Tensor(rng.uniform(-1, 1, (batch, width))) for _ in range(t_len)]
-        return BehaviorSequence(steps, Mode.FREE_RUNNING, False)
+        return [Tensor(rng.uniform(-1, 1, (batch, width))) for _ in range(t_len)]
 
     def test_zero_final_layer_means_exactly_half(self):
         d = tiny_discriminator(width=5)
@@ -296,7 +290,7 @@ class TestDiscriminate:
         b = self._behavior(np.random.default_rng(45))
         got = discriminate(d, b).data
 
-        seq = Tensor(np.stack([s.data for s in b.steps]))
+        seq = Tensor(np.stack([s.data for s in b]))
         states = bigru_encode(d.encoder, seq).data
         scores = np.stack([mlp_forward(d.classifier, Tensor(s)).data[:, 0] for s in states])
         pooled = np.clip(scores.mean(axis=0), -10.0, 10.0)
@@ -312,7 +306,7 @@ class TestDiscriminate:
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(47))
         fwd = discriminate(d, b).data
-        rev = BehaviorSequence(list(reversed(b.steps)), b.mode, False)
+        rev = list(reversed(b))
         assert np.max(np.abs(discriminate(d, rev).data - fwd)) > 1e-9
 
 
@@ -594,8 +588,8 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
         fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
                                  batch=b, include_outputs=settings.include_outputs)
         with Tape() as d_tape:
-            c_d = loss_discriminator(discriminate(d, tf.behavior.detach()),
-                                     discriminate(d, fr.behavior.detach()))
+            c_d = loss_discriminator(discriminate(d, [s.detach() for s in tf.behavior]),
+                                     discriminate(d, [s.detach() for s in fr.behavior]))
         adv = loss_fool_free_running(discriminate(d, fr.behavior))
         if settings.use_ct:
             adv = add(adv, loss_match_teacher_forced(discriminate(d, tf.behavior)))

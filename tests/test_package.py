@@ -1,0 +1,16 @@
+import importlib
+import pkgutil
+
+import pytest
+
+import profforce
+
+MODULES = ["profforce"] + [f"profforce.{m.name}"
+                           for m in pkgutil.iter_modules(profforce.__path__)]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
+    assert missing == [], f"{name}.__all__ names what the module lacks: {missing}"

@@ -199,6 +199,22 @@ class TestResume:
         resumed_blob = (tmp_path / "resumed" / "final.ckpt").read_bytes()
         assert full_blob == resumed_blob
 
+    def test_resume_into_own_directory_keeps_earlier_rows(self, tmp_path):
+        def without_wallclock(path):
+            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+        Trainer(tiny_cfg(max_steps=15, val_every=5), tmp_path / "full").run()
+        Trainer(tiny_cfg(max_steps=10, val_every=5), tmp_path / "run").run()
+        Trainer.resume(tmp_path / "run" / "final.ckpt", tmp_path / "run",
+                       max_steps=15).run()
+
+        full, run = tmp_path / "full", tmp_path / "run"
+        curves = without_wallclock(run / "curves.csv")
+        assert len(curves) == 1 + 15
+        assert curves == without_wallclock(full / "curves.csv")
+        assert (run / "val.csv").read_text() == (full / "val.csv").read_text()
+        assert (run / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
+
     def test_restore_rejects_missing_tensor(self, tmp_path):
         Trainer(tiny_cfg(max_steps=2, val_every=0), tmp_path / "a").run()
         ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
