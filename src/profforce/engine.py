@@ -10,7 +10,11 @@ p = 0 is teacher forcing and p = 1 is free running.
 :func:`scheduled_sampling_unroll` check their arguments and run that
 loop.  Every unroll emits its behavior as one [B, width] row per step
 (the GRU candidate pre-tanh values, optionally with the softmax outputs
-appended), and with targets also the sequence cross entropy.  A
+appended), and with targets also the sequence cross entropy.  The loop
+runs on plain numpy arrays and records the whole unroll as one tape
+node; its backward runs the GRU recursion of each layer in numpy, with
+the head, weight and embedding gradients of all steps one product
+each.  A
 bidirectional-GRU discriminator scores behavior sequences as teacher
 forced vs free running, and its judgement is fed back into the
 generator so the free-running dynamics are pulled toward the
@@ -49,32 +53,33 @@ from .nets import (
     GruCellParams,
     MlpParams,
     OutputHeadParams,
+    _gru_bptt,
+    _gru_cell,
     bigru_encode,
-    gru_step,
     mlp_forward,
 )
 from .optim import AdamState, adam_step
 from .tensor import (
     Tape,
     Tensor,
+    _cross_entropy_rows,
+    _record,
+    _stable_softmax,
     add,
     backward,
     clip,
     concat,
-    embed,
+    is_recording,
     log,
-    matmul,
     mean_axis0,
     mul,
     one_minus,
     reshape,
     scale,
     sigmoid,
-    softmax,
     softmax_cross_entropy_rows,
     split,
     sum_all,
-    transpose,
     zero_grads,
 )
 
@@ -254,63 +259,156 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
     return np.minimum(idx, p.shape[1] - 1)
 
 
-def _tempered_probs(logits: np.ndarray, temperature: float) -> np.ndarray:
-    x = logits * (1.0 / temperature)
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
-
-
 def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             p_sample: float, rng: np.random.Generator | None, temperature: float,
             include_outputs: bool) -> UnrollResult:
-    """The one step loop behind every unroll.
+    """The one step loop behind every unroll, recorded as one tape node.
 
-    Each step embeds the fed symbol, runs every GRU layer once, applies
-    the output head and appends the behavior row.  With ``ids`` (the
-    [B, T] targets) it adds the row's cross entropy and feeds the next
-    step the true symbol, or with probability ``p_sample`` a draw from
-    the model; draws are made only when a next step exists, and never
-    at ``p_sample`` 0.  With ``ids`` None it runs free: every step,
-    the last included, draws from softmax(logits / temperature), and
-    the behavior's softmax rows are tempered alike.
+    Each step looks up the fed symbol's embedding, runs every GRU layer
+    once, applies the output head and appends the behavior row.  With
+    ``ids`` (the [B, T] targets) it feeds the next step the true
+    symbol, or with probability ``p_sample`` a draw from the model;
+    draws are made only when a next step exists, and never at
+    ``p_sample`` 0.  The rows' cross entropy against the targets gives
+    ``nll``.  With ``ids`` None it runs free: every step, the last
+    included, draws from softmax(logits / temperature), and the
+    behavior's softmax rows are tempered alike.
+
+    The loop runs on plain arrays.  Only while a tape records does it
+    keep each step's GRU caches and record the unroll as one node, whose
+    outputs are the T logits rows, the T behavior rows, the T hidden
+    rows and ``nll`` (see :func:`_unroll_backward`).
     """
-    w_head = transpose(g.head.W_o)
-    states = [Tensor(np.zeros((batch, c.hidden_size))) for c in g.cells]
+    emb = g.embedding.data
+    cells = [(c.W.data, c.U.data, c.b.data) for c in g.cells]
+    w_head, b_head = g.head.W_o.data.T, g.head.b_o.data
+    vocab, top = g.vocab_size, g.hidden_size
+    # While a tape records, per layer: the states [T+1, B, H] with the
+    # zero start state in row 0, and the zr, rh and c of every step.
+    caches = [(np.zeros((t_len + 1, batch, h)), np.empty((t_len, batch, 2 * h)),
+               np.empty((t_len, batch, h)), np.empty((t_len, batch, h)))
+              for h in (c.hidden_size for c in g.cells)] if is_recording() else None
+    # The outputs are rows of three [T, B, .] arrays: three allocations,
+    # not three per step, so a long unroll leaves the heap unfragmented.
+    logits = np.empty((t_len, batch, vocab))
+    behavior = np.empty((t_len, batch, top + vocab if include_outputs else top))
+    hidden = np.empty((t_len, batch, top)) if caches is None else caches[-1][0][1:]
+    states = [np.zeros((batch, c.hidden_size)) for c in g.cells]
     prev = np.full(batch, g.start_id, dtype=np.int64)
-    sampled = np.empty((batch, t_len), dtype=np.int64)
+    fed = np.empty((t_len, batch), dtype=np.int64)
+    draws = np.empty((batch, t_len), dtype=np.int64)
     used = np.zeros((batch, t_len), dtype=bool)
-    logits, behavior, hidden, xents = [], [], [], []
     for t in range(t_len):
-        if ids is not None:
-            sampled[:, t] = prev
-        x = embed(g.embedding, prev)
-        for i, cell in enumerate(g.cells):
-            x, pre = gru_step(cell, states[i], x)
-            states[i] = x
-        lg = add(matmul(x, w_head), g.head.b_o)
-        logits.append(lg)
-        hidden.append(x)
+        fed[t] = prev
+        x = emb[prev]
+        for i, (W, U, b) in enumerate(cells):
+            h, pre, zr, rh, c = _gru_cell(U, b, states[i], x @ W)
+            if caches is not None:
+                hs, zrs, rhs, cs = caches[i]
+                hs[t + 1], zrs[t], rhs[t], cs[t] = h, zr, rh, c
+                h = hs[t + 1]
+            states[i] = x = h
+        if caches is None:
+            hidden[t] = x
+        lg = np.matmul(x, w_head, out=logits[t])
+        lg += b_head
+        behavior[t, :, :top] = pre
+        probs = (_stable_softmax(lg * (1.0 / temperature))
+                 if include_outputs or p_sample > 0.0 else None)
         if include_outputs:
-            probs = softmax(lg if temperature == 1.0 else scale(lg, 1.0 / temperature))
-            pre = concat((pre, probs), axis=-1)
-        behavior.append(pre)
+            behavior[t, :, top:] = probs
         if ids is None:
-            prev = sample_rows(rng, _tempered_probs(lg.data, temperature))
-            sampled[:, t] = prev
+            prev = draws[:, t] = sample_rows(rng, probs)
             continue
-        xents.append(softmax_cross_entropy_rows(lg, ids[:, t]))
         prev = ids[:, t]
         if t + 1 < t_len and p_sample > 0.0:
             coin = np.ones(batch, dtype=bool) if p_sample >= 1.0 else rng.random(batch) < p_sample
             if coin.any():
-                prev = np.where(coin, sample_rows(rng, _tempered_probs(lg.data, temperature)),
-                                prev)
+                prev = np.where(coin, sample_rows(rng, probs), prev)
             used[:, t + 1] = coin
-    if ids is None:
-        return UnrollResult(logits, behavior, hidden, sampled)
-    nll = scale(sum_all(concat(xents, axis=0)), 1.0 / batch)
-    return UnrollResult(logits, behavior, hidden, sampled, nll=nll, used_sample=used)
+    outs = tuple(Tensor(a, copy=False) for rows in (logits, behavior, hidden) for a in rows)
+    res = UnrollResult(list(outs[:t_len]), list(outs[t_len:2 * t_len]),
+                       list(outs[2 * t_len:]), draws)
+    soft = None
+    if ids is not None:
+        # Rows in step order, as [T * B, V]: the sum runs in the order
+        # loss_nll's does.
+        xent, e, s = _cross_entropy_rows(logits.reshape(-1, vocab), ids.T.reshape(-1))
+        res.nll = Tensor(np.sum(xent) * (1.0 / batch), copy=False)
+        res.sampled, res.used_sample = fed.T.copy(), used
+        outs += (res.nll,)
+        if caches is not None:
+            soft = (e / s[:, None]).reshape(t_len, batch, -1)
+    if caches is not None:
+        back = _unroll_backward(g, caches, fed, behavior, soft, ids, temperature,
+                                include_outputs)
+        _record(outs, tuple(g.tensors()), back)
+    return res
+
+
+def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
+                     behavior: np.ndarray, soft: np.ndarray | None,
+                     ids: np.ndarray | None, temperature: float, include_outputs: bool):
+    """The backward closure of one unroll node.
+
+    ``caches[i]`` holds layer i's states, zr, rh and c (see
+    :func:`_unroll`), ``fed`` the [T, B] symbols read and ``behavior``
+    the [T, B, width] behavior rows.  The bottom layer's inputs are
+    looked up again from the embedding, which no update changes before
+    every sweep has run.  With targets, ``soft`` is the softmax of every
+    logits row.
+
+    The closure first gathers the gradient of every logits row into one
+    [T, B, V] array: from the logits outputs, from ``nll`` and from the
+    behavior's softmax rows.  One product each gives the top states',
+    the head weights' and the head bias' gradients.  Then, layer by
+    layer from the top, one :func:`_gru_bptt` recursion; the bottom
+    layer's input gradient is scattered into the embedding.  Returns
+    one gradient per input, in the order of ``g.tensors()``.
+    """
+    t_len, batch = fed.shape
+    emb, w_o = g.embedding.data, g.head.W_o.data
+    vocab, top = w_o.shape
+    weights = [(c.W.data, c.U.data) for c in g.cells]
+
+    def back(*gs):
+        d_lg = np.zeros((t_len, batch, vocab))
+        for t, gt in enumerate(gs[:t_len]):
+            if gt is not None:
+                d_lg[t] = gt
+        if soft is not None and gs[3 * t_len] is not None:
+            p = soft.copy()
+            p[np.arange(t_len)[:, None], np.arange(batch), ids.T] -= 1.0
+            d_lg += p * (gs[3 * t_len] * (1.0 / batch))
+        g_pre = None
+        reached = [(t, gt) for t, gt in enumerate(gs[t_len:2 * t_len]) if gt is not None]
+        if reached:
+            d_beh = np.zeros_like(behavior)
+            for t, gt in reached:
+                d_beh[t] = gt
+            g_pre = d_beh[..., :top]
+            if include_outputs:
+                sm = behavior[..., top:]
+                gp = d_beh[..., top:]
+                d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * (1.0 / temperature)
+        d_lg = d_lg.reshape(t_len * batch, vocab)
+        d_out = (d_lg @ w_o).reshape(t_len, batch, top)
+        for t, gt in enumerate(gs[2 * t_len:3 * t_len]):
+            if gt is not None:
+                d_out[t] += gt
+        d_wo = d_lg.T @ caches[-1][0][1:].reshape(t_len * batch, top)
+        cell_grads = []
+        for i in range(len(weights) - 1, -1, -1):
+            hs, zr, rh, c = caches[i]
+            x = caches[i - 1][0][1:] if i else emb[fed]
+            d_out, d_w, d_u, d_b = _gru_bptt(*weights[i], x, hs[:-1], zr, rh, c, d_out, g_pre)
+            g_pre = None   # only the top layer's candidate is in the behavior
+            cell_grads[:0] = [d_w, d_u, d_b]
+        d_emb = np.zeros_like(emb)
+        np.add.at(d_emb, fed.reshape(-1), d_out.reshape(t_len * batch, -1))
+        return (d_emb, *cell_grads, d_wo, d_lg.sum(axis=0))
+
+    return back
 
 
 def unroll_teacher_forced(g: GeneratorParams, y_seq, *,
@@ -331,6 +429,8 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
     """
     if t_len < 1:
         raise ValueError("unroll length must be positive")
+    if batch < 1:
+        raise ValueError(f"batch must be at least 1, got {batch}")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
     return _unroll(g, None, t_len, batch, 1.0, rng, temperature, include_outputs)

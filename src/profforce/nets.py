@@ -22,11 +22,16 @@ records it as a single tape node with a hand-written backward.
 
 When every input of a sequence is known up front, :func:`gru_sequence`
 records the whole recursion as one tape node instead: the input
-projection ``X W`` of all steps is one product, the backward runs the
-recursion in numpy, and the input and weight gradients of all steps are
-one product each.  The discriminator's encoder, :func:`bigru_encode`,
-runs it once per direction.  Both functions share one numpy copy of the
-gate equations and of their backward.
+projection ``X W`` of all steps is one product and the backward is
+:func:`_gru_bptt`, which runs the recursion in numpy and forms the input
+and weight gradients of all steps with one product each.  The
+discriminator's encoder, :func:`bigru_encode`, runs it once per
+direction.  The generator's unroll in :mod:`profforce.engine` feeds
+each step's input from the step before, so it runs the numpy step
+:func:`_gru_cell` itself and records the whole unroll as one node whose
+backward calls :func:`_gru_bptt` once per layer.  Every path shares one
+numpy copy of the gate equations, of their backward and of the
+recursion through time; :func:`gru_step` is the single-step op.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -167,6 +172,32 @@ def _gru_weight_grads(W: np.ndarray, U: np.ndarray, x: np.ndarray, h: np.ndarray
     return da @ W.T, x.T @ da, d_U, da.sum(axis=0)
 
 
+def _gru_bptt(W: np.ndarray, U: np.ndarray, x: np.ndarray, h_prev: np.ndarray,
+              zr: np.ndarray, rh: np.ndarray, c: np.ndarray, g_h: np.ndarray,
+              g_pre: np.ndarray | None = None, reverse: bool = False):
+    """Backward through a cell run over ``T`` steps from a zero state.
+
+    Every array is time-major ``[T, B, .]``: the step inputs ``x``, the
+    states ``h_prev`` each step read, and the ``zr``, ``rh`` and ``c``
+    caches of :func:`_gru_cell`.  ``g_h[t]`` is the gradient reaching
+    the state written at step ``t`` from outside the recursion and
+    ``g_pre[t]`` that of its candidate pre-tanh value.  With ``reverse``
+    the cell read step ``T-1`` first.  The recursion runs step by step;
+    the input and weight gradients of all steps are one product each.
+    Returns dx ``[T, B, I]``, dW, dU and db.
+    """
+    T, B, H = h_prev.shape
+    da = np.empty((T, B, 3 * H))
+    d_h = np.zeros((B, H))
+    for t in (range(T) if reverse else range(T - 1, -1, -1)):
+        da[t], d_h = _gru_cell_back(U, h_prev[t], zr[t], c[t], g_h[t] + d_h,
+                                    None if g_pre is None else g_pre[t])
+    d_x, d_W, d_U, d_b = _gru_weight_grads(
+        W, U, x.reshape(T * B, -1), h_prev.reshape(T * B, H), rh.reshape(T * B, H),
+        da.reshape(T * B, 3 * H))
+    return d_x.reshape(x.shape), d_W, d_U, d_b
+
+
 def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
     """One GRU update; returns the new state and the candidate pre-tanh value.
 
@@ -202,9 +233,8 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
 
     Returns the states ``[T, B, H]``; with ``reverse`` the cell reads
     step ``T-1`` first, and ``states[t]`` has seen inputs ``t..T-1``.
-    One tape node: the input projection of every step is one product,
-    the backward runs the step recursion in numpy and then forms the
-    input and weight gradients of all steps with one product each.
+    One tape node: the input projection of every step is one product
+    and the backward is :func:`_gru_bptt`.
     """
     xd = xs.data
     if xd.ndim != 3 or xd.shape[0] == 0:
@@ -229,13 +259,7 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
         states[t] = h
 
     def back(g):
-        da = np.empty((T, B, 3 * H))
-        d_h = np.zeros((B, H))
-        for t in reversed(steps):
-            da[t], d_h = _gru_cell_back(U, h_prev[t], zr[t], c[t], g[t] + d_h, None)
-        d_x, d_W, d_U, d_b = _gru_weight_grads(
-            W, U, x, h_prev.reshape(T * B, H), rh.reshape(T * B, H), da.reshape(T * B, 3 * H))
-        return d_x.reshape(xd.shape), d_W, d_U, d_b
+        return _gru_bptt(W, U, xd, h_prev, zr, rh, c, g, reverse=reverse)
 
     return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back)
 

@@ -8,8 +8,9 @@ validation, metric probes) run without autodiff overhead.
 
 A node may have more than one output (the fused GRU step in
 :mod:`profforce.nets` records its new state and its candidate pre-tanh
-value together, and :func:`split` records every piece); its closure gets
-``None`` for each output the loss does not reach.
+value together, a generator unroll in :mod:`profforce.engine` records
+every per-step row it emits, and :func:`split` records every piece); its
+closure gets ``None`` for each output the loss does not reach.
 
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
@@ -27,6 +28,7 @@ __all__ = [
     "Tensor",
     "Tape",
     "stop_recording",
+    "is_recording",
     "backward",
     "grad_check",
     "zero_grads",
@@ -139,15 +141,23 @@ def stop_recording() -> _RecordingOff:
     return _RecordingOff()
 
 
+def is_recording() -> bool:
+    """Whether an op run now would be recorded on a tape.
+
+    Ops that cache intermediates only for their backward keep them
+    only when this is true.
+    """
+    return bool(_TAPES) and _TAPES[-1] is not None
+
+
 def _record(out, inputs: tuple[Tensor, ...], backfn: Callable):
     """Record one node; ``out`` is a Tensor or a tuple of output Tensors."""
-    if _TAPES:
+    if is_recording():
         tape = _TAPES[-1]
-        if tape is not None:
-            outs = out if isinstance(out, tuple) else (out,)
-            for o in outs:
-                o.node_id = len(tape.nodes)
-            tape.nodes.append((outs, inputs, backfn))
+        outs = out if isinstance(out, tuple) else (out,)
+        for o in outs:
+            o.node_id = len(tape.nodes)
+        tape.nodes.append((outs, inputs, backfn))
     return out
 
 
@@ -369,6 +379,18 @@ def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
     return _record(out, (logits,), back)
 
 
+def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):
+    """Numpy cross entropy of each row of ``x`` [M, V] against its target.
+
+    Returns the M losses with ``exp(x - max)`` and its row sums, from
+    which the backward forms the softmax.
+    """
+    m = np.max(x, axis=-1)
+    e = np.exp(x - m[:, None])
+    s = np.sum(e, axis=-1)
+    return m + np.log(s) - x[np.arange(x.shape[0]), t], e, s
+
+
 def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     """Row-wise fused cross entropy: [M, V] logits and M targets give M losses."""
     x = logits.data
@@ -380,10 +402,8 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     if t.size and (t.min() < 0 or t.max() >= x.shape[1]):
         raise ValueError(f"target out of range for {x.shape[1]} classes")
     rows = np.arange(x.shape[0])
-    m = np.max(x, axis=-1)
-    e = np.exp(x - m[:, None])
-    s = np.sum(e, axis=-1)
-    out = Tensor(m + np.log(s) - x[rows, t], copy=False)
+    loss, e, s = _cross_entropy_rows(x, t)
+    out = Tensor(loss, copy=False)
 
     def back(g):
         p = e / s[:, None]

@@ -117,6 +117,22 @@ def gru_sequence_loss(reverse):
     return lambda p: sum_all(tanh(gru_sequence(GruCellParams(*p[1:]), p[0], reverse)))
 
 
+def unroll_case(rng, batch, t_len=4):
+    """A 2-layer teacher-forced unroll with softmax rows in its behavior.
+
+    The loss is its nll plus a tanh sum over the behavior rows; the
+    params are the generator's.
+    """
+    g = GeneratorParams.create(4, 3, 3, 2, rng)
+    y = rng.integers(0, 4, (batch, t_len))
+
+    def loss(_):
+        res = unroll_teacher_forced(g, y, include_outputs=True)
+        return add(res.nll, sum_all(tanh(concat(res.behavior, axis=0))))
+
+    return loss, g.tensors()
+
+
 class TestA1GradientIntegrity:
     def test_a1_gradient_integrity(self, capsys):
         with verdict(capsys, "[A1] gradient integrity") as info:
@@ -178,6 +194,9 @@ class TestA1GradientIntegrity:
                 # both pieces, then a piece the loss does not reach
                 "split": (lambda p: sum_all(mul(*split(p[0], 2, axis=1))), [t((3, 4))]),
                 "split_one_piece": (lambda p: sum_all(tanh(split(p[0], 3)[1])), [t((6, 2))]),
+                # the one-node generator unroll, batched and single-row
+                "unroll_two_layers": unroll_case(rng, batch=3),
+                "unroll_two_layers_one_row": unroll_case(rng, batch=1, t_len=5),
             }
             worst_prim = 0.0
             for name, (f, params) in cases.items():

@@ -129,6 +129,13 @@ class TestSampleCommand:
         assert len(lines) == 2
         assert all(set(l) <= {"a", "b"} and len(l) == 10 for l in lines)
 
+    @pytest.mark.parametrize("count", ["0", "-1"])
+    def test_nonpositive_count_exits_2(self, trained, capsys, count):
+        assert main(["sample", str(trained / "final.ckpt"), "--count", count]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"batch must be at least 1, got {count}" in captured.err
+
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["sample", str(tmp_path / "nope.ckpt")]) == 2
         assert "error:" in capsys.readouterr().err

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,16 +23,24 @@ from profforce.engine import (
     unroll_free_running,
     unroll_teacher_forced,
 )
-from profforce.nets import mlp_forward
+from profforce.nets import gru_step, mlp_forward
 from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
     Tensor,
     add,
     backward,
+    concat,
+    embed,
     grad_check,
+    matmul,
+    mul,
     scale,
+    softmax,
+    softmax_cross_entropy_rows,
     stop_recording,
+    sum_all,
+    transpose,
     zero_grads,
 )
 from profforce.trainer import Trainer
@@ -167,6 +176,12 @@ class TestFreeRunningUnroll:
         with pytest.raises(ValueError):
             unroll_free_running(g, 3, rng, temperature=0.0)
 
+    def test_rejects_nonpositive_batch(self):
+        g = tiny_generator()
+        for batch in (0, -1):
+            with pytest.raises(ValueError, match=f"batch must be at least 1, got {batch}"):
+                unroll_free_running(g, 3, np.random.default_rng(34), batch=batch)
+
     def test_behavior_mode_and_outputs(self):
         g = tiny_generator()
         res = unroll_free_running(g, 4, np.random.default_rng(35), batch=2,
@@ -256,6 +271,157 @@ class TestScheduledSampling:
         g = tiny_generator()
         with pytest.raises(ValueError):
             scheduled_sampling_unroll(g, np.array([0]), 1.5, np.random.default_rng(42))
+
+
+def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
+                       include_outputs):
+    """The unroll as a per-step taped loop of primitive ops.
+
+    ``ids`` None runs free at ``temperature``; otherwise step t+1 is fed
+    a temperature-1 draw with probability ``p_sample``.  Mirrors the
+    one-node unroll draw for draw, so both consume the same randomness.
+    """
+    w_head = transpose(g.head.W_o)
+    states = [Tensor(np.zeros((batch, c.hidden_size))) for c in g.cells]
+    prev = np.full(batch, g.start_id, dtype=np.int64)
+    sampled = np.empty((batch, t_len), dtype=np.int64)
+    used = np.zeros((batch, t_len), dtype=bool)
+    logits, behavior, hidden, xents = [], [], [], []
+    for t in range(t_len):
+        if ids is not None:
+            sampled[:, t] = prev
+        x = embed(g.embedding, prev)
+        for i, cell in enumerate(g.cells):
+            x, pre = gru_step(cell, states[i], x)
+            states[i] = x
+        lg = add(matmul(x, w_head), g.head.b_o)
+        probs = softmax(scale(lg, 1.0 / temperature))
+        logits.append(lg)
+        hidden.append(x)
+        behavior.append(concat((pre, probs), axis=-1) if include_outputs else pre)
+        if ids is None:
+            prev = sampled[:, t] = sample_rows(rng, probs.data)
+            continue
+        xents.append(softmax_cross_entropy_rows(lg, ids[:, t]))
+        prev = ids[:, t]
+        if t + 1 < t_len and p_sample > 0.0:
+            coin = np.ones(batch, dtype=bool) if p_sample >= 1.0 else rng.random(batch) < p_sample
+            if coin.any():
+                prev = np.where(coin, sample_rows(rng, probs.data), prev)
+            used[:, t + 1] = coin
+    nll = None if ids is None else scale(sum_all(concat(xents, axis=0)), 1.0 / batch)
+    return logits, behavior, hidden, nll, sampled, used
+
+
+class TestUnrollMatchesPerStepOracle:
+    """The one-node unroll against the per-step taped loop it replaced:
+    identical draws, values to 1e-12 and gradients to 1e-10."""
+
+    REGIMES = {  # name: (targets, p_sample, temperature)
+        "tf": (True, 0.0, 1.0),
+        "fr": (False, 1.0, 1.0),
+        "fr_t0.7": (False, 1.0, 0.7),
+        "ss_p0.5": (True, 0.5, 1.0),
+        "ss_p1": (True, 1.0, 1.0),
+    }
+
+    def _unroll(self, g, regime, y, rng, include_outputs):
+        targets, p, temp = self.REGIMES[regime]
+        t_len, batch = y.shape[1], y.shape[0]
+        if regime == "tf":
+            res = unroll_teacher_forced(g, y, include_outputs=include_outputs)
+        elif targets:
+            res = scheduled_sampling_unroll(g, y, p, rng, include_outputs=include_outputs)
+        else:
+            res = unroll_free_running(g, t_len, rng, temperature=temp, batch=batch,
+                                      include_outputs=include_outputs)
+        return res.logits, res.behavior, res.hidden, res.nll, res.sampled, res.used_sample
+
+    @staticmethod
+    def _loss(outs, coef, reach):
+        """A fixed random linear combination of the reached outputs; each
+        row is left out of it with probability 0.3, so its gradient is None."""
+        terms = []
+        for k, rows in enumerate(outs[:3]):
+            if k not in reach:
+                continue
+            for row, (keep, c) in zip(rows, coef[k]):
+                if keep:
+                    terms.append(sum_all(mul(row, Tensor(c[:, :row.shape[1]]))))
+        if 3 in reach and outs[3] is not None:
+            terms.append(scale(outs[3], coef[3]))
+        loss = terms[0]
+        for term in terms[1:]:
+            loss = add(loss, term)
+        return loss
+
+    @pytest.mark.parametrize("regime", sorted(REGIMES))
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("reach", [(0, 1, 2, 3), (2,), (1,)],
+                             ids=["all", "hidden_only", "behavior_only"])
+    def test_matches_reference(self, regime, layers, include_outputs, batch, reach):
+        vocab, hidden_size, t_len = 4, 5, 5
+        seed = 300 + 10 * layers + batch
+        crng = np.random.default_rng(seed + 1)
+        y = crng.integers(0, vocab, (batch, t_len))
+        coef = [[(crng.random() > 0.3, crng.uniform(-1, 1, (batch, hidden_size + vocab)))
+                 for _ in range(t_len)] for _ in range(3)] + [crng.uniform(0.5, 1.5)]
+        for rows in coef[:3]:
+            rows[-1] = (True, rows[-1][1])   # at least one row of each kind
+        targets, p, temp = self.REGIMES[regime]
+        results = []
+        for run in ("unroll", "reference"):
+            g = tiny_generator(seed=seed, vocab=vocab, hidden=hidden_size, layers=layers)
+            rng = np.random.default_rng(seed + 2)
+            with Tape() as tape:
+                if run == "unroll":
+                    outs = self._unroll(g, regime, y, rng, include_outputs)
+                else:
+                    outs = per_step_reference(g, y if targets else None, t_len, batch, p,
+                                              rng, temp, include_outputs)
+                loss = self._loss(outs, coef, reach)
+            params = g.tensors()
+            zero_grads(params)
+            backward(tape, loss, params=params)
+            grads = [t.grad.copy() for t in params]
+            # a second sweep over the same tape gives the same gradients
+            zero_grads(params)
+            backward(tape, loss, params=params)
+            for a, b in zip(grads, params):
+                np.testing.assert_array_equal(a, b.grad)
+            results.append((outs, grads, rng.bit_generator.state))
+        (new, new_grads, new_state), (ref, ref_grads, ref_state) = results
+        np.testing.assert_array_equal(new[4], ref[4])
+        if targets:
+            np.testing.assert_array_equal(new[5], ref[5])
+            np.testing.assert_allclose(new[3].data, ref[3].data, rtol=0, atol=1e-12)
+        else:
+            assert new[3] is None and new[5] is None
+        assert new_state == ref_state
+        for k in range(3):
+            assert len(new[k]) == len(ref[k]) == t_len
+            for a, b in zip(new[k], ref[k]):
+                np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+        assert any(np.any(gr != 0.0) for gr in new_grads)
+        for a, b in zip(new_grads, ref_grads):
+            np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+class TestUnrollMemory:
+    def test_untaped_unroll_keeps_no_step_caches(self):
+        # An untaped unroll should hold at its peak little more than what
+        # it returns: the logits, behavior and hidden rows.
+        g = GeneratorParams.create(8, 16, 64, 1, np.random.default_rng(56))
+        tracemalloc.start()
+        try:
+            res = unroll_free_running(g, 1000, np.random.default_rng(57), batch=8)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(res.logits) == 1000
+        assert peak <= 1.25 * held, f"peak {peak / 1e6:.2f} MB, held {held / 1e6:.2f} MB"
 
 
 # ---------------------------------------------------------------------------
@@ -634,14 +800,14 @@ class TestTapeNodeCeiling:
     """Tape nodes recorded by one training step at acceptance check A7's size.
 
     At desk sizes a step costs Python dispatch per tape node more than
-    arithmetic, so these ceilings guard the fused GRU step, the
-    whole-sequence discriminator encoder and the single stacked
-    discriminator pass.  A change
-    that records fewer nodes lowers them; none may raise them.
+    arithmetic, so these ceilings guard the one-node generator unroll,
+    the whole-sequence discriminator encoder and the single stacked
+    discriminator pass.  A change that records fewer nodes lowers them;
+    none may raise them.
     """
 
-    PF_CEILING = 122
-    TF_CEILING = 45
+    PF_CEILING = 47
+    TF_CEILING = 2
 
     def _one_step(self, monkeypatch, tmp_path, mode):
         recorded = []
