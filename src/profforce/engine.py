@@ -11,10 +11,9 @@ p = 0 is teacher forcing and p = 1 is free running.
 loop.  Every unroll emits its behavior as one [B, width] row per step
 (the GRU candidate pre-tanh values, optionally with the softmax outputs
 appended), and with targets also the sequence cross entropy.  The loop
-runs on plain numpy arrays and records the whole unroll as one tape
-node; its backward runs the GRU recursion of each layer in numpy, with
-the head, weight and embedding gradients of all steps one product
-each.  A
+runs the numpy GRU kernel of :mod:`profforce.nets` on arrays allocated
+before the first step and records the whole unroll as one tape node,
+whose backward runs the kernel's recursion for each layer.  A
 bidirectional-GRU discriminator scores behavior sequences as teacher
 forced vs free running, and its judgement is fed back into the
 generator so the free-running dynamics are pulled toward the
@@ -35,8 +34,9 @@ above 0.75, and the discriminator itself stops updating once its
 accuracy exceeds 0.99.
 
 A training step stacks both behaviors into one batch, teacher-forced
-rows first, and runs the discriminator on it once; every term above
-comes from that one forward (see :func:`train_step`).
+rows first, runs the discriminator on it once and sweeps its tape at
+most once; every term above comes from that forward and that sweep
+(see :func:`train_step`).
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from .nets import (
     MlpParams,
     OutputHeadParams,
     _gru_bptt,
-    _gru_cell,
+    _gru_step_into,
+    _gru_weights,
     bigru_encode,
     mlp_forward,
 )
@@ -274,45 +275,50 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     included, draws from softmax(logits / temperature), and the
     behavior's softmax rows are tempered alike.
 
-    The loop runs on plain arrays.  Only while a tape records does it
-    keep each step's GRU caches and record the unroll as one node, whose
-    outputs are the T logits rows, the T behavior rows, the T hidden
-    rows and ``nll`` (see :func:`_unroll_backward`).
+    Each step runs :func:`nets._gru_step_into` per layer, on arrays
+    allocated before the first step; layer 0 reads ``x W + b`` from a
+    per-symbol table.  Only while a tape records does every step keep
+    its own cache rows and the unroll record one node, whose outputs are
+    the T logits, behavior and hidden rows and ``nll`` (see
+    :func:`_unroll_backward`).
     """
     emb = g.embedding.data
-    cells = [(c.W.data, c.U.data, c.b.data) for c in g.cells]
     w_head, b_head = g.head.W_o.data.T, g.head.b_o.data
     vocab, top = g.vocab_size, g.hidden_size
-    # While a tape records, per layer: the states [T+1, B, H] with the
-    # zero start state in row 0, and the zr, rh and c of every step.
-    caches = [(np.zeros((t_len + 1, batch, h)), np.empty((t_len, batch, 2 * h)),
-               np.empty((t_len, batch, h)), np.empty((t_len, batch, h)))
-              for h in (c.hidden_size for c in g.cells)] if is_recording() else None
-    # The outputs are rows of three [T, B, .] arrays: three allocations,
-    # not three per step, so a long unroll leaves the heap unfragmented.
+    taped = is_recording()
+    kept = t_len if taped else 1   # step rows each cache keeps
+    # The outputs are rows of three [T, B, .] arrays (logits, behavior and
+    # the top layer's states), so a long unroll leaves the heap unfragmented.
     logits = np.empty((t_len, batch, vocab))
     behavior = np.empty((t_len, batch, top + vocab if include_outputs else top))
-    hidden = np.empty((t_len, batch, top)) if caches is None else caches[-1][0][1:]
-    states = [np.zeros((batch, c.hidden_size)) for c in g.cells]
+    layers = []   # per layer: its step's x W + b, U_zr, U_c, W, b, states, zr, rh, pre, c
+    for i, cell in enumerate(g.cells):
+        h, is_top = cell.hidden_size, i == len(g.cells) - 1
+        W, b, U_zr, U_c = _gru_weights(cell)
+        W = emb @ W + b if i == 0 else W   # layer 0: a table of x W + b per symbol
+        hs = np.zeros((t_len + 1 if taped or is_top else 2, batch, h))   # else two in turn
+        pre = behavior[..., :top] if is_top else np.empty((kept, batch, h))
+        layers.append((np.empty((3, batch, h)), U_zr, U_c, W, b, hs,
+                       np.empty((kept, 2, batch, h)), np.empty((kept, batch, h)), pre,
+                       np.empty((kept, batch, h))))
+    hidden = layers[-1][5][1:]
     prev = np.full(batch, g.start_id, dtype=np.int64)
     fed = np.empty((t_len, batch), dtype=np.int64)
     draws = np.empty((batch, t_len), dtype=np.int64)
     used = np.zeros((batch, t_len), dtype=bool)
     for t in range(t_len):
         fed[t] = prev
-        x = emb[prev]
-        for i, (W, U, b) in enumerate(cells):
-            h, pre, zr, rh, c = _gru_cell(U, b, states[i], x @ W)
-            if caches is not None:
-                hs, zrs, rhs, cs = caches[i]
-                hs[t + 1], zrs[t], rhs[t], cs[t] = h, zr, rh, c
-                h = hs[t + 1]
-            states[i] = x = h
-        if caches is None:
-            hidden[t] = x
+        for i, (xb, U_zr, U_c, W, b, hs, zr, rh, pre, c) in enumerate(layers):
+            if i:
+                np.matmul(x, W, out=xb)
+                xb += b
+            else:
+                W.take(prev, axis=1, out=xb)
+            k, x = t % kept, hs[(t + 1) % len(hs)]
+            _gru_step_into(U_zr, U_c, hs[t % len(hs)], xb, zr[k], rh[k], pre[t % len(pre)],
+                           c[k], x)
         lg = np.matmul(x, w_head, out=logits[t])
         lg += b_head
-        behavior[t, :, :top] = pre
         probs = (_stable_softmax(lg * (1.0 / temperature))
                  if include_outputs or p_sample > 0.0 else None)
         if include_outputs:
@@ -337,9 +343,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         res.nll = Tensor(np.sum(xent) * (1.0 / batch), copy=False)
         res.sampled, res.used_sample = fed.T.copy(), used
         outs += (res.nll,)
-        if caches is not None:
+        if taped:
             soft = (e / s[:, None]).reshape(t_len, batch, -1)
-    if caches is not None:
+    if taped:
+        caches = [(hs, zr, rh, c) for *_, hs, zr, rh, _, c in layers]
         back = _unroll_backward(g, caches, fed, behavior, soft, ids, temperature,
                                 include_outputs)
         _record(outs, tuple(g.tensors()), back)
@@ -351,25 +358,19 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
                      ids: np.ndarray | None, temperature: float, include_outputs: bool):
     """The backward closure of one unroll node.
 
-    ``caches[i]`` holds layer i's states, zr, rh and c (see
-    :func:`_unroll`), ``fed`` the [T, B] symbols read and ``behavior``
-    the [T, B, width] behavior rows.  The bottom layer's inputs are
-    looked up again from the embedding, which no update changes before
-    every sweep has run.  With targets, ``soft`` is the softmax of every
-    logits row.
-
-    The closure first gathers the gradient of every logits row into one
-    [T, B, V] array: from the logits outputs, from ``nll`` and from the
-    behavior's softmax rows.  One product each gives the top states',
-    the head weights' and the head bias' gradients.  Then, layer by
-    layer from the top, one :func:`_gru_bptt` recursion; the bottom
-    layer's input gradient is scattered into the embedding.  Returns
-    one gradient per input, in the order of ``g.tensors()``.
+    ``caches[i]`` holds layer i's states, zr, rh and c, ``fed`` the
+    [T, B] symbols read, ``behavior`` the behavior rows and, with
+    targets, ``soft`` every logits row's softmax.  The closure gathers
+    the logits rows' gradients (from the logits outputs, ``nll`` and the
+    softmax rows), takes the head's and top states' gradients in one
+    product each, runs :func:`_gru_bptt` per layer from the top and
+    scatters the bottom layer's input gradient into the embedding.  The
+    bottom inputs are looked up again, as no update runs before every
+    sweep has.  Returns one gradient per input, in ``g.tensors()`` order.
     """
     t_len, batch = fed.shape
     emb, w_o = g.embedding.data, g.head.W_o.data
     vocab, top = w_o.shape
-    weights = [(c.W.data, c.U.data) for c in g.cells]
 
     def back(*gs):
         d_lg = np.zeros((t_len, batch, vocab))
@@ -398,10 +399,10 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
                 d_out[t] += gt
         d_wo = d_lg.T @ caches[-1][0][1:].reshape(t_len * batch, top)
         cell_grads = []
-        for i in range(len(weights) - 1, -1, -1):
+        for i in range(len(g.cells) - 1, -1, -1):
             hs, zr, rh, c = caches[i]
             x = caches[i - 1][0][1:] if i else emb[fed]
-            d_out, d_w, d_u, d_b = _gru_bptt(*weights[i], x, hs[:-1], zr, rh, c, d_out, g_pre)
+            d_out, d_w, d_u, d_b, _ = _gru_bptt(g.cells[i], x, hs[:-1], zr, rh, c, d_out, g_pre)
             g_pre = None   # only the top layer's candidate is in the behavior
             cell_grads[:0] = [d_w, d_u, d_b]
         d_emb = np.zeros_like(emb)
@@ -487,12 +488,11 @@ def loss_nll(logits_seq: Sequence[Tensor], y_seq) -> Tensor:
     ids = _as_batch_ids(y_seq)
     if len(logits_seq) != ids.shape[1]:
         raise ValueError(f"{len(logits_seq)} logit steps for {ids.shape[1]} targets")
-    b = ids.shape[0]
-    xents = []
-    for t, lg in enumerate(logits_seq):
-        lg2 = lg if lg.data.ndim == 2 else reshape(lg, (1, lg.shape[0]))
-        xents.append(softmax_cross_entropy_rows(lg2, ids[:, t]))
-    return scale(sum_all(concat(xents, axis=0)), 1.0 / b)
+    # rows in step order, so the sum runs in the order of the unroll's nll
+    rows = concat([lg if lg.data.ndim == 2 else reshape(lg, (1, lg.shape[0]))
+                   for lg in logits_seq], axis=0)
+    xents = softmax_cross_entropy_rows(rows, ids.T.reshape(-1))
+    return scale(sum_all(xents), 1.0 / ids.shape[0])
 
 
 def _mean_neg_log(x):
@@ -560,15 +560,16 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        on a tape of its own.  Its probabilities give the accuracy, the
        gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
        which makes the generator term c_d with the labels swapped).
-    3. If the gate lets the adversarial term reach the generator, sweep
-       the discriminator tape for that term, into the leaf, and add
-       ``sum(stack * leaf_grad)`` to the generator loss: its gradient
-       reaches the generator exactly as if the discriminator had run on
-       the generator tape.
-    4. If the gate lets the discriminator learn, sweep its tape again,
-       for c_d, into the discriminator parameters.  This sweep comes
-       second so that those parameters end the step holding the c_d
-       gradient their update used.
+    3. Sweep the discriminator tape at most once: for c_d, into its
+       parameters and the leaf, if the gate lets it learn; else for the
+       adversarial term, into the leaf, if that reaches the generator.
+    4. If it does, add ``sum(stack * leaf_grad)`` to the generator loss,
+       with ``leaf_grad`` the term's gradient at the leaf.  After a c_d
+       sweep, that is the sweep's scaled per row i by d(adv)/dl_i /
+       d(c_d)/dl_i, l_i the row's pooled logit: ``-w (1 - p) / p`` on
+       free-running rows, and with ``use_ct`` ``-w p / (1 - p)`` on
+       teacher-forced ones (else 0).  This is exact because each row's
+       pooled logit depends on that row of the stack alone.
     5. Sweep the generator tape, then take both Adam steps.  Adam
        mutates weights that the backward closures read, so no update
        runs before every sweep has finished.
@@ -602,8 +603,9 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                 c_d = loss_discriminator(p_tf_t, p_fr_t)
                 p_tf, p_fr = p_tf_t.data, p_fr_t.data
                 gs = gate(accuracy_from_probs(p_tf, p_fr))
+                update_d = not settings.freeze_discriminator and gs.update_discriminator
                 adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
-                if adv_on:
+                if adv_on and not update_d:
                     adv = (loss_discriminator(p_fr_t, p_tf_t) if settings.use_ct
                            else loss_fool_free_running(p_fr_t))
                     adv = scale(adv, settings.adversarial_weight)
@@ -614,15 +616,17 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                            gate_gen=gs.adversarial_to_generator,
                            gate_disc=gs.update_discriminator)
 
-            if adv_on:
-                backward(d_tape, adv)
-                loss = add(loss, sum_all(mul(stacked, Tensor(leaf.grad, copy=False))))
-            update_d = not settings.freeze_discriminator and gs.update_discriminator
             if update_d:
-                # The sweep above also added into these grads; resetting the
-                # leaf's leaves the array the generator loss holds intact.
-                zero_grads(d_params + [leaf])
+                zero_grads(d_params)
                 backward(d_tape, c_d, params=d_params)
+                if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
+                    tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
+                    rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
+                    leaf.grad *= (-settings.adversarial_weight * rows)[:, None]
+            elif adv_on:
+                backward(d_tape, adv)
+            if adv_on:
+                loss = add(loss, sum_all(mul(stacked, Tensor(leaf.grad, copy=False))))
 
     g_params = g.tensors()
     zero_grads(g_params)

@@ -13,25 +13,18 @@ state::
     c = tanh(x W_c + (r * h) U_c + b_c)       candidate state
     h_new = (1 - z) * h + z * c
 
-A cell stores its gates stacked side by side in the order z, r, c, in
-the layout the row-batched products use: ``W`` is ``[I, 3H]``, ``U`` is
-``[H, 3H]`` and ``b`` is ``[3H]``, so ``W_z`` is ``W[:, :H]``, ``W_r``
-is ``W[:, H:2H]`` and ``W_c`` is ``W[:, 2H:]``.  One step is two
-products for the gates and one for the candidate, and :func:`gru_step`
-records it as a single tape node with a hand-written backward.
+A cell stores its gates stacked side by side in the order z, r, c:
+``W`` is ``[I, 3H]``, ``U`` is ``[H, 3H]`` and ``b`` is ``[3H]``, so
+``W_z`` is ``W[:, :H]``, ``W_r`` is ``W[:, H:2H]`` and ``W_c`` is
+``W[:, 2H:]``.
 
-When every input of a sequence is known up front, :func:`gru_sequence`
-records the whole recursion as one tape node instead: the input
-projection ``X W`` of all steps is one product and the backward is
-:func:`_gru_bptt`, which runs the recursion in numpy and forms the input
-and weight gradients of all steps with one product each.  The
-discriminator's encoder, :func:`bigru_encode`, runs it once per
-direction.  The generator's unroll in :mod:`profforce.engine` feeds
-each step's input from the step before, so it runs the numpy step
-:func:`_gru_cell` itself and records the whole unroll as one node whose
-backward calls :func:`_gru_bptt` once per layer.  Every path shares one
-numpy copy of the gate equations, of their backward and of the
-recursion through time; :func:`gru_step` is the single-step op.
+One numpy kernel runs every recursion; what does not change from step
+to step (the weights' gate-major forms, the projection ``x W + b`` of
+known inputs) runs once per sequence.  :func:`_gru_step_into` writes a
+step into preallocated arrays and :func:`_gru_bptt` runs the recursion
+backward.  :func:`gru_sequence` (one tape node, run per direction by
+:func:`bigru_encode`), :func:`gru_step` and the generator unroll in
+:mod:`profforce.engine` all run it.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -47,7 +40,6 @@ import numpy as np
 from .tensor import (
     Tensor,
     _record,
-    _sigmoid,
     add,
     concat,
     matmul,
@@ -117,114 +109,145 @@ class GruCellParams:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
-def _gru_cell(U: np.ndarray, b: np.ndarray, h: np.ndarray, xw: np.ndarray):
-    """Numpy forward of one step from the input projection ``xw = x @ W``.
+def _gru_weights(p: GruCellParams):
+    """A cell's weights in the gate-major forms a step reads: ``W`` ``[3, I, H]``,
+    ``b`` ``[3, 1, H]``, ``U_zr`` ``[2, H, H]`` and ``U_c`` ``[H, H]``.
 
-    ``h`` is ``[B, H]`` and ``xw`` is ``[B, 3H]``.  Returns the new
-    state, the candidate pre-tanh value and what the backward needs:
-    the stacked ``z, r`` gates, ``r * h`` and the candidate ``c``.
-    """
-    H = U.shape[0]
-    zr = h @ U[:, :2 * H]
-    zr += xw[:, :2 * H]
-    zr += b[:2 * H]
-    zr = _sigmoid(zr)
-    z = zr[:, :H]
-    rh = zr[:, H:] * h
-    pre = rh @ U[:, 2 * H:]
-    pre += xw[:, 2 * H:]
-    pre += b[2 * H:]
-    c = np.tanh(pre)
-    h_new = (1.0 - z) * h + z * c
-    return h_new, pre, zr, rh, c
+    The z and r columns are scaled by -0.5 and 0.5 (exact), so that
+    ``sigmoid(a) = (1 + tanh(a / 2)) / 2`` needs no scaling per step and
+    the kernel holds ``1 - z = sigmoid(-a_z)`` in place of z."""
+    H = p.hidden_size
+    s = np.repeat((-0.5, 0.5, 1.0), H)
+    W, U = (p.W.data * s).reshape(-1, 3, H), (p.U.data * s).reshape(H, 3, H)
+    return (W.transpose(1, 0, 2).copy(), (p.b.data * s).reshape(3, 1, H),
+            U[:, :2].transpose(1, 0, 2).copy(), U[:, 2].copy())
 
 
-def _gru_cell_back(U: np.ndarray, h: np.ndarray, zr: np.ndarray, c: np.ndarray,
-                   g_h: np.ndarray, g_pre: np.ndarray | None):
-    """Numpy backward of one step: gradients of the stacked gate
-    pre-activations ``[B, 3H]`` (order z, r, c) and of the previous state."""
-    H = U.shape[0]
-    z, r = zr[:, :H], zr[:, H:]
-    da = np.empty((h.shape[0], 3 * H))
-    d_pre = da[:, 2 * H:]
-    np.multiply(g_h * z, 1.0 - c * c, out=d_pre)
-    if g_pre is not None:
-        d_pre += g_pre
-    d_rh = d_pre @ U[:, 2 * H:].T
-    da[:, :H] = g_h * (c - h)
-    da[:, H:2 * H] = d_rh * h
-    da[:, :2 * H] *= zr * (1.0 - zr)
-    d_h = g_h * (1.0 - z) + d_rh * r + da[:, :2 * H] @ U[:, :2 * H].T
-    return da, d_h
+def _gru_step_into(U_zr, U_c, h, xb, zr, rh, pre, c, h_new) -> None:
+    """One step from state ``h`` ``[B, H]`` and ``xb = x W + b`` ``[3, B, H]``
+    (forms of :func:`_gru_weights`), allocating nothing: writes the gates
+    ``zr`` ``[2, B, H]`` (``1 - z``, r), ``rh = r * h``, ``pre``, ``c =
+    tanh(pre)`` and ``h_new = c + (1 - z) * (h - c)``, which is not h."""
+    np.matmul(h, U_zr, out=zr)
+    zr += xb[:2]
+    np.tanh(zr, out=zr)
+    zr += 1.0
+    zr *= 0.5
+    np.multiply(zr[1], h, out=rh)
+    np.matmul(rh, U_c, out=pre)
+    pre += xb[2]
+    np.tanh(pre, out=c)
+    np.subtract(h, c, out=h_new)
+    h_new *= zr[0]
+    h_new += c
 
 
-def _gru_weight_grads(W: np.ndarray, U: np.ndarray, x: np.ndarray, h: np.ndarray,
-                      rh: np.ndarray, da: np.ndarray):
-    """Input and weight gradients over all rows of ``da`` at once.
+def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = False,
+             keep_pre: bool = True):
+    """Run a cell over ``x`` ``[T, B, I]`` from ``h0`` (step ``T-1`` first with
+    ``reverse``), projecting all inputs in one product.  Returns the states
+    ``[T+1, B, H]``, ``h0`` in row 0 and step t's in row t+1 (rows T and t
+    with ``reverse``), and the caches zr, rh, pre (unless ``keep_pre``,
+    only the last step's) and c."""
+    if x.shape[-1] != p.input_size:
+        raise ValueError(f"input width {x.shape[-1]} != cell input size {p.input_size}")
+    T, B, _ = x.shape
+    H = p.hidden_size
+    W, b, U_zr, U_c = _gru_weights(p)
+    xb = x[:, None] @ W
+    xb += b
+    hs, zr = np.empty((T + 1, B, H)), np.empty((T, 2, B, H))
+    rh, c, pre = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((T if keep_pre else 1, B, H))
+    hs[T if reverse else 0] = h0
+    for t in (range(T - 1, -1, -1) if reverse else range(T)):
+        read, write = (t + 1, t) if reverse else (t, t + 1)
+        _gru_step_into(U_zr, U_c, hs[read], xb[t], zr[t], rh[t], pre[t % len(pre)], c[t],
+                       hs[write])
+    return hs, zr, rh, pre, c
 
-    ``x``, ``h`` and ``rh`` are the step inputs, previous states and
-    ``r * h`` aligned row for row with ``da``; returns dx, dW, dU, db.
-    """
-    H = U.shape[0]
-    d_U = np.empty_like(U)
-    np.matmul(h.T, da[:, :2 * H], out=d_U[:, :2 * H])
-    np.matmul(rh.T, da[:, 2 * H:], out=d_U[:, 2 * H:])
-    return da @ W.T, x.T @ da, d_U, da.sum(axis=0)
 
-
-def _gru_bptt(W: np.ndarray, U: np.ndarray, x: np.ndarray, h_prev: np.ndarray,
-              zr: np.ndarray, rh: np.ndarray, c: np.ndarray, g_h: np.ndarray,
+def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarray,
+              rh: np.ndarray, c: np.ndarray, g_h: np.ndarray,
               g_pre: np.ndarray | None = None, reverse: bool = False):
-    """Backward through a cell run over ``T`` steps from a zero state.
+    """Backward through cell ``p`` run over ``T`` steps.
 
-    Every array is time-major ``[T, B, .]``: the step inputs ``x``, the
-    states ``h_prev`` each step read, and the ``zr``, ``rh`` and ``c``
-    caches of :func:`_gru_cell`.  ``g_h[t]`` is the gradient reaching
-    the state written at step ``t`` from outside the recursion and
-    ``g_pre[t]`` that of its candidate pre-tanh value.  With ``reverse``
-    the cell read step ``T-1`` first.  The recursion runs step by step;
-    the input and weight gradients of all steps are one product each.
-    Returns dx ``[T, B, I]``, dW, dU and db.
+    Arrays are time-major: inputs ``x`` ``[T, B, I]``, the states
+    ``h_prev`` each step read and the caches of :func:`_gru_step_into`;
+    ``g_h[t]`` and ``g_pre[t]`` reach step t's state and pre-tanh value
+    from outside the recursion.  ``(c - h) z (1 - z)``, ``h r (1 - r)``
+    and ``z (1 - c^2)`` are formed for all steps first, in the gradient
+    slots a step then scales in place.  Returns dx, dW, dU, db (one
+    product per gate each) and the gradient into the first state read.
     """
     T, B, H = h_prev.shape
-    da = np.empty((T, B, 3 * H))
-    d_h = np.zeros((B, H))
+    W, U = p.W.data, p.U.data
+    U_t = U.reshape(H, 3, H).transpose(1, 2, 0).copy()   # U_z^T, U_r^T, U_c^T
+    keep, r = zr[:, 0], zr[:, 1]   # keep = 1 - z
+    da = np.empty((3, T, B, H))   # gate-major: z, r, c
+    np.subtract(1.0, keep, out=da[0])
+    np.multiply(c, c, out=da[2])
+    np.subtract(1.0, da[2], out=da[2])
+    da[2] *= da[0]
+    da[0] *= keep
+    np.subtract(c, h_prev, out=da[1])   # scratch until r's factor
+    da[0] *= da[1]
+    np.subtract(1.0, r, out=da[1])
+    da[1] *= r
+    da[1] *= h_prev
+    g, d_rh, d_h = np.empty((B, H)), np.empty((B, H)), np.zeros((B, H))
+    back = np.empty((2, B, H))
     for t in (range(T) if reverse else range(T - 1, -1, -1)):
-        da[t], d_h = _gru_cell_back(U, h_prev[t], zr[t], c[t], g_h[t] + d_h,
-                                    None if g_pre is None else g_pre[t])
-    d_x, d_W, d_U, d_b = _gru_weight_grads(
-        W, U, x.reshape(T * B, -1), h_prev.reshape(T * B, H), rh.reshape(T * B, H),
-        da.reshape(T * B, 3 * H))
-    return d_x.reshape(x.shape), d_W, d_U, d_b
+        np.add(g_h[t], d_h, out=g)
+        da_c = da[2, t]
+        da_c *= g
+        if g_pre is not None:
+            da_c += g_pre[t]
+        np.matmul(da_c, U_t[2], out=d_rh)
+        da[0, t] *= g
+        da[1, t] *= d_rh
+        np.multiply(g, keep[t], out=d_h)
+        d_rh *= r[t]
+        d_h += d_rh
+        np.matmul(da[:2, t], U_t[:2], out=back)
+        d_h += back[0]
+        d_h += back[1]
+    n = T * B
+    da = da.reshape(3, n, H)
+    x2, h2, W_t = x.reshape(n, -1), h_prev.reshape(n, H), W.reshape(-1, 3, H).transpose(1, 2, 0)
+    d_x, d_W, d_U = da[0] @ W_t[0], np.empty_like(W), np.empty_like(U)
+    for k, inp in enumerate((h2, h2, rh.reshape(n, H))):
+        np.matmul(x2.T, da[k], out=d_W[:, k * H:(k + 1) * H])
+        np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
+        if k:
+            d_x += da[k] @ W_t[k]
+    return d_x.reshape(x.shape), d_W, d_U, da.sum(axis=1).reshape(3 * H), d_h
 
 
 def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
     """One GRU update; returns the new state and the candidate pre-tanh value.
 
     ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
-    row batches.  The step is one tape node whose backward is written
-    out in numpy; either output may be left out of the loss.
+    row batches.  The step is one tape node over the kernel of
+    :func:`gru_sequence`, run for one step; either output may be left
+    out of the loss.
     """
     hd, xd = h_prev.data, x_in.data
-    if hd.shape[-1] != p.hidden_size:
-        raise ValueError(f"state width {hd.shape[-1]} != hidden size {p.hidden_size}")
-    if xd.shape[-1] != p.input_size:
-        raise ValueError(f"input width {xd.shape[-1]} != cell input size {p.input_size}")
+    H = p.hidden_size
+    if hd.shape[-1] != H:
+        raise ValueError(f"state width {hd.shape[-1]} != hidden size {H}")
     if hd.shape[:-1] != xd.shape[:-1] or hd.ndim > 2:
         raise ValueError(f"state {hd.shape} and input {xd.shape} must both be [H]/[I] "
                          f"or share a leading batch dimension")
-    W, U, b = p.W.data, p.U.data, p.b.data
-    h, x = hd.reshape(-1, p.hidden_size), xd.reshape(-1, xd.shape[-1])
-    h_new, pre, zr, rh, c = _gru_cell(U, b, h, x @ W)
+    x, h = xd.reshape(1, -1, xd.shape[-1]), hd.reshape(1, -1, H)   # a one-step sequence
+    hs, zr, rh, pre, c = _gru_run(p, x, h[0])
 
     def back(g_h, g_pre):
-        g_h = np.zeros_like(h) if g_h is None else g_h.reshape(h.shape)
+        g_h = np.zeros(h.shape) if g_h is None else g_h.reshape(h.shape)
         g_pre = None if g_pre is None else g_pre.reshape(h.shape)
-        da, d_h = _gru_cell_back(U, h, zr, c, g_h, g_pre)
-        d_x, d_W, d_U, d_b = _gru_weight_grads(W, U, x, h, rh, da)
+        d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, hs[:1], zr, rh, c, g_h, g_pre)
         return d_h.reshape(hd.shape), d_x.reshape(xd.shape), d_W, d_U, d_b
 
-    out = (Tensor(h_new.reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
+    out = (Tensor(hs[1].reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
     return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
@@ -233,33 +256,17 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
 
     Returns the states ``[T, B, H]``; with ``reverse`` the cell reads
     step ``T-1`` first, and ``states[t]`` has seen inputs ``t..T-1``.
-    One tape node: the input projection of every step is one product
-    and the backward is :func:`_gru_bptt`.
+    One tape node, over :func:`_gru_run` and :func:`_gru_bptt`.
     """
     xd = xs.data
     if xd.ndim != 3 or xd.shape[0] == 0:
         raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
-    if xd.shape[-1] != p.input_size:
-        raise ValueError(f"input width {xd.shape[-1]} != cell input size {p.input_size}")
-    T, B, I = xd.shape
-    H = p.hidden_size
-    W, U, b = p.W.data, p.U.data, p.b.data
-    x = xd.reshape(T * B, I)
-    xw = (x @ W).reshape(T, B, 3 * H)
-    steps = range(T - 1, -1, -1) if reverse else range(T)
-    h_prev = np.empty((T, B, H))   # state each step read
-    rh = np.empty((T, B, H))
-    zr = np.empty((T, B, 2 * H))
-    c = np.empty((T, B, H))
-    states = np.empty((T, B, H))
-    h = np.zeros((B, H))
-    for t in steps:
-        h_prev[t] = h
-        h, _, zr[t], rh[t], c[t] = _gru_cell(U, b, h, xw[t])
-        states[t] = h
+    T, B, _ = xd.shape
+    hs, zr, rh, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse, keep_pre=False)
+    states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
 
     def back(g):
-        return _gru_bptt(W, U, xd, h_prev, zr, rh, c, g, reverse=reverse)
+        return _gru_bptt(p, xd, h_prev, zr, rh, c, g, reverse=reverse)[:4]
 
     return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back)
 

@@ -293,16 +293,9 @@ def transpose(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (g.T,))
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
-    s = np.tanh(0.5 * x)
-    s += 1.0
-    s *= 0.5
-    return s
-
-
 def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid(a.data)
+    """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
+    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     out = Tensor(s, copy=False)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
@@ -356,27 +349,12 @@ def softmax(a: Tensor) -> Tensor:
 
 
 def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log softmax probability of ``target`` for a 1D logit vector.
-
-    The gradient of the fused op is ``softmax(logits) - one_hot(target)``.
-    """
-    x = logits.data
-    if x.ndim != 1:
+    """Negative log softmax probability of ``target`` for a 1D logit vector:
+    :func:`softmax_cross_entropy_rows` over one row."""
+    if logits.data.ndim != 1:
         raise ValueError(f"softmax_cross_entropy expects 1D logits, got {logits.shape}")
-    t = int(target)
-    if not 0 <= t < x.shape[0]:
-        raise ValueError(f"target {t} out of range for {x.shape[0]} classes")
-    m = np.max(x)
-    e = np.exp(x - m)
-    s = np.sum(e)
-    out = Tensor(np.asarray(m + np.log(s) - x[t]), copy=False)
-
-    def back(g):
-        p = e / s
-        p[t] -= 1.0
-        return (p * g,)
-
-    return _record(out, (logits,), back)
+    row = reshape(logits, (1, logits.shape[0]))
+    return reshape(softmax_cross_entropy_rows(row, [int(target)]), ())
 
 
 def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):

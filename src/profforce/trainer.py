@@ -67,6 +67,10 @@ def _earlier_rows(path: Path, header: str, last_step: int) -> list[str]:
     return kept
 
 
+# Checkpoint state fields are at least 0 and, for the rng's, below these bounds.
+_RNG_LIMITS = {"rng_state": 2**128, "rng_inc": 2**128, "rng_has_uint32": 2, "rng_uinteger": 2**32}
+
+
 def effective_settings(cfg: TrainConfig) -> EngineSettings:
     """Collapse the mode names onto engine knobs; one code path for all three."""
     if cfg.mode == "professor_forcing":
@@ -196,6 +200,16 @@ class Trainer:
         return Checkpoint(config_text=canonical_text(self.cfg), state=state, tensors=tensors)
 
     def _restore(self, ckpt: Checkpoint) -> None:
+        st = {}
+        for name in ("step", "adam_g_t", "adam_d_t", "best_val", *_RNG_LIMITS):
+            text = ckpt.state.get(name)
+            try:
+                st[name] = float(text) if name == "best_val" else int(text)
+            except (TypeError, ValueError):
+                st[name] = math.nan
+            if not (0 <= st[name] < _RNG_LIMITS.get(name, math.inf) or st[name] == math.inf):
+                raise CheckpointError(f"checkpoint state field {name!r} is missing or "
+                                      f"malformed: {text!r}")
         own = self._named_state_tensors()
         for name, arr in ckpt.tensors.items():
             if name not in own:
@@ -206,16 +220,13 @@ class Trainer:
         missing = set(own) - set(ckpt.tensors)
         if missing:
             raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:4]} ...")
-        st = ckpt.state
-        self.step = int(st["step"])
-        self.g_adam.t = int(st["adam_g_t"])
-        self.d_adam.t = int(st["adam_d_t"])
-        self.best_val = float(st["best_val"])
+        self.step, self.g_adam.t, self.d_adam.t = st["step"], st["adam_g_t"], st["adam_d_t"]
+        self.best_val = st["best_val"]
         self.rng.bit_generator.state = {
             "bit_generator": "PCG64",
-            "state": {"state": int(st["rng_state"]), "inc": int(st["rng_inc"])},
-            "has_uint32": int(st["rng_has_uint32"]),
-            "uinteger": int(st["rng_uinteger"]),
+            "state": {"state": st["rng_state"], "inc": st["rng_inc"]},
+            "has_uint32": st["rng_has_uint32"],
+            "uinteger": st["rng_uinteger"],
         }
 
     @classmethod

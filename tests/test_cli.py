@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from profforce.checkpoint import MAGIC
+from profforce.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from profforce.cli import main
 
 
@@ -59,6 +59,21 @@ class TestTrainCommand:
         assert code == 0
         curves = (out2 / "curves.csv").read_text().strip().splitlines()
         assert [l.split(",")[0] for l in curves[1:]] == ["4", "5"]
+
+    @pytest.mark.parametrize("field, value", [("rng_state", None), ("step", "x7")])
+    def test_resume_with_malformed_state_field_exits_2(self, tmp_path, trained, capsys,
+                                                       field, value):
+        # a CRC-valid checkpoint whose state section lacks a field or garbles one
+        ckpt = load_checkpoint(trained / "final.ckpt")
+        if value is None:
+            del ckpt.state[field]
+        else:
+            ckpt.state[field] = value
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        code = main(["train", "--resume", str(tmp_path / "bad.ckpt"),
+                     "--out", str(tmp_path / "resumed"), "--steps", "6"])
+        assert code == 2
+        assert f"checkpoint state field {field!r}" in capsys.readouterr().err
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["train", "--preset", "galaxy", "--seed", "1",

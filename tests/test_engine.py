@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from profforce import engine
+from profforce import engine, tensor
 from profforce.config import TrainConfig
 from profforce.engine import (
     DiscriminatorParams,
@@ -374,6 +374,9 @@ class TestUnrollMatchesPerStepOracle:
         results = []
         for run in ("unroll", "reference"):
             g = tiny_generator(seed=seed, vocab=vocab, hidden=hidden_size, layers=layers)
+            brng = np.random.default_rng(seed + 3)   # biases start at zero; give them values
+            for bias in [c.b for c in g.cells] + [g.head.b_o]:
+                bias.data[:] = brng.uniform(-0.5, 0.5, bias.shape)
             rng = np.random.default_rng(seed + 2)
             with Tape() as tape:
                 if run == "unroll":
@@ -407,6 +410,40 @@ class TestUnrollMatchesPerStepOracle:
         assert any(np.any(gr != 0.0) for gr in new_grads)
         for a, b in zip(new_grads, ref_grads):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
+
+
+class TestTapedMatchesUntaped:
+    """A taped unroll keeps every step's cache rows and an untaped one
+    reuses one row (two for lower layers' states); both must run the
+    same arithmetic."""
+
+    @pytest.mark.parametrize("regime", sorted(TestUnrollMatchesPerStepOracle.REGIMES))
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    def test_bit_identical(self, regime, layers, include_outputs):
+        y = np.random.default_rng(320).integers(0, 4, (3, 6))
+        runs = []
+        for taped in (True, False):
+            g = tiny_generator(seed=321, layers=layers)
+            rng = np.random.default_rng(322)
+            with Tape():
+                if taped:
+                    outs = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng,
+                                                                     include_outputs)
+                else:
+                    with stop_recording():
+                        outs = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng,
+                                                                         include_outputs)
+            runs.append((outs, rng.bit_generator.state))
+        (taped_outs, taped_state), (plain_outs, plain_state) = runs
+        assert taped_state == plain_state
+        for k in range(3):
+            for a, b in zip(taped_outs[k], plain_outs[k]):
+                np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(taped_outs[4], plain_outs[4])
+        if taped_outs[3] is not None:
+            assert taped_outs[3].data == plain_outs[3].data
+            np.testing.assert_array_equal(taped_outs[5], plain_outs[5])
 
 
 class TestUnrollMemory:
@@ -741,11 +778,11 @@ class TestTrainStep:
 
 
 def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
-    """Reference for a step whose gates are both open.
+    """Reference for a step whose generator gate is open.
 
     The discriminator scores teacher-forced and free-running behavior
     separately: detached for c_d, and again on the generator tape for
-    the adversarial term.
+    the adversarial term.  It learns unless ``freeze_discriminator``.
     """
     assert p_sample == 0.0
     b, t_len = y.shape
@@ -764,10 +801,11 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
     g_params, d_params = g.tensors(), d.tensors()
     zero_grads(g_params)
     backward(gen_tape, loss, params=g_params)
-    zero_grads(d_params)
-    backward(d_tape, c_d, params=d_params)
     adam_step(g_adam, g_params, [p.grad for p in g_params])
-    adam_step(d_adam, d_params, [p.grad for p in d_params])
+    if not settings.freeze_discriminator:
+        zero_grads(d_params)
+        backward(d_tape, c_d, params=d_params)
+        adam_step(d_adam, d_params, [p.grad for p in d_params])
 
 
 class TestOnePassStep:
@@ -796,17 +834,65 @@ class TestOnePassStep:
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
 
 
+class TestOnePassStepEdges:
+    """The one-sweep step against the two-pass reference where the row
+    scaling of the c_d sweep's leaf gradient could go wrong."""
+
+    @staticmethod
+    def _clip_half_the_rows(g, d, y, settings):
+        """Shift the score bias so that the pooled logits of the rows
+        above the median pass the clamp at 10 and the others do not."""
+        rng = np.random.default_rng(93)   # the step's own draws
+        with stop_recording():
+            tf = unroll_teacher_forced(g, y, include_outputs=settings.include_outputs)
+            fr = unroll_free_running(g, y.shape[1], rng, temperature=settings.temperature,
+                                     batch=y.shape[0], include_outputs=settings.include_outputs)
+            p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
+        pooled = np.log(p / (1.0 - p))
+        d.classifier.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
+        clipped = pooled - np.median(pooled) > 0
+        assert 0 < clipped.sum() < clipped.size
+
+    @pytest.mark.parametrize("case", ["clipped_rows", "weight_2.5", "frozen_d"])
+    def test_matches_two_pass_reference(self, monkeypatch, case):
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        settings = EngineSettings(adversarial_weight=2.5 if case == "weight_2.5" else 0.7,
+                                  use_ct=case != "frozen_d",
+                                  freeze_discriminator=case == "frozen_d")
+        vocab, hidden = 4, 5
+        params = []
+        for step in (train_step, two_pass_step):
+            g = GeneratorParams.create(vocab, 3, hidden, 1, np.random.default_rng(94))
+            d = DiscriminatorParams.create(hidden, 4, np.random.default_rng(95))
+            y = np.random.default_rng(96).integers(0, vocab, (4, 6))
+            if case == "clipped_rows":
+                self._clip_half_the_rows(g, d, y, settings)
+            ga = AdamState.for_params(g.tensors(), lr=1e-2)
+            da = AdamState.for_params(d.tensors(), lr=1e-2)
+            d_before = [t.data.copy() for t in d.tensors()]
+            m = step(g, d, y, settings, 0.0, np.random.default_rng(93), ga, da)
+            params.append([t.data.copy() for t in g.tensors() + d.tensors()])
+            if m is not None:
+                assert m["gate_gen"] and m["gate_disc"]
+                assert ga.t == 1 and da.t == (0 if case == "frozen_d" else 1)
+            if case == "frozen_d":
+                for a, b in zip(d_before, d.tensors()):
+                    np.testing.assert_array_equal(a, b.data)
+        for ours, ref in zip(*params):
+            np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
+
+
 class TestTapeNodeCeiling:
     """Tape nodes recorded by one training step at acceptance check A7's size.
 
     At desk sizes a step costs Python dispatch per tape node more than
     arithmetic, so these ceilings guard the one-node generator unroll,
     the whole-sequence discriminator encoder and the single stacked
-    discriminator pass.  A change that records fewer nodes lowers them;
-    none may raise them.
+    discriminator pass, whose tape a pf step sweeps once.  A change that
+    records fewer nodes lowers them; none may raise them.
     """
 
-    PF_CEILING = 47
+    PF_CEILING = 43
     TF_CEILING = 2
 
     def _one_step(self, monkeypatch, tmp_path, mode):
@@ -818,28 +904,38 @@ class TestTapeNodeCeiling:
             return tape_exit(tape, *exc)
 
         monkeypatch.setattr(Tape, "__exit__", counting_exit)
-        rows_scored = []
-        discriminate_once = engine.discriminate
+        rows_scored, d_tapes, swept = [], [], []
+        discriminate_once, backward_once = engine.discriminate, engine.backward
 
         def counting_discriminate(d, b):
             rows_scored.append(b.shape[1])
+            d_tapes.append(tensor._TAPES[-1])
             return discriminate_once(d, b)
 
+        def counting_backward(tape, loss, params=None):
+            swept.append(tape)
+            return backward_once(tape, loss, params)
+
         monkeypatch.setattr(engine, "discriminate", counting_discriminate)
+        monkeypatch.setattr(engine, "backward", counting_backward)
         # Open the generator's gate so the pf step does all its discriminator work.
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
         cfg = TrainConfig(**dict(TINY_PF, max_steps=1, mode=mode))
         row = Trainer(cfg, tmp_path).run()[0]
-        return sum(recorded), row, rows_scored
+        d_sweeps = sum(any(tape is d_tape for d_tape in d_tapes) for tape in swept)
+        return sum(recorded), row, rows_scored, d_sweeps
 
     def test_professor_forcing_step(self, monkeypatch, tmp_path):
-        nodes, row, rows_scored = self._one_step(monkeypatch, tmp_path, "professor_forcing")
+        nodes, row, rows_scored, d_sweeps = self._one_step(monkeypatch, tmp_path,
+                                                           "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
         assert nodes <= self.PF_CEILING
-        # one discriminator pass over both behaviors stacked
+        # one discriminator pass over both behaviors stacked, one sweep of its tape
         assert rows_scored == [2 * TINY_PF["batch_n"]]
+        assert d_sweeps == 1
 
     def test_teacher_forcing_step(self, monkeypatch, tmp_path):
-        nodes, _, rows_scored = self._one_step(monkeypatch, tmp_path, "teacher_forcing")
+        nodes, _, rows_scored, d_sweeps = self._one_step(monkeypatch, tmp_path,
+                                                         "teacher_forcing")
         assert nodes <= self.TF_CEILING
-        assert rows_scored == []
+        assert rows_scored == [] and d_sweeps == 0

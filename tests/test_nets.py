@@ -13,7 +13,7 @@ from profforce.nets import (
     init_params,
     mlp_forward,
 )
-from profforce.tensor import Tensor, grad_check, sum_all, tanh
+from profforce.tensor import Tape, Tensor, add, backward, grad_check, sum_all, tanh, zero_grads
 
 
 def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):
@@ -135,6 +135,42 @@ class TestGruSequence:
         for t in (reversed(range(5)) if reverse else range(5)):
             h, _ = gru_step(small_cell, h, Tensor(xs[t]))
             np.testing.assert_allclose(got[t], h.data, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("t_len", [1, 5])
+    def test_sequence_and_steps_match_scalar_oracle(self, small_cell, reverse, batch, t_len):
+        small_cell.b.data[:] = np.random.default_rng(108).uniform(-1, 1, 18)
+        xs = np.random.default_rng(109).uniform(-1, 1, (t_len, batch, 4))
+        states = gru_sequence(small_cell, Tensor(xs), reverse=reverse).data
+        h_step = Tensor(np.zeros((batch, 6)))
+        h_rows = [np.zeros(6) for _ in range(batch)]
+        for t in (reversed(range(t_len)) if reverse else range(t_len)):
+            h_step, pre_step = gru_step(small_cell, h_step, Tensor(xs[t]))
+            for i in range(batch):
+                h_rows[i], pre = gru_oracle(small_cell, h_rows[i], xs[t, i])
+                np.testing.assert_allclose(states[t, i], h_rows[i], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(h_step.data[i], h_rows[i], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pre_step.data[i], pre, rtol=0, atol=1e-12)
+
+    def test_second_sweep_gives_same_gradients(self, small_cell):
+        # the backward scales its factor arrays in place; the caches it
+        # reads must come through a sweep unchanged
+        rng = np.random.default_rng(110)
+        xs = Tensor(rng.uniform(-1, 1, (5, 3, 4)))
+        h0, x1 = Tensor(rng.uniform(-1, 1, (3, 6))), Tensor(rng.uniform(-1, 1, (3, 4)))
+        leaves = [xs, h0, x1] + [t for _, t in small_cell.named()]
+        with Tape() as tape:
+            h, pre = gru_step(small_cell, h0, x1)
+            loss = add(add(sum_all(tanh(gru_sequence(small_cell, xs, reverse=True))),
+                           sum_all(tanh(h))), sum_all(tanh(pre)))
+        grads = []
+        for _ in range(2):
+            zero_grads(leaves)
+            backward(tape, loss, params=leaves)
+            grads.append([t.grad.copy() for t in leaves])
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
 
     def test_shape_validation(self, small_cell):
         with pytest.raises(ValueError):
