@@ -297,7 +297,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         W, b, U_zr, U_c = _gru_weights(cell)
         W = emb @ W + b if i == 0 else W   # layer 0: a table of x W + b per symbol
         hs = np.zeros((t_len + 1 if taped or is_top else 2, batch, h))   # else two in turn
-        pre = behavior[..., :top] if is_top else np.empty((kept, batch, h))
+        pre = behavior[..., :top] if is_top else np.empty((1, batch, h))   # else scratch
         layers.append((np.empty((3, batch, h)), U_zr, U_c, W, b, hs,
                        np.empty((kept, 2, batch, h)), np.empty((kept, batch, h)), pre,
                        np.empty((kept, batch, h))))
@@ -560,16 +560,18 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        on a tape of its own.  Its probabilities give the accuracy, the
        gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
        which makes the generator term c_d with the labels swapped).
-    3. Sweep the discriminator tape at most once: for c_d, into its
-       parameters and the leaf, if the gate lets it learn; else for the
-       adversarial term, into the leaf, if that reaches the generator.
-    4. If it does, add ``sum(stack * leaf_grad)`` to the generator loss,
-       with ``leaf_grad`` the term's gradient at the leaf.  After a c_d
-       sweep, that is the sweep's scaled per row i by d(adv)/dl_i /
+    3. Sweep the discriminator tape at most once, for c_d, into its
+       parameters and the leaf, if the gate lets it learn or the
+       adversarial term reaches the generator.
+    4. If the term reaches the generator, add ``sum(stack * leaf_grad)``
+       to the generator loss, with ``leaf_grad`` the term's gradient at
+       the leaf: the c_d sweep's, scaled per row i by d(adv)/dl_i /
        d(c_d)/dl_i, l_i the row's pooled logit: ``-w (1 - p) / p`` on
        free-running rows, and with ``use_ct`` ``-w p / (1 - p)`` on
        teacher-forced ones (else 0).  This is exact because each row's
-       pooled logit depends on that row of the stack alone.
+       pooled logit depends on that row of the stack alone, and the
+       clamp keeps p inside (0, 1); a clamped row's gradient is zero
+       under either term.
     5. Sweep the generator tape, then take both Adam steps.  Adam
        mutates weights that the backward closures read, so no update
        runs before every sweep has finished.
@@ -605,10 +607,6 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                 gs = gate(accuracy_from_probs(p_tf, p_fr))
                 update_d = not settings.freeze_discriminator and gs.update_discriminator
                 adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
-                if adv_on and not update_d:
-                    adv = (loss_discriminator(p_fr_t, p_tf_t) if settings.use_ct
-                           else loss_fool_free_running(p_fr_t))
-                    adv = scale(adv, settings.adversarial_weight)
             metrics.update(c_d=float(c_d.data),
                            c_f=loss_fool_free_running(p_fr),
                            c_t=loss_match_teacher_forced(p_tf),
@@ -616,16 +614,13 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                            gate_gen=gs.adversarial_to_generator,
                            gate_disc=gs.update_discriminator)
 
-            if update_d:
+            if update_d or adv_on:
                 zero_grads(d_params)
                 backward(d_tape, c_d, params=d_params)
-                if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
-                    tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
-                    rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
-                    leaf.grad *= (-settings.adversarial_weight * rows)[:, None]
-            elif adv_on:
-                backward(d_tape, adv)
-            if adv_on:
+            if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
+                tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
+                rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
+                leaf.grad *= (-settings.adversarial_weight * rows)[:, None]
                 loss = add(loss, sum_all(mul(stacked, Tensor(leaf.grad, copy=False))))
 
     g_params = g.tensors()

@@ -142,13 +142,12 @@ def _gru_step_into(U_zr, U_c, h, xb, zr, rh, pre, c, h_new) -> None:
     h_new += c
 
 
-def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = False,
-             keep_pre: bool = True):
+def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = False):
     """Run a cell over ``x`` ``[T, B, I]`` from ``h0`` (step ``T-1`` first with
     ``reverse``), projecting all inputs in one product.  Returns the states
     ``[T+1, B, H]``, ``h0`` in row 0 and step t's in row t+1 (rows T and t
-    with ``reverse``), and the caches zr, rh, pre (unless ``keep_pre``,
-    only the last step's) and c."""
+    with ``reverse``), the caches zr and rh, the last step's pre-tanh
+    value ``[1, B, H]`` and the cache c."""
     if x.shape[-1] != p.input_size:
         raise ValueError(f"input width {x.shape[-1]} != cell input size {p.input_size}")
     T, B, _ = x.shape
@@ -157,11 +156,11 @@ def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = Fa
     xb = x[:, None] @ W
     xb += b
     hs, zr = np.empty((T + 1, B, H)), np.empty((T, 2, B, H))
-    rh, c, pre = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((T if keep_pre else 1, B, H))
+    rh, c, pre = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((1, B, H))
     hs[T if reverse else 0] = h0
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         read, write = (t + 1, t) if reverse else (t, t + 1)
-        _gru_step_into(U_zr, U_c, hs[read], xb[t], zr[t], rh[t], pre[t % len(pre)], c[t],
+        _gru_step_into(U_zr, U_c, hs[read], xb[t], zr[t], rh[t], pre[0], c[t],
                        hs[write])
     return hs, zr, rh, pre, c
 
@@ -262,7 +261,7 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
     if xd.ndim != 3 or xd.shape[0] == 0:
         raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
     T, B, _ = xd.shape
-    hs, zr, rh, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse, keep_pre=False)
+    hs, zr, rh, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
     states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
 
     def back(g):
