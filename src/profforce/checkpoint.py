@@ -71,9 +71,12 @@ def _encode_state(state: dict[str, str]) -> bytes:
 
 def _decode_state(body: bytes) -> dict[str, str]:
     out = {}
-    for line in body.decode("utf-8").splitlines():
+    for n, line in enumerate(body.decode("utf-8").splitlines(), 1):
         if line:
-            key, value = line.split("=", 1)
+            key, eq, value = line.partition("=")
+            if not eq:
+                raise CheckpointError(f"section 'state', line {n}: expected key=value, "
+                                      f"got {line!r}")
             out[key] = value
     return out
 

@@ -161,8 +161,8 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
     with stop_recording():
         tf = unroll_teacher_forced(g, ids)
         fr = unroll_free_running(g, t_len, rng, batch=n, temperature=temperature)
-    return (StateCloud(tf.hidden[t - 1].data.copy(), Mode.TEACHER_FORCED),
-            StateCloud(fr.hidden[t - 1].data.copy(), Mode.FREE_RUNNING))
+    return (StateCloud(tf.hidden.data[t - 1].copy(), Mode.TEACHER_FORCED),
+            StateCloud(fr.hidden.data[t - 1].copy(), Mode.FREE_RUNNING))
 
 
 # ---------------------------------------------------------------------------

@@ -8,16 +8,16 @@ it feeds back.  Scheduled sampling spans them with one probability:
 p = 0 is teacher forcing and p = 1 is free running.
 :func:`unroll_teacher_forced`, :func:`unroll_free_running` and
 :func:`scheduled_sampling_unroll` check their arguments and run that
-loop.  Every unroll emits its behavior as one [B, width] row per step
-(the GRU candidate pre-tanh values, optionally with the softmax outputs
-appended), and with targets also the sequence cross entropy.  The loop
-runs the numpy GRU kernel of :mod:`profforce.nets` on arrays allocated
-before the first step and records the whole unroll as one tape node,
-whose backward runs the kernel's recursion for each layer.  A
-bidirectional-GRU discriminator scores behavior sequences as teacher
-forced vs free running, and its judgement is fed back into the
-generator so the free-running dynamics are pulled toward the
-teacher-forced ones.
+loop.  Every unroll emits its logits, its behavior (the GRU candidate
+pre-tanh values, optionally with the softmax outputs appended) and its
+top-layer states as time-major [T, B, .] tensors, and with targets also
+the sequence cross entropy.  The loop runs the numpy GRU kernel of
+:mod:`profforce.nets` on arrays allocated before the first step and
+records the whole unroll as one tape node, whose backward runs the
+kernel's recursion for each layer.  A bidirectional-GRU discriminator
+scores behavior sequences as teacher forced vs free running, and its
+judgement is fed back into the generator so the free-running dynamics
+are pulled toward the teacher-forced ones.
 
 Loss pieces, with D(b) the discriminator probability that behavior b is
 teacher forced:
@@ -44,7 +44,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
 
 import numpy as np
 
@@ -221,9 +220,9 @@ class EngineSettings:
 
 @dataclass
 class UnrollResult:
-    logits: list[Tensor]                 # per step [B, V]
-    behavior: list[Tensor]               # per step [B, width] behavior rows
-    hidden: list[Tensor]                 # per step top-layer state [B, H]
+    logits: Tensor                       # [T, B, V]
+    behavior: Tensor                     # [T, B, width]
+    hidden: Tensor                       # [T, B, H] top-layer states
     sampled: np.ndarray                  # [B, T] draws if free running, else fed symbols
     nll: Tensor | None = None            # with targets: cross entropy, batch mean
     used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
@@ -266,7 +265,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     """The one step loop behind every unroll, recorded as one tape node.
 
     Each step looks up the fed symbol's embedding, runs every GRU layer
-    once, applies the output head and appends the behavior row.  With
+    once, applies the output head and fills the step's rows.  With
     ``ids`` (the [B, T] targets) it feeds the next step the true
     symbol, or with probability ``p_sample`` a draw from the model;
     draws are made only when a next step exists, and never at
@@ -279,7 +278,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     allocated before the first step; layer 0 reads ``x W + b`` from a
     per-symbol table.  Only while a tape records does every step keep
     its own cache rows and the unroll record one node, whose outputs are
-    the T logits, behavior and hidden rows and ``nll`` (see
+    the logits, behavior and hidden tensors and ``nll`` (see
     :func:`_unroll_backward`).
     """
     emb = g.embedding.data
@@ -287,8 +286,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     vocab, top = g.vocab_size, g.hidden_size
     taped = is_recording()
     kept = t_len if taped else 1   # step rows each cache keeps
-    # The outputs are rows of three [T, B, .] arrays (logits, behavior and
-    # the top layer's states), so a long unroll leaves the heap unfragmented.
+    # The outputs: logits, behavior and the top layer's states, [T, B, .] each.
     logits = np.empty((t_len, batch, vocab))
     behavior = np.empty((t_len, batch, top + vocab if include_outputs else top))
     layers = []   # per layer: its step's x W + b, U_zr, U_c, W, b, states, zr, rh, pre, c
@@ -332,9 +330,8 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             if coin.any():
                 prev = np.where(coin, sample_rows(rng, probs), prev)
             used[:, t + 1] = coin
-    outs = tuple(Tensor(a, copy=False) for rows in (logits, behavior, hidden) for a in rows)
-    res = UnrollResult(list(outs[:t_len]), list(outs[t_len:2 * t_len]),
-                       list(outs[2 * t_len:]), draws)
+    outs = tuple(Tensor(a, copy=False) for a in (logits, behavior, hidden))
+    res = UnrollResult(*outs, draws)
     soft = None
     if ids is not None:
         # Rows in step order, as [T * B, V]: the sum runs in the order
@@ -359,44 +356,35 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     """The backward closure of one unroll node.
 
     ``caches[i]`` holds layer i's states, zr, rh and c, ``fed`` the
-    [T, B] symbols read, ``behavior`` the behavior rows and, with
-    targets, ``soft`` every logits row's softmax.  The closure gathers
-    the logits rows' gradients (from the logits outputs, ``nll`` and the
-    softmax rows), takes the head's and top states' gradients in one
-    product each, runs :func:`_gru_bptt` per layer from the top and
-    scatters the bottom layer's input gradient into the embedding.  The
-    bottom inputs are looked up again, as no update runs before every
-    sweep has.  Returns one gradient per input, in ``g.tensors()`` order.
+    [T, B] symbols read, ``behavior`` the behavior array and, with
+    targets, ``soft`` every logits row's softmax.  The closure takes the
+    gradients of the logits, behavior and hidden outputs and of ``nll``
+    (None for one the loss does not reach), forms the logits' gradient
+    (from the logits, ``nll`` and the behavior's softmax columns), takes
+    the head's and top states' gradients in one product each, runs
+    :func:`_gru_bptt` per layer from the top and scatters the bottom
+    layer's input gradient into the embedding.  The bottom inputs are
+    looked up again, as no update runs before every sweep has.  Returns
+    one gradient per input, in ``g.tensors()`` order.
     """
     t_len, batch = fed.shape
     emb, w_o = g.embedding.data, g.head.W_o.data
     vocab, top = w_o.shape
 
-    def back(*gs):
-        d_lg = np.zeros((t_len, batch, vocab))
-        for t, gt in enumerate(gs[:t_len]):
-            if gt is not None:
-                d_lg[t] = gt
-        if soft is not None and gs[3 * t_len] is not None:
+    def back(g_lg, g_beh, g_hid, g_nll=None):
+        d_lg = np.zeros((t_len, batch, vocab)) if g_lg is None else np.array(g_lg)
+        if g_nll is not None:
             p = soft.copy()
             p[np.arange(t_len)[:, None], np.arange(batch), ids.T] -= 1.0
-            d_lg += p * (gs[3 * t_len] * (1.0 / batch))
-        g_pre = None
-        reached = [(t, gt) for t, gt in enumerate(gs[t_len:2 * t_len]) if gt is not None]
-        if reached:
-            d_beh = np.zeros_like(behavior)
-            for t, gt in reached:
-                d_beh[t] = gt
-            g_pre = d_beh[..., :top]
-            if include_outputs:
-                sm = behavior[..., top:]
-                gp = d_beh[..., top:]
-                d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * (1.0 / temperature)
+            d_lg += p * (g_nll * (1.0 / batch))
+        g_pre = None if g_beh is None else g_beh[..., :top]
+        if g_beh is not None and include_outputs:
+            sm, gp = behavior[..., top:], g_beh[..., top:]
+            d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * (1.0 / temperature)
         d_lg = d_lg.reshape(t_len * batch, vocab)
         d_out = (d_lg @ w_o).reshape(t_len, batch, top)
-        for t, gt in enumerate(gs[2 * t_len:3 * t_len]):
-            if gt is not None:
-                d_out[t] += gt
+        if g_hid is not None:
+            d_out += g_hid
         d_wo = d_lg.T @ caches[-1][0][1:].reshape(t_len * batch, top)
         cell_grads = []
         for i in range(len(g.cells) - 1, -1, -1):
@@ -458,20 +446,13 @@ def scheduled_sampling_unroll(g: GeneratorParams, y_seq, p_sample: float,
 # discriminator and losses
 
 
-def _as_sequence(rows: Sequence[Tensor]) -> Tensor:
-    """Per-step [B, width] behavior rows as one time-major [T, B, width] tensor."""
-    return reshape(concat(rows, axis=0), (len(rows),) + rows[0].shape)
-
-
-def discriminate(d: DiscriminatorParams, b: Sequence[Tensor] | Tensor) -> Tensor:
+def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     """Probability per sequence that the behavior is teacher forced.
 
-    ``b`` is an unroll's behavior rows or their time-major
-    ``[T, B, width]`` tensor.  BiGRU encoding, a shared per-step MLP
-    score, mean pooling over time, a clamp of the pooled logit to
-    [-10, 10], then a sigmoid.
+    ``seq`` is a time-major ``[T, B, width]`` behavior tensor.  BiGRU
+    encoding, a shared per-step MLP score, mean pooling over time, a
+    clamp of the pooled logit to [-10, 10], then a sigmoid.
     """
-    seq = b if isinstance(b, Tensor) else _as_sequence(b)
     t_len, batch, width = seq.shape
     if width != d.feature_width:
         raise ValueError(f"behavior width {width} does not match "
@@ -483,14 +464,15 @@ def discriminate(d: DiscriminatorParams, b: Sequence[Tensor] | Tensor) -> Tensor
     return sigmoid(clip(pooled, -LOGIT_CLIP, LOGIT_CLIP))
 
 
-def loss_nll(logits_seq: Sequence[Tensor], y_seq) -> Tensor:
-    """Total sequence cross entropy, averaged over the batch rows."""
+def loss_nll(logits: Tensor, y_seq) -> Tensor:
+    """Total sequence cross entropy of ``[T, B, V]`` logits, averaged over
+    the batch rows."""
     ids = _as_batch_ids(y_seq)
-    if len(logits_seq) != ids.shape[1]:
-        raise ValueError(f"{len(logits_seq)} logit steps for {ids.shape[1]} targets")
+    t_len, batch, vocab = logits.shape
+    if (batch, t_len) != ids.shape:
+        raise ValueError(f"logits for {t_len} steps of {batch} rows, targets {ids.shape}")
     # rows in step order, so the sum runs in the order of the unroll's nll
-    rows = concat([lg if lg.data.ndim == 2 else reshape(lg, (1, lg.shape[0]))
-                   for lg in logits_seq], axis=0)
+    rows = reshape(logits, (t_len * batch, vocab))
     xents = softmax_cross_entropy_rows(rows, ids.T.reshape(-1))
     return scale(sum_all(xents), 1.0 / ids.shape[0])
 
@@ -598,7 +580,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
         if run_adv:
             fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
                                      batch=b, include_outputs=settings.include_outputs)
-            stacked = concat((_as_sequence(ss.behavior), _as_sequence(fr.behavior)), axis=1)
+            stacked = concat((ss.behavior, fr.behavior), axis=1)
             leaf = stacked.detach()
             with Tape() as d_tape:
                 p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)

@@ -9,8 +9,9 @@ validation, metric probes) run without autodiff overhead.
 A node may have more than one output (the fused GRU step in
 :mod:`profforce.nets` records its new state and its candidate pre-tanh
 value together, a generator unroll in :mod:`profforce.engine` records
-every per-step row it emits, and :func:`split` records every piece); its
-closure gets ``None`` for each output the loss does not reach.
+its [T, B, .] logits, behavior and hidden states and its cross entropy,
+and :func:`split` records every piece); its closure gets ``None`` for
+each output the loss does not reach.
 
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
@@ -93,6 +94,10 @@ class Tensor:
 
     def __sub__(self, other: "Tensor") -> "Tensor":
         return sub(self, other)
+
+    def __iter__(self):
+        """The ``[1, ...]`` pieces along axis 0, from one :func:`split` node."""
+        return iter(split(self, self.shape[0]))
 
     def __mul__(self, other: "Tensor") -> "Tensor":
         return mul(self, other)
@@ -255,35 +260,14 @@ def one_minus(a: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product for 2D x 2D, 2D x 1D and 1D x 2D operands."""
+    """Matrix product of two 2D operands."""
     ad, bd = a.data, b.data
-    if ad.ndim == 2 and bd.ndim == 2:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-        out = Tensor(ad @ bd, copy=False)
-
-        def back(g):
-            return g @ bd.T, ad.T @ g
-
-    elif ad.ndim == 2 and bd.ndim == 1:
-        if ad.shape[1] != bd.shape[0]:
-            raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-        out = Tensor(ad @ bd, copy=False)
-
-        def back(g):
-            return np.outer(g, bd), ad.T @ g
-
-    elif ad.ndim == 1 and bd.ndim == 2:
-        if ad.shape[0] != bd.shape[0]:
-            raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-        out = Tensor(ad @ bd, copy=False)
-
-        def back(g):
-            return bd @ g, np.outer(ad, g)
-
-    else:
-        raise ValueError(f"matmul: unsupported ranks {ad.ndim} and {bd.ndim}")
-    return _record(out, (a, b), back)
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul: expects 2D operands, got ranks {ad.ndim} and {bd.ndim}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
+    out = Tensor(ad @ bd, copy=False)
+    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -134,6 +134,18 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="missing"):
             load_checkpoint(path)
 
+    def test_malformed_state_line_names_section_and_line(self, tmp_path):
+        import struct
+        import zlib
+        payload = struct.pack("<I", 2)
+        for name, body in ((b"config", b"seed=1\n"), (b"state", b"step=1\ngarbage-line\n")):
+            payload += struct.pack("<I", len(name)) + name + struct.pack("<Q", len(body)) + body
+        blob = MAGIC + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointError, match="section 'state', line 2: .*'garbage-line'"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "absent.ckpt")

@@ -75,6 +75,18 @@ class TestTrainCommand:
         assert code == 2
         assert f"checkpoint state field {field!r}" in capsys.readouterr().err
 
+    def test_resume_with_malformed_state_line_exits_2(self, tmp_path, trained, capsys):
+        # a CRC-valid checkpoint whose state section holds a line without "="
+        ckpt = load_checkpoint(trained / "final.ckpt")
+        ckpt.state["step"] += "\ngarbage-line"
+        line = sorted(ckpt.state).index("step") + 2
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        code = main(["train", "--resume", str(tmp_path / "bad.ckpt"),
+                     "--out", str(tmp_path / "resumed"), "--steps", "6"])
+        assert code == 2
+        assert (f"section 'state', line {line}: expected key=value, got 'garbage-line'"
+                in capsys.readouterr().err)
+
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["train", "--preset", "galaxy", "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 2

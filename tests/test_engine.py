@@ -86,17 +86,16 @@ class TestTeacherForcedUnroll:
         for t in range(3):
             h, pre = gru_oracle(cell, h, emb[prev])
             logits = h @ g.head.W_o.data.T + g.head.b_o.data
-            np.testing.assert_allclose(res.logits[t].data[0], logits, atol=1e-12)
-            np.testing.assert_allclose(res.hidden[t].data[0], h, atol=1e-12)
-            np.testing.assert_allclose(res.behavior[t].data[0], pre, atol=1e-12)
+            np.testing.assert_allclose(res.logits.data[t, 0], logits, atol=1e-12)
+            np.testing.assert_allclose(res.hidden.data[t, 0], h, atol=1e-12)
+            np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
             prev = y[t]
 
     def test_zeroed_model_gives_uniform_logits(self):
         g = zeroed(tiny_generator())
         y = np.array([[0, 1, 2, 3, 0]])
         res = unroll_teacher_forced(g, y)
-        for lg in res.logits:
-            np.testing.assert_array_equal(lg.data, np.zeros((1, 4)))
+        np.testing.assert_array_equal(res.logits.data, np.zeros((5, 1, 4)))
         nll = loss_nll(res.logits, y)
         assert abs(nll.item() - 5 * math.log(4)) < 1e-12
 
@@ -111,8 +110,8 @@ class TestTeacherForcedUnroll:
         for t in range(2):
             h0, _ = gru_oracle(g.cells[0], h0, emb[prev])
             h1, pre = gru_oracle(g.cells[1], h1, h0)
-            np.testing.assert_allclose(res.hidden[t].data[0], h1, atol=1e-12)
-            np.testing.assert_allclose(res.behavior[t].data[0], pre, atol=1e-12)
+            np.testing.assert_allclose(res.hidden.data[t, 0], h1, atol=1e-12)
+            np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
             prev = y[t]
 
     def test_rejects_out_of_range_ids(self):
@@ -126,12 +125,11 @@ class TestTeacherForcedUnroll:
         g = tiny_generator()
         y = np.array([[0, 1], [2, 3]])
         plain = unroll_teacher_forced(g, y)
-        assert [row.shape for row in plain.behavior] == [(2, 5)] * 2
+        assert plain.behavior.shape == (2, 2, 5)
         rich = unroll_teacher_forced(g, y, include_outputs=True)
-        assert [row.shape for row in rich.behavior] == [(2, 5 + 4)] * 2
-        for row in rich.behavior:
-            np.testing.assert_allclose(row.data[:, 5:].sum(axis=-1),
-                                       np.ones(2), atol=1e-12)
+        assert rich.behavior.shape == (2, 2, 5 + 4)
+        np.testing.assert_allclose(rich.behavior.data[..., 5:].sum(axis=-1),
+                                   np.ones((2, 2)), atol=1e-12)
 
 
 class TestFreeRunningUnroll:
@@ -140,8 +138,7 @@ class TestFreeRunningUnroll:
         a = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
         b = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
         np.testing.assert_array_equal(a.sampled, b.sampled)
-        for x, y in zip(a.logits, b.logits):
-            np.testing.assert_array_equal(x.data, y.data)
+        np.testing.assert_array_equal(a.logits.data, b.logits.data)
 
     def test_degenerate_head_pins_samples(self):
         g = tiny_generator()
@@ -155,9 +152,9 @@ class TestFreeRunningUnroll:
         fr = unroll_free_running(g, 6, np.random.default_rng(32), temperature=1e-9)
         replay = unroll_teacher_forced(g, fr.sampled[0])
         for t in range(6):
-            np.testing.assert_allclose(replay.logits[t].data[0],
-                                       fr.logits[t].data[0], atol=1e-12)
-            assert fr.sampled[0, t] == int(np.argmax(replay.logits[t].data[0]))
+            np.testing.assert_allclose(replay.logits.data[t, 0],
+                                       fr.logits.data[t, 0], atol=1e-12)
+            assert fr.sampled[0, t] == int(np.argmax(replay.logits.data[t, 0]))
 
     def test_first_step_frequencies_near_uniform(self):
         g = zeroed(tiny_generator())
@@ -186,10 +183,9 @@ class TestFreeRunningUnroll:
         g = tiny_generator()
         res = unroll_free_running(g, 4, np.random.default_rng(35), batch=2,
                                   include_outputs=True)
-        assert [row.shape for row in res.behavior] == [(2, 9)] * 4
-        for row in res.behavior:
-            np.testing.assert_allclose(row.data[:, 5:].sum(axis=-1),
-                                       np.ones(2), atol=1e-12)
+        assert res.behavior.shape == (4, 2, 9)
+        np.testing.assert_allclose(res.behavior.data[..., 5:].sum(axis=-1),
+                                   np.ones((4, 2)), atol=1e-12)
 
     def test_advances_rng_by_one_draw_per_row_and_step(self):
         g = tiny_generator()
@@ -205,16 +201,14 @@ class TestFreeRunningUnroll:
         g = tiny_generator(seed=205)
         fr = unroll_free_running(g, 4, np.random.default_rng(54), temperature=0.5,
                                  batch=3, include_outputs=True)
-        for row, lg in zip(fr.behavior, fr.logits):
-            np.testing.assert_allclose(row.data[:, 5:], softmax_rows(lg.data / 0.5),
-                                       rtol=0, atol=1e-12)
+        np.testing.assert_allclose(fr.behavior.data[..., 5:], softmax_rows(fr.logits.data / 0.5),
+                                   rtol=0, atol=1e-12)
         tf = unroll_teacher_forced(g, fr.sampled, include_outputs=True)
         ss = scheduled_sampling_unroll(g, fr.sampled, 0.5, np.random.default_rng(55),
                                        include_outputs=True)
         for res in (tf, ss):
-            for row, lg in zip(res.behavior, res.logits):
-                np.testing.assert_allclose(row.data[:, 5:], softmax_rows(lg.data),
-                                           rtol=0, atol=1e-12)
+            np.testing.assert_allclose(res.behavior.data[..., 5:], softmax_rows(res.logits.data),
+                                       rtol=0, atol=1e-12)
 
 
 class TestScheduledSampling:
@@ -224,8 +218,7 @@ class TestScheduledSampling:
         rng = np.random.default_rng(36)
         ss = scheduled_sampling_unroll(g, y, 0.0, rng)
         tf = unroll_teacher_forced(g, y)
-        for a, b in zip(ss.logits, tf.logits):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(ss.logits.data, tf.logits.data)
         assert not ss.used_sample.any()
         # untouched stream: the next draw equals a fresh generator's first
         assert rng.random() == np.random.default_rng(36).random()
@@ -246,8 +239,7 @@ class TestScheduledSampling:
         fr = unroll_free_running(g, 5, np.random.default_rng(38), batch=3)
         # fed symbols trail the free-running samples by one step
         np.testing.assert_array_equal(ss.sampled[:, 1:], fr.sampled[:, :-1])
-        for a, b in zip(ss.logits, fr.logits):
-            np.testing.assert_array_equal(a.data, b.data)
+        np.testing.assert_array_equal(ss.logits.data, fr.logits.data)
         assert ss.used_sample[:, 1:].all() and not ss.used_sample[:, 0].any()
 
     def test_targets_stay_ground_truth_at_p_one(self):
@@ -315,7 +307,9 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
 
 class TestUnrollMatchesPerStepOracle:
     """The one-node unroll against the per-step taped loop it replaced:
-    identical draws, values to 1e-12 and gradients to 1e-10."""
+    identical draws, values to 1e-12 and gradients to 1e-10.  The unroll
+    emits [T, B, .] tensors, the reference a list of [B, .] rows per
+    output."""
 
     REGIMES = {  # name: (targets, p_sample, temperature)
         "tf": (True, 0.0, 1.0),
@@ -339,14 +333,19 @@ class TestUnrollMatchesPerStepOracle:
 
     @staticmethod
     def _loss(outs, coef, reach):
-        """A fixed random linear combination of the reached outputs; each
-        row is left out of it with probability 0.3, so its gradient is None."""
+        """A fixed random linear combination of the reached outputs.  Each
+        step's row is left out of it with probability 0.3: it has a zero
+        coefficient row in the unroll's loss, and the reference's loss
+        skips it, so that row's gradient is None there."""
         terms = []
-        for k, rows in enumerate(outs[:3]):
+        for k, out in enumerate(outs[:3]):
             if k not in reach:
                 continue
-            for row, (keep, c) in zip(rows, coef[k]):
-                if keep:
+            if isinstance(out, Tensor):
+                terms.append(sum_all(mul(out, Tensor(coef[k][..., :out.shape[-1]]))))
+                continue
+            for row, c in zip(out, coef[k]):
+                if c.any():
                     terms.append(sum_all(mul(row, Tensor(c[:, :row.shape[1]]))))
         if 3 in reach and outs[3] is not None:
             terms.append(scale(outs[3], coef[3]))
@@ -366,10 +365,12 @@ class TestUnrollMatchesPerStepOracle:
         seed = 300 + 10 * layers + batch
         crng = np.random.default_rng(seed + 1)
         y = crng.integers(0, vocab, (batch, t_len))
-        coef = [[(crng.random() > 0.3, crng.uniform(-1, 1, (batch, hidden_size + vocab)))
-                 for _ in range(t_len)] for _ in range(3)] + [crng.uniform(0.5, 1.5)]
-        for rows in coef[:3]:
+        draws = [[(crng.random() > 0.3, crng.uniform(-1, 1, (batch, hidden_size + vocab)))
+                  for _ in range(t_len)] for _ in range(3)]
+        for rows in draws:
             rows[-1] = (True, rows[-1][1])   # at least one row of each kind
+        coef = [np.stack([c if keep else np.zeros_like(c) for keep, c in rows])
+                for rows in draws] + [crng.uniform(0.5, 1.5)]
         targets, p, temp = self.REGIMES[regime]
         results = []
         for run in ("unroll", "reference"):
@@ -404,9 +405,9 @@ class TestUnrollMatchesPerStepOracle:
             assert new[3] is None and new[5] is None
         assert new_state == ref_state
         for k in range(3):
-            assert len(new[k]) == len(ref[k]) == t_len
-            for a, b in zip(new[k], ref[k]):
-                np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12)
+            assert len(ref[k]) == t_len
+            np.testing.assert_allclose(new[k].data, np.stack([r.data for r in ref[k]]),
+                                       rtol=0, atol=1e-12)
         assert any(np.any(gr != 0.0) for gr in new_grads)
         for a, b in zip(new_grads, ref_grads):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -438,8 +439,7 @@ class TestTapedMatchesUntaped:
         (taped_outs, taped_state), (plain_outs, plain_state) = runs
         assert taped_state == plain_state
         for k in range(3):
-            for a, b in zip(taped_outs[k], plain_outs[k]):
-                np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(taped_outs[k].data, plain_outs[k].data)
         np.testing.assert_array_equal(taped_outs[4], plain_outs[4])
         if taped_outs[3] is not None:
             assert taped_outs[3].data == plain_outs[3].data
@@ -449,7 +449,7 @@ class TestTapedMatchesUntaped:
 class TestUnrollMemory:
     def test_untaped_unroll_keeps_no_step_caches(self):
         # An untaped unroll should hold at its peak little more than what
-        # it returns: the logits, behavior and hidden rows.
+        # it returns: the logits, behavior and hidden tensors.
         g = GeneratorParams.create(8, 16, 64, 1, np.random.default_rng(56))
         tracemalloc.start()
         try:
@@ -457,7 +457,7 @@ class TestUnrollMemory:
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert len(res.logits) == 1000
+        assert res.logits.shape[0] == 1000
         assert peak <= 1.25 * held, f"peak {peak / 1e6:.2f} MB, held {held / 1e6:.2f} MB"
 
 
@@ -467,7 +467,7 @@ class TestUnrollMemory:
 
 class TestDiscriminate:
     def _behavior(self, rng, t_len=4, batch=3, width=5):
-        return [Tensor(rng.uniform(-1, 1, (batch, width))) for _ in range(t_len)]
+        return Tensor(rng.uniform(-1, 1, (t_len, batch, width)))
 
     def test_zero_final_layer_means_exactly_half(self):
         d = tiny_discriminator(width=5)
@@ -493,8 +493,7 @@ class TestDiscriminate:
         b = self._behavior(np.random.default_rng(45))
         got = discriminate(d, b).data
 
-        seq = Tensor(np.stack([s.data for s in b]))
-        states = bigru_encode(d.encoder, seq).data
+        states = bigru_encode(d.encoder, b).data
         scores = np.stack([mlp_forward(d.classifier, Tensor(s)).data[:, 0] for s in states])
         pooled = np.clip(scores.mean(axis=0), -10.0, 10.0)
         expected = 1.0 / (1.0 + np.exp(-pooled))
@@ -509,7 +508,7 @@ class TestDiscriminate:
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(47))
         fwd = discriminate(d, b).data
-        rev = list(reversed(b))
+        rev = Tensor(b.data[::-1])
         assert np.max(np.abs(discriminate(d, rev).data - fwd)) > 1e-9
 
 
@@ -791,8 +790,8 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
         fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
                                  batch=b, include_outputs=settings.include_outputs)
         with Tape() as d_tape:
-            c_d = loss_discriminator(discriminate(d, [s.detach() for s in tf.behavior]),
-                                     discriminate(d, [s.detach() for s in fr.behavior]))
+            c_d = loss_discriminator(discriminate(d, tf.behavior.detach()),
+                                     discriminate(d, fr.behavior.detach()))
         adv = loss_fool_free_running(discriminate(d, fr.behavior))
         if settings.use_ct:
             adv = add(adv, loss_match_teacher_forced(discriminate(d, tf.behavior)))
@@ -892,7 +891,7 @@ class TestTapeNodeCeiling:
     records fewer nodes lowers them; none may raise them.
     """
 
-    PF_CEILING = 43
+    PF_CEILING = 39
     TF_CEILING = 2
 
     def _one_step(self, monkeypatch, tmp_path, mode):
@@ -900,7 +899,7 @@ class TestTapeNodeCeiling:
         tape_exit = Tape.__exit__
 
         def counting_exit(tape, *exc):
-            recorded.append(len(tape))
+            recorded.append(tape)
             return tape_exit(tape, *exc)
 
         monkeypatch.setattr(Tape, "__exit__", counting_exit)
@@ -921,21 +920,29 @@ class TestTapeNodeCeiling:
         # Open the generator's gate so the pf step does all its discriminator work.
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
         cfg = TrainConfig(**dict(TINY_PF, max_steps=1, mode=mode))
-        row = Trainer(cfg, tmp_path).run()[0]
+        trainer = Trainer(cfg, tmp_path)
+        row = trainer.run()[0]
         d_sweeps = sum(any(tape is d_tape for d_tape in d_tapes) for tape in swept)
-        return sum(recorded), row, rows_scored, d_sweeps
+        # outputs of every generator unroll node, the only nodes reading the embedding
+        emb = trainer.g.embedding
+        unroll_outputs = [len(outs) for tape in recorded for outs, inputs, _ in tape.nodes
+                          if inputs and inputs[0] is emb]
+        return sum(len(tape) for tape in recorded), row, rows_scored, d_sweeps, unroll_outputs
 
     def test_professor_forcing_step(self, monkeypatch, tmp_path):
-        nodes, row, rows_scored, d_sweeps = self._one_step(monkeypatch, tmp_path,
-                                                           "professor_forcing")
+        nodes, row, rows_scored, d_sweeps, unroll_outputs = self._one_step(
+            monkeypatch, tmp_path, "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
         assert nodes <= self.PF_CEILING
+        # logits, behavior, hidden and nll with targets; no nll free running
+        assert unroll_outputs == [4, 3]
         # one discriminator pass over both behaviors stacked, one sweep of its tape
         assert rows_scored == [2 * TINY_PF["batch_n"]]
         assert d_sweeps == 1
 
     def test_teacher_forcing_step(self, monkeypatch, tmp_path):
-        nodes, _, rows_scored, d_sweeps = self._one_step(monkeypatch, tmp_path,
-                                                         "teacher_forcing")
+        nodes, _, rows_scored, d_sweeps, unroll_outputs = self._one_step(
+            monkeypatch, tmp_path, "teacher_forcing")
         assert nodes <= self.TF_CEILING
+        assert unroll_outputs == [4]
         assert rows_scored == [] and d_sweeps == 0
