@@ -13,7 +13,8 @@ Two section body encodings are used: utf-8 key=value text (the config
 snapshot and the scalar training state) and tensors (u32 rank, u32 dims,
 then raw little-endian float64 values in row-major order).
 
-Writes go through a temp file and an atomic rename.
+Writes go through a temp file, fsynced, an atomic rename and an fsync of
+the directory, so a crash leaves the old file or the new one, whole.
 """
 
 from __future__ import annotations
@@ -93,12 +94,20 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         raw = name.encode("utf-8")
         payload += struct.pack("<I", len(raw)) + raw
         payload += struct.pack("<Q", len(body)) + body
-    blob = MAGIC + bytes(payload) + struct.pack("<I", zlib.crc32(bytes(payload)) & 0xFFFFFFFF)
+    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
 
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
+    with open(tmp, "wb") as f:
+        f.writelines((MAGIC, payload, crc))
+        f.flush()
+        os.fsync(f.fileno())
     os.replace(tmp, path)
+    fd = os.open(path.parent, os.O_RDONLY)   # the rename is durable once its directory is
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
 
 
 def load_checkpoint(path) -> Checkpoint:

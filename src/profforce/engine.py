@@ -36,7 +36,8 @@ accuracy exceeds 0.99.
 A training step stacks both behaviors into one batch, teacher-forced
 rows first, runs the discriminator on it once and sweeps its tape at
 most once; every term above comes from that forward and that sweep
-(see :func:`train_step`).
+(see :func:`train_step`).  Both run inside :func:`nets.workspace`, whose
+slab holds the discriminator's GRU arrays from one step to the next.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ from .nets import (
     _gru_weights,
     bigru_encode,
     mlp_forward,
+    workspace,
 )
 from .optim import AdamState, adam_step
 from .tensor import (
@@ -538,10 +540,11 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     1. On the generator tape, unroll both regimes and stack their
        behaviors into one ``[T, 2B, width]`` tensor, teacher-forced rows
        first.
-    2. Run the discriminator once, on a detached leaf of that stack and
-       on a tape of its own.  Its probabilities give the accuracy, the
-       gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
-       which makes the generator term c_d with the labels swapped).
+    2. Run the discriminator once, on a detached leaf of that stack, on
+       a tape of its own and inside the workspace (through step 3).  Its
+       probabilities give the accuracy, the gate, c_d and the
+       generator-side c_f (plus c_t with ``use_ct``, which makes the
+       generator term c_d with the labels swapped).
     3. Sweep the discriminator tape at most once, for c_d, into its
        parameters and the leaf, if the gate lets it learn or the
        adversarial term reaches the generator.
@@ -582,23 +585,23 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                                      batch=b, include_outputs=settings.include_outputs)
             stacked = concat((ss.behavior, fr.behavior), axis=1)
             leaf = stacked.detach()
-            with Tape() as d_tape:
-                p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
-                c_d = loss_discriminator(p_tf_t, p_fr_t)
+            with workspace():   # the D tape's GRU arrays; it dies with the step
+                with Tape() as d_tape:
+                    p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
+                    c_d = loss_discriminator(p_tf_t, p_fr_t)
                 p_tf, p_fr = p_tf_t.data, p_fr_t.data
                 gs = gate(accuracy_from_probs(p_tf, p_fr))
                 update_d = not settings.freeze_discriminator and gs.update_discriminator
                 adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
+                if update_d or adv_on:
+                    zero_grads(d_params)
+                    backward(d_tape, c_d, params=d_params)
             metrics.update(c_d=float(c_d.data),
                            c_f=loss_fool_free_running(p_fr),
                            c_t=loss_match_teacher_forced(p_tf),
                            disc_acc=gs.disc_accuracy,
                            gate_gen=gs.adversarial_to_generator,
                            gate_disc=gs.update_discriminator)
-
-            if update_d or adv_on:
-                zero_grads(d_params)
-                backward(d_tape, c_d, params=d_params)
             if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
                 tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
                 rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))

@@ -24,7 +24,12 @@ known inputs) runs once per sequence.  :func:`_gru_step_into` writes a
 step into preallocated arrays and :func:`_gru_bptt` runs the recursion
 backward.  :func:`gru_sequence` (one tape node, run per direction by
 :func:`bigru_encode`), :func:`gru_step` and the generator unroll in
-:mod:`profforce.engine` all run it.
+:mod:`profforce.engine` all run it.  Their arrays come from :func:`_buf`:
+``np.empty``, except inside :func:`workspace` (a training step's
+discriminator pass), where they are views of one float64 slab kept from
+step to step, and the projection and backward gate factors are released
+as their call returns.  Nothing leaves the scope: gradients are fresh
+arrays, and the tape holding the caches dies with the step.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -33,7 +38,10 @@ discriminator consumes.
 
 from __future__ import annotations
 
+import math
+from contextlib import contextmanager
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -109,6 +117,34 @@ class GruCellParams:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
+_WS = SimpleNamespace(slab=np.empty(0), top=0, need=0, active=False)
+
+
+def _buf(shape) -> np.ndarray:
+    """``np.empty(shape)``, or inside :func:`workspace` a view of the slab at
+    offset ``_WS.top`` (``np.empty`` past its end); reset the offset to release."""
+    if not _WS.active:
+        return np.empty(shape)
+    start, _WS.top = _WS.top, _WS.top + math.prod(shape)
+    _WS.need = max(_WS.need, _WS.top)
+    return np.empty(shape) if _WS.top > _WS.slab.size else _WS.slab[start:_WS.top].reshape(shape)
+
+
+@contextmanager
+def workspace():
+    """A scope in which :func:`_buf` hands out the slab from offset 0; on exit
+    the slab regrows to the scope's high-water mark.  Entering twice raises."""
+    if _WS.active:
+        raise RuntimeError("the workspace is already active")
+    _WS.active, _WS.top, _WS.need = True, 0, 0
+    try:
+        yield
+    finally:
+        _WS.active = False
+        if _WS.need > _WS.slab.size:
+            _WS.slab = np.empty(_WS.need)
+
+
 def _gru_weights(p: GruCellParams):
     """A cell's weights in the gate-major forms a step reads: ``W`` ``[3, I, H]``,
     ``b`` ``[3, 1, H]``, ``U_zr`` ``[2, H, H]`` and ``U_c`` ``[H, H]``.
@@ -153,15 +189,17 @@ def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = Fa
     T, B, _ = x.shape
     H = p.hidden_size
     W, b, U_zr, U_c = _gru_weights(p)
-    xb = x[:, None] @ W
+    hs, zr = _buf((T + 1, B, H)), _buf((T, 2, B, H))
+    rh, c, pre = _buf((T, B, H)), _buf((T, B, H)), _buf((1, B, H))
+    mark, xb = _WS.top, _buf((T, 3, B, H))   # scratch past the caches
+    np.matmul(x[:, None], W, out=xb)
     xb += b
-    hs, zr = np.empty((T + 1, B, H)), np.empty((T, 2, B, H))
-    rh, c, pre = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((1, B, H))
     hs[T if reverse else 0] = h0
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         read, write = (t + 1, t) if reverse else (t, t + 1)
         _gru_step_into(U_zr, U_c, hs[read], xb[t], zr[t], rh[t], pre[0], c[t],
                        hs[write])
+    _WS.top = mark
     return hs, zr, rh, pre, c
 
 
@@ -182,7 +220,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     W, U = p.W.data, p.U.data
     U_t = U.reshape(H, 3, H).transpose(1, 2, 0).copy()   # U_z^T, U_r^T, U_c^T
     keep, r = zr[:, 0], zr[:, 1]   # keep = 1 - z
-    da = np.empty((3, T, B, H))   # gate-major: z, r, c
+    mark, da = _WS.top, _buf((3, T, B, H))   # scratch, gate-major: z, r, c
     np.subtract(1.0, keep, out=da[0])
     np.multiply(c, c, out=da[2])
     np.subtract(1.0, da[2], out=da[2])
@@ -219,7 +257,8 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
         np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
         if k:
             d_x += da[k] @ W_t[k]
-    return d_x.reshape(x.shape), d_W, d_U, da.sum(axis=1).reshape(3 * H), d_h
+    d_b, _WS.top = da.sum(axis=1).reshape(3 * H), mark
+    return d_x.reshape(x.shape), d_W, d_U, d_b, d_h
 
 
 def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import platform
 import time
 from pathlib import Path
 
@@ -69,6 +71,19 @@ def _earlier_rows(path: Path, header: str, last_step: int) -> list[str]:
 
 # Checkpoint state fields are at least 0 and, for the rng's, below these bounds.
 _RNG_LIMITS = {"rng_state": 2**128, "rng_inc": 2**128, "rng_has_uint32": 2, "rng_uinteger": 2**32}
+
+
+def _environment() -> dict[str, str]:
+    """What a run's bits depend on besides its config: the BLAS library, its
+    effective thread setting, numpy and Python.  Checkpoints record it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except (TypeError, KeyError):
+        blas = "unknown"
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return {"blas": blas, "blas_threads": threads or str(os.cpu_count()),
+            "numpy": np.__version__, "python": platform.python_version()}
 
 
 def effective_settings(cfg: TrainConfig) -> EngineSettings:
@@ -195,6 +210,7 @@ class Trainer:
             "rng_inc": str(rs["state"]["inc"]),
             "rng_has_uint32": str(rs["has_uint32"]),
             "rng_uinteger": str(rs["uinteger"]),
+            **_environment(),
         }
         tensors = {k: v.copy() for k, v in self._named_state_tensors().items()}
         return Checkpoint(config_text=canonical_text(self.cfg), state=state, tensors=tensors)
@@ -228,6 +244,11 @@ class Trainer:
             "has_uint32": st["rng_has_uint32"],
             "uinteger": st["rng_uinteger"],
         }
+        moved = [f"{k} {ckpt.state.get(k, 'unknown')} -> {v}" for k, v in _environment().items()
+                 if ckpt.state.get(k, "unknown") != v]
+        if moved:   # a warning, not an error: see the README's Determinism section
+            log.warning("resuming in another environment than the checkpoint was written in "
+                        "(%s); the run may not continue bit for bit", ", ".join(moved))
 
     @classmethod
     def resume(cls, checkpoint_path, out_dir, max_steps: int | None = None) -> "Trainer":

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -61,6 +64,28 @@ class TestRoundTrip:
         sample.state["step"] = "43"
         save_checkpoint(sample, path)
         assert load_checkpoint(path).state["step"] == "43"
+
+    def test_fsyncs_file_before_rename_and_directory_after(self, sample, tmp_path,
+                                                            monkeypatch):
+        calls = []
+        fsync, replace = os.fsync, os.replace
+
+        def spy_fsync(fd):
+            st = os.fstat(fd)
+            calls.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+            fsync(fd)
+
+        def spy_replace(src, dst):
+            calls.append(("replace", os.path.basename(src), os.path.basename(dst)))
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "fsync", spy_fsync)
+        monkeypatch.setattr(os, "replace", spy_replace)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sample, path)
+        # the file is synced whole, then renamed, then the rename is synced
+        assert calls == [("fsync", path.stat().st_size), ("replace", "m.ckpt.tmp", "m.ckpt"),
+                         ("fsync", "dir")]
 
     def test_empty_tensor_dict(self, tmp_path):
         path = tmp_path / "m.ckpt"

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import profforce
 from profforce.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from profforce.cli import main
 
@@ -221,6 +227,30 @@ class TestInspectCommand:
         bad.write_bytes(bytes(blob))
         assert main(["inspect-checkpoint", str(bad)]) == 2
         assert "checksum" in capsys.readouterr().err
+
+
+class TestResumeUnderAnotherThreadCount:
+    """A run's bits depend on the BLAS thread count, so a resume under
+    another one is loud (README, Determinism)."""
+
+    @staticmethod
+    def _train(threads, *args):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PF_LOG_LEVEL="info",
+                   PYTHONPATH=str(Path(profforce.__file__).parents[1]))
+        code = "import sys; from profforce.cli import main; sys.exit(main())"
+        return subprocess.run([sys.executable, "-c", code, "train", *args], env=env,
+                              capture_output=True, text=True, check=True).stderr
+
+    def test_desk_run_resumed_at_two_threads_warns(self, tmp_path):
+        first = self._train("1", "--preset", "desk-copy", "--seed", "4", "--steps", "3",
+                            "--set", "val_every=0", "--out", str(tmp_path / "a"))
+        assert "WARNING" not in first
+        ckpt = str(tmp_path / "a" / "final.ckpt")
+        resumed = self._train("2", "--resume", ckpt, "--steps", "4", "--out", str(tmp_path / "b"))
+        [warning] = [line for line in resumed.splitlines() if line.startswith("WARNING")]
+        assert "blas_threads 1 -> 2" in warning and "bit for bit" in warning
+        same = self._train("1", "--resume", ckpt, "--steps", "4", "--out", str(tmp_path / "c"))
+        assert "WARNING" not in same
 
 
 class TestLogging:

@@ -1,10 +1,17 @@
+import contextlib
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from profforce import engine, tensor
+import profforce
+from profforce import engine, nets, tensor
 from profforce.config import TrainConfig
 from profforce.engine import (
     DiscriminatorParams,
@@ -33,6 +40,7 @@ from profforce.tensor import (
     concat,
     embed,
     grad_check,
+    log,
     matmul,
     mul,
     scale,
@@ -879,6 +887,100 @@ class TestOnePassStepEdges:
                     np.testing.assert_array_equal(a, b.data)
         for ours, ref in zip(*params):
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
+
+
+class TestDiscriminatorWorkspace:
+    """A step's discriminator pass takes its GRU arrays from the slab of
+    :func:`nets.workspace`; nothing else may."""
+
+    def test_nothing_a_step_leaves_shares_the_slab(self, monkeypatch):
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        g, d, y, ga, da = build_step_fixture(seed=97)
+        rng = np.random.default_rng(98)
+        for _ in range(2):   # the second step runs inside the slab the first sized
+            m = train_step(g, d, y, EngineSettings(use_ct=True), 0.0, rng, ga, da)
+        assert m["gate_gen"] and m["gate_disc"]
+        slab = nets._WS.slab
+        assert slab.size > 0 and not nets._WS.active
+        params = g.tensors() + d.tensors()
+        kept = ([t.data for t in params] + [t.grad for t in params]
+                + ga.m + ga.v + da.m + da.v + [np.asarray(v) for v in m.values()])
+        assert not any(np.shares_memory(a, slab) for a in kept)
+
+    def test_growing_and_shrinking_batches_match_steps_without_it(self, monkeypatch):
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+
+        def run(sizes):
+            g, d, _, ga, da = build_step_fixture(seed=99)
+            rng = np.random.default_rng(100)
+            for b in (2, 4, 2):
+                y = np.random.default_rng(b).integers(0, 4, (b, 6))
+                m = train_step(g, d, y, EngineSettings(use_ct=True), 0.0, rng, ga, da)
+                assert m["gate_gen"]
+                sizes.append(nets._WS.slab.size)
+            return [t.data.copy() for t in g.tensors() + d.tensors()]
+
+        monkeypatch.setattr(nets._WS, "slab", np.empty(0))
+        sizes = []
+        scoped = run(sizes)
+        # B=2 sizes the slab, B=4 overflows it and regrows it, B=2 fits
+        assert 0 < sizes[0] < sizes[1] == sizes[2]
+        monkeypatch.setattr(engine, "workspace", contextlib.nullcontext)
+        for a, b in zip(scoped, run([])):
+            np.testing.assert_array_equal(a, b)
+
+    def test_two_tapes_built_outside_a_step_both_sweep(self):
+        d = tiny_discriminator(5, seed=102)
+        rng = np.random.default_rng(103)
+        xs = [Tensor(rng.uniform(-1, 1, (6, 3, 5))) for _ in range(2)]
+
+        def build(x):
+            with Tape() as tape:
+                loss = sum_all(log(discriminate(d, x)))
+            return tape, loss
+
+        def sweep(tape, loss, x):
+            zero_grads(d.tensors() + [x])
+            backward(tape, loss, params=d.tensors())
+            return [x.grad.copy()] + [t.grad.copy() for t in d.tensors()]
+
+        built = [build(x) for x in xs]   # both before either sweep
+        for (tape, loss), x in zip(built, xs):
+            for a, b in zip(sweep(tape, loss, x), sweep(*build(x), x)):
+                np.testing.assert_array_equal(a, b)
+
+
+class TestDeskStepPageFaults:
+    """A desk-copy pf step reuses the discriminator pass's memory from step
+    to step instead of faulting it in afresh.  The ceiling is minor page
+    faults, which depend on the allocator and not on the clock."""
+
+    CEILING = 1000   # per step; about 3000 when every step allocates the pass afresh
+
+    def test_desk_pf_step_minor_faults(self, tmp_path):
+        pytest.importorskip("resource")
+        script = textwrap.dedent("""
+            import resource, sys
+            from profforce.config import build_config
+            from profforce.engine import train_step
+            from profforce.trainer import Trainer, effective_settings
+            cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0"],
+                               {"seed": 1, "max_steps": 20})
+            tr = Trainer(cfg, sys.argv[1])
+            settings = effective_settings(tr.cfg)
+            for step in range(20):
+                if step == 5:   # warm up first
+                    start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                train_step(tr.g, tr.d, tr._batch_for_step(step), settings, 0.0, tr.rng,
+                           tr.g_adam, tr.d_adam)
+            print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 15)
+        """)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=str(Path(profforce.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True)
+        per_step = float(out.stdout.split()[-1])
+        assert per_step <= self.CEILING, f"{per_step:.0f} minor faults per step"
 
 
 class TestTapeNodeCeiling:

@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -232,6 +233,42 @@ class TestResume:
         cfg = config_from_text(ckpt.config_text)
         with pytest.raises(CheckpointError, match="shape"):
             Trainer(cfg, tmp_path / "b", resume=ckpt)
+
+
+class TestResumeEnvironment:
+    """Checkpoints record the BLAS library, its thread setting, numpy and
+    Python; a resume in another environment says so."""
+
+    KEYS = ("blas", "blas_threads", "numpy", "python")
+
+    def test_checkpoint_records_environment(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+        state = Trainer(tiny_cfg(), tmp_path).checkpoint().state
+        assert state["blas_threads"] == "3"
+        assert state["numpy"] == np.__version__
+        assert all(state[k] for k in self.KEYS)
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+        monkeypatch.setenv("OMP_NUM_THREADS", "5")
+        assert Trainer(tiny_cfg(), tmp_path).checkpoint().state["blas_threads"] == "5"
+
+    def test_same_environment_resumes_quietly(self, tmp_path, caplog):
+        Trainer(tiny_cfg(max_steps=2, val_every=0), tmp_path / "a").run()
+        with caplog.at_level(logging.WARNING, logger="profforce"):
+            Trainer.resume(tmp_path / "a" / "final.ckpt", tmp_path / "b", max_steps=3)
+        assert caplog.records == []
+
+    def test_checkpoint_without_environment_loads_and_warns(self, tmp_path, caplog):
+        Trainer(tiny_cfg(max_steps=2, val_every=0), tmp_path / "a").run()
+        ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
+        for key in self.KEYS:
+            del ckpt.state[key]
+        from profforce.config import config_from_text
+        with caplog.at_level(logging.WARNING, logger="profforce"):
+            trainer = Trainer(config_from_text(ckpt.config_text), tmp_path / "b", resume=ckpt)
+        assert trainer.step == 2
+        [record] = caplog.records
+        assert f"numpy unknown -> {np.__version__}" in record.getMessage()
+        assert "blas_threads unknown -> " in record.getMessage()
 
 
 class TestGeneratorFromCheckpoint:
