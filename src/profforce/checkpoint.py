@@ -2,7 +2,7 @@
 
 Layout::
 
-    8 bytes   magic, "PFCK" + 4-digit format version ("PFCK0002")
+    8 bytes   magic, "PFCK" + 4-digit format version ("PFCK0003")
     4 bytes   section count, little-endian u32
     sections  u32 name length, name (utf-8),
               u64 body length, body
@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = ["Checkpoint", "CheckpointError", "MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"PFCK0002"
+MAGIC = b"PFCK0003"
 _MAGIC_PREFIX = b"PFCK"
 _TEXT_SECTIONS = ("config", "state")
 
@@ -51,7 +51,7 @@ def _pack_tensor(arr: np.ndarray) -> bytes:
     return head + arr.astype("<f8").tobytes()
 
 
-def _unpack_tensor(name: str, body: bytes) -> np.ndarray:
+def _unpack_tensor(name: str, body: memoryview) -> np.ndarray:
     if len(body) < 4:
         raise CheckpointError(f"section {name!r}: truncated tensor header")
     (ndim,) = struct.unpack_from("<I", body, 0)
@@ -63,16 +63,16 @@ def _unpack_tensor(name: str, body: bytes) -> np.ndarray:
     if len(body) != need + 8 * count:
         raise CheckpointError(f"section {name!r}: tensor payload size mismatch")
     flat = np.frombuffer(body, dtype="<f8", count=count, offset=need)
-    return flat.reshape(dims).astype(np.float64)
+    return flat.reshape(dims).astype(np.float64)   # the one copy: writeable, owns its data
 
 
 def _encode_state(state: dict[str, str]) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in sorted(state.items())).encode("utf-8")
 
 
-def _decode_state(body: bytes) -> dict[str, str]:
+def _decode_state(body: memoryview) -> dict[str, str]:
     out = {}
-    for n, line in enumerate(body.decode("utf-8").splitlines(), 1):
+    for n, line in enumerate(str(body, "utf-8").splitlines(), 1):
         if line:
             key, eq, value = line.partition("=")
             if not eq:
@@ -120,7 +120,7 @@ def load_checkpoint(path) -> Checkpoint:
             f"{path}: unsupported checkpoint format version "
             f"{version.decode('ascii', 'replace')!r}; this build reads "
             f"{MAGIC[len(_MAGIC_PREFIX):].decode('ascii')!r}")
-    payload = blob[len(MAGIC):-4]
+    payload = memoryview(blob)[len(MAGIC):-4]   # slices below copy nothing
     (stored_crc,) = struct.unpack("<I", blob[-4:])
     if zlib.crc32(payload) & 0xFFFFFFFF != stored_crc:
         raise CheckpointError(f"{path}: checksum mismatch, file is corrupt")
@@ -129,11 +129,11 @@ def load_checkpoint(path) -> Checkpoint:
         offset = 0
         (n_sections,) = struct.unpack_from("<I", payload, offset)
         offset += 4
-        sections: list[tuple[str, bytes]] = []
+        sections: list[tuple[str, memoryview]] = []
         for _ in range(n_sections):
             (name_len,) = struct.unpack_from("<I", payload, offset)
             offset += 4
-            name = payload[offset:offset + name_len].decode("utf-8")
+            name = str(payload[offset:offset + name_len], "utf-8")
             offset += name_len
             (body_len,) = struct.unpack_from("<Q", payload, offset)
             offset += 8
@@ -150,6 +150,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: missing config or state section")
     tensors = {name: _unpack_tensor(name, body) for name, body in sections
                if name not in _TEXT_SECTIONS}
-    return Checkpoint(config_text=named["config"].decode("utf-8"),
+    return Checkpoint(config_text=str(named["config"], "utf-8"),
                       state=_decode_state(named["state"]),
                       tensors=tensors)

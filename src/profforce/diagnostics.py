@@ -85,42 +85,11 @@ class Projection:
     variance: np.ndarray  # per-component variance, descending
 
 
-_POWER_SEED = 0x5EED2D
-_POWER_TOL = 1e-9
-_POWER_MAX_ITERS = 10_000
-
-
-def _power_vector(cov: np.ndarray, rng: np.random.Generator,
-                  orth: np.ndarray | None) -> np.ndarray:
-    """Dominant eigenvector by power iteration, kept orthogonal to ``orth``."""
-    d = cov.shape[0]
-    v = rng.standard_normal(d)
-    if orth is not None:
-        v -= (v @ orth) * orth
-    v /= np.linalg.norm(v)
-    for _ in range(_POWER_MAX_ITERS):
-        w = cov @ v
-        if orth is not None:
-            w -= (w @ orth) * orth
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            break  # no variance left in this subspace; keep the current direction
-        w /= norm
-        if np.linalg.norm(w - v) < _POWER_TOL:
-            v = w
-            break
-        v = w
-    if orth is not None:
-        v -= (v @ orth) * orth
-        v /= np.linalg.norm(v)
-    return v
-
-
 def project_2d(points: np.ndarray) -> Projection:
-    """Project onto the top two principal directions by power iteration.
+    """Project onto the top two principal directions (``eigh`` of the covariance).
 
-    The starting vectors come from a fixed seed and iteration stops at a
-    1e-9 tolerance, so the projection is deterministic.  An all-identical
+    Each direction is signed so that its largest-magnitude entry is
+    positive, so the projection is deterministic.  An all-identical
     cloud reports zero variance and all-zero coordinates.
     """
     x = np.asarray(points, dtype=np.float64)
@@ -130,16 +99,10 @@ def project_2d(points: np.ndarray) -> Projection:
     if not centered.any():
         return Projection(coords=np.zeros((x.shape[0], 2)), variance=np.zeros(2))
     cov = (centered.T @ centered) / (x.shape[0] - 1)
-    rng = np.random.default_rng(_POWER_SEED)
-    v1 = _power_vector(cov, rng, orth=None)
-    deflated = cov - (v1 @ cov @ v1) * np.outer(v1, v1)
-    v2 = _power_vector(deflated, rng, orth=v1)
-    coords = centered @ np.stack([v1, v2], axis=1)
-    variance = coords.var(axis=0, ddof=1)
-    if variance[0] < variance[1]:  # power iteration found them out of order
-        coords = coords[:, ::-1]
-        variance = variance[::-1]
-    return Projection(coords=coords, variance=variance.copy())
+    evals, vecs = np.linalg.eigh(cov)
+    top = vecs[:, :-3:-1]   # eigenvalues ascend: the last two, largest first
+    top *= np.sign(top[np.abs(top).argmax(axis=0), [0, 1]])
+    return Projection(coords=centered @ top, variance=evals[:-3:-1].clip(min=0.0))
 
 
 def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,

@@ -158,7 +158,7 @@ class GeneratorParams:
 
     @property
     def vocab_size(self) -> int:
-        return self.head.W_o.shape[0]
+        return self.head.W_o.shape[1]
 
     @property
     def start_id(self) -> int:
@@ -284,7 +284,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     :func:`_unroll_backward`).
     """
     emb = g.embedding.data
-    w_head, b_head = g.head.W_o.data.T, g.head.b_o.data
+    w_head, b_head = g.head.W_o.data, g.head.b_o.data
     vocab, top = g.vocab_size, g.hidden_size
     taped = is_recording()
     kept = t_len if taped else 1   # step rows each cache keeps
@@ -371,7 +371,7 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     """
     t_len, batch = fed.shape
     emb, w_o = g.embedding.data, g.head.W_o.data
-    vocab, top = w_o.shape
+    top, vocab = w_o.shape
 
     def back(g_lg, g_beh, g_hid, g_nll=None):
         d_lg = np.zeros((t_len, batch, vocab)) if g_lg is None else np.array(g_lg)
@@ -384,10 +384,10 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
             sm, gp = behavior[..., top:], g_beh[..., top:]
             d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * (1.0 / temperature)
         d_lg = d_lg.reshape(t_len * batch, vocab)
-        d_out = (d_lg @ w_o).reshape(t_len, batch, top)
+        d_out = (d_lg @ w_o.T).reshape(t_len, batch, top)
         if g_hid is not None:
             d_out += g_hid
-        d_wo = d_lg.T @ caches[-1][0][1:].reshape(t_len * batch, top)
+        d_wo = caches[-1][0][1:].reshape(t_len * batch, top).T @ d_lg
         cell_grads = []
         for i in range(len(g.cells) - 1, -1, -1):
             hs, zr, rh, c = caches[i]

@@ -13,10 +13,11 @@ state::
     c = tanh(x W_c + (r * h) U_c + b_c)       candidate state
     h_new = (1 - z) * h + z * c
 
-A cell stores its gates stacked side by side in the order z, r, c:
-``W`` is ``[I, 3H]``, ``U`` is ``[H, 3H]`` and ``b`` is ``[3H]``, so
-``W_z`` is ``W[:, :H]``, ``W_r`` is ``W[:, H:2H]`` and ``W_c`` is
-``W[:, 2H:]``.
+Every weight is stored ``[in, out]``, as ``x @ W`` reads it: the output
+head's ``W_o`` is ``[H, V]`` and an MLP layer's ``W`` is ``[in, out]``.
+A cell stacks its gates side by side in the order z, r, c: ``W`` is
+``[I, 3H]``, ``U`` is ``[H, 3H]`` and ``b`` is ``[3H]``, so ``W_z`` is
+``W[:, :H]``, ``W_r`` is ``W[:, H:2H]`` and ``W_c`` is ``W[:, 2H:]``.
 
 One numpy kernel runs every recursion; what does not change from step
 to step (the weights' gate-major forms, the projection ``x W + b`` of
@@ -52,7 +53,6 @@ from .tensor import (
     concat,
     matmul,
     relu,
-    transpose,
 )
 
 __all__ = [
@@ -82,11 +82,13 @@ def init_params(kind: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
-def _stack_gates(rng: np.random.Generator, hidden: int, fan_in: int) -> Tensor:
-    """Three [H, fan_in] gate draws, transposed and stacked into one [fan_in, 3H]."""
-    blocks = [init_params("weight", (hidden, fan_in), rng).data for _ in range(3)]
+def _weight_in_out(rng: np.random.Generator, fan_in: int, fan_out: int,
+                   blocks: int = 1) -> Tensor:
+    """``blocks`` [fan_out, fan_in] draws, transposed and stacked side by side
+    into one [fan_in, blocks * fan_out], the layout ``x @ W`` reads."""
+    drawn = [init_params("weight", (fan_out, fan_in), rng).data for _ in range(blocks)]
     # concatenate(...).T is Fortran-ordered; in-place flat views need C order.
-    return Tensor(np.ascontiguousarray(np.concatenate(blocks, axis=0).T))
+    return Tensor(np.ascontiguousarray(np.concatenate(drawn, axis=0).T))
 
 
 @dataclass
@@ -101,8 +103,8 @@ class GruCellParams:
     def create(cls, hidden: int, input_size: int, rng: np.random.Generator) -> "GruCellParams":
         if hidden < 1 or input_size < 1:
             raise ValueError("hidden and input sizes must be positive")
-        W = _stack_gates(rng, hidden, input_size)
-        U = _stack_gates(rng, hidden, hidden)
+        W = _weight_in_out(rng, input_size, hidden, blocks=3)
+        U = _weight_in_out(rng, hidden, hidden, blocks=3)
         return cls(W=W, U=U, b=init_params("bias", (3 * hidden,), rng))
 
     @property
@@ -311,14 +313,14 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
 
 @dataclass
 class OutputHeadParams:
-    """Affine map from hidden state to vocabulary logits: W_o is [V, H]."""
+    """Affine map from hidden state to vocabulary logits: W_o is [H, V]."""
 
     W_o: Tensor
     b_o: Tensor
 
     @classmethod
     def create(cls, vocab: int, hidden: int, rng: np.random.Generator) -> "OutputHeadParams":
-        return cls(W_o=init_params("weight", (vocab, hidden), rng),
+        return cls(W_o=_weight_in_out(rng, hidden, vocab),
                    b_o=init_params("bias", (vocab,), rng))
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
@@ -327,7 +329,7 @@ class OutputHeadParams:
 
 @dataclass
 class MlpParams:
-    """Affine layers with ReLU between them; the final layer stays linear."""
+    """Affine layers (W [in, out], b [out]) with ReLU between; the last stays linear."""
 
     layers: list[tuple[Tensor, Tensor]]
 
@@ -337,7 +339,7 @@ class MlpParams:
             raise ValueError("an MLP needs at least an input and an output size")
         layers = []
         for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            layers.append((init_params("weight", (n_out, n_in), rng),
+            layers.append((_weight_in_out(rng, n_in, n_out),
                            init_params("bias", (n_out,), rng)))
         return cls(layers=layers)
 
@@ -352,7 +354,7 @@ class MlpParams:
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     last = len(p.layers) - 1
     for i, (w, b) in enumerate(p.layers):
-        x = add(matmul(x, transpose(w)), b)
+        x = add(matmul(x, w), b)
         if i != last:
             x = relu(x)
     return x

@@ -200,6 +200,7 @@ class Trainer:
         return out
 
     def checkpoint(self) -> Checkpoint:
+        """The run's state; its tensors are the live arrays, so save it before the next step."""
         rs = self.rng.bit_generator.state
         state = {
             "step": str(self.step),
@@ -212,8 +213,8 @@ class Trainer:
             "rng_uinteger": str(rs["uinteger"]),
             **_environment(),
         }
-        tensors = {k: v.copy() for k, v in self._named_state_tensors().items()}
-        return Checkpoint(config_text=canonical_text(self.cfg), state=state, tensors=tensors)
+        return Checkpoint(config_text=canonical_text(self.cfg), state=state,
+                          tensors=self._named_state_tensors())
 
     def _restore(self, ckpt: Checkpoint) -> None:
         st = {}

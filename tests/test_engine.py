@@ -48,7 +48,6 @@ from profforce.tensor import (
     softmax_cross_entropy_rows,
     stop_recording,
     sum_all,
-    transpose,
     zero_grads,
 )
 from profforce.trainer import Trainer
@@ -93,7 +92,7 @@ class TestTeacherForcedUnroll:
         prev = g.start_id
         for t in range(3):
             h, pre = gru_oracle(cell, h, emb[prev])
-            logits = h @ g.head.W_o.data.T + g.head.b_o.data
+            logits = h @ g.head.W_o.data + g.head.b_o.data
             np.testing.assert_allclose(res.logits.data[t, 0], logits, atol=1e-12)
             np.testing.assert_allclose(res.hidden.data[t, 0], h, atol=1e-12)
             np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
@@ -281,7 +280,6 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
     a temperature-1 draw with probability ``p_sample``.  Mirrors the
     one-node unroll draw for draw, so both consume the same randomness.
     """
-    w_head = transpose(g.head.W_o)
     states = [Tensor(np.zeros((batch, c.hidden_size))) for c in g.cells]
     prev = np.full(batch, g.start_id, dtype=np.int64)
     sampled = np.empty((batch, t_len), dtype=np.int64)
@@ -294,7 +292,7 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
         for i, cell in enumerate(g.cells):
             x, pre = gru_step(cell, states[i], x)
             states[i] = x
-        lg = add(matmul(x, w_head), g.head.b_o)
+        lg = add(matmul(x, g.head.W_o), g.head.b_o)
         probs = softmax(scale(lg, 1.0 / temperature))
         logits.append(lg)
         hidden.append(x)
@@ -993,7 +991,7 @@ class TestTapeNodeCeiling:
     records fewer nodes lowers them; none may raise them.
     """
 
-    PF_CEILING = 39
+    PF_CEILING = 35
     TF_CEILING = 2
 
     def _one_step(self, monkeypatch, tmp_path, mode):

@@ -9,6 +9,7 @@ from profforce.nets import (
     BiGruParams,
     GruCellParams,
     MlpParams,
+    OutputHeadParams,
     bigru_encode,
     gru_sequence,
     gru_step,
@@ -259,6 +260,19 @@ class TestInit:
         assert cell.W.shape == (3, 15) and cell.U.shape == (5, 15) and cell.b.shape == (15,)
         assert all(t.data.flags.c_contiguous for _, t in cell.named())
 
+    def test_mlp_and_head_store_transposed_draws(self):
+        # Each layer draws [out, in] and stores its transpose [in, out], C-ordered.
+        mlp = MlpParams.create([3, 4, 1], np.random.default_rng(11))
+        head = OutputHeadParams.create(6, 5, np.random.default_rng(12))
+        rng = np.random.default_rng(11)
+        drawn = [init_params("weight", (4, 3), rng).data, init_params("weight", (1, 4), rng).data]
+        for (w, _), want in zip(mlp.layers, drawn):
+            np.testing.assert_array_equal(w.data, want.T)
+        np.testing.assert_array_equal(
+            head.W_o.data, init_params("weight", (6, 5), np.random.default_rng(12)).data.T)
+        assert head.W_o.shape == (5, 6)
+        assert all(t.data.flags.c_contiguous for _, t in mlp.named() + head.named())
+
     def test_biases_exactly_zero(self):
         cell = GruCellParams.create(5, 3, np.random.default_rng(8))
         np.testing.assert_array_equal(cell.b.data, np.zeros(15))
@@ -287,7 +301,7 @@ class TestMlp:
         x = rng.uniform(-1, 1, (5, 4))
         got = mlp_forward(mlp, Tensor(x)).data
         w, b = mlp.layers[0]
-        np.testing.assert_allclose(got, x @ w.data.T + b.data, atol=1e-12)
+        np.testing.assert_allclose(got, x @ w.data + b.data, atol=1e-12)
 
     def test_relu_between_but_not_after_last(self):
         neg = Tensor(-np.eye(2))
@@ -303,7 +317,7 @@ class TestMlp:
 
     def test_layer_sizes(self):
         mlp = MlpParams.create([6, 9, 9, 9, 1], np.random.default_rng(13))
-        assert [w.shape for w, _ in mlp.layers] == [(9, 6), (9, 9), (9, 9), (1, 9)]
+        assert [w.shape for w, _ in mlp.layers] == [(6, 9), (9, 9), (9, 9), (9, 1)]
         with pytest.raises(ValueError):
             MlpParams.create([4], np.random.default_rng(14))
 

@@ -1,9 +1,11 @@
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
 import profforce
+from profforce.checkpoint import MAGIC
 
 MODULES = ["profforce"] + [f"profforce.{m.name}"
                            for m in pkgutil.iter_modules(profforce.__path__)]
@@ -14,3 +16,8 @@ def test_every_exported_name_resolves(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert missing == [], f"{name}.__all__ names what the module lacks: {missing}"
+
+
+def test_readme_quotes_checkpoint_format():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    assert f"`{MAGIC.decode('ascii')}`" in readme

@@ -1,11 +1,12 @@
 import logging
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from profforce.checkpoint import CheckpointError, load_checkpoint
-from profforce.config import TrainConfig
+from profforce.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from profforce.config import TrainConfig, build_config
 from profforce.trainer import (
     Trainer,
     TrainingDiverged,
@@ -269,6 +270,38 @@ class TestResumeEnvironment:
         [record] = caplog.records
         assert f"numpy unknown -> {np.__version__}" in record.getMessage()
         assert "blas_threads unknown -> " in record.getMessage()
+
+
+class TestCheckpointPeakMemory:
+    """Saving and loading a desk-copy pf checkpoint each hold about two
+    copies of it at once (traced by tracemalloc, which numpy reports to)."""
+
+    LIMIT = 2.5   # peak traced bytes over the file size
+
+    @pytest.fixture
+    def desk(self, tmp_path):
+        trainer = Trainer(build_config(None, "desk-copy", [], {"seed": 1}), tmp_path)
+        return trainer, tmp_path / "m.ckpt"
+
+    @staticmethod
+    def _peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_checkpoint_and_save(self, desk):
+        trainer, path = desk
+        peak = self._peak(lambda: save_checkpoint(trainer.checkpoint(), path))
+        assert peak < self.LIMIT * path.stat().st_size
+
+    def test_load(self, desk):
+        trainer, path = desk
+        save_checkpoint(trainer.checkpoint(), path)
+        peak = self._peak(lambda: load_checkpoint(path))
+        assert peak < self.LIMIT * path.stat().st_size
 
 
 class TestGeneratorFromCheckpoint:
