@@ -45,12 +45,6 @@ class Checkpoint:
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
 
 
-def _pack_tensor(arr: np.ndarray) -> bytes:
-    arr = np.ascontiguousarray(arr, dtype=np.float64)
-    head = struct.pack("<I", arr.ndim) + b"".join(struct.pack("<I", d) for d in arr.shape)
-    return head + arr.astype("<f8").tobytes()
-
-
 def _unpack_tensor(name: str, body: memoryview) -> np.ndarray:
     if len(body) < 4:
         raise CheckpointError(f"section {name!r}: truncated tensor header")
@@ -82,24 +76,34 @@ def _decode_state(body: memoryview) -> dict[str, str]:
     return out
 
 
-def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    sections: list[tuple[str, bytes]] = [
-        ("config", ckpt.config_text.encode("utf-8")),
-        ("state", _encode_state(ckpt.state)),
-    ]
-    sections.extend((name, _pack_tensor(arr)) for name, arr in sorted(ckpt.tensors.items()))
-
-    payload = bytearray(struct.pack("<I", len(sections)))
+def _payload(ckpt: Checkpoint):
+    """What lies between the magic and the CRC, piece by piece as each
+    section is packed; a tensor body is its array's own bytes."""
+    sections = [("config", ckpt.config_text.encode("utf-8")),
+                ("state", _encode_state(ckpt.state)), *sorted(ckpt.tensors.items())]
+    yield struct.pack("<I", len(sections))
     for name, body in sections:
+        if isinstance(body, np.ndarray):   # u32 rank, u32 dims, then <f8 values
+            arr = np.ascontiguousarray(body, dtype="<f8")
+            body = (struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
+                    arr.reshape(-1).view(np.uint8))
+        else:
+            body = (body,)
         raw = name.encode("utf-8")
-        payload += struct.pack("<I", len(raw)) + raw
-        payload += struct.pack("<Q", len(body)) + body
-    crc = struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF)
+        yield from (struct.pack("<I", len(raw)), raw, struct.pack("<Q", sum(map(len, body))),
+                    *body)
 
+
+def save_checkpoint(ckpt: Checkpoint, path) -> None:
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
+    crc = 0
     with open(tmp, "wb") as f:
-        f.writelines((MAGIC, payload, crc))
+        f.write(MAGIC)
+        for piece in _payload(ckpt):   # written as packed, under a running CRC
+            f.write(piece)
+            crc = zlib.crc32(piece, crc)
+        f.write(struct.pack("<I", crc))
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, path)

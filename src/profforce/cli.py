@@ -93,10 +93,12 @@ def cmd_train(args) -> int:
 
 
 def _decode_rows(rows: np.ndarray, vocab_symbols: str | None) -> list[str]:
+    """Each row once as a Python list, each symbol through a string table."""
     if vocab_symbols:
-        alphabet = [chr(int(c)) for c in vocab_symbols.split(",")]
-        return ["".join(alphabet[i] for i in row) for row in rows]
-    return [" ".join(str(int(i)) for i in row) for row in rows]
+        table, sep = [chr(int(c)) for c in vocab_symbols.split(",")], ""
+    else:
+        table, sep = [str(i) for i in range(int(rows.max(initial=0)) + 1)], " "
+    return [sep.join([table[i] for i in row]) for row in rows.tolist()]
 
 
 def cmd_sample(args) -> int:

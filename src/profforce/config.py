@@ -62,6 +62,7 @@ class TrainConfig:
     freeze_discriminator: bool = False
     ss_start: float = 0.0
     ss_end: float = 0.25
+    ss_ramp_steps: int | None = None   # frozen to max_steps when an ss run starts
     lr: float = 1e-4
     batch_n: int = 8
     max_steps: int = 200
@@ -197,6 +198,8 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError("need 1 <= copy_pattern_len <= seq_len")
     if not 0.0 <= cfg.ss_start <= 1.0 or not 0.0 <= cfg.ss_end <= 1.0:
         raise ConfigError("scheduled-sampling probabilities must lie in [0, 1]")
+    if cfg.ss_ramp_steps is not None and cfg.ss_ramp_steps < 1:
+        raise ConfigError("ss_ramp_steps must be positive")
     if cfg.lr <= 0.0 or cfg.temperature <= 0.0:
         raise ConfigError("lr and temperature must be positive")
     if cfg.adversarial_weight < 0.0:

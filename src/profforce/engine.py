@@ -3,9 +3,10 @@
 A generator RNN is unrolled in two regimes over the same minibatch:
 teacher forced, where each step reads the ground-truth previous symbol,
 and free running, where each step reads the model's own sample.  One
-step loop serves every regime; the regimes differ only in which symbol
-it feeds back.  Scheduled sampling spans them with one probability:
-p = 0 is teacher forcing and p = 1 is free running.
+step loop serves every regime, row by row in one batch; the regimes
+differ only in which symbol it feeds back.  Scheduled sampling spans
+them with one probability: p = 0 is teacher forcing and p = 1 is free
+running.
 :func:`unroll_teacher_forced`, :func:`unroll_free_running` and
 :func:`scheduled_sampling_unroll` check their arguments and run that
 loop.  Every unroll emits its logits, its behavior (the GRU candidate
@@ -33,9 +34,9 @@ reaches the generator only while the discriminator's batch accuracy is
 above 0.75, and the discriminator itself stops updating once its
 accuracy exceeds 0.99.
 
-A training step stacks both behaviors into one batch, teacher-forced
-rows first, runs the discriminator on it once and sweeps its tape at
-most once; every term above comes from that forward and that sweep
+A training step unrolls both regimes as one batch, teacher-forced rows
+first, runs the discriminator on its behavior once and sweeps its tape
+at most once; every term above comes from that forward and that sweep
 (see :func:`train_step`).  Both run inside :func:`nets.workspace`, whose
 slab holds the discriminator's GRU arrays from one step to the next.
 """
@@ -70,7 +71,6 @@ from .tensor import (
     add,
     backward,
     clip,
-    concat,
     is_recording,
     log,
     mean_axis0,
@@ -225,7 +225,7 @@ class UnrollResult:
     logits: Tensor                       # [T, B, V]
     behavior: Tensor                     # [T, B, width]
     hidden: Tensor                       # [T, B, H] top-layer states
-    sampled: np.ndarray                  # [B, T] draws if free running, else fed symbols
+    sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: Tensor | None = None            # with targets: cross entropy, batch mean
     used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
 
@@ -266,15 +266,16 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             include_outputs: bool) -> UnrollResult:
     """The one step loop behind every unroll, recorded as one tape node.
 
-    Each step looks up the fed symbol's embedding, runs every GRU layer
-    once, applies the output head and fills the step's rows.  With
-    ``ids`` (the [B, T] targets) it feeds the next step the true
-    symbol, or with probability ``p_sample`` a draw from the model;
-    draws are made only when a next step exists, and never at
-    ``p_sample`` 0.  The rows' cross entropy against the targets gives
-    ``nll``.  With ``ids`` None it runs free: every step, the last
-    included, draws from softmax(logits / temperature), and the
-    behavior's softmax rows are tempered alike.
+    Each step looks up the fed symbols' embeddings, runs every GRU layer
+    once, applies the output head and fills the step's rows.  Rows
+    [0, n) of the [n, T] targets ``ids`` (n = 0 if None) feed the next
+    step the true symbol, or with probability ``p_sample`` a draw at
+    temperature 1 (only when a next step exists); their cross entropy
+    gives ``nll``.  Rows [n, batch) run free: every step draws from
+    softmax(logits / temperature), tempered alike in the behavior, with
+    uniforms drawn up front by one ``rng.random((T, batch - n, 1))`` (the
+    values of one ``rng.random(batch - n)`` per step); a draw counts the
+    first V-1 CDF columns below its uniform.
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     allocated before the first step; layer 0 reads ``x W + b`` from a
@@ -283,9 +284,12 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     the logits, behavior and hidden tensors and ``nll`` (see
     :func:`_unroll_backward`).
     """
+    if not 0.0 <= p_sample <= 1.0:
+        raise ValueError(f"p_sample {p_sample} outside [0, 1]")
     emb = g.embedding.data
     w_head, b_head = g.head.W_o.data, g.head.b_o.data
     vocab, top = g.vocab_size, g.hidden_size
+    n_tf = 0 if ids is None else ids.shape[0]
     taped = is_recording()
     kept = t_len if taped else 1   # step rows each cache keeps
     # The outputs: logits, behavior and the top layer's states, [T, B, .] each.
@@ -302,51 +306,56 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
                        np.empty((kept, 2, batch, h)), np.empty((kept, batch, h)), pre,
                        np.empty((kept, batch, h))))
     hidden = layers[-1][5][1:]
-    prev = np.full(batch, g.start_id, dtype=np.int64)
-    fed = np.empty((t_len, batch), dtype=np.int64)
-    draws = np.empty((batch, t_len), dtype=np.int64)
-    used = np.zeros((batch, t_len), dtype=bool)
+    nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
+    nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
+    used = np.zeros((n_tf, t_len), dtype=bool)
+    # Softmax rows [lo, batch): the free rows, and the targeted ones if read.
+    lo = 0 if include_outputs or p_sample > 0.0 else n_tf
+    inv_t = np.where(np.arange(batch)[:, None] < n_tf, 1.0, 1.0 / temperature)
+    tempered = temperature != 1.0 and n_tf < batch   # else x * 1.0 is x: skip it
+    probs = np.empty((batch - lo, vocab))
+    u = rng.random((t_len, batch - n_tf, 1)) if n_tf < batch else None
+    cdf, below = np.empty((batch - n_tf, vocab - 1)), np.empty((batch - n_tf, vocab - 1), bool)
     for t in range(t_len):
-        fed[t] = prev
         for i, (xb, U_zr, U_c, W, b, hs, zr, rh, pre, c) in enumerate(layers):
             if i:
                 np.matmul(x, W, out=xb)
                 xb += b
             else:
-                W.take(prev, axis=1, out=xb)
+                W.take(nxt[t], axis=1, out=xb)
             k, x = t % kept, hs[(t + 1) % len(hs)]
             _gru_step_into(U_zr, U_c, hs[t % len(hs)], xb, zr[k], rh[k], pre[t % len(pre)],
                            c[k], x)
         lg = np.matmul(x, w_head, out=logits[t])
         lg += b_head
-        probs = (_stable_softmax(lg * (1.0 / temperature))
-                 if include_outputs or p_sample > 0.0 else None)
-        if include_outputs:
-            behavior[t, :, top:] = probs
-        if ids is None:
-            prev = draws[:, t] = sample_rows(rng, probs)
-            continue
-        prev = ids[:, t]
-        if t + 1 < t_len and p_sample > 0.0:
-            coin = np.ones(batch, dtype=bool) if p_sample >= 1.0 else rng.random(batch) < p_sample
+        if lo < batch:
+            p = behavior[t, lo:, top:] if include_outputs else probs
+            _stable_softmax(np.multiply(lg[lo:], inv_t[lo:], out=p) if tempered else lg[lo:],
+                            out=p)
+        if n_tf < batch:
+            p[n_tf - lo:, :-1].cumsum(axis=1, out=cdf)
+            np.less(cdf, u[t], out=below)
+            below.sum(axis=1, out=nxt[t + 1, n_tf:])
+        if n_tf and t + 1 < t_len and p_sample > 0.0:
+            coin = np.ones(n_tf, dtype=bool) if p_sample >= 1.0 else rng.random(n_tf) < p_sample
             if coin.any():
-                prev = np.where(coin, sample_rows(rng, probs), prev)
+                nxt[t + 1, :n_tf] = np.where(coin, sample_rows(rng, p[:n_tf]), ids[:, t])
             used[:, t + 1] = coin
     outs = tuple(Tensor(a, copy=False) for a in (logits, behavior, hidden))
-    res = UnrollResult(*outs, draws)
+    res = UnrollResult(*outs, np.concatenate((nxt[:-1, :n_tf], nxt[1:, n_tf:]), axis=1).T.copy())
     soft = None
-    if ids is not None:
-        # Rows in step order, as [T * B, V]: the sum runs in the order
+    if n_tf:
+        # Rows in step order, as [T * n, V]: the sum runs in the order
         # loss_nll's does.
-        xent, e, s = _cross_entropy_rows(logits.reshape(-1, vocab), ids.T.reshape(-1))
-        res.nll = Tensor(np.sum(xent) * (1.0 / batch), copy=False)
-        res.sampled, res.used_sample = fed.T.copy(), used
+        xent, e, s = _cross_entropy_rows(logits[:, :n_tf].reshape(-1, vocab), ids.T.reshape(-1))
+        res.nll = Tensor(np.sum(xent) * (1.0 / n_tf), copy=False)
+        res.used_sample = used
         outs += (res.nll,)
         if taped:
-            soft = (e / s[:, None]).reshape(t_len, batch, -1)
+            soft = (e / s[:, None]).reshape(t_len, n_tf, -1)
     if taped:
         caches = [(hs, zr, rh, c) for *_, hs, zr, rh, _, c in layers]
-        back = _unroll_backward(g, caches, fed, behavior, soft, ids, temperature,
+        back = _unroll_backward(g, caches, nxt[:-1], behavior, soft, ids, inv_t,
                                 include_outputs)
         _record(outs, tuple(g.tensors()), back)
     return res
@@ -354,49 +363,54 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
 
 def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
                      behavior: np.ndarray, soft: np.ndarray | None,
-                     ids: np.ndarray | None, temperature: float, include_outputs: bool):
+                     ids: np.ndarray | None, inv_t: np.ndarray, include_outputs: bool):
     """The backward closure of one unroll node.
 
     ``caches[i]`` holds layer i's states, zr, rh and c, ``fed`` the
-    [T, B] symbols read, ``behavior`` the behavior array and, with
-    targets, ``soft`` every logits row's softmax.  The closure takes the
-    gradients of the logits, behavior and hidden outputs and of ``nll``
-    (None for one the loss does not reach), forms the logits' gradient
-    (from the logits, ``nll`` and the behavior's softmax columns), takes
-    the head's and top states' gradients in one product each, runs
-    :func:`_gru_bptt` per layer from the top and scatters the bottom
-    layer's input gradient into the embedding.  The bottom inputs are
-    looked up again, as no update runs before every sweep has.  Returns
-    one gradient per input, in ``g.tensors()`` order.
+    [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
+    row's inverse temperature and, with targets, ``soft`` every targeted
+    logits row's softmax.  The closure takes the gradients of the
+    logits, behavior and hidden outputs and of ``nll`` (None for one the
+    loss does not reach), forms the logits' gradient (from the logits,
+    ``nll`` and the behavior's softmax columns), takes the head's and
+    top states' gradients in one product each, runs :func:`_gru_bptt`
+    per layer from the top and scatters the bottom layer's input
+    gradient into the embedding.  Rows are independent, so when only
+    ``nll`` is reached it runs the targeted rows alone.  The bottom
+    inputs are looked up again, as no update runs before every sweep
+    has.  Returns one gradient per input, in ``g.tensors()`` order.
     """
     t_len, batch = fed.shape
+    n_tf = 0 if ids is None else ids.shape[0]
     emb, w_o = g.embedding.data, g.head.W_o.data
     top, vocab = w_o.shape
 
     def back(g_lg, g_beh, g_hid, g_nll=None):
-        d_lg = np.zeros((t_len, batch, vocab)) if g_lg is None else np.array(g_lg)
+        n = n_tf if g_lg is None and g_beh is None and g_hid is None else batch
+        d_lg = np.zeros((t_len, n, vocab)) if g_lg is None else np.array(g_lg)
         if g_nll is not None:
             p = soft.copy()
-            p[np.arange(t_len)[:, None], np.arange(batch), ids.T] -= 1.0
-            d_lg += p * (g_nll * (1.0 / batch))
+            p[np.arange(t_len)[:, None], np.arange(n_tf), ids.T] -= 1.0
+            d_lg[:, :n_tf] += p * (g_nll * (1.0 / n_tf))
         g_pre = None if g_beh is None else g_beh[..., :top]
         if g_beh is not None and include_outputs:
             sm, gp = behavior[..., top:], g_beh[..., top:]
-            d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * (1.0 / temperature)
-        d_lg = d_lg.reshape(t_len * batch, vocab)
-        d_out = (d_lg @ w_o.T).reshape(t_len, batch, top)
+            d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * inv_t
+        d_lg = d_lg.reshape(t_len * n, vocab)
+        d_out = (d_lg @ w_o.T).reshape(t_len, n, top)
         if g_hid is not None:
             d_out += g_hid
-        d_wo = caches[-1][0][1:].reshape(t_len * batch, top).T @ d_lg
+        d_wo = caches[-1][0][1:, :n].reshape(t_len * n, top).T @ d_lg
         cell_grads = []
         for i in range(len(g.cells) - 1, -1, -1):
             hs, zr, rh, c = caches[i]
-            x = caches[i - 1][0][1:] if i else emb[fed]
-            d_out, d_w, d_u, d_b, _ = _gru_bptt(g.cells[i], x, hs[:-1], zr, rh, c, d_out, g_pre)
+            x = caches[i - 1][0][1:, :n] if i else emb[fed[:, :n]]
+            d_out, d_w, d_u, d_b, _ = _gru_bptt(g.cells[i], x, hs[:-1, :n], zr[:, :, :n],
+                                                rh[:, :n], c[:, :n], d_out, g_pre)
             g_pre = None   # only the top layer's candidate is in the behavior
             cell_grads[:0] = [d_w, d_u, d_b]
         d_emb = np.zeros_like(emb)
-        np.add.at(d_emb, fed.reshape(-1), d_out.reshape(t_len * batch, -1))
+        np.add.at(d_emb, fed[:, :n].reshape(-1), d_out.reshape(t_len * n, -1))
         return (d_emb, *cell_grads, d_wo, d_lg.sum(axis=0))
 
     return back
@@ -424,7 +438,7 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError(f"batch must be at least 1, got {batch}")
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    return _unroll(g, None, t_len, batch, 1.0, rng, temperature, include_outputs)
+    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
 
 
 def scheduled_sampling_unroll(g: GeneratorParams, y_seq, p_sample: float,
@@ -438,8 +452,6 @@ def scheduled_sampling_unroll(g: GeneratorParams, y_seq, p_sample: float,
     teacher-forced unroll exactly, while p_sample = 1 draws precisely
     like the free-running unroll.
     """
-    if not 0.0 <= p_sample <= 1.0:
-        raise ValueError(f"p_sample {p_sample} outside [0, 1]")
     ids = _target_ids(g, y_seq)
     return _unroll(g, ids, ids.shape[1], ids.shape[0], p_sample, rng, 1.0, include_outputs)
 
@@ -537,9 +549,12 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
 
     Order of work:
 
-    1. On the generator tape, unroll both regimes and stack their
-       behaviors into one ``[T, 2B, width]`` tensor, teacher-forced rows
-       first.
+    1. On the generator tape, unroll both regimes in one ``[T, 2B, .]``
+       unroll: rows [0, B) are fed the targets (ss or tf) and rows
+       [B, 2B) run free at ``temperature``.  Its behavior is the stack
+       the discriminator reads, teacher-forced rows first; its ``nll``
+       covers rows [0, B), and when only ``nll`` reaches it the
+       backward runs those rows alone.
     2. Run the discriminator once, on a detached leaf of that stack, on
        a tape of its own and inside the workspace (through step 3).  Its
        probabilities give the accuracy, the gate, c_d and the
@@ -562,11 +577,11 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        runs before every sweep has finished.
 
     When the adversarial weight is zero and the discriminator is frozen
-    the free-running unroll and all discriminator work are skipped
-    entirely; the corresponding metrics are reported as nan.  This keeps
+    the unroll runs the B targeted rows alone and all discriminator work
+    is skipped; the corresponding metrics are reported as nan.  This keeps
     plain teacher forcing and scheduled sampling on the same code path.
     """
-    ids = _as_batch_ids(y_batch)
+    ids = _target_ids(g, y_batch)
     b, t_len = ids.shape
     run_adv = settings.adversarial_weight != 0.0 or not settings.freeze_discriminator
 
@@ -577,14 +592,12 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     d_params = d.tensors()
 
     with Tape() as gen_tape:
-        ss = scheduled_sampling_unroll(g, ids, p_sample, rng,
-                                       include_outputs=settings.include_outputs)
-        loss = scale(ss.nll, 1.0 / t_len)
+        # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
+        res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng,
+                      settings.temperature, settings.include_outputs)
+        loss = scale(res.nll, 1.0 / t_len)
         if run_adv:
-            fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
-                                     batch=b, include_outputs=settings.include_outputs)
-            stacked = concat((ss.behavior, fr.behavior), axis=1)
-            leaf = stacked.detach()
+            leaf = res.behavior.detach()
             with workspace():   # the D tape's GRU arrays; it dies with the step
                 with Tape() as d_tape:
                     p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
@@ -606,7 +619,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                 tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
                 rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
                 leaf.grad *= (-settings.adversarial_weight * rows)[:, None]
-                loss = add(loss, sum_all(mul(stacked, Tensor(leaf.grad, copy=False))))
+                loss = add(loss, sum_all(mul(res.behavior, Tensor(leaf.grad, copy=False))))
 
     g_params = g.tensors()
     zero_grads(g_params)
@@ -615,6 +628,6 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     if update_d:
         adam_step(d_adam, d_params, [p.grad for p in d_params])
 
-    nll_per_step = float(ss.nll.data) / t_len
+    nll_per_step = float(res.nll.data) / t_len
     metrics.update(nll_per_step=nll_per_step, bpc=nll_per_step / math.log(2.0))
     return metrics

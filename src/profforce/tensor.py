@@ -190,8 +190,11 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None) -
             if gi is None:
                 continue
             if t.grad is None:
-                # Own the array: backward closures may hand out views.
-                t.grad = np.array(gi)
+                # Take a fresh array as it is; copy a view or a gradient
+                # the node received, which other tensors may hold too.
+                fresh = (isinstance(gi, np.ndarray) and gi.base is None
+                         and not any(gi is g for g in grads))
+                t.grad = gi if fresh else np.array(gi)
             else:
                 t.grad += gi
     if params is not None:
@@ -314,10 +317,12 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-def _stable_softmax(x: np.ndarray) -> np.ndarray:
-    m = np.max(x, axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    return e / np.sum(e, axis=-1, keepdims=True)
+def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written into ``out`` if given (``x`` may be it)."""
+    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
+    return out
 
 
 def softmax(a: Tensor) -> Tensor:

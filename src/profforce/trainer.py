@@ -3,7 +3,7 @@
 The modes differ only in the per-step settings handed to the engine:
 teacher forcing is professor forcing with a zero adversarial weight and
 a frozen discriminator, and scheduled sampling additionally ramps the
-feed-own-sample probability linearly over the run.
+feed-own-sample probability linearly over ``ss_ramp_steps`` steps.
 
 Determinism contract: given one config (seed included), the metrics
 rows, final parameters and checkpoints are bit-identical between runs,
@@ -84,6 +84,13 @@ def _environment() -> dict[str, str]:
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     return {"blas": blas, "blas_threads": threads or str(os.cpu_count()),
             "numpy": np.__version__, "python": platform.python_version()}
+
+
+def _freeze_ramp(cfg: TrainConfig) -> None:
+    """An ss run's ramp spans the ``max_steps`` it starts with, so a resume
+    to more steps continues it; the checkpointed config records it."""
+    if cfg.mode == "scheduled_sampling" and cfg.ss_ramp_steps is None:
+        cfg.ss_ramp_steps = cfg.max_steps
 
 
 def effective_settings(cfg: TrainConfig) -> EngineSettings:
@@ -168,6 +175,7 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[GeneratorParams, TrainC
 class Trainer:
     def __init__(self, cfg: TrainConfig, out_dir, resume: Checkpoint | None = None):
         validate_config(cfg)
+        _freeze_ramp(cfg)
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.train_set, self.val_set, self.cfg = build_datasets(cfg)
@@ -255,6 +263,7 @@ class Trainer:
     def resume(cls, checkpoint_path, out_dir, max_steps: int | None = None) -> "Trainer":
         ckpt = load_checkpoint(checkpoint_path)
         cfg = config_from_text(ckpt.config_text)
+        _freeze_ramp(cfg)   # before max_steps moves: a file written without the key
         if max_steps is not None:
             cfg.max_steps = max_steps
         return cls(cfg, out_dir, resume=ckpt)
@@ -272,7 +281,7 @@ class Trainer:
     def _p_sample(self, step: int) -> float:
         if self.cfg.mode != "scheduled_sampling":
             return 0.0
-        span = max(self.cfg.max_steps - 1, 1)
+        span = max(self.cfg.ss_ramp_steps - 1, 1)
         frac = min(step, span) / span
         return self.cfg.ss_start + (self.cfg.ss_end - self.cfg.ss_start) * frac
 

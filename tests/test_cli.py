@@ -162,6 +162,19 @@ class TestSampleCommand:
         assert len(lines) == 2
         assert all(set(l) <= {"a", "b"} and len(l) == 10 for l in lines)
 
+    @pytest.mark.parametrize("vocab_symbols", [None, "97,98,10,233,32,48,9731,44,57,1000"])
+    def test_decode_rows_matches_per_symbol_decoding(self, vocab_symbols):
+        from profforce.cli import _decode_rows
+        rows = np.random.default_rng(11).integers(0, 10, (5, 37))
+        if vocab_symbols:
+            alphabet = [chr(int(c)) for c in vocab_symbols.split(",")]
+            expected = ["".join(alphabet[i] for i in row) for row in rows]
+        else:
+            expected = [" ".join(str(int(i)) for i in row) for row in rows]
+        got = _decode_rows(rows, vocab_symbols)
+        assert "\n".join(got).encode("utf-8") == "\n".join(expected).encode("utf-8")
+        assert _decode_rows(rows[:, :0], vocab_symbols) == [""] * 5
+
     @pytest.mark.parametrize("count", ["0", "-1"])
     def test_nonpositive_count_exits_2(self, trained, capsys, count):
         assert main(["sample", str(trained / "final.ckpt"), "--count", count]) == 2

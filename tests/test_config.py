@@ -154,6 +154,7 @@ class TestValidate:
         ("batch_n", -1, "positive"),
         ("ss_start", 1.5, "probabilities"),
         ("ss_end", -0.1, "probabilities"),
+        ("ss_ramp_steps", 0, "positive"),
         ("lr", 0.0, "positive"),
         ("temperature", -1.0, "positive"),
         ("adversarial_weight", -0.5, "nonnegative"),

@@ -452,6 +452,114 @@ class TestTapedMatchesUntaped:
             np.testing.assert_array_equal(taped_outs[5], plain_outs[5])
 
 
+def per_step_softmax(x):
+    """The per-step tempered softmax the buffered draw replaced."""
+    e = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    return e / np.sum(e, axis=-1, keepdims=True)
+
+
+class TestBufferedDraws:
+    """Free-running rows take their uniforms up front and draw into
+    preallocated buffers; ids, softmax rows and the rng stream must be
+    those of one ``sample_rows`` call per step on softmax(logits / T)."""
+
+    @pytest.mark.parametrize("temperature", [1.0, 0.7, 2.0])
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("targeted", [0, 2], ids=["free", "with_targeted_rows"])
+    @pytest.mark.parametrize("taped", [False, True])
+    def test_matches_per_step_sample_rows(self, temperature, batch, include_outputs, layers,
+                                          targeted, taped):
+        g = tiny_generator(seed=400 + batch, layers=layers)
+        g.head.b_o.data[:] = np.random.default_rng(401).uniform(-1, 1, 4)
+        t_len, top = 7, g.hidden_size
+        ids = np.random.default_rng(402).integers(0, 4, (targeted, t_len))
+        rng = np.random.default_rng(403)
+        with Tape() if taped else stop_recording():
+            res = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
+                                 rng, temperature, include_outputs)
+        ref = np.random.default_rng(403)
+        for t in range(t_len):
+            lg = res.logits.data[t]
+            probs = per_step_softmax(lg[targeted:] * (1.0 / temperature))
+            np.testing.assert_array_equal(res.sampled[targeted:, t], sample_rows(ref, probs))
+            if include_outputs:
+                np.testing.assert_array_equal(res.behavior.data[t, targeted:, top:], probs)
+                np.testing.assert_array_equal(res.behavior.data[t, :targeted, top:],
+                                              per_step_softmax(lg[:targeted] * 1.0))
+        assert rng.bit_generator.state == ref.bit_generator.state
+        if targeted:
+            np.testing.assert_array_equal(res.sampled[:targeted, 1:], ids[:, :-1])
+            tf = unroll_teacher_forced(g, ids, include_outputs=include_outputs)
+            assert res.nll.data == tf.nll.data
+            for ours, alone in zip((res.logits, res.behavior, res.hidden),
+                                   (tf.logits, tf.behavior, tf.hidden)):
+                np.testing.assert_array_equal(ours.data[:, :targeted], alone.data)
+
+    def test_cdf_edges_draw_as_sample_rows_does(self):
+        # A head whose softmax sums, left to right, to less than the
+        # largest double below 1: a uniform above the CDF's end draws the
+        # last symbol, as the clamp of sample_rows does, and a uniform
+        # equal to a CDF entry counts only the entries strictly below it.
+        top_u = np.nextafter(1.0, 0.0)
+        search = np.random.default_rng(404)
+        for _ in range(1000):
+            bias = search.uniform(-3, 3, 4)
+            cdf = np.cumsum(per_step_softmax(bias))
+            if cdf[-1] < top_u and cdf[0] < cdf[1]:
+                break
+        else:
+            pytest.fail("no head found whose CDF ends below 1")
+
+        class FixedUniforms:
+            def __init__(self, u):
+                self.u = u
+
+            def random(self, shape):
+                return np.full(shape, self.u)
+
+        g = zeroed(tiny_generator())   # logits are the head's bias at every step
+        g.head.b_o.data[:] = bias
+        for u, symbol in ((top_u, 3), (cdf[1], 1)):
+            expected = sample_rows(FixedUniforms(u), per_step_softmax(bias))
+            assert expected.tolist() == [symbol]
+            for include_outputs in (False, True):
+                res = unroll_free_running(g, 3, FixedUniforms(u), batch=2,
+                                          include_outputs=include_outputs)
+                np.testing.assert_array_equal(res.sampled, np.full((2, 3), symbol))
+
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_nll_only_backward_runs_the_targeted_rows_alone(self, monkeypatch, include_outputs,
+                                                            layers):
+        # A gate-closed step: only nll reaches the 2B-row unroll, and its
+        # gradients are those of a B-row teacher-forced unroll, bit for bit.
+        b, t_len = 4, 6
+        ids = np.random.default_rng(405).integers(0, 4, (b, t_len))
+        grads, bptt_rows, bptt = [], [], engine._gru_bptt
+
+        def counting_bptt(cell, x, h_prev, *rest):
+            bptt_rows.append(h_prev.shape[1])
+            return bptt(cell, x, h_prev, *rest)
+
+        monkeypatch.setattr(engine, "_gru_bptt", counting_bptt)
+        for merged in (True, False):
+            g = tiny_generator(seed=406, layers=layers)
+            with Tape() as tape:
+                res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
+                                      0.8, include_outputs) if merged
+                       else unroll_teacher_forced(g, ids, include_outputs=include_outputs))
+                loss = scale(res.nll, 1.0 / t_len)
+            params = g.tensors()
+            zero_grads(params)
+            backward(tape, loss, params=params)
+            grads.append([p.grad for p in params])
+        assert bptt_rows == [b] * (2 * layers)
+        for ours, alone in zip(*grads):
+            np.testing.assert_array_equal(ours, alone)
+
+
 class TestUnrollMemory:
     def test_untaped_unroll_keeps_no_step_caches(self):
         # An untaped unroll should hold at its peak little more than what
@@ -948,6 +1056,41 @@ class TestDiscriminatorWorkspace:
                 np.testing.assert_array_equal(a, b)
 
 
+class TestGradientOwnership:
+    """``backward`` keeps a closure's fresh gradient as it is and copies a
+    view or a gradient the node received; no two tensors may end up
+    holding one array."""
+
+    def test_pf_step_grads_share_no_memory_and_sweep_again_alike(self, monkeypatch):
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
+        swept, sweep = [], engine.backward
+
+        def recording(tape, loss, params=None):
+            swept.append((tape, loss, params))
+            return sweep(tape, loss, params)
+
+        monkeypatch.setattr(engine, "backward", recording)
+        g, d, y, ga, da = build_step_fixture(seed=104)
+        m = train_step(g, d, y, EngineSettings(use_ct=True, include_outputs=False), 0.0,
+                       np.random.default_rng(105), ga, da)
+        assert m["gate_gen"] and m["gate_disc"] and len(swept) == 2
+        tensors = {id(t): t for tape, _, _ in swept
+                   for outs, ins, _ in tape.nodes for t in outs + ins}
+        grads = [t.grad for t in tensors.values() if t.grad is not None]
+        assert len(grads) > 30
+        for i, a in enumerate(grads):
+            assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
+        # Sweep each tape again: node outputs and parameters get the same bits.
+        for tape, loss, params in swept:
+            kept = [t for outs, _, _ in tape.nodes for t in outs if t.grad is not None] + params
+            before = [t.grad.copy() for t in kept]
+            zero_grads([t for _, ins, _ in tape.nodes for t in ins])
+            sweep(tape, loss, params)
+            for t, a in zip(kept, before):
+                np.testing.assert_array_equal(t.grad, a)
+
+
 class TestDeskStepPageFaults:
     """A desk-copy pf step reuses the discriminator pass's memory from step
     to step instead of faulting it in afresh.  The ceiling is minor page
@@ -991,7 +1134,7 @@ class TestTapeNodeCeiling:
     records fewer nodes lowers them; none may raise them.
     """
 
-    PF_CEILING = 35
+    PF_CEILING = 33
     TF_CEILING = 2
 
     def _one_step(self, monkeypatch, tmp_path, mode):
@@ -1034,8 +1177,8 @@ class TestTapeNodeCeiling:
             monkeypatch, tmp_path, "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
         assert nodes <= self.PF_CEILING
-        # logits, behavior, hidden and nll with targets; no nll free running
-        assert unroll_outputs == [4, 3]
+        # one unroll of both regimes: logits, behavior, hidden and nll
+        assert unroll_outputs == [4]
         # one discriminator pass over both behaviors stacked, one sweep of its tape
         assert rows_scored == [2 * TINY_PF["batch_n"]]
         assert d_sweeps == 1

@@ -187,19 +187,41 @@ class TestRun:
 
 
 class TestResume:
-    def test_split_run_matches_straight_run(self, tmp_path):
-        cfg = tiny_cfg(max_steps=10, val_every=0)
-        straight = Trainer(cfg, tmp_path / "full").run()
+    @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling",
+                                      "professor_forcing"])
+    def test_split_run_matches_straight_run(self, tmp_path, mode):
+        # ss ramps over the 10 steps of both runs; the other modes ignore the key
+        kw = dict(mode=mode, val_every=0, ss_start=0.1, ss_end=0.6, ss_ramp_steps=10)
+        straight = Trainer(tiny_cfg(max_steps=10, **kw), tmp_path / "full").run()
 
-        Trainer(tiny_cfg(max_steps=5, val_every=0), tmp_path / "half").run()
+        Trainer(tiny_cfg(max_steps=5, **kw), tmp_path / "half").run()
         resumed_trainer = Trainer.resume(tmp_path / "half" / "final.ckpt",
                                          tmp_path / "resumed", max_steps=10)
         resumed = resumed_trainer.run()
 
         assert_rows_equal(resumed, straight[5:])
+        full, split = (load_checkpoint(tmp_path / run / "final.ckpt")
+                       for run in ("full", "resumed"))
+        assert full.tensors.keys() == split.tensors.keys()
+        for name in full.tensors:
+            np.testing.assert_array_equal(full.tensors[name], split.tensors[name])
         full_blob = (tmp_path / "full" / "final.ckpt").read_bytes()
         resumed_blob = (tmp_path / "resumed" / "final.ckpt").read_bytes()
         assert full_blob == resumed_blob
+
+    def test_ss_ramp_spans_the_steps_the_run_started_with(self, tmp_path):
+        cfg = tiny_cfg(mode="scheduled_sampling", max_steps=5, val_every=0, ss_end=0.5)
+        Trainer(cfg, tmp_path / "a").run()
+        ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
+        assert "ss_ramp_steps=5" in ckpt.config_text.splitlines()
+        resumed = Trainer.resume(tmp_path / "a" / "final.ckpt", tmp_path / "b", max_steps=9)
+        assert resumed.cfg.ss_ramp_steps == 5
+        assert [resumed._p_sample(s) for s in (0, 4, 8)] == [0.0, 0.5, 0.5]
+        # a checkpoint written without the key ramps over its own max_steps
+        ckpt.config_text = ckpt.config_text.replace("ss_ramp_steps=5\n", "")
+        save_checkpoint(ckpt, tmp_path / "old.ckpt")
+        old = Trainer.resume(tmp_path / "old.ckpt", tmp_path / "c", max_steps=9)
+        assert old.cfg.ss_ramp_steps == 5
 
     def test_resume_into_own_directory_keeps_earlier_rows(self, tmp_path):
         def without_wallclock(path):
@@ -273,10 +295,12 @@ class TestResumeEnvironment:
 
 
 class TestCheckpointPeakMemory:
-    """Saving and loading a desk-copy pf checkpoint each hold about two
-    copies of it at once (traced by tracemalloc, which numpy reports to)."""
+    """Loading a desk-copy pf checkpoint holds about two copies of it at
+    once, and saving one holds no copy: its sections are written as they
+    are packed (traced by tracemalloc, which numpy reports to)."""
 
-    LIMIT = 2.5   # peak traced bytes over the file size
+    LIMIT = 2.5         # peak traced bytes over the file size, loading
+    SAVE_LIMIT = 0.05   # saving: about 0.008 measured, 2.16 when packed whole first
 
     @pytest.fixture
     def desk(self, tmp_path):
@@ -295,7 +319,7 @@ class TestCheckpointPeakMemory:
     def test_checkpoint_and_save(self, desk):
         trainer, path = desk
         peak = self._peak(lambda: save_checkpoint(trainer.checkpoint(), path))
-        assert peak < self.LIMIT * path.stat().st_size
+        assert peak < self.SAVE_LIMIT * path.stat().st_size
 
     def test_load(self, desk):
         trainer, path = desk
