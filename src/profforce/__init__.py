@@ -17,7 +17,6 @@ from .engine import (
     loss_fool_free_running,
     loss_match_teacher_forced,
     loss_nll,
-    scheduled_sampling_unroll,
     train_step,
     unroll_free_running,
     unroll_teacher_forced,
@@ -49,6 +48,5 @@ __all__ = [
     "loss_match_teacher_forced",
     "unroll_teacher_forced",
     "unroll_free_running",
-    "scheduled_sampling_unroll",
     "train_step",
 ]

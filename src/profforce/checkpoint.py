@@ -84,7 +84,7 @@ def _payload(ckpt: Checkpoint):
     yield struct.pack("<I", len(sections))
     for name, body in sections:
         if isinstance(body, np.ndarray):   # u32 rank, u32 dims, then <f8 values
-            arr = np.ascontiguousarray(body, dtype="<f8")
+            arr = np.require(body, "<f8", "C")   # keeps rank 0
             body = (struct.pack(f"<{arr.ndim + 1}I", arr.ndim, *arr.shape),
                     arr.reshape(-1).view(np.uint8))
         else:

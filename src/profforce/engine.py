@@ -6,16 +6,15 @@ and free running, where each step reads the model's own sample.  One
 step loop serves every regime, row by row in one batch; the regimes
 differ only in which symbol it feeds back.  Scheduled sampling spans
 them with one probability: p = 0 is teacher forcing and p = 1 is free
-running.
-:func:`unroll_teacher_forced`, :func:`unroll_free_running` and
-:func:`scheduled_sampling_unroll` check their arguments and run that
-loop.  Every unroll emits its logits, its behavior (the GRU candidate
-pre-tanh values, optionally with the softmax outputs appended) and its
-top-layer states as time-major [T, B, .] tensors, and with targets also
-the sequence cross entropy.  The loop runs the numpy GRU kernel of
-:mod:`profforce.nets` on arrays allocated before the first step and
-records the whole unroll as one tape node, whose backward runs the
-kernel's recursion for each layer.  A bidirectional-GRU discriminator
+running.  :func:`unroll_teacher_forced` and :func:`unroll_free_running`
+check their arguments and run that loop; :func:`train_step` runs it for
+every mode.  Every unroll emits its logits, its behavior (the GRU
+candidate pre-tanh values, optionally with the softmax outputs appended)
+and its top-layer states as time-major [T, B, .] tensors, and with
+targets also the sequence cross entropy.  The loop runs the numpy GRU
+kernel of :mod:`profforce.nets` on arrays allocated before the first
+step and records the whole unroll as one tape node, whose backward runs
+the kernel's recursion for each layer.  A bidirectional-GRU discriminator
 scores behavior sequences as teacher forced vs free running, and its
 judgement is fed back into the generator so the free-running dynamics
 are pulled toward the teacher-forced ones.
@@ -37,8 +36,7 @@ accuracy exceeds 0.99.
 A training step unrolls both regimes as one batch, teacher-forced rows
 first, runs the discriminator on its behavior once and sweeps its tape
 at most once; every term above comes from that forward and that sweep
-(see :func:`train_step`).  Both run inside :func:`nets.workspace`, whose
-slab holds the discriminator's GRU arrays from one step to the next.
+(see :func:`train_step`).
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ from .nets import (
     _gru_weights,
     bigru_encode,
     mlp_forward,
-    workspace,
 )
 from .optim import AdamState, adam_step
 from .tensor import (
@@ -94,7 +91,6 @@ __all__ = [
     "UnrollResult",
     "unroll_teacher_forced",
     "unroll_free_running",
-    "scheduled_sampling_unroll",
     "discriminate",
     "loss_nll",
     "loss_discriminator",
@@ -441,21 +437,6 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
     return _unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
 
 
-def scheduled_sampling_unroll(g: GeneratorParams, y_seq, p_sample: float,
-                              rng: np.random.Generator, *,
-                              include_outputs: bool = False) -> UnrollResult:
-    """Per step, feed the model's own sample with probability p_sample.
-
-    Targets are always the ground truth and samples are drawn at
-    temperature 1.  The Bernoulli draw is skipped at the degenerate
-    settings, so p_sample = 0 consumes no randomness and reproduces the
-    teacher-forced unroll exactly, while p_sample = 1 draws precisely
-    like the free-running unroll.
-    """
-    ids = _target_ids(g, y_seq)
-    return _unroll(g, ids, ids.shape[1], ids.shape[0], p_sample, rng, 1.0, include_outputs)
-
-
 # ---------------------------------------------------------------------------
 # discriminator and losses
 
@@ -555,11 +536,10 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        the discriminator reads, teacher-forced rows first; its ``nll``
        covers rows [0, B), and when only ``nll`` reaches it the
        backward runs those rows alone.
-    2. Run the discriminator once, on a detached leaf of that stack, on
-       a tape of its own and inside the workspace (through step 3).  Its
-       probabilities give the accuracy, the gate, c_d and the
-       generator-side c_f (plus c_t with ``use_ct``, which makes the
-       generator term c_d with the labels swapped).
+    2. Run the discriminator once, on a detached leaf of that stack and
+       on a tape of its own.  Its probabilities give the accuracy, the
+       gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
+       which makes the generator term c_d with the labels swapped).
     3. Sweep the discriminator tape at most once, for c_d, into its
        parameters and the leaf, if the gate lets it learn or the
        adversarial term reaches the generator.
@@ -577,9 +557,10 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        runs before every sweep has finished.
 
     When the adversarial weight is zero and the discriminator is frozen
-    the unroll runs the B targeted rows alone and all discriminator work
-    is skipped; the corresponding metrics are reported as nan.  This keeps
-    plain teacher forcing and scheduled sampling on the same code path.
+    the unroll runs the B targeted rows alone, without the behavior's
+    softmax columns, and all discriminator work is skipped; the
+    corresponding metrics are reported as nan.  This keeps plain teacher
+    forcing and scheduled sampling on the same code path.
     """
     ids = _target_ids(g, y_batch)
     b, t_len = ids.shape
@@ -594,21 +575,20 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     with Tape() as gen_tape:
         # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
         res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng,
-                      settings.temperature, settings.include_outputs)
+                      settings.temperature, settings.include_outputs and run_adv)
         loss = scale(res.nll, 1.0 / t_len)
         if run_adv:
             leaf = res.behavior.detach()
-            with workspace():   # the D tape's GRU arrays; it dies with the step
-                with Tape() as d_tape:
-                    p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
-                    c_d = loss_discriminator(p_tf_t, p_fr_t)
-                p_tf, p_fr = p_tf_t.data, p_fr_t.data
-                gs = gate(accuracy_from_probs(p_tf, p_fr))
-                update_d = not settings.freeze_discriminator and gs.update_discriminator
-                adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
-                if update_d or adv_on:
-                    zero_grads(d_params)
-                    backward(d_tape, c_d, params=d_params)
+            with Tape() as d_tape:
+                p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
+                c_d = loss_discriminator(p_tf_t, p_fr_t)
+            p_tf, p_fr = p_tf_t.data, p_fr_t.data
+            gs = gate(accuracy_from_probs(p_tf, p_fr))
+            update_d = not settings.freeze_discriminator and gs.update_discriminator
+            adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
+            if update_d or adv_on:
+                zero_grads(d_params)
+                backward(d_tape, c_d, params=d_params)
             metrics.update(c_d=float(c_d.data),
                            c_f=loss_fool_free_running(p_fr),
                            c_t=loss_match_teacher_forced(p_tf),

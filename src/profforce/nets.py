@@ -25,12 +25,9 @@ known inputs) runs once per sequence.  :func:`_gru_step_into` writes a
 step into preallocated arrays and :func:`_gru_bptt` runs the recursion
 backward.  :func:`gru_sequence` (one tape node, run per direction by
 :func:`bigru_encode`), :func:`gru_step` and the generator unroll in
-:mod:`profforce.engine` all run it.  Their arrays come from :func:`_buf`:
-``np.empty``, except inside :func:`workspace` (a training step's
-discriminator pass), where they are views of one float64 slab kept from
-step to step, and the projection and backward gate factors are released
-as their call returns.  Nothing leaves the scope: gradients are fresh
-arrays, and the tape holding the caches dies with the step.
+:mod:`profforce.engine` all run it.
+:func:`_gru_bptt` returns fresh gradients in their final shapes, which
+the tape keeps without a copy.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -39,10 +36,7 @@ discriminator consumes.
 
 from __future__ import annotations
 
-import math
-from contextlib import contextmanager
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -119,34 +113,6 @@ class GruCellParams:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
-_WS = SimpleNamespace(slab=np.empty(0), top=0, need=0, active=False)
-
-
-def _buf(shape) -> np.ndarray:
-    """``np.empty(shape)``, or inside :func:`workspace` a view of the slab at
-    offset ``_WS.top`` (``np.empty`` past its end); reset the offset to release."""
-    if not _WS.active:
-        return np.empty(shape)
-    start, _WS.top = _WS.top, _WS.top + math.prod(shape)
-    _WS.need = max(_WS.need, _WS.top)
-    return np.empty(shape) if _WS.top > _WS.slab.size else _WS.slab[start:_WS.top].reshape(shape)
-
-
-@contextmanager
-def workspace():
-    """A scope in which :func:`_buf` hands out the slab from offset 0; on exit
-    the slab regrows to the scope's high-water mark.  Entering twice raises."""
-    if _WS.active:
-        raise RuntimeError("the workspace is already active")
-    _WS.active, _WS.top, _WS.need = True, 0, 0
-    try:
-        yield
-    finally:
-        _WS.active = False
-        if _WS.need > _WS.slab.size:
-            _WS.slab = np.empty(_WS.need)
-
-
 def _gru_weights(p: GruCellParams):
     """A cell's weights in the gate-major forms a step reads: ``W`` ``[3, I, H]``,
     ``b`` ``[3, 1, H]``, ``U_zr`` ``[2, H, H]`` and ``U_c`` ``[H, H]``.
@@ -191,17 +157,15 @@ def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = Fa
     T, B, _ = x.shape
     H = p.hidden_size
     W, b, U_zr, U_c = _gru_weights(p)
-    hs, zr = _buf((T + 1, B, H)), _buf((T, 2, B, H))
-    rh, c, pre = _buf((T, B, H)), _buf((T, B, H)), _buf((1, B, H))
-    mark, xb = _WS.top, _buf((T, 3, B, H))   # scratch past the caches
-    np.matmul(x[:, None], W, out=xb)
+    hs, zr = np.empty((T + 1, B, H)), np.empty((T, 2, B, H))
+    rh, c, pre = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((1, B, H))
+    xb = x[:, None] @ W
     xb += b
     hs[T if reverse else 0] = h0
     for t in (range(T - 1, -1, -1) if reverse else range(T)):
         read, write = (t + 1, t) if reverse else (t, t + 1)
         _gru_step_into(U_zr, U_c, hs[read], xb[t], zr[t], rh[t], pre[0], c[t],
                        hs[write])
-    _WS.top = mark
     return hs, zr, rh, pre, c
 
 
@@ -222,7 +186,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     W, U = p.W.data, p.U.data
     U_t = U.reshape(H, 3, H).transpose(1, 2, 0).copy()   # U_z^T, U_r^T, U_c^T
     keep, r = zr[:, 0], zr[:, 1]   # keep = 1 - z
-    mark, da = _WS.top, _buf((3, T, B, H))   # scratch, gate-major: z, r, c
+    da = np.empty((3, T, B, H))   # gate-major: z, r, c
     np.subtract(1.0, keep, out=da[0])
     np.multiply(c, c, out=da[2])
     np.subtract(1.0, da[2], out=da[2])
@@ -253,14 +217,16 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     n = T * B
     da = da.reshape(3, n, H)
     x2, h2, W_t = x.reshape(n, -1), h_prev.reshape(n, H), W.reshape(-1, 3, H).transpose(1, 2, 0)
-    d_x, d_W, d_U = da[0] @ W_t[0], np.empty_like(W), np.empty_like(U)
+    # d_x and d_b are written through views, so the arrays returned own their data
+    d_x, d_W, d_U, d_b = np.empty(x.shape), np.empty_like(W), np.empty_like(U), np.empty(3 * H)
+    d_x2 = np.matmul(da[0], W_t[0], out=d_x.reshape(n, -1))
     for k, inp in enumerate((h2, h2, rh.reshape(n, H))):
         np.matmul(x2.T, da[k], out=d_W[:, k * H:(k + 1) * H])
         np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
         if k:
-            d_x += da[k] @ W_t[k]
-    d_b, _WS.top = da.sum(axis=1).reshape(3 * H), mark
-    return d_x.reshape(x.shape), d_W, d_U, d_b, d_h
+            d_x2 += da[k] @ W_t[k]
+    np.sum(da, axis=1, out=d_b.reshape(3, H))
+    return d_x, d_W, d_U, d_b, d_h
 
 
 def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:

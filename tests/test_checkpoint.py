@@ -43,6 +43,13 @@ class TestRoundTrip:
             assert got.dtype == np.float64
             assert got.flags.writeable and got.flags.owndata
 
+    def test_rank_zero_tensor_keeps_its_shape(self, sample, tmp_path):
+        sample.tensors["scalar"] = np.array(2.5)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(sample, path)
+        got = load_checkpoint(path).tensors["scalar"]
+        assert got.shape == () and got == 2.5
+
     def test_file_starts_with_magic(self, sample, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(sample, path)

@@ -1,4 +1,3 @@
-import contextlib
 import math
 import os
 import subprocess
@@ -11,7 +10,7 @@ import numpy as np
 import pytest
 
 import profforce
-from profforce import engine, nets, tensor
+from profforce import engine, tensor
 from profforce.config import TrainConfig
 from profforce.engine import (
     DiscriminatorParams,
@@ -25,7 +24,6 @@ from profforce.engine import (
     loss_match_teacher_forced,
     loss_nll,
     sample_rows,
-    scheduled_sampling_unroll,
     train_step,
     unroll_free_running,
     unroll_teacher_forced,
@@ -68,6 +66,13 @@ def tiny_discriminator(width, seed=201, hidden=4):
 def softmax_rows(x):
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     return e / e.sum(axis=-1, keepdims=True)
+
+
+def ss_unroll(g, y, p_sample, rng, include_outputs=False):
+    """Scheduled sampling as ``train_step`` runs it: every row of ``y``
+    [B, T] fed its targets, or with probability ``p_sample`` a draw."""
+    y = np.atleast_2d(y)
+    return engine._unroll(g, y, y.shape[1], y.shape[0], p_sample, rng, 1.0, include_outputs)
 
 
 def zeroed(g: GeneratorParams) -> GeneratorParams:
@@ -211,8 +216,7 @@ class TestFreeRunningUnroll:
         np.testing.assert_allclose(fr.behavior.data[..., 5:], softmax_rows(fr.logits.data / 0.5),
                                    rtol=0, atol=1e-12)
         tf = unroll_teacher_forced(g, fr.sampled, include_outputs=True)
-        ss = scheduled_sampling_unroll(g, fr.sampled, 0.5, np.random.default_rng(55),
-                                       include_outputs=True)
+        ss = ss_unroll(g, fr.sampled, 0.5, np.random.default_rng(55), include_outputs=True)
         for res in (tf, ss):
             np.testing.assert_allclose(res.behavior.data[..., 5:], softmax_rows(res.logits.data),
                                        rtol=0, atol=1e-12)
@@ -223,7 +227,7 @@ class TestScheduledSampling:
         g = tiny_generator()
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         rng = np.random.default_rng(36)
-        ss = scheduled_sampling_unroll(g, y, 0.0, rng)
+        ss = ss_unroll(g, y, 0.0, rng)
         tf = unroll_teacher_forced(g, y)
         np.testing.assert_array_equal(ss.logits.data, tf.logits.data)
         assert not ss.used_sample.any()
@@ -233,7 +237,7 @@ class TestScheduledSampling:
     def test_p_zero_nll_matches_loss_nll(self):
         g = tiny_generator()
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
-        ss = scheduled_sampling_unroll(g, y, 0.0, np.random.default_rng(37))
+        ss = ss_unroll(g, y, 0.0, np.random.default_rng(37))
         tf = unroll_teacher_forced(g, y)
         assert abs(ss.nll.item() - loss_nll(tf.logits, y).item()) < 1e-12
         # the teacher-forced unroll carries the same sum, term for term
@@ -242,7 +246,7 @@ class TestScheduledSampling:
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
         y = np.zeros((3, 5), dtype=np.int64)
-        ss = scheduled_sampling_unroll(g, y, 1.0, np.random.default_rng(38))
+        ss = ss_unroll(g, y, 1.0, np.random.default_rng(38))
         fr = unroll_free_running(g, 5, np.random.default_rng(38), batch=3)
         # fed symbols trail the free-running samples by one step
         np.testing.assert_array_equal(ss.sampled[:, 1:], fr.sampled[:, :-1])
@@ -252,7 +256,7 @@ class TestScheduledSampling:
     def test_targets_stay_ground_truth_at_p_one(self):
         g = zeroed(tiny_generator())
         y = np.array([[0, 1, 2, 3]])
-        ss = scheduled_sampling_unroll(g, y, 1.0, np.random.default_rng(39))
+        ss = ss_unroll(g, y, 1.0, np.random.default_rng(39))
         # uniform logits: nll is T ln V no matter what was fed
         assert abs(ss.nll.item() - 4 * math.log(4)) < 1e-12
 
@@ -260,7 +264,7 @@ class TestScheduledSampling:
         g = tiny_generator()
         b, t_len = 64, 9
         y = np.random.default_rng(40).integers(0, 4, (b, t_len))
-        ss = scheduled_sampling_unroll(g, y, 0.5, np.random.default_rng(41))
+        ss = ss_unroll(g, y, 0.5, np.random.default_rng(41))
         flips = ss.used_sample[:, 1:]
         n = flips.size
         sd = math.sqrt(n * 0.25)
@@ -269,7 +273,7 @@ class TestScheduledSampling:
     def test_p_out_of_range(self):
         g = tiny_generator()
         with pytest.raises(ValueError):
-            scheduled_sampling_unroll(g, np.array([0]), 1.5, np.random.default_rng(42))
+            ss_unroll(g, np.array([0]), 1.5, np.random.default_rng(42))
 
 
 def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
@@ -331,7 +335,7 @@ class TestUnrollMatchesPerStepOracle:
         if regime == "tf":
             res = unroll_teacher_forced(g, y, include_outputs=include_outputs)
         elif targets:
-            res = scheduled_sampling_unroll(g, y, p, rng, include_outputs=include_outputs)
+            res = ss_unroll(g, y, p, rng, include_outputs=include_outputs)
         else:
             res = unroll_free_running(g, t_len, rng, temperature=temp, batch=batch,
                                       include_outputs=include_outputs)
@@ -625,6 +629,26 @@ class TestDiscriminate:
         rev = Tensor(b.data[::-1])
         assert np.max(np.abs(discriminate(d, rev).data - fwd)) > 1e-9
 
+    def test_two_tapes_built_outside_a_step_both_sweep(self):
+        d = tiny_discriminator(5, seed=102)
+        rng = np.random.default_rng(103)
+        xs = [Tensor(rng.uniform(-1, 1, (6, 3, 5))) for _ in range(2)]
+
+        def build(x):
+            with Tape() as tape:
+                loss = sum_all(log(discriminate(d, x)))
+            return tape, loss
+
+        def sweep(tape, loss, x):
+            zero_grads(d.tensors() + [x])
+            backward(tape, loss, params=d.tensors())
+            return [x.grad.copy()] + [t.grad.copy() for t in d.tensors()]
+
+        built = [build(x) for x in xs]   # both before either sweep
+        for (tape, loss), x in zip(built, xs):
+            for a, b in zip(sweep(tape, loss, x), sweep(*build(x), x)):
+                np.testing.assert_array_equal(a, b)
+
 
 # ---------------------------------------------------------------------------
 # losses, accuracy, gates
@@ -785,6 +809,29 @@ class TestTrainStep:
         for a, b in zip(before, d.tensors()):
             np.testing.assert_array_equal(a, b.data)
         assert da.t == 0
+
+    @pytest.mark.parametrize("p_sample", [0.0, 0.5], ids=["tf", "ss"])
+    def test_skip_mode_computes_no_behavior_softmax(self, monkeypatch, p_sample):
+        # no discriminator reads the behavior, so include_outputs changes no
+        # bit; tf takes no softmax, ss one per step for its draws
+        softmax_rows, softmax_once = [], engine._stable_softmax
+
+        def counting(x, out=None):
+            softmax_rows.append(len(x))
+            return softmax_once(x, out)
+
+        monkeypatch.setattr(engine, "_stable_softmax", counting)
+        runs = []
+        for include_outputs in (False, True):
+            g, d, y, ga, da = build_step_fixture(seed=71)
+            skip = EngineSettings(adversarial_weight=0.0, freeze_discriminator=True,
+                                  include_outputs=include_outputs)
+            m = train_step(g, d, y, skip, p_sample, np.random.default_rng(72), ga, da)
+            runs.append((repr(m), [t.data.copy() for t in g.tensors() + d.tensors()]))
+        assert runs[0][0] == runs[1][0]
+        for a, b in zip(runs[0][1], runs[1][1]):
+            np.testing.assert_array_equal(a, b)
+        assert softmax_rows == ([4] * 6 * 2 if p_sample else [])
 
     def test_explicit_freeze_flag_blocks_disc_updates(self):
         g, d, y, ga, da = build_step_fixture(seed=67)
@@ -995,67 +1042,6 @@ class TestOnePassStepEdges:
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
 
 
-class TestDiscriminatorWorkspace:
-    """A step's discriminator pass takes its GRU arrays from the slab of
-    :func:`nets.workspace`; nothing else may."""
-
-    def test_nothing_a_step_leaves_shares_the_slab(self, monkeypatch):
-        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-        g, d, y, ga, da = build_step_fixture(seed=97)
-        rng = np.random.default_rng(98)
-        for _ in range(2):   # the second step runs inside the slab the first sized
-            m = train_step(g, d, y, EngineSettings(use_ct=True), 0.0, rng, ga, da)
-        assert m["gate_gen"] and m["gate_disc"]
-        slab = nets._WS.slab
-        assert slab.size > 0 and not nets._WS.active
-        params = g.tensors() + d.tensors()
-        kept = ([t.data for t in params] + [t.grad for t in params]
-                + ga.m + ga.v + da.m + da.v + [np.asarray(v) for v in m.values()])
-        assert not any(np.shares_memory(a, slab) for a in kept)
-
-    def test_growing_and_shrinking_batches_match_steps_without_it(self, monkeypatch):
-        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-
-        def run(sizes):
-            g, d, _, ga, da = build_step_fixture(seed=99)
-            rng = np.random.default_rng(100)
-            for b in (2, 4, 2):
-                y = np.random.default_rng(b).integers(0, 4, (b, 6))
-                m = train_step(g, d, y, EngineSettings(use_ct=True), 0.0, rng, ga, da)
-                assert m["gate_gen"]
-                sizes.append(nets._WS.slab.size)
-            return [t.data.copy() for t in g.tensors() + d.tensors()]
-
-        monkeypatch.setattr(nets._WS, "slab", np.empty(0))
-        sizes = []
-        scoped = run(sizes)
-        # B=2 sizes the slab, B=4 overflows it and regrows it, B=2 fits
-        assert 0 < sizes[0] < sizes[1] == sizes[2]
-        monkeypatch.setattr(engine, "workspace", contextlib.nullcontext)
-        for a, b in zip(scoped, run([])):
-            np.testing.assert_array_equal(a, b)
-
-    def test_two_tapes_built_outside_a_step_both_sweep(self):
-        d = tiny_discriminator(5, seed=102)
-        rng = np.random.default_rng(103)
-        xs = [Tensor(rng.uniform(-1, 1, (6, 3, 5))) for _ in range(2)]
-
-        def build(x):
-            with Tape() as tape:
-                loss = sum_all(log(discriminate(d, x)))
-            return tape, loss
-
-        def sweep(tape, loss, x):
-            zero_grads(d.tensors() + [x])
-            backward(tape, loss, params=d.tensors())
-            return [x.grad.copy()] + [t.grad.copy() for t in d.tensors()]
-
-        built = [build(x) for x in xs]   # both before either sweep
-        for (tape, loss), x in zip(built, xs):
-            for a, b in zip(sweep(tape, loss, x), sweep(*build(x), x)):
-                np.testing.assert_array_equal(a, b)
-
-
 class TestGradientOwnership:
     """``backward`` keeps a closure's fresh gradient as it is and copies a
     view or a gradient the node received; no two tensors may end up
@@ -1092,11 +1078,11 @@ class TestGradientOwnership:
 
 
 class TestDeskStepPageFaults:
-    """A desk-copy pf step reuses the discriminator pass's memory from step
-    to step instead of faulting it in afresh.  The ceiling is minor page
-    faults, which depend on the allocator and not on the clock."""
+    """A desk-copy pf step reuses the memory of the step before instead of
+    faulting it in afresh.  The ceiling is minor page faults, which depend
+    on the allocator and not on the clock."""
 
-    CEILING = 1000   # per step; about 3000 when every step allocates the pass afresh
+    CEILING = 100   # per step; about 400 when glibc trims the heap and maps large arrays
 
     def test_desk_pf_step_minor_faults(self, tmp_path):
         pytest.importorskip("resource")

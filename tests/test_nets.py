@@ -1,10 +1,8 @@
-import contextlib
 import math
 
 import numpy as np
 import pytest
 
-from profforce import nets
 from profforce.nets import (
     BiGruParams,
     GruCellParams,
@@ -15,7 +13,6 @@ from profforce.nets import (
     gru_step,
     init_params,
     mlp_forward,
-    workspace,
 )
 from profforce.tensor import Tape, Tensor, add, backward, grad_check, sum_all, tanh, zero_grads
 
@@ -176,6 +173,18 @@ class TestGruSequence:
         for a, b in zip(*grads):
             np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_input_and_bias_gradients_are_fresh(self, small_cell, reverse):
+        # fresh arrays in their final shapes: backward keeps them without a copy
+        xs = Tensor(np.random.default_rng(111).uniform(-1, 1, (5, 3, 4)))
+        with Tape() as tape:
+            states = gru_sequence(small_cell, xs, reverse=reverse)
+        (_, _, back), = tape.nodes
+        d_x, d_W, d_U, d_b = back(np.ones(states.shape))
+        assert d_x.shape == (5, 3, 4) and d_b.shape == (18,)
+        assert d_x.base is None and d_b.base is None
+        assert d_W.base is None and d_U.base is None
+
     def test_shape_validation(self, small_cell):
         with pytest.raises(ValueError):
             gru_sequence(small_cell, Tensor(np.zeros((5, 4))))
@@ -183,61 +192,6 @@ class TestGruSequence:
             gru_sequence(small_cell, Tensor(np.zeros((0, 2, 4))))
         with pytest.raises(ValueError):
             gru_sequence(small_cell, Tensor(np.zeros((5, 2, 3))))
-
-
-class TestWorkspace:
-    """The slab a training step's discriminator pass takes its GRU arrays from."""
-
-    def test_outside_a_scope_buffers_are_fresh(self):
-        a, b = nets._buf((3, 4)), nets._buf((3, 4))
-        assert not np.shares_memory(a, b)
-        assert not np.shares_memory(a, nets._WS.slab)
-
-    def test_nesting_raises(self):
-        with workspace():
-            with pytest.raises(RuntimeError, match="already active"):
-                with workspace():
-                    pass
-            assert nets._WS.active   # the outer scope is still open
-        assert not nets._WS.active
-        with workspace():
-            pass
-
-    def test_overflow_is_fresh_and_the_slab_regrows_on_exit(self, monkeypatch):
-        monkeypatch.setattr(nets._WS, "slab", np.empty(10))
-        slab = nets._WS.slab
-        with workspace():
-            a = nets._buf((2, 3))
-            mark = nets._WS.top
-            b = nets._buf((4, 2))   # 14 elements: past the slab's end
-            nets._WS.top = mark     # released
-            c = nets._buf((2,))
-            assert np.shares_memory(a, slab) and np.shares_memory(c, slab)
-            assert not np.shares_memory(b, slab)
-            assert not np.shares_memory(a, c)
-        assert nets._WS.slab.size == 14
-        with workspace():
-            assert np.shares_memory(nets._buf((2, 7)), nets._WS.slab)
-        assert nets._WS.slab.size == 14
-
-    @pytest.mark.parametrize("reverse", [False, True])
-    def test_sequence_in_a_scope_matches_outside(self, small_cell, reverse, monkeypatch):
-        monkeypatch.setattr(nets._WS, "slab", np.empty(0))
-        xs = Tensor(np.random.default_rng(111).uniform(-1, 1, (5, 3, 4)))
-        leaves = [xs] + [t for _, t in small_cell.named()]
-        results = []
-        for scoped in (False, True, True):   # outside; overflowing; inside the grown slab
-            with workspace() if scoped else contextlib.nullcontext():
-                with Tape() as tape:
-                    states = gru_sequence(small_cell, xs, reverse=reverse)
-                    loss = sum_all(tanh(states))
-                zero_grads(leaves)
-                backward(tape, loss, params=leaves)
-                results.append([states.data.copy()] + [t.grad for t in leaves])
-        assert np.shares_memory(states.data, nets._WS.slab)
-        for other in results[1:]:
-            for a, b in zip(results[0], other):
-                np.testing.assert_array_equal(a, b)
 
 
 class TestInit:

@@ -1,3 +1,4 @@
+import ctypes
 import logging
 import math
 import tracemalloc
@@ -184,6 +185,36 @@ class TestRun:
         rows = Trainer(tiny_cfg(mode="teacher_forcing"), tmp_path / "a").run()
         assert all(math.isnan(r["c_d"]) for r in rows)
         assert all(r["gate_gen"] is False and r["gate_disc"] is False for r in rows)
+
+
+class TestAllocatorSetting:
+    """``Trainer`` asks glibc to keep freed memory for reuse; a process
+    without ``mallopt`` trains all the same."""
+
+    def test_sets_both_thresholds(self, monkeypatch, tmp_path):
+        calls = []
+
+        class Libc:
+            def mallopt(self, param, value):
+                calls.append((param, value))
+                return 1
+
+        monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+        Trainer(tiny_cfg(), tmp_path)
+        assert calls == [(-1, 1 << 30), (-3, 32 << 20)]
+
+    @pytest.mark.parametrize("error", [OSError, TypeError, AttributeError])
+    def test_trains_without_mallopt(self, monkeypatch, tmp_path, error):
+        def cdll(name):
+            if error is AttributeError:
+                return object()   # a C library without mallopt
+            raise error("no C library")
+
+        monkeypatch.setattr(ctypes, "CDLL", cdll)
+        rows = Trainer(tiny_cfg(max_steps=2), tmp_path).run()
+        assert [r["step"] for r in rows] == [0, 1]
+        assert all(math.isfinite(r["c_d"]) for r in rows)
+        assert (tmp_path / "final.ckpt").exists()
 
 
 class TestResume:
