@@ -19,7 +19,7 @@ from .diagnostics import (
     write_projection_csv,
 )
 from .engine import unroll_free_running
-from .trainer import Trainer, TrainingDiverged, generator_from_checkpoint
+from .trainer import Trainer, TrainingDiverged, _keep_freed_memory, generator_from_checkpoint
 
 # The standard level names of the logging module, accepted in any case.
 _LOG_LEVELS = {name.lower(): getattr(logging, name)
@@ -160,6 +160,7 @@ def cmd_inspect(args) -> int:
 
 
 def main(argv=None) -> int:
+    _keep_freed_memory()   # every command, not only those that build a Trainer
     _setup_logging()
     args = _parser().parse_args(argv)
     handlers = {"train": cmd_train, "sample": cmd_sample,

@@ -27,7 +27,9 @@ backward.  :func:`gru_sequence` (one tape node, run per direction by
 :func:`bigru_encode`), :func:`gru_step` and the generator unroll in
 :mod:`profforce.engine` all run it.
 :func:`_gru_bptt` returns fresh gradients in their final shapes, which
-the tape keeps without a copy.
+the tape keeps without a copy.  :func:`mlp_forward` is likewise one
+tape node for all its layers, with a hand-written backward whose bits
+are those of the composed ``matmul``/``add``/``relu`` chain.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -40,14 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tensor import (
-    Tensor,
-    _record,
-    add,
-    concat,
-    matmul,
-    relu,
-)
+from .tensor import Tensor, _record, concat
 
 __all__ = [
     "GruCellParams",
@@ -318,12 +313,36 @@ class MlpParams:
 
 
 def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    last = len(p.layers) - 1
+    """Run the layers over the rows of ``x`` ``[N, in]``.
+
+    One tape node, which keeps only each layer's input; a ReLU output is
+    the next layer's input and its own mask.  Per layer the backward
+    forms ``a.T @ g``, ``g.sum(axis=0)`` and ``g @ W.T``, the products of
+    the composed ``matmul``/``add``/``relu`` chain, so its bits are that
+    chain's.
+    """
+    ws = [w.data for w, _ in p.layers]
+    if x.data.ndim != 2 or x.shape[1] != ws[0].shape[0]:
+        raise ValueError(f"mlp_forward: expects [N, {ws[0].shape[0]}] rows, got {x.shape}")
+    acts = [x.data]   # each layer's input, then the output
     for i, (w, b) in enumerate(p.layers):
-        x = add(matmul(x, w), b)
-        if i != last:
-            x = relu(x)
-    return x
+        a = acts[-1] @ w.data
+        a += b.data
+        if i != len(ws) - 1:
+            np.maximum(a, 0.0, out=a)
+        acts.append(a)
+
+    def back(g):
+        grads = []
+        for i in range(len(ws) - 1, -1, -1):
+            if i != len(ws) - 1:   # g is this node's own product here
+                g *= acts[i + 1] > 0.0
+            grads[:0] = [acts[i].T @ g, g.sum(axis=0)]
+            g = g @ ws[i].T
+        return (g, *grads)
+
+    weights = tuple(t for layer in p.layers for t in layer)
+    return _record(Tensor(acts[-1], copy=False), (x, *weights), back)
 
 
 @dataclass

@@ -16,7 +16,9 @@ each output the loss does not reach.
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
 is a valid topological order because nodes are appended as they are
-created.
+created, so once a node's closure has run no node left to sweep reads
+its outputs' gradients: the sweep releases them there.  After a sweep
+only leaves (parameters, detached inputs) hold a ``grad``.
 """
 
 from __future__ import annotations
@@ -170,22 +172,20 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None) -
     """Reverse sweep over ``tape`` accumulating gradients of ``loss``.
 
     Gradients add into each input tensor's ``grad``; the caller is
-    responsible for zeroing between steps.  When ``params`` is given,
-    any of them left untouched by the sweep (not reachable from the
-    loss) gets an exact zero gradient.
+    responsible for zeroing between steps.  A node's output gradients
+    are dropped once its closure has consumed them, so only leaves keep
+    theirs.  When ``params`` is given, any of them left untouched by the
+    sweep (not reachable from the loss) gets an exact zero gradient.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    # Reset node-output grads so a second backward on the same tape is
-    # bit-identical to the first rather than compounding.
-    for outs, _, _ in tape.nodes:
-        for out in outs:
-            out.grad = None
     loss.grad = np.ones((), dtype=np.float64)
     for outs, inputs, backfn in reversed(tape.nodes):
         grads = [out.grad for out in outs]
         if all(g is None for g in grads):
             continue
+        for out in outs:   # no node left to sweep reads them
+            out.grad = None
         for t, gi in zip(inputs, backfn(*grads)):
             if gi is None:
                 continue

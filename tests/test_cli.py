@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import profforce
+from profforce import cli
 from profforce.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from profforce.cli import main
 
@@ -124,6 +125,12 @@ class TestSampleCommand:
         assert main(["sample", str(trained / "final.ckpt"),
                      "--count", "3", "--seed", "9"]) == 0
         assert capsys.readouterr().out == first
+
+    def test_sets_the_allocator_policy(self, trained, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "_keep_freed_memory", lambda: calls.append(1))
+        assert main(["sample", str(trained / "final.ckpt"), "--count", "2"]) == 0
+        assert calls == [1]
 
     def test_length_override_and_out_file(self, trained, tmp_path):
         dest = tmp_path / "samples.txt"

@@ -14,7 +14,19 @@ from profforce.nets import (
     init_params,
     mlp_forward,
 )
-from profforce.tensor import Tape, Tensor, add, backward, grad_check, sum_all, tanh, zero_grads
+from profforce.tensor import (
+    Tape,
+    Tensor,
+    add,
+    backward,
+    grad_check,
+    matmul,
+    mul,
+    relu,
+    sum_all,
+    tanh,
+    zero_grads,
+)
 
 
 def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):
@@ -281,6 +293,72 @@ class TestMlp:
         params = [t for _, t in mlp.named()]
         assert grad_check(lambda _: sum_all(tanh(mlp_forward(mlp, Tensor(x)))),
                           params, 1e-5) < 1e-4
+
+
+def composed_mlp(p: MlpParams, x: Tensor) -> Tensor:
+    """The MLP as a chain of primitive nodes: the reference the fused node
+    must match bit for bit."""
+    last = len(p.layers) - 1
+    for i, (w, b) in enumerate(p.layers):
+        x = add(matmul(x, w), b)
+        if i != last:
+            x = relu(x)
+    return x
+
+
+class TestFusedMlp:
+    """``mlp_forward`` is one tape node whose output and gradients carry the
+    bits of the composed matmul/add/relu chain."""
+
+    @staticmethod
+    def _run(forward, mlp, x, weights):
+        params = [t for _, t in mlp.named()]
+        leaf = Tensor(x)
+        zero_grads(params)
+        with Tape() as tape:
+            out = forward(mlp, leaf)
+            loss = sum_all(mul(out, Tensor(weights)))
+        backward(tape, loss, params=params)
+        return len(tape), out.data, [leaf.grad] + [p.grad.copy() for p in params]
+
+    def _check(self, mlp, x, weights):
+        nodes, out, grads = self._run(mlp_forward, mlp, x, weights)
+        ref_nodes, ref_out, ref_grads = self._run(composed_mlp, mlp, x, weights)
+        assert nodes == 3 and ref_nodes == 3 * len(mlp.layers) + 1   # MLP, mul, sum
+        np.testing.assert_array_equal(out, ref_out)
+        assert len(grads) == len(ref_grads) == 2 * len(mlp.layers) + 1
+        for got, want in zip(grads, ref_grads):
+            assert got.shape == want.shape
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("sizes", [[6, 1], [6, 5, 1], [6, 5, 5, 5, 1], [6, 7, 7, 7, 3]])
+    def test_random_weights(self, sizes):
+        rng = np.random.default_rng(len(sizes) * 10 + sizes[-1])
+        mlp = MlpParams.create(sizes, rng)
+        for _, b in mlp.named()[1::2]:
+            b.data[:] = rng.uniform(-0.5, 0.5, b.shape)
+        self._check(mlp, rng.uniform(-1, 1, (40, 6)), rng.uniform(-1, 1, (40, sizes[-1])))
+
+    @pytest.mark.parametrize("layers", [1, 2, 4])
+    def test_pre_activations_with_exact_zeros(self, layers):
+        # Small integers keep every product exact, so many pre-activations
+        # are exactly 0 (and some -0.0 is possible); ReLU's gradient there is 0.
+        rng = np.random.default_rng(40 + layers)
+        sizes = [5] + [4] * (layers - 1) + [2]
+        mlp = MlpParams(layers=[(Tensor(rng.integers(-1, 2, (i, o)).astype(float)),
+                                 Tensor(rng.integers(-1, 2, o).astype(float)))
+                                for i, o in zip(sizes[:-1], sizes[1:])])
+        x = rng.integers(-2, 3, (30, 5)).astype(float)
+        pre = x @ mlp.layers[0][0].data + mlp.layers[0][1].data
+        assert np.any(pre == 0.0) and np.any(pre > 0.0)
+        self._check(mlp, x, rng.uniform(-1, 1, (30, 2)))
+
+    def test_rejects_wrong_width(self):
+        mlp = MlpParams.create([4, 3, 1], np.random.default_rng(17))
+        with pytest.raises(ValueError, match="mlp_forward"):
+            mlp_forward(mlp, Tensor(np.zeros((2, 5))))
+        with pytest.raises(ValueError, match="mlp_forward"):
+            mlp_forward(mlp, Tensor(np.zeros(4)))
 
 
 class TestBiGru:

@@ -25,6 +25,7 @@ from profforce.tensor import (
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_rows,
+    split,
     stop_recording,
     sub,
     sum_all,
@@ -247,6 +248,26 @@ class TestBackward:
         zero_grads([w, x])
         backward(tape, loss)
         assert np.array_equal(first, w.grad)
+
+    def test_sweep_leaves_grads_on_leaves_only(self):
+        # h fans out to two consumers and split has two outputs, so the
+        # sweep must finish every reader of a gradient before dropping it.
+        a, b = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
+        with Tape() as tape:
+            h = mul(a, b)
+            lo, hi = split(reshape(add(h, mul(h, a)), (3, 1)), 3)[::2]
+            loss = sum_all(add(lo, scale(hi, 2.0)))
+        backward(tape, loss)
+        assert all(t.grad is None for outs, _, _ in tape.nodes for t in outs)
+        # d/da = (1, 0, 2) * (b + 2ab), d/db = (1, 0, 2) * (a + a^2), exactly
+        np.testing.assert_array_equal(a.grad, [12.0, 0.0, 84.0])
+        np.testing.assert_array_equal(b.grad, [2.0, 0.0, 24.0])
+        first = [a.grad, b.grad]
+        zero_grads([a, b])
+        backward(tape, loss)
+        np.testing.assert_array_equal(a.grad, first[0])
+        np.testing.assert_array_equal(b.grad, first[1])
+        assert all(t.grad is None for outs, _, _ in tape.nodes for t in outs)
 
     def test_no_nans_after_passes(self):
         rng = np.random.default_rng(23)
