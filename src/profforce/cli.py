@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import sys
 from pathlib import Path
@@ -105,8 +106,8 @@ def cmd_sample(args) -> int:
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
     length = args.length if args.length is not None else cfg.seq_len
     bias = args.bias if args.bias is not None else cfg.bias
-    if bias <= -1.0:
-        raise ConfigError("bias must be greater than -1")
+    if not math.isfinite(bias) or bias <= -1.0:
+        raise ConfigError(f"bias must be a finite number greater than -1, got {bias}")
     temperature = 1.0 / (1.0 + bias)
     rng = np.random.default_rng(args.seed)
     res = unroll_free_running(g, length, rng, temperature=temperature, batch=args.count)

@@ -8,6 +8,7 @@ key order so snapshots embedded in checkpoints are stable.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -200,6 +201,9 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError("scheduled-sampling probabilities must lie in [0, 1]")
     if cfg.ss_ramp_steps is not None and cfg.ss_ramp_steps < 1:
         raise ConfigError("ss_ramp_steps must be positive")
+    for name in ("lr", "temperature", "bias", "adversarial_weight"):
+        if not math.isfinite(getattr(cfg, name)):
+            raise ConfigError(f"{name} must be a finite number, got {getattr(cfg, name)}")
     if cfg.lr <= 0.0 or cfg.temperature <= 0.0:
         raise ConfigError("lr and temperature must be positive")
     if cfg.adversarial_weight < 0.0:

@@ -12,9 +12,10 @@ every mode.  Every unroll emits its logits, its behavior (the GRU
 candidate pre-tanh values, optionally with the softmax outputs appended)
 and its top-layer states as time-major [T, B, .] tensors, and with
 targets also the sequence cross entropy.  The loop runs the numpy GRU
-kernel of :mod:`profforce.nets` on arrays allocated before the first
-step and records the whole unroll as one tape node, whose backward runs
-the kernel's recursion for each layer.  A bidirectional-GRU discriminator
+kernel of :mod:`profforce.nets` on arrays and views bound before the
+first step, so a step makes only ufunc and BLAS calls, and records the
+whole unroll as one tape node, whose backward runs the kernel's
+recursion for each layer.  A bidirectional-GRU discriminator
 scores behavior sequences as teacher forced vs free running, and its
 judgement is fed back into the generator so the free-running dynamics
 are pulled toward the teacher-forced ones.
@@ -44,6 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import cycle, islice, repeat
 
 import numpy as np
 
@@ -71,7 +73,6 @@ from .tensor import (
     is_recording,
     log,
     mean_axis0,
-    mul,
     one_minus,
     reshape,
     scale,
@@ -274,8 +275,8 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     first V-1 CDF columns below its uniform.
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
-    allocated before the first step; layer 0 reads ``x W + b`` from a
-    per-symbol table.  Only while a tape records does every step keep
+    and views bound before the first step; layer 0 reads ``x W + b``
+    from a per-symbol table.  Only while a tape records does every step keep
     its own cache rows and the unroll record one node, whose outputs are
     the logits, behavior and hidden tensors and ``nll`` (see
     :func:`_unroll_backward`).
@@ -291,17 +292,24 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     # The outputs: logits, behavior and the top layer's states, [T, B, .] each.
     logits = np.empty((t_len, batch, vocab))
     behavior = np.empty((t_len, batch, top + vocab if include_outputs else top))
-    layers = []   # per layer: its step's x W + b, U_zr, U_c, W, b, states, zr, rh, pre, c
+    layers, caches = [], []   # per layer: x W + b, its views, U_zr, U_c, W, b, steps; caches
     for i, cell in enumerate(g.cells):
         h, is_top = cell.hidden_size, i == len(g.cells) - 1
         W, b, U_zr, U_c = _gru_weights(cell)
         W = emb @ W + b if i == 0 else W   # layer 0: a table of x W + b per symbol
         hs = np.zeros((t_len + 1 if taped or is_top else 2, batch, h))   # else two in turn
-        pre = behavior[..., :top] if is_top else np.empty((1, batch, h))   # else scratch
-        layers.append((np.empty((3, batch, h)), U_zr, U_c, W, b, hs,
-                       np.empty((kept, 2, batch, h)), np.empty((kept, batch, h)), pre,
-                       np.empty((kept, batch, h))))
-    hidden = layers[-1][5][1:]
+        # np.dot writes C-contiguous rows only: beside the softmax columns the
+        # top candidate has rows of its own, copied in after the loop
+        top_pre = pre = (behavior if is_top and not include_outputs
+                         else np.empty((t_len if is_top else 1, batch, h)))   # else scratch
+        xb, zr, (rh, c) = (np.empty((3, batch, h)), np.empty((kept, 2, batch, h)),
+                           np.empty((2, kept, batch, h)))
+        # step t's views h, zr, 1 - z, r, rh, pre, c and h_new, cycling through their rows
+        steps = zip(*(islice(cycle(a), t_len) for a in (hs, zr, zr[:, 0], zr[:, 1], rh, pre, c)),
+                    islice(cycle(hs), 1, None))
+        layers.append((xb, xb[:2], xb[2], U_zr, U_c, W, b, list(steps)))
+        caches.append((hs, zr, rh, c))
+    hidden = caches[-1][0][1:]
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
     used = np.zeros((n_tf, t_len), dtype=bool)
@@ -309,34 +317,37 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     lo = 0 if include_outputs or p_sample > 0.0 else n_tf
     inv_t = np.where(np.arange(batch)[:, None] < n_tf, 1.0, 1.0 / temperature)
     tempered = temperature != 1.0 and n_tf < batch   # else x * 1.0 is x: skip it
-    probs = np.empty((batch - lo, vocab))
-    u = rng.random((t_len, batch - n_tf, 1)) if n_tf < batch else None
+    probs, inv_lo = np.empty((batch - lo, vocab)), inv_t[lo:]
+    u = rng.random((t_len, batch - n_tf, 1)) if n_tf < batch else repeat(None)
     cdf, below = np.empty((batch - n_tf, vocab - 1)), np.empty((batch - n_tf, vocab - 1), bool)
-    for t in range(t_len):
-        for i, (xb, U_zr, U_c, W, b, hs, zr, rh, pre, c) in enumerate(layers):
+    # step t's softmax rows and the free rows' first V-1 columns, which the CDF sums
+    p_rows, cdf_rows = ((behavior[:, lo:, top:], behavior[:, n_tf:, top:-1]) if include_outputs
+                        else (repeat(probs), repeat(probs[n_tf - lo:, :-1])))
+    for t, (fed, lg, lg_lo, p, p_cdf, u_t, drawn) in enumerate(
+            zip(nxt, logits, logits[:, lo:], p_rows, cdf_rows, u, nxt[1:, n_tf:])):
+        for i, (xb, xb_zr, xb_c, U_zr, U_c, W, b, steps) in enumerate(layers):
             if i:
-                np.matmul(x, W, out=xb)
+                np.matmul(x, W, xb)
                 xb += b
             else:
-                W.take(nxt[t], axis=1, out=xb)
-            k, x = t % kept, hs[(t + 1) % len(hs)]
-            _gru_step_into(U_zr, U_c, hs[t % len(hs)], xb, zr[k], rh[k], pre[t % len(pre)],
-                           c[k], x)
-        lg = np.matmul(x, w_head, out=logits[t])
+                W.take(fed, 1, xb)
+            h, zr, keep, r, rh, pre, c, x = steps[t]
+            _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, x)
+        np.dot(x, w_head, lg)
         lg += b_head
         if lo < batch:
-            p = behavior[t, lo:, top:] if include_outputs else probs
-            _stable_softmax(np.multiply(lg[lo:], inv_t[lo:], out=p) if tempered else lg[lo:],
-                            out=p)
+            _stable_softmax(np.multiply(lg_lo, inv_lo, p) if tempered else lg_lo, p)
         if n_tf < batch:
-            p[n_tf - lo:, :-1].cumsum(axis=1, out=cdf)
-            np.less(cdf, u[t], out=below)
-            below.sum(axis=1, out=nxt[t + 1, n_tf:])
+            np.add.accumulate(p_cdf, 1, None, cdf)
+            np.less(cdf, u_t, below)
+            np.add.reduce(below, 1, None, drawn)
         if n_tf and t + 1 < t_len and p_sample > 0.0:
             coin = np.ones(n_tf, dtype=bool) if p_sample >= 1.0 else rng.random(n_tf) < p_sample
             if coin.any():
                 nxt[t + 1, :n_tf] = np.where(coin, sample_rows(rng, p[:n_tf]), ids[:, t])
             used[:, t + 1] = coin
+    if include_outputs:
+        behavior[..., :top] = top_pre
     outs = tuple(Tensor(a, copy=False) for a in (logits, behavior, hidden))
     res = UnrollResult(*outs, np.concatenate((nxt[:-1, :n_tf], nxt[1:, n_tf:]), axis=1).T.copy())
     soft = None
@@ -350,7 +361,6 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         if taped:
             soft = (e / s[:, None]).reshape(t_len, n_tf, -1)
     if taped:
-        caches = [(hs, zr, rh, c) for *_, hs, zr, rh, _, c in layers]
         back = _unroll_backward(g, caches, nxt[:-1], behavior, soft, ids, inv_t,
                                 include_outputs)
         _record(outs, tuple(g.tensors()), back)
@@ -432,8 +442,8 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError("unroll length must be positive")
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < math.inf:
+        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     return _unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
 
 
@@ -544,9 +554,10 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        parameters and the leaf, if the gate lets it learn or the
        adversarial term reaches the generator.
     4. If the term reaches the generator, add ``sum(stack * leaf_grad)``
-       to the generator loss, with ``leaf_grad`` the term's gradient at
-       the leaf: the c_d sweep's, scaled per row i by d(adv)/dl_i /
-       d(c_d)/dl_i, l_i the row's pooled logit: ``-w (1 - p) / p`` on
+       to the generator loss, as one node whose only input is the stack,
+       with ``leaf_grad`` the term's gradient at the leaf: the c_d sweep's,
+       scaled per row i by d(adv)/dl_i / d(c_d)/dl_i, l_i the row's
+       pooled logit: ``-w (1 - p) / p`` on
        free-running rows, and with ``use_ct`` ``-w p / (1 - p)`` on
        teacher-forced ones (else 0).  This is exact because each row's
        pooled logit depends on that row of the stack alone, and the
@@ -598,8 +609,10 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
             if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
                 tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
                 rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
-                leaf.grad *= (-settings.adversarial_weight * rows)[:, None]
-                loss = add(loss, sum_all(mul(res.behavior, Tensor(leaf.grad, copy=False))))
+                w = leaf.grad
+                w *= (-settings.adversarial_weight * rows)[:, None]
+                adv = Tensor(np.asarray(np.sum(res.behavior.data * w)), copy=False)
+                loss = add(loss, _record(adv, (res.behavior,), lambda g: (g * w,)))
 
     g_params = g.tensors()
     zero_grads(g_params)

@@ -21,11 +21,13 @@ A cell stacks its gates side by side in the order z, r, c: ``W`` is
 
 One numpy kernel runs every recursion; what does not change from step
 to step (the weights' gate-major forms, the projection ``x W + b`` of
-known inputs) runs once per sequence.  :func:`_gru_step_into` writes a
-step into preallocated arrays and :func:`_gru_bptt` runs the recursion
-backward.  :func:`gru_sequence` (one tape node, run per direction by
-:func:`bigru_encode`), :func:`gru_step` and the generator unroll in
-:mod:`profforce.engine` all run it.
+known inputs, the views a step reads) is made once per sequence.
+:func:`_gru_step_into` writes a step into preallocated arrays and
+:func:`_gru_bptt` runs the recursion backward; a step makes only ufunc
+and BLAS calls, with ``out`` passed positionally and 2-D products
+through ``np.dot``.  :func:`gru_sequence` (one tape node, run per
+direction by :func:`bigru_encode`), :func:`gru_step` and the generator
+unroll in :mod:`profforce.engine` all run it.
 :func:`_gru_bptt` returns fresh gradients in their final shapes, which
 the tape keeps without a copy.  :func:`mlp_forward` is likewise one
 tape node for all its layers, with a hand-written backward whose bits
@@ -39,6 +41,7 @@ discriminator consumes.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -122,22 +125,23 @@ def _gru_weights(p: GruCellParams):
             U[:, :2].transpose(1, 0, 2).copy(), U[:, 2].copy())
 
 
-def _gru_step_into(U_zr, U_c, h, xb, zr, rh, pre, c, h_new) -> None:
-    """One step from state ``h`` ``[B, H]`` and ``xb = x W + b`` ``[3, B, H]``
-    (forms of :func:`_gru_weights`), allocating nothing: writes the gates
-    ``zr`` ``[2, B, H]`` (``1 - z``, r), ``rh = r * h``, ``pre``, ``c =
-    tanh(pre)`` and ``h_new = c + (1 - z) * (h - c)``, which is not h."""
-    np.matmul(h, U_zr, out=zr)
-    zr += xb[:2]
-    np.tanh(zr, out=zr)
+def _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, h_new) -> None:
+    """One step from state ``h`` ``[B, H]`` and ``x W + b`` (forms of
+    :func:`_gru_weights`), given as its z, r rows ``xb_zr`` and c row ``xb_c``,
+    allocating nothing: writes the gates ``zr`` ``[2, B, H]`` (rows ``keep =
+    1 - z`` and ``r``), ``rh = r * h``, ``pre`` (C-contiguous, as ``np.dot``
+    writes it), ``c = tanh(pre)`` and ``h_new = c + (1 - z) * (h - c)``."""
+    np.matmul(h, U_zr, zr)
+    zr += xb_zr
+    np.tanh(zr, zr)
     zr += 1.0
     zr *= 0.5
-    np.multiply(zr[1], h, out=rh)
-    np.matmul(rh, U_c, out=pre)
-    pre += xb[2]
-    np.tanh(pre, out=c)
-    np.subtract(h, c, out=h_new)
-    h_new *= zr[0]
+    np.multiply(r, h, rh)
+    np.dot(rh, U_c, pre)
+    pre += xb_c
+    np.tanh(pre, c)
+    np.subtract(h, c, h_new)
+    h_new *= keep
     h_new += c
 
 
@@ -157,10 +161,11 @@ def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = Fa
     xb = x[:, None] @ W
     xb += b
     hs[T if reverse else 0] = h0
-    for t in (range(T - 1, -1, -1) if reverse else range(T)):
-        read, write = (t + 1, t) if reverse else (t, t + 1)
-        _gru_step_into(U_zr, U_c, hs[read], xb[t], zr[t], rh[t], pre[0], c[t],
-                       hs[write])
+    read, write = (hs[1:], hs[:-1]) if reverse else (hs[:-1], hs[1:])
+    s, pre_0 = slice(None, None, -1 if reverse else 1), pre[0]
+    for h, xb_zr, xb_c, zr_t, keep, r, rh_t, c_t, h_new in zip(
+            read[s], xb[s, :2], xb[s, 2], zr[s], zr[s, 0], zr[s, 1], rh[s], c[s], write[s]):
+        _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr_t, keep, r, rh_t, pre_0, c_t, h_new)
     return hs, zr, rh, pre, c
 
 
@@ -194,21 +199,24 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     da[1] *= h_prev
     g, d_rh, d_h = np.empty((B, H)), np.empty((B, H)), np.zeros((B, H))
     back = np.empty((2, B, H))
-    for t in (range(T) if reverse else range(T - 1, -1, -1)):
-        np.add(g_h[t], d_h, out=g)
-        da_c = da[2, t]
+    back_z, back_r, U_c_t, U_zr_t = back[0], back[1], U_t[2], U_t[:2]
+    s = slice(None, None, 1 if reverse else -1)
+    g_pres = repeat(None) if g_pre is None else g_pre[s]
+    for g_t, g_pre_t, da_zr, da_z, da_r, da_c, keep_t, r_t in zip(
+            g_h[s], g_pres, da[:2].swapaxes(0, 1)[s], *da[:, s], keep[s], r[s]):
+        np.add(g_t, d_h, g)
         da_c *= g
-        if g_pre is not None:
-            da_c += g_pre[t]
-        np.matmul(da_c, U_t[2], out=d_rh)
-        da[0, t] *= g
-        da[1, t] *= d_rh
-        np.multiply(g, keep[t], out=d_h)
-        d_rh *= r[t]
+        if g_pre_t is not None:
+            da_c += g_pre_t
+        np.dot(da_c, U_c_t, d_rh)
+        da_z *= g
+        da_r *= d_rh
+        np.multiply(g, keep_t, d_h)
+        d_rh *= r_t
         d_h += d_rh
-        np.matmul(da[:2, t], U_t[:2], out=back)
-        d_h += back[0]
-        d_h += back[1]
+        np.matmul(da_zr, U_zr_t, back)
+        d_h += back_z
+        d_h += back_r
     n = T * B
     da = da.reshape(3, n, H)
     x2, h2, W_t = x.reshape(n, -1), h_prev.reshape(n, H), W.reshape(-1, 3, H).transpose(1, 2, 0)
@@ -360,10 +368,6 @@ class BiGruParams:
     @property
     def input_size(self) -> int:
         return self.fwd.input_size
-
-    @property
-    def hidden_size(self) -> int:
-        return self.fwd.hidden_size
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         return self.fwd.named(prefix + "fwd.") + self.bwd.named(prefix + "bwd.")

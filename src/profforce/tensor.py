@@ -319,9 +319,9 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
 
 def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Softmax over the last axis, written into ``out`` if given (``x`` may be it)."""
-    out = np.subtract(x, x.max(axis=-1, keepdims=True), out=out)
-    np.exp(out, out=out)
-    out /= out.sum(axis=-1, keepdims=True)
+    out = np.subtract(x, np.maximum.reduce(x, -1, None, None, True), out)
+    np.exp(out, out)
+    out /= np.add.reduce(out, -1, None, None, True)
     return out
 
 

@@ -103,6 +103,14 @@ class TestTrainCommand:
         assert main(train_args(tmp_path / "x", extra=["--set", "warp_drive=1"])) == 2
         assert "unknown config key" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["lr", "temperature", "bias", "adversarial_weight"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, key, value):
+        out = tmp_path / "x"
+        assert main(train_args(out, extra=["--set", f"{key}={value}"])) == 2
+        assert f"{key} must be a finite number" in capsys.readouterr().err
+        assert not (out / "curves.csv").exists()
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         args = ["train", "--out", str(tmp_path / "x"), "--steps", "1"]
         for pair in TINY_SETS:
@@ -143,6 +151,14 @@ class TestSampleCommand:
     def test_bias_validation(self, trained, capsys):
         assert main(["sample", str(trained / "final.ckpt"), "--bias", "-1.5"]) == 2
         assert "bias" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("bias", ["nan", "inf", "-inf"])
+    def test_non_finite_bias_exits_2(self, trained, tmp_path, capsys, bias):
+        dest = tmp_path / "samples.txt"
+        assert main(["sample", str(trained / "final.ckpt"), f"--bias={bias}",
+                     "--out", str(dest)]) == 2
+        assert "bias must be a finite number" in capsys.readouterr().err
+        assert not dest.exists()
 
     def test_bias_changes_distribution(self, trained, capsys):
         assert main(["sample", str(trained / "final.ckpt"), "--count", "40",
