@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
-import math
 import os
 import sys
 from pathlib import Path
@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import MAGIC, CheckpointError, load_checkpoint
-from .config import MODE_ALIASES, ConfigError, build_config
+from .config import MODE_ALIASES, ConfigError, build_config, check_bias
 from .diagnostics import (
     collect_state_clouds,
     divergence_report,
@@ -37,6 +37,7 @@ def _setup_logging() -> None:
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+@functools.cache   # built once per process; parse_args keeps no state in it
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="profforce")
     sub = p.add_subparsers(dest="command", required=True)
@@ -105,12 +106,11 @@ def _decode_rows(rows: np.ndarray, vocab_symbols: str | None) -> list[str]:
 def cmd_sample(args) -> int:
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
     length = args.length if args.length is not None else cfg.seq_len
-    bias = args.bias if args.bias is not None else cfg.bias
-    if not math.isfinite(bias) or bias <= -1.0:
-        raise ConfigError(f"bias must be a finite number greater than -1, got {bias}")
+    bias = check_bias(args.bias if args.bias is not None else cfg.bias)
     temperature = 1.0 / (1.0 + bias)
     rng = np.random.default_rng(args.seed)
-    res = unroll_free_running(g, length, rng, temperature=temperature, batch=args.count)
+    res = unroll_free_running(g, length, rng, temperature=temperature, batch=args.count,
+                              keep_outputs=False)
     text = "\n".join(_decode_rows(res.sampled, cfg.vocab_symbols)) + "\n"
     if args.out is not None:
         args.out.write_text(text)

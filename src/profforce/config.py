@@ -182,6 +182,13 @@ def build_config(config_path=None, preset: str | None = None,
     return cfg
 
 
+def check_bias(bias: float) -> float:
+    """Return ``bias`` if the temperature 1 / (1 + bias) it gives is usable."""
+    if not math.isfinite(bias) or bias <= -1.0:
+        raise ConfigError(f"bias must be a finite number greater than -1, got {bias}")
+    return bias
+
+
 def validate_config(cfg: TrainConfig) -> None:
     if cfg.seed is None:
         raise ConfigError("seed is required")
@@ -201,9 +208,10 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError("scheduled-sampling probabilities must lie in [0, 1]")
     if cfg.ss_ramp_steps is not None and cfg.ss_ramp_steps < 1:
         raise ConfigError("ss_ramp_steps must be positive")
-    for name in ("lr", "temperature", "bias", "adversarial_weight"):
+    for name in ("lr", "temperature", "adversarial_weight"):
         if not math.isfinite(getattr(cfg, name)):
             raise ConfigError(f"{name} must be a finite number, got {getattr(cfg, name)}")
+    check_bias(cfg.bias)
     if cfg.lr <= 0.0 or cfg.temperature <= 0.0:
         raise ConfigError("lr and temperature must be positive")
     if cfg.adversarial_weight < 0.0:

@@ -11,7 +11,10 @@ check their arguments and run that loop; :func:`train_step` runs it for
 every mode.  Every unroll emits its logits, its behavior (the GRU
 candidate pre-tanh values, optionally with the softmax outputs appended)
 and its top-layer states as time-major [T, B, .] tensors, and with
-targets also the sequence cross entropy.  The loop runs the numpy GRU
+targets also the sequence cross entropy.  An untaped caller that reads
+only the draws or the cross entropy (``sample``, validation) passes
+``keep_outputs=False``: those three arrays then cycle through one or two
+rows, so its memory grows with the ids alone.  The loop runs the numpy GRU
 kernel of :mod:`profforce.nets` on arrays and views bound before the
 first step, so a step makes only ufunc and BLAS calls, and records the
 whole unroll as one tape node, whose backward runs the kernel's
@@ -219,9 +222,9 @@ class EngineSettings:
 
 @dataclass
 class UnrollResult:
-    logits: Tensor                       # [T, B, V]
-    behavior: Tensor                     # [T, B, width]
-    hidden: Tensor                       # [T, B, H] top-layer states
+    logits: Tensor | None                # [T, B, V]; None unless keep_outputs
+    behavior: Tensor | None              # [T, B, width]
+    hidden: Tensor | None                # [T, B, H] top-layer states
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: Tensor | None = None            # with targets: cross entropy, batch mean
     used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
@@ -260,7 +263,7 @@ def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
 
 def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             p_sample: float, rng: np.random.Generator | None, temperature: float,
-            include_outputs: bool) -> UnrollResult:
+            include_outputs: bool, keep_outputs: bool = True) -> UnrollResult:
     """The one step loop behind every unroll, recorded as one tape node.
 
     Each step looks up the fed symbols' embeddings, runs every GRU layer
@@ -279,7 +282,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     from a per-symbol table.  Only while a tape records does every step keep
     its own cache rows and the unroll record one node, whose outputs are
     the logits, behavior and hidden tensors and ``nll`` (see
-    :func:`_unroll_backward`).
+    :func:`_unroll_backward`).  Untaped, ``keep_outputs=False`` leaves
+    those three tensors None and writes them into rows used in turn,
+    as the caches are, so memory grows with the draws alone; the
+    targeted rows' logits stay whole, as ``nll`` sums them in step order.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
@@ -288,28 +294,29 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     vocab, top = g.vocab_size, g.hidden_size
     n_tf = 0 if ids is None else ids.shape[0]
     taped = is_recording()
+    whole = taped or keep_outputs   # outputs kept [T, B, .], else rows in turn
     kept = t_len if taped else 1   # step rows each cache keeps
-    # The outputs: logits, behavior and the top layer's states, [T, B, .] each.
-    logits = np.empty((t_len, batch, vocab))
-    behavior = np.empty((t_len, batch, top + vocab if include_outputs else top))
+    logits = np.empty((t_len if whole or n_tf else 1, batch, vocab))
+    behavior = np.empty((t_len if whole else 1, batch, top + vocab if include_outputs else top))
     layers, caches = [], []   # per layer: x W + b, its views, U_zr, U_c, W, b, steps; caches
     for i, cell in enumerate(g.cells):
         h, is_top = cell.hidden_size, i == len(g.cells) - 1
         W, b, U_zr, U_c = _gru_weights(cell)
         W = emb @ W + b if i == 0 else W   # layer 0: a table of x W + b per symbol
-        hs = np.zeros((t_len + 1 if taped or is_top else 2, batch, h))   # else two in turn
+        per_step = taped or (is_top and whole)   # else states two in turn, scratch rows
+        hs = np.zeros((t_len + 1 if per_step else 2, batch, h))
         # np.dot writes C-contiguous rows only: beside the softmax columns the
         # top candidate has rows of its own, copied in after the loop
         top_pre = pre = (behavior if is_top and not include_outputs
-                         else np.empty((t_len if is_top else 1, batch, h)))   # else scratch
+                         else np.empty((t_len if is_top and whole else 1, batch, h)))
         xb, zr, (rh, c) = (np.empty((3, batch, h)), np.empty((kept, 2, batch, h)),
                            np.empty((2, kept, batch, h)))
-        # step t's views h, zr, 1 - z, r, rh, pre, c and h_new, cycling through their rows
-        steps = zip(*(islice(cycle(a), t_len) for a in (hs, zr, zr[:, 0], zr[:, 1], rh, pre, c)),
+        # step t's views h, zr, 1 - z, r, rh, pre, c and h_new, cycling with their rows
+        steps = zip(*(cycle(a) for a in (hs, zr, zr[:, 0], zr[:, 1], rh, pre, c)),
                     islice(cycle(hs), 1, None))
-        layers.append((xb, xb[:2], xb[2], U_zr, U_c, W, b, list(steps)))
+        layers.append((xb, xb[:2], xb[2], U_zr, U_c, W, b,
+                       cycle(list(islice(steps, t_len if per_step else 2)))))
         caches.append((hs, zr, rh, c))
-    hidden = caches[-1][0][1:]
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
     used = np.zeros((n_tf, t_len), dtype=bool)
@@ -322,16 +329,17 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     cdf, below = np.empty((batch - n_tf, vocab - 1)), np.empty((batch - n_tf, vocab - 1), bool)
     # step t's softmax rows and the free rows' first V-1 columns, which the CDF sums
     p_rows, cdf_rows = ((behavior[:, lo:, top:], behavior[:, n_tf:, top:-1]) if include_outputs
-                        else (repeat(probs), repeat(probs[n_tf - lo:, :-1])))
-    for t, (fed, lg, lg_lo, p, p_cdf, u_t, drawn) in enumerate(
-            zip(nxt, logits, logits[:, lo:], p_rows, cdf_rows, u, nxt[1:, n_tf:])):
+                        else (probs[None], probs[None, n_tf - lo:, :-1]))
+    for t, (fed, lg, lg_lo, p, p_cdf, u_t, drawn) in enumerate(zip(
+            nxt, *(a if len(a) == t_len else cycle(a) for a in (logits, logits[:, lo:], p_rows,
+                                                                 cdf_rows)), u, nxt[1:, n_tf:])):
         for i, (xb, xb_zr, xb_c, U_zr, U_c, W, b, steps) in enumerate(layers):
             if i:
                 np.matmul(x, W, xb)
                 xb += b
             else:
                 W.take(fed, 1, xb)
-            h, zr, keep, r, rh, pre, c, x = steps[t]
+            h, zr, keep, r, rh, pre, c, x = next(steps)
             _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, x)
         np.dot(x, w_head, lg)
         lg += b_head
@@ -346,10 +354,12 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             if coin.any():
                 nxt[t + 1, :n_tf] = np.where(coin, sample_rows(rng, p[:n_tf]), ids[:, t])
             used[:, t + 1] = coin
-    if include_outputs:
+    if include_outputs and whole:
         behavior[..., :top] = top_pre
-    outs = tuple(Tensor(a, copy=False) for a in (logits, behavior, hidden))
-    res = UnrollResult(*outs, np.concatenate((nxt[:-1, :n_tf], nxt[1:, n_tf:]), axis=1).T.copy())
+    outs = tuple(Tensor(a, copy=False) if whole else None
+                 for a in (logits, behavior, caches[-1][0][1:]))
+    res = UnrollResult(*outs, np.empty((batch, t_len), dtype=np.int64))
+    res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     soft = None
     if n_tf:
         # Rows in step order, as [T * n, V]: the sum runs in the order
@@ -422,21 +432,29 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     return back
 
 
-def unroll_teacher_forced(g: GeneratorParams, y_seq, *,
-                          include_outputs: bool = False) -> UnrollResult:
-    """Open-loop unroll: step t reads the true y[t-1] (start token at t=0)."""
+def unroll_teacher_forced(g: GeneratorParams, y_seq, *, include_outputs: bool = False,
+                          keep_outputs: bool = True) -> UnrollResult:
+    """Open-loop unroll: step t reads the true y[t-1] (start token at t=0).
+
+    With ``keep_outputs=False`` and no tape recording, the logits,
+    behavior and hidden tensors are None and only ``nll`` is kept.
+    """
     ids = _target_ids(g, y_seq)
-    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs)
+    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs,
+                   keep_outputs)
 
 
 def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator, *,
                         temperature: float = 1.0, batch: int = 1,
-                        include_outputs: bool = False) -> UnrollResult:
+                        include_outputs: bool = False,
+                        keep_outputs: bool = True) -> UnrollResult:
     """Closed-loop unroll: step t reads the model's own previous sample.
 
     Sampling draws from softmax(logits / temperature).  Gradients flow
     through the hidden states and logits; the discrete sample is a
-    constant.  Ground-truth symbols are never consulted.
+    constant.  Ground-truth symbols are never consulted.  With
+    ``keep_outputs=False`` and no tape recording, only the draws are
+    kept: the logits, behavior and hidden tensors are None.
     """
     if t_len < 1:
         raise ValueError("unroll length must be positive")
@@ -444,7 +462,7 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError(f"batch must be at least 1, got {batch}")
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
+    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs, keep_outputs)
 
 
 # ---------------------------------------------------------------------------

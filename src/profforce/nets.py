@@ -21,7 +21,9 @@ A cell stacks its gates side by side in the order z, r, c: ``W`` is
 
 One numpy kernel runs every recursion; what does not change from step
 to step (the weights' gate-major forms, the projection ``x W + b`` of
-known inputs, the views a step reads) is made once per sequence.
+known inputs, the views a step reads) is made once per sequence; the
+gate-major forms are scaled straight into their own arrays, so making
+them holds one copy of a cell's weights, not two.
 :func:`_gru_step_into` writes a step into preallocated arrays and
 :func:`_gru_bptt` runs the recursion backward; a step makes only ufunc
 and BLAS calls, with ``out`` passed positionally and 2-D products
@@ -119,10 +121,13 @@ def _gru_weights(p: GruCellParams):
     ``sigmoid(a) = (1 + tanh(a / 2)) / 2`` needs no scaling per step and
     the kernel holds ``1 - z = sigmoid(-a_z)`` in place of z."""
     H = p.hidden_size
-    s = np.repeat((-0.5, 0.5, 1.0), H)
-    W, U = (p.W.data * s).reshape(-1, 3, H), (p.U.data * s).reshape(H, 3, H)
-    return (W.transpose(1, 0, 2).copy(), (p.b.data * s).reshape(3, 1, H),
-            U[:, :2].transpose(1, 0, 2).copy(), U[:, 2].copy())
+    s = np.array((-0.5, 0.5, 1.0))[:, None, None]
+    W, U = p.W.data.reshape(-1, 3, H).transpose(1, 0, 2), p.U.data.reshape(H, 3, H)
+    # scaled straight into the gate-major arrays, with no scaled copy in between
+    W_g, U_zr = np.empty(W.shape), np.empty((2, H, H))
+    np.multiply(W, s, W_g)
+    np.multiply(U[:, :2].transpose(1, 0, 2), s[:2], U_zr)
+    return W_g, p.b.data.reshape(3, 1, H) * s, U_zr, U[:, 2].copy()
 
 
 def _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, h_new) -> None:

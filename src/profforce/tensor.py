@@ -36,7 +36,6 @@ __all__ = [
     "grad_check",
     "zero_grads",
     "matmul",
-    "transpose",
     "add",
     "sub",
     "mul",
@@ -47,15 +46,11 @@ __all__ = [
     "relu",
     "log",
     "clip",
-    "softmax",
-    "softmax_cross_entropy",
     "softmax_cross_entropy_rows",
-    "embed",
     "concat",
     "split",
     "reshape",
     "sum_all",
-    "mean_all",
     "mean_axis0",
 ]
 
@@ -273,13 +268,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2D tensor, got shape {a.shape}")
-    out = Tensor(a.data.T, copy=False)
-    return _record(out, (a,), lambda g: (g.T,))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
     s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
@@ -325,27 +313,6 @@ def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis, stabilised by max subtraction."""
-    s = _stable_softmax(a.data)
-    out = Tensor(s, copy=False)
-
-    def back(g):
-        inner = np.sum(g * s, axis=-1, keepdims=True)
-        return (s * (g - inner),)
-
-    return _record(out, (a,), back)
-
-
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log softmax probability of ``target`` for a 1D logit vector:
-    :func:`softmax_cross_entropy_rows` over one row."""
-    if logits.data.ndim != 1:
-        raise ValueError(f"softmax_cross_entropy expects 1D logits, got {logits.shape}")
-    row = reshape(logits, (1, logits.shape[0]))
-    return reshape(softmax_cross_entropy_rows(row, [int(target)]), ())
-
-
 def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):
     """Numpy cross entropy of each row of ``x`` [M, V] against its target.
 
@@ -378,22 +345,6 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         return (p * g[:, None],)
 
     return _record(out, (logits,), back)
-
-
-def embed(table: Tensor, ids) -> Tensor:
-    """Row lookup into ``table``; the gradient scatter-adds into the table."""
-    idx = np.asarray(ids, dtype=np.int64)
-    rows = table.data.shape[0]
-    if idx.size and (idx.min() < 0 or idx.max() >= rows):
-        raise ValueError(f"symbol id out of range for table with {rows} rows")
-    out = Tensor(table.data[idx], copy=False)
-
-    def back(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return (gt,)
-
-    return _record(out, (table,), back)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
@@ -434,13 +385,6 @@ def sum_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(np.sum(a.data)), copy=False)
     shape = a.shape
     return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(np.asarray(np.sum(a.data) / n), copy=False)
-    shape = a.shape
-    return _record(out, (a,), lambda g: (np.broadcast_to(g / n, shape),))
 
 
 def mean_axis0(a: Tensor) -> Tensor:

@@ -310,7 +310,7 @@ class Trainer:
             seqs = self.val_set.sequences
             for start in range(0, len(seqs), _VAL_CHUNK):
                 chunk = seqs[start:start + _VAL_CHUNK]
-                res = unroll_teacher_forced(self.g, chunk)
+                res = unroll_teacher_forced(self.g, chunk, keep_outputs=False)
                 total += float(res.nll.data) * chunk.shape[0]
                 count += chunk.size
         nll_per_step = total / count

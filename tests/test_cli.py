@@ -111,12 +111,38 @@ class TestTrainCommand:
         assert f"{key} must be a finite number" in capsys.readouterr().err
         assert not (out / "curves.csv").exists()
 
+    @pytest.mark.parametrize("bias", ["-1", "-2"])
+    def test_bias_at_or_below_minus_one_exits_2_before_writing(self, tmp_path, capsys, bias):
+        # sample refuses such a bias, so training with it would leave an
+        # unsampleable checkpoint
+        out = tmp_path / "x"
+        assert main(train_args(out, extra=["--set", f"bias={bias}"])) == 2
+        assert (f"bias must be a finite number greater than -1, got {float(bias)}"
+                in capsys.readouterr().err)
+        assert not out.exists()
+
+    def test_bias_above_minus_one_trains_and_samples(self, tmp_path):
+        out = tmp_path / "x"
+        assert main(train_args(out, extra=["--set", "bias=-0.5"])) == 0
+        assert main(["sample", str(out / "final.ckpt"), "--out", str(tmp_path / "s.txt")]) == 0
+
     def test_missing_seed_exits_2(self, tmp_path, capsys):
         args = ["train", "--out", str(tmp_path / "x"), "--steps", "1"]
         for pair in TINY_SETS:
             args += ["--set", pair]
         assert main(args) == 2
         assert "seed" in capsys.readouterr().err
+
+
+class TestParser:
+    def test_built_once_and_each_call_sees_only_its_own_sets(self, monkeypatch):
+        seen = []
+        monkeypatch.setattr(cli, "cmd_train", lambda args: seen.append(args.set) or 0)
+        assert main(["train", "--set", "a=1", "--set", "b=2"]) == 0
+        assert main(["train", "--set", "c=3"]) == 0
+        assert main(["train"]) == 0
+        assert seen == [["a=1", "b=2"], ["c=3"], []]
+        assert cli._parser() is cli._parser()
 
 
 class TestSampleCommand:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -36,13 +37,11 @@ from profforce.tensor import (
     add,
     backward,
     concat,
-    embed,
     grad_check,
     log,
     matmul,
     mul,
     scale,
-    softmax,
     softmax_cross_entropy_rows,
     stop_recording,
     sum_all,
@@ -50,6 +49,7 @@ from profforce.tensor import (
 )
 from profforce.trainer import Trainer, effective_settings
 
+from extra_ops import embed, softmax
 from test_acceptance import TINY_PF
 from test_nets import gru_oracle
 
@@ -610,6 +610,100 @@ class TestUnrollMemory:
             tracemalloc.stop()
         assert res.logits.shape[0] == 1000
         assert peak <= 1.25 * held, f"peak {peak / 1e6:.2f} MB, held {held / 1e6:.2f} MB"
+
+
+class TestIdsOnlyUnroll:
+    """``keep_outputs=False`` writes the logits, behavior and top states
+    into rows used in turn; the draws, ``nll`` and the rng stream must
+    keep their bits."""
+
+    @staticmethod
+    def _desk_generator(layers):
+        g = GeneratorParams.create(8, 16, 64, layers, np.random.default_rng(340 + layers))
+        brng = np.random.default_rng(341)
+        for t in [c.b for c in g.cells] + [g.head.b_o]:
+            t.data[:] = brng.uniform(-1, 1, t.shape)
+        return g
+
+    @staticmethod
+    def _both(unroll, seed=343):
+        """``unroll(rng, keep)`` with outputs kept, then without, from one seed."""
+        runs = []
+        for keep in (True, False):
+            rng = np.random.default_rng(seed)
+            runs.append((unroll(rng, keep), rng.bit_generator.state))
+        (full, full_state), (lean, lean_state) = runs
+        assert lean_state == full_state
+        assert lean.logits is lean.behavior is lean.hidden is None
+        np.testing.assert_array_equal(lean.sampled, full.sampled)
+        return full, lean
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("bias", [0.0, 0.5])
+    def test_samples_match_the_full_unroll(self, layers, bias):
+        # the sample command's draws, at its temperature 1 / (1 + bias)
+        g = self._desk_generator(layers)
+        for seed, count, t_len in itertools.product((1, 7, 123), (1, 8), (1, 2, 50, 1000)):
+            self._both(lambda rng, keep: unroll_free_running(
+                g, t_len, rng, temperature=1.0 / (1.0 + bias), batch=count,
+                keep_outputs=keep), seed)
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    @pytest.mark.parametrize("p_sample", [0.0, 0.5])
+    @pytest.mark.parametrize("free_rows", [0, 8])
+    def test_targeted_rows_keep_nll_and_draws(self, layers, include_outputs, p_sample,
+                                              free_rows):
+        g = self._desk_generator(layers)
+        ids = np.random.default_rng(342).integers(0, 8, (8, 50))
+        with stop_recording():
+            full, lean = self._both(lambda rng, keep: engine._unroll(
+                g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, keep))
+        assert lean.nll.data == full.nll.data
+        np.testing.assert_array_equal(lean.used_sample, full.used_sample)
+
+    def test_validation_nll_is_unchanged(self, tmp_path):
+        from profforce.trainer import _VAL_CHUNK
+        trainer = Trainer(TrainConfig(**{**TINY_PF, "val_count": 100}), tmp_path)
+        seqs = trainer.val_set.sequences
+        assert len(seqs) > _VAL_CHUNK
+        total = 0.0
+        with stop_recording():
+            for start in range(0, len(seqs), _VAL_CHUNK):
+                chunk = seqs[start:start + _VAL_CHUNK]
+                total += float(unroll_teacher_forced(trainer.g, chunk).nll.data) * len(chunk)
+        assert trainer.validate()[0] == total / seqs.size
+
+    def test_a_recording_tape_keeps_every_output(self):
+        g = tiny_generator()
+        with Tape():
+            res = unroll_teacher_forced(g, [[1, 2, 3]], keep_outputs=False)
+        assert (res.logits.shape, res.behavior.shape, res.hidden.shape) == (
+            (3, 1, 4), (3, 1, 5), (3, 1, 5))
+
+
+class TestSampleMemoryPerSymbol:
+    # Bytes an ids-only sample adds per drawn symbol, whatever the hidden
+    # size: the draws, their uniforms and ``sampled`` (measured at 24).
+    # May only come down.
+    CEILING = 40
+
+    @staticmethod
+    def _peak(hidden, t_len):
+        g = GeneratorParams.create(8, 16, hidden, 1, np.random.default_rng(350))
+        tracemalloc.start()
+        try:
+            unroll_free_running(g, t_len, np.random.default_rng(351), batch=8,
+                                keep_outputs=False)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_ids_only_sample_grows_with_the_ids_alone(self):
+        per_symbol = {h: (self._peak(h, 20000) - self._peak(h, 1000)) / (19000 * 8)
+                      for h in (64, 256)}
+        assert max(per_symbol.values()) <= self.CEILING, per_symbol
+        assert abs(per_symbol[64] - per_symbol[256]) <= 1.0, per_symbol
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from profforce.nets import (
     GruCellParams,
     MlpParams,
     OutputHeadParams,
+    _gru_weights,
     bigru_encode,
     gru_sequence,
     gru_step,
@@ -204,6 +206,33 @@ class TestGruSequence:
             gru_sequence(small_cell, Tensor(np.zeros((0, 2, 4))))
         with pytest.raises(ValueError):
             gru_sequence(small_cell, Tensor(np.zeros((5, 2, 3))))
+
+
+class TestGruWeights:
+    def test_bits_equal_the_scaled_copies(self):
+        # the gate-major forms as scaled whole copies, then reshaped, made them
+        p = GruCellParams.create(7, 5, np.random.default_rng(8))
+        p.b.data[:] = np.random.default_rng(9).uniform(-1, 1, p.b.shape)
+        p.W.data[0, :3], p.U.data[1, -3:], p.b.data[::5] = -0.0, -0.0, -0.0
+        H = 7
+        s = np.repeat((-0.5, 0.5, 1.0), H)
+        W, U = (p.W.data * s).reshape(-1, 3, H), (p.U.data * s).reshape(H, 3, H)
+        expected = (W.transpose(1, 0, 2).copy(), (p.b.data * s).reshape(3, 1, H),
+                    U[:, :2].transpose(1, 0, 2).copy(), U[:, 2].copy())
+        for got, want in zip(_gru_weights(p), expected):
+            assert got.shape == want.shape and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+
+    def test_traced_peak_is_one_copy_of_the_weights(self):
+        p = GruCellParams.create(256, 256, np.random.default_rng(10))
+        weights = p.W.data.nbytes + p.U.data.nbytes
+        tracemalloc.start()
+        try:
+            _gru_weights(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * weights, f"peak {peak / weights:.2f}x the cell's W + U"
 
 
 class TestInit:
