@@ -280,7 +280,8 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     and views bound before the first step; layer 0 reads ``x W + b``
     from a per-symbol table.  Only while a tape records does every step keep
-    its own cache rows and the unroll record one node, whose outputs are
+    its own cache rows (states, gates and candidates; ``r * h`` goes through
+    one row in any case) and the unroll record one node, whose outputs are
     the logits, behavior and hidden tensors and ``nll`` (see
     :func:`_unroll_backward`).  Untaped, ``keep_outputs=False`` leaves
     those three tensors None and writes them into rows used in turn,
@@ -309,14 +310,14 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         # top candidate has rows of its own, copied in after the loop
         top_pre = pre = (behavior if is_top and not include_outputs
                          else np.empty((t_len if is_top and whole else 1, batch, h)))
-        xb, zr, (rh, c) = (np.empty((3, batch, h)), np.empty((kept, 2, batch, h)),
-                           np.empty((2, kept, batch, h)))
+        xb, zr, rh, c = (np.empty((3, batch, h)), np.empty((kept, 2, batch, h)),
+                         np.empty((1, batch, h)), np.empty((kept, batch, h)))
         # step t's views h, zr, 1 - z, r, rh, pre, c and h_new, cycling with their rows
         steps = zip(*(cycle(a) for a in (hs, zr, zr[:, 0], zr[:, 1], rh, pre, c)),
                     islice(cycle(hs), 1, None))
         layers.append((xb, xb[:2], xb[2], U_zr, U_c, W, b,
                        cycle(list(islice(steps, t_len if per_step else 2)))))
-        caches.append((hs, zr, rh, c))
+        caches.append((hs, zr, c))
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
     used = np.zeros((n_tf, t_len), dtype=bool)
@@ -324,7 +325,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     lo = 0 if include_outputs or p_sample > 0.0 else n_tf
     inv_t = np.where(np.arange(batch)[:, None] < n_tf, 1.0, 1.0 / temperature)
     tempered = temperature != 1.0 and n_tf < batch   # else x * 1.0 is x: skip it
-    probs, inv_lo = np.empty((batch - lo, vocab)), inv_t[lo:]
+    probs, col, inv_lo = np.empty((batch - lo, vocab)), np.empty((batch - lo, 1)), inv_t[lo:]
     u = rng.random((t_len, batch - n_tf, 1)) if n_tf < batch else repeat(None)
     cdf, below = np.empty((batch - n_tf, vocab - 1)), np.empty((batch - n_tf, vocab - 1), bool)
     # step t's softmax rows and the free rows' first V-1 columns, which the CDF sums
@@ -344,7 +345,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         np.dot(x, w_head, lg)
         lg += b_head
         if lo < batch:
-            _stable_softmax(np.multiply(lg_lo, inv_lo, p) if tempered else lg_lo, p)
+            _stable_softmax(np.multiply(lg_lo, inv_lo, p) if tempered else lg_lo, p, col)
         if n_tf < batch:
             np.add.accumulate(p_cdf, 1, None, cdf)
             np.less(cdf, u_t, below)
@@ -382,7 +383,7 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
                      ids: np.ndarray | None, inv_t: np.ndarray, include_outputs: bool):
     """The backward closure of one unroll node.
 
-    ``caches[i]`` holds layer i's states, zr, rh and c, ``fed`` the
+    ``caches[i]`` holds layer i's states, zr and c, ``fed`` the
     [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
     row's inverse temperature and, with targets, ``soft`` every targeted
     logits row's softmax.  The closure takes the gradients of the
@@ -419,10 +420,10 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
         d_wo = caches[-1][0][1:, :n].reshape(t_len * n, top).T @ d_lg
         cell_grads = []
         for i in range(len(g.cells) - 1, -1, -1):
-            hs, zr, rh, c = caches[i]
+            hs, zr, c = caches[i]
             x = caches[i - 1][0][1:, :n] if i else emb[fed[:, :n]]
             d_out, d_w, d_u, d_b, _ = _gru_bptt(g.cells[i], x, hs[:-1, :n], zr[:, :, :n],
-                                                rh[:, :n], c[:, :n], d_out, g_pre)
+                                                c[:, :n], d_out, g_pre)
             g_pre = None   # only the top layer's candidate is in the behavior
             cell_grads[:0] = [d_w, d_u, d_b]
         d_emb = np.zeros_like(emb)
@@ -568,9 +569,9 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
        on a tape of its own.  Its probabilities give the accuracy, the
        gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
        which makes the generator term c_d with the labels swapped).
-    3. Sweep the discriminator tape at most once, for c_d, into its
-       parameters and the leaf, if the gate lets it learn or the
-       adversarial term reaches the generator.
+    3. Sweep the discriminator tape at most once, for c_d, forming only
+       what is read: its parameters' gradients if the gate lets it
+       learn, the leaf's if the adversarial term reaches the generator.
     4. If the term reaches the generator, add ``sum(stack * leaf_grad)``
        to the generator loss, as one node whose only input is the stack,
        with ``leaf_grad`` the term's gradient at the leaf: the c_d sweep's,
@@ -615,9 +616,10 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
             gs = gate(accuracy_from_probs(p_tf, p_fr))
             update_d = not settings.freeze_discriminator and gs.update_discriminator
             adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
-            if update_d or adv_on:
+            reads = (d_params if update_d else []) + ([leaf] if adv_on else [])
+            if reads:
                 zero_grads(d_params)
-                backward(d_tape, c_d, params=d_params)
+                backward(d_tape, c_d, reads=reads)
             metrics.update(c_d=float(c_d.data),
                            c_f=loss_fool_free_running(p_fr),
                            c_t=loss_match_teacher_forced(p_tf),

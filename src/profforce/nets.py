@@ -28,12 +28,17 @@ them holds one copy of a cell's weights, not two.
 :func:`_gru_bptt` runs the recursion backward; a step makes only ufunc
 and BLAS calls, with ``out`` passed positionally and 2-D products
 through ``np.dot``.  :func:`gru_sequence` (one tape node, run per
-direction by :func:`bigru_encode`), :func:`gru_step` and the generator
-unroll in :mod:`profforce.engine` all run it.
+direction by :func:`bigru_encode`) and the generator unroll in
+:mod:`profforce.engine` both run it.  A taped recursion caches its
+states, gates and candidates; ``r * h`` goes through one scratch row,
+and :func:`_gru_bptt` recomputes it for ``U_c``'s gradient.
 :func:`_gru_bptt` returns fresh gradients in their final shapes, which
-the tape keeps without a copy.  :func:`mlp_forward` is likewise one
-tape node for all its layers, with a hand-written backward whose bits
-are those of the composed ``matmul``/``add``/``relu`` chain.
+the tape keeps without a copy, and forms only those its caller needs.
+:func:`mlp_forward` is likewise one tape node for all its layers, with
+a hand-written backward whose bits are those of the composed
+``matmul``/``add``/``relu`` chain.  Both nodes are told which inputs a
+sweep reads (see :func:`profforce.tensor.backward`) and skip the
+products of the others.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -55,7 +60,6 @@ __all__ = [
     "MlpParams",
     "BiGruParams",
     "init_params",
-    "gru_step",
     "gru_sequence",
     "mlp_forward",
     "bigru_encode",
@@ -130,6 +134,9 @@ def _gru_weights(p: GruCellParams):
     return W_g, p.b.data.reshape(3, 1, H) * s, U_zr, U[:, 2].copy()
 
 
+_ONE, _HALF = np.array(1.0), np.array(0.5)   # a float operand is converted on every call
+
+
 def _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, h_new) -> None:
     """One step from state ``h`` ``[B, H]`` and ``x W + b`` (forms of
     :func:`_gru_weights`), given as its z, r rows ``xb_zr`` and c row ``xb_c``,
@@ -139,8 +146,8 @@ def _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, h_new) ->
     np.matmul(h, U_zr, zr)
     zr += xb_zr
     np.tanh(zr, zr)
-    zr += 1.0
-    zr *= 0.5
+    zr += _ONE
+    zr *= _HALF
     np.multiply(r, h, rh)
     np.dot(rh, U_c, pre)
     pre += xb_c
@@ -154,38 +161,41 @@ def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = Fa
     """Run a cell over ``x`` ``[T, B, I]`` from ``h0`` (step ``T-1`` first with
     ``reverse``), projecting all inputs in one product.  Returns the states
     ``[T+1, B, H]``, ``h0`` in row 0 and step t's in row t+1 (rows T and t
-    with ``reverse``), the caches zr and rh, the last step's pre-tanh
-    value ``[1, B, H]`` and the cache c."""
+    with ``reverse``), the cache zr, the last step's pre-tanh value
+    ``[1, B, H]`` and the cache c; every step writes ``r * h`` into one row."""
     if x.shape[-1] != p.input_size:
         raise ValueError(f"input width {x.shape[-1]} != cell input size {p.input_size}")
     T, B, _ = x.shape
     H = p.hidden_size
     W, b, U_zr, U_c = _gru_weights(p)
     hs, zr = np.empty((T + 1, B, H)), np.empty((T, 2, B, H))
-    rh, c, pre = np.empty((T, B, H)), np.empty((T, B, H)), np.empty((1, B, H))
+    rh, c, pre = np.empty((B, H)), np.empty((T, B, H)), np.empty((1, B, H))
     xb = x[:, None] @ W
     xb += b
     hs[T if reverse else 0] = h0
     read, write = (hs[1:], hs[:-1]) if reverse else (hs[:-1], hs[1:])
     s, pre_0 = slice(None, None, -1 if reverse else 1), pre[0]
-    for h, xb_zr, xb_c, zr_t, keep, r, rh_t, c_t, h_new in zip(
-            read[s], xb[s, :2], xb[s, 2], zr[s], zr[s, 0], zr[s, 1], rh[s], c[s], write[s]):
-        _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr_t, keep, r, rh_t, pre_0, c_t, h_new)
-    return hs, zr, rh, pre, c
+    for h, xb_zr, xb_c, zr_t, keep, r, c_t, h_new in zip(
+            read[s], xb[s, :2], xb[s, 2], zr[s], zr[s, 0], zr[s, 1], c[s], write[s]):
+        _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr_t, keep, r, rh, pre_0, c_t, h_new)
+    return hs, zr, pre, c
 
 
 def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarray,
-              rh: np.ndarray, c: np.ndarray, g_h: np.ndarray,
-              g_pre: np.ndarray | None = None, reverse: bool = False):
+              c: np.ndarray, g_h: np.ndarray, g_pre: np.ndarray | None = None,
+              reverse: bool = False, needs: tuple[bool, ...] = (True,) * 4):
     """Backward through cell ``p`` run over ``T`` steps.
 
     Arrays are time-major: inputs ``x`` ``[T, B, I]``, the states
-    ``h_prev`` each step read and the caches of :func:`_gru_step_into`;
-    ``g_h[t]`` and ``g_pre[t]`` reach step t's state and pre-tanh value
-    from outside the recursion.  ``(c - h) z (1 - z)``, ``h r (1 - r)``
-    and ``z (1 - c^2)`` are formed for all steps first, in the gradient
-    slots a step then scales in place.  Returns dx, dW, dU, db (one
-    product per gate each) and the gradient into the first state read.
+    ``h_prev`` each step read and the caches zr and c of
+    :func:`_gru_step_into`; ``g_h[t]`` and ``g_pre[t]`` reach step t's
+    state and pre-tanh value from outside the recursion.  ``(c - h) z (1 -
+    z)``, ``h r (1 - r)`` and ``z (1 - c^2)`` are formed for all steps
+    first, in the gradient slots a step then scales in place.  Returns dx,
+    dW, dU, db (one product per gate each; None where ``needs``, one bool
+    each, is false) and the gradient into the first state read.  ``r * h``
+    is recomputed for dU_c after the other weight products and freed
+    before dx is allocated.
     """
     T, B, H = h_prev.shape
     W, U = p.W.data, p.U.data
@@ -224,45 +234,25 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
         d_h += back_r
     n = T * B
     da = da.reshape(3, n, H)
-    x2, h2, W_t = x.reshape(n, -1), h_prev.reshape(n, H), W.reshape(-1, 3, H).transpose(1, 2, 0)
-    # d_x and d_b are written through views, so the arrays returned own their data
-    d_x, d_W, d_U, d_b = np.empty(x.shape), np.empty_like(W), np.empty_like(U), np.empty(3 * H)
-    d_x2 = np.matmul(da[0], W_t[0], out=d_x.reshape(n, -1))
-    for k, inp in enumerate((h2, h2, rh.reshape(n, H))):
-        np.matmul(x2.T, da[k], out=d_W[:, k * H:(k + 1) * H])
-        np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
-        if k:
-            d_x2 += da[k] @ W_t[k]
-    np.sum(da, axis=1, out=d_b.reshape(3, H))
+    x2, h2 = x.reshape(n, -1), h_prev.reshape(n, H)
+    # each is written through views, so the arrays returned own their data
+    d_x, (d_W, d_U, d_b) = None, (np.empty(shape) if need else None
+                                  for shape, need in zip((W.shape, U.shape, 3 * H), needs[1:]))
+    for k in range(3):
+        if needs[1]:
+            np.matmul(x2.T, da[k], out=d_W[:, k * H:(k + 1) * H])
+        if needs[2]:   # U_c's input is r * h, recomputed and freed before d_x is made
+            inp = h2 if k < 2 else np.multiply(r, h_prev).reshape(n, H)
+            np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
+    inp = None
+    if needs[3]:
+        np.sum(da, axis=1, out=d_b.reshape(3, H))
+    if needs[0]:
+        d_x, W_t = np.empty(x.shape), W.reshape(-1, 3, H).transpose(1, 2, 0)
+        d_x2 = np.matmul(da[0], W_t[0], out=d_x.reshape(n, -1))
+        d_x2 += da[1] @ W_t[1]
+        d_x2 += da[2] @ W_t[2]
     return d_x, d_W, d_U, d_b, d_h
-
-
-def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
-    """One GRU update; returns the new state and the candidate pre-tanh value.
-
-    ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
-    row batches.  The step is one tape node over the kernel of
-    :func:`gru_sequence`, run for one step; either output may be left
-    out of the loss.
-    """
-    hd, xd = h_prev.data, x_in.data
-    H = p.hidden_size
-    if hd.shape[-1] != H:
-        raise ValueError(f"state width {hd.shape[-1]} != hidden size {H}")
-    if hd.shape[:-1] != xd.shape[:-1] or hd.ndim > 2:
-        raise ValueError(f"state {hd.shape} and input {xd.shape} must both be [H]/[I] "
-                         f"or share a leading batch dimension")
-    x, h = xd.reshape(1, -1, xd.shape[-1]), hd.reshape(1, -1, H)   # a one-step sequence
-    hs, zr, rh, pre, c = _gru_run(p, x, h[0])
-
-    def back(g_h, g_pre):
-        g_h = np.zeros(h.shape) if g_h is None else g_h.reshape(h.shape)
-        g_pre = None if g_pre is None else g_pre.reshape(h.shape)
-        d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, hs[:1], zr, rh, c, g_h, g_pre)
-        return d_h.reshape(hd.shape), d_x.reshape(xd.shape), d_W, d_U, d_b
-
-    out = (Tensor(hs[1].reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
-    return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
 def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
@@ -276,13 +266,13 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
     if xd.ndim != 3 or xd.shape[0] == 0:
         raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
     T, B, _ = xd.shape
-    hs, zr, rh, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
+    hs, zr, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
     states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
 
-    def back(g):
-        return _gru_bptt(p, xd, h_prev, zr, rh, c, g, reverse=reverse)[:4]
+    def back(g, needs=(True,) * 4):
+        return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse, needs=needs)[:4]
 
-    return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back)
+    return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back, told=True)
 
 
 @dataclass
@@ -345,17 +335,18 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
             np.maximum(a, 0.0, out=a)
         acts.append(a)
 
-    def back(g):
+    def back(g, needs=(True,) * (1 + 2 * len(ws))):
         grads = []
         for i in range(len(ws) - 1, -1, -1):
             if i != len(ws) - 1:   # g is this node's own product here
                 g *= acts[i + 1] > 0.0
-            grads[:0] = [acts[i].T @ g, g.sum(axis=0)]
-            g = g @ ws[i].T
+            grads[:0] = [acts[i].T @ g if needs[2 * i + 1] else None,
+                         g.sum(axis=0) if needs[2 * i + 2] else None]
+            g = g @ ws[i].T if i or needs[0] else None
         return (g, *grads)
 
     weights = tuple(t for layer in p.layers for t in layer)
-    return _record(Tensor(acts[-1], copy=False), (x, *weights), back)
+    return _record(Tensor(acts[-1], copy=False), (x, *weights), back, told=True)
 
 
 @dataclass

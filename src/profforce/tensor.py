@@ -19,6 +19,11 @@ is a valid topological order because nodes are appended as they are
 created, so once a node's closure has run no node left to sweep reads
 its outputs' gradients: the sweep releases them there.  After a sweep
 only leaves (parameters, detached inputs) hold a ``grad``.
+
+A sweep forms only the gradients its caller reads, when the caller
+names those leaves; the GRU sequence and MLP nodes of
+:mod:`profforce.nets` are told which inputs lead to them and skip the
+products of the others.
 """
 
 from __future__ import annotations
@@ -35,15 +40,12 @@ __all__ = [
     "backward",
     "grad_check",
     "zero_grads",
-    "matmul",
     "add",
     "sub",
     "mul",
     "scale",
     "one_minus",
     "sigmoid",
-    "tanh",
-    "relu",
     "log",
     "clip",
     "softmax_cross_entropy_rows",
@@ -116,6 +118,7 @@ class Tape:
         # closure takes one gradient per output, None for an output the
         # loss does not reach, and returns one gradient per input.
         self.nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
+        self.told: set[int] = set()   # nodes whose closure takes ``needs``
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -152,18 +155,33 @@ def is_recording() -> bool:
     return bool(_TAPES) and _TAPES[-1] is not None
 
 
-def _record(out, inputs: tuple[Tensor, ...], backfn: Callable):
-    """Record one node; ``out`` is a Tensor or a tuple of output Tensors."""
+def _record(out, inputs: tuple[Tensor, ...], backfn: Callable, told: bool = False):
+    """Record one node; ``out`` is a Tensor or a tuple of output Tensors.
+    With ``told`` the closure takes ``needs`` (see :func:`backward`)."""
     if is_recording():
         tape = _TAPES[-1]
         outs = out if isinstance(out, tuple) else (out,)
         for o in outs:
             o.node_id = len(tape.nodes)
+        if told:
+            tape.told.add(len(tape.nodes))
         tape.nodes.append((outs, inputs, backfn))
     return out
 
 
-def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None) -> None:
+def _needs(tape: Tape, reads: Sequence[Tensor] | None) -> list[tuple[bool, ...]]:
+    """Per node, whether each input leads to one of the leaves ``reads``
+    (every input does when ``reads`` is None)."""
+    live, needs = {id(t) for t in reads or ()}, []
+    for outs, inputs, _ in tape.nodes:
+        needs.append(tuple(reads is None or id(t) in live for t in inputs))
+        if any(needs[-1]):
+            live.update(id(o) for o in outs)
+    return needs
+
+
+def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
+             reads: Sequence[Tensor] | None = None) -> None:
     """Reverse sweep over ``tape`` accumulating gradients of ``loss``.
 
     Gradients add into each input tensor's ``grad``; the caller is
@@ -171,18 +189,28 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None) -
     are dropped once its closure has consumed them, so only leaves keep
     theirs.  When ``params`` is given, any of them left untouched by the
     sweep (not reachable from the loss) gets an exact zero gradient.
+    ``reads`` names the leaves the caller reads, which count as
+    ``params`` too: the sweep then forms only the gradients that lead to
+    one of them, skips a node none of whose inputs does, and passes a
+    ``told`` closure ``needs``, one bool per input, so that it can skip
+    the products of the others.  What it forms keeps its bits.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    needs = _needs(tape, reads)
     loss.grad = np.ones((), dtype=np.float64)
-    for outs, inputs, backfn in reversed(tape.nodes):
+    for i in range(len(tape.nodes) - 1, -1, -1):
+        outs, inputs, backfn = tape.nodes[i]
         grads = [out.grad for out in outs]
         if all(g is None for g in grads):
             continue
         for out in outs:   # no node left to sweep reads them
             out.grad = None
-        for t, gi in zip(inputs, backfn(*grads)):
-            if gi is None:
+        if not any(needs[i]):
+            continue
+        got = backfn(*grads, needs=needs[i]) if i in tape.told else backfn(*grads)
+        for t, gi, need in zip(inputs, got, needs[i]):
+            if gi is None or not need:
                 continue
             if t.grad is None:
                 # Take a fresh array as it is; copy a view or a gradient
@@ -192,10 +220,9 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None) -
                 t.grad = gi if fresh else np.array(gi)
             else:
                 t.grad += gi
-    if params is not None:
-        for p in params:
-            if p.grad is None:
-                p.grad = np.zeros_like(p.data)
+    for p in [*(params or ()), *(reads or ())]:
+        if p.grad is None:
+            p.grad = np.zeros_like(p.data)
 
 
 def zero_grads(tensors: Sequence[Tensor]) -> None:
@@ -257,34 +284,11 @@ def one_minus(a: Tensor) -> Tensor:
     return _record(out, (a,), lambda g: (-g,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product of two 2D operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ValueError(f"matmul: expects 2D operands, got ranks {ad.ndim} and {bd.ndim}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd, copy=False)
-    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
-
-
 def sigmoid(a: Tensor) -> Tensor:
     """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
     s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
     out = Tensor(s, copy=False)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    out = Tensor(t, copy=False)
-    return _record(out, (a,), lambda g: (g * (1.0 - t * t),))
-
-
-def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    out = Tensor(np.maximum(ad, 0.0), copy=False)
-    return _record(out, (a,), lambda g: (g * (ad > 0.0),))
 
 
 def log(a: Tensor) -> Tensor:
@@ -305,11 +309,13 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     return _record(out, (a,), lambda g: (g * mask,))
 
 
-def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, written into ``out`` if given (``x`` may be it)."""
-    out = np.subtract(x, np.maximum.reduce(x, -1, None, None, True), out)
+def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None,
+                    col: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written into ``out`` if given (``x`` may be
+    it); both row reductions go into ``col`` ``[..., 1]`` if given."""
+    out = np.subtract(x, np.maximum.reduce(x, -1, None, col, True), out)
     np.exp(out, out)
-    out /= np.add.reduce(out, -1, None, None, True)
+    out /= np.add.reduce(out, -1, None, col, True)
     return out
 
 

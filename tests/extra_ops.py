@@ -7,6 +7,7 @@ the per-step reference unrolls use them.
 
 import numpy as np
 
+from profforce.nets import GruCellParams, _gru_bptt, _gru_run
 from profforce.tensor import (
     Tensor,
     _record,
@@ -14,6 +15,57 @@ from profforce.tensor import (
     reshape,
     softmax_cross_entropy_rows,
 )
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """Matrix product of two 2D operands."""
+    ad, bd = a.data, b.data
+    if ad.ndim != 2 or bd.ndim != 2:
+        raise ValueError(f"matmul: expects 2D operands, got ranks {ad.ndim} and {bd.ndim}")
+    if ad.shape[1] != bd.shape[0]:
+        raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
+    out = Tensor(ad @ bd, copy=False)
+    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+
+
+def tanh(a: Tensor) -> Tensor:
+    t = np.tanh(a.data)
+    out = Tensor(t, copy=False)
+    return _record(out, (a,), lambda g: (g * (1.0 - t * t),))
+
+
+def relu(a: Tensor) -> Tensor:
+    ad = a.data
+    out = Tensor(np.maximum(ad, 0.0), copy=False)
+    return _record(out, (a,), lambda g: (g * (ad > 0.0),))
+
+
+def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
+    """One GRU update; returns the new state and the candidate pre-tanh value.
+
+    ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
+    row batches.  The step is one tape node over the kernel of
+    :func:`profforce.nets.gru_sequence`, run for one step; either output
+    may be left out of the loss.
+    """
+    hd, xd = h_prev.data, x_in.data
+    H = p.hidden_size
+    if hd.shape[-1] != H:
+        raise ValueError(f"state width {hd.shape[-1]} != hidden size {H}")
+    if hd.shape[:-1] != xd.shape[:-1] or hd.ndim > 2:
+        raise ValueError(f"state {hd.shape} and input {xd.shape} must both be [H]/[I] "
+                         f"or share a leading batch dimension")
+    x, h = xd.reshape(1, -1, xd.shape[-1]), hd.reshape(1, -1, H)   # a one-step sequence
+    hs, zr, pre, c = _gru_run(p, x, h[0])
+
+    def back(g_h, g_pre):
+        g_h = np.zeros(h.shape) if g_h is None else g_h.reshape(h.shape)
+        g_pre = None if g_pre is None else g_pre.reshape(h.shape)
+        d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, hs[:1], zr, c, g_h, g_pre)
+        return d_h.reshape(hd.shape), d_x.reshape(xd.shape), d_W, d_U, d_b
+
+    out = (Tensor(hs[1].reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
+    return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -30,7 +30,7 @@ from profforce.engine import (
     unroll_free_running,
     unroll_teacher_forced,
 )
-from profforce.nets import GruCellParams, gru_sequence, gru_step
+from profforce.nets import GruCellParams, gru_sequence
 from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
@@ -41,11 +41,9 @@ from profforce.tensor import (
     concat,
     grad_check,
     log,
-    matmul,
     mean_axis0,
     mul,
     one_minus,
-    relu,
     reshape,
     scale,
     sigmoid,
@@ -54,12 +52,21 @@ from profforce.tensor import (
     stop_recording,
     sub,
     sum_all,
-    tanh,
     zero_grads,
 )
 from profforce.trainer import Trainer
 
-from extra_ops import embed, mean_all, softmax, softmax_cross_entropy, transpose
+from extra_ops import (
+    embed,
+    gru_step,
+    matmul,
+    mean_all,
+    relu,
+    softmax,
+    softmax_cross_entropy,
+    tanh,
+    transpose,
+)
 
 
 @contextmanager

@@ -29,7 +29,7 @@ from profforce.engine import (
     unroll_free_running,
     unroll_teacher_forced,
 )
-from profforce.nets import gru_step, mlp_forward
+from profforce.nets import mlp_forward
 from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
@@ -39,7 +39,6 @@ from profforce.tensor import (
     concat,
     grad_check,
     log,
-    matmul,
     mul,
     scale,
     softmax_cross_entropy_rows,
@@ -49,7 +48,7 @@ from profforce.tensor import (
 )
 from profforce.trainer import Trainer, effective_settings
 
-from extra_ops import embed, softmax
+from extra_ops import embed, gru_step, matmul, softmax
 from test_acceptance import TINY_PF
 from test_nets import gru_oracle
 
@@ -943,9 +942,9 @@ class TestTrainStep:
         # bit; tf takes no softmax, ss one per step for its draws
         softmax_rows, softmax_once = [], engine._stable_softmax
 
-        def counting(x, out=None):
+        def counting(x, *buffers):
             softmax_rows.append(len(x))
-            return softmax_once(x, out)
+            return softmax_once(x, *buffers)
 
         monkeypatch.setattr(engine, "_stable_softmax", counting)
         runs = []
@@ -1169,6 +1168,55 @@ class TestOnePassStepEdges:
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
 
 
+class TestStepSweepsWhatItReads:
+    """A desk pf step sweeps the discriminator tape for what it reads: the
+    discriminator's gradients when it updates, the behavior leaf's when the
+    adversarial term reaches the generator.  Each one formed has the bits a
+    sweep forming everything gives it."""
+
+    @staticmethod
+    def _step(monkeypatch, tmp_path, adversarial_gate, extra=()):
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", adversarial_gate)
+        monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
+        cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0", *extra],
+                           {"seed": 1, "max_steps": 20})
+        tr = Trainer(cfg, tmp_path)
+        d_params, swept, sweep = tr.d.tensors(), [], engine.backward
+
+        def recording(tape, loss, **kw):
+            sweep(tape, loss, **kw)
+            ins = {id(t): t for _, inputs, _ in tape.nodes for t in inputs}
+            if all(id(p) in ins for p in d_params):   # the discriminator's tape
+                outs = {id(t) for outs, _, _ in tape.nodes for t in outs}
+                (leaf,) = [t for t in ins.values()
+                           if id(t) not in outs and all(t is not p for p in d_params)]
+                # as the sweep left them, before train_step scales the leaf's
+                swept.append((tape, loss, leaf, [None if t.grad is None else t.grad.copy()
+                                                 for t in [leaf, *d_params]]))
+
+        monkeypatch.setattr(engine, "backward", recording)
+        m = train_step(tr.g, tr.d, tr._batch_for_step(0), effective_settings(tr.cfg), 0.0,
+                       tr.rng, tr.g_adam, tr.d_adam)
+        (tape, loss, leaf, grads), = swept
+        zero_grads([leaf, *d_params])
+        sweep(tape, loss)   # the same tape, forming everything
+        return m, grads, [leaf.grad, *(p.grad for p in d_params)]
+
+    def test_gate_closed_step_forms_no_leaf_gradient(self, monkeypatch, tmp_path):
+        m, (leaf_grad, *d_grads), (_, *full_d_grads) = self._step(monkeypatch, tmp_path, 2.0)
+        assert not m["gate_gen"] and m["gate_disc"]
+        assert leaf_grad is None
+        for got, want in zip(d_grads, full_d_grads):
+            np.testing.assert_array_equal(got, want)
+
+    def test_frozen_discriminator_forms_only_the_leaf_gradient(self, monkeypatch, tmp_path):
+        m, (leaf_grad, *d_grads), (full_leaf_grad, *_) = self._step(
+            monkeypatch, tmp_path, -1.0, ["freeze_discriminator=true"])
+        assert m["gate_gen"]
+        assert all(g is None for g in d_grads)
+        np.testing.assert_array_equal(leaf_grad, full_leaf_grad)
+
+
 class TestGradientOwnership:
     """``backward`` keeps a closure's fresh gradient as it is and copies a
     view or a gradient the node received; no two tensors may end up
@@ -1185,11 +1233,11 @@ class TestGradientOwnership:
             found = {id(t): t for _, ins, _ in tape.nodes for t in ins if id(t) not in outputs}
             return list(found.values())
 
-        def recording(tape, loss, params=None):
-            sweep(tape, loss, params)
+        def recording(tape, loss, **kw):
+            sweep(tape, loss, **kw)
             # as the sweep left them, before train_step scales the leaf's
             kept = [t for t in leaves(tape) if t.grad is not None]
-            swept.append((tape, loss, params, kept, [t.grad.copy() for t in kept]))
+            swept.append((tape, loss, kw, kept, [t.grad.copy() for t in kept]))
 
         monkeypatch.setattr(engine, "backward", recording)
         g, d, y, ga, da = build_step_fixture(seed=104)
@@ -1206,9 +1254,9 @@ class TestGradientOwnership:
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
         # Sweep each tape again: every gradient left gets the same bits.
-        for tape, loss, params, kept, before in swept:
+        for tape, loss, kw, kept, before in swept:
             zero_grads([t for _, ins, _ in tape.nodes for t in ins])
-            sweep(tape, loss, params)
+            sweep(tape, loss, **kw)
             for t, a in zip(kept, before):
                 np.testing.assert_array_equal(t.grad, a)
 
@@ -1218,9 +1266,9 @@ class TestGradientOwnership:
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
         tapes, sweep = [], engine.backward
 
-        def recording(tape, loss, params=None):
+        def recording(tape, loss, **kw):
             tapes.append(tape)
-            sweep(tape, loss, params)
+            sweep(tape, loss, **kw)
 
         monkeypatch.setattr(engine, "backward", recording)
         g, d, y, ga, da = build_step_fixture(seed=104)
@@ -1274,7 +1322,9 @@ class TestDeskStepPeakMemory:
     and the scoring MLP keeps one input per layer (traced by tracemalloc,
     which numpy reports to)."""
 
-    CEILING_MIB = 14.5   # about 1.15x the 12.6 measured; 21.2 when a sweep kept every gradient
+    # about 1.15x the 11.1 measured; 12.3 while recursions cached r * h and the
+    # discriminator sweep formed every gradient, 21.2 when a sweep kept them all
+    CEILING_MIB = 12.8
 
     def test_desk_pf_step_traced_peak(self, monkeypatch, tmp_path):
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
@@ -1329,9 +1379,9 @@ class TestTapeNodeCeiling:
             d_tapes.append(tensor._TAPES[-1])
             return discriminate_once(d, b)
 
-        def counting_backward(tape, loss, params=None):
+        def counting_backward(tape, loss, **kw):
             swept.append(tape)
-            return backward_once(tape, loss, params)
+            return backward_once(tape, loss, **kw)
 
         monkeypatch.setattr(engine, "discriminate", counting_discriminate)
         monkeypatch.setattr(engine, "backward", counting_backward)

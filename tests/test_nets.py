@@ -12,7 +12,6 @@ from profforce.nets import (
     _gru_weights,
     bigru_encode,
     gru_sequence,
-    gru_step,
     init_params,
     mlp_forward,
 )
@@ -22,13 +21,12 @@ from profforce.tensor import (
     add,
     backward,
     grad_check,
-    matmul,
     mul,
-    relu,
     sum_all,
-    tanh,
     zero_grads,
 )
+
+from extra_ops import gru_step, matmul, relu, tanh
 
 
 def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):

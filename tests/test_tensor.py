@@ -6,17 +6,16 @@ import pytest
 from profforce.tensor import (
     Tape,
     Tensor,
+    _record,
     add,
     backward,
     clip,
     concat,
     grad_check,
     log,
-    matmul,
     mean_axis0,
     mul,
     one_minus,
-    relu,
     reshape,
     scale,
     sigmoid,
@@ -25,11 +24,19 @@ from profforce.tensor import (
     stop_recording,
     sub,
     sum_all,
-    tanh,
     zero_grads,
 )
 
-from extra_ops import embed, mean_all, softmax, softmax_cross_entropy, transpose
+from extra_ops import (
+    embed,
+    matmul,
+    mean_all,
+    relu,
+    softmax,
+    softmax_cross_entropy,
+    tanh,
+    transpose,
+)
 
 
 def matmul_oracle(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -282,6 +289,54 @@ class TestClipGradient:
             y = sum_all(clip(x, -10, 10))
         backward(tape, y)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
+
+
+class TestSweepReads:
+    """``backward(..., reads=...)`` forms only the gradients that lead to
+    the named leaves, with the bits a sweep forming everything gives."""
+
+    @staticmethod
+    def _tape():
+        # a and b meet in one told node with c; d feeds a branch of its own
+        a, b, c, d = (Tensor([1.0, -2.0]), Tensor([3.0, 0.5]), Tensor([5.0, 7.0]),
+                      Tensor([2.0, 4.0]))
+        told, called = [], []
+        with Tape() as tape:
+            ab = mul(a, b)
+            out = Tensor(ab.data * c.data, copy=False)
+
+            def back(g, needs=(True, True)):
+                told.append(needs)
+                return (g * c.data if needs[0] else None, g * ab.data if needs[1] else None)
+
+            def square_back(g):
+                called.append(g)
+                return (2.0 * d.data * g,)
+
+            sq = _record(Tensor(d.data * d.data, copy=False), (d,), square_back)
+            loss = sum_all(add(_record(out, (ab, c), back, told=True), sq))
+        return tape, loss, (a, b, c, d), told, called
+
+    def test_input_leading_to_no_read_leaf_gets_no_gradient(self):
+        tape, loss, (a, b, c, d), told, called = self._tape()
+        backward(tape, loss, reads=[a])
+        assert told == [(True, False)]   # the told closure heard that c is not read
+        assert called == []               # d's branch leads to no read leaf: skipped
+        assert b.grad is None and c.grad is None and d.grad is None
+        partial = a.grad
+        zero_grads([a, b, c, d])
+        backward(tape, loss)              # the same tape, forming everything
+        assert told[-1] == (True, True) and len(called) == 1
+        np.testing.assert_array_equal(a.grad, partial)
+        assert b.grad is not None and c.grad is not None and d.grad is not None
+
+    def test_read_leaf_the_loss_never_reaches_gets_exact_zero(self):
+        tape, loss, leaves, told, _ = self._tape()
+        stray = Tensor([[1.0, 2.0]])
+        backward(tape, loss, reads=[leaves[2], stray])
+        assert told == [(False, True)]
+        np.testing.assert_array_equal(stray.grad, [[0.0, 0.0]])
+        assert all(t.grad is None for t in (leaves[0], leaves[1], leaves[3]))
 
 
 # ---------------------------------------------------------------------------
