@@ -16,7 +16,6 @@ from .engine import (
     loss_discriminator,
     loss_fool_free_running,
     loss_match_teacher_forced,
-    loss_nll,
     train_step,
     unroll_free_running,
     unroll_teacher_forced,
@@ -42,7 +41,6 @@ __all__ = [
     "EngineSettings",
     "gate",
     "discriminate",
-    "loss_nll",
     "loss_discriminator",
     "loss_fool_free_running",
     "loss_match_teacher_forced",

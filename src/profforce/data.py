@@ -5,7 +5,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator
 
 import numpy as np
 
@@ -15,7 +14,6 @@ __all__ = [
     "RasterSequence",
     "load_corpus",
     "chunk_sequences",
-    "make_batches",
     "synth_copy_task",
     "synth_raster_task",
     "raster_dataset",
@@ -93,20 +91,6 @@ def chunk_sequences(ids, length: int, vocab_size: int) -> SequenceDataset:
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.shape[0] // length
     return SequenceDataset(ids[:n * length].reshape(n, length), vocab_size)
-
-
-def make_batches(ds: SequenceDataset, batch_size: int,
-                 rng: np.random.Generator) -> Iterator[np.ndarray]:
-    """One epoch of batches in a freshly shuffled order.
-
-    Every sequence appears exactly once; a short final batch is kept.
-    """
-    if batch_size < 1:
-        raise ValueError("batch size must be positive")
-    n = len(ds)
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield ds.sequences[order[start:start + batch_size]]
 
 
 def synth_copy_task(vocab_size: int, pattern_len: int, seq_len: int, count: int,

@@ -80,7 +80,6 @@ from .tensor import (
     reshape,
     scale,
     sigmoid,
-    softmax_cross_entropy_rows,
     split,
     sum_all,
     zero_grads,
@@ -96,7 +95,6 @@ __all__ = [
     "unroll_teacher_forced",
     "unroll_free_running",
     "discriminate",
-    "loss_nll",
     "loss_discriminator",
     "loss_fool_free_running",
     "loss_match_teacher_forced",
@@ -363,8 +361,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     soft = None
     if n_tf:
-        # Rows in step order, as [T * n, V]: the sum runs in the order
-        # loss_nll's does.
+        # Rows in step order, as [T * n, V], so the sum runs step by step.
         xent, e, s = _cross_entropy_rows(logits[:, :n_tf].reshape(-1, vocab), ids.T.reshape(-1))
         res.nll = Tensor(np.sum(xent) * (1.0 / n_tf), copy=False)
         res.used_sample = used
@@ -488,19 +485,6 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     return sigmoid(clip(pooled, -LOGIT_CLIP, LOGIT_CLIP))
 
 
-def loss_nll(logits: Tensor, y_seq) -> Tensor:
-    """Total sequence cross entropy of ``[T, B, V]`` logits, averaged over
-    the batch rows."""
-    ids = _as_batch_ids(y_seq)
-    t_len, batch, vocab = logits.shape
-    if (batch, t_len) != ids.shape:
-        raise ValueError(f"logits for {t_len} steps of {batch} rows, targets {ids.shape}")
-    # rows in step order, so the sum runs in the order of the unroll's nll
-    rows = reshape(logits, (t_len * batch, vocab))
-    xents = softmax_cross_entropy_rows(rows, ids.T.reshape(-1))
-    return scale(sum_all(xents), 1.0 / ids.shape[0])
-
-
 def _mean_neg_log(x):
     if isinstance(x, Tensor):
         return scale(sum_all(log(x)), -1.0 / x.size)
@@ -552,9 +536,9 @@ def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
 # one optimisation step
 
 
-def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
+def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
                settings: EngineSettings, p_sample: float, rng: np.random.Generator,
-               g_adam: AdamState, d_adam: AdamState) -> dict:
+               g_adam: AdamState, d_adam: AdamState | None) -> dict:
     """One combined update over a minibatch.
 
     Order of work:
@@ -590,7 +574,9 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     the unroll runs the B targeted rows alone, without the behavior's
     softmax columns, and all discriminator work is skipped; the
     corresponding metrics are reported as nan.  This keeps plain teacher
-    forcing and scheduled sampling on the same code path.
+    forcing and scheduled sampling on the same code path, and ``d`` and
+    ``d_adam`` are read only otherwise: those two modes pass None for
+    both, as they have no discriminator at all.
     """
     ids = _target_ids(g, y_batch)
     b, t_len = ids.shape
@@ -600,7 +586,6 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
     metrics = {"c_d": nan, "c_f": nan, "c_t": nan, "disc_acc": nan,
                "gate_gen": False, "gate_disc": False}
     update_d = False
-    d_params = d.tensors()
 
     with Tape() as gen_tape:
         # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
@@ -608,6 +593,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams, y_batch,
                       settings.temperature, settings.include_outputs and run_adv)
         loss = scale(res.nll, 1.0 / t_len)
         if run_adv:
+            d_params = d.tensors()
             leaf = res.behavior.detach()
             with Tape() as d_tape:
                 p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)

@@ -1,9 +1,8 @@
 """GRU cells, output heads, MLPs and a bidirectional GRU encoder.
 
 All parameters are plain :class:`~profforce.tensor.Tensor` leaves.  The
-step function works on single vectors or on row-batched matrices, so a
-hidden state is either ``[H]`` or ``[B, H]``; the sequence function
-works on time-major ``[T, B, .]`` arrays.
+recursions work on time-major ``[T, B, .]`` arrays, so a hidden state is
+a ``[B, H]`` row batch.
 
 The gate equations, with ``x`` the step input and ``h`` the previous
 state::

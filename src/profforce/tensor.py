@@ -48,7 +48,6 @@ __all__ = [
     "sigmoid",
     "log",
     "clip",
-    "softmax_cross_entropy_rows",
     "concat",
     "split",
     "reshape",
@@ -329,28 +328,6 @@ def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):
     e = np.exp(x - m[:, None])
     s = np.sum(e, axis=-1)
     return m + np.log(s) - x[np.arange(x.shape[0]), t], e, s
-
-
-def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
-    """Row-wise fused cross entropy: [M, V] logits and M targets give M losses."""
-    x = logits.data
-    if x.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy_rows expects 2D logits, got {logits.shape}")
-    t = np.asarray(targets, dtype=np.int64)
-    if t.shape != (x.shape[0],):
-        raise ValueError(f"targets shape {t.shape} does not match {x.shape[0]} rows")
-    if t.size and (t.min() < 0 or t.max() >= x.shape[1]):
-        raise ValueError(f"target out of range for {x.shape[1]} classes")
-    rows = np.arange(x.shape[0])
-    loss, e, s = _cross_entropy_rows(x, t)
-    out = Tensor(loss, copy=False)
-
-    def back(g):
-        p = e / s[:, None]
-        p[rows, t] -= 1.0
-        return (p * g[:, None],)
-
-    return _record(out, (logits,), back)
 
 
 def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:

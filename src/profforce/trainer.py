@@ -4,6 +4,9 @@ The modes differ only in the per-step settings handed to the engine:
 teacher forcing is professor forcing with a zero adversarial weight and
 a frozen discriminator, and scheduled sampling additionally ramps the
 feed-own-sample probability linearly over ``ss_ramp_steps`` steps.
+Teacher forcing and scheduled sampling never run the discriminator, so
+they build neither it nor its Adam state and checkpoint the generator
+alone; resuming an older tf/ss checkpoint ignores its discriminator.
 
 Determinism contract: given one config (seed included), the metrics
 rows, final parameters and checkpoints are bit-identical between runs,
@@ -128,13 +131,14 @@ def _behavior_width(cfg: TrainConfig) -> int:
     return width
 
 
-def build_models(cfg: TrainConfig) -> tuple[GeneratorParams, DiscriminatorParams]:
-    g_rng = np.random.default_rng([cfg.seed, 11])
-    d_rng = np.random.default_rng([cfg.seed, 12])
+def build_models(cfg: TrainConfig) -> tuple[GeneratorParams, DiscriminatorParams | None]:
+    """The generator, and the discriminator in professor forcing only."""
     g = GeneratorParams.create(cfg.vocab_size, cfg.gen_embed, cfg.gen_hidden,
-                               cfg.gen_layers, g_rng)
-    d = DiscriminatorParams.create(_behavior_width(cfg), cfg.disc_hidden, d_rng)
-    return g, d
+                               cfg.gen_layers, np.random.default_rng([cfg.seed, 11]))
+    if cfg.mode != "professor_forcing":
+        return g, None
+    d_rng = np.random.default_rng([cfg.seed, 12])
+    return g, DiscriminatorParams.create(_behavior_width(cfg), cfg.disc_hidden, d_rng)
 
 
 def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset | None, TrainConfig]:
@@ -197,7 +201,8 @@ class Trainer:
         self.g, self.d = build_models(self.cfg)
         from .optim import AdamState
         self.g_adam = AdamState.for_params(self.g.tensors(), lr=self.cfg.lr)
-        self.d_adam = AdamState.for_params(self.d.tensors(), lr=self.cfg.lr)
+        self.d_adam = (None if self.d is None
+                       else AdamState.for_params(self.d.tensors(), lr=self.cfg.lr))
         self.rng = np.random.default_rng(self.cfg.seed)
         self.step = 0
         self.best_val = math.inf
@@ -208,17 +213,13 @@ class Trainer:
 
     def _named_state_tensors(self) -> dict[str, np.ndarray]:
         out: dict[str, np.ndarray] = {}
-        g_named, d_named = self.g.named_params(), self.d.named_params()
-        for name, t in g_named:
-            out["g." + name] = t.data
-        for name, t in d_named:
-            out["d." + name] = t.data
-        for (name, _), m, v in zip(g_named, self.g_adam.m, self.g_adam.v):
-            out[f"adam_g.{name}.m"] = m
-            out[f"adam_g.{name}.v"] = v
-        for (name, _), m, v in zip(d_named, self.d_adam.m, self.d_adam.v):
-            out[f"adam_d.{name}.m"] = m
-            out[f"adam_d.{name}.v"] = v
+        for key, net, adam in (("g", self.g, self.g_adam), ("d", self.d, self.d_adam)):
+            if net is None:
+                continue
+            for (name, t), m, v in zip(net.named_params(), adam.m, adam.v):
+                out[f"{key}.{name}"] = t.data
+                out[f"adam_{key}.{name}.m"] = m
+                out[f"adam_{key}.{name}.v"] = v
         return out
 
     def checkpoint(self) -> Checkpoint:
@@ -227,7 +228,7 @@ class Trainer:
         state = {
             "step": str(self.step),
             "adam_g_t": str(self.g_adam.t),
-            "adam_d_t": str(self.d_adam.t),
+            **({} if self.d_adam is None else {"adam_d_t": str(self.d_adam.t)}),
             "best_val": repr(self.best_val),
             "rng_state": str(rs["state"]["state"]),
             "rng_inc": str(rs["state"]["inc"]),
@@ -240,7 +241,8 @@ class Trainer:
 
     def _restore(self, ckpt: Checkpoint) -> None:
         st = {}
-        for name in ("step", "adam_g_t", "adam_d_t", "best_val", *_RNG_LIMITS):
+        d_t = () if self.d is None else ("adam_d_t",)
+        for name in ("step", "adam_g_t", *d_t, "best_val", *_RNG_LIMITS):
             text = ckpt.state.get(name)
             try:
                 st[name] = float(text) if name == "best_val" else int(text)
@@ -252,6 +254,8 @@ class Trainer:
         own = self._named_state_tensors()
         for name, arr in ckpt.tensors.items():
             if name not in own:
+                if self.d is None and name.startswith(("d.", "adam_d.")):
+                    continue   # an older tf/ss file's unused discriminator
                 raise CheckpointError(f"checkpoint tensor {name!r} has no destination")
             if own[name].shape != arr.shape:
                 raise CheckpointError(f"tensor {name!r}: shape {arr.shape} != {own[name].shape}")
@@ -259,7 +263,9 @@ class Trainer:
         missing = set(own) - set(ckpt.tensors)
         if missing:
             raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:4]} ...")
-        self.step, self.g_adam.t, self.d_adam.t = st["step"], st["adam_g_t"], st["adam_d_t"]
+        self.step, self.g_adam.t = st["step"], st["adam_g_t"]
+        if self.d_adam is not None:
+            self.d_adam.t = st["adam_d_t"]
         self.best_val = st["best_val"]
         self.rng.bit_generator.state = {
             "bit_generator": "PCG64",

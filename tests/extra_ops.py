@@ -1,19 +1,28 @@
-"""Tensor primitives that only the tests build graphs from.
+"""Tensor primitives and helpers that only the tests use.
 
-Each records one node on the active :class:`profforce.tensor.Tape`, as
-the primitives in :mod:`profforce.tensor` do; the gradient checks and
-the per-step reference unrolls use them.
+Each primitive records one node on the active
+:class:`profforce.tensor.Tape`, as the primitives in
+:mod:`profforce.tensor` do; the gradient checks and the per-step
+reference unrolls use them.  :func:`loss_nll` is the taped cross
+entropy the unroll's own ``nll`` is checked against, and
+:func:`make_batches` shuffles a dataset into one epoch of batches.
 """
+
+from typing import Iterator
 
 import numpy as np
 
+from profforce.data import SequenceDataset
+from profforce.engine import _as_batch_ids
 from profforce.nets import GruCellParams, _gru_bptt, _gru_run
 from profforce.tensor import (
     Tensor,
+    _cross_entropy_rows,
     _record,
     _stable_softmax,
     reshape,
-    softmax_cross_entropy_rows,
+    scale,
+    sum_all,
 )
 
 
@@ -117,3 +126,52 @@ def mean_all(a: Tensor) -> Tensor:
     out = Tensor(np.asarray(np.sum(a.data) / n), copy=False)
     shape = a.shape
     return _record(out, (a,), lambda g: (np.broadcast_to(g / n, shape),))
+
+
+def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
+    """Row-wise fused cross entropy: [M, V] logits and M targets give M losses."""
+    x = logits.data
+    if x.ndim != 2:
+        raise ValueError(f"softmax_cross_entropy_rows expects 2D logits, got {logits.shape}")
+    t = np.asarray(targets, dtype=np.int64)
+    if t.shape != (x.shape[0],):
+        raise ValueError(f"targets shape {t.shape} does not match {x.shape[0]} rows")
+    if t.size and (t.min() < 0 or t.max() >= x.shape[1]):
+        raise ValueError(f"target out of range for {x.shape[1]} classes")
+    rows = np.arange(x.shape[0])
+    loss, e, s = _cross_entropy_rows(x, t)
+    out = Tensor(loss, copy=False)
+
+    def back(g):
+        p = e / s[:, None]
+        p[rows, t] -= 1.0
+        return (p * g[:, None],)
+
+    return _record(out, (logits,), back)
+
+
+def loss_nll(logits: Tensor, y_seq) -> Tensor:
+    """Total sequence cross entropy of ``[T, B, V]`` logits, averaged over
+    the batch rows."""
+    ids = _as_batch_ids(y_seq)
+    t_len, batch, vocab = logits.shape
+    if (batch, t_len) != ids.shape:
+        raise ValueError(f"logits for {t_len} steps of {batch} rows, targets {ids.shape}")
+    # rows in step order, so the sum runs in the order of the unroll's nll
+    rows = reshape(logits, (t_len * batch, vocab))
+    xents = softmax_cross_entropy_rows(rows, ids.T.reshape(-1))
+    return scale(sum_all(xents), 1.0 / ids.shape[0])
+
+
+def make_batches(ds: SequenceDataset, batch_size: int,
+                 rng: np.random.Generator) -> Iterator[np.ndarray]:
+    """One epoch of batches in a freshly shuffled order.
+
+    Every sequence appears exactly once; a short final batch is kept.
+    """
+    if batch_size < 1:
+        raise ValueError("batch size must be positive")
+    n = len(ds)
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield ds.sequences[order[start:start + batch_size]]

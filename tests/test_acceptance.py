@@ -15,7 +15,7 @@ import pytest
 from profforce.checkpoint import load_checkpoint, save_checkpoint
 from profforce.cli import main as cli_main
 from profforce.config import PRESETS, TrainConfig
-from profforce.data import make_batches, synth_copy_task
+from profforce.data import synth_copy_task
 from profforce.diagnostics import centroid_distance, collect_state_clouds
 from profforce.engine import (
     DiscriminatorParams,
@@ -26,7 +26,6 @@ from profforce.engine import (
     loss_discriminator,
     loss_fool_free_running,
     loss_match_teacher_forced,
-    loss_nll,
     unroll_free_running,
     unroll_teacher_forced,
 )
@@ -47,7 +46,6 @@ from profforce.tensor import (
     reshape,
     scale,
     sigmoid,
-    softmax_cross_entropy_rows,
     split,
     stop_recording,
     sub,
@@ -59,11 +57,14 @@ from profforce.trainer import Trainer
 from extra_ops import (
     embed,
     gru_step,
+    loss_nll,
+    make_batches,
     matmul,
     mean_all,
     relu,
     softmax,
     softmax_cross_entropy,
+    softmax_cross_entropy_rows,
     tanh,
     transpose,
 )

@@ -82,6 +82,16 @@ class TestTrainCommand:
         assert code == 2
         assert f"checkpoint state field {field!r}" in capsys.readouterr().err
 
+    def test_resume_of_pf_checkpoint_without_discriminator_exits_2(self, tmp_path, trained,
+                                                                   capsys):
+        ckpt = load_checkpoint(trained / "final.ckpt")
+        ckpt.tensors = {k: v for k, v in ckpt.tensors.items() if not k.startswith("d.")}
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        code = main(["train", "--resume", str(tmp_path / "bad.ckpt"),
+                     "--out", str(tmp_path / "resumed"), "--steps", "6"])
+        assert code == 2
+        assert "checkpoint missing tensors: ['d." in capsys.readouterr().err
+
     def test_resume_with_malformed_state_line_exits_2(self, tmp_path, trained, capsys):
         # a CRC-valid checkpoint whose state section holds a line without "="
         ckpt = load_checkpoint(trained / "final.ckpt")

@@ -8,11 +8,12 @@ from profforce.data import (
     SequenceDataset,
     chunk_sequences,
     load_corpus,
-    make_batches,
     raster_dataset,
     synth_copy_task,
     synth_raster_task,
 )
+
+from extra_ops import make_batches
 
 
 @pytest.fixture

@@ -23,7 +23,6 @@ from profforce.engine import (
     loss_discriminator,
     loss_fool_free_running,
     loss_match_teacher_forced,
-    loss_nll,
     sample_rows,
     train_step,
     unroll_free_running,
@@ -41,14 +40,20 @@ from profforce.tensor import (
     log,
     mul,
     scale,
-    softmax_cross_entropy_rows,
     stop_recording,
     sum_all,
     zero_grads,
 )
 from profforce.trainer import Trainer, effective_settings
 
-from extra_ops import embed, gru_step, matmul, softmax
+from extra_ops import (
+    embed,
+    gru_step,
+    loss_nll,
+    matmul,
+    softmax,
+    softmax_cross_entropy_rows,
+)
 from test_acceptance import TINY_PF
 from test_nets import gru_oracle
 
@@ -699,7 +704,10 @@ class TestSampleMemoryPerSymbol:
             tracemalloc.stop()
 
     def test_ids_only_sample_grows_with_the_ids_alone(self):
-        per_symbol = {h: (self._peak(h, 20000) - self._peak(h, 1000)) / (19000 * 8)
+        # The peak grows linearly past about 1000 steps; 4000 more steps of
+        # 8 rows give the slope to about 0.001 B (24.0003 at both sizes, as
+        # 19000 steps did)
+        per_symbol = {h: (self._peak(h, 5000) - self._peak(h, 1000)) / (4000 * 8)
                       for h in (64, 256)}
         assert max(per_symbol.values()) <= self.CEILING, per_symbol
         assert abs(per_symbol[64] - per_symbol[256]) <= 1.0, per_symbol

@@ -19,7 +19,6 @@ from profforce.tensor import (
     reshape,
     scale,
     sigmoid,
-    softmax_cross_entropy_rows,
     split,
     stop_recording,
     sub,
@@ -34,6 +33,7 @@ from extra_ops import (
     relu,
     softmax,
     softmax_cross_entropy,
+    softmax_cross_entropy_rows,
     tanh,
     transpose,
 )

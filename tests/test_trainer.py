@@ -12,6 +12,7 @@ from profforce.trainer import (
     Trainer,
     TrainingDiverged,
     build_datasets,
+    build_models,
     effective_settings,
     generator_from_checkpoint,
 )
@@ -187,6 +188,40 @@ class TestRun:
         assert all(r["gate_gen"] is False and r["gate_disc"] is False for r in rows)
 
 
+class TestDiscriminatorOnlyInProfessorForcing:
+    """Teacher forcing and scheduled sampling never run the discriminator,
+    so they build none, carry no Adam state for it and checkpoint the
+    generator alone."""
+
+    @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling",
+                                      "professor_forcing"])
+    def test_only_professor_forcing_builds_a_discriminator(self, tmp_path, mode):
+        t = Trainer(tiny_cfg(mode=mode), tmp_path)
+        built = [x is not None for x in (t.d, t.d_adam, build_models(t.cfg)[1])]
+        assert built == [mode == "professor_forcing"] * 3
+
+    @staticmethod
+    def _desk_final(tmp_path, mode):
+        cfg = build_config(None, "desk-copy", ["val_every=0"],
+                           {"seed": 1, "max_steps": 1, "mode": mode})
+        Trainer(cfg, tmp_path / mode).run()
+        return tmp_path / mode / "final.ckpt"
+
+    @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling"])
+    def test_desk_checkpoint_holds_the_generator_alone(self, tmp_path, mode):
+        ckpt = load_checkpoint(self._desk_final(tmp_path, mode))
+        names = sorted(ckpt.tensors)
+        assert len(names) == 18
+        assert all(n.startswith(("g.", "adam_g.")) for n in names), names
+        assert sum(n.startswith("g.") for n in names) == 6
+        assert "adam_d_t" not in ckpt.state and ckpt.state["adam_g_t"] == "1"
+
+    def test_desk_tf_checkpoint_is_at_most_a_quarter_of_a_pf_one(self, tmp_path):
+        tf_bytes, pf_bytes = (self._desk_final(tmp_path, mode).stat().st_size
+                              for mode in ("teacher_forcing", "professor_forcing"))
+        assert tf_bytes <= 0.25 * pf_bytes, (tf_bytes, pf_bytes)
+
+
 class TestAllocatorSetting:
     """``Trainer`` asks glibc to keep freed memory for reuse; a process
     without ``mallopt`` trains all the same."""
@@ -269,6 +304,44 @@ class TestResume:
         assert curves == without_wallclock(full / "curves.csv")
         assert (run / "val.csv").read_text() == (full / "val.csv").read_text()
         assert (run / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling"])
+    def test_older_layout_with_discriminator_sections_resumes(self, tmp_path, mode):
+        # tf/ss files written before these modes dropped the discriminator
+        # held its initial weights, zero Adam moments and a zero step count
+        kw = dict(mode=mode, val_every=5, ss_start=0.1, ss_end=0.6, ss_ramp_steps=10)
+        Trainer(tiny_cfg(max_steps=10, **kw), tmp_path / "full").run()
+        Trainer(tiny_cfg(max_steps=5, **kw), tmp_path / "half").run()
+        ckpt = load_checkpoint(tmp_path / "half" / "final.ckpt")
+        _, d = build_models(tiny_cfg(**dict(kw, mode="professor_forcing")))
+        for name, t in d.named_params():
+            ckpt.tensors["d." + name] = t.data
+            ckpt.tensors[f"adam_d.{name}.m"] = np.zeros_like(t.data)
+            ckpt.tensors[f"adam_d.{name}.v"] = np.zeros_like(t.data)
+        ckpt.state["adam_d_t"] = "0"
+        save_checkpoint(ckpt, tmp_path / "old.ckpt")
+
+        Trainer.resume(tmp_path / "old.ckpt", tmp_path / "half", max_steps=10).run()
+        full, resumed = tmp_path / "full", tmp_path / "half"
+        for name in ("curves.csv", "val.csv"):
+            a, b = ((run / name).read_text().splitlines() for run in (full, resumed))
+            if name == "curves.csv":   # all but the last column, wallclock_ms
+                a, b = ([line.rsplit(",", 1)[0] for line in rows] for rows in (a, b))
+            assert a == b, name
+        assert (resumed / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
+
+    @pytest.mark.parametrize("drop", ["d.", "adam_d.", "adam_d_t"])
+    def test_pf_restore_still_requires_the_discriminator(self, tmp_path, drop):
+        Trainer(tiny_cfg(max_steps=2, val_every=0), tmp_path / "a").run()
+        ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
+        if drop == "adam_d_t":
+            del ckpt.state[drop]
+        else:
+            ckpt.tensors = {k: v for k, v in ckpt.tensors.items() if not k.startswith(drop)}
+        from profforce.config import config_from_text
+        cfg = config_from_text(ckpt.config_text)
+        with pytest.raises(CheckpointError, match="missing"):
+            Trainer(cfg, tmp_path / "b", resume=ckpt)
 
     def test_restore_rejects_missing_tensor(self, tmp_path):
         Trainer(tiny_cfg(max_steps=2, val_every=0), tmp_path / "a").run()
@@ -385,7 +458,8 @@ class TestValidation:
         assert t.rng.bit_generator.state == before
 
     def test_validate_value_is_plain_nll(self, tmp_path):
-        from profforce.engine import loss_nll, unroll_teacher_forced
+        from extra_ops import loss_nll
+        from profforce.engine import unroll_teacher_forced
         t = Trainer(tiny_cfg(), tmp_path / "a")
         nll, bpc = t.validate()
         seqs = t.val_set.sequences
