@@ -110,9 +110,9 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
                          temperature: float = 1.0) -> tuple[StateCloud, StateCloud]:
     """Hidden states at one timestep (1-based; default last) for both regimes.
 
-    The teacher-forced cloud unrolls over the given sequences; the
-    free-running cloud generates the same number of sequences of the
-    same length.
+    Both unroll only to that step and keep no per-step outputs: teacher
+    forced over the given sequences, free running as many rows, which
+    draw there what a full-length unroll draws (uniforms go in step order).
     """
     ids = np.asarray(y_sample, dtype=np.int64)
     if ids.ndim != 2:
@@ -122,10 +122,10 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
     if not 1 <= t <= t_len:
         raise ValueError(f"timestep {t} outside 1..{t_len}")
     with stop_recording():
-        tf = unroll_teacher_forced(g, ids)
-        fr = unroll_free_running(g, t_len, rng, batch=n, temperature=temperature)
-    return (StateCloud(tf.hidden.data[t - 1].copy(), Mode.TEACHER_FORCED),
-            StateCloud(fr.hidden.data[t - 1].copy(), Mode.FREE_RUNNING))
+        tf = unroll_teacher_forced(g, ids[:, :t], keep_outputs=False)
+        fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature, keep_outputs=False)
+    return (StateCloud(tf.hidden.data[0], Mode.TEACHER_FORCED),
+            StateCloud(fr.hidden.data[0], Mode.FREE_RUNNING))
 
 
 # ---------------------------------------------------------------------------

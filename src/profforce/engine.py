@@ -12,10 +12,10 @@ every mode.  Every unroll emits its logits, its behavior (the GRU
 candidate pre-tanh values, optionally with the softmax outputs appended)
 and its top-layer states as time-major [T, B, .] tensors, and with
 targets also the sequence cross entropy.  An untaped caller that reads
-only the draws or the cross entropy (``sample``, validation) passes
-``keep_outputs=False``: those three arrays then cycle through one or two
-rows, so its memory grows with the ids alone.  The loop runs the numpy GRU
-kernel of :mod:`profforce.nets` on arrays and views bound before the
+only the draws, the cross entropy or the last state (``sample``,
+validation, ``diagnose``) passes ``keep_outputs=False``: those three arrays
+then cycle through rows, so its memory grows with the ids alone.  The loop
+runs the numpy GRU kernel of :mod:`profforce.nets` on arrays and views bound before the
 first step, so a step makes only ufunc and BLAS calls, and records the
 whole unroll as one tape node, whose backward runs the kernel's
 recursion for each layer.  A bidirectional-GRU discriminator
@@ -222,7 +222,7 @@ class EngineSettings:
 class UnrollResult:
     logits: Tensor | None                # [T, B, V]; None unless keep_outputs
     behavior: Tensor | None              # [T, B, width]
-    hidden: Tensor | None                # [T, B, H] top-layer states
+    hidden: Tensor                       # [T, B, H] top-layer states; lean, the last [1, B, H]
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: Tensor | None = None            # with targets: cross entropy, batch mean
     used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
@@ -281,10 +281,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     its own cache rows (states, gates and candidates; ``r * h`` goes through
     one row in any case) and the unroll record one node, whose outputs are
     the logits, behavior and hidden tensors and ``nll`` (see
-    :func:`_unroll_backward`).  Untaped, ``keep_outputs=False`` leaves
-    those three tensors None and writes them into rows used in turn,
-    as the caches are, so memory grows with the draws alone; the
-    targeted rows' logits stay whole, as ``nll`` sums them in step order.
+    :func:`_unroll_backward`).  Untaped, ``keep_outputs=False`` writes
+    those three into rows used in turn, as the caches are, and keeps the
+    last state alone (``[1, B, H]``) and the targeted rows' logits, which
+    ``nll`` sums in step order: memory grows with the draws alone.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
@@ -355,8 +355,9 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             used[:, t + 1] = coin
     if include_outputs and whole:
         behavior[..., :top] = top_pre
-    outs = tuple(Tensor(a, copy=False) if whole else None
-                 for a in (logits, behavior, caches[-1][0][1:]))
+    hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
+    outs = tuple(Tensor(a, copy=False) if whole else None for a in (logits, behavior))
+    outs += (Tensor(hs[1:] if whole else hs[t_len % 2, None], copy=False),)
     res = UnrollResult(*outs, np.empty((batch, t_len), dtype=np.int64))
     res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     soft = None
@@ -434,8 +435,8 @@ def unroll_teacher_forced(g: GeneratorParams, y_seq, *, include_outputs: bool = 
                           keep_outputs: bool = True) -> UnrollResult:
     """Open-loop unroll: step t reads the true y[t-1] (start token at t=0).
 
-    With ``keep_outputs=False`` and no tape recording, the logits,
-    behavior and hidden tensors are None and only ``nll`` is kept.
+    With ``keep_outputs=False`` and no tape recording, the logits and
+    behavior are None and ``hidden`` holds the last state alone.
     """
     ids = _target_ids(g, y_seq)
     return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs,
@@ -451,8 +452,8 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
     Sampling draws from softmax(logits / temperature).  Gradients flow
     through the hidden states and logits; the discrete sample is a
     constant.  Ground-truth symbols are never consulted.  With
-    ``keep_outputs=False`` and no tape recording, only the draws are
-    kept: the logits, behavior and hidden tensors are None.
+    ``keep_outputs=False`` and no tape recording, only the draws and the
+    last state are kept: the logits and behavior are None.
     """
     if t_len < 1:
         raise ValueError("unroll length must be positive")
@@ -485,18 +486,12 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     return sigmoid(clip(pooled, -LOGIT_CLIP, LOGIT_CLIP))
 
 
-def _mean_neg_log(x):
+def _mean_neg_log(x, of_one_minus: bool = False):
+    """mean(-log x), or mean(-log(1 - x)): a taped term for a Tensor, else a float."""
     if isinstance(x, Tensor):
-        return scale(sum_all(log(x)), -1.0 / x.size)
+        return scale(sum_all(log(one_minus(x) if of_one_minus else x)), -1.0 / x.size)
     a = np.asarray(x, dtype=np.float64)
-    return float(-np.sum(np.log(a)) / a.size)
-
-
-def _mean_neg_log_one_minus(x):
-    if isinstance(x, Tensor):
-        return scale(sum_all(log(one_minus(x))), -1.0 / x.size)
-    a = np.asarray(x, dtype=np.float64)
-    return float(-np.sum(np.log(1.0 - a)) / a.size)
+    return float(-np.sum(np.log(1.0 - a if of_one_minus else a)) / a.size)
 
 
 def loss_fool_free_running(d_fr):
@@ -506,7 +501,7 @@ def loss_fool_free_running(d_fr):
 
 def loss_match_teacher_forced(d_tf):
     """mean(-log(1 - D(b_tf))): the optional generator term on the other mode."""
-    return _mean_neg_log_one_minus(d_tf)
+    return _mean_neg_log(d_tf, of_one_minus=True)
 
 
 def loss_discriminator(d_tf, d_fr):
@@ -520,7 +515,7 @@ def loss_discriminator(d_tf, d_fr):
         if arr.size == 0 or np.any(arr <= 0.0) or np.any(arr >= 1.0):
             raise ValueError(f"{name} probabilities must lie strictly inside (0, 1)")
     a = _mean_neg_log(d_tf)
-    b = _mean_neg_log_one_minus(d_fr)
+    b = _mean_neg_log(d_fr, of_one_minus=True)
     return add(a, b) if isinstance(a, Tensor) else a + b
 
 
@@ -606,6 +601,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
             if reads:
                 zero_grads(d_params)
                 backward(d_tape, c_d, reads=reads)
+            del d_tape   # swept or not, nothing reads it again: free it before the G sweep
             metrics.update(c_d=float(c_d.data),
                            c_f=loss_fool_free_running(p_fr),
                            c_t=loss_match_teacher_forced(p_tf),

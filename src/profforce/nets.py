@@ -190,7 +190,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     :func:`_gru_step_into`; ``g_h[t]`` and ``g_pre[t]`` reach step t's
     state and pre-tanh value from outside the recursion.  ``(c - h) z (1 -
     z)``, ``h r (1 - r)`` and ``z (1 - c^2)`` are formed for all steps
-    first, in the gradient slots a step then scales in place.  Returns dx,
+    first, in the slots a step scales; the last is c, swept once.  Returns dx,
     dW, dU, db (one product per gate each; None where ``needs``, one bool
     each, is false) and the gradient into the first state read.  ``r * h``
     is recomputed for dU_c after the other weight products and freed
@@ -200,13 +200,14 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     W, U = p.W.data, p.U.data
     U_t = U.reshape(H, 3, H).transpose(1, 2, 0).copy()   # U_z^T, U_r^T, U_c^T
     keep, r = zr[:, 0], zr[:, 1]   # keep = 1 - z
-    da = np.empty((3, T, B, H))   # gate-major: z, r, c
+    dzr = np.empty((2, T, B, H))
+    da = [*dzr, c]   # gate-major: z, r, c
     np.subtract(1.0, keep, out=da[0])
-    np.multiply(c, c, out=da[2])
-    np.subtract(1.0, da[2], out=da[2])
-    da[2] *= da[0]
-    da[0] *= keep
     np.subtract(c, h_prev, out=da[1])   # scratch until r's factor
+    np.multiply(c, c, out=c)
+    np.subtract(1.0, c, out=c)
+    c *= da[0]
+    da[0] *= keep
     da[0] *= da[1]
     np.subtract(1.0, r, out=da[1])
     da[1] *= r
@@ -217,7 +218,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     s = slice(None, None, 1 if reverse else -1)
     g_pres = repeat(None) if g_pre is None else g_pre[s]
     for g_t, g_pre_t, da_zr, da_z, da_r, da_c, keep_t, r_t in zip(
-            g_h[s], g_pres, da[:2].swapaxes(0, 1)[s], *da[:, s], keep[s], r[s]):
+            g_h[s], g_pres, dzr.swapaxes(0, 1)[s], *(a[s] for a in da), keep[s], r[s]):
         np.add(g_t, d_h, g)
         da_c *= g
         if g_pre_t is not None:
@@ -232,7 +233,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
         d_h += back_z
         d_h += back_r
     n = T * B
-    da = da.reshape(3, n, H)
+    da = [a.reshape(n, H) for a in da]
     x2, h2 = x.reshape(n, -1), h_prev.reshape(n, H)
     # each is written through views, so the arrays returned own their data
     d_x, (d_W, d_U, d_b) = None, (np.empty(shape) if need else None
@@ -243,9 +244,9 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
         if needs[2]:   # U_c's input is r * h, recomputed and freed before d_x is made
             inp = h2 if k < 2 else np.multiply(r, h_prev).reshape(n, H)
             np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
+        if needs[3]:
+            np.sum(da[k], axis=0, out=d_b[k * H:(k + 1) * H])
     inp = None
-    if needs[3]:
-        np.sum(da, axis=1, out=d_b.reshape(3, H))
     if needs[0]:
         d_x, W_t = np.empty(x.shape), W.reshape(-1, 3, H).transpose(1, 2, 0)
         d_x2 = np.matmul(da[0], W_t[0], out=d_x.reshape(n, -1))
@@ -318,10 +319,10 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     """Run the layers over the rows of ``x`` ``[N, in]``.
 
     One tape node, which keeps only each layer's input; a ReLU output is
-    the next layer's input and its own mask.  Per layer the backward
-    forms ``a.T @ g``, ``g.sum(axis=0)`` and ``g @ W.T``, the products of
-    the composed ``matmul``/``add``/``relu`` chain, so its bits are that
-    chain's.
+    the next layer's input and its own mask, which the backward (run once)
+    frees once read.  Per layer it forms ``a.T @ g``, ``g.sum(axis=0)``
+    and ``g @ W.T``, the products of the composed ``matmul``/``add``/``relu``
+    chain, so its bits are that chain's.
     """
     ws = [w.data for w, _ in p.layers]
     if x.data.ndim != 2 or x.shape[1] != ws[0].shape[0]:
@@ -338,7 +339,7 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
         grads = []
         for i in range(len(ws) - 1, -1, -1):
             if i != len(ws) - 1:   # g is this node's own product here
-                g *= acts[i + 1] > 0.0
+                g *= acts.pop(i + 1) > 0.0   # layer i's output, freed once read
             grads[:0] = [acts[i].T @ g if needs[2 * i + 1] else None,
                          g.sum(axis=0) if needs[2 * i + 2] else None]
             g = g @ ws[i].T if i or needs[0] else None

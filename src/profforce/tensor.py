@@ -17,8 +17,10 @@ Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
 is a valid topological order because nodes are appended as they are
 created, so once a node's closure has run no node left to sweep reads
-its outputs' gradients: the sweep releases them there.  After a sweep
-only leaves (parameters, detached inputs) hold a ``grad``.
+it or its outputs' gradients.  A sweep consumes its tape: it pops each
+node, freeing what its closure captured and its outputs' gradients once
+run, and leaves a ``grad`` on leaves (parameters, detached inputs) alone;
+sweeping the emptied tape again raises ``ValueError``.
 
 A sweep forms only the gradients its caller reads, when the caller
 names those leaves; the GRU sequence and MLP nodes of
@@ -78,11 +80,6 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    def item(self) -> float:
-        if self.data.size != 1:
-            raise ValueError(f"item() on tensor of shape {self.shape}")
-        return float(self.data)
-
     def detach(self) -> "Tensor":
         """A new leaf sharing this tensor's values, cut off from any tape."""
         return Tensor(self.data, copy=False)
@@ -110,7 +107,7 @@ _TAPES: list["Tape | None"] = []
 
 
 class Tape:
-    """Ordered record of primitive ops, used once for one backward pass."""
+    """Ordered record of primitive ops, consumed by one backward pass (a second raises)."""
 
     def __init__(self):
         # node: (output tensors, input tensors, backward closure); the
@@ -118,6 +115,7 @@ class Tape:
         # loss does not reach, and returns one gradient per input.
         self.nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
         self.told: set[int] = set()   # nodes whose closure takes ``needs``
+        self.swept = False
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -184,10 +182,11 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
     """Reverse sweep over ``tape`` accumulating gradients of ``loss``.
 
     Gradients add into each input tensor's ``grad``; the caller is
-    responsible for zeroing between steps.  A node's output gradients
-    are dropped once its closure has consumed them, so only leaves keep
-    theirs.  When ``params`` is given, any of them left untouched by the
-    sweep (not reachable from the loss) gets an exact zero gradient.
+    responsible for zeroing between steps.  The sweep consumes the tape
+    (see the module notes): only leaves keep a gradient, and a tape swept
+    before raises ``ValueError``.  When ``params`` is given, any of them
+    left untouched by the sweep (not reachable from the loss) gets an
+    exact zero gradient.
     ``reads`` names the leaves the caller reads, which count as
     ``params`` too: the sweep then forms only the gradients that lead to
     one of them, skips a node none of whose inputs does, and passes a
@@ -196,20 +195,22 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
-    needs = _needs(tape, reads)
+    if tape.swept:
+        raise ValueError("this tape was swept before; a sweep consumes its tape")
+    tape.swept, needs = True, _needs(tape, reads)
     loss.grad = np.ones((), dtype=np.float64)
-    for i in range(len(tape.nodes) - 1, -1, -1):
-        outs, inputs, backfn = tape.nodes[i]
+    while tape.nodes:   # no node left to sweep reads the one popped or its outputs
+        (outs, inputs, backfn), need = tape.nodes.pop(), needs.pop()
         grads = [out.grad for out in outs]
         if all(g is None for g in grads):
             continue
-        for out in outs:   # no node left to sweep reads them
+        for out in outs:
             out.grad = None
-        if not any(needs[i]):
+        if not any(need):
             continue
-        got = backfn(*grads, needs=needs[i]) if i in tape.told else backfn(*grads)
-        for t, gi, need in zip(inputs, got, needs[i]):
-            if gi is None or not need:
+        got = backfn(*grads, needs=need) if len(tape.nodes) in tape.told else backfn(*grads)
+        for t, gi, read in zip(inputs, got, need):
+            if gi is None or not read:
                 continue
             if t.grad is None:
                 # Take a fresh array as it is; copy a view or a gradient
@@ -219,6 +220,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
                 t.grad = gi if fresh else np.array(gi)
             else:
                 t.grad += gi
+        got = gi = None   # before the next closure runs
     for p in [*(params or ()), *(reads or ())]:
         if p.grad is None:
             p.grad = np.zeros_like(p.data)

@@ -4,8 +4,9 @@ Each primitive records one node on the active
 :class:`profforce.tensor.Tape`, as the primitives in
 :mod:`profforce.tensor` do; the gradient checks and the per-step
 reference unrolls use them.  :func:`loss_nll` is the taped cross
-entropy the unroll's own ``nll`` is checked against, and
-:func:`make_batches` shuffles a dataset into one epoch of batches.
+entropy the unroll's own ``nll`` is checked against,
+:func:`make_batches` shuffles a dataset into one epoch of batches, and
+:func:`item` reads a one-element tensor as a float.
 """
 
 from typing import Iterator
@@ -24,6 +25,13 @@ from profforce.tensor import (
     scale,
     sum_all,
 )
+
+
+def item(t: Tensor) -> float:
+    """The value of a one-element tensor."""
+    if t.data.size != 1:
+        raise ValueError(f"item() on tensor of shape {t.shape}")
+    return float(t.data)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,8 @@ from profforce.diagnostics import (
     write_cloud_csv,
     write_projection_csv,
 )
-from profforce.engine import GeneratorParams, Mode
+from profforce.engine import GeneratorParams, Mode, unroll_free_running, unroll_teacher_forced
+from profforce.tensor import stop_recording
 
 
 def cloud(points, mode=Mode.TEACHER_FORCED):
@@ -160,6 +162,69 @@ class TestCollectClouds:
             collect_state_clouds(g, y, 0, np.random.default_rng(104))
         with pytest.raises(ValueError):
             collect_state_clouds(g, y, 5, np.random.default_rng(104))
+
+
+class TestLeanClouds:
+    """``collect_state_clouds`` unrolls only to its timestep and keeps no
+    per-step outputs, reading the last state a lean unroll exposes; the
+    free-running uniforms are drawn up front in step order, so the clouds
+    keep the full unroll's bits."""
+
+    @staticmethod
+    def _gen(layers, hidden=32):
+        g = GeneratorParams.create(8, 16, hidden, layers, np.random.default_rng(105 + layers))
+        brng = np.random.default_rng(106)
+        for t in [c.b for c in g.cells] + [g.head.b_o]:
+            t.data[:] = brng.uniform(-1, 1, t.shape)
+        return g
+
+    @pytest.mark.parametrize("layers", [1, 2])
+    @pytest.mark.parametrize("temperature", [1.0, 0.8])
+    def test_clouds_are_the_full_unrolls_states(self, layers, temperature):
+        g, t_len, n = self._gen(layers), 50, 16
+        y = np.random.default_rng(107).integers(0, 8, (n, t_len))
+        with stop_recording():
+            full_tf = unroll_teacher_forced(g, y).hidden.data
+            full_fr = unroll_free_running(g, t_len, np.random.default_rng(108), batch=n,
+                                          temperature=temperature).hidden.data
+            lean = unroll_free_running(g, t_len, np.random.default_rng(108), batch=n,
+                                       temperature=temperature, keep_outputs=False)
+        assert lean.logits is lean.behavior is None
+        np.testing.assert_array_equal(lean.hidden.data, full_fr[-1:])
+        for timestep in (None, 1, 7, 50):
+            tf, fr = collect_state_clouds(g, y, timestep, np.random.default_rng(108),
+                                          temperature=temperature)
+            t = t_len if timestep is None else timestep
+            np.testing.assert_array_equal(tf.points, full_tf[t - 1])
+            np.testing.assert_array_equal(fr.points, full_fr[t - 1])
+
+    def test_peak_does_not_grow_with_the_length_as_a_full_unroll_does(self):
+        g = self._gen(1, hidden=64)   # desk size
+
+        def peak(f):
+            tracemalloc.start()
+            try:
+                f()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def full(y):
+            with stop_recording():
+                unroll_teacher_forced(g, y)
+                unroll_free_running(g, y.shape[1], np.random.default_rng(109), batch=len(y))
+
+        peaks = {}
+        for t_len in (50, 400):
+            y = np.random.default_rng(110).integers(0, 8, (32, t_len))
+            peaks[t_len] = [peak(lambda: collect_state_clouds(g, y, timestep,
+                                                              np.random.default_rng(109)))
+                            for timestep in (10, None)] + [peak(lambda: full(y))]
+        (at_10, last, whole), (at_10_long, last_long, whole_long) = peaks[50], peaks[400]
+        # a fixed timestep costs the same at any length (measured within 128 B);
+        # the last one grows with the ids and targeted logits alone (0.18x measured)
+        assert abs(at_10_long - at_10) <= 4096, peaks
+        assert last_long - last <= 0.25 * (whole_long - whole), peaks
 
 
 class TestCsvOutput:

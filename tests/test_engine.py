@@ -5,13 +5,14 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import profforce
-from profforce import engine, tensor
+from profforce import engine, nets, tensor
 from profforce.config import TrainConfig, build_config
 from profforce.engine import (
     DiscriminatorParams,
@@ -49,6 +50,7 @@ from profforce.trainer import Trainer, effective_settings
 from extra_ops import (
     embed,
     gru_step,
+    item,
     loss_nll,
     matmul,
     softmax,
@@ -113,7 +115,7 @@ class TestTeacherForcedUnroll:
         res = unroll_teacher_forced(g, y)
         np.testing.assert_array_equal(res.logits.data, np.zeros((5, 1, 4)))
         nll = loss_nll(res.logits, y)
-        assert abs(nll.item() - 5 * math.log(4)) < 1e-12
+        assert abs(item(nll) - 5 * math.log(4)) < 1e-12
 
     def test_two_layer_stack_chains_states(self):
         g = tiny_generator(seed=202, layers=2)
@@ -244,9 +246,9 @@ class TestScheduledSampling:
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         ss = ss_unroll(g, y, 0.0, np.random.default_rng(37))
         tf = unroll_teacher_forced(g, y)
-        assert abs(ss.nll.item() - loss_nll(tf.logits, y).item()) < 1e-12
+        assert abs(item(ss.nll) - item(loss_nll(tf.logits, y))) < 1e-12
         # the teacher-forced unroll carries the same sum, term for term
-        assert tf.nll.item() == loss_nll(tf.logits, y).item()
+        assert item(tf.nll) == item(loss_nll(tf.logits, y))
 
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
@@ -263,7 +265,7 @@ class TestScheduledSampling:
         y = np.array([[0, 1, 2, 3]])
         ss = ss_unroll(g, y, 1.0, np.random.default_rng(39))
         # uniform logits: nll is T ln V no matter what was fed
-        assert abs(ss.nll.item() - 4 * math.log(4)) < 1e-12
+        assert abs(item(ss.nll) - 4 * math.log(4)) < 1e-12
 
     def test_coin_rate_matches_p(self):
         g = tiny_generator()
@@ -387,8 +389,8 @@ class TestUnrollMatchesPerStepOracle:
         coef = [np.stack([c if keep else np.zeros_like(c) for keep, c in rows])
                 for rows in draws] + [crng.uniform(0.5, 1.5)]
         targets, p, temp = self.REGIMES[regime]
-        results = []
-        for run in ("unroll", "reference"):
+
+        def swept(run):
             g = tiny_generator(seed=seed, vocab=vocab, hidden=hidden_size, layers=layers)
             brng = np.random.default_rng(seed + 3)   # biases start at zero; give them values
             for bias in [c.b for c in g.cells] + [g.head.b_o]:
@@ -404,13 +406,15 @@ class TestUnrollMatchesPerStepOracle:
             params = g.tensors()
             zero_grads(params)
             backward(tape, loss, params=params)
-            grads = [t.grad.copy() for t in params]
-            # a second sweep over the same tape gives the same gradients
-            zero_grads(params)
-            backward(tape, loss, params=params)
-            for a, b in zip(grads, params):
-                np.testing.assert_array_equal(a, b.grad)
-            results.append((outs, grads, rng.bit_generator.state))
+            return outs, [t.grad.copy() for t in params], rng.bit_generator.state
+
+        results = []
+        for run in ("unroll", "reference"):
+            outs, grads, state = swept(run)
+            # a sweep consumes its tape: one rebuilt from the same seeds gives the same gradients
+            for a, b in zip(grads, swept(run)[1]):
+                np.testing.assert_array_equal(a, b)
+            results.append((outs, grads, state))
         (new, new_grads, new_state), (ref, ref_grads, ref_state) = results
         np.testing.assert_array_equal(new[4], ref[4])
         if targets:
@@ -618,8 +622,8 @@ class TestUnrollMemory:
 
 class TestIdsOnlyUnroll:
     """``keep_outputs=False`` writes the logits, behavior and top states
-    into rows used in turn; the draws, ``nll`` and the rng stream must
-    keep their bits."""
+    into rows used in turn and keeps the last state; the draws, ``nll``,
+    that state and the rng stream must keep their bits."""
 
     @staticmethod
     def _desk_generator(layers):
@@ -638,7 +642,8 @@ class TestIdsOnlyUnroll:
             runs.append((unroll(rng, keep), rng.bit_generator.state))
         (full, full_state), (lean, lean_state) = runs
         assert lean_state == full_state
-        assert lean.logits is lean.behavior is lean.hidden is None
+        assert lean.logits is lean.behavior is None
+        np.testing.assert_array_equal(lean.hidden.data, full.hidden.data[-1:])   # the last state
         np.testing.assert_array_equal(lean.sampled, full.sampled)
         return full, lean
 
@@ -816,7 +821,7 @@ class TestLosses:
         vals_fr = rng.uniform(0.1, 0.9, 5)
         t = loss_discriminator(Tensor(vals_tf), Tensor(vals_fr))
         f = loss_discriminator(vals_tf, vals_fr)
-        assert abs(t.item() - f) < 1e-12
+        assert abs(item(t) - f) < 1e-12
 
     def test_rejects_saturated_probabilities(self):
         with pytest.raises(ValueError):
@@ -827,9 +832,9 @@ class TestLosses:
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()
         y = np.array([1, 0, 2])
-        single = loss_nll(unroll_teacher_forced(g, y).logits, y).item()
+        single = item(loss_nll(unroll_teacher_forced(g, y).logits, y))
         pair = np.stack([y, y])
-        double = loss_nll(unroll_teacher_forced(g, pair).logits, pair).item()
+        double = item(loss_nll(unroll_teacher_forced(g, pair).logits, pair))
         assert abs(single - double) < 1e-12
 
     def test_loss_nll_length_mismatch(self):
@@ -1188,27 +1193,35 @@ class TestStepSweepsWhatItReads:
         monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
         cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0", *extra],
                            {"seed": 1, "max_steps": 20})
-        tr = Trainer(cfg, tmp_path)
-        d_params, swept, sweep = tr.d.tensors(), [], engine.backward
+        sweep = engine.backward
 
-        def recording(tape, loss, **kw):
-            sweep(tape, loss, **kw)
-            ins = {id(t): t for _, inputs, _ in tape.nodes for t in inputs}
-            if all(id(p) in ins for p in d_params):   # the discriminator's tape
+        def run(full):
+            """One step; with ``full`` its discriminator tape is swept forming everything."""
+            tr = Trainer(cfg, tmp_path / f"full{int(full)}")
+            d_params, swept = tr.d.tensors(), []
+
+            def recording(tape, loss, **kw):
+                # the sweep consumes the tape: find the leaf before it runs
+                ins = {id(t): t for _, inputs, _ in tape.nodes for t in inputs}
+                if not all(id(p) in ins for p in d_params):   # the generator's tape
+                    return sweep(tape, loss, **kw)
                 outs = {id(t) for outs, _, _ in tape.nodes for t in outs}
                 (leaf,) = [t for t in ins.values()
                            if id(t) not in outs and all(t is not p for p in d_params)]
+                sweep(tape, loss, **({} if full else kw))
                 # as the sweep left them, before train_step scales the leaf's
-                swept.append((tape, loss, leaf, [None if t.grad is None else t.grad.copy()
-                                                 for t in [leaf, *d_params]]))
+                swept.append([None if t.grad is None else t.grad.copy()
+                              for t in [leaf, *d_params]])
 
-        monkeypatch.setattr(engine, "backward", recording)
-        m = train_step(tr.g, tr.d, tr._batch_for_step(0), effective_settings(tr.cfg), 0.0,
-                       tr.rng, tr.g_adam, tr.d_adam)
-        (tape, loss, leaf, grads), = swept
-        zero_grads([leaf, *d_params])
-        sweep(tape, loss)   # the same tape, forming everything
-        return m, grads, [leaf.grad, *(p.grad for p in d_params)]
+            monkeypatch.setattr(engine, "backward", recording)
+            m = train_step(tr.g, tr.d, tr._batch_for_step(0), effective_settings(tr.cfg), 0.0,
+                           tr.rng, tr.g_adam, tr.d_adam)
+            (grads,) = swept
+            return m, grads
+
+        m, grads = run(False)
+        # the same tape, rebuilt from the same seeds, forming everything
+        return m, grads, run(True)[1]
 
     def test_gate_closed_step_forms_no_leaf_gradient(self, monkeypatch, tmp_path):
         m, (leaf_grad, *d_grads), (_, *full_d_grads) = self._step(monkeypatch, tmp_path, 2.0)
@@ -1236,37 +1249,40 @@ class TestGradientOwnership:
         monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
         swept, sweep = [], engine.backward
 
-        def leaves(tape):
-            outputs = {id(t) for outs, _, _ in tape.nodes for t in outs}
-            found = {id(t): t for _, ins, _ in tape.nodes for t in ins if id(t) not in outputs}
-            return list(found.values())
-
         def recording(tape, loss, **kw):
+            # the sweep consumes the tape: take its outputs and leaves first
+            outputs = {id(t): t for outs, _, _ in tape.nodes for t in outs}
+            found = {id(t): t for _, ins, _ in tape.nodes for t in ins if id(t) not in outputs}
             sweep(tape, loss, **kw)
             # as the sweep left them, before train_step scales the leaf's
-            kept = [t for t in leaves(tape) if t.grad is not None]
-            swept.append((tape, loss, kw, kept, [t.grad.copy() for t in kept]))
+            kept = [t for t in found.values() if t.grad is not None]
+            swept.append((list(outputs.values()), kept, [t.grad.copy() for t in kept]))
+
+        def step():
+            g, d, y, ga, da = build_step_fixture(seed=104)
+            m = train_step(g, d, y, EngineSettings(use_ct=True, include_outputs=False), 0.0,
+                           np.random.default_rng(105), ga, da)
+            return m, g, d
 
         monkeypatch.setattr(engine, "backward", recording)
-        g, d, y, ga, da = build_step_fixture(seed=104)
-        m = train_step(g, d, y, EngineSettings(use_ct=True, include_outputs=False), 0.0,
-                       np.random.default_rng(105), ga, da)
+        m, g, d = step()
         assert m["gate_gen"] and m["gate_disc"] and len(swept) == 2
-        for tape, *_ in swept:
-            assert all(t.grad is None for outs, _, _ in tape.nodes for t in outs)
+        for outputs, *_ in swept:
+            assert all(t.grad is None for t in outputs)
         # every parameter of both players and the behavior leaf hold one
-        held = {id(t) for *_, kept, _ in swept for t in kept}
+        held = {id(t) for _, kept, _ in swept for t in kept}
         assert all(id(t) in held for t in g.tensors() + d.tensors())
         assert len(held) > len(g.tensors()) + len(d.tensors())
-        grads = [t.grad for *_, kept, _ in swept for t in kept]
+        grads = [t.grad for _, kept, _ in swept for t in kept]
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
-        # Sweep each tape again: every gradient left gets the same bits.
-        for tape, loss, kw, kept, before in swept:
-            zero_grads([t for _, ins, _ in tape.nodes for t in ins])
-            sweep(tape, loss, **kw)
-            for t, a in zip(kept, before):
-                np.testing.assert_array_equal(t.grad, a)
+        # Sweep each tape again, rebuilt from the same seeds: every gradient
+        # left gets the same bits.
+        step()
+        for (_, _, before), (_, _, again) in zip(swept[:2], swept[2:]):
+            assert len(before) == len(again)
+            for a, b in zip(before, again):
+                np.testing.assert_array_equal(a, b)
 
 
     def test_gate_open_step_leaves_grads_on_params_and_behavior_leaf_only(self, monkeypatch):
@@ -1275,7 +1291,7 @@ class TestGradientOwnership:
         tapes, sweep = [], engine.backward
 
         def recording(tape, loss, **kw):
-            tapes.append(tape)
+            tapes.append([t for _, ins, _ in tape.nodes for t in ins])   # before it is consumed
             sweep(tape, loss, **kw)
 
         monkeypatch.setattr(engine, "backward", recording)
@@ -1284,7 +1300,7 @@ class TestGradientOwnership:
                        ga, da)
         assert m["gate_gen"] and len(tapes) == 2
         params = {id(t) for t in g.tensors() + d.tensors()}
-        held = {id(t): t for tape in tapes for _, ins, _ in tape.nodes for t in ins
+        held = {id(t): t for inputs in tapes for t in inputs
                 if t.grad is not None and id(t) not in params}
         assert all(p.grad is not None for p in g.tensors() + d.tensors())
         (leaf,) = held.values()   # the detached stack the discriminator read
@@ -1324,15 +1340,65 @@ class TestDeskStepPageFaults:
         assert per_step <= self.CEILING, f"{per_step:.0f} minor faults per step"
 
 
+class TestDiscriminatorTapeFreedBeforeGeneratorSweep:
+    """A sweep consumes its tape, so once a desk pf step's discriminator sweep
+    has run, no array its BiGRU or scoring MLP nodes cached is alive; a
+    discriminator tape that the step never sweeps is dropped before the
+    generator sweep all the same."""
+
+    @pytest.mark.parametrize("case", ["gate_open", "frozen_gate_closed"])
+    def test_no_discriminator_cache_outlives_its_sweep(self, monkeypatch, tmp_path, case):
+        gate, extra = {"gate_open": (-1.0, []),
+                       "frozen_gate_closed": (2.0, ["freeze_discriminator=true"])}[case]
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", gate)
+        cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0", *extra],
+                           {"seed": 1, "max_steps": 20})
+        tr = Trainer(cfg, tmp_path)
+        cached, alive, run, mlp, sweep = [], [], nets._gru_run, engine.mlp_forward, engine.backward
+
+        def caching_run(*a, **kw):
+            out = run(*a, **kw)
+            cached.extend(weakref.ref(x) for x in out)   # states, zr, the last pre and c
+            return out
+
+        def caching_mlp(*a):
+            out = mlp(*a)
+            cached.append(weakref.ref(out.data))
+            return out
+
+        def checking(tape, loss, **kw):
+            if "params" in kw:   # the generator's sweep
+                alive.append(("generator sweep starts", sum(r() is not None for r in cached)))
+            sweep(tape, loss, **kw)
+            if "reads" in kw:   # the discriminator's
+                alive.append(("discriminator sweep ends", sum(r() is not None for r in cached)))
+
+        monkeypatch.setattr(nets, "_gru_run", caching_run)
+        monkeypatch.setattr(engine, "mlp_forward", caching_mlp)
+        monkeypatch.setattr(engine, "backward", checking)
+        m = train_step(tr.g, tr.d, tr._batch_for_step(0), effective_settings(tr.cfg), 0.0,
+                       tr.rng, tr.g_adam, tr.d_adam)
+        assert len(cached) == 9   # two directions' four arrays and the MLP's output
+        if case == "gate_open":
+            assert m["gate_gen"] and m["gate_disc"]
+            assert alive == [("discriminator sweep ends", 0), ("generator sweep starts", 0)]
+        else:   # nothing reads the discriminator tape: it is never swept
+            assert not m["gate_gen"]
+            assert alive == [("generator sweep starts", 0)]
+
+
 class TestDeskStepPeakMemory:
     """A desk-copy pf step with both gates open holds only what its sweeps
-    still read: a sweep drops each node's output gradients once consumed,
-    and the scoring MLP keeps one input per layer (traced by tracemalloc,
-    which numpy reports to)."""
+    still read: a sweep pops each node once its closure has run, so what
+    the closure captured goes with it, and drops its output gradients; the
+    scoring MLP keeps one input per layer and frees each mask once read,
+    and a recursion's backward forms its candidate factor in its cache
+    (traced by tracemalloc, which numpy reports to)."""
 
-    # about 1.15x the 11.1 measured; 12.3 while recursions cached r * h and the
-    # discriminator sweep formed every gradient, 21.2 when a sweep kept them all
-    CEILING_MIB = 12.8
+    # about 1.15x the 8.0 measured; 11.1 while a sweep kept its nodes until the
+    # step ended, 12.3 while recursions cached r * h and the discriminator sweep
+    # formed every gradient, 21.2 when a sweep kept every gradient
+    CEILING_MIB = 9.2
 
     def test_desk_pf_step_traced_peak(self, monkeypatch, tmp_path):
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
@@ -1375,7 +1441,7 @@ class TestTapeNodeCeiling:
         tape_exit = Tape.__exit__
 
         def counting_exit(tape, *exc):
-            recorded.append(tape)
+            recorded.append(list(tape.nodes))   # as recorded: its sweep will consume it
             return tape_exit(tape, *exc)
 
         monkeypatch.setattr(Tape, "__exit__", counting_exit)
@@ -1401,9 +1467,9 @@ class TestTapeNodeCeiling:
         d_sweeps = sum(any(tape is d_tape for d_tape in d_tapes) for tape in swept)
         # outputs of every generator unroll node, the only nodes reading the embedding
         emb = trainer.g.embedding
-        unroll_outputs = [len(outs) for tape in recorded for outs, inputs, _ in tape.nodes
+        unroll_outputs = [len(outs) for nodes in recorded for outs, inputs, _ in nodes
                           if inputs and inputs[0] is emb]
-        return sum(len(tape) for tape in recorded), row, rows_scored, d_sweeps, unroll_outputs
+        return sum(len(nodes) for nodes in recorded), row, rows_scored, d_sweeps, unroll_outputs
 
     def test_professor_forcing_step(self, monkeypatch, tmp_path):
         nodes, row, rows_scored, d_sweeps, unroll_outputs = self._one_step(

@@ -167,18 +167,18 @@ class TestGruSequence:
                 np.testing.assert_allclose(pre_step.data[i], pre, rtol=0, atol=1e-12)
 
     def test_second_sweep_gives_same_gradients(self, small_cell):
-        # the backward scales its factor arrays in place; the caches it
-        # reads must come through a sweep unchanged
-        rng = np.random.default_rng(110)
-        xs = Tensor(rng.uniform(-1, 1, (5, 3, 4)))
-        h0, x1 = Tensor(rng.uniform(-1, 1, (3, 6))), Tensor(rng.uniform(-1, 1, (3, 4)))
-        leaves = [xs, h0, x1] + [t for _, t in small_cell.named()]
-        with Tape() as tape:
-            h, pre = gru_step(small_cell, h0, x1)
-            loss = add(add(sum_all(tanh(gru_sequence(small_cell, xs, reverse=True))),
-                           sum_all(tanh(h))), sum_all(tanh(pre)))
+        # the backward scales its factor arrays in place; a sweep consumes
+        # its tape, so the second sweep is of one rebuilt from the same seeds
         grads = []
         for _ in range(2):
+            rng = np.random.default_rng(110)
+            xs = Tensor(rng.uniform(-1, 1, (5, 3, 4)))
+            h0, x1 = Tensor(rng.uniform(-1, 1, (3, 6))), Tensor(rng.uniform(-1, 1, (3, 4)))
+            leaves = [xs, h0, x1] + [t for _, t in small_cell.named()]
+            with Tape() as tape:
+                h, pre = gru_step(small_cell, h0, x1)
+                loss = add(add(sum_all(tanh(gru_sequence(small_cell, xs, reverse=True))),
+                               sum_all(tanh(h))), sum_all(tanh(pre)))
             zero_grads(leaves)
             backward(tape, loss, params=leaves)
             grads.append([t.grad.copy() for t in leaves])
@@ -345,8 +345,9 @@ class TestFusedMlp:
         with Tape() as tape:
             out = forward(mlp, leaf)
             loss = sum_all(mul(out, Tensor(weights)))
+        nodes = len(tape)   # the sweep consumes the tape
         backward(tape, loss, params=params)
-        return len(tape), out.data, [leaf.grad] + [p.grad.copy() for p in params]
+        return nodes, out.data, [leaf.grad] + [p.grad.copy() for p in params]
 
     def _check(self, mlp, x, weights):
         nodes, out, grads = self._run(mlp_forward, mlp, x, weights)

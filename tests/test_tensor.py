@@ -23,11 +23,11 @@ from profforce.tensor import (
     stop_recording,
     sub,
     sum_all,
-    zero_grads,
 )
 
 from extra_ops import (
     embed,
+    item,
     matmul,
     mean_all,
     relu,
@@ -158,13 +158,13 @@ class TestSoftmax:
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        assert abs(softmax_cross_entropy(Tensor(np.zeros(4)), 2).item()
+        assert abs(item(softmax_cross_entropy(Tensor(np.zeros(4)), 2))
                    - math.log(4)) < 1e-12
-        assert abs(softmax_cross_entropy(Tensor(np.zeros(50)), 0).item()
+        assert abs(item(softmax_cross_entropy(Tensor(np.zeros(50)), 0))
                    - math.log(50)) < 1e-12
 
     def test_confident_correct(self):
-        loss = softmax_cross_entropy(Tensor([10.0, -10.0]), 0).item()
+        loss = item(softmax_cross_entropy(Tensor([10.0, -10.0]), 0))
         assert loss < 1e-8
 
     def test_target_out_of_range(self):
@@ -176,7 +176,7 @@ class TestSoftmaxCrossEntropy:
         x = rng.uniform(-2, 2, (4, 5))
         t = rng.integers(0, 5, 4)
         rows = softmax_cross_entropy_rows(Tensor(x), t).data
-        singles = [softmax_cross_entropy(Tensor(x[i]), int(t[i])).item() for i in range(4)]
+        singles = [item(softmax_cross_entropy(Tensor(x[i]), int(t[i]))) for i in range(4)]
         np.testing.assert_allclose(rows, singles, atol=1e-12)
 
     def test_gradient_is_softmax_minus_onehot(self):
@@ -234,6 +234,17 @@ class TestBackward:
         with pytest.raises(ValueError):
             backward(tape, y)
 
+    def test_a_sweep_consumes_its_tape(self):
+        x = Tensor([3.0])
+        with Tape() as tape:
+            y = sum_all(mul(x, x))
+        assert len(tape) == 2
+        backward(tape, y)
+        assert len(tape) == 0 and x.grad[0] == 6.0
+        with pytest.raises(ValueError, match="swept"):
+            backward(tape, y)   # it would form nothing: every node is gone
+        assert x.grad[0] == 6.0
+
     def test_accumulation_over_shared_input(self):
         x = Tensor([1.5])
         with Tape() as tape:
@@ -242,36 +253,40 @@ class TestBackward:
         assert x.grad[0] == 6.0
 
     def test_backward_bit_deterministic(self):
-        rng = np.random.default_rng(22)
-        w = Tensor(rng.uniform(-1, 1, (5, 5)))
-        x = Tensor(rng.uniform(-1, 1, (5, 5)))
-        with Tape() as tape:
-            loss = sum_all(tanh(matmul(w, mul(x, x))))
-        backward(tape, loss)
-        first = w.grad.copy()
-        zero_grads([w, x])
-        backward(tape, loss)
-        assert np.array_equal(first, w.grad)
+        # a sweep consumes its tape: the second is of one rebuilt from the same seed
+        grads = []
+        for _ in range(2):
+            rng = np.random.default_rng(22)
+            w = Tensor(rng.uniform(-1, 1, (5, 5)))
+            x = Tensor(rng.uniform(-1, 1, (5, 5)))
+            with Tape() as tape:
+                loss = sum_all(tanh(matmul(w, mul(x, x))))
+            backward(tape, loss)
+            grads.append(w.grad)
+        assert np.array_equal(*grads)
 
     def test_sweep_leaves_grads_on_leaves_only(self):
         # h fans out to two consumers and split has two outputs, so the
         # sweep must finish every reader of a gradient before dropping it.
-        a, b = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
-        with Tape() as tape:
-            h = mul(a, b)
-            lo, hi = split(reshape(add(h, mul(h, a)), (3, 1)), 3)[::2]
-            loss = sum_all(add(lo, scale(hi, 2.0)))
-        backward(tape, loss)
-        assert all(t.grad is None for outs, _, _ in tape.nodes for t in outs)
+        def swept():
+            a, b = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
+            with Tape() as tape:
+                h = mul(a, b)
+                lo, hi = split(reshape(add(h, mul(h, a)), (3, 1)), 3)[::2]
+                loss = sum_all(add(lo, scale(hi, 2.0)))
+            outputs = [t for outs, _, _ in tape.nodes for t in outs]   # before it is consumed
+            backward(tape, loss)
+            assert all(t.grad is None for t in outputs)
+            return a, b
+
+        a, b = swept()
         # d/da = (1, 0, 2) * (b + 2ab), d/db = (1, 0, 2) * (a + a^2), exactly
         np.testing.assert_array_equal(a.grad, [12.0, 0.0, 84.0])
         np.testing.assert_array_equal(b.grad, [2.0, 0.0, 24.0])
         first = [a.grad, b.grad]
-        zero_grads([a, b])
-        backward(tape, loss)
+        a, b = swept()   # the same tape, rebuilt
         np.testing.assert_array_equal(a.grad, first[0])
         np.testing.assert_array_equal(b.grad, first[1])
-        assert all(t.grad is None for outs, _, _ in tape.nodes for t in outs)
 
     def test_no_nans_after_passes(self):
         rng = np.random.default_rng(23)
@@ -324,8 +339,8 @@ class TestSweepReads:
         assert called == []               # d's branch leads to no read leaf: skipped
         assert b.grad is None and c.grad is None and d.grad is None
         partial = a.grad
-        zero_grads([a, b, c, d])
-        backward(tape, loss)              # the same tape, forming everything
+        tape, loss, (a, b, c, d), told, called = self._tape()
+        backward(tape, loss)              # the same tape, rebuilt, forming everything
         assert told[-1] == (True, True) and len(called) == 1
         np.testing.assert_array_equal(a.grad, partial)
         assert b.grad is not None and c.grad is not None and d.grad is not None
