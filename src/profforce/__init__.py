@@ -10,7 +10,6 @@ from .engine import (
     EngineSettings,
     GateState,
     GeneratorParams,
-    Mode,
     discriminate,
     gate,
     loss_discriminator,
@@ -34,7 +33,6 @@ __all__ = [
     "stop_recording",
     "AdamState",
     "adam_step",
-    "Mode",
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",

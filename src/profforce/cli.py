@@ -14,8 +14,9 @@ import numpy as np
 from .checkpoint import MAGIC, CheckpointError, load_checkpoint
 from .config import MODE_ALIASES, ConfigError, build_config, check_bias
 from .diagnostics import (
+    centroid_distance,
     collect_state_clouds,
-    divergence_report,
+    mean_cross_distance,
     write_cloud_csv,
     write_projection_csv,
 )
@@ -121,6 +122,8 @@ def cmd_sample(args) -> int:
 
 def cmd_diagnose(args) -> int:
     from .trainer import build_datasets
+    if args.count < 1:
+        raise ConfigError(f"--count must be at least 1, got {args.count}")
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
     train_set, val_set, cfg = build_datasets(cfg)
     pool = val_set if val_set is not None and len(val_set) >= args.count else train_set
@@ -129,18 +132,16 @@ def cmd_diagnose(args) -> int:
         raise ConfigError("no sequences available for diagnosis")
     timestep = args.timestep if args.timestep is not None else seqs.shape[1]
     rng = np.random.default_rng(args.seed)
-    tf_cloud, fr_cloud = collect_state_clouds(g, seqs, timestep, rng,
-                                              temperature=cfg.temperature)
-    report = divergence_report(tf_cloud, fr_cloud)
+    clouds = collect_state_clouds(g, seqs, timestep, rng, temperature=cfg.temperature)
     print(f"timestep={timestep}")
-    print(f"centroid_distance={report.centroid_distance!r}")
-    print(f"mean_cross_distance={report.mean_cross_distance!r}")
-    print(f"n_tf={report.n_tf}")
-    print(f"n_fr={report.n_fr}")
+    print(f"centroid_distance={centroid_distance(*clouds)!r}")
+    print(f"mean_cross_distance={mean_cross_distance(*clouds)!r}")
+    print(f"n_tf={len(clouds[0])}")
+    print(f"n_fr={len(clouds[1])}")
     if args.out is not None:
         args.out.mkdir(parents=True, exist_ok=True)
-        write_cloud_csv([tf_cloud, fr_cloud], timestep, args.out / "clouds.csv")
-        write_projection_csv([tf_cloud, fr_cloud], args.out / "projection.csv")
+        write_cloud_csv(clouds, timestep, args.out / "clouds.csv")
+        write_projection_csv(clouds, args.out / "projection.csv")
         print(f"wrote {args.out / 'clouds.csv'} and {args.out / 'projection.csv'}")
     return 0
 

@@ -199,7 +199,7 @@ def validate_config(cfg: TrainConfig) -> None:
     if cfg.mode not in MODES:
         raise ConfigError(f"unknown mode {cfg.mode!r}; expected one of {MODES}")
     for name in ("seq_len", "gen_hidden", "gen_embed", "gen_layers", "disc_hidden",
-                 "batch_n", "max_steps"):
+                 "batch_n", "max_steps", "copy_count", "raster_count"):
         if getattr(cfg, name) < 1:
             raise ConfigError(f"{name} must be positive")
     if cfg.task == "copy" and not 1 <= cfg.copy_pattern_len <= cfg.seq_len:
@@ -216,5 +216,6 @@ def validate_config(cfg: TrainConfig) -> None:
         raise ConfigError("lr and temperature must be positive")
     if cfg.adversarial_weight < 0.0:
         raise ConfigError("adversarial_weight must be nonnegative")
-    if cfg.val_every < 0:
-        raise ConfigError("val_every must be nonnegative")
+    for name in ("val_every", "val_count"):
+        if getattr(cfg, name) < 0:
+            raise ConfigError(f"{name} must be nonnegative")

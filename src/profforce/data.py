@@ -11,12 +11,10 @@ import numpy as np
 __all__ = [
     "CharCorpus",
     "SequenceDataset",
-    "RasterSequence",
     "load_corpus",
     "chunk_sequences",
     "synth_copy_task",
     "synth_raster_task",
-    "raster_dataset",
 ]
 
 
@@ -32,9 +30,6 @@ class CharCorpus:
     @property
     def vocab_size(self) -> int:
         return len(self.vocab)
-
-    def decode(self, ids) -> str:
-        return "".join(self.vocab[int(i)] for i in np.asarray(ids).reshape(-1))
 
 
 def load_corpus(path, fractions: tuple[float, float, float] = (0.9, 0.05, 0.05)) -> CharCorpus:
@@ -76,10 +71,6 @@ class SequenceDataset:
     def __len__(self) -> int:
         return self.sequences.shape[0]
 
-    @property
-    def length(self) -> int:
-        return self.sequences.shape[1]
-
 
 def chunk_sequences(ids, length: int, vocab_size: int) -> SequenceDataset:
     """Cut a flat id stream into floor(n/length) non-overlapping chunks.
@@ -113,30 +104,20 @@ def synth_copy_task(vocab_size: int, pattern_len: int, seq_len: int, count: int,
     return SequenceDataset(rows, vocab_size)
 
 
-@dataclass
-class RasterSequence:
-    """A binary image flattened in row-major scan order."""
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        self.bits = np.asarray(self.bits, dtype=np.int64)
-        if self.bits.ndim != 1 or not np.isin(self.bits, (0, 1)).all():
-            raise ValueError("bits must be a flat 0/1 array")
-
-
 def synth_raster_task(width: int, height: int, shape_family: str, count: int,
-                      rng: np.random.Generator) -> list[RasterSequence]:
-    """Simple shapes drawn onto a width x height grid.
+                      rng: np.random.Generator) -> SequenceDataset:
+    """Simple shapes drawn onto a width x height grid, each scanned
+    row-major into one 0/1 sequence of a binary-vocabulary dataset.
 
     Families: "rect" (filled axis-aligned rectangle), "cross" (one full
     row plus one full column), "blank" (all background).
     """
     if width < 4 or height < 4:
         raise ValueError("grid must be at least 4 x 4")
-    out = []
-    for _ in range(count):
-        grid = np.zeros((height, width), dtype=np.int64)
+    if shape_family not in ("rect", "cross", "blank"):
+        raise ValueError(f"unknown shape family {shape_family!r}")
+    grids = np.zeros((count, height, width), dtype=np.int64)
+    for grid in grids:
         if shape_family == "rect":
             y0, y1 = sorted(rng.integers(0, height, size=2))
             x0, x1 = sorted(rng.integers(0, width, size=2))
@@ -144,16 +125,4 @@ def synth_raster_task(width: int, height: int, shape_family: str, count: int,
         elif shape_family == "cross":
             grid[rng.integers(0, height)] = 1
             grid[:, rng.integers(0, width)] = 1
-        elif shape_family == "blank":
-            pass
-        else:
-            raise ValueError(f"unknown shape family {shape_family!r}")
-        out.append(RasterSequence(grid.reshape(-1)))
-    return out
-
-
-def raster_dataset(rasters: list[RasterSequence]) -> SequenceDataset:
-    """Stack rasters into a binary-vocabulary sequence dataset."""
-    if not rasters:
-        raise ValueError("no rasters given")
-    return SequenceDataset(np.stack([r.bits for r in rasters]), vocab_size=2)
+    return SequenceDataset(grids.reshape(count, height * width), vocab_size=2)

@@ -47,7 +47,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 from itertools import cycle, islice, repeat
 
 import numpy as np
@@ -86,7 +85,6 @@ from .tensor import (
 )
 
 __all__ = [
-    "Mode",
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",
@@ -107,11 +105,6 @@ __all__ = [
 ADVERSARIAL_GATE = 0.75   # back-prop into the generator only above this accuracy
 FREEZE_GATE = 0.99        # stop updating the discriminator above this accuracy
 LOGIT_CLIP = 10.0         # discriminator output logit is clamped to [-10, 10]
-
-
-class Mode(Enum):
-    TEACHER_FORCED = "teacher_forced"
-    FREE_RUNNING = "free_running"
 
 
 @dataclass(frozen=True)

@@ -16,23 +16,21 @@ from .tensor import Tensor
 
 __all__ = ["AdamState", "adam_step"]
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class AdamState:
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     t: int = 0
     m: list[np.ndarray] = field(default_factory=list)
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-4,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-4) -> "AdamState":
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
-        return cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps, t=0,
+        return cls(lr=lr, t=0,
                    m=[np.zeros_like(p.data) for p in params],
                    v=[np.zeros_like(p.data) for p in params])
 
@@ -42,13 +40,13 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads: Sequence[np.nda
     if not (len(params) == len(grads) == len(state.m)):
         raise ValueError("params, grads and optimizer state must align")
     state.t += 1
-    c1 = 1.0 - state.beta1 ** state.t
-    c2 = 1.0 - state.beta2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
         if g.shape != p.data.shape:
             raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + state.eps)
+        m *= BETA1
+        m += (1.0 - BETA1) * g
+        v *= BETA2
+        v += (1.0 - BETA2) * (g * g)
+        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

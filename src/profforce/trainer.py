@@ -33,7 +33,6 @@ from .data import (
     SequenceDataset,
     chunk_sequences,
     load_corpus,
-    raster_dataset,
     synth_copy_task,
     synth_raster_task,
 )
@@ -153,10 +152,10 @@ def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset |
     if cfg.task == "raster":
         rng = np.random.default_rng([cfg.seed, 21])
         seq_len = cfg.raster_width * cfg.raster_height
-        train = raster_dataset(synth_raster_task(cfg.raster_width, cfg.raster_height,
-                                                 cfg.raster_family, cfg.raster_count, rng))
-        val = (raster_dataset(synth_raster_task(cfg.raster_width, cfg.raster_height,
-                                                cfg.raster_family, cfg.val_count, rng))
+        train = synth_raster_task(cfg.raster_width, cfg.raster_height,
+                                  cfg.raster_family, cfg.raster_count, rng)
+        val = (synth_raster_task(cfg.raster_width, cfg.raster_height,
+                                 cfg.raster_family, cfg.val_count, rng)
                if cfg.val_count else None)
         cfg.vocab_size = 2
         cfg.seq_len = seq_len

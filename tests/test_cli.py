@@ -131,6 +131,20 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs, msg", [
+        (["copy_count=0"], "copy_count must be positive"),
+        (["copy_count=-2"], "copy_count must be positive"),
+        (["task=raster", "raster_count=0"], "raster_count must be positive"),
+        (["val_count=-2"], "val_count must be nonnegative"),
+    ])
+    def test_bad_sequence_count_exits_2_before_writing(self, tmp_path, capsys, pairs, msg):
+        # copy_count=0 used to die dividing by zero after writing the CSV headers
+        out = tmp_path / "x"
+        extra = [arg for pair in pairs for arg in ("--set", pair)]
+        assert main(train_args(out, extra=extra)) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
     def test_bias_above_minus_one_trains_and_samples(self, tmp_path):
         out = tmp_path / "x"
         assert main(train_args(out, extra=["--set", "bias=-0.5"])) == 0
@@ -275,6 +289,17 @@ class TestDiagnoseCommand:
         proj = (dest / "projection.csv").read_text().strip().splitlines()
         assert proj[0] == "mode,x,y"
         assert len(proj) == 9
+
+    @pytest.mark.parametrize("count", ["0", "-3"])
+    def test_nonpositive_count_exits_2(self, trained, tmp_path, capsys, count):
+        # --count -3 used to diagnose all but the last three sequences
+        dest = tmp_path / "diag"
+        assert main(["diagnose", str(trained / "final.ckpt"), "--count", count,
+                     "--out", str(dest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"--count must be at least 1, got {count}" in captured.err
+        assert not dest.exists()
 
     def test_bad_timestep_exits_2(self, trained, capsys):
         assert main(["diagnose", str(trained / "final.ckpt"), "--count", "4",

@@ -159,6 +159,9 @@ class TestValidate:
         ("temperature", -1.0, "positive"),
         ("adversarial_weight", -0.5, "nonnegative"),
         ("val_every", -1, "nonnegative"),
+        ("copy_count", 0, "copy_count must be positive"),
+        ("raster_count", 0, "raster_count must be positive"),
+        ("val_count", -1, "val_count must be nonnegative"),
     ])
     def test_rejections(self, field, value, msg):
         cfg = self._ok()

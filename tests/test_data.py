@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from profforce.data import (
-    RasterSequence,
     SequenceDataset,
     chunk_sequences,
     load_corpus,
-    raster_dataset,
     synth_copy_task,
     synth_raster_task,
 )
@@ -44,16 +42,17 @@ class TestLoadCorpus:
         p = tmp_path / "o.txt"
         p.write_text("a" * 90 + "b" * 5 + "c" * 5)
         corpus = load_corpus(p)
-        assert corpus.decode(corpus.train_ids) == "a" * 90
-        assert corpus.decode(corpus.valid_ids) == "b" * 5
-        assert corpus.decode(corpus.test_ids) == "c" * 5
+        assert corpus.vocab == ["a", "b", "c"]
+        np.testing.assert_array_equal(corpus.train_ids, [0] * 90)
+        np.testing.assert_array_equal(corpus.valid_ids, [1] * 5)
+        np.testing.assert_array_equal(corpus.test_ids, [2] * 5)
 
     def test_decode_inverts_encode(self, tmp_path):
         text = "hello world, hello tests. " * 10
         p = tmp_path / "r.txt"
         p.write_text(text)
         corpus = load_corpus(p, fractions=(1.0, 0.0, 0.0))
-        assert corpus.decode(corpus.train_ids) == text
+        assert "".join(corpus.vocab[i] for i in corpus.train_ids) == text
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "e.txt"
@@ -71,7 +70,7 @@ class TestLoadCorpus:
 class TestChunking:
     def test_exact_counts_and_remainder_drop(self):
         ds = chunk_sequences(np.arange(1250), length=500, vocab_size=1250)
-        assert len(ds) == 2 and ds.length == 500
+        assert ds.sequences.shape == (2, 500)
         np.testing.assert_array_equal(ds.sequences[0], np.arange(500))
         np.testing.assert_array_equal(ds.sequences[1], np.arange(500, 1000))
 
@@ -149,16 +148,14 @@ class TestCopyTask:
 
 class TestRasterTask:
     def test_blank_family_all_zero(self):
-        rs = synth_raster_task(10, 10, "blank", 5, np.random.default_rng(9))
-        assert len(rs) == 5
-        for r in rs:
-            assert r.bits.shape == (100,)
-            assert not r.bits.any()
+        ds = synth_raster_task(10, 10, "blank", 5, np.random.default_rng(9))
+        assert ds.sequences.shape == (5, 100)
+        assert not ds.sequences.any()
 
     def test_rect_family_is_solid_rectangle(self):
-        rs = synth_raster_task(8, 6, "rect", 30, np.random.default_rng(10))
-        for r in rs:
-            grid = r.bits.reshape(6, 8)
+        ds = synth_raster_task(8, 6, "rect", 30, np.random.default_rng(10))
+        for bits in ds.sequences:
+            grid = bits.reshape(6, 8)
             ys, xs = np.nonzero(grid)
             assert len(ys) > 0
             h = ys.max() - ys.min() + 1
@@ -166,9 +163,9 @@ class TestRasterTask:
             assert len(ys) == h * w
 
     def test_cross_family_row_and_column(self):
-        rs = synth_raster_task(7, 5, "cross", 30, np.random.default_rng(11))
-        for r in rs:
-            grid = r.bits.reshape(5, 7)
+        ds = synth_raster_task(7, 5, "cross", 30, np.random.default_rng(11))
+        for bits in ds.sequences:
+            grid = bits.reshape(5, 7)
             full_rows = np.where(grid.all(axis=1))[0]
             full_cols = np.where(grid.all(axis=0))[0]
             assert len(full_rows) >= 1 and len(full_cols) >= 1
@@ -186,10 +183,11 @@ class TestRasterTask:
             synth_raster_task(5, 5, "blob", 1, np.random.default_rng(13))
 
     def test_dataset_stacking(self):
-        rs = synth_raster_task(5, 4, "rect", 6, np.random.default_rng(14))
-        ds = raster_dataset(rs)
+        ds = synth_raster_task(5, 4, "rect", 6, np.random.default_rng(14))
         assert ds.sequences.shape == (6, 20) and ds.vocab_size == 2
 
-    def test_bad_bits_rejected(self):
-        with pytest.raises(ValueError):
-            RasterSequence(np.array([0, 1, 2]))
+    @pytest.mark.parametrize("family", ["rect", "cross", "blank"])
+    def test_bits_are_binary(self, family):
+        ds = synth_raster_task(6, 5, family, 20, np.random.default_rng(15))
+        assert ds.sequences.dtype == np.int64
+        assert np.isin(ds.sequences, (0, 1)).all()

@@ -6,22 +6,20 @@ import pytest
 
 from profforce.diagnostics import (
     CURVE_COLUMNS,
-    StateCloud,
     centroid_distance,
     collect_state_clouds,
-    divergence_report,
     format_curve_row,
     mean_cross_distance,
     project_2d,
     write_cloud_csv,
     write_projection_csv,
 )
-from profforce.engine import GeneratorParams, Mode, unroll_free_running, unroll_teacher_forced
+from profforce.engine import GeneratorParams, unroll_free_running, unroll_teacher_forced
 from profforce.tensor import stop_recording
 
 
-def cloud(points, mode=Mode.TEACHER_FORCED):
-    return StateCloud(np.asarray(points, dtype=np.float64), mode)
+def cloud(points):
+    return np.asarray(points, dtype=np.float64)
 
 
 class TestDistances:
@@ -66,10 +64,10 @@ class TestDistances:
         with pytest.raises(ValueError):
             centroid_distance(cloud([[1.0, 2.0]]), cloud([[1.0, 2.0, 3.0]]))
 
-    def test_report_counts(self):
-        rep = divergence_report(cloud([[0.0, 0.0], [1.0, 1.0]]), cloud([[3.0, 4.0]]))
-        assert rep.n_tf == 2 and rep.n_fr == 1
-        assert rep.mean_cross_distance >= rep.centroid_distance
+    def test_clouds_of_different_sizes(self):
+        a, b = cloud([[0.0, 0.0], [1.0, 1.0]]), cloud([[3.0, 4.0]])
+        assert len(a) == 2 and len(b) == 1
+        assert mean_cross_distance(a, b) >= centroid_distance(a, b)
 
 
 class TestProject2d:
@@ -79,10 +77,10 @@ class TestProject2d:
         basis = np.linalg.qr(rng.normal(0, 1, (d, 2)))[0]
         latent = rng.normal(0, 1, (n, 2)) * np.array([5.0, 2.0])
         x = latent @ basis.T
-        proj = project_2d(x)
+        _, variance = project_2d(x)
         # the planted plane carries all variance; the projection must keep it
         total = x.var(axis=0, ddof=1).sum()
-        assert proj.variance.sum() == pytest.approx(total, rel=1e-6)
+        assert variance.sum() == pytest.approx(total, rel=1e-6)
 
     def test_matches_dense_eigensolver(self):
         rng = np.random.default_rng(93)
@@ -92,36 +90,36 @@ class TestProject2d:
         evals, evecs = np.linalg.eigh(cov)
         top = evecs[:, ::-1][:, :2]
         want = np.abs(centered @ top)
-        proj = project_2d(x)
-        np.testing.assert_allclose(np.abs(proj.coords), want, atol=1e-6)
-        np.testing.assert_allclose(proj.variance, evals[::-1][:2], rtol=1e-8)
+        coords, variance = project_2d(x)
+        np.testing.assert_allclose(np.abs(coords), want, atol=1e-6)
+        np.testing.assert_allclose(variance, evals[::-1][:2], rtol=1e-8)
 
     def test_variance_sorted_descending(self):
         rng = np.random.default_rng(94)
         x = rng.normal(0, 1, (50, 5))
-        proj = project_2d(x)
-        assert proj.variance[0] >= proj.variance[1]
+        _, variance = project_2d(x)
+        assert variance[0] >= variance[1]
 
     def test_rank_one_cloud_second_component_vanishes(self):
         rng = np.random.default_rng(95)
         direction = np.array([1.0, 2.0, -1.0, 0.5])
         x = np.outer(rng.normal(0, 3, 40), direction)
-        proj = project_2d(x)
-        assert proj.variance[1] < 1e-9
-        assert proj.variance[0] > 1.0
+        _, variance = project_2d(x)
+        assert variance[1] < 1e-9
+        assert variance[0] > 1.0
 
     def test_constant_cloud_reports_zero(self):
         x = np.ones((5, 3)) * 2.5
-        proj = project_2d(x)
-        np.testing.assert_array_equal(proj.coords, np.zeros((5, 2)))
-        np.testing.assert_array_equal(proj.variance, np.zeros(2))
+        coords, variance = project_2d(x)
+        np.testing.assert_array_equal(coords, np.zeros((5, 2)))
+        np.testing.assert_array_equal(variance, np.zeros(2))
 
     def test_deterministic(self):
         rng = np.random.default_rng(96)
         x = rng.normal(0, 1, (30, 6))
-        a = project_2d(x)
-        b = project_2d(x)
-        np.testing.assert_array_equal(a.coords, b.coords)
+        a, _ = project_2d(x)
+        b, _ = project_2d(x)
+        np.testing.assert_array_equal(a, b)
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -138,22 +136,25 @@ class TestCollectClouds:
         g = self._gen()
         y = np.random.default_rng(98).integers(0, 4, (6, 7))
         tf, fr = collect_state_clouds(g, y, timestep=3, rng=np.random.default_rng(99))
-        assert tf.points.shape == (6, 5) and fr.points.shape == (6, 5)
-        assert tf.mode is Mode.TEACHER_FORCED and fr.mode is Mode.FREE_RUNNING
+        assert tf.shape == (6, 5) and fr.shape == (6, 5)
+        # teacher forced first: its states are those of the given sequences
+        with stop_recording():
+            want = unroll_teacher_forced(g, y[:, :3]).hidden.data[-1]
+        np.testing.assert_array_equal(tf, want)
 
     def test_default_timestep_is_last(self):
         g = self._gen()
         y = np.random.default_rng(100).integers(0, 4, (4, 5))
         a_tf, _ = collect_state_clouds(g, y, None, np.random.default_rng(101))
         b_tf, _ = collect_state_clouds(g, y, 5, np.random.default_rng(101))
-        np.testing.assert_array_equal(a_tf.points, b_tf.points)
+        np.testing.assert_array_equal(a_tf, b_tf)
 
     def test_deterministic_given_rng(self):
         g = self._gen()
         y = np.random.default_rng(102).integers(0, 4, (4, 5))
         _, fr1 = collect_state_clouds(g, y, 2, np.random.default_rng(103))
         _, fr2 = collect_state_clouds(g, y, 2, np.random.default_rng(103))
-        np.testing.assert_array_equal(fr1.points, fr2.points)
+        np.testing.assert_array_equal(fr1, fr2)
 
     def test_timestep_bounds(self):
         g = self._gen()
@@ -195,8 +196,8 @@ class TestLeanClouds:
             tf, fr = collect_state_clouds(g, y, timestep, np.random.default_rng(108),
                                           temperature=temperature)
             t = t_len if timestep is None else timestep
-            np.testing.assert_array_equal(tf.points, full_tf[t - 1])
-            np.testing.assert_array_equal(fr.points, full_fr[t - 1])
+            np.testing.assert_array_equal(tf, full_tf[t - 1])
+            np.testing.assert_array_equal(fr, full_fr[t - 1])
 
     def test_peak_does_not_grow_with_the_length_as_a_full_unroll_does(self):
         g = self._gen(1, hidden=64)   # desk size
@@ -254,10 +255,10 @@ class TestCsvOutput:
         assert parts[7] in ("0", "1") and parts[8] in ("0", "1")
 
     def test_cloud_csv_layout(self, tmp_path):
-        a = cloud([[1.0, 2.0], [3.0, 4.0]], Mode.TEACHER_FORCED)
-        b = cloud([[5.0, 6.0]], Mode.FREE_RUNNING)
+        a = cloud([[1.0, 2.0], [3.0, 4.0]])
+        b = cloud([[5.0, 6.0]])
         path = tmp_path / "clouds.csv"
-        write_cloud_csv([a, b], timestep=7, path=path)
+        write_cloud_csv((a, b), timestep=7, path=path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "mode,t,index,h0,h1"
         assert lines[1] == "teacher_forced,7,0,1.0,2.0"
@@ -265,10 +266,10 @@ class TestCsvOutput:
 
     def test_projection_csv(self, tmp_path):
         rng = np.random.default_rng(105)
-        a = cloud(rng.normal(0, 1, (10, 4)), Mode.TEACHER_FORCED)
-        b = cloud(rng.normal(3, 1, (10, 4)), Mode.FREE_RUNNING)
+        a = rng.normal(0, 1, (10, 4))
+        b = rng.normal(3, 1, (10, 4))
         path = tmp_path / "proj.csv"
-        proj = write_projection_csv([a, b], path)
+        coords, _ = write_projection_csv((a, b), path)
         lines = path.read_text().strip().split("\n")
         assert lines[0] == "mode,x,y"
         assert len(lines) == 21
@@ -276,5 +277,5 @@ class TestCsvOutput:
         assert sum(l.startswith("free_running") for l in lines[1:]) == 10
         # rows carry the same coordinates the projection reported
         first = lines[1].split(",")
-        assert float(first[1]) == proj.coords[0, 0]
-        assert float(first[2]) == proj.coords[0, 1]
+        assert float(first[1]) == coords[0, 0]
+        assert float(first[2]) == coords[0, 1]

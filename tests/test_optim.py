@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from profforce.optim import AdamState, adam_step
+from profforce.optim import BETA1, BETA2, EPS, AdamState, adam_step
 from profforce.tensor import Tensor
 
 
@@ -22,8 +22,8 @@ def adam_oracle(p0, grads, lr, b1=0.9, b2=0.999, eps=1e-8):
 class TestAdam:
     def test_defaults(self):
         st = AdamState.for_params([Tensor([1.0])])
-        assert st.lr == 1e-4 and st.beta1 == 0.9
-        assert st.beta2 == 0.999 and st.eps == 1e-8 and st.t == 0
+        assert st.lr == 1e-4 and BETA1 == 0.9
+        assert BETA2 == 0.999 and EPS == 1e-8 and st.t == 0
 
     def test_zero_gradient_is_noop_but_counts(self):
         p = Tensor([2.0, -1.0])
