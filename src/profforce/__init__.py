@@ -7,7 +7,6 @@ training step, synthetic tasks, divergence diagnostics and a CLI.
 
 from .engine import (
     DiscriminatorParams,
-    EngineSettings,
     GateState,
     GeneratorParams,
     discriminate,
@@ -36,7 +35,6 @@ __all__ = [
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",
-    "EngineSettings",
     "gate",
     "discriminate",
     "loss_discriminator",

@@ -2,7 +2,7 @@
 
 Layout::
 
-    8 bytes   magic, "PFCK" + 4-digit format version ("PFCK0003")
+    8 bytes   magic, "PFCK" + 4-digit format version ("PFCK0004")
     4 bytes   section count, little-endian u32
     sections  u32 name length, name (utf-8),
               u64 body length, body
@@ -29,7 +29,7 @@ import numpy as np
 
 __all__ = ["Checkpoint", "CheckpointError", "MAGIC", "save_checkpoint", "load_checkpoint"]
 
-MAGIC = b"PFCK0003"
+MAGIC = b"PFCK0004"
 _MAGIC_PREFIX = b"PFCK"
 _TEXT_SECTIONS = ("config", "state")
 

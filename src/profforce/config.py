@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+from .data import RASTER_FAMILIES
+
 __all__ = [
     "TrainConfig",
     "ConfigError",
@@ -204,6 +206,11 @@ def validate_config(cfg: TrainConfig) -> None:
             raise ConfigError(f"{name} must be positive")
     if cfg.task == "copy" and not 1 <= cfg.copy_pattern_len <= cfg.seq_len:
         raise ConfigError("need 1 <= copy_pattern_len <= seq_len")
+    if cfg.task == "raster" and cfg.raster_family not in RASTER_FAMILIES:
+        raise ConfigError(f"unknown raster_family {cfg.raster_family!r}; have {RASTER_FAMILIES}")
+    for name in ("raster_width", "raster_height"):
+        if cfg.task == "raster" and getattr(cfg, name) < 4:
+            raise ConfigError(f"{name} must be at least 4")
     if not 0.0 <= cfg.ss_start <= 1.0 or not 0.0 <= cfg.ss_end <= 1.0:
         raise ConfigError("scheduled-sampling probabilities must lie in [0, 1]")
     if cfg.ss_ramp_steps is not None and cfg.ss_ramp_steps < 1:

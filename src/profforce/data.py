@@ -17,6 +17,8 @@ __all__ = [
     "synth_raster_task",
 ]
 
+RASTER_FAMILIES = ("rect", "cross", "blank")
+
 
 @dataclass
 class CharCorpus:
@@ -114,7 +116,7 @@ def synth_raster_task(width: int, height: int, shape_family: str, count: int,
     """
     if width < 4 or height < 4:
         raise ValueError("grid must be at least 4 x 4")
-    if shape_family not in ("rect", "cross", "blank"):
+    if shape_family not in RASTER_FAMILIES:
         raise ValueError(f"unknown shape family {shape_family!r}")
     grids = np.zeros((count, height, width), dtype=np.int64)
     for grid in grids:

@@ -51,6 +51,7 @@ from itertools import cycle, islice, repeat
 
 import numpy as np
 
+from .config import TrainConfig
 from .nets import (
     BiGruParams,
     GruCellParams,
@@ -88,7 +89,6 @@ __all__ = [
     "GateState",
     "GeneratorParams",
     "DiscriminatorParams",
-    "EngineSettings",
     "UnrollResult",
     "unroll_teacher_forced",
     "unroll_free_running",
@@ -198,17 +198,6 @@ class DiscriminatorParams:
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
-
-
-@dataclass(frozen=True)
-class EngineSettings:
-    """Per-step knobs; the training modes differ only through these."""
-
-    adversarial_weight: float = 1.0
-    use_ct: bool = False
-    include_outputs: bool = False
-    temperature: float = 1.0
-    freeze_discriminator: bool = False
 
 
 @dataclass
@@ -525,9 +514,9 @@ def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
 
 
 def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
-               settings: EngineSettings, p_sample: float, rng: np.random.Generator,
+               cfg: TrainConfig, p_sample: float, rng: np.random.Generator,
                g_adam: AdamState, d_adam: AdamState | None) -> dict:
-    """One combined update over a minibatch.
+    """One combined update over a minibatch, with the run's settings read from ``cfg``.
 
     Order of work:
 
@@ -558,17 +547,16 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
        mutates weights that the backward closures read, so no update
        runs before every sweep has finished.
 
-    When the adversarial weight is zero and the discriminator is frozen
-    the unroll runs the B targeted rows alone, without the behavior's
-    softmax columns, and all discriminator work is skipped; the
-    corresponding metrics are reported as nan.  This keeps plain teacher
-    forcing and scheduled sampling on the same code path, and ``d`` and
-    ``d_adam`` are read only otherwise: those two modes pass None for
-    both, as they have no discriminator at all.
+    Without a discriminator (``d`` None: teacher forcing and scheduled
+    sampling build none, nor its Adam state), or when the adversarial
+    weight is zero and the discriminator is frozen, the unroll runs the B
+    targeted rows alone, without the behavior's softmax columns, and all
+    discriminator work is skipped; the corresponding metrics are reported
+    as nan.  This keeps every mode on the same code path.
     """
     ids = _target_ids(g, y_batch)
     b, t_len = ids.shape
-    run_adv = settings.adversarial_weight != 0.0 or not settings.freeze_discriminator
+    run_adv = d is not None and (cfg.adversarial_weight != 0.0 or not cfg.freeze_discriminator)
 
     nan = float("nan")
     metrics = {"c_d": nan, "c_f": nan, "c_t": nan, "disc_acc": nan,
@@ -578,7 +566,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
     with Tape() as gen_tape:
         # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
         res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng,
-                      settings.temperature, settings.include_outputs and run_adv)
+                      cfg.temperature, cfg.include_outputs_in_behavior and run_adv)
         loss = scale(res.nll, 1.0 / t_len)
         if run_adv:
             d_params = d.tensors()
@@ -588,8 +576,8 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
                 c_d = loss_discriminator(p_tf_t, p_fr_t)
             p_tf, p_fr = p_tf_t.data, p_fr_t.data
             gs = gate(accuracy_from_probs(p_tf, p_fr))
-            update_d = not settings.freeze_discriminator and gs.update_discriminator
-            adv_on = settings.adversarial_weight != 0.0 and gs.adversarial_to_generator
+            update_d = not cfg.freeze_discriminator and gs.update_discriminator
+            adv_on = cfg.adversarial_weight != 0.0 and gs.adversarial_to_generator
             reads = (d_params if update_d else []) + ([leaf] if adv_on else [])
             if reads:
                 zero_grads(d_params)
@@ -602,10 +590,10 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
                            gate_gen=gs.adversarial_to_generator,
                            gate_disc=gs.update_discriminator)
             if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
-                tf_rows = p_tf / (1.0 - p_tf) if settings.use_ct else np.zeros_like(p_tf)
+                tf_rows = p_tf / (1.0 - p_tf) if cfg.use_ct else np.zeros_like(p_tf)
                 rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
                 w = leaf.grad
-                w *= (-settings.adversarial_weight * rows)[:, None]
+                w *= (-cfg.adversarial_weight * rows)[:, None]
                 adv = Tensor(np.asarray(np.sum(res.behavior.data * w)), copy=False)
                 loss = add(loss, _record(adv, (res.behavior,), lambda g: (g * w,)))
 

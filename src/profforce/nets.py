@@ -14,15 +14,13 @@ state::
 
 Every weight is stored ``[in, out]``, as ``x @ W`` reads it: the output
 head's ``W_o`` is ``[H, V]`` and an MLP layer's ``W`` is ``[in, out]``.
-A cell stacks its gates side by side in the order z, r, c: ``W`` is
-``[I, 3H]``, ``U`` is ``[H, 3H]`` and ``b`` is ``[3H]``, so ``W_z`` is
-``W[:, :H]``, ``W_r`` is ``W[:, H:2H]`` and ``W_c`` is ``W[:, 2H:]``.
+A cell stores its gates gate-major, as the kernel reads them, in the
+order z, r, c: ``W`` is ``[3, I, H]``, ``U`` is ``[3, H, H]`` and ``b``
+is ``[3, H]``, so ``W_z`` is ``W[0]`` and ``U_c`` is ``U[2]``.
 
 One numpy kernel runs every recursion; what does not change from step
-to step (the weights' gate-major forms, the projection ``x W + b`` of
-known inputs, the views a step reads) is made once per sequence; the
-gate-major forms are scaled straight into their own arrays, so making
-them holds one copy of a cell's weights, not two.
+to step (the scaled z and r weights, the projection ``x W + b`` of
+known inputs, the views a step reads) is made once per sequence.
 :func:`_gru_step_into` writes a step into preallocated arrays and
 :func:`_gru_bptt` runs the recursion backward; a step makes only ufunc
 and BLAS calls, with ``out`` passed positionally and 2-D products
@@ -79,18 +77,15 @@ def init_params(kind: str, shape: tuple[int, ...], rng: np.random.Generator) -> 
     raise ValueError(f"unknown parameter kind {kind!r}")
 
 
-def _weight_in_out(rng: np.random.Generator, fan_in: int, fan_out: int,
-                   blocks: int = 1) -> Tensor:
-    """``blocks`` [fan_out, fan_in] draws, transposed and stacked side by side
-    into one [fan_in, blocks * fan_out], the layout ``x @ W`` reads."""
-    drawn = [init_params("weight", (fan_out, fan_in), rng).data for _ in range(blocks)]
-    # concatenate(...).T is Fortran-ordered; in-place flat views need C order.
-    return Tensor(np.ascontiguousarray(np.concatenate(drawn, axis=0).T))
+def _weight_in_out(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+    """A [fan_out, fan_in] draw transposed to [fan_in, fan_out], the layout ``x @ W`` reads."""
+    # .T is Fortran-ordered; in-place flat views need C order.
+    return Tensor(np.ascontiguousarray(init_params("weight", (fan_out, fan_in), rng).data.T))
 
 
 @dataclass
 class GruCellParams:
-    """Gate-stacked weights, gate order z, r, c: W [I, 3H], U [H, 3H], b [3H]."""
+    """Gate-major weights, gate order z, r, c: W [3, I, H], U [3, H, H], b [3, H]."""
 
     W: Tensor
     U: Tensor
@@ -100,37 +95,31 @@ class GruCellParams:
     def create(cls, hidden: int, input_size: int, rng: np.random.Generator) -> "GruCellParams":
         if hidden < 1 or input_size < 1:
             raise ValueError("hidden and input sizes must be positive")
-        W = _weight_in_out(rng, input_size, hidden, blocks=3)
-        U = _weight_in_out(rng, hidden, hidden, blocks=3)
-        return cls(W=W, U=U, b=init_params("bias", (3 * hidden,), rng))
+        W, U = (Tensor(np.stack([_weight_in_out(rng, fan_in, hidden).data for _ in "zrc"]),
+                       copy=False) for fan_in in (input_size, hidden))   # W's draws, then U's
+        return cls(W=W, U=U, b=init_params("bias", (3, hidden), rng))
 
     @property
     def hidden_size(self) -> int:
-        return self.U.shape[0]
+        return self.U.shape[-1]
 
     @property
     def input_size(self) -> int:
-        return self.W.shape[0]
+        return self.W.shape[1]
 
     def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
 def _gru_weights(p: GruCellParams):
-    """A cell's weights in the gate-major forms a step reads: ``W`` ``[3, I, H]``,
-    ``b`` ``[3, 1, H]``, ``U_zr`` ``[2, H, H]`` and ``U_c`` ``[H, H]``.
+    """A cell's weights as a step reads them: ``W`` ``[3, I, H]``, ``b``
+    ``[3, 1, H]``, ``U_zr`` ``[2, H, H]`` and ``U_c``, the view ``U[2]``.
 
-    The z and r columns are scaled by -0.5 and 0.5 (exact), so that
+    The z and r gates are scaled by -0.5 and 0.5 (exact), so that
     ``sigmoid(a) = (1 + tanh(a / 2)) / 2`` needs no scaling per step and
     the kernel holds ``1 - z = sigmoid(-a_z)`` in place of z."""
-    H = p.hidden_size
     s = np.array((-0.5, 0.5, 1.0))[:, None, None]
-    W, U = p.W.data.reshape(-1, 3, H).transpose(1, 0, 2), p.U.data.reshape(H, 3, H)
-    # scaled straight into the gate-major arrays, with no scaled copy in between
-    W_g, U_zr = np.empty(W.shape), np.empty((2, H, H))
-    np.multiply(W, s, W_g)
-    np.multiply(U[:, :2].transpose(1, 0, 2), s[:2], U_zr)
-    return W_g, p.b.data.reshape(3, 1, H) * s, U_zr, U[:, 2].copy()
+    return p.W.data * s, p.b.data[:, None] * s, p.U.data[:2] * s[:2], p.U.data[2]
 
 
 _ONE, _HALF = np.array(1.0), np.array(0.5)   # a float operand is converted on every call
@@ -198,7 +187,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     """
     T, B, H = h_prev.shape
     W, U = p.W.data, p.U.data
-    U_t = U.reshape(H, 3, H).transpose(1, 2, 0).copy()   # U_z^T, U_r^T, U_c^T
+    U_t = U.transpose(0, 2, 1).copy()   # each U_k^T C-ordered: transposed views move BLAS bits
     keep, r = zr[:, 0], zr[:, 1]   # keep = 1 - z
     dzr = np.empty((2, T, B, H))
     da = [*dzr, c]   # gate-major: z, r, c
@@ -236,22 +225,22 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     da = [a.reshape(n, H) for a in da]
     x2, h2 = x.reshape(n, -1), h_prev.reshape(n, H)
     # each is written through views, so the arrays returned own their data
-    d_x, (d_W, d_U, d_b) = None, (np.empty(shape) if need else None
-                                  for shape, need in zip((W.shape, U.shape, 3 * H), needs[1:]))
+    d_x, (d_W, d_U, d_b) = None, (np.empty(a.shape) if need else None
+                                  for a, need in zip((W, U, p.b.data), needs[1:]))
     for k in range(3):
         if needs[1]:
-            np.matmul(x2.T, da[k], out=d_W[:, k * H:(k + 1) * H])
+            np.matmul(x2.T, da[k], out=d_W[k])
         if needs[2]:   # U_c's input is r * h, recomputed and freed before d_x is made
             inp = h2 if k < 2 else np.multiply(r, h_prev).reshape(n, H)
-            np.matmul(inp.T, da[k], out=d_U[:, k * H:(k + 1) * H])
+            np.matmul(inp.T, da[k], out=d_U[k])
         if needs[3]:
-            np.sum(da[k], axis=0, out=d_b[k * H:(k + 1) * H])
+            np.sum(da[k], axis=0, out=d_b[k])
     inp = None
     if needs[0]:
-        d_x, W_t = np.empty(x.shape), W.reshape(-1, 3, H).transpose(1, 2, 0)
-        d_x2 = np.matmul(da[0], W_t[0], out=d_x.reshape(n, -1))
-        d_x2 += da[1] @ W_t[1]
-        d_x2 += da[2] @ W_t[2]
+        d_x = np.empty(x.shape)
+        d_x2 = np.matmul(da[0], W[0].T, out=d_x.reshape(n, -1))
+        d_x2 += da[1] @ W[1].T
+        d_x2 += da[2] @ W[2].T
     return d_x, d_W, d_U, d_b, d_h
 
 

@@ -1,12 +1,12 @@
 """The training loop shared by all three modes.
 
-The modes differ only in the per-step settings handed to the engine:
-teacher forcing is professor forcing with a zero adversarial weight and
-a frozen discriminator, and scheduled sampling additionally ramps the
-feed-own-sample probability linearly over ``ss_ramp_steps`` steps.
-Teacher forcing and scheduled sampling never run the discriminator, so
-they build neither it nor its Adam state and checkpoint the generator
-alone; resuming an older tf/ss checkpoint ignores its discriminator.
+The engine reads the run's settings from its config; the modes differ
+only in the models :func:`build_models` makes and in the sampling ramp.
+Teacher forcing and scheduled sampling build no discriminator, so each
+step runs as professor forcing with a zero adversarial weight and a
+frozen discriminator, whatever those keys say; their checkpoints hold
+the generator alone (a resume ignores an older one's discriminator).
+Scheduled sampling ramps its sampling probability over ``ss_ramp_steps``.
 
 Determinism contract: given one config (seed included), the metrics
 rows, final parameters and checkpoints are bit-identical between runs,
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import TrainConfig, canonical_text, config_from_text, validate_config
+from .config import ConfigError, TrainConfig, canonical_text, config_from_text, validate_config
 from .data import (
     SequenceDataset,
     chunk_sequences,
@@ -39,14 +39,13 @@ from .data import (
 from .diagnostics import CURVE_COLUMNS, format_curve_row
 from .engine import (
     DiscriminatorParams,
-    EngineSettings,
     GeneratorParams,
     train_step,
     unroll_teacher_forced,
 )
 from .tensor import stop_recording
 
-__all__ = ["Trainer", "TrainingDiverged", "effective_settings", "generator_from_checkpoint"]
+__all__ = ["Trainer", "TrainingDiverged", "generator_from_checkpoint"]
 
 log = logging.getLogger("profforce")
 
@@ -106,21 +105,6 @@ def _freeze_ramp(cfg: TrainConfig) -> None:
     to more steps continues it; the checkpointed config records it."""
     if cfg.mode == "scheduled_sampling" and cfg.ss_ramp_steps is None:
         cfg.ss_ramp_steps = cfg.max_steps
-
-
-def effective_settings(cfg: TrainConfig) -> EngineSettings:
-    """Collapse the mode names onto engine knobs; one code path for all three."""
-    if cfg.mode == "professor_forcing":
-        return EngineSettings(adversarial_weight=cfg.adversarial_weight,
-                              use_ct=cfg.use_ct,
-                              include_outputs=cfg.include_outputs_in_behavior,
-                              temperature=cfg.temperature,
-                              freeze_discriminator=cfg.freeze_discriminator)
-    # teacher forcing and scheduled sampling never touch the discriminator
-    return EngineSettings(adversarial_weight=0.0, use_ct=False,
-                          include_outputs=cfg.include_outputs_in_behavior,
-                          temperature=cfg.temperature,
-                          freeze_discriminator=True)
 
 
 def _behavior_width(cfg: TrainConfig) -> int:
@@ -194,7 +178,6 @@ class Trainer:
         _freeze_ramp(cfg)
         _keep_freed_memory()
         self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.train_set, self.val_set, self.cfg = build_datasets(cfg)
         validate_config(self.cfg)
         self.g, self.d = build_models(self.cfg)
@@ -207,6 +190,7 @@ class Trainer:
         self.best_val = math.inf
         if resume is not None:
             self._restore(resume)
+        self.out_dir.mkdir(parents=True, exist_ok=True)   # once nothing above has failed
 
     # -- state and checkpoints ------------------------------------------------
 
@@ -250,6 +234,9 @@ class Trainer:
             if not (0 <= st[name] < _RNG_LIMITS.get(name, math.inf) or st[name] == math.inf):
                 raise CheckpointError(f"checkpoint state field {name!r} is missing or "
                                       f"malformed: {text!r}")
+        if self.cfg.max_steps < st["step"]:
+            raise ConfigError(f"max_steps {self.cfg.max_steps} is below the checkpoint's "
+                              f"step {st['step']}")
         own = self._named_state_tensors()
         for name, arr in ckpt.tensors.items():
             if name not in own:
@@ -328,7 +315,6 @@ class Trainer:
         earlier run left in the out dir before the starting step (validation
         rows up to it), so resuming into the run's own directory appends."""
         cfg = self.cfg
-        settings = effective_settings(cfg)
         rows: list[dict] = []
         curves_path = self.out_dir / "curves.csv"
         val_path = self.out_dir / "val.csv"
@@ -341,7 +327,7 @@ class Trainer:
                 step = self.step
                 batch = self._batch_for_step(step)
                 t0 = time.perf_counter()
-                metrics = train_step(self.g, self.d, batch, settings,
+                metrics = train_step(self.g, self.d, batch, cfg,
                                      self._p_sample(step), self.rng,
                                      self.g_adam, self.d_adam)
                 wallclock_ms = (time.perf_counter() - t0) * 1e3

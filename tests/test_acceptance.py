@@ -106,16 +106,16 @@ def convergence_run(tmp_path_factory):
 
 
 def gru_params(rng, batch, hidden=4, width=3):
-    """Leaves (h, x, W, U, b) for one fused GRU step, gates stacked z, r, c."""
-    shapes = [batch + (hidden,), batch + (width,), (width, 3 * hidden),
-              (hidden, 3 * hidden), (3 * hidden,)]
+    """Leaves (h, x, W, U, b) for one fused GRU step, gate-major z, r, c."""
+    shapes = [batch + (hidden,), batch + (width,), (3, width, hidden),
+              (3, hidden, hidden), (3, hidden)]
     return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
 
 
 def gru_sequence_params(rng, t_len, batch, hidden=4, width=3):
     """Leaves (xs, W, U, b) for one whole-sequence GRU node over [T, B, I]."""
-    shapes = [(t_len, batch, width), (width, 3 * hidden), (hidden, 3 * hidden),
-              (3 * hidden,)]
+    shapes = [(t_len, batch, width), (3, width, hidden), (3, hidden, hidden),
+              (3, hidden)]
     return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
 
 

@@ -53,7 +53,7 @@ class TestRoundTrip:
     def test_file_starts_with_magic(self, sample, tmp_path):
         path = tmp_path / "m.ckpt"
         save_checkpoint(sample, path)
-        assert path.read_bytes()[:8] == MAGIC == b"PFCK0003"
+        assert path.read_bytes()[:8] == MAGIC == b"PFCK0004"
 
     def test_no_temp_file_left_behind(self, sample, tmp_path):
         path = tmp_path / "m.ckpt"
@@ -139,16 +139,17 @@ class TestCorruption:
     def test_future_version_named_in_error(self, sample, tmp_path):
         path = self._saved(sample, tmp_path)
         blob = bytearray(path.read_bytes())
-        blob[:8] = b"PFCK0004"
+        blob[:8] = b"PFCK0005"
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
-        assert "0004" in str(exc.value) and "0003" in str(exc.value)
+        assert "0005" in str(exc.value) and "0004" in str(exc.value)
 
     # PFCK0001 stored per-gate GRU matrices, whose tensor names are gone.
     # PFCK0002 stored MLP weights [out, in] and W_o [V, H]; its square
     # classifier weights would pass every shape check and load transposed.
-    @pytest.mark.parametrize("old", [b"PFCK0001", b"PFCK0002"])
+    # PFCK0003 stored GRU weights gate-stacked: W [I, 3H], U [H, 3H], b [3H].
+    @pytest.mark.parametrize("old", [b"PFCK0001", b"PFCK0002", b"PFCK0003"])
     def test_previous_version_rejected(self, sample, tmp_path, old):
         path = self._saved(sample, tmp_path)
         blob = bytearray(path.read_bytes())
@@ -156,7 +157,7 @@ class TestCorruption:
         path.write_bytes(bytes(blob))
         with pytest.raises(CheckpointError) as exc:
             load_checkpoint(path)
-        assert old[4:].decode() in str(exc.value) and "0003" in str(exc.value)
+        assert old[4:].decode() in str(exc.value) and "0004" in str(exc.value)
 
     def test_missing_state_section(self, tmp_path):
         import struct

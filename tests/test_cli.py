@@ -145,6 +145,30 @@ class TestTrainCommand:
         assert msg in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("pairs, msg", [
+        (["task=raster", "raster_family=blob"], "unknown raster_family 'blob'"),
+        (["task=raster", "raster_width=3"], "raster_width must be at least 4"),
+        (["task=raster", "raster_height=2"], "raster_height must be at least 4"),
+        (["vocab_size=1"], "copy task needs at least two symbols"),
+        (["task=corpus", "corpus_path={tmp}/missing.txt"], "missing.txt"),
+    ])
+    def test_failed_set_up_exits_2_without_a_run_directory(self, tmp_path, capsys, pairs,
+                                                           msg):
+        # the run directory used to be made before the data and models were built
+        out = tmp_path / "x"
+        extra = [arg for pair in pairs for arg in ("--set", pair.format(tmp=tmp_path))]
+        assert main(train_args(out, extra=extra)) == 2
+        assert msg in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_resume_to_fewer_steps_exits_2_and_writes_nothing(self, trained, capsys):
+        # it used to train nothing and rewrite final.ckpt with step 4 but max_steps 3
+        before = {p.name: p.read_bytes() for p in trained.iterdir()}
+        assert main(["train", "--resume", str(trained / "final.ckpt"),
+                     "--out", str(trained), "--steps", "3"]) == 2
+        assert "max_steps 3 is below the checkpoint's step 4" in capsys.readouterr().err
+        assert {p.name: p.read_bytes() for p in trained.iterdir()} == before
+
     def test_bias_above_minus_one_trains_and_samples(self, tmp_path):
         out = tmp_path / "x"
         assert main(train_args(out, extra=["--set", "bias=-0.5"])) == 0

@@ -16,7 +16,6 @@ from profforce import engine, nets, tensor
 from profforce.config import TrainConfig, build_config
 from profforce.engine import (
     DiscriminatorParams,
-    EngineSettings,
     GeneratorParams,
     accuracy_from_probs,
     discriminate,
@@ -45,7 +44,7 @@ from profforce.tensor import (
     sum_all,
     zero_grads,
 )
-from profforce.trainer import Trainer, effective_settings
+from profforce.trainer import Trainer
 
 from extra_ops import (
     embed,
@@ -899,7 +898,7 @@ def build_step_fixture(seed=60, vocab=4, hidden=5, batch=4, t_len=6,
 class TestTrainStep:
     def test_metrics_shape_and_finiteness(self):
         g, d, y, ga, da = build_step_fixture()
-        m = train_step(g, d, y, EngineSettings(), 0.0, np.random.default_rng(61), ga, da)
+        m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(61), ga, da)
         for key in ("c_d", "c_f", "c_t", "disc_acc", "nll_per_step", "bpc"):
             assert math.isfinite(m[key])
         assert m["bpc"] * math.log(2) == pytest.approx(m["nll_per_step"], abs=1e-12)
@@ -911,7 +910,7 @@ class TestTrainStep:
         for _ in range(2):
             g, d, y, ga, da = build_step_fixture()
             rng = np.random.default_rng(62)
-            ms = [train_step(g, d, y, EngineSettings(), 0.1, rng, ga, da)
+            ms = [train_step(g, d, y, TrainConfig(), 0.1, rng, ga, da)
                   for _ in range(3)]
             runs.append((ms, [t.data.copy() for t in g.tensors()],
                          [t.data.copy() for t in d.tensors()]))
@@ -926,13 +925,13 @@ class TestTrainStep:
         # plain likelihood training, bit for bit, against a run that still
         # evaluates the discriminator but gets a closed gate
         g1, d1, y, ga1, da1 = build_step_fixture(seed=63)
-        skip = EngineSettings(adversarial_weight=0.0, freeze_discriminator=True)
+        skip = TrainConfig(adversarial_weight=0.0, freeze_discriminator=True)
         m1 = train_step(g1, d1, y, skip, 0.0, np.random.default_rng(64), ga1, da1)
         assert math.isnan(m1["c_d"]) and math.isnan(m1["disc_acc"])
         assert m1["gate_gen"] is False and m1["gate_disc"] is False
 
         g2, d2, _, ga2, da2 = build_step_fixture(seed=63)
-        full = EngineSettings(adversarial_weight=1.0)
+        full = TrainConfig(adversarial_weight=1.0)
         m2 = train_step(g2, d2, y, full, 0.0, np.random.default_rng(64), ga2, da2)
         assert not m2["gate_gen"], "fresh discriminator should sit near chance"
 
@@ -943,7 +942,7 @@ class TestTrainStep:
     def test_skip_mode_leaves_discriminator_untouched(self):
         g, d, y, ga, da = build_step_fixture(seed=65)
         before = [t.data.copy() for t in d.tensors()]
-        skip = EngineSettings(adversarial_weight=0.0, freeze_discriminator=True)
+        skip = TrainConfig(adversarial_weight=0.0, freeze_discriminator=True)
         train_step(g, d, y, skip, 0.0, np.random.default_rng(66), ga, da)
         for a, b in zip(before, d.tensors()):
             np.testing.assert_array_equal(a, b.data)
@@ -963,8 +962,8 @@ class TestTrainStep:
         runs = []
         for include_outputs in (False, True):
             g, d, y, ga, da = build_step_fixture(seed=71)
-            skip = EngineSettings(adversarial_weight=0.0, freeze_discriminator=True,
-                                  include_outputs=include_outputs)
+            skip = TrainConfig(adversarial_weight=0.0, freeze_discriminator=True,
+                               include_outputs_in_behavior=include_outputs)
             m = train_step(g, d, y, skip, p_sample, np.random.default_rng(72), ga, da)
             runs.append((repr(m), [t.data.copy() for t in g.tensors() + d.tensors()]))
         assert runs[0][0] == runs[1][0]
@@ -975,7 +974,7 @@ class TestTrainStep:
     def test_explicit_freeze_flag_blocks_disc_updates(self):
         g, d, y, ga, da = build_step_fixture(seed=67)
         before = [t.data.copy() for t in d.tensors()]
-        frozen = EngineSettings(adversarial_weight=1.0, freeze_discriminator=True)
+        frozen = TrainConfig(adversarial_weight=1.0, freeze_discriminator=True)
         m = train_step(g, d, y, frozen, 0.0, np.random.default_rng(68), ga, da)
         assert math.isfinite(m["c_d"])  # still measured
         for a, b in zip(before, d.tensors()):
@@ -985,7 +984,7 @@ class TestTrainStep:
     def test_near_chance_discriminator_updates_but_generator_gate_closed(self):
         g, d, y, ga, da = build_step_fixture(seed=69)
         before = [t.data.copy() for t in d.tensors()]
-        m = train_step(g, d, y, EngineSettings(), 0.0, np.random.default_rng(70), ga, da)
+        m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(70), ga, da)
         assert not m["gate_gen"] and m["gate_disc"]
         assert da.t == 1
         assert any(not np.array_equal(a, b.data)
@@ -1019,7 +1018,7 @@ class TestTrainStep:
         ga = AdamState.for_params(g.tensors(), lr=1e-6)
         da = AdamState.for_params(d_params, lr=5e-3)
         before = [t.data.copy() for t in d_params]
-        m = train_step(g, d, y, EngineSettings(), 0.0, np.random.default_rng(74), ga, da)
+        m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(74), ga, da)
         assert m["disc_acc"] > 0.99
         assert m["gate_gen"] and not m["gate_disc"]
         for a, b_t in zip(before, d_params):
@@ -1048,7 +1047,7 @@ class TestTrainStep:
                 adam_step(adam, dp, [p.grad for p in dp])
             ga = AdamState.for_params(g.tensors(), lr=1e-3)
             da = AdamState.for_params(dp, lr=1e-3)
-            settings = EngineSettings(use_ct=use_ct)
+            settings = TrainConfig(use_ct=use_ct)
             m = train_step(g, d, y, settings, 0.0, np.random.default_rng(78), ga, da)
             assert m["gate_gen"], "discriminator must be strong for this test"
             return [t.data.copy() for t in g.tensors()]
@@ -1086,9 +1085,10 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
     assert p_sample == 0.0
     b, t_len = y.shape
     with Tape() as gen_tape:
-        tf = unroll_teacher_forced(g, y, include_outputs=settings.include_outputs)
+        rich = settings.include_outputs_in_behavior
+        tf = unroll_teacher_forced(g, y, include_outputs=rich)
         fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
-                                 batch=b, include_outputs=settings.include_outputs)
+                                 batch=b, include_outputs=rich)
         with Tape() as d_tape:
             c_d = loss_discriminator(discriminate(d, tf.behavior.detach()),
                                      discriminate(d, fr.behavior.detach()))
@@ -1111,8 +1111,8 @@ class TestOnePassStep:
     @pytest.mark.parametrize("use_ct", [False, True])
     def test_matches_two_pass_reference(self, monkeypatch, use_ct):
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-        settings = EngineSettings(adversarial_weight=0.7, use_ct=use_ct,
-                                  include_outputs=True, temperature=0.9)
+        settings = TrainConfig(adversarial_weight=0.7, use_ct=use_ct,
+                               include_outputs_in_behavior=True, temperature=0.9)
         vocab, hidden = 4, 5
         params = []
         for step in (train_step, two_pass_step):
@@ -1142,10 +1142,11 @@ class TestOnePassStepEdges:
         """Shift the score bias so that the pooled logits of the rows
         above the median pass the clamp at 10 and the others do not."""
         rng = np.random.default_rng(93)   # the step's own draws
+        rich = settings.include_outputs_in_behavior
         with stop_recording():
-            tf = unroll_teacher_forced(g, y, include_outputs=settings.include_outputs)
+            tf = unroll_teacher_forced(g, y, include_outputs=rich)
             fr = unroll_free_running(g, y.shape[1], rng, temperature=settings.temperature,
-                                     batch=y.shape[0], include_outputs=settings.include_outputs)
+                                     batch=y.shape[0], include_outputs=rich)
             p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
         pooled = np.log(p / (1.0 - p))
         d.classifier.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
@@ -1155,9 +1156,9 @@ class TestOnePassStepEdges:
     @pytest.mark.parametrize("case", ["clipped_rows", "weight_2.5", "frozen_d"])
     def test_matches_two_pass_reference(self, monkeypatch, case):
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-        settings = EngineSettings(adversarial_weight=2.5 if case == "weight_2.5" else 0.7,
-                                  use_ct=case != "frozen_d",
-                                  freeze_discriminator=case == "frozen_d")
+        settings = TrainConfig(adversarial_weight=2.5 if case == "weight_2.5" else 0.7,
+                               use_ct=case != "frozen_d",
+                               freeze_discriminator=case == "frozen_d")
         vocab, hidden = 4, 5
         params = []
         for step in (train_step, two_pass_step):
@@ -1214,7 +1215,7 @@ class TestStepSweepsWhatItReads:
                               for t in [leaf, *d_params]])
 
             monkeypatch.setattr(engine, "backward", recording)
-            m = train_step(tr.g, tr.d, tr._batch_for_step(0), effective_settings(tr.cfg), 0.0,
+            m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
                            tr.rng, tr.g_adam, tr.d_adam)
             (grads,) = swept
             return m, grads
@@ -1260,8 +1261,8 @@ class TestGradientOwnership:
 
         def step():
             g, d, y, ga, da = build_step_fixture(seed=104)
-            m = train_step(g, d, y, EngineSettings(use_ct=True, include_outputs=False), 0.0,
-                           np.random.default_rng(105), ga, da)
+            cfg = TrainConfig(use_ct=True, include_outputs_in_behavior=False)
+            m = train_step(g, d, y, cfg, 0.0, np.random.default_rng(105), ga, da)
             return m, g, d
 
         monkeypatch.setattr(engine, "backward", recording)
@@ -1296,7 +1297,7 @@ class TestGradientOwnership:
 
         monkeypatch.setattr(engine, "backward", recording)
         g, d, y, ga, da = build_step_fixture(seed=104)
-        m = train_step(g, d, y, EngineSettings(use_ct=True), 0.0, np.random.default_rng(105),
+        m = train_step(g, d, y, TrainConfig(use_ct=True), 0.0, np.random.default_rng(105),
                        ga, da)
         assert m["gate_gen"] and len(tapes) == 2
         params = {id(t) for t in g.tensors() + d.tensors()}
@@ -1320,11 +1321,11 @@ class TestDeskStepPageFaults:
             import resource, sys
             from profforce.config import build_config
             from profforce.engine import train_step
-            from profforce.trainer import Trainer, effective_settings
+            from profforce.trainer import Trainer
             cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0"],
                                {"seed": 1, "max_steps": 20})
             tr = Trainer(cfg, sys.argv[1])
-            settings = effective_settings(tr.cfg)
+            settings = tr.cfg
             for step in range(20):
                 if step == 5:   # warm up first
                     start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -1376,7 +1377,7 @@ class TestDiscriminatorTapeFreedBeforeGeneratorSweep:
         monkeypatch.setattr(nets, "_gru_run", caching_run)
         monkeypatch.setattr(engine, "mlp_forward", caching_mlp)
         monkeypatch.setattr(engine, "backward", checking)
-        m = train_step(tr.g, tr.d, tr._batch_for_step(0), effective_settings(tr.cfg), 0.0,
+        m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
                        tr.rng, tr.g_adam, tr.d_adam)
         assert len(cached) == 9   # two directions' four arrays and the MLP's output
         if case == "gate_open":
@@ -1405,7 +1406,7 @@ class TestDeskStepPeakMemory:
         cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0"],
                            {"seed": 1, "max_steps": 20})
         tr = Trainer(cfg, tmp_path)
-        settings = effective_settings(tr.cfg)
+        settings = tr.cfg
 
         def step(i):
             return train_step(tr.g, tr.d, tr._batch_for_step(i), settings, 0.0, tr.rng,

@@ -13,7 +13,6 @@ from profforce.trainer import (
     TrainingDiverged,
     build_datasets,
     build_models,
-    effective_settings,
     generator_from_checkpoint,
 )
 
@@ -45,20 +44,12 @@ def assert_rows_equal(a, b):
                 assert va == vb, k
 
 
-class TestEffectiveSettings:
-    def test_professor_forcing_keeps_knobs(self):
-        cfg = tiny_cfg(adversarial_weight=0.7, use_ct=True, temperature=0.9,
-                       freeze_discriminator=True)
-        s = effective_settings(cfg)
-        assert s.adversarial_weight == 0.7 and s.use_ct and s.temperature == 0.9
-        assert s.freeze_discriminator
-
+class TestAdversaryOnlyInProfessorForcing:
     @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling"])
-    def test_other_modes_disable_adversary(self, mode):
+    def test_other_modes_ignore_the_adversarial_keys(self, tmp_path, mode):
         cfg = tiny_cfg(mode=mode, adversarial_weight=0.7, use_ct=True)
-        s = effective_settings(cfg)
-        assert s.adversarial_weight == 0.0
-        assert s.freeze_discriminator and not s.use_ct
+        rows = Trainer(cfg, tmp_path).run()
+        assert all(math.isnan(r["c_d"]) and r["gate_gen"] is False for r in rows)
 
 
 class TestBuildDatasets:
