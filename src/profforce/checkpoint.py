@@ -64,9 +64,16 @@ def _encode_state(state: dict[str, str]) -> bytes:
     return "".join(f"{k}={v}\n" for k, v in sorted(state.items())).encode("utf-8")
 
 
-def _decode_state(body: memoryview) -> dict[str, str]:
+def _utf8(body: memoryview, where: str) -> str:
+    try:
+        return str(body, "utf-8")
+    except UnicodeDecodeError as e:
+        raise CheckpointError(f"{where} is not utf-8 text") from e
+
+
+def _decode_state(text: str) -> dict[str, str]:
     out = {}
-    for n, line in enumerate(str(body, "utf-8").splitlines(), 1):
+    for n, line in enumerate(text.splitlines(), 1):
         if line:
             key, eq, value = line.partition("=")
             if not eq:
@@ -137,7 +144,8 @@ def load_checkpoint(path) -> Checkpoint:
         for _ in range(n_sections):
             (name_len,) = struct.unpack_from("<I", payload, offset)
             offset += 4
-            name = str(payload[offset:offset + name_len], "utf-8")
+            name = _utf8(payload[offset:offset + name_len],
+                         f"{path}: the name of section {len(sections)}")
             offset += name_len
             (body_len,) = struct.unpack_from("<Q", payload, offset)
             offset += 8
@@ -154,6 +162,6 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: missing config or state section")
     tensors = {name: _unpack_tensor(name, body) for name, body in sections
                if name not in _TEXT_SECTIONS}
-    return Checkpoint(config_text=str(named["config"], "utf-8"),
-                      state=_decode_state(named["state"]),
+    return Checkpoint(config_text=_utf8(named["config"], f"{path}: section 'config'"),
+                      state=_decode_state(_utf8(named["state"], f"{path}: section 'state'")),
                       tensors=tensors)

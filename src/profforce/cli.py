@@ -21,7 +21,13 @@ from .diagnostics import (
     write_projection_csv,
 )
 from .engine import unroll_free_running
-from .trainer import Trainer, TrainingDiverged, _keep_freed_memory, generator_from_checkpoint
+from .trainer import (
+    Trainer,
+    TrainingDiverged,
+    _keep_freed_memory,
+    build_datasets,
+    generator_from_checkpoint,
+)
 
 # The standard level names of the logging module, accepted in any case.
 _LOG_LEVELS = {name.lower(): getattr(logging, name)
@@ -121,7 +127,6 @@ def cmd_sample(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    from .trainer import build_datasets
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))

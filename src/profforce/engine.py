@@ -53,14 +53,13 @@ import numpy as np
 
 from .config import TrainConfig
 from .nets import (
-    BiGruParams,
     GruCellParams,
-    MlpParams,
-    OutputHeadParams,
     _gru_bptt,
     _gru_step_into,
     _gru_weights,
+    _weight_in_out,
     bigru_encode,
+    init_params,
     mlp_forward,
 )
 from .optim import AdamState, adam_step
@@ -99,7 +98,6 @@ __all__ = [
     "gate",
     "accuracy_from_probs",
     "train_step",
-    "sample_rows",
 ]
 
 ADVERSARIAL_GATE = 0.75   # back-prop into the generator only above this accuracy
@@ -125,7 +123,8 @@ def gate(disc_accuracy: float) -> GateState:
 
 @dataclass
 class GeneratorParams:
-    """Embedding, a stack of GRU cells, and the softmax output head.
+    """Embedding, a stack of GRU cells, and the softmax output head
+    ``W_o`` [H, V], ``b_o`` [V] from the top state to the logits.
 
     The embedding has one extra row: symbol id ``vocab_size`` is the
     start-of-sequence token fed at the first step.
@@ -133,23 +132,23 @@ class GeneratorParams:
 
     embedding: Tensor
     cells: list[GruCellParams]
-    head: OutputHeadParams
+    W_o: Tensor
+    b_o: Tensor
 
     @classmethod
     def create(cls, vocab_size: int, embed_dim: int, hidden: int,
                layers: int, rng: np.random.Generator) -> "GeneratorParams":
         if vocab_size < 2 or embed_dim < 1 or hidden < 1 or layers < 1:
             raise ValueError("generator sizes must be positive (vocab at least 2)")
-        from .nets import init_params
-        emb = init_params("weight", (vocab_size + 1, embed_dim), rng)
+        emb = init_params((vocab_size + 1, embed_dim), rng)
         cells = [GruCellParams.create(hidden, embed_dim if i == 0 else hidden, rng)
                  for i in range(layers)]
-        head = OutputHeadParams.create(vocab_size, hidden, rng)
-        return cls(embedding=emb, cells=cells, head=head)
+        return cls(emb, cells, _weight_in_out(rng, hidden, vocab_size),
+                   Tensor(np.zeros(vocab_size)))
 
     @property
     def vocab_size(self) -> int:
-        return self.head.W_o.shape[1]
+        return self.W_o.shape[1]
 
     @property
     def start_id(self) -> int:
@@ -163,8 +162,7 @@ class GeneratorParams:
         out = [("embedding", self.embedding)]
         for i, c in enumerate(self.cells):
             out.extend(c.named(f"cells.{i}."))
-        out.extend(self.head.named("head."))
-        return out
+        return out + [("head.W_o", self.W_o), ("head.b_o", self.b_o)]
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
@@ -172,10 +170,12 @@ class GeneratorParams:
 
 @dataclass
 class DiscriminatorParams:
-    """BiGRU encoder plus a per-step MLP scored into one pooled logit."""
+    """A BiGRU encoder, cells ``fwd`` and ``bwd``, plus a per-step MLP,
+    ``layers`` of ``(W, b)``, scored into one pooled logit."""
 
-    encoder: BiGruParams
-    classifier: MlpParams
+    fwd: GruCellParams
+    bwd: GruCellParams
+    layers: list[tuple[Tensor, Tensor]]
 
     @classmethod
     def create(cls, feature_width: int, hidden: int, rng: np.random.Generator,
@@ -183,18 +183,20 @@ class DiscriminatorParams:
         if feature_width < 1 or hidden < 1:
             raise ValueError("discriminator sizes must be positive")
         mh = hidden if mlp_hidden is None else mlp_hidden
-        enc = BiGruParams.create(feature_width, hidden, rng)
+        fwd, bwd = (GruCellParams.create(hidden, feature_width, rng) for _ in "fb")
         # Three hidden ReLU layers, then a linear scalar score per step.
-        clf = MlpParams.create([2 * hidden, mh, mh, mh, 1], rng)
-        return cls(encoder=enc, classifier=clf)
+        sizes = [2 * hidden, mh, mh, mh, 1]
+        return cls(fwd, bwd, [(_weight_in_out(rng, n_in, n_out), Tensor(np.zeros(n_out)))
+                              for n_in, n_out in zip(sizes[:-1], sizes[1:])])
 
     @property
     def feature_width(self) -> int:
-        return self.encoder.input_size
+        return self.fwd.input_size
 
     def named_params(self) -> list[tuple[str, Tensor]]:
-        return (self.encoder.named("encoder.")
-                + self.classifier.named("classifier."))
+        return (self.fwd.named("encoder.fwd.") + self.bwd.named("encoder.bwd.")
+                + [(f"classifier.{i}.{k}", t)
+                   for i, layer in enumerate(self.layers) for k, t in zip("Wb", layer)])
 
     def tensors(self) -> list[Tensor]:
         return [t for _, t in self.named_params()]
@@ -230,17 +232,6 @@ def _target_ids(g: GeneratorParams, y_seq) -> np.ndarray:
     return ids
 
 
-def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Inverse-CDF categorical sampling, one draw per row."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
-    u = rng.random(p.shape[0])
-    cum = np.cumsum(p, axis=-1)
-    idx = (cum < u[:, None]).sum(axis=-1)
-    return np.minimum(idx, p.shape[1] - 1)
-
-
 def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             p_sample: float, rng: np.random.Generator | None, temperature: float,
             include_outputs: bool, keep_outputs: bool = True) -> UnrollResult:
@@ -250,12 +241,13 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     once, applies the output head and fills the step's rows.  Rows
     [0, n) of the [n, T] targets ``ids`` (n = 0 if None) feed the next
     step the true symbol, or with probability ``p_sample`` a draw at
-    temperature 1 (only when a next step exists); their cross entropy
-    gives ``nll``.  Rows [n, batch) run free: every step draws from
+    temperature 1 (only when a next step exists, its uniforms taken by one
+    ``rng.random(n)`` when a coin lands); their cross entropy gives
+    ``nll``.  Rows [n, batch) run free: every step draws from
     softmax(logits / temperature), tempered alike in the behavior, with
     uniforms drawn up front by one ``rng.random((T, batch - n, 1))`` (the
-    values of one ``rng.random(batch - n)`` per step); a draw counts the
-    first V-1 CDF columns below its uniform.
+    values of one ``rng.random(batch - n)`` per step).  Every draw counts
+    the first V-1 CDF columns below its uniform.
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     and views bound before the first step; layer 0 reads ``x W + b``
@@ -271,7 +263,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
     emb = g.embedding.data
-    w_head, b_head = g.head.W_o.data, g.head.b_o.data
+    w_head, b_head = g.W_o.data, g.b_o.data
     vocab, top = g.vocab_size, g.hidden_size
     n_tf = 0 if ids is None else ids.shape[0]
     taped = is_recording()
@@ -332,8 +324,9 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             np.add.reduce(below, 1, None, drawn)
         if n_tf and t + 1 < t_len and p_sample > 0.0:
             coin = np.ones(n_tf, dtype=bool) if p_sample >= 1.0 else rng.random(n_tf) < p_sample
-            if coin.any():
-                nxt[t + 1, :n_tf] = np.where(coin, sample_rows(rng, p[:n_tf]), ids[:, t])
+            if coin.any():   # counted as the free rows' draws are
+                drawn_tf = (np.add.accumulate(p[:n_tf, :-1], 1) < rng.random((n_tf, 1))).sum(1)
+                nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
             used[:, t + 1] = coin
     if include_outputs and whole:
         behavior[..., :top] = top_pre
@@ -379,7 +372,7 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     """
     t_len, batch = fed.shape
     n_tf = 0 if ids is None else ids.shape[0]
-    emb, w_o = g.embedding.data, g.head.W_o.data
+    emb, w_o = g.embedding.data, g.W_o.data
     top, vocab = w_o.shape
 
     def back(g_lg, g_beh, g_hid, g_nll=None):
@@ -461,8 +454,8 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     if width != d.feature_width:
         raise ValueError(f"behavior width {width} does not match "
                          f"discriminator input {d.feature_width}")
-    states = bigru_encode(d.encoder, seq)                              # [T, B, 2H]
-    scores = mlp_forward(d.classifier, reshape(states, (t_len * batch, states.shape[-1])))
+    states = bigru_encode(d.fwd, d.bwd, seq)                        # [T, B, 2H]
+    scores = mlp_forward(d.layers, reshape(states, (t_len * batch, states.shape[-1])))
     per_step = reshape(scores, (t_len, batch))
     pooled = mean_axis0(per_step)                    # [B]
     return sigmoid(clip(pooled, -LOGIT_CLIP, LOGIT_CLIP))

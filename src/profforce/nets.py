@@ -1,8 +1,10 @@
-"""GRU cells, output heads, MLPs and a bidirectional GRU encoder.
+"""GRU cells, the per-step MLP and the bidirectional GRU encoder.
 
-All parameters are plain :class:`~profforce.tensor.Tensor` leaves.  The
-recursions work on time-major ``[T, B, .]`` arrays, so a hidden state is
-a ``[B, H]`` row batch.
+All parameters are plain :class:`~profforce.tensor.Tensor` leaves, which
+the players of :mod:`profforce.engine` hold themselves: a cell is a
+:class:`GruCellParams`, an MLP a list of ``(W, b)`` layers and the
+encoder two cells, one per direction.  The recursions work on time-major
+``[T, B, .]`` arrays, so a hidden state is a ``[B, H]`` row batch.
 
 The gate equations, with ``x`` the step input and ``h`` the previous
 state::
@@ -12,8 +14,9 @@ state::
     c = tanh(x W_c + (r * h) U_c + b_c)       candidate state
     h_new = (1 - z) * h + z * c
 
-Every weight is stored ``[in, out]``, as ``x @ W`` reads it: the output
-head's ``W_o`` is ``[H, V]`` and an MLP layer's ``W`` is ``[in, out]``.
+Every weight is stored ``[in, out]``, as ``x @ W`` reads it (the
+generator's output head ``W_o`` is ``[H, V]``), from an ``[out, in]``
+Glorot draw; biases start at zero.
 A cell stores its gates gate-major, as the kernel reads them, in the
 order z, r, c: ``W`` is ``[3, I, H]``, ``U`` is ``[3, H, H]`` and ``b``
 is ``[3, H]``, so ``W_z`` is ``W[0]`` and ``U_c`` is ``U[2]``.
@@ -53,9 +56,6 @@ from .tensor import Tensor, _record, concat
 
 __all__ = [
     "GruCellParams",
-    "OutputHeadParams",
-    "MlpParams",
-    "BiGruParams",
     "init_params",
     "gru_sequence",
     "mlp_forward",
@@ -63,24 +63,17 @@ __all__ = [
 ]
 
 
-def init_params(kind: str, shape: tuple[int, ...], rng: np.random.Generator) -> Tensor:
-    """Glorot-uniform weights (bound sqrt(6/(fan_in+fan_out))), zero biases."""
-    shape = tuple(int(s) for s in shape)
-    if kind == "bias":
-        return Tensor(np.zeros(shape))
-    if kind == "weight":
-        if len(shape) != 2:
-            raise ValueError(f"weight init expects a 2D shape, got {shape}")
-        fan_out, fan_in = shape
-        s = np.sqrt(6.0 / (fan_in + fan_out))
-        return Tensor(rng.uniform(-s, s, size=shape))
-    raise ValueError(f"unknown parameter kind {kind!r}")
+def init_params(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
+    """A Glorot-uniform draw of a 2-D ``shape``, bound sqrt(6 / (rows + cols))."""
+    rows, cols = shape
+    s = np.sqrt(6.0 / (rows + cols))
+    return Tensor(rng.uniform(-s, s, size=(rows, cols)))
 
 
 def _weight_in_out(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
     """A [fan_out, fan_in] draw transposed to [fan_in, fan_out], the layout ``x @ W`` reads."""
     # .T is Fortran-ordered; in-place flat views need C order.
-    return Tensor(np.ascontiguousarray(init_params("weight", (fan_out, fan_in), rng).data.T))
+    return Tensor(np.ascontiguousarray(init_params((fan_out, fan_in), rng).data.T))
 
 
 @dataclass
@@ -97,7 +90,7 @@ class GruCellParams:
             raise ValueError("hidden and input sizes must be positive")
         W, U = (Tensor(np.stack([_weight_in_out(rng, fan_in, hidden).data for _ in "zrc"]),
                        copy=False) for fan_in in (input_size, hidden))   # W's draws, then U's
-        return cls(W=W, U=U, b=init_params("bias", (3, hidden), rng))
+        return cls(W=W, U=U, b=Tensor(np.zeros((3, hidden))))
 
     @property
     def hidden_size(self) -> int:
@@ -264,48 +257,9 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
     return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back, told=True)
 
 
-@dataclass
-class OutputHeadParams:
-    """Affine map from hidden state to vocabulary logits: W_o is [H, V]."""
-
-    W_o: Tensor
-    b_o: Tensor
-
-    @classmethod
-    def create(cls, vocab: int, hidden: int, rng: np.random.Generator) -> "OutputHeadParams":
-        return cls(W_o=_weight_in_out(rng, hidden, vocab),
-                   b_o=init_params("bias", (vocab,), rng))
-
-    def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        return [(prefix + "W_o", self.W_o), (prefix + "b_o", self.b_o)]
-
-
-@dataclass
-class MlpParams:
-    """Affine layers (W [in, out], b [out]) with ReLU between; the last stays linear."""
-
-    layers: list[tuple[Tensor, Tensor]]
-
-    @classmethod
-    def create(cls, sizes: list[int], rng: np.random.Generator) -> "MlpParams":
-        if len(sizes) < 2:
-            raise ValueError("an MLP needs at least an input and an output size")
-        layers = []
-        for n_in, n_out in zip(sizes[:-1], sizes[1:]):
-            layers.append((_weight_in_out(rng, n_in, n_out),
-                           init_params("bias", (n_out,), rng)))
-        return cls(layers=layers)
-
-    def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        out = []
-        for i, (w, b) in enumerate(self.layers):
-            out.append((f"{prefix}{i}.W", w))
-            out.append((f"{prefix}{i}.b", b))
-        return out
-
-
-def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
-    """Run the layers over the rows of ``x`` ``[N, in]``.
+def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
+    """Run the affine ``(W [in, out], b [out])`` layers over the rows of ``x``
+    ``[N, in]``, with ReLU between them; the last stays linear.
 
     One tape node, which keeps only each layer's input; a ReLU output is
     the next layer's input and its own mask, which the backward (run once)
@@ -313,11 +267,11 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
     and ``g @ W.T``, the products of the composed ``matmul``/``add``/``relu``
     chain, so its bits are that chain's.
     """
-    ws = [w.data for w, _ in p.layers]
+    ws = [w.data for w, _ in layers]
     if x.data.ndim != 2 or x.shape[1] != ws[0].shape[0]:
         raise ValueError(f"mlp_forward: expects [N, {ws[0].shape[0]}] rows, got {x.shape}")
     acts = [x.data]   # each layer's input, then the output
-    for i, (w, b) in enumerate(p.layers):
+    for i, (w, b) in enumerate(layers):
         a = acts[-1] @ w.data
         a += b.data
         if i != len(ws) - 1:
@@ -334,34 +288,14 @@ def mlp_forward(p: MlpParams, x: Tensor) -> Tensor:
             g = g @ ws[i].T if i or needs[0] else None
         return (g, *grads)
 
-    weights = tuple(t for layer in p.layers for t in layer)
+    weights = tuple(t for layer in layers for t in layer)
     return _record(Tensor(acts[-1], copy=False), (x, *weights), back, told=True)
 
 
-@dataclass
-class BiGruParams:
-    """Two independent GRU cells of equal hidden size, one per direction."""
-
-    fwd: GruCellParams
-    bwd: GruCellParams
-
-    @classmethod
-    def create(cls, input_size: int, hidden: int, rng: np.random.Generator) -> "BiGruParams":
-        return cls(fwd=GruCellParams.create(hidden, input_size, rng),
-                   bwd=GruCellParams.create(hidden, input_size, rng))
-
-    @property
-    def input_size(self) -> int:
-        return self.fwd.input_size
-
-    def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
-        return self.fwd.named(prefix + "fwd.") + self.bwd.named(prefix + "bwd.")
-
-
-def bigru_encode(p: BiGruParams, seq: Tensor) -> Tensor:
-    """Run both directions over ``[T, B, I]`` from zero states.
+def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
+    """Run cell ``fwd`` forward and ``bwd`` backward over ``[T, B, I]`` from zero states.
 
     Returns ``[T, B, 2H]``: step t holds ``[fwd_t ; bwd_t]``, so every
     output step depends on the whole input sequence.
     """
-    return concat((gru_sequence(p.fwd, seq), gru_sequence(p.bwd, seq, reverse=True)), axis=-1)
+    return concat((gru_sequence(fwd, seq), gru_sequence(bwd, seq, reverse=True)), axis=-1)

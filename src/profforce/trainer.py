@@ -43,6 +43,7 @@ from .engine import (
     train_step,
     unroll_teacher_forced,
 )
+from .optim import AdamState
 from .tensor import stop_recording
 
 __all__ = ["Trainer", "TrainingDiverged", "generator_from_checkpoint"]
@@ -181,7 +182,6 @@ class Trainer:
         self.train_set, self.val_set, self.cfg = build_datasets(cfg)
         validate_config(self.cfg)
         self.g, self.d = build_models(self.cfg)
-        from .optim import AdamState
         self.g_adam = AdamState.for_params(self.g.tensors(), lr=self.cfg.lr)
         self.d_adam = (None if self.d is None
                        else AdamState.for_params(self.d.tensors(), lr=self.cfg.lr))

@@ -5,8 +5,9 @@ Each primitive records one node on the active
 :mod:`profforce.tensor` do; the gradient checks and the per-step
 reference unrolls use them.  :func:`loss_nll` is the taped cross
 entropy the unroll's own ``nll`` is checked against,
-:func:`make_batches` shuffles a dataset into one epoch of batches, and
-:func:`item` reads a one-element tensor as a float.
+:func:`make_batches` shuffles a dataset into one epoch of batches,
+:func:`sample_rows` is the per-step sampler the unroll's draws are
+checked against, and :func:`item` reads a one-element tensor as a float.
 """
 
 from typing import Iterator
@@ -183,3 +184,15 @@ def make_batches(ds: SequenceDataset, batch_size: int,
     order = rng.permutation(n)
     for start in range(0, n, batch_size):
         yield ds.sequences[order[start:start + batch_size]]
+
+
+def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
+    """Inverse-CDF categorical sampling, one draw per row: the index of
+    the first CDF column not below the row's uniform, the last if none."""
+    p = np.asarray(probs, dtype=np.float64)
+    if p.ndim == 1:
+        p = p[None, :]
+    u = rng.random(p.shape[0])
+    cum = np.cumsum(p, axis=-1)
+    idx = (cum < u[:, None]).sum(axis=-1)
+    return np.minimum(idx, p.shape[1] - 1)

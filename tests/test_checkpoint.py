@@ -183,6 +183,26 @@ class TestCorruption:
         with pytest.raises(CheckpointError, match="section 'state', line 2: .*'garbage-line'"):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("spot", ["name", "config", "state"])
+    def test_text_that_is_not_utf8_names_its_section(self, tmp_path, spot):
+        # The CRC is sealed over the bad byte, so only the decoding can object.
+        import struct
+        import zlib
+        sections = [(b"config", b"seed=1\n"), (b"state", b"step=1\n"),
+                    (b"g.b", struct.pack("<2I", 1, 1) + struct.pack("<d", 0.5))]
+        bad = {"name": 2, "config": 0, "state": 1}[spot]
+        name, body = sections[bad]
+        sections[bad] = (name + b"\xff", body) if spot == "name" else (name, body + b"\xff")
+        payload = struct.pack("<I", len(sections))
+        for name, body in sections:
+            payload += struct.pack("<I", len(name)) + name + struct.pack("<Q", len(body)) + body
+        path = tmp_path / "m.ckpt"
+        path.write_bytes(MAGIC + payload + struct.pack("<I", zlib.crc32(payload) & 0xFFFFFFFF))
+        where = {"name": "the name of section 2", "config": "section 'config'",
+                 "state": "section 'state'"}[spot]
+        with pytest.raises(CheckpointError, match=f"{where} is not utf-8 text"):
+            load_checkpoint(path)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             load_checkpoint(tmp_path / "absent.ckpt")

@@ -1,6 +1,8 @@
 import os
+import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -348,6 +350,16 @@ class TestInspectCommand:
         bad.write_bytes(bytes(blob))
         assert main(["inspect-checkpoint", str(bad)]) == 2
         assert "checksum" in capsys.readouterr().err
+
+    def test_config_text_not_utf8_exits_2(self, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.ckpt"
+        blob = bytearray((trained / "final.ckpt").read_bytes())
+        blob[blob.index(b"seed=5")] = 0xFF
+        blob[-4:] = struct.pack("<I", zlib.crc32(blob[8:-4]))   # a valid CRC over the bad byte
+        bad.write_bytes(bytes(blob))
+        assert main(["inspect-checkpoint", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "section 'config' is not utf-8 text" in err
 
 
 class TestResumeUnderAnotherThreadCount:

@@ -175,7 +175,7 @@ class TestLeanClouds:
     def _gen(layers, hidden=32):
         g = GeneratorParams.create(8, 16, hidden, layers, np.random.default_rng(105 + layers))
         brng = np.random.default_rng(106)
-        for t in [c.b for c in g.cells] + [g.head.b_o]:
+        for t in [c.b for c in g.cells] + [g.b_o]:
             t.data[:] = brng.uniform(-1, 1, t.shape)
         return g
 

@@ -23,7 +23,6 @@ from profforce.engine import (
     loss_discriminator,
     loss_fool_free_running,
     loss_match_teacher_forced,
-    sample_rows,
     train_step,
     unroll_free_running,
     unroll_teacher_forced,
@@ -52,6 +51,7 @@ from extra_ops import (
     item,
     loss_nll,
     matmul,
+    sample_rows,
     softmax,
     softmax_cross_entropy_rows,
 )
@@ -102,7 +102,7 @@ class TestTeacherForcedUnroll:
         prev = g.start_id
         for t in range(3):
             h, pre = gru_oracle(cell, h, emb[prev])
-            logits = h @ g.head.W_o.data + g.head.b_o.data
+            logits = h @ g.W_o.data + g.b_o.data
             np.testing.assert_allclose(res.logits.data[t, 0], logits, atol=1e-12)
             np.testing.assert_allclose(res.hidden.data[t, 0], h, atol=1e-12)
             np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
@@ -159,8 +159,8 @@ class TestFreeRunningUnroll:
 
     def test_degenerate_head_pins_samples(self):
         g = tiny_generator()
-        g.head.b_o.data[:] = 0.0
-        g.head.b_o.data[2] = 50.0
+        g.b_o.data[:] = 0.0
+        g.b_o.data[2] = 50.0
         res = unroll_free_running(g, 5, np.random.default_rng(31), batch=4)
         np.testing.assert_array_equal(res.sampled, np.full((4, 5), 2))
 
@@ -302,7 +302,7 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
         for i, cell in enumerate(g.cells):
             x, pre = gru_step(cell, states[i], x)
             states[i] = x
-        lg = add(matmul(x, g.head.W_o), g.head.b_o)
+        lg = add(matmul(x, g.W_o), g.b_o)
         probs = softmax(scale(lg, 1.0 / temperature))
         logits.append(lg)
         hidden.append(x)
@@ -392,7 +392,7 @@ class TestUnrollMatchesPerStepOracle:
         def swept(run):
             g = tiny_generator(seed=seed, vocab=vocab, hidden=hidden_size, layers=layers)
             brng = np.random.default_rng(seed + 3)   # biases start at zero; give them values
-            for bias in [c.b for c in g.cells] + [g.head.b_o]:
+            for bias in [c.b for c in g.cells] + [g.b_o]:
                 bias.data[:] = brng.uniform(-0.5, 0.5, bias.shape)
             rng = np.random.default_rng(seed + 2)
             with Tape() as tape:
@@ -475,7 +475,7 @@ class TestTapedMatchesUntaped:
         t_len, vocab = 50, 8
         g = GeneratorParams.create(vocab, 16, 64, layers, np.random.default_rng(330 + layers))
         brng = np.random.default_rng(331)
-        for t in [c.b for c in g.cells] + [g.head.b_o]:
+        for t in [c.b for c in g.cells] + [g.b_o]:
             t.data[:] = brng.uniform(-1, 1, t.shape)
         ids = np.random.default_rng(332).integers(0, vocab, (batch, t_len))
         runs = []
@@ -516,7 +516,7 @@ class TestBufferedDraws:
     def test_matches_per_step_sample_rows(self, temperature, batch, include_outputs, layers,
                                           targeted, taped):
         g = tiny_generator(seed=400 + batch, layers=layers)
-        g.head.b_o.data[:] = np.random.default_rng(401).uniform(-1, 1, 4)
+        g.b_o.data[:] = np.random.default_rng(401).uniform(-1, 1, 4)
         t_len, top = 7, g.hidden_size
         ids = np.random.default_rng(402).integers(0, 4, (targeted, t_len))
         rng = np.random.default_rng(403)
@@ -564,7 +564,7 @@ class TestBufferedDraws:
                 return np.full(shape, self.u)
 
         g = zeroed(tiny_generator())   # logits are the head's bias at every step
-        g.head.b_o.data[:] = bias
+        g.b_o.data[:] = bias
         for u, symbol in ((top_u, 3), (cdf[1], 1)):
             expected = sample_rows(FixedUniforms(u), per_step_softmax(bias))
             assert expected.tolist() == [symbol]
@@ -572,6 +572,10 @@ class TestBufferedDraws:
                 res = unroll_free_running(g, 3, FixedUniforms(u), batch=2,
                                           include_outputs=include_outputs)
                 np.testing.assert_array_equal(res.sampled, np.full((2, 3), symbol))
+                # scheduled sampling at p=1 feeds back draws by the same rule
+                res = ss_unroll(g, np.zeros((2, 3), dtype=int), 1.0, FixedUniforms(u),
+                                include_outputs)
+                np.testing.assert_array_equal(res.sampled[:, 1:], np.full((2, 2), symbol))
 
     @pytest.mark.parametrize("include_outputs", [False, True])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -628,7 +632,7 @@ class TestIdsOnlyUnroll:
     def _desk_generator(layers):
         g = GeneratorParams.create(8, 16, 64, layers, np.random.default_rng(340 + layers))
         brng = np.random.default_rng(341)
-        for t in [c.b for c in g.cells] + [g.head.b_o]:
+        for t in [c.b for c in g.cells] + [g.b_o]:
             t.data[:] = brng.uniform(-1, 1, t.shape)
         return g
 
@@ -727,7 +731,7 @@ class TestDiscriminate:
 
     def test_zero_final_layer_means_exactly_half(self):
         d = tiny_discriminator(width=5)
-        w, bias = d.classifier.layers[-1]
+        w, bias = d.layers[-1]
         w.data[:] = 0.0
         bias.data[:] = 0.0
         p = discriminate(d, self._behavior(np.random.default_rng(43)))
@@ -735,10 +739,10 @@ class TestDiscriminate:
 
     def test_pooled_logit_is_clamped_before_sigmoid(self):
         d = tiny_discriminator(width=5)
-        for w, bias in d.classifier.layers:
+        for w, bias in d.layers:
             w.data[:] = 0.0
             bias.data[:] = 0.0
-        d.classifier.layers[-1][1].data[:] = 42.0
+        d.layers[-1][1].data[:] = 42.0
         p = discriminate(d, self._behavior(np.random.default_rng(44)))
         np.testing.assert_allclose(p.data, np.full(3, 1 / (1 + math.exp(-10.0))),
                                    atol=1e-15)
@@ -749,8 +753,8 @@ class TestDiscriminate:
         b = self._behavior(np.random.default_rng(45))
         got = discriminate(d, b).data
 
-        states = bigru_encode(d.encoder, b).data
-        scores = np.stack([mlp_forward(d.classifier, Tensor(s)).data[:, 0] for s in states])
+        states = bigru_encode(d.fwd, d.bwd, b).data
+        scores = np.stack([mlp_forward(d.layers, Tensor(s)).data[:, 0] for s in states])
         pooled = np.clip(scores.mean(axis=0), -10.0, 10.0)
         expected = 1.0 / (1.0 + np.exp(-pooled))
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -1149,7 +1153,7 @@ class TestOnePassStepEdges:
                                      batch=y.shape[0], include_outputs=rich)
             p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
         pooled = np.log(p / (1.0 - p))
-        d.classifier.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
+        d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
         clipped = pooled - np.median(pooled) > 0
         assert 0 < clipped.sum() < clipped.size
 

@@ -4,12 +4,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from profforce.engine import DiscriminatorParams, GeneratorParams
 from profforce.nets import (
-    BiGruParams,
     GruCellParams,
-    MlpParams,
-    OutputHeadParams,
     _gru_weights,
+    _weight_in_out,
     bigru_encode,
     gru_sequence,
     init_params,
@@ -247,8 +246,8 @@ class TestInit:
         # stores their transposes gate-major, C-ordered.
         cell = GruCellParams.create(5, 3, np.random.default_rng(7))
         rng = np.random.default_rng(7)
-        w = [init_params("weight", (5, 3), rng).data for _ in range(3)]
-        u = [init_params("weight", (5, 5), rng).data for _ in range(3)]
+        w = [init_params((5, 3), rng).data for _ in range(3)]
+        u = [init_params((5, 5), rng).data for _ in range(3)]
         for k in range(3):
             np.testing.assert_array_equal(cell.W.data[k], w[k].T)
             np.testing.assert_array_equal(cell.U.data[k], u[k].T)
@@ -256,17 +255,23 @@ class TestInit:
         assert all(t.data.flags.c_contiguous for _, t in cell.named())
 
     def test_mlp_and_head_store_transposed_draws(self):
-        # Each layer draws [out, in] and stores its transpose [in, out], C-ordered.
-        mlp = MlpParams.create([3, 4, 1], np.random.default_rng(11))
-        head = OutputHeadParams.create(6, 5, np.random.default_rng(12))
+        # Each layer draws [out, in] after the cells and stores its
+        # transpose [in, out], C-ordered; so does the head after the embedding.
+        d = DiscriminatorParams.create(3, 2, np.random.default_rng(11), mlp_hidden=4)
+        g = GeneratorParams.create(6, 3, 5, 1, np.random.default_rng(12))
         rng = np.random.default_rng(11)
-        drawn = [init_params("weight", (4, 3), rng).data, init_params("weight", (1, 4), rng).data]
-        for (w, _), want in zip(mlp.layers, drawn):
+        cells = [GruCellParams.create(2, 3, rng) for _ in "fb"]
+        drawn = [init_params(shape, rng).data for shape in ((4, 4), (4, 4), (4, 4), (1, 4))]
+        for (w, _), want in zip(d.layers, drawn):
             np.testing.assert_array_equal(w.data, want.T)
-        np.testing.assert_array_equal(
-            head.W_o.data, init_params("weight", (6, 5), np.random.default_rng(12)).data.T)
-        assert head.W_o.shape == (5, 6)
-        assert all(t.data.flags.c_contiguous for _, t in mlp.named() + head.named())
+        for got, want in zip((d.fwd, d.bwd), cells):
+            np.testing.assert_array_equal(got.W.data, want.W.data)
+        rng = np.random.default_rng(12)
+        emb, _ = init_params((7, 3), rng), GruCellParams.create(5, 3, rng)
+        np.testing.assert_array_equal(g.embedding.data, emb.data)
+        np.testing.assert_array_equal(g.W_o.data, init_params((6, 5), rng).data.T)
+        assert g.W_o.shape == (5, 6)
+        assert all(t.data.flags.c_contiguous for t in d.tensors() + g.tensors())
 
     def test_biases_exactly_zero(self):
         cell = GruCellParams.create(5, 3, np.random.default_rng(8))
@@ -274,61 +279,70 @@ class TestInit:
 
     def test_weight_bound_and_mean(self):
         rng = np.random.default_rng(9)
-        w = init_params("weight", (40, 60), rng).data
+        w = init_params((40, 60), rng).data
         bound = math.sqrt(6.0 / (40 + 60))
         assert np.all(np.abs(w) <= bound)
         # mean of n uniforms on [-b, b] has sd b/sqrt(3n)
         n = w.size
         assert abs(w.mean()) < 3 * bound / math.sqrt(3 * n)
 
-    def test_rejects_unknown_kind_and_bad_shape(self):
+    def test_rejects_bad_shape(self):
         rng = np.random.default_rng(10)
         with pytest.raises(ValueError):
-            init_params("conv", (3, 3), rng)
+            init_params((3, 3, 3), rng)
         with pytest.raises(ValueError):
-            init_params("weight", (3,), rng)
+            init_params((3,), rng)
+
+
+def mlp_layers(sizes, rng):
+    """Glorot layers ``(W [in, out], b [out])``, drawn as the discriminator draws its own."""
+    return [(_weight_in_out(rng, n_in, n_out), Tensor(np.zeros(n_out)))
+            for n_in, n_out in zip(sizes[:-1], sizes[1:])]
+
+
+def flat(layers):
+    return [t for layer in layers for t in layer]
 
 
 class TestMlp:
     def test_single_layer_is_affine(self):
         rng = np.random.default_rng(12)
-        mlp = MlpParams.create([4, 2], rng)
+        mlp = mlp_layers([4, 2], rng)
         x = rng.uniform(-1, 1, (5, 4))
         got = mlp_forward(mlp, Tensor(x)).data
-        w, b = mlp.layers[0]
+        w, b = mlp[0]
         np.testing.assert_allclose(got, x @ w.data + b.data, atol=1e-12)
 
     def test_relu_between_but_not_after_last(self):
         neg = Tensor(-np.eye(2))
         ident = Tensor(np.eye(2))
         zero = Tensor(np.zeros(2))
-        two_layer = MlpParams(layers=[(neg, zero), (ident, zero)])
+        two_layer = [(neg, zero), (ident, zero)]
         x = np.array([[1.0, 2.0]])
         # first layer gives -x, ReLU kills it, second layer passes zeros on
         np.testing.assert_array_equal(mlp_forward(two_layer, Tensor(x)).data, [[0.0, 0.0]])
-        one_layer = MlpParams(layers=[(neg, zero)])
+        one_layer = [(neg, zero)]
         # a lone layer stays linear: negative outputs survive
         np.testing.assert_array_equal(mlp_forward(one_layer, Tensor(x)).data, [[-1.0, -2.0]])
 
-    def test_layer_sizes(self):
-        mlp = MlpParams.create([6, 9, 9, 9, 1], np.random.default_rng(13))
-        assert [w.shape for w, _ in mlp.layers] == [(6, 9), (9, 9), (9, 9), (9, 1)]
-        with pytest.raises(ValueError):
-            MlpParams.create([4], np.random.default_rng(14))
+    def test_discriminator_layer_sizes(self):
+        d = DiscriminatorParams.create(4, 3, np.random.default_rng(13), mlp_hidden=9)
+        assert [w.shape for w, _ in d.layers] == [(6, 9), (9, 9), (9, 9), (9, 1)]
+        assert [b.shape for _, b in d.layers] == [(9,), (9,), (9,), (1,)]
 
     def test_gradients(self):
-        mlp = MlpParams.create([3, 4, 1], np.random.default_rng(15))
+        mlp = mlp_layers([3, 4, 1], np.random.default_rng(15))
         x = np.random.default_rng(16).uniform(-1, 1, (2, 3)) + 0.5
-        params = [t for _, t in mlp.named()]
+        params = flat(mlp)
         assert grad_check(lambda _: sum_all(tanh(mlp_forward(mlp, Tensor(x)))),
                           params, 1e-5) < 1e-4
 
 
-def composed_mlp(p: MlpParams, x: Tensor) -> Tensor:
+def composed_mlp(layers, x: Tensor) -> Tensor:
     """The MLP as a chain of primitive nodes: the reference the fused node
     must match bit for bit."""
-    last = len(p.layers) - 1
-    for i, (w, b) in enumerate(p.layers):
+    last = len(layers) - 1
+    for i, (w, b) in enumerate(layers):
         x = add(matmul(x, w), b)
         if i != last:
             x = relu(x)
@@ -341,7 +355,7 @@ class TestFusedMlp:
 
     @staticmethod
     def _run(forward, mlp, x, weights):
-        params = [t for _, t in mlp.named()]
+        params = flat(mlp)
         leaf = Tensor(x)
         zero_grads(params)
         with Tape() as tape:
@@ -354,9 +368,9 @@ class TestFusedMlp:
     def _check(self, mlp, x, weights):
         nodes, out, grads = self._run(mlp_forward, mlp, x, weights)
         ref_nodes, ref_out, ref_grads = self._run(composed_mlp, mlp, x, weights)
-        assert nodes == 3 and ref_nodes == 3 * len(mlp.layers) + 1   # MLP, mul, sum
+        assert nodes == 3 and ref_nodes == 3 * len(mlp) + 1   # MLP, mul, sum
         np.testing.assert_array_equal(out, ref_out)
-        assert len(grads) == len(ref_grads) == 2 * len(mlp.layers) + 1
+        assert len(grads) == len(ref_grads) == 2 * len(mlp) + 1
         for got, want in zip(grads, ref_grads):
             assert got.shape == want.shape
             np.testing.assert_array_equal(got, want)
@@ -364,8 +378,8 @@ class TestFusedMlp:
     @pytest.mark.parametrize("sizes", [[6, 1], [6, 5, 1], [6, 5, 5, 5, 1], [6, 7, 7, 7, 3]])
     def test_random_weights(self, sizes):
         rng = np.random.default_rng(len(sizes) * 10 + sizes[-1])
-        mlp = MlpParams.create(sizes, rng)
-        for _, b in mlp.named()[1::2]:
+        mlp = mlp_layers(sizes, rng)
+        for _, b in mlp:
             b.data[:] = rng.uniform(-0.5, 0.5, b.shape)
         self._check(mlp, rng.uniform(-1, 1, (40, 6)), rng.uniform(-1, 1, (40, sizes[-1])))
 
@@ -375,38 +389,43 @@ class TestFusedMlp:
         # are exactly 0 (and some -0.0 is possible); ReLU's gradient there is 0.
         rng = np.random.default_rng(40 + layers)
         sizes = [5] + [4] * (layers - 1) + [2]
-        mlp = MlpParams(layers=[(Tensor(rng.integers(-1, 2, (i, o)).astype(float)),
-                                 Tensor(rng.integers(-1, 2, o).astype(float)))
-                                for i, o in zip(sizes[:-1], sizes[1:])])
+        mlp = [(Tensor(rng.integers(-1, 2, (i, o)).astype(float)),
+                Tensor(rng.integers(-1, 2, o).astype(float)))
+               for i, o in zip(sizes[:-1], sizes[1:])]
         x = rng.integers(-2, 3, (30, 5)).astype(float)
-        pre = x @ mlp.layers[0][0].data + mlp.layers[0][1].data
+        pre = x @ mlp[0][0].data + mlp[0][1].data
         assert np.any(pre == 0.0) and np.any(pre > 0.0)
         self._check(mlp, x, rng.uniform(-1, 1, (30, 2)))
 
     def test_rejects_wrong_width(self):
-        mlp = MlpParams.create([4, 3, 1], np.random.default_rng(17))
+        mlp = mlp_layers([4, 3, 1], np.random.default_rng(17))
         with pytest.raises(ValueError, match="mlp_forward"):
             mlp_forward(mlp, Tensor(np.zeros((2, 5))))
         with pytest.raises(ValueError, match="mlp_forward"):
             mlp_forward(mlp, Tensor(np.zeros(4)))
 
 
+def bigru_cells(input_size, hidden, seed):
+    rng = np.random.default_rng(seed)
+    return [GruCellParams.create(hidden, input_size, rng) for _ in "fb"]
+
+
 class TestBiGru:
     def test_matches_two_pass_oracle(self):
-        enc = BiGruParams.create(input_size=3, hidden=4, rng=np.random.default_rng(17))
+        enc = bigru_cells(input_size=3, hidden=4, seed=17)
         rng = np.random.default_rng(18)
         seq_np = [rng.uniform(-1, 1, 3) for _ in range(3)]
-        got = bigru_encode(enc, Tensor(np.stack(seq_np)[:, None, :])).data
+        got = bigru_encode(*enc, Tensor(np.stack(seq_np)[:, None, :])).data
 
         h = np.zeros(4)
         fwd = []
         for v in seq_np:
-            h, _ = gru_oracle(enc.fwd, h, v)
+            h, _ = gru_oracle(enc[0], h, v)
             fwd.append(h)
         h = np.zeros(4)
         bwd = []
         for v in reversed(seq_np):
-            h, _ = gru_oracle(enc.bwd, h, v)
+            h, _ = gru_oracle(enc[1], h, v)
             bwd.append(h)
         bwd.reverse()
 
@@ -416,26 +435,26 @@ class TestBiGru:
             np.testing.assert_allclose(got[t, 0, 4:], bwd[t], atol=1e-12)
 
     def test_every_step_sees_whole_sequence(self):
-        enc = BiGruParams.create(input_size=2, hidden=3, rng=np.random.default_rng(19))
+        enc = bigru_cells(input_size=2, hidden=3, seed=19)
         rng = np.random.default_rng(20)
         seq = rng.uniform(-1, 1, (4, 1, 2))
-        base = bigru_encode(enc, Tensor(seq)).data
+        base = bigru_encode(*enc, Tensor(seq)).data
         bumped = seq.copy()
         bumped[-1] += 0.5
-        moved = bigru_encode(enc, Tensor(bumped)).data
+        moved = bigru_encode(*enc, Tensor(bumped)).data
         # the first output must feel a change at the last input
         assert np.max(np.abs(base[0] - moved[0])) > 1e-9
 
     def test_batched_input(self):
-        enc = BiGruParams.create(input_size=2, hidden=3, rng=np.random.default_rng(21))
+        enc = bigru_cells(input_size=2, hidden=3, seed=21)
         rng = np.random.default_rng(22)
         seq = Tensor(rng.uniform(-1, 1, (4, 5, 2)))
-        out = bigru_encode(enc, seq)
+        out = bigru_encode(*enc, seq)
         assert out.shape == (4, 5, 6)
 
     def test_rejects_empty_and_mismatched(self):
-        enc = BiGruParams.create(input_size=2, hidden=3, rng=np.random.default_rng(23))
+        enc = bigru_cells(input_size=2, hidden=3, seed=23)
         with pytest.raises(ValueError):
-            bigru_encode(enc, Tensor(np.zeros((0, 1, 2))))
+            bigru_encode(*enc, Tensor(np.zeros((0, 1, 2))))
         with pytest.raises(ValueError):
-            bigru_encode(enc, Tensor(np.zeros((1, 1, 5))))
+            bigru_encode(*enc, Tensor(np.zeros((1, 1, 5))))

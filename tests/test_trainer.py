@@ -207,6 +207,41 @@ class TestDiscriminatorOnlyInProfessorForcing:
         assert sum(n.startswith("g.") for n in names) == 6
         assert "adam_d_t" not in ckpt.state and ckpt.state["adam_g_t"] == "1"
 
+    G_NAMES = [
+        "g.embedding", "adam_g.embedding.m", "adam_g.embedding.v",
+        "g.cells.0.W", "adam_g.cells.0.W.m", "adam_g.cells.0.W.v",
+        "g.cells.0.U", "adam_g.cells.0.U.m", "adam_g.cells.0.U.v",
+        "g.cells.0.b", "adam_g.cells.0.b.m", "adam_g.cells.0.b.v",
+        "g.head.W_o", "adam_g.head.W_o.m", "adam_g.head.W_o.v",
+        "g.head.b_o", "adam_g.head.b_o.m", "adam_g.head.b_o.v",
+    ]
+    D_NAMES = [
+        "d.encoder.fwd.W", "adam_d.encoder.fwd.W.m", "adam_d.encoder.fwd.W.v",
+        "d.encoder.fwd.U", "adam_d.encoder.fwd.U.m", "adam_d.encoder.fwd.U.v",
+        "d.encoder.fwd.b", "adam_d.encoder.fwd.b.m", "adam_d.encoder.fwd.b.v",
+        "d.encoder.bwd.W", "adam_d.encoder.bwd.W.m", "adam_d.encoder.bwd.W.v",
+        "d.encoder.bwd.U", "adam_d.encoder.bwd.U.m", "adam_d.encoder.bwd.U.v",
+        "d.encoder.bwd.b", "adam_d.encoder.bwd.b.m", "adam_d.encoder.bwd.b.v",
+        "d.classifier.0.W", "adam_d.classifier.0.W.m", "adam_d.classifier.0.W.v",
+        "d.classifier.0.b", "adam_d.classifier.0.b.m", "adam_d.classifier.0.b.v",
+        "d.classifier.1.W", "adam_d.classifier.1.W.m", "adam_d.classifier.1.W.v",
+        "d.classifier.1.b", "adam_d.classifier.1.b.m", "adam_d.classifier.1.b.v",
+        "d.classifier.2.W", "adam_d.classifier.2.W.m", "adam_d.classifier.2.W.v",
+        "d.classifier.2.b", "adam_d.classifier.2.b.m", "adam_d.classifier.2.b.v",
+        "d.classifier.3.W", "adam_d.classifier.3.W.m", "adam_d.classifier.3.W.v",
+        "d.classifier.3.b", "adam_d.classifier.3.b.m", "adam_d.classifier.3.b.v",
+    ]
+
+    @pytest.mark.parametrize("mode", ["teacher_forcing", "professor_forcing"])
+    def test_desk_checkpoint_tensor_names_are_pinned(self, tmp_path, mode):
+        # The names, and the order the players list them in, are the
+        # PFCK0004 format: a checkpoint of either kind must load as written.
+        cfg = build_config(None, "desk-copy", [], {"seed": 1, "mode": mode})
+        names = list(Trainer(cfg, tmp_path).checkpoint().tensors)
+        want = self.G_NAMES + (self.D_NAMES if mode == "professor_forcing" else [])
+        assert len(want) == (60 if mode == "professor_forcing" else 18)
+        assert names == want
+
     def test_desk_tf_checkpoint_is_at_most_a_quarter_of_a_pf_one(self, tmp_path):
         tf_bytes, pf_bytes = (self._desk_final(tmp_path, mode).stat().st_size
                               for mode in ("teacher_forcing", "professor_forcing"))
