@@ -86,6 +86,12 @@ def _parser() -> argparse.ArgumentParser:
 
 def cmd_train(args) -> int:
     if args.resume is not None:
+        ignored = [f"--{name}" for name in ("config", "preset", "set", "mode", "seed")
+                   if getattr(args, name) not in (None, [])]
+        if ignored:
+            raise ConfigError(f"--resume continues the checkpoint's own config: "
+                              f"{', '.join(ignored)} would be ignored (only --steps and "
+                              f"--out apply)")
         trainer = Trainer.resume(args.resume, args.out, max_steps=args.steps)
     else:
         flag_overrides = {"seed": args.seed, "max_steps": args.steps,

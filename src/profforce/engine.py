@@ -37,17 +37,26 @@ reaches the generator only while the discriminator's batch accuracy is
 above 0.75, and the discriminator itself stops updating once its
 accuracy exceeds 0.99.
 
+Each loss records one node on a tape (c_d one over both halves), and
+all of them reject probabilities outside (0, 1) on either route.
+
 A training step unrolls both regimes as one batch, teacher-forced rows
 first, runs the discriminator on its behavior once and sweeps its tape
 at most once; every term above comes from that forward and that sweep
-(see :func:`train_step`).
+(see :func:`train_step`).  It records kernel nodes only: the unroll and
+the scale of its ``nll`` on the generator's tape, and the encoder, MLP,
+head, split and c_d on the discriminator's.  The adversarial term
+reaches the generator as a gradient put on the unroll's behavior before
+its sweep.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from itertools import cycle, islice, repeat
+from operator import add
 
 import numpy as np
 
@@ -69,18 +78,10 @@ from .tensor import (
     _cross_entropy_rows,
     _record,
     _stable_softmax,
-    add,
     backward,
-    clip,
     is_recording,
-    log,
-    mean_axis0,
-    one_minus,
-    reshape,
     scale,
-    sigmoid,
     split,
-    sum_all,
     zero_grads,
 )
 
@@ -447,36 +448,61 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     """Probability per sequence that the behavior is teacher forced.
 
     ``seq`` is a time-major ``[T, B, width]`` behavior tensor.  BiGRU
-    encoding, a shared per-step MLP score, mean pooling over time, a
-    clamp of the pooled logit to [-10, 10], then a sigmoid.
+    encoding, a shared per-step MLP score, then one head node: mean
+    pooling over time, a clamp of the pooled logit to [-10, 10] and a
+    sigmoid.  The head's backward forms the pooling, clamp and sigmoid
+    gradients one after another, as a chain of those three ops would.
     """
     t_len, batch, width = seq.shape
     if width != d.feature_width:
         raise ValueError(f"behavior width {width} does not match "
                          f"discriminator input {d.feature_width}")
-    states = bigru_encode(d.fwd, d.bwd, seq)                        # [T, B, 2H]
-    scores = mlp_forward(d.layers, reshape(states, (t_len * batch, states.shape[-1])))
-    per_step = reshape(scores, (t_len, batch))
-    pooled = mean_axis0(per_step)                    # [B]
-    return sigmoid(clip(pooled, -LOGIT_CLIP, LOGIT_CLIP))
+    scores = mlp_forward(d.layers, bigru_encode(d.fwd, d.bwd, seq))   # [T, B, 1]
+    pooled = np.sum(scores.data.reshape(t_len, batch), axis=0) / t_len
+    mask = (pooled > -LOGIT_CLIP) & (pooled < LOGIT_CLIP)
+    s = 0.5 * (1.0 + np.tanh(0.5 * np.clip(pooled, -LOGIT_CLIP, LOGIT_CLIP)))
+
+    def back(g):
+        g = g * s * (1.0 - s)
+        g = g * mask
+        d_scores = np.empty((t_len, batch, 1))   # owns its data, so the sweep keeps it
+        d_scores[..., 0] = g / t_len   # broadcast over the T steps
+        return (d_scores,)
+
+    return _record(Tensor(s, copy=False), (scores,), back)
 
 
-def _mean_neg_log(x, of_one_minus: bool = False):
-    """mean(-log x), or mean(-log(1 - x)): a taped term for a Tensor, else a float."""
-    if isinstance(x, Tensor):
-        return scale(sum_all(log(one_minus(x) if of_one_minus else x)), -1.0 / x.size)
-    a = np.asarray(x, dtype=np.float64)
-    return float(-np.sum(np.log(1.0 - a if of_one_minus else a)) / a.size)
+def _mean_neg_log(*terms):
+    """The sum over ``terms`` ``(x, of_one_minus)`` of mean(-log x), or of
+    mean(-log(1 - x)): a float, or for Tensors a scalar Tensor recorded as
+    one node.  Each x must be non-empty and lie strictly inside (0, 1)."""
+    logged = []
+    for x, of_one_minus in terms:
+        a = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+        if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
+            raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
+        logged.append(1.0 - a if of_one_minus else a)
+    if not isinstance(terms[0][0], Tensor):
+        return reduce(add, [float(-np.sum(np.log(a)) / a.size) for a in logged])
+    cs = [-1.0 / a.size for a in logged]
+    out = Tensor(reduce(add, [np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)]),
+                 copy=False)
+
+    def back(g):
+        grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
+        return tuple(-d if of_one_minus else d for d, (_, of_one_minus) in zip(grads, terms))
+
+    return _record(out, tuple(x for x, _ in terms), back)
 
 
 def loss_fool_free_running(d_fr):
     """mean(-log D(b_fr)): low when free-running behavior reads as teacher forced."""
-    return _mean_neg_log(d_fr)
+    return _mean_neg_log((d_fr, False))
 
 
 def loss_match_teacher_forced(d_tf):
     """mean(-log(1 - D(b_tf))): the optional generator term on the other mode."""
-    return _mean_neg_log(d_tf, of_one_minus=True)
+    return _mean_neg_log((d_tf, True))
 
 
 def loss_discriminator(d_tf, d_fr):
@@ -485,13 +511,7 @@ def loss_discriminator(d_tf, d_fr):
     Built from the same two means as the generator-side terms, so
     swapping their arguments reproduces this loss term for term.
     """
-    for name, v in (("d_tf", d_tf), ("d_fr", d_fr)):
-        arr = v.data if isinstance(v, Tensor) else np.asarray(v, dtype=np.float64)
-        if arr.size == 0 or np.any(arr <= 0.0) or np.any(arr >= 1.0):
-            raise ValueError(f"{name} probabilities must lie strictly inside (0, 1)")
-    a = _mean_neg_log(d_tf)
-    b = _mean_neg_log(d_fr, of_one_minus=True)
-    return add(a, b) if isinstance(a, Tensor) else a + b
+    return _mean_neg_log((d_tf, False), (d_fr, True))
 
 
 def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
@@ -526,11 +546,11 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
     3. Sweep the discriminator tape at most once, for c_d, forming only
        what is read: its parameters' gradients if the gate lets it
        learn, the leaf's if the adversarial term reaches the generator.
-    4. If the term reaches the generator, add ``sum(stack * leaf_grad)``
-       to the generator loss, as one node whose only input is the stack,
-       with ``leaf_grad`` the term's gradient at the leaf: the c_d sweep's,
-       scaled per row i by d(adv)/dl_i / d(c_d)/dl_i, l_i the row's
-       pooled logit: ``-w (1 - p) / p`` on
+    4. If the term reaches the generator, put its gradient at the leaf on
+       the stack as ``stack.grad``, which the generator sweep counts as
+       part of the loss's gradient there (see :func:`profforce.tensor.backward`).
+       That gradient is the c_d sweep's, scaled per row i by d(adv)/dl_i /
+       d(c_d)/dl_i, l_i the row's pooled logit: ``-w (1 - p) / p`` on
        free-running rows, and with ``use_ct`` ``-w p / (1 - p)`` on
        teacher-forced ones (else 0).  This is exact because each row's
        pooled logit depends on that row of the stack alone, and the
@@ -587,8 +607,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
                 rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
                 w = leaf.grad
                 w *= (-cfg.adversarial_weight * rows)[:, None]
-                adv = Tensor(np.asarray(np.sum(res.behavior.data * w)), copy=False)
-                loss = add(loss, _record(adv, (res.behavior,), lambda g: (g * w,)))
+                res.behavior.grad = w   # the sweep adds it to the loss's gradient there
 
     g_params = g.tensors()
     zero_grads(g_params)

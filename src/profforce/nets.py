@@ -27,18 +27,19 @@ known inputs, the views a step reads) is made once per sequence.
 :func:`_gru_step_into` writes a step into preallocated arrays and
 :func:`_gru_bptt` runs the recursion backward; a step makes only ufunc
 and BLAS calls, with ``out`` passed positionally and 2-D products
-through ``np.dot``.  :func:`gru_sequence` (one tape node, run per
-direction by :func:`bigru_encode`) and the generator unroll in
-:mod:`profforce.engine` both run it.  A taped recursion caches its
+through ``np.dot``.  :func:`bigru_encode` (one tape node for both
+directions, each writing its half of one ``[T, B, 2H]`` array) and the
+generator unroll in :mod:`profforce.engine` both run it.  A taped
+recursion caches its
 states, gates and candidates; ``r * h`` goes through one scratch row,
 and :func:`_gru_bptt` recomputes it for ``U_c``'s gradient.
 :func:`_gru_bptt` returns fresh gradients in their final shapes, which
 the tape keeps without a copy, and forms only those its caller needs.
-:func:`mlp_forward` is likewise one tape node for all its layers, with
-a hand-written backward whose bits are those of the composed
-``matmul``/``add``/``relu`` chain.  Both nodes are told which inputs a
-sweep reads (see :func:`profforce.tensor.backward`) and skip the
-products of the others.
+:func:`mlp_forward` is likewise one tape node for all its layers, which
+reads the encoder's ``[T, B, 2H]`` output as rows, with a hand-written
+backward whose bits are those of the composed ``matmul``/``add``/``relu``
+chain.  Both nodes are told which inputs a sweep reads (see
+:func:`profforce.tensor.backward`) and skip the products of the others.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -52,12 +53,11 @@ from itertools import repeat
 
 import numpy as np
 
-from .tensor import Tensor, _record, concat
+from .tensor import Tensor, _record
 
 __all__ = [
     "GruCellParams",
     "init_params",
-    "gru_sequence",
     "mlp_forward",
     "bigru_encode",
 ]
@@ -237,40 +237,21 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     return d_x, d_W, d_U, d_b, d_h
 
 
-def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
-    """Run a cell over a whole ``[T, B, I]`` sequence from a zero state.
-
-    Returns the states ``[T, B, H]``; with ``reverse`` the cell reads
-    step ``T-1`` first, and ``states[t]`` has seen inputs ``t..T-1``.
-    One tape node, over :func:`_gru_run` and :func:`_gru_bptt`.
-    """
-    xd = xs.data
-    if xd.ndim != 3 or xd.shape[0] == 0:
-        raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
-    T, B, _ = xd.shape
-    hs, zr, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
-    states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
-
-    def back(g, needs=(True,) * 4):
-        return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse, needs=needs)[:4]
-
-    return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back, told=True)
-
-
 def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     """Run the affine ``(W [in, out], b [out])`` layers over the rows of ``x``
-    ``[N, in]``, with ReLU between them; the last stays linear.
+    ``[..., in]``, with ReLU between them; the last stays linear.
 
     One tape node, which keeps only each layer's input; a ReLU output is
     the next layer's input and its own mask, which the backward (run once)
-    frees once read.  Per layer it forms ``a.T @ g``, ``g.sum(axis=0)``
-    and ``g @ W.T``, the products of the composed ``matmul``/``add``/``relu``
-    chain, so its bits are that chain's.
+    frees once read.  The layers read the rows as one ``[N, in]`` view.
+    Per layer the backward forms ``a.T @ g``, ``g.sum(axis=0)`` and ``g @
+    W.T``, the products of the composed ``matmul``/``add``/``relu`` chain,
+    so its bits are that chain's.
     """
-    ws = [w.data for w, _ in layers]
-    if x.data.ndim != 2 or x.shape[1] != ws[0].shape[0]:
-        raise ValueError(f"mlp_forward: expects [N, {ws[0].shape[0]}] rows, got {x.shape}")
-    acts = [x.data]   # each layer's input, then the output
+    ws, shape = [w.data for w, _ in layers], x.shape
+    if x.data.ndim < 2 or shape[-1] != ws[0].shape[0]:
+        raise ValueError(f"mlp_forward: expects [..., {ws[0].shape[0]}] rows, got {shape}")
+    acts = [x.data.reshape(-1, shape[-1])]   # each layer's input, then the output
     for i, (w, b) in enumerate(layers):
         a = acts[-1] @ w.data
         a += b.data
@@ -279,23 +260,55 @@ def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
         acts.append(a)
 
     def back(g, needs=(True,) * (1 + 2 * len(ws))):
-        grads = []
+        g, grads = g.reshape(acts[-1].shape), []
         for i in range(len(ws) - 1, -1, -1):
             if i != len(ws) - 1:   # g is this node's own product here
                 g *= acts.pop(i + 1) > 0.0   # layer i's output, freed once read
             grads[:0] = [acts[i].T @ g if needs[2 * i + 1] else None,
                          g.sum(axis=0) if needs[2 * i + 2] else None]
-            g = g @ ws[i].T if i or needs[0] else None
-        return (g, *grads)
+            if i:
+                g = g @ ws[i].T
+        if not needs[0]:
+            return (None, *grads)
+        d_x = np.empty(shape)   # written through a view, so it owns its data
+        np.matmul(g, ws[0].T, out=d_x.reshape(len(g), -1))
+        return (d_x, *grads)
 
     weights = tuple(t for layer in layers for t in layer)
-    return _record(Tensor(acts[-1], copy=False), (x, *weights), back, told=True)
+    out = acts[-1].reshape(*shape[:-1], ws[-1].shape[1])
+    return _record(Tensor(out, copy=False), (x, *weights), back, told=True)
 
 
 def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
     """Run cell ``fwd`` forward and ``bwd`` backward over ``[T, B, I]`` from zero states.
 
     Returns ``[T, B, 2H]``: step t holds ``[fwd_t ; bwd_t]``, so every
-    output step depends on the whole input sequence.
+    output step depends on the whole input sequence.  One tape node,
+    whose backward runs :func:`_gru_bptt` for ``bwd`` first, on its half
+    of the gradient, and frees that direction's caches before ``fwd``'s.
     """
-    return concat((gru_sequence(fwd, seq), gru_sequence(bwd, seq, reverse=True)), axis=-1)
+    xd = seq.data
+    if xd.ndim != 3 or xd.shape[0] == 0:
+        raise ValueError(f"bigru_encode expects a nonempty [T, B, I] input, got {xd.shape}")
+    T, B, _ = xd.shape
+    H = fwd.hidden_size
+    out, runs = np.empty((T, B, 2 * H)), []
+    for k, p in enumerate((fwd, bwd)):
+        hs, zr, _, c = _gru_run(p, xd, np.zeros((B, H)), k == 1)
+        states, h_prev = (hs[:T], hs[1:]) if k else (hs[1:], hs[:T])
+        out[..., k * H:(k + 1) * H] = states
+        runs.append((p, xd, h_prev, zr, c))
+
+    def back(g, needs=(True,) * 7):
+        d_x, grads = None, []
+        while runs:   # bwd first; a direction's caches go once swept
+            k = len(runs) - 1
+            d_xk, *dk = _gru_bptt(*runs.pop(), g[..., k * H:(k + 1) * H], reverse=k == 1,
+                                  needs=(needs[0], *needs[1 + 3 * k:4 + 3 * k]))[:4]
+            grads[:0] = dk
+            if d_xk is not None:
+                d_x = d_xk if d_x is None else np.add(d_x, d_xk, out=d_x)
+        return (d_x, *grads)
+
+    return _record(Tensor(out, copy=False), (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b),
+                   back, told=True)

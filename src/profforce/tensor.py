@@ -6,9 +6,10 @@ backward closure.  With no tape active the same functions are plain
 numpy math, which is how evaluation-only code paths (sampling,
 validation, metric probes) run without autodiff overhead.
 
-A node may have more than one output (the fused GRU step in
-:mod:`profforce.nets` records its new state and its candidate pre-tanh
-value together, a generator unroll in :mod:`profforce.engine` records
+The nodes a training step records are kernels: the generator unroll and
+the discriminator's losses in :mod:`profforce.engine`, the BiGRU encoder
+and MLP in :mod:`profforce.nets`; this module adds only :func:`scale` and
+:func:`split`.  A node may have more than one output (an unroll records
 its [T, B, .] logits, behavior and hidden states and its cross entropy,
 and :func:`split` records every piece); its closure gets ``None`` for
 each output the loss does not reach.
@@ -23,9 +24,8 @@ run, and leaves a ``grad`` on leaves (parameters, detached inputs) alone;
 sweeping the emptied tape again raises ``ValueError``.
 
 A sweep forms only the gradients its caller reads, when the caller
-names those leaves; the GRU sequence and MLP nodes of
-:mod:`profforce.nets` are told which inputs lead to them and skip the
-products of the others.
+names those leaves; the encoder and MLP nodes of :mod:`profforce.nets`
+are told which inputs lead to them and skip the products of the others.
 """
 
 from __future__ import annotations
@@ -42,19 +42,8 @@ __all__ = [
     "backward",
     "grad_check",
     "zero_grads",
-    "add",
-    "sub",
-    "mul",
     "scale",
-    "one_minus",
-    "sigmoid",
-    "log",
-    "clip",
-    "concat",
     "split",
-    "reshape",
-    "sum_all",
-    "mean_axis0",
 ]
 
 
@@ -76,26 +65,9 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
 
-    @property
-    def size(self) -> int:
-        return self.data.size
-
     def detach(self) -> "Tensor":
         """A new leaf sharing this tensor's values, cut off from any tape."""
         return Tensor(self.data, copy=False)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return add(self, other)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return sub(self, other)
-
-    def __iter__(self):
-        """The ``[1, ...]`` pieces along axis 0, from one :func:`split` node."""
-        return iter(split(self, self.shape[0]))
-
-    def __mul__(self, other: "Tensor") -> "Tensor":
-        return mul(self, other)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
@@ -184,9 +156,12 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
     Gradients add into each input tensor's ``grad``; the caller is
     responsible for zeroing between steps.  The sweep consumes the tape
     (see the module notes): only leaves keep a gradient, and a tape swept
-    before raises ``ValueError``.  When ``params`` is given, any of them
-    left untouched by the sweep (not reachable from the loss) gets an
-    exact zero gradient.
+    before raises ``ValueError``.  A gradient already on a recorded
+    tensor when the sweep starts counts as part of the loss's gradient
+    there: its node's closure receives it, as if a term ``sum(tensor *
+    grad)`` had been added to the loss.  When ``params`` is given, any of
+    them left untouched by the sweep (not reachable from the loss) gets
+    an exact zero gradient.
     ``reads`` names the leaves the caller reads, which count as
     ``params`` too: the sweep then forms only the gradients that lead to
     one of them, skips a node none of whose inputs does, and passes a
@@ -202,11 +177,10 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
     while tape.nodes:   # no node left to sweep reads the one popped or its outputs
         (outs, inputs, backfn), need = tape.nodes.pop(), needs.pop()
         grads = [out.grad for out in outs]
-        if all(g is None for g in grads):
-            continue
         for out in outs:
             out.grad = None
-        if not any(need):
+        outs = out = None   # the closure runs without the outputs alive
+        if all(g is None for g in grads) or not any(need):
             continue
         got = backfn(*grads, needs=need) if len(tape.nodes) in tape.told else backfn(*grads)
         for t, gi, read in zip(inputs, got, need):
@@ -235,79 +209,22 @@ def zero_grads(tensors: Sequence[Tensor]) -> None:
 # primitives
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
-    if g.shape == shape:
-        return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g
-
-
-def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
-    try:
-        out = Tensor(fwd(a.data, b.data), copy=False)
-    except ValueError as e:
-        raise ValueError(f"{name}: shape mismatch {a.shape} vs {b.shape}") from e
-    ash, bsh = a.shape, b.shape
-
-    def back(g):
-        return (_unbroadcast(da(g, a.data, b.data), ash),
-                _unbroadcast(db(g, a.data, b.data), bsh))
-
-    return _record(out, (a, b), back)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
     out = Tensor(a.data * c, copy=False)
     return _record(out, (a,), lambda g: (g * c,))
 
 
-def one_minus(a: Tensor) -> Tensor:
-    out = Tensor(1.0 - a.data, copy=False)
-    return _record(out, (a,), lambda g: (-g,))
+def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
+    """Cut ``a`` into ``parts`` equal pieces along ``axis``."""
+    pieces = np.split(a.data, parts, axis=axis)
+    out = tuple(Tensor(p, copy=False) for p in pieces)
 
+    def back(*gs):
+        return (np.concatenate([np.zeros_like(p) if g is None else g
+                                for p, g in zip(pieces, gs)], axis=axis),)
 
-def sigmoid(a: Tensor) -> Tensor:
-    """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
-    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    out = Tensor(s, copy=False)
-    return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
-
-
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    if not np.all(ad > 0.0):
-        raise ValueError("log: inputs must be strictly positive")
-    out = Tensor(np.log(ad), copy=False)
-    return _record(out, (a,), lambda g: (g / ad,))
-
-
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
-    """Clamp to [lo, hi]; gradient is 1 strictly inside and exactly 0 outside."""
-    if not lo < hi:
-        raise ValueError(f"clip: need lo < hi, got [{lo}, {hi}]")
-    ad = a.data
-    out = Tensor(np.clip(ad, lo, hi), copy=False)
-    mask = (ad > lo) & (ad < hi)
-    return _record(out, (a,), lambda g: (g * mask,))
+    return _record(out, (a,), back)
 
 
 def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None,
@@ -330,60 +247,6 @@ def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):
     e = np.exp(x - m[:, None])
     s = np.sum(e, axis=-1)
     return m + np.log(s) - x[np.arange(x.shape[0]), t], e, s
-
-
-def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise ValueError("concat of an empty sequence")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), copy=False)
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        return tuple(np.split(g, bounds, axis=axis))
-
-    return _record(out, tuple(parts), back)
-
-
-def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
-    """Cut ``a`` into ``parts`` equal pieces along ``axis``; the inverse of concat."""
-    pieces = np.split(a.data, parts, axis=axis)
-    out = tuple(Tensor(p, copy=False) for p in pieces)
-
-    def back(*gs):
-        return (np.concatenate([np.zeros_like(p) if g is None else g
-                                for p, g in zip(pieces, gs)], axis=axis),)
-
-    return _record(out, (a,), back)
-
-
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
-        raise ValueError(f"reshape: cannot view {a.shape} as {shape}")
-    src = a.shape
-    out = Tensor(a.data.reshape(shape), copy=False)
-    return _record(out, (a,), lambda g: (g.reshape(src),))
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(np.sum(a.data)), copy=False)
-    shape = a.shape
-    return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
-
-
-def mean_axis0(a: Tensor) -> Tensor:
-    """Mean over the leading axis; used for pooling per-step scores."""
-    if a.data.ndim < 1 or a.data.shape[0] == 0:
-        raise ValueError(f"mean_axis0 on shape {a.shape}")
-    n = a.data.shape[0]
-    out = Tensor(np.sum(a.data, axis=0) / n, copy=False)
-    shape = a.shape
-
-    def back(g):
-        return (np.broadcast_to(g / n, shape),)
-
-    return _record(out, (a,), back)
 
 
 def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> float:

@@ -1,16 +1,19 @@
 """Tensor primitives and helpers that only the tests use.
 
 Each primitive records one node on the active
-:class:`profforce.tensor.Tape`, as the primitives in
-:mod:`profforce.tensor` do; the gradient checks and the per-step
-reference unrolls use them.  :func:`loss_nll` is the taped cross
-entropy the unroll's own ``nll`` is checked against,
-:func:`make_batches` shuffles a dataset into one epoch of batches,
-:func:`sample_rows` is the per-step sampler the unroll's draws are
-checked against, and :func:`item` reads a one-element tensor as a float.
+:class:`profforce.tensor.Tape`, as the kernels in :mod:`profforce`
+do; the gradient checks and the per-step reference unrolls use them,
+and the composed chains of them are what the fused nodes of
+:mod:`profforce.nets` and :mod:`profforce.engine` are checked against.
+:func:`gru_sequence` runs one GRU direction as one node.
+:func:`loss_nll` is the taped cross entropy the unroll's own ``nll`` is
+checked against, :func:`make_batches` shuffles a dataset into one epoch
+of batches, :func:`sample_rows` is the per-step sampler the unroll's
+draws are checked against, and :func:`item` reads a one-element tensor
+as a float.
 """
 
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +25,8 @@ from profforce.tensor import (
     _cross_entropy_rows,
     _record,
     _stable_softmax,
-    reshape,
     scale,
-    sum_all,
+    split,
 )
 
 
@@ -63,7 +65,7 @@ def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Te
 
     ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
     row batches.  The step is one tape node over the kernel of
-    :func:`profforce.nets.gru_sequence`, run for one step; either output
+    :func:`gru_sequence`, run for one step; either output
     may be left out of the loss.
     """
     hd, xd = h_prev.data, x_in.data
@@ -84,6 +86,141 @@ def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Te
 
     out = (Tensor(hs[1].reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
     return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
+
+
+def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum ``g`` down to ``shape``, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
+    extra = g.ndim - len(shape)
+    if extra > 0:
+        g = g.sum(axis=tuple(range(extra)))
+    axes = tuple(i for i, (gd, sd) in enumerate(zip(g.shape, shape)) if sd == 1 and gd != 1)
+    if axes:
+        g = g.sum(axis=axes, keepdims=True)
+    return g
+
+
+def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
+    try:
+        out = Tensor(fwd(a.data, b.data), copy=False)
+    except ValueError as e:
+        raise ValueError(f"{name}: shape mismatch {a.shape} vs {b.shape}") from e
+    ash, bsh = a.shape, b.shape
+
+    def back(g):
+        return (_unbroadcast(da(g, a.data, b.data), ash),
+                _unbroadcast(db(g, a.data, b.data), bsh))
+
+    return _record(out, (a, b), back)
+
+
+def add(a: Tensor, b: Tensor) -> Tensor:
+    return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
+
+
+def one_minus(a: Tensor) -> Tensor:
+    out = Tensor(1.0 - a.data, copy=False)
+    return _record(out, (a,), lambda g: (-g,))
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
+    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
+    out = Tensor(s, copy=False)
+    return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
+
+
+def log(a: Tensor) -> Tensor:
+    ad = a.data
+    if not np.all(ad > 0.0):
+        raise ValueError("log: inputs must be strictly positive")
+    out = Tensor(np.log(ad), copy=False)
+    return _record(out, (a,), lambda g: (g / ad,))
+
+
+def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+    """Clamp to [lo, hi]; gradient is 1 strictly inside and exactly 0 outside."""
+    if not lo < hi:
+        raise ValueError(f"clip: need lo < hi, got [{lo}, {hi}]")
+    ad = a.data
+    out = Tensor(np.clip(ad, lo, hi), copy=False)
+    mask = (ad > lo) & (ad < hi)
+    return _record(out, (a,), lambda g: (g * mask,))
+
+
+def concat(parts: Sequence[Tensor] | Tensor, axis: int = 0) -> Tensor:
+    """Join ``parts`` along ``axis``; a Tensor given as ``parts`` is first
+    cut into its ``[1, ...]`` pieces along axis 0 by one :func:`split` node."""
+    parts = split(parts, parts.shape[0]) if isinstance(parts, Tensor) else list(parts)
+    if not parts:
+        raise ValueError("concat of an empty sequence")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), copy=False)
+    sizes = [p.data.shape[axis] for p in parts]
+    bounds = np.cumsum(sizes)[:-1]
+
+    def back(g):
+        return tuple(np.split(g, bounds, axis=axis))
+
+    return _record(out, tuple(parts), back)
+
+
+def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
+    if int(np.prod(shape)) != a.data.size:
+        raise ValueError(f"reshape: cannot view {a.shape} as {shape}")
+    src = a.shape
+    out = Tensor(a.data.reshape(shape), copy=False)
+    return _record(out, (a,), lambda g: (g.reshape(src),))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    out = Tensor(np.asarray(np.sum(a.data)), copy=False)
+    shape = a.shape
+    return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
+
+
+def mean_axis0(a: Tensor) -> Tensor:
+    """Mean over the leading axis."""
+    if a.data.ndim < 1 or a.data.shape[0] == 0:
+        raise ValueError(f"mean_axis0 on shape {a.shape}")
+    n = a.data.shape[0]
+    out = Tensor(np.sum(a.data, axis=0) / n, copy=False)
+    shape = a.shape
+
+    def back(g):
+        return (np.broadcast_to(g / n, shape),)
+
+    return _record(out, (a,), back)
+
+
+def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
+    """Run a cell over a whole ``[T, B, I]`` sequence from a zero state.
+
+    Returns the states ``[T, B, H]``; with ``reverse`` the cell reads
+    step ``T-1`` first, and ``states[t]`` has seen inputs ``t..T-1``.
+    One tape node, over :func:`profforce.nets._gru_run` and
+    :func:`profforce.nets._gru_bptt`, the kernel both directions of
+    :func:`profforce.nets.bigru_encode` run.
+    """
+    xd = xs.data
+    if xd.ndim != 3 or xd.shape[0] == 0:
+        raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
+    T, B, _ = xd.shape
+    hs, zr, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
+    states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
+
+    def back(g, needs=(True,) * 4):
+        return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse, needs=needs)[:4]
+
+    return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back, told=True)
 
 
 def transpose(a: Tensor) -> Tensor:

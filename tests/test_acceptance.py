@@ -29,43 +29,44 @@ from profforce.engine import (
     unroll_free_running,
     unroll_teacher_forced,
 )
-from profforce.nets import GruCellParams, gru_sequence
+from profforce.nets import GruCellParams
 from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
     Tensor,
-    add,
     backward,
-    clip,
-    concat,
     grad_check,
-    log,
-    mean_axis0,
-    mul,
-    one_minus,
-    reshape,
     scale,
-    sigmoid,
     split,
     stop_recording,
-    sub,
-    sum_all,
     zero_grads,
 )
 from profforce.trainer import Trainer
 
 from extra_ops import (
+    add,
+    clip,
+    concat,
     embed,
+    gru_sequence,
     gru_step,
     item,
+    log,
     loss_nll,
     make_batches,
     matmul,
     mean_all,
+    mean_axis0,
+    mul,
+    one_minus,
     relu,
+    reshape,
+    sigmoid,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_rows,
+    sub,
+    sum_all,
     tanh,
     transpose,
 )

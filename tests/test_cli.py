@@ -69,6 +69,19 @@ class TestTrainCommand:
         curves = (out2 / "curves.csv").read_text().strip().splitlines()
         assert [l.split(",")[0] for l in curves[1:]] == ["4", "5"]
 
+    @pytest.mark.parametrize("flag", [["--config", "c.cfg"], ["--preset", "desk-copy"],
+                                      ["--set", "lr=5"], ["--mode", "tf"], ["--seed", "0"]],
+                             ids=lambda f: f[0])
+    def test_resume_refuses_the_flags_it_would_ignore(self, tmp_path, trained, capsys, flag):
+        (tmp_path / "c.cfg").write_text("lr=5\n")
+        out2 = tmp_path / "resumed"
+        value = str(tmp_path / flag[1]) if flag[0] == "--config" else flag[1]
+        code = main(["train", "--resume", str(trained / "final.ckpt"), "--out", str(out2),
+                     "--steps", "6", flag[0], value])
+        assert code == 2
+        assert flag[0] in capsys.readouterr().err
+        assert not out2.exists()
+
     @pytest.mark.parametrize("field, value", [("rng_state", None), ("step", "x7")])
     def test_resume_with_malformed_state_field_exits_2(self, tmp_path, trained, capsys,
                                                        field, value):

@@ -32,28 +32,35 @@ from profforce.optim import AdamState, adam_step
 from profforce.tensor import (
     Tape,
     Tensor,
-    add,
     backward,
-    concat,
     grad_check,
-    log,
-    mul,
     scale,
+    split,
     stop_recording,
-    sum_all,
     zero_grads,
 )
 from profforce.trainer import Trainer
 
 from extra_ops import (
+    add,
+    clip,
+    concat,
     embed,
+    gru_sequence,
     gru_step,
     item,
+    log,
     loss_nll,
     matmul,
+    mean_axis0,
+    mul,
+    one_minus,
+    reshape,
     sample_rows,
+    sigmoid,
     softmax,
     softmax_cross_entropy_rows,
+    sum_all,
 )
 from test_acceptance import TINY_PF
 from test_nets import gru_oracle
@@ -792,6 +799,109 @@ class TestDiscriminate:
                 np.testing.assert_array_equal(a, b)
 
 
+# the nodes of a pf step's discriminator tape, by the function that records each
+DISCRIMINATOR_NODES = ["bigru_encode", "mlp_forward", "discriminate", "split", "_mean_neg_log"]
+
+
+def recorders(nodes):
+    """The function that recorded each of ``nodes``, by its closure's name."""
+    return [back.__qualname__.split(".")[0] for _, _, back in nodes]
+
+
+def chained_discriminate(d, seq):
+    """``discriminate`` as the chain of generic nodes it replaced."""
+    t_len, batch, _ = seq.shape
+    states = concat((gru_sequence(d.fwd, seq), gru_sequence(d.bwd, seq, reverse=True)), axis=-1)
+    scores = mlp_forward(d.layers, reshape(states, (t_len * batch, states.shape[-1])))
+    pooled = mean_axis0(reshape(scores, (t_len, batch)))
+    return sigmoid(clip(pooled, -engine.LOGIT_CLIP, engine.LOGIT_CLIP))
+
+
+def chained_mean_neg_log(x, of_one_minus=False):
+    """A loss term as the chain of generic nodes it replaced."""
+    return scale(sum_all(log(one_minus(x) if of_one_minus else x)), -1.0 / x.data.size)
+
+
+class TestFusedDiscriminatorPass:
+    """The discriminator's pass records the encoder, MLP, head and loss as one
+    node each; value and every gradient a sweep forms carry the bits of the
+    chain of generic nodes they replaced."""
+
+    LOSSES = {   # name: (fused, chained), each of the stack's two halves
+        "c_d": (loss_discriminator,
+                lambda tf, fr: add(chained_mean_neg_log(tf), chained_mean_neg_log(fr, True))),
+        "c_f": (lambda tf, fr: loss_fool_free_running(fr),
+                lambda tf, fr: chained_mean_neg_log(fr)),
+        "c_t": (lambda tf, fr: loss_match_teacher_forced(tf),
+                lambda tf, fr: chained_mean_neg_log(tf, True)),
+    }
+
+    @staticmethod
+    def _run(route, loss_name, reads):
+        d = tiny_discriminator(5, seed=210)
+        leaf = Tensor(np.random.default_rng(211).uniform(-1, 1, (6, 8, 5)))
+        with stop_recording():   # push the rows above the median past the clamp
+            p = discriminate(d, leaf).data
+        pooled = np.log(p / (1.0 - p))
+        d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
+        fused = route == "fused"
+        loss_fn = TestFusedDiscriminatorPass.LOSSES[loss_name][0 if fused else 1]
+        with Tape() as tape:
+            probs = (discriminate if fused else chained_discriminate)(d, leaf)
+            loss = loss_fn(*split(probs, 2))
+        if fused:
+            assert recorders(tape.nodes) == DISCRIMINATOR_NODES
+        leaves = {"leaf": [leaf], "params": d.tensors()}
+        read = [t for k, ts in leaves.items() if reads in (k, "both") for t in ts]
+        backward(tape, loss, **({"reads": read} if reads != "all" else {}))
+        return probs.data, loss.data, [t.grad for ts in leaves.values() for t in ts]
+
+    @pytest.mark.parametrize("reads", ["all", "both", "params", "leaf"])
+    @pytest.mark.parametrize("loss_name", ["c_d", "c_f", "c_t"])
+    def test_matches_the_chain(self, loss_name, reads):
+        probs, loss, grads = self._run("fused", loss_name, reads)
+        ref_probs, ref_loss, ref_grads = self._run("chained", loss_name, reads)
+        clamped = probs == 0.5 * (1.0 + np.tanh(0.5 * engine.LOGIT_CLIP))
+        assert 0 < clamped.sum() < clamped.size   # the clamp's mask is exercised
+        np.testing.assert_array_equal(probs, ref_probs)
+        assert loss.shape == () and loss.tobytes() == ref_loss.tobytes()
+        assert [g is None for g in grads] == [g is None for g in ref_grads]
+        assert (grads[0] is None) == (reads == "params")
+        for got, want in zip(grads, ref_grads):
+            if got is not None:
+                np.testing.assert_array_equal(got, want)
+
+
+class TestPreseededAdversarialGradient:
+    """``train_step`` hands the adversarial term to the generator by putting
+    its gradient on the unroll's behavior before the sweep: every generator
+    gradient carries the bits of the recorded ``sum(behavior * w)`` term."""
+
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    def test_matches_the_recorded_term(self, include_outputs):
+        def run(preseed):
+            g = tiny_generator(seed=212)
+            y = np.random.default_rng(213).integers(0, 4, (3, 5))
+            with Tape() as tape:
+                res = engine._unroll(g, y, 5, 6, 0.0, np.random.default_rng(214), 0.8,
+                                     include_outputs)
+                loss = scale(res.nll, 1.0 / 5)
+                w = np.random.default_rng(215).uniform(-1, 1, res.behavior.shape)
+                if not preseed:
+                    loss = add(loss, sum_all(mul(res.behavior, Tensor(w))))
+            kept = w.copy()
+            if preseed:
+                res.behavior.grad = w
+            zero_grads(g.tensors())
+            backward(tape, loss, params=g.tensors())
+            np.testing.assert_array_equal(w, kept)   # read, not written
+            assert res.behavior.grad is None
+            return [t.grad for t in g.tensors()]
+
+        for got, want in zip(run(True), run(False)):
+            np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------------------
 # losses, accuracy, gates
 
@@ -826,11 +936,19 @@ class TestLosses:
         f = loss_discriminator(vals_tf, vals_fr)
         assert abs(item(t) - f) < 1e-12
 
-    def test_rejects_saturated_probabilities(self):
+    @pytest.mark.parametrize("route", [np.array, Tensor], ids=["array", "tensor"])
+    @pytest.mark.parametrize("bad", [[1.0], [0.0], [], [1.5], [-0.5], [0.5, math.nan]],
+                             ids=["one", "zero", "empty", "above_one", "negative", "nan"])
+    def test_rejects_saturated_probabilities(self, route, bad):
+        half, bad = route(np.array([0.5])), route(np.array(bad))
         with pytest.raises(ValueError):
-            loss_discriminator(np.array([1.0]), np.array([0.5]))
+            loss_discriminator(bad, half)
         with pytest.raises(ValueError):
-            loss_discriminator(np.array([0.5]), np.array([0.0]))
+            loss_discriminator(half, bad)
+        with pytest.raises(ValueError):
+            loss_fool_free_running(bad)
+        with pytest.raises(ValueError):
+            loss_match_teacher_forced(bad)
 
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()
@@ -1433,20 +1551,22 @@ class TestTapeNodeCeiling:
 
     At desk sizes a step costs Python dispatch per tape node more than
     arithmetic, so these ceilings guard the one-node generator unroll,
-    the whole-sequence discriminator encoder and the single stacked
-    discriminator pass, whose tape a pf step sweeps once.  A change that
-    records fewer nodes lowers them; none may raise them.
+    the one-node discriminator encoder, scoring MLP, head and loss, and
+    the single stacked discriminator pass, whose tape a pf step sweeps
+    once.  A change that records fewer nodes lowers them; none may raise
+    them.
     """
 
-    PF_CEILING = 22
+    PF_CEILING = 7    # 22 while the discriminator's pass recorded generic ops
     TF_CEILING = 2
 
     def _one_step(self, monkeypatch, tmp_path, mode):
-        recorded = []
+        recorded, closures = [], []
         tape_exit = Tape.__exit__
 
         def counting_exit(tape, *exc):
             recorded.append(list(tape.nodes))   # as recorded: its sweep will consume it
+            closures.append(recorders(tape.nodes))
             return tape_exit(tape, *exc)
 
         monkeypatch.setattr(Tape, "__exit__", counting_exit)
@@ -1474,13 +1594,16 @@ class TestTapeNodeCeiling:
         emb = trainer.g.embedding
         unroll_outputs = [len(outs) for nodes in recorded for outs, inputs, _ in nodes
                           if inputs and inputs[0] is emb]
-        return sum(len(nodes) for nodes in recorded), row, rows_scored, d_sweeps, unroll_outputs
+        return (sum(len(nodes) for nodes in recorded), row, rows_scored, d_sweeps,
+                unroll_outputs, closures)
 
     def test_professor_forcing_step(self, monkeypatch, tmp_path):
-        nodes, row, rows_scored, d_sweeps, unroll_outputs = self._one_step(
+        nodes, row, rows_scored, d_sweeps, unroll_outputs, closures = self._one_step(
             monkeypatch, tmp_path, "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
         assert nodes <= self.PF_CEILING
+        # the discriminator's tape exits first, inside the generator's
+        assert closures[0] == DISCRIMINATOR_NODES
         # one unroll of both regimes: logits, behavior, hidden and nll
         assert unroll_outputs == [4]
         # one discriminator pass over both behaviors stacked, one sweep of its tape
@@ -1488,7 +1611,7 @@ class TestTapeNodeCeiling:
         assert d_sweeps == 1
 
     def test_teacher_forcing_step(self, monkeypatch, tmp_path):
-        nodes, _, rows_scored, d_sweeps, unroll_outputs = self._one_step(
+        nodes, _, rows_scored, d_sweeps, unroll_outputs, _ = self._one_step(
             monkeypatch, tmp_path, "teacher_forcing")
         assert nodes <= self.TF_CEILING
         assert unroll_outputs == [4]

@@ -10,22 +10,28 @@ from profforce.nets import (
     _gru_weights,
     _weight_in_out,
     bigru_encode,
-    gru_sequence,
     init_params,
     mlp_forward,
 )
 from profforce.tensor import (
     Tape,
     Tensor,
-    add,
     backward,
     grad_check,
-    mul,
-    sum_all,
     zero_grads,
 )
 
-from extra_ops import gru_step, matmul, relu, tanh
+from extra_ops import (
+    add,
+    concat,
+    gru_sequence,
+    gru_step,
+    matmul,
+    mul,
+    relu,
+    sum_all,
+    tanh,
+)
 
 
 def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):
@@ -130,8 +136,8 @@ class TestGruStep:
             for x in xs:
                 h, pre = gru_step(cell, h, Tensor(x))
                 s = sum_all(tanh(pre))
-                total = s if total is None else total + s
-            return total + sum_all(h)
+                total = s if total is None else add(total, s)
+            return add(total, sum_all(h))
 
         assert grad_check(loss, params, 1e-5) < 1e-4
 
@@ -458,3 +464,40 @@ class TestBiGru:
             bigru_encode(*enc, Tensor(np.zeros((0, 1, 2))))
         with pytest.raises(ValueError):
             bigru_encode(*enc, Tensor(np.zeros((1, 1, 5))))
+
+    def test_gradients_of_both_cells_and_the_input(self):
+        enc = bigru_cells(input_size=2, hidden=3, seed=24)
+        rng = np.random.default_rng(25)
+        seq, weights = Tensor(rng.uniform(-1, 1, (4, 2, 2))), Tensor(rng.uniform(-1, 1, (4, 2, 6)))
+        params = [seq] + [t for cell in enc for _, t in cell.named()]
+        assert grad_check(lambda p: sum_all(mul(tanh(bigru_encode(*enc, p[0])), weights)),
+                          params, 1e-5) < 1e-4
+
+    @pytest.mark.parametrize("reads", ["all", "input", "fwd", "bwd"])
+    def test_matches_two_sequence_nodes_and_their_concat(self, reads):
+        # one node against the chain it replaced, bit for bit, for what a sweep reads
+        def run(encode):
+            enc = bigru_cells(input_size=3, hidden=4, seed=26)
+            rng = np.random.default_rng(27)
+            seq, weights = (Tensor(rng.uniform(-1, 1, (5, 3, 3))),
+                            Tensor(rng.uniform(-1, 1, (5, 3, 8))))
+            leaves = {"input": [seq], "fwd": [t for _, t in enc[0].named()],
+                      "bwd": [t for _, t in enc[1].named()]}
+            read = [t for k, ts in leaves.items() if reads in (k, "all") for t in ts]
+            with Tape() as tape:
+                out = encode(*enc, seq)
+                loss = sum_all(mul(out, weights))
+            backward(tape, loss, reads=read)
+            return out.data, [t.grad for ts in leaves.values() for t in ts]
+
+        def chained(fwd, bwd, seq):
+            return concat((gru_sequence(fwd, seq), gru_sequence(bwd, seq, reverse=True)), axis=-1)
+
+        (out, grads), (ref_out, ref_grads) = run(bigru_encode), run(chained)
+        np.testing.assert_array_equal(out, ref_out)
+        assert sum(g is not None for g in grads) == (7 if reads == "all" else
+                                                      1 if reads == "input" else 3)
+        for got, want in zip(grads, ref_grads):
+            assert (got is None) == (want is None)
+            if got is not None:
+                np.testing.assert_array_equal(got, want)

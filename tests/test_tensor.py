@@ -7,33 +7,33 @@ from profforce.tensor import (
     Tape,
     Tensor,
     _record,
-    add,
     backward,
-    clip,
-    concat,
     grad_check,
-    log,
-    mean_axis0,
-    mul,
-    one_minus,
-    reshape,
     scale,
-    sigmoid,
     split,
     stop_recording,
-    sub,
-    sum_all,
 )
 
 from extra_ops import (
+    add,
+    clip,
+    concat,
     embed,
     item,
+    log,
     matmul,
     mean_all,
+    mean_axis0,
+    mul,
+    one_minus,
     relu,
+    reshape,
+    sigmoid,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_rows,
+    sub,
+    sum_all,
     tanh,
     transpose,
 )
@@ -459,13 +459,6 @@ class TestGradCheckPrimitives:
 
 
 class TestTape:
-    def test_iteration_records_one_split_node(self):
-        a = Tensor(np.arange(6.0).reshape(3, 2))
-        with Tape() as tape:
-            pieces = list(a)
-        assert len(tape) == 1 and [p.shape for p in pieces] == [(1, 2)] * 3
-        np.testing.assert_array_equal(np.concatenate([p.data for p in pieces]), a.data)
-
     def test_no_tape_records_nothing(self):
         x = Tensor([1.0])
         y = mul(x, x)
