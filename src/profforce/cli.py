@@ -180,7 +180,7 @@ def main(argv=None) -> int:
                 "diagnose": cmd_diagnose, "inspect-checkpoint": cmd_inspect}
     try:
         return handlers[args.command](args)
-    except (ConfigError, CheckpointError, FileNotFoundError, ValueError) as e:
+    except (ConfigError, CheckpointError, FileNotFoundError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingDiverged as e:

@@ -76,7 +76,7 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
 
     Both unroll only to that step and keep no per-step outputs: teacher
     forced over the given sequences, free running as many rows, which
-    draw there what a full-length unroll draws (uniforms go in step order).
+    draw there what a full-length unroll draws (noise is read in step order).
     """
     ids = np.asarray(y_sample, dtype=np.int64)
     if ids.ndim != 2:

@@ -21,7 +21,8 @@ whole unroll as one tape node, whose backward runs the kernel's
 recursion for each layer.  A bidirectional-GRU discriminator
 scores behavior sequences as teacher forced vs free running, and its
 judgement is fed back into the generator so the free-running dynamics
-are pulled toward the teacher-forced ones.
+are pulled toward the teacher-forced ones.  Every draw is the argmax of
+the logits plus ``-T log e``, e ~ Exp(1) (Gumbel-max).
 
 Loss pieces, with D(b) the discriminator probability that behavior b is
 teacher forced:
@@ -55,7 +56,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
-from itertools import cycle, islice, repeat
+from itertools import chain, cycle, islice, repeat
 from operator import add
 
 import numpy as np
@@ -104,6 +105,7 @@ __all__ = [
 ADVERSARIAL_GATE = 0.75   # back-prop into the generator only above this accuracy
 FREEZE_GATE = 0.99        # stop updating the discriminator above this accuracy
 LOGIT_CLIP = 10.0         # discriminator output logit is clamped to [-10, 10]
+_NOISE_BLOCK = 64         # steps of free-running noise drawn per rng call
 
 
 @dataclass(frozen=True)
@@ -233,6 +235,12 @@ def _target_ids(g: GeneratorParams, y_seq) -> np.ndarray:
     return ids
 
 
+def _gumbel_noise(rng: np.random.Generator, shape: tuple, temperature: float) -> np.ndarray:
+    """``-temperature * log e``, e ~ Exp(1) of ``shape`` read from ``rng`` in C order."""
+    with np.errstate(divide="ignore"):   # an e of 0.0 gives +inf: that symbol wins
+        return np.log(rng.standard_exponential(shape)) * -temperature
+
+
 def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             p_sample: float, rng: np.random.Generator | None, temperature: float,
             include_outputs: bool, keep_outputs: bool = True) -> UnrollResult:
@@ -242,13 +250,11 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     once, applies the output head and fills the step's rows.  Rows
     [0, n) of the [n, T] targets ``ids`` (n = 0 if None) feed the next
     step the true symbol, or with probability ``p_sample`` a draw at
-    temperature 1 (only when a next step exists, its uniforms taken by one
-    ``rng.random(n)`` when a coin lands); their cross entropy gives
-    ``nll``.  Rows [n, batch) run free: every step draws from
-    softmax(logits / temperature), tempered alike in the behavior, with
-    uniforms drawn up front by one ``rng.random((T, batch - n, 1))`` (the
-    values of one ``rng.random(batch - n)`` per step).  Every draw counts
-    the first V-1 CDF columns below its uniform.
+    temperature 1 (if a next step exists); their cross entropy gives
+    ``nll``.  Rows [n, batch) run free at ``temperature``, as do their
+    behavior softmax columns.  A draw is the argmax of the logits plus
+    :func:`_gumbel_noise`, which free rows read in blocks of steps (one
+    step beside coins): the block size changes no draw.
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     and views bound before the first step; layer 0 reads ``x W + b``
@@ -294,19 +300,13 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
     used = np.zeros((n_tf, t_len), dtype=bool)
-    # Softmax rows [lo, batch): the free rows, and the targeted ones if read.
-    lo = 0 if include_outputs or p_sample > 0.0 else n_tf
     inv_t = np.where(np.arange(batch)[:, None] < n_tf, 1.0, 1.0 / temperature)
-    tempered = temperature != 1.0 and n_tf < batch   # else x * 1.0 is x: skip it
-    probs, col, inv_lo = np.empty((batch - lo, vocab)), np.empty((batch - lo, 1)), inv_t[lo:]
-    u = rng.random((t_len, batch - n_tf, 1)) if n_tf < batch else repeat(None)
-    cdf, below = np.empty((batch - n_tf, vocab - 1)), np.empty((batch - n_tf, vocab - 1), bool)
-    # step t's softmax rows and the free rows' first V-1 columns, which the CDF sums
-    p_rows, cdf_rows = ((behavior[:, lo:, top:], behavior[:, n_tf:, top:-1]) if include_outputs
-                        else (probs[None], probs[None, n_tf - lo:, :-1]))
-    for t, (fed, lg, lg_lo, p, p_cdf, u_t, drawn) in enumerate(zip(
-            nxt, *(a if len(a) == t_len else cycle(a) for a in (logits, logits[:, lo:], p_rows,
-                                                                 cdf_rows)), u, nxt[1:, n_tf:])):
+    col, block = np.empty((batch, 1)), 1 if n_tf and p_sample > 0.0 else _NOISE_BLOCK
+    blocks = (_gumbel_noise(rng, (min(block, t_len - s), batch - n_tf, vocab), temperature)
+              for s in range(0, t_len, block))   # each read from rng as its first step starts
+    noise = chain.from_iterable(blocks) if n_tf < batch else repeat(None)
+    step_rows = (a if len(a) == t_len else cycle(a) for a in (logits, behavior[..., top:]))
+    for t, (fed, lg, p, noise_t, drawn) in enumerate(zip(nxt, *step_rows, noise, nxt[1:, n_tf:])):
         for i, (xb, xb_zr, xb_c, U_zr, U_c, W, b, steps) in enumerate(layers):
             if i:
                 np.matmul(x, W, xb)
@@ -317,16 +317,14 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, x)
         np.dot(x, w_head, lg)
         lg += b_head
-        if lo < batch:
-            _stable_softmax(np.multiply(lg_lo, inv_lo, p) if tempered else lg_lo, p, col)
+        if include_outputs:
+            _stable_softmax(np.multiply(lg, inv_t, p), p, col)
         if n_tf < batch:
-            np.add.accumulate(p_cdf, 1, None, cdf)
-            np.less(cdf, u_t, below)
-            np.add.reduce(below, 1, None, drawn)
+            np.add(lg[n_tf:], noise_t, noise_t).argmax(1, drawn)
         if n_tf and t + 1 < t_len and p_sample > 0.0:
             coin = np.ones(n_tf, dtype=bool) if p_sample >= 1.0 else rng.random(n_tf) < p_sample
-            if coin.any():   # counted as the free rows' draws are
-                drawn_tf = (np.add.accumulate(p[:n_tf, :-1], 1) < rng.random((n_tf, 1))).sum(1)
+            if coin.any():   # drawn by the free rows' rule, at temperature 1
+                drawn_tf = np.argmax(lg[:n_tf] + _gumbel_noise(rng, (n_tf, vocab), 1.0), 1)
                 nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
             used[:, t + 1] = coin
     if include_outputs and whole:

@@ -186,7 +186,7 @@ class Trainer:
         self.d_adam = (None if self.d is None
                        else AdamState.for_params(self.d.tensors(), lr=self.cfg.lr))
         self.rng = np.random.default_rng(self.cfg.seed)
-        self.step = 0
+        self.step, self._order = 0, (None, None)   # the last epoch's batch order
         self.best_val = math.inf
         if resume is not None:
             self._restore(resume)
@@ -279,10 +279,10 @@ class Trainer:
     def _batch_for_step(self, step: int) -> np.ndarray:
         n = len(self.train_set)
         b = min(self.cfg.batch_n, n)
-        per_epoch = math.ceil(n / b)
-        epoch, k = divmod(step, per_epoch)
-        order = np.random.default_rng([self.cfg.seed, 31, epoch]).permutation(n)
-        return self.train_set.sequences[order[k * b:(k + 1) * b]]
+        epoch, k = divmod(step, math.ceil(n / b))
+        if self._order[0] != epoch:   # built once per epoch, a pure function of (seed, epoch)
+            self._order = (epoch, np.random.default_rng([self.cfg.seed, 31, epoch]).permutation(n))
+        return self.train_set.sequences[self._order[1][k * b:(k + 1) * b]]
 
     def _p_sample(self, step: int) -> float:
         if self.cfg.mode != "scheduled_sampling":

@@ -8,7 +8,7 @@ and the composed chains of them are what the fused nodes of
 :func:`gru_sequence` runs one GRU direction as one node.
 :func:`loss_nll` is the taped cross entropy the unroll's own ``nll`` is
 checked against, :func:`make_batches` shuffles a dataset into one epoch
-of batches, :func:`sample_rows` is the per-step sampler the unroll's
+of batches, :func:`gumbel_rows` is the per-step sampler the unroll's
 draws are checked against, and :func:`item` reads a one-element tensor
 as a float.
 """
@@ -323,13 +323,12 @@ def make_batches(ds: SequenceDataset, batch_size: int,
         yield ds.sequences[order[start:start + batch_size]]
 
 
-def sample_rows(rng: np.random.Generator, probs: np.ndarray) -> np.ndarray:
-    """Inverse-CDF categorical sampling, one draw per row: the index of
-    the first CDF column not below the row's uniform, the last if none."""
-    p = np.asarray(probs, dtype=np.float64)
-    if p.ndim == 1:
-        p = p[None, :]
-    u = rng.random(p.shape[0])
-    cum = np.cumsum(p, axis=-1)
-    idx = (cum < u[:, None]).sum(axis=-1)
-    return np.minimum(idx, p.shape[1] - 1)
+def gumbel_rows(rng: np.random.Generator, logits: np.ndarray,
+                temperature: float = 1.0) -> np.ndarray:
+    """One draw per row of ``logits`` [B, V] from softmax(logits / temperature)
+    by the Gumbel-max rule: the argmax of ``logits - temperature * log e``, the
+    [B, V] exponentials ``e`` read from ``rng`` row-major, a tie going to the
+    lowest index and an ``e`` of 0.0 winning outright."""
+    e = rng.standard_exponential(np.shape(logits))
+    with np.errstate(divide="ignore"):
+        return np.argmax(logits - temperature * np.log(e), axis=-1)

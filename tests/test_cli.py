@@ -166,6 +166,8 @@ class TestTrainCommand:
         (["task=raster", "raster_height=2"], "raster_height must be at least 4"),
         (["vocab_size=1"], "copy task needs at least two symbols"),
         (["task=corpus", "corpus_path={tmp}/missing.txt"], "missing.txt"),
+        # 10**13 rows ask for hundreds of TiB at once, past any address space
+        (["val_count=10000000000000"], "Unable to allocate"),
     ])
     def test_failed_set_up_exits_2_without_a_run_directory(self, tmp_path, capsys, pairs,
                                                            msg):
@@ -293,6 +295,13 @@ class TestSampleCommand:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"batch must be at least 1, got {count}" in captured.err
+
+    def test_length_too_large_to_allocate_exits_2(self, trained, capsys):
+        # 10**13 steps of 8 rows ask for hundreds of TiB at once, past any
+        # address space, so the unroll fails before its first step
+        assert main(["sample", str(trained / "final.ckpt"), "--length", str(10**13),
+                     "--count", "8"]) == 2
+        assert "error: Unable to allocate" in capsys.readouterr().err
 
     def test_missing_checkpoint_exits_2(self, tmp_path, capsys):
         assert main(["sample", str(tmp_path / "nope.ckpt")]) == 2

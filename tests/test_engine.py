@@ -5,6 +5,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
@@ -48,6 +49,7 @@ from extra_ops import (
     embed,
     gru_sequence,
     gru_step,
+    gumbel_rows,
     item,
     log,
     loss_nll,
@@ -56,7 +58,6 @@ from extra_ops import (
     mul,
     one_minus,
     reshape,
-    sample_rows,
     sigmoid,
     softmax,
     softmax_cross_entropy_rows,
@@ -212,14 +213,14 @@ class TestFreeRunningUnroll:
         np.testing.assert_allclose(res.behavior.data[..., 5:].sum(axis=-1),
                                    np.ones((4, 2)), atol=1e-12)
 
-    def test_advances_rng_by_one_draw_per_row_and_step(self):
+    def test_advances_rng_by_one_exponential_per_row_symbol_and_step(self):
         g = tiny_generator()
         t_len, b = 5, 3
         rng = np.random.default_rng(53)
         unroll_free_running(g, t_len, rng, batch=b)
         expected = np.random.default_rng(53)
         for _ in range(t_len):
-            expected.random(b)
+            expected.standard_exponential((b, g.vocab_size))
         assert rng.bit_generator.state == expected.bit_generator.state
 
     def test_only_free_running_softmax_rows_are_tempered(self):
@@ -315,14 +316,14 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
         hidden.append(x)
         behavior.append(concat((pre, probs), axis=-1) if include_outputs else pre)
         if ids is None:
-            prev = sampled[:, t] = sample_rows(rng, probs.data)
+            prev = sampled[:, t] = gumbel_rows(rng, lg.data, temperature)
             continue
         xents.append(softmax_cross_entropy_rows(lg, ids[:, t]))
         prev = ids[:, t]
         if t + 1 < t_len and p_sample > 0.0:
             coin = np.ones(batch, dtype=bool) if p_sample >= 1.0 else rng.random(batch) < p_sample
             if coin.any():
-                prev = np.where(coin, sample_rows(rng, probs.data), prev)
+                prev = np.where(coin, gumbel_rows(rng, lg.data), prev)
             used[:, t + 1] = coin
     nll = None if ids is None else scale(sum_all(concat(xents, axis=0)), 1.0 / batch)
     return logits, behavior, hidden, nll, sampled, used
@@ -504,15 +505,15 @@ class TestTapedMatchesUntaped:
 
 
 def per_step_softmax(x):
-    """The per-step tempered softmax the buffered draw replaced."""
+    """The softmax of one step's logits, as a per-step loop would take it."""
     e = np.exp(x - np.max(x, axis=-1, keepdims=True))
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
 class TestBufferedDraws:
-    """Free-running rows take their uniforms up front and draw into
-    preallocated buffers; ids, softmax rows and the rng stream must be
-    those of one ``sample_rows`` call per step on softmax(logits / T)."""
+    """Free-running rows take their exponentials in blocks of steps and draw
+    into preallocated buffers; ids, softmax columns and the rng stream must
+    be those of one ``gumbel_rows`` call per step on the logits at T."""
 
     @pytest.mark.parametrize("temperature", [1.0, 0.7, 2.0])
     @pytest.mark.parametrize("batch", [1, 3, 8])
@@ -520,7 +521,7 @@ class TestBufferedDraws:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("targeted", [0, 2], ids=["free", "with_targeted_rows"])
     @pytest.mark.parametrize("taped", [False, True])
-    def test_matches_per_step_sample_rows(self, temperature, batch, include_outputs, layers,
+    def test_matches_per_step_gumbel_rows(self, temperature, batch, include_outputs, layers,
                                           targeted, taped):
         g = tiny_generator(seed=400 + batch, layers=layers)
         g.b_o.data[:] = np.random.default_rng(401).uniform(-1, 1, 4)
@@ -533,10 +534,12 @@ class TestBufferedDraws:
         ref = np.random.default_rng(403)
         for t in range(t_len):
             lg = res.logits.data[t]
-            probs = per_step_softmax(lg[targeted:] * (1.0 / temperature))
-            np.testing.assert_array_equal(res.sampled[targeted:, t], sample_rows(ref, probs))
+            np.testing.assert_array_equal(res.sampled[targeted:, t],
+                                          gumbel_rows(ref, lg[targeted:], temperature))
             if include_outputs:
-                np.testing.assert_array_equal(res.behavior.data[t, targeted:, top:], probs)
+                tempered = lg[targeted:] * (1.0 / temperature)
+                np.testing.assert_array_equal(res.behavior.data[t, targeted:, top:],
+                                              per_step_softmax(tempered))
                 np.testing.assert_array_equal(res.behavior.data[t, :targeted, top:],
                                               per_step_softmax(lg[:targeted] * 1.0))
         assert rng.bit_generator.state == ref.bit_generator.state
@@ -548,41 +551,49 @@ class TestBufferedDraws:
                                    (tf.logits, tf.behavior, tf.hidden)):
                 np.testing.assert_array_equal(ours.data[:, :targeted], alone.data)
 
-    def test_cdf_edges_draw_as_sample_rows_does(self):
-        # A head whose softmax sums, left to right, to less than the
-        # largest double below 1: a uniform above the CDF's end draws the
-        # last symbol, as the clamp of sample_rows does, and a uniform
-        # equal to a CDF entry counts only the entries strictly below it.
-        top_u = np.nextafter(1.0, 0.0)
-        search = np.random.default_rng(404)
-        for _ in range(1000):
-            bias = search.uniform(-3, 3, 4)
-            cdf = np.cumsum(per_step_softmax(bias))
-            if cdf[-1] < top_u and cdf[0] < cdf[1]:
-                break
-        else:
-            pytest.fail("no head found whose CDF ends below 1")
+    @pytest.mark.parametrize("block", [1, 3, 1000])
+    @pytest.mark.parametrize("keep_outputs", [True, False])
+    @pytest.mark.parametrize("targeted", [0, 8], ids=["free", "with_targeted_rows"])
+    def test_noise_block_size_changes_no_draw(self, monkeypatch, block, keep_outputs, targeted):
+        g = GeneratorParams.create(8, 16, 64, 1, np.random.default_rng(408))
+        g.b_o.data[:] = np.random.default_rng(409).uniform(-1, 1, 8)
+        ids = np.random.default_rng(410).integers(0, 8, (targeted, 150))
+        runs = []
+        for size in (engine._NOISE_BLOCK, block):
+            monkeypatch.setattr(engine, "_NOISE_BLOCK", size)
+            rng = np.random.default_rng(411)
+            with stop_recording():
+                res = engine._unroll(g, ids if targeted else None, 150, targeted + 8, 0.0, rng,
+                                     0.7, False, keep_outputs)
+            runs.append((res.sampled, rng.bit_generator.state))
+        np.testing.assert_array_equal(runs[0][0], runs[1][0])
+        assert runs[0][1] == runs[1][1]
 
-        class FixedUniforms:
-            def __init__(self, u):
-                self.u = u
+    def test_zero_exponential_wins_without_a_warning(self):
+        # An e of 0.0 gives +inf noise: its symbol wins against any logit, the
+        # lowest such index on a tie, and numpy's divide-by-zero warning stays in.
+        class FixedExponentials:
+            def __init__(self, row):
+                self.row = np.array(row)
 
-            def random(self, shape):
-                return np.full(shape, self.u)
+            def standard_exponential(self, shape):
+                return np.broadcast_to(self.row, shape).copy()
 
         g = zeroed(tiny_generator())   # logits are the head's bias at every step
-        g.b_o.data[:] = bias
-        for u, symbol in ((top_u, 3), (cdf[1], 1)):
-            expected = sample_rows(FixedUniforms(u), per_step_softmax(bias))
-            assert expected.tolist() == [symbol]
-            for include_outputs in (False, True):
-                res = unroll_free_running(g, 3, FixedUniforms(u), batch=2,
-                                          include_outputs=include_outputs)
-                np.testing.assert_array_equal(res.sampled, np.full((2, 3), symbol))
-                # scheduled sampling at p=1 feeds back draws by the same rule
-                res = ss_unroll(g, np.zeros((2, 3), dtype=int), 1.0, FixedUniforms(u),
-                                include_outputs)
-                np.testing.assert_array_equal(res.sampled[:, 1:], np.full((2, 2), symbol))
+        g.b_o.data[:] = [0.0, 40.0, 0.0, 0.0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for row, symbol in (([1.0, 1.0, 0.0, 1.0], 2), ([1.0, 0.0, 0.0, 1.0], 1),
+                                ([0.0, 1.0, 1.0, 0.0], 0), ([1.0, 1.0, 1.0, 1.0], 1)):
+                rng = FixedExponentials(row)
+                assert gumbel_rows(rng, g.b_o.data[None]).tolist() == [symbol]
+                for include_outputs in (False, True):
+                    res = unroll_free_running(g, 3, rng, temperature=0.5, batch=2,
+                                              include_outputs=include_outputs)
+                    np.testing.assert_array_equal(res.sampled, np.full((2, 3), symbol))
+                    # scheduled sampling at p=1 feeds back draws by the same rule
+                    res = ss_unroll(g, np.zeros((2, 3), dtype=int), 1.0, rng, include_outputs)
+                    np.testing.assert_array_equal(res.sampled[:, 1:], np.full((2, 2), symbol))
 
     @pytest.mark.parametrize("include_outputs", [False, True])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -703,9 +714,9 @@ class TestIdsOnlyUnroll:
 
 class TestSampleMemoryPerSymbol:
     # Bytes an ids-only sample adds per drawn symbol, whatever the hidden
-    # size: the draws, their uniforms and ``sampled`` (measured at 24).
-    # May only come down.
-    CEILING = 40
+    # size: the draws and ``sampled`` (measured at 15.5-15.7; the noise
+    # block is a fixed cost).  May only come down.
+    CEILING = 16
 
     @staticmethod
     def _peak(hidden, t_len):
@@ -720,8 +731,7 @@ class TestSampleMemoryPerSymbol:
 
     def test_ids_only_sample_grows_with_the_ids_alone(self):
         # The peak grows linearly past about 1000 steps; 4000 more steps of
-        # 8 rows give the slope to about 0.001 B (24.0003 at both sizes, as
-        # 19000 steps did)
+        # 8 rows give the slope to within the last noise block's size
         per_symbol = {h: (self._peak(h, 5000) - self._peak(h, 1000)) / (4000 * 8)
                       for h in (64, 256)}
         assert max(per_symbol.values()) <= self.CEILING, per_symbol
@@ -985,22 +995,53 @@ class TestAccuracyAndGate:
             gate(1.5)
 
 
-class TestSampleRows:
+class TestGumbelRows:
     def test_certain_outcomes(self):
         rng = np.random.default_rng(51)
         np.testing.assert_array_equal(
-            sample_rows(rng, np.array([[0.0, 1.0, 0.0]] * 4)), np.ones(4))
+            gumbel_rows(rng, np.array([[-800.0, 0.0, -800.0]] * 4)), np.ones(4))
         np.testing.assert_array_equal(
-            sample_rows(rng, np.array([[1.0, 0.0]] * 4)), np.zeros(4))
+            gumbel_rows(rng, np.array([[0.0, -800.0]] * 4)), np.zeros(4))
 
     def test_frequencies(self):
         rng = np.random.default_rng(52)
-        probs = np.tile([0.2, 0.3, 0.5], (20000, 1))
-        draws = sample_rows(rng, probs)
+        probs = np.array([0.2, 0.3, 0.5])
+        draws = gumbel_rows(rng, np.tile(np.log(probs), (20000, 1)))
         counts = np.bincount(draws, minlength=3)
-        for k, p in enumerate([0.2, 0.3, 0.5]):
+        for k, p in enumerate(probs):
             sd = math.sqrt(20000 * p * (1 - p))
             assert abs(counts[k] - 20000 * p) < 4 * sd
+
+
+class TestDrawFrequencies:
+    """The unroll's draws from a fixed head against softmax(logits / T):
+    20,000 ids in rows of 8, every symbol's frequency within 4 binomial
+    standard deviations of its probability (at most 1.4 percentage points)."""
+
+    BIAS = np.array([0.3, -1.2, 1.0, 0.0])
+
+    def _head(self):
+        g = zeroed(tiny_generator())   # the logits are the head's bias at every step
+        g.b_o.data[:] = self.BIAS
+        return g
+
+    @staticmethod
+    def _check(draws, probs):
+        freq = np.bincount(draws.ravel(), minlength=len(probs)) / draws.size
+        sd = np.sqrt(probs * (1.0 - probs) / draws.size)
+        assert np.all(np.abs(freq - probs) < 4 * sd), (freq, probs)
+
+    @pytest.mark.parametrize("temperature", [0.7, 1.0, 2.0])
+    def test_free_running(self, temperature):
+        res = unroll_free_running(self._head(), 2500, np.random.default_rng(61),
+                                  temperature=temperature, batch=8, keep_outputs=False)
+        self._check(res.sampled, softmax_rows(self.BIAS / temperature))
+
+    def test_scheduled_sampling_coins_at_p_one(self):
+        # every step but the last feeds the next one a draw at temperature 1
+        res = ss_unroll(self._head(), np.zeros((8, 2501), dtype=np.int64), 1.0,
+                        np.random.default_rng(62))
+        self._check(res.sampled[:, 1:], softmax_rows(self.BIAS))
 
 
 # ---------------------------------------------------------------------------
@@ -1073,7 +1114,7 @@ class TestTrainStep:
     @pytest.mark.parametrize("p_sample", [0.0, 0.5], ids=["tf", "ss"])
     def test_skip_mode_computes_no_behavior_softmax(self, monkeypatch, p_sample):
         # no discriminator reads the behavior, so include_outputs changes no
-        # bit; tf takes no softmax, ss one per step for its draws
+        # bit; neither takes a softmax, as ss draws from the logits
         softmax_rows, softmax_once = [], engine._stable_softmax
 
         def counting(x, *buffers):
@@ -1091,7 +1132,7 @@ class TestTrainStep:
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(a, b)
-        assert softmax_rows == ([4] * 6 * 2 if p_sample else [])
+        assert softmax_rows == []
 
     def test_explicit_freeze_flag_blocks_disc_updates(self):
         g, d, y, ga, da = build_step_fixture(seed=67)

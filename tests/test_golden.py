@@ -1,19 +1,24 @@
-"""Same-seed training bytes, pinned as digests.
+"""Same-seed training and sampling bytes, pinned as digests.
 
 Short desk-copy runs of every mode are trained in a fresh interpreter
 with one BLAS thread, and the sha256 of their ``curves.csv`` (less the
 ``wallclock_ms`` column), ``val.csv`` and ``final.ckpt`` must equal the
-digests below.  The bits depend on the BLAS library, its thread count,
-numpy and Python, so the digests sit beside the ``trainer._environment()``
-block they were recorded under, and the test skips only when that block
-differs.  A change that accepts ulp drift re-records them and says so in
-``CHANGES.md``.
+digests below, as must that of ``profforce sample`` output from the tf
+run's ``final.ckpt``: the tf bytes do not depend on the sampler, so that
+digest pins the sampler alone.  The bits depend on the BLAS library, its
+thread count, numpy and Python, so the digests sit beside the
+``trainer._environment()`` block they were recorded under, and the test
+skips only when that block differs.  A change that accepts ulp drift
+re-records them and says so in ``CHANGES.md``; running this file as a
+script prints the digests in the ``DIGESTS`` layout, with the environment
+they were taken in.
 """
 
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -21,7 +26,7 @@ import pytest
 import profforce
 
 # 12 steps of desk-copy at seed 3; the pf run opens the generator's gate on
-# steps 6, 7, 8, 10 and 11.
+# steps 6, 7, 8 and 10.
 COMMON = ["--preset", "desk-copy", "--seed", "3", "--steps", "12",
           "--set", "lr=1e-3", "--set", "val_every=6"]
 RUNS = {
@@ -29,6 +34,7 @@ RUNS = {
     "ss": ["--mode", "ss", "--set", "ss_end=0.5"],
     "pf": ["--set", "use_ct=true", "--set", "include_outputs_in_behavior=true"],
 }
+SAMPLE = ["--count", "4", "--length", "200", "--seed", "5"]   # from the tf run's final.ckpt
 
 RECORDED_UNDER = {"blas": "scipy-openblas 0.3.31.188.0", "blas_threads": "1",
                   "numpy": "2.4.6", "python": "3.11.7"}
@@ -36,12 +42,13 @@ DIGESTS = {
     "tf": {"curves.csv": "a1c64a5538c69eaf4593d1636c30bf7d1486f0873e0e78364eea76792092fee1",
            "val.csv": "6266306dc8387d6bdde686aef66a493b8a6ff1328baca753e7f843a4a385710d",
            "final.ckpt": "2394677f4697d6fa299ee68f322a1d4f94fc2369f2ab576d8d1d9b11778ba597"},
-    "ss": {"curves.csv": "81f92a2a7a91886c4c5b1c9e4b5f6ccd8b73e93e8aa3df65ab819d079255a35d",
-           "val.csv": "4889f5aa53ddb49c31b5254e2f2340ecf160624e952a3e31e7b24653e0dd78c6",
-           "final.ckpt": "40021e5672bcaab2a34b6f9c43de1e2a29a6129a70264b5b1d34d5750fed4e0d"},
-    "pf": {"curves.csv": "a5bfb6d85ba3519d1f3a4cf23a6ce3729eafcd7c145dae8672b9b4a888b6b702",
-           "val.csv": "ba43a5701773e77cf0e11e209811006c482d7bc935c68d204a9db59abd688df8",
-           "final.ckpt": "d978cade79f9fc2d960fbb7a6401f739739231cb01f0a040de2244fc65da807d"},
+    "ss": {"curves.csv": "0db2ee65b51b636230fdba2897164848da22441458c1a8fdf16a3cde7e0d9f4e",
+           "val.csv": "0fa2ebe27756760a0d84aa475133559ea47d7a8af6e1c9846b97c35bba157793",
+           "final.ckpt": "5af5fe8f3876c160449560ee80040a31acf071c23aeeb758a821116e0df25dc5"},
+    "pf": {"curves.csv": "fb019b18d0609ee6be7537d76c23289998031ad13e8f7bcb03e370c8ab11d016",
+           "val.csv": "157e55d9dcd1f33065d2a4f3ee09f916ce146e368c30c3e488709a1d0446aa91",
+           "final.ckpt": "9ce48c0a88c0ee36efd5bb8c06c824ae4009917601e60b2fc08a4ca5f293579d"},
+    "sample": {"sample.txt": "3c8ab6c88adec7a2a6b551ff9785e7455c9a1c29ca04de3fc915102eca999646"},
 }
 
 SCRIPT = """
@@ -50,7 +57,7 @@ from pathlib import Path
 from profforce.cli import main
 from profforce.trainer import _environment
 
-out, common, runs = Path(sys.argv[1]), json.loads(sys.argv[2]), json.loads(sys.argv[3])
+out, common, runs, sample = Path(sys.argv[1]), *map(json.loads, sys.argv[2:5])
 digests = {}
 for name, extra in runs.items():
     assert main(["train", *common, *extra, "--out", str(out / name)]) == 0
@@ -59,18 +66,36 @@ for name, extra in runs.items():
     digests[name] = {"curves.csv": hashlib.sha256(curves.encode()).hexdigest(),
                      **{f: hashlib.sha256((out / name / f).read_bytes()).hexdigest()
                         for f in ("val.csv", "final.ckpt")}}
+text = out / "sample.txt"
+assert main(["sample", str(out / "tf" / "final.ckpt"), *sample, "--out", str(text)]) == 0
+digests["sample"] = {"sample.txt": hashlib.sha256(text.read_bytes()).hexdigest()}
 print(json.dumps({"environment": _environment(), "digests": digests}))
 """
 
 
-def test_desk_runs_keep_their_bytes(tmp_path):
+def _run(out_dir) -> dict:
+    """The environment block and the digests of a fresh run into ``out_dir``."""
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PF_LOG_LEVEL="warning",
                PYTHONPATH=str(Path(profforce.__file__).parents[1]))
     env.pop("OMP_NUM_THREADS", None)
-    out = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path), json.dumps(COMMON),
-                          json.dumps(RUNS)], env=env, capture_output=True, text=True,
-                         check=True)
-    got = json.loads(out.stdout.splitlines()[-1])
+    out = subprocess.run([sys.executable, "-c", SCRIPT, str(out_dir),
+                          *map(json.dumps, (COMMON, RUNS, SAMPLE))], env=env,
+                         capture_output=True, text=True, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_desk_runs_keep_their_bytes(tmp_path):
+    got = _run(tmp_path)
     if got["environment"] != RECORDED_UNDER:
         pytest.skip(f"digests recorded under {RECORDED_UNDER}, not {got['environment']}")
     assert got["digests"] == DIGESTS
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        got = _run(tmp)
+    print(f"RECORDED_UNDER = {json.dumps(got['environment'])}\nDIGESTS = {{")
+    for name, files in got["digests"].items():
+        rows = f",\n{' ' * (len(name) + 9)}".join(f'"{f}": "{d}"' for f, d in files.items())
+        print(f'    "{name}": {{{rows}}},')
+    print("}")

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from profforce.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from profforce import trainer as trainer_module
 from profforce.config import TrainConfig, build_config
 from profforce.trainer import (
     Trainer,
@@ -110,6 +111,39 @@ class TestBatchOrder:
         epoch1 = np.concatenate([t._batch_for_step(s) for s in range(8, 16)])
         assert not np.array_equal(epoch0, epoch1)
         assert sorted(map(tuple, epoch0)) == sorted(map(tuple, epoch1))
+
+    def test_one_permutation_per_epoch_and_the_formula_s_batches(self, tmp_path, monkeypatch):
+        # 8 rows in batches of 3: three batches an epoch, the last one short.
+        # Steps 3 and 6 start epochs; the resumed run starts mid-epoch, at step 4.
+        seen, step_once = [], trainer_module.train_step
+
+        def recording(g, d, batch, *rest):
+            seen.append(batch.copy())
+            return step_once(g, d, batch, *rest)
+
+        monkeypatch.setattr(trainer_module, "train_step", recording)
+        cfg = tiny_cfg(batch_n=3, max_steps=8, val_every=0)
+        straight = Trainer(cfg, tmp_path / "a")
+        straight.run()
+        Trainer(tiny_cfg(batch_n=3, max_steps=4, val_every=0), tmp_path / "b").run()
+        Trainer.resume(tmp_path / "b" / "final.ckpt", tmp_path / "b", max_steps=8).run()
+
+        def formula(step):
+            epoch, k = divmod(step, 3)
+            order = np.random.default_rng([cfg.seed, 31, epoch]).permutation(8)
+            return straight.train_set.sequences[order[k * 3:(k + 1) * 3]]
+
+        steps = [*range(8), *range(4), *range(4, 8)]
+        assert len(seen) == len(steps)
+        for got, step in zip(seen, steps):
+            np.testing.assert_array_equal(got, formula(step))
+        seeds, real = [], np.random.default_rng
+        monkeypatch.setattr(np.random, "default_rng", lambda seed: seeds.append(seed) or real(seed))
+        fresh = Trainer(cfg, tmp_path / "c")
+        seeds.clear()
+        for step in range(8):
+            fresh._batch_for_step(step)
+        assert seeds == [[cfg.seed, 31, epoch] for epoch in range(3)]
 
 
 class TestSampleRamp:
