@@ -19,6 +19,7 @@ the directory, so a crash leaves the old file or the new one, whole.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import zlib
@@ -52,12 +53,15 @@ def _unpack_tensor(name: str, body: memoryview) -> np.ndarray:
     need = 4 + 4 * ndim
     if len(body) < need:
         raise CheckpointError(f"section {name!r}: truncated tensor dims")
-    dims = struct.unpack_from(f"<{ndim}I", body, 4) if ndim else ()
-    count = int(np.prod(dims)) if ndim else 1
+    dims = struct.unpack_from(f"<{ndim}I", body, 4)
+    count = math.prod(dims)
     if len(body) != need + 8 * count:
         raise CheckpointError(f"section {name!r}: tensor payload size mismatch")
     flat = np.frombuffer(body, dtype="<f8", count=count, offset=need)
-    return flat.reshape(dims).astype(np.float64)   # the one copy: writeable, owns its data
+    try:
+        return flat.reshape(dims).astype(np.float64)   # the one copy: writeable, owns its data
+    except ValueError as e:   # more dimensions than numpy allows
+        raise CheckpointError(f"section {name!r}: {ndim} dimensions: {e}") from e
 
 
 def _encode_state(state: dict[str, str]) -> bytes:
@@ -140,7 +144,7 @@ def load_checkpoint(path) -> Checkpoint:
         offset = 0
         (n_sections,) = struct.unpack_from("<I", payload, offset)
         offset += 4
-        sections: list[tuple[str, memoryview]] = []
+        sections: dict[str, memoryview] = {}
         for _ in range(n_sections):
             (name_len,) = struct.unpack_from("<I", payload, offset)
             offset += 4
@@ -153,15 +157,18 @@ def load_checkpoint(path) -> Checkpoint:
             if len(body) != body_len:
                 raise CheckpointError(f"{path}: truncated section {name!r}")
             offset += body_len
-            sections.append((name, body))
+            if name in sections:
+                raise CheckpointError(f"{path}: section {name!r} appears twice")
+            sections[name] = body
     except struct.error as e:
         raise CheckpointError(f"{path}: truncated checkpoint") from e
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} bytes after the last section")
 
-    named = dict(sections)
-    if "config" not in named or "state" not in named:
+    if "config" not in sections or "state" not in sections:
         raise CheckpointError(f"{path}: missing config or state section")
-    tensors = {name: _unpack_tensor(name, body) for name, body in sections
+    tensors = {name: _unpack_tensor(name, body) for name, body in sections.items()
                if name not in _TEXT_SECTIONS}
-    return Checkpoint(config_text=_utf8(named["config"], f"{path}: section 'config'"),
-                      state=_decode_state(_utf8(named["state"], f"{path}: section 'state'")),
+    return Checkpoint(config_text=_utf8(sections["config"], f"{path}: section 'config'"),
+                      state=_decode_state(_utf8(sections["state"], f"{path}: section 'state'")),
                       tensors=tensors)

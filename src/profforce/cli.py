@@ -116,12 +116,18 @@ def _decode_rows(rows: np.ndarray, vocab_symbols: str | None) -> list[str]:
     return [sep.join([table[i] for i in row]) for row in rows.tolist()]
 
 
+def _seeded_rng(seed: int) -> np.random.Generator:
+    if seed < 0:
+        raise ConfigError(f"--seed must be nonnegative, got {seed}")
+    return np.random.default_rng(seed)
+
+
 def cmd_sample(args) -> int:
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
     length = args.length if args.length is not None else cfg.seq_len
     bias = check_bias(args.bias if args.bias is not None else cfg.bias)
     temperature = 1.0 / (1.0 + bias)
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     res = unroll_free_running(g, length, rng, temperature=temperature, batch=args.count,
                               keep_outputs=False)
     text = "\n".join(_decode_rows(res.sampled, cfg.vocab_symbols)) + "\n"
@@ -142,7 +148,7 @@ def cmd_diagnose(args) -> int:
     if seqs.shape[0] == 0:
         raise ConfigError("no sequences available for diagnosis")
     timestep = args.timestep if args.timestep is not None else seqs.shape[1]
-    rng = np.random.default_rng(args.seed)
+    rng = _seeded_rng(args.seed)
     clouds = collect_state_clouds(g, seqs, timestep, rng, temperature=cfg.temperature)
     print(f"timestep={timestep}")
     print(f"centroid_distance={centroid_distance(*clouds)!r}")
@@ -180,7 +186,7 @@ def main(argv=None) -> int:
                 "diagnose": cmd_diagnose, "inspect-checkpoint": cmd_inspect}
     try:
         return handlers[args.command](args)
-    except (ConfigError, CheckpointError, FileNotFoundError, ValueError, MemoryError) as e:
+    except (ConfigError, CheckpointError, OSError, ValueError, MemoryError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingDiverged as e:

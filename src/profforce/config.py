@@ -194,6 +194,8 @@ def check_bias(bias: float) -> float:
 def validate_config(cfg: TrainConfig) -> None:
     if cfg.seed is None:
         raise ConfigError("seed is required")
+    if cfg.seed < 0:
+        raise ConfigError(f"seed must be nonnegative, got {cfg.seed}")
     if cfg.task not in ("corpus", "copy", "raster"):
         raise ConfigError(f"unknown task {cfg.task!r}")
     if cfg.task == "corpus" and not cfg.corpus_path:

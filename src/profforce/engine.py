@@ -11,8 +11,8 @@ check their arguments and run that loop; :func:`train_step` runs it for
 every mode.  Every unroll emits its logits, its behavior (the GRU
 candidate pre-tanh values, optionally with the softmax outputs appended)
 and its top-layer states as time-major [T, B, .] tensors, and with
-targets also the sequence cross entropy.  An untaped caller that reads
-only the draws, the cross entropy or the last state (``sample``,
+targets also the cross entropy in nats per step.  An untaped caller that
+reads only the draws, the cross entropy or the last state (``sample``,
 validation, ``diagnose``) passes ``keep_outputs=False``: those three arrays
 then cycle through rows, so its memory grows with the ids alone.  The loop
 runs the numpy GRU kernel of :mod:`profforce.nets` on arrays and views bound before the
@@ -27,7 +27,7 @@ the logits plus ``-T log e``, e ~ Exp(1) (Gumbel-max).
 Loss pieces, with D(b) the discriminator probability that behavior b is
 teacher forced:
 
-    nll        sum_t -log softmax(logits_t)[y_t]      (per sequence)
+    nll        sum_t -log softmax(logits_t)[y_t] / T  (nats per step)
     c_d        mean(-log D(b_tf)) + mean(-log(1 - D(b_fr)))
     c_f        mean(-log D(b_fr))                     generator side
     c_t        mean(-log(1 - D(b_tf)))                optional extra
@@ -38,15 +38,16 @@ reaches the generator only while the discriminator's batch accuracy is
 above 0.75, and the discriminator itself stops updating once its
 accuracy exceeds 0.99.
 
-Each loss records one node on a tape (c_d one over both halves), and
-all of them reject probabilities outside (0, 1) on either route.
+Each loss records one node on a tape (c_d one over both halves, given
+as two tensors or as one stack), and all of them reject probabilities
+outside (0, 1) on either route.
 
 A training step unrolls both regimes as one batch, teacher-forced rows
 first, runs the discriminator on its behavior once and sweeps its tape
 at most once; every term above comes from that forward and that sweep
-(see :func:`train_step`).  It records kernel nodes only: the unroll and
-the scale of its ``nll`` on the generator's tape, and the encoder, MLP,
-head, split and c_d on the discriminator's.  The adversarial term
+(see :func:`train_step`).  It records kernel nodes only: the unroll on
+the generator's tape, whose ``nll`` is the loss it sweeps, and the
+encoder, MLP, head and c_d on the discriminator's.  The adversarial term
 reaches the generator as a gradient put on the unroll's behavior before
 its sweep.
 """
@@ -81,8 +82,6 @@ from .tensor import (
     _stable_softmax,
     backward,
     is_recording,
-    scale,
-    split,
     zero_grads,
 )
 
@@ -211,7 +210,7 @@ class UnrollResult:
     behavior: Tensor | None              # [T, B, width]
     hidden: Tensor                       # [T, B, H] top-layer states; lean, the last [1, B, H]
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
-    nll: Tensor | None = None            # with targets: cross entropy, batch mean
+    nll: Tensor | None = None            # with targets: nats per step, batch mean
     used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
 
 
@@ -250,11 +249,12 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     once, applies the output head and fills the step's rows.  Rows
     [0, n) of the [n, T] targets ``ids`` (n = 0 if None) feed the next
     step the true symbol, or with probability ``p_sample`` a draw at
-    temperature 1 (if a next step exists); their cross entropy gives
-    ``nll``.  Rows [n, batch) run free at ``temperature``, as do their
-    behavior softmax columns.  A draw is the argmax of the logits plus
-    :func:`_gumbel_noise`, which free rows read in blocks of steps (one
-    step beside coins): the block size changes no draw.
+    temperature 1 (if a next step exists); their cross entropy, a batch
+    mean divided by T, gives ``nll`` in nats per step.  Rows [n, batch)
+    run free at ``temperature``, as do their behavior softmax columns.  A
+    draw is the argmax of the logits plus :func:`_gumbel_noise`, which
+    free rows read in blocks of steps (one step beside coins): the block
+    size changes no draw.
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     and views bound before the first step; layer 0 reads ``x W + b``
@@ -338,7 +338,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     if n_tf:
         # Rows in step order, as [T * n, V], so the sum runs step by step.
         xent, e, s = _cross_entropy_rows(logits[:, :n_tf].reshape(-1, vocab), ids.T.reshape(-1))
-        res.nll = Tensor(np.sum(xent) * (1.0 / n_tf), copy=False)
+        res.nll = Tensor(np.sum(xent) * (1.0 / n_tf) / t_len, copy=False)
         res.used_sample = used
         outs += (res.nll,)
         if taped:
@@ -380,7 +380,7 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
         if g_nll is not None:
             p = soft.copy()
             p[np.arange(t_len)[:, None], np.arange(n_tf), ids.T] -= 1.0
-            d_lg[:, :n_tf] += p * (g_nll * (1.0 / n_tf))
+            d_lg[:, :n_tf] += p * (g_nll * (1.0 / t_len) * (1.0 / n_tf))
         g_pre = None if g_beh is None else g_beh[..., :top]
         if g_beh is not None and include_outputs:
             sm, gp = behavior[..., top:], g_beh[..., top:]
@@ -470,17 +470,20 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     return _record(Tensor(s, copy=False), (scores,), back)
 
 
-def _mean_neg_log(*terms):
-    """The sum over ``terms`` ``(x, of_one_minus)`` of mean(-log x), or of
-    mean(-log(1 - x)): a float, or for Tensors a scalar Tensor recorded as
-    one node.  Each x must be non-empty and lie strictly inside (0, 1)."""
+def _mean_neg_log(xs: tuple, of_one_minus: tuple):
+    """The sum over pieces x of mean(-log x), or of mean(-log(1 - x)) where
+    ``of_one_minus`` says so: a float, or for Tensors a scalar Tensor recorded
+    as one node.  ``xs`` holds one piece per flag, or one array or Tensor cut
+    into that many equal pieces along axis 0.  Each piece must be non-empty
+    and lie strictly inside (0, 1)."""
+    arrays = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64) for x in xs]
+    pieces = arrays if len(xs) == len(of_one_minus) else np.split(arrays[0], len(of_one_minus))
     logged = []
-    for x, of_one_minus in terms:
-        a = x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+    for a, flag in zip(pieces, of_one_minus):
         if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
-        logged.append(1.0 - a if of_one_minus else a)
-    if not isinstance(terms[0][0], Tensor):
+        logged.append(1.0 - a if flag else a)
+    if not isinstance(xs[0], Tensor):
         return reduce(add, [float(-np.sum(np.log(a)) / a.size) for a in logged])
     cs = [-1.0 / a.size for a in logged]
     out = Tensor(reduce(add, [np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)]),
@@ -488,19 +491,20 @@ def _mean_neg_log(*terms):
 
     def back(g):
         grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
-        return tuple(-d if of_one_minus else d for d, (_, of_one_minus) in zip(grads, terms))
+        grads = [-d if flag else d for d, flag in zip(grads, of_one_minus)]
+        return tuple(grads) if len(xs) == len(grads) else (np.concatenate(grads),)
 
-    return _record(out, tuple(x for x, _ in terms), back)
+    return _record(out, tuple(xs), back)
 
 
 def loss_fool_free_running(d_fr):
     """mean(-log D(b_fr)): low when free-running behavior reads as teacher forced."""
-    return _mean_neg_log((d_fr, False))
+    return _mean_neg_log((d_fr,), (False,))
 
 
 def loss_match_teacher_forced(d_tf):
     """mean(-log(1 - D(b_tf))): the optional generator term on the other mode."""
-    return _mean_neg_log((d_tf, True))
+    return _mean_neg_log((d_tf,), (True,))
 
 
 def loss_discriminator(d_tf, d_fr):
@@ -508,8 +512,9 @@ def loss_discriminator(d_tf, d_fr):
 
     Built from the same two means as the generator-side terms, so
     swapping their arguments reproduces this loss term for term.
+    :func:`train_step` records it over the one ``[2B]`` stack of both.
     """
-    return _mean_neg_log((d_tf, False), (d_fr, True))
+    return _mean_neg_log((d_tf, d_fr), (False, True))
 
 
 def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
@@ -578,14 +583,13 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
         # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
         res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng,
                       cfg.temperature, cfg.include_outputs_in_behavior and run_adv)
-        loss = scale(res.nll, 1.0 / t_len)
         if run_adv:
             d_params = d.tensors()
             leaf = res.behavior.detach()
             with Tape() as d_tape:
-                p_tf_t, p_fr_t = split(discriminate(d, leaf), 2)
-                c_d = loss_discriminator(p_tf_t, p_fr_t)
-            p_tf, p_fr = p_tf_t.data, p_fr_t.data
+                probs = discriminate(d, leaf)   # [2B], teacher-forced rows first
+                c_d = _mean_neg_log((probs,), (False, True))   # loss_discriminator's
+            p_tf, p_fr = np.split(probs.data, 2)
             gs = gate(accuracy_from_probs(p_tf, p_fr))
             update_d = not cfg.freeze_discriminator and gs.update_discriminator
             adv_on = cfg.adversarial_weight != 0.0 and gs.adversarial_to_generator
@@ -609,11 +613,11 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
 
     g_params = g.tensors()
     zero_grads(g_params)
-    backward(gen_tape, loss, params=g_params)
+    backward(gen_tape, res.nll, params=g_params)
     adam_step(g_adam, g_params, [p.grad for p in g_params])
     if update_d:
         adam_step(d_adam, d_params, [p.grad for p in d_params])
 
-    nll_per_step = float(res.nll.data) / t_len
+    nll_per_step = float(res.nll.data)
     metrics.update(nll_per_step=nll_per_step, bpc=nll_per_step / math.log(2.0))
     return metrics

@@ -6,13 +6,13 @@ backward closure.  With no tape active the same functions are plain
 numpy math, which is how evaluation-only code paths (sampling,
 validation, metric probes) run without autodiff overhead.
 
-The nodes a training step records are kernels: the generator unroll and
-the discriminator's losses in :mod:`profforce.engine`, the BiGRU encoder
-and MLP in :mod:`profforce.nets`; this module adds only :func:`scale` and
-:func:`split`.  A node may have more than one output (an unroll records
-its [T, B, .] logits, behavior and hidden states and its cross entropy,
-and :func:`split` records every piece); its closure gets ``None`` for
-each output the loss does not reach.
+The nodes a training step records are kernels: the generator unroll,
+the discriminator's head and losses in :mod:`profforce.engine`, the BiGRU
+encoder and MLP in :mod:`profforce.nets`; this module records no op of
+its own.  A node may have more than one output (an unroll records its
+[T, B, .] logits, behavior and hidden states and its cross entropy in
+nats per step); its closure gets ``None`` for each output the loss does
+not reach.
 
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which
@@ -42,8 +42,6 @@ __all__ = [
     "backward",
     "grad_check",
     "zero_grads",
-    "scale",
-    "split",
 ]
 
 
@@ -203,28 +201,6 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
 def zero_grads(tensors: Sequence[Tensor]) -> None:
     for t in tensors:
         t.grad = None
-
-
-# ---------------------------------------------------------------------------
-# primitives
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    c = float(c)
-    out = Tensor(a.data * c, copy=False)
-    return _record(out, (a,), lambda g: (g * c,))
-
-
-def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
-    """Cut ``a`` into ``parts`` equal pieces along ``axis``."""
-    pieces = np.split(a.data, parts, axis=axis)
-    out = tuple(Tensor(p, copy=False) for p in pieces)
-
-    def back(*gs):
-        return (np.concatenate([np.zeros_like(p) if g is None else g
-                                for p, g in zip(pieces, gs)], axis=axis),)
-
-    return _record(out, (a,), back)
 
 
 def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None,

@@ -5,7 +5,7 @@ only in the models :func:`build_models` makes and in the sampling ramp.
 Teacher forcing and scheduled sampling build no discriminator, so each
 step runs as professor forcing with a zero adversarial weight and a
 frozen discriminator, whatever those keys say; their checkpoints hold
-the generator alone (a resume ignores an older one's discriminator).
+the generator alone, and a resume refuses one holding any other tensor.
 Scheduled sampling ramps its sampling probability over ``ss_ramp_steps``.
 
 Determinism contract: given one config (seed included), the metrics
@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, TrainConfig, canonical_text, config_from_text, validate_config
+from .config import TrainConfig, canonical_text, config_from_text, validate_config
 from .data import (
     SequenceDataset,
     chunk_sequences,
@@ -235,13 +235,11 @@ class Trainer:
                 raise CheckpointError(f"checkpoint state field {name!r} is missing or "
                                       f"malformed: {text!r}")
         if self.cfg.max_steps < st["step"]:
-            raise ConfigError(f"max_steps {self.cfg.max_steps} is below the checkpoint's "
-                              f"step {st['step']}")
+            raise CheckpointError(f"max_steps {self.cfg.max_steps} is below the checkpoint's "
+                                  f"step {st['step']}")
         own = self._named_state_tensors()
         for name, arr in ckpt.tensors.items():
             if name not in own:
-                if self.d is None and name.startswith(("d.", "adam_d.")):
-                    continue   # an older tf/ss file's unused discriminator
                 raise CheckpointError(f"checkpoint tensor {name!r} has no destination")
             if own[name].shape != arr.shape:
                 raise CheckpointError(f"tensor {name!r}: shape {arr.shape} != {own[name].shape}")
@@ -294,18 +292,16 @@ class Trainer:
     # -- evaluation -----------------------------------------------------------
 
     def validate(self) -> tuple[float, float]:
-        """Teacher-forced per-step nll and bpc over the validation set."""
+        """Teacher-forced nll (nats per step) and bpc, a mean over the validation rows."""
         assert self.val_set is not None
         total = 0.0
-        count = 0
         with stop_recording():
             seqs = self.val_set.sequences
             for start in range(0, len(seqs), _VAL_CHUNK):
                 chunk = seqs[start:start + _VAL_CHUNK]
                 res = unroll_teacher_forced(self.g, chunk, keep_outputs=False)
                 total += float(res.nll.data) * chunk.shape[0]
-                count += chunk.size
-        nll_per_step = total / count
+        nll_per_step = total / len(seqs)
         return nll_per_step, nll_per_step / math.log(2.0)
 
     # -- the loop -------------------------------------------------------------

@@ -6,8 +6,8 @@ do; the gradient checks and the per-step reference unrolls use them,
 and the composed chains of them are what the fused nodes of
 :mod:`profforce.nets` and :mod:`profforce.engine` are checked against.
 :func:`gru_sequence` runs one GRU direction as one node.
-:func:`loss_nll` is the taped cross entropy the unroll's own ``nll`` is
-checked against, :func:`make_batches` shuffles a dataset into one epoch
+:func:`loss_nll` is the taped sequence cross entropy that the unroll's
+own per-step ``nll`` is checked against once divided by T, :func:`make_batches` shuffles a dataset into one epoch
 of batches, :func:`gumbel_rows` is the per-step sampler the unroll's
 draws are checked against, and :func:`item` reads a one-element tensor
 as a float.
@@ -25,8 +25,6 @@ from profforce.tensor import (
     _cross_entropy_rows,
     _record,
     _stable_softmax,
-    scale,
-    split,
 )
 
 
@@ -35,6 +33,24 @@ def item(t: Tensor) -> float:
     if t.data.size != 1:
         raise ValueError(f"item() on tensor of shape {t.shape}")
     return float(t.data)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    c = float(c)
+    out = Tensor(a.data * c, copy=False)
+    return _record(out, (a,), lambda g: (g * c,))
+
+
+def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
+    """Cut ``a`` into ``parts`` equal pieces along ``axis``."""
+    pieces = np.split(a.data, parts, axis=axis)
+    out = tuple(Tensor(p, copy=False) for p in pieces)
+
+    def back(*gs):
+        return (np.concatenate([np.zeros_like(p) if g is None else g
+                                for p, g in zip(pieces, gs)], axis=axis),)
+
+    return _record(out, (a,), back)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:

@@ -36,8 +36,6 @@ from profforce.tensor import (
     Tensor,
     backward,
     grad_check,
-    scale,
-    split,
     stop_recording,
     zero_grads,
 )
@@ -61,10 +59,12 @@ from extra_ops import (
     one_minus,
     relu,
     reshape,
+    scale,
     sigmoid,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_rows,
+    split,
     sub,
     sum_all,
     tanh,

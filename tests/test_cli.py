@@ -199,6 +199,47 @@ class TestTrainCommand:
         assert "seed" in capsys.readouterr().err
 
 
+class TestNegativeSeed:
+    @pytest.mark.parametrize("command", ["train", "sample", "diagnose"])
+    def test_exits_2_naming_the_seed(self, trained, tmp_path, capsys, command):
+        ckpt = str(trained / "final.ckpt")
+        args = {"train": train_args(tmp_path / "x", seed="-1"),
+                "sample": ["sample", ckpt, "--seed", "-1"],
+                "diagnose": ["diagnose", ckpt, "--seed", "-1"]}[command]
+        assert main(args) == 2
+        flag = "seed" if command == "train" else "--seed"
+        assert f"error: {flag} must be nonnegative, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+
+class TestPathErrors:
+    """A directory where a file is wanted, or an existing file where a
+    directory is wanted, exits 2 with an error naming the path."""
+
+    @pytest.mark.parametrize("case", ["sample", "sample_out", "inspect", "resume", "config",
+                                      "corpus_path", "train_out", "diagnose_out"])
+    def test_exits_2_naming_the_path(self, trained, tmp_path, capsys, case):
+        ckpt, run = str(trained / "final.ckpt"), tmp_path / "new"
+        folder, afile = tmp_path / "folder", tmp_path / "file.txt"
+        folder.mkdir()
+        afile.write_text("kept\n")
+        args, named = {   # case: (arguments, the path the error names)
+            "sample": (["sample", str(folder)], folder),
+            "sample_out": (["sample", ckpt, "--out", str(folder)], folder),
+            "inspect": (["inspect-checkpoint", str(folder)], folder),
+            "resume": (["train", "--resume", str(folder), "--out", str(run)], folder),
+            "config": (train_args(run, extra=["--config", str(folder)]), folder),
+            "corpus_path": (train_args(run, extra=["--set", "task=corpus",
+                                                   "--set", f"corpus_path={folder}"]), folder),
+            "train_out": (train_args(afile), afile),
+            "diagnose_out": (["diagnose", ckpt, "--out", str(afile)], afile),
+        }[case]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(named) in err
+        assert afile.read_text() == "kept\n" and not run.exists()
+
+
 class TestParser:
     def test_built_once_and_each_call_sees_only_its_own_sets(self, monkeypatch):
         seen = []

@@ -162,6 +162,7 @@ class TestValidate:
         ("copy_count", 0, "copy_count must be positive"),
         ("raster_count", 0, "raster_count must be positive"),
         ("val_count", -1, "val_count must be nonnegative"),
+        ("seed", -1, "seed must be nonnegative, got -1"),
     ])
     def test_rejections(self, field, value, msg):
         cfg = self._ok()

@@ -35,8 +35,6 @@ from profforce.tensor import (
     Tensor,
     backward,
     grad_check,
-    scale,
-    split,
     stop_recording,
     zero_grads,
 )
@@ -58,9 +56,11 @@ from extra_ops import (
     mul,
     one_minus,
     reshape,
+    scale,
     sigmoid,
     softmax,
     softmax_cross_entropy_rows,
+    split,
     sum_all,
 )
 from test_acceptance import TINY_PF
@@ -253,9 +253,9 @@ class TestScheduledSampling:
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         ss = ss_unroll(g, y, 0.0, np.random.default_rng(37))
         tf = unroll_teacher_forced(g, y)
-        assert abs(item(ss.nll) - item(loss_nll(tf.logits, y))) < 1e-12
-        # the teacher-forced unroll carries the same sum, term for term
-        assert item(tf.nll) == item(loss_nll(tf.logits, y))
+        assert abs(item(ss.nll) - item(loss_nll(tf.logits, y)) / 4) < 1e-12
+        # the teacher-forced unroll carries the same sum, term for term, per step
+        assert item(tf.nll) == item(loss_nll(tf.logits, y)) / 4
 
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
@@ -271,8 +271,8 @@ class TestScheduledSampling:
         g = zeroed(tiny_generator())
         y = np.array([[0, 1, 2, 3]])
         ss = ss_unroll(g, y, 1.0, np.random.default_rng(39))
-        # uniform logits: nll is T ln V no matter what was fed
-        assert abs(item(ss.nll) - 4 * math.log(4)) < 1e-12
+        # uniform logits: nll is ln V per step no matter what was fed
+        assert abs(item(ss.nll) - math.log(4)) < 1e-12
 
     def test_coin_rate_matches_p(self):
         g = tiny_generator()
@@ -325,7 +325,7 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
             if coin.any():
                 prev = np.where(coin, gumbel_rows(rng, lg.data), prev)
             used[:, t + 1] = coin
-    nll = None if ids is None else scale(sum_all(concat(xents, axis=0)), 1.0 / batch)
+    nll = None if ids is None else scale(sum_all(concat(xents, axis=0)), 1.0 / batch / t_len)
     return logits, behavior, hidden, nll, sampled, used
 
 
@@ -616,10 +616,9 @@ class TestBufferedDraws:
                 res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
                                       0.8, include_outputs) if merged
                        else unroll_teacher_forced(g, ids, include_outputs=include_outputs))
-                loss = scale(res.nll, 1.0 / t_len)
             params = g.tensors()
             zero_grads(params)
-            backward(tape, loss, params=params)
+            backward(tape, res.nll, params=params)
             grads.append([p.grad for p in params])
         assert bptt_rows == [b] * (2 * layers)
         for ours, alone in zip(*grads):
@@ -702,7 +701,7 @@ class TestIdsOnlyUnroll:
             for start in range(0, len(seqs), _VAL_CHUNK):
                 chunk = seqs[start:start + _VAL_CHUNK]
                 total += float(unroll_teacher_forced(trainer.g, chunk).nll.data) * len(chunk)
-        assert trainer.validate()[0] == total / seqs.size
+        assert trainer.validate()[0] == total / len(seqs)
 
     def test_a_recording_tape_keeps_every_output(self):
         g = tiny_generator()
@@ -810,7 +809,7 @@ class TestDiscriminate:
 
 
 # the nodes of a pf step's discriminator tape, by the function that records each
-DISCRIMINATOR_NODES = ["bigru_encode", "mlp_forward", "discriminate", "split", "_mean_neg_log"]
+DISCRIMINATOR_NODES = ["bigru_encode", "mlp_forward", "discriminate", "_mean_neg_log"]
 
 
 def recorders(nodes):
@@ -832,17 +831,22 @@ def chained_mean_neg_log(x, of_one_minus=False):
     return scale(sum_all(log(one_minus(x) if of_one_minus else x)), -1.0 / x.data.size)
 
 
+def chained_c_d(tf, fr):
+    return add(chained_mean_neg_log(tf), chained_mean_neg_log(fr, True))
+
+
 class TestFusedDiscriminatorPass:
     """The discriminator's pass records the encoder, MLP, head and loss as one
     node each; value and every gradient a sweep forms carry the bits of the
     chain of generic nodes they replaced."""
 
-    LOSSES = {   # name: (fused, chained), each of the stack's two halves
-        "c_d": (loss_discriminator,
-                lambda tf, fr: add(chained_mean_neg_log(tf), chained_mean_neg_log(fr, True))),
-        "c_f": (lambda tf, fr: loss_fool_free_running(fr),
+    LOSSES = {   # name: (fused on the stack, chained on its two halves)
+        "c_d": (lambda probs: engine._mean_neg_log((probs,), (False, True)),   # as train_step
+                chained_c_d),
+        "c_d_halves": (lambda probs: loss_discriminator(*split(probs, 2)), chained_c_d),
+        "c_f": (lambda probs: loss_fool_free_running(split(probs, 2)[1]),
                 lambda tf, fr: chained_mean_neg_log(fr)),
-        "c_t": (lambda tf, fr: loss_match_teacher_forced(tf),
+        "c_t": (lambda probs: loss_match_teacher_forced(split(probs, 2)[0]),
                 lambda tf, fr: chained_mean_neg_log(tf, True)),
     }
 
@@ -858,8 +862,8 @@ class TestFusedDiscriminatorPass:
         loss_fn = TestFusedDiscriminatorPass.LOSSES[loss_name][0 if fused else 1]
         with Tape() as tape:
             probs = (discriminate if fused else chained_discriminate)(d, leaf)
-            loss = loss_fn(*split(probs, 2))
-        if fused:
+            loss = loss_fn(probs) if fused else loss_fn(*split(probs, 2))
+        if fused and loss_name == "c_d":
             assert recorders(tape.nodes) == DISCRIMINATOR_NODES
         leaves = {"leaf": [leaf], "params": d.tensors()}
         read = [t for k, ts in leaves.items() if reads in (k, "both") for t in ts]
@@ -867,7 +871,7 @@ class TestFusedDiscriminatorPass:
         return probs.data, loss.data, [t.grad for ts in leaves.values() for t in ts]
 
     @pytest.mark.parametrize("reads", ["all", "both", "params", "leaf"])
-    @pytest.mark.parametrize("loss_name", ["c_d", "c_f", "c_t"])
+    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
     def test_matches_the_chain(self, loss_name, reads):
         probs, loss, grads = self._run("fused", loss_name, reads)
         ref_probs, ref_loss, ref_grads = self._run("chained", loss_name, reads)
@@ -895,7 +899,7 @@ class TestPreseededAdversarialGradient:
             with Tape() as tape:
                 res = engine._unroll(g, y, 5, 6, 0.0, np.random.default_rng(214), 0.8,
                                      include_outputs)
-                loss = scale(res.nll, 1.0 / 5)
+                loss = res.nll
                 w = np.random.default_rng(215).uniform(-1, 1, res.behavior.shape)
                 if not preseed:
                     loss = add(loss, sum_all(mul(res.behavior, Tensor(w))))
@@ -1598,8 +1602,8 @@ class TestTapeNodeCeiling:
     them.
     """
 
-    PF_CEILING = 7    # 22 while the discriminator's pass recorded generic ops
-    TF_CEILING = 2
+    PF_CEILING = 5    # 22 while the discriminator's pass recorded generic ops
+    TF_CEILING = 1    # the unroll alone: its nll is the loss
 
     def _one_step(self, monkeypatch, tmp_path, mode):
         recorded, closures = [], []
@@ -1642,7 +1646,7 @@ class TestTapeNodeCeiling:
         nodes, row, rows_scored, d_sweeps, unroll_outputs, closures = self._one_step(
             monkeypatch, tmp_path, "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
-        assert nodes <= self.PF_CEILING
+        assert nodes == self.PF_CEILING
         # the discriminator's tape exits first, inside the generator's
         assert closures[0] == DISCRIMINATOR_NODES
         # one unroll of both regimes: logits, behavior, hidden and nll
@@ -1654,6 +1658,6 @@ class TestTapeNodeCeiling:
     def test_teacher_forcing_step(self, monkeypatch, tmp_path):
         nodes, _, rows_scored, d_sweeps, unroll_outputs, _ = self._one_step(
             monkeypatch, tmp_path, "teacher_forcing")
-        assert nodes <= self.TF_CEILING
+        assert nodes == self.TF_CEILING
         assert unroll_outputs == [4]
         assert rows_scored == [] and d_sweeps == 0

@@ -9,8 +9,6 @@ from profforce.tensor import (
     _record,
     backward,
     grad_check,
-    scale,
-    split,
     stop_recording,
 )
 
@@ -28,10 +26,12 @@ from extra_ops import (
     one_minus,
     relu,
     reshape,
+    scale,
     sigmoid,
     softmax,
     softmax_cross_entropy,
     softmax_cross_entropy_rows,
+    split,
     sub,
     sum_all,
     tanh,

@@ -366,29 +366,17 @@ class TestResume:
         assert (run / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
 
     @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling"])
-    def test_older_layout_with_discriminator_sections_resumes(self, tmp_path, mode):
-        # tf/ss files written before these modes dropped the discriminator
-        # held its initial weights, zero Adam moments and a zero step count
-        kw = dict(mode=mode, val_every=5, ss_start=0.1, ss_end=0.6, ss_ramp_steps=10)
-        Trainer(tiny_cfg(max_steps=10, **kw), tmp_path / "full").run()
-        Trainer(tiny_cfg(max_steps=5, **kw), tmp_path / "half").run()
-        ckpt = load_checkpoint(tmp_path / "half" / "final.ckpt")
-        _, d = build_models(tiny_cfg(**dict(kw, mode="professor_forcing")))
-        for name, t in d.named_params():
-            ckpt.tensors["d." + name] = t.data
-            ckpt.tensors[f"adam_d.{name}.m"] = np.zeros_like(t.data)
-            ckpt.tensors[f"adam_d.{name}.v"] = np.zeros_like(t.data)
-        ckpt.state["adam_d_t"] = "0"
-        save_checkpoint(ckpt, tmp_path / "old.ckpt")
-
-        Trainer.resume(tmp_path / "old.ckpt", tmp_path / "half", max_steps=10).run()
-        full, resumed = tmp_path / "full", tmp_path / "half"
-        for name in ("curves.csv", "val.csv"):
-            a, b = ((run / name).read_text().splitlines() for run in (full, resumed))
-            if name == "curves.csv":   # all but the last column, wallclock_ms
-                a, b = ([line.rsplit(",", 1)[0] for line in rows] for rows in (a, b))
-            assert a == b, name
-        assert (resumed / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
+    @pytest.mark.parametrize("section", ["d.encoder.fwd.W", "adam_d.classifier.0.b.m"])
+    def test_discriminator_section_in_a_tf_or_ss_checkpoint_is_refused(self, tmp_path, mode,
+                                                                       section):
+        # no tf/ss run has written one since before format PFCK0004
+        Trainer(tiny_cfg(max_steps=2, val_every=0, mode=mode), tmp_path / "a").run()
+        ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
+        ckpt.tensors[section] = np.zeros(3)
+        save_checkpoint(ckpt, tmp_path / "d.ckpt")
+        with pytest.raises(CheckpointError, match=f"{section!r} has no destination"):
+            Trainer.resume(tmp_path / "d.ckpt", tmp_path / "b", max_steps=4)
+        assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("drop", ["d.", "adam_d.", "adam_d_t"])
     def test_pf_restore_still_requires_the_discriminator(self, tmp_path, drop):
