@@ -37,11 +37,9 @@ _LOG_LEVELS = {name.lower(): getattr(logging, name)
 def _setup_logging() -> None:
     name = os.environ.get("PF_LOG_LEVEL", "info").lower()
     if name not in _LOG_LEVELS:
-        print(f"PF_LOG_LEVEL must be one of {sorted(_LOG_LEVELS)}, got {name!r}",
-              file=sys.stderr)
+        print(f"PF_LOG_LEVEL must be one of {sorted(_LOG_LEVELS)}, got {name!r}", file=sys.stderr)
         raise SystemExit(2)
-    logging.basicConfig(level=_LOG_LEVELS[name],
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(level=_LOG_LEVELS[name], format="%(levelname)s %(name)s: %(message)s")
 
 
 @functools.cache   # built once per process; parse_args keeps no state in it

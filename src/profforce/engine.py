@@ -470,14 +470,16 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     return _record(Tensor(s, copy=False), (scores,), back)
 
 
-def _mean_neg_log(xs: tuple, of_one_minus: tuple):
+def _mean_neg_log(xs: tuple, of_one_minus: tuple, stacked: bool = False):
     """The sum over pieces x of mean(-log x), or of mean(-log(1 - x)) where
     ``of_one_minus`` says so: a float, or for Tensors a scalar Tensor recorded
-    as one node.  ``xs`` holds one piece per flag, or one array or Tensor cut
-    into that many equal pieces along axis 0.  Each piece must be non-empty
-    and lie strictly inside (0, 1)."""
+    as one node.  ``xs`` holds one piece per flag or, if ``stacked``, one
+    array or Tensor cut into that many equal pieces along axis 0.  Each piece
+    must be non-empty and lie strictly inside (0, 1)."""
+    if len(xs) != (1 if stacked else len(of_one_minus)):
+        raise ValueError(f"{len(xs)} inputs for the flags {of_one_minus} (stacked={stacked})")
     arrays = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64) for x in xs]
-    pieces = arrays if len(xs) == len(of_one_minus) else np.split(arrays[0], len(of_one_minus))
+    pieces = np.split(arrays[0], len(of_one_minus)) if stacked else arrays
     logged = []
     for a, flag in zip(pieces, of_one_minus):
         if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
@@ -492,7 +494,7 @@ def _mean_neg_log(xs: tuple, of_one_minus: tuple):
     def back(g):
         grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
         grads = [-d if flag else d for d, flag in zip(grads, of_one_minus)]
-        return tuple(grads) if len(xs) == len(grads) else (np.concatenate(grads),)
+        return (np.concatenate(grads),) if stacked else tuple(grads)
 
     return _record(out, tuple(xs), back)
 
@@ -519,8 +521,7 @@ def loss_discriminator(d_tf, d_fr):
 
 def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
     """Fraction correct at threshold 0.5; a tie at exactly 0.5 is incorrect."""
-    p_tf = np.asarray(p_tf, dtype=np.float64)
-    p_fr = np.asarray(p_fr, dtype=np.float64)
+    p_tf, p_fr = np.asarray(p_tf, dtype=np.float64), np.asarray(p_fr, dtype=np.float64)
     correct = int((p_tf > 0.5).sum()) + int((p_fr < 0.5).sum())
     return correct / (p_tf.size + p_fr.size)
 
@@ -588,7 +589,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
             leaf = res.behavior.detach()
             with Tape() as d_tape:
                 probs = discriminate(d, leaf)   # [2B], teacher-forced rows first
-                c_d = _mean_neg_log((probs,), (False, True))   # loss_discriminator's
+                c_d = _mean_neg_log((probs,), (False, True), stacked=True)   # loss_discriminator's
             p_tf, p_fr = np.split(probs.data, 2)
             gs = gate(accuracy_from_probs(p_tf, p_fr))
             update_d = not cfg.freeze_discriminator and gs.update_discriminator

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import TrainConfig, canonical_text, config_from_text, validate_config
+from .config import ConfigError, TrainConfig, canonical_text, config_from_text, validate_config
 from .data import (
     SequenceDataset,
     chunk_sequences,
@@ -234,9 +234,10 @@ class Trainer:
             if not (0 <= st[name] < _RNG_LIMITS.get(name, math.inf) or st[name] == math.inf):
                 raise CheckpointError(f"checkpoint state field {name!r} is missing or "
                                       f"malformed: {text!r}")
-        if self.cfg.max_steps < st["step"]:
-            raise CheckpointError(f"max_steps {self.cfg.max_steps} is below the checkpoint's "
-                                  f"step {st['step']}")
+        own_max = config_from_text(ckpt.config_text).max_steps   # a flaw of the file's own
+        for limit, error in ((own_max, CheckpointError), (self.cfg.max_steps, ConfigError)):
+            if limit < st["step"]:
+                raise error(f"max_steps {limit} is below the checkpoint's step {st['step']}")
         own = self._named_state_tensors()
         for name, arr in ckpt.tensors.items():
             if name not in own:

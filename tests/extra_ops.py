@@ -7,10 +7,10 @@ and the composed chains of them are what the fused nodes of
 :mod:`profforce.nets` and :mod:`profforce.engine` are checked against.
 :func:`gru_sequence` runs one GRU direction as one node.
 :func:`loss_nll` is the taped sequence cross entropy that the unroll's
-own per-step ``nll`` is checked against once divided by T, :func:`make_batches` shuffles a dataset into one epoch
-of batches, :func:`gumbel_rows` is the per-step sampler the unroll's
-draws are checked against, and :func:`item` reads a one-element tensor
-as a float.
+own per-step ``nll`` is checked against once divided by T,
+:func:`make_batches` shuffles a dataset into one epoch of batches,
+:func:`gumbel_rows` is the per-step sampler the unroll's draws are
+checked against, and :func:`item` reads a one-element tensor as a float.
 """
 
 from typing import Iterator, Sequence

@@ -841,14 +841,17 @@ class TestFusedDiscriminatorPass:
     chain of generic nodes they replaced."""
 
     LOSSES = {   # name: (fused on the stack, chained on its two halves)
-        "c_d": (lambda probs: engine._mean_neg_log((probs,), (False, True)),   # as train_step
-                chained_c_d),
+        "c_d": (lambda probs: engine._mean_neg_log((probs,), (False, True), stacked=True),
+                chained_c_d),   # as train_step
         "c_d_halves": (lambda probs: loss_discriminator(*split(probs, 2)), chained_c_d),
         "c_f": (lambda probs: loss_fool_free_running(split(probs, 2)[1]),
                 lambda tf, fr: chained_mean_neg_log(fr)),
         "c_t": (lambda probs: loss_match_teacher_forced(split(probs, 2)[0]),
                 lambda tf, fr: chained_mean_neg_log(tf, True)),
     }
+    SPLIT_NODES = DISCRIMINATOR_NODES[:3] + ["split", "_mean_neg_log"]
+    FUSED_NODES = {"c_d": DISCRIMINATOR_NODES, "c_d_halves": SPLIT_NODES,
+                   "c_f": SPLIT_NODES, "c_t": SPLIT_NODES}
 
     @staticmethod
     def _run(route, loss_name, reads):
@@ -863,8 +866,8 @@ class TestFusedDiscriminatorPass:
         with Tape() as tape:
             probs = (discriminate if fused else chained_discriminate)(d, leaf)
             loss = loss_fn(probs) if fused else loss_fn(*split(probs, 2))
-        if fused and loss_name == "c_d":
-            assert recorders(tape.nodes) == DISCRIMINATOR_NODES
+        if fused:
+            assert recorders(tape.nodes) == TestFusedDiscriminatorPass.FUSED_NODES[loss_name]
         leaves = {"leaf": [leaf], "params": d.tensors()}
         read = [t for k, ts in leaves.items() if reads in (k, "both") for t in ts]
         backward(tape, loss, **({"reads": read} if reads != "all" else {}))
@@ -963,6 +966,16 @@ class TestLosses:
             loss_fool_free_running(bad)
         with pytest.raises(ValueError):
             loss_match_teacher_forced(bad)
+
+    @pytest.mark.parametrize("n_inputs, flags, stacked", [
+        (2, (False,), False), (3, (False, True), False), (1, (False, True), False),
+        (2, (False, True), True)])
+    def test_mean_neg_log_refuses_inputs_that_do_not_match_its_flags(self, n_inputs, flags,
+                                                                    stacked):
+        # a mismatch used to drop inputs silently through zip
+        xs = tuple(Tensor(np.full(4, 0.5)) for _ in range(n_inputs))
+        with pytest.raises(ValueError, match=f"{n_inputs} inputs for the flags"):
+            engine._mean_neg_log(xs, flags, stacked=stacked)
 
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()

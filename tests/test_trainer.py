@@ -8,7 +8,7 @@ import pytest
 
 from profforce.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from profforce import trainer as trainer_module
-from profforce.config import TrainConfig, build_config
+from profforce.config import ConfigError, TrainConfig, build_config
 from profforce.trainer import (
     Trainer,
     TrainingDiverged,
@@ -376,6 +376,19 @@ class TestResume:
         save_checkpoint(ckpt, tmp_path / "d.ckpt")
         with pytest.raises(CheckpointError, match=f"{section!r} has no destination"):
             Trainer.resume(tmp_path / "d.ckpt", tmp_path / "b", max_steps=4)
+        assert not (tmp_path / "b").exists()
+
+    def test_max_steps_below_the_step_is_the_callers_error_or_the_files(self, tmp_path):
+        # a caller's max_steps is a config error; a file whose step passes its own
+        # config's max_steps is corrupt
+        Trainer(tiny_cfg(max_steps=2, val_every=0), tmp_path / "a").run()
+        with pytest.raises(ConfigError, match="max_steps 1 is below the checkpoint's step 2"):
+            Trainer.resume(tmp_path / "a" / "final.ckpt", tmp_path / "b", max_steps=1)
+        ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
+        ckpt.state["step"] = "3"
+        save_checkpoint(ckpt, tmp_path / "c.ckpt")
+        with pytest.raises(CheckpointError, match="max_steps 2 is below the checkpoint's step 3"):
+            Trainer.resume(tmp_path / "c.ckpt", tmp_path / "b", max_steps=5)
         assert not (tmp_path / "b").exists()
 
     @pytest.mark.parametrize("drop", ["d.", "adam_d.", "adam_d_t"])
