@@ -148,13 +148,14 @@ def cmd_diagnose(args) -> int:
     timestep = args.timestep if args.timestep is not None else seqs.shape[1]
     rng = _seeded_rng(args.seed)
     clouds = collect_state_clouds(g, seqs, timestep, rng, temperature=cfg.temperature)
+    if args.out is not None:   # before the report, so a bad --out prints none
+        args.out.mkdir(parents=True, exist_ok=True)
     print(f"timestep={timestep}")
     print(f"centroid_distance={centroid_distance(*clouds)!r}")
     print(f"mean_cross_distance={mean_cross_distance(*clouds)!r}")
     print(f"n_tf={len(clouds[0])}")
     print(f"n_fr={len(clouds[1])}")
     if args.out is not None:
-        args.out.mkdir(parents=True, exist_ok=True)
         write_cloud_csv(clouds, timestep, args.out / "clouds.csv")
         write_projection_csv(clouds, args.out / "projection.csv")
         print(f"wrote {args.out / 'clouds.csv'} and {args.out / 'projection.csv'}")

@@ -134,11 +134,10 @@ def _coerce(name: str, raw: str):
 
 
 def config_from_mapping(values: dict) -> TrainConfig:
+    """A config from ``values``, each read as its text (``str(value)``)."""
     cfg = TrainConfig()
     for key, value in values.items():
-        if key not in _FIELDS:
-            raise ConfigError(f"unknown config key {key!r}")
-        setattr(cfg, key, _coerce(key, str(value)) if isinstance(value, str) else value)
+        setattr(cfg, key, _coerce(key, str(value)))
     return cfg
 
 
@@ -165,11 +164,11 @@ def build_config(config_path=None, preset: str | None = None,
                  sets: list[str] | None = None,
                  flag_overrides: dict | None = None) -> TrainConfig:
     """Assemble a config: defaults, then preset, file, --set pairs, flags."""
-    values: dict[str, str] = {}
+    values: dict = {}
     if preset is not None:
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; have {sorted(PRESETS)}")
-        values.update({k: str(v) for k, v in PRESETS[preset].items()})
+        values.update(PRESETS[preset])
     if config_path is not None:
         values.update(parse_kv_text(Path(config_path).read_text()))
     for pair in sets or []:
@@ -177,11 +176,8 @@ def build_config(config_path=None, preset: str | None = None,
             raise ConfigError(f"--set expects key=value, got {pair!r}")
         key, value = pair.split("=", 1)
         values[key.strip()] = value.strip()
-    cfg = config_from_mapping(values)
-    for key, value in (flag_overrides or {}).items():
-        if value is not None:
-            setattr(cfg, key, value)
-    return cfg
+    values.update((k, v) for k, v in (flag_overrides or {}).items() if v is not None)
+    return config_from_mapping(values)
 
 
 def check_bias(bias: float) -> float:
@@ -208,6 +204,8 @@ def validate_config(cfg: TrainConfig) -> None:
             raise ConfigError(f"{name} must be positive")
     if cfg.task == "copy" and not 1 <= cfg.copy_pattern_len <= cfg.seq_len:
         raise ConfigError("need 1 <= copy_pattern_len <= seq_len")
+    if cfg.task == "copy" and cfg.vocab_size < 2:
+        raise ConfigError(f"vocab_size {cfg.vocab_size}: copy task needs at least two symbols")
     if cfg.task == "raster" and cfg.raster_family not in RASTER_FAMILIES:
         raise ConfigError(f"unknown raster_family {cfg.raster_family!r}; have {RASTER_FAMILIES}")
     for name in ("raster_width", "raster_height"):

@@ -34,10 +34,11 @@ class CharCorpus:
         return len(self.vocab)
 
 
-def load_corpus(path, fractions: tuple[float, float, float] = (0.9, 0.05, 0.05)) -> CharCorpus:
+def load_corpus(path) -> CharCorpus:
     """Read a text file, build a sorted character vocabulary, split 0.9/0.05/0.05.
 
-    Splits are contiguous spans of the id stream, in file order.
+    Splits are contiguous spans of the id stream, in file order: the first
+    ``int(0.9 n)`` ids train, the next ``int(0.05 n)`` validate, the rest test.
     """
     raw = Path(path).read_bytes()
     if not raw:
@@ -50,8 +51,8 @@ def load_corpus(path, fractions: tuple[float, float, float] = (0.9, 0.05, 0.05))
     index = {ch: i for i, ch in enumerate(vocab)}
     ids = np.fromiter((index[ch] for ch in text), dtype=np.int64, count=len(text))
     n = len(ids)
-    n_train = int(n * fractions[0])
-    n_valid = int(n * fractions[1])
+    n_train = int(n * 0.9)
+    n_valid = int(n * 0.05)
     return CharCorpus(vocab=vocab,
                       train_ids=ids[:n_train],
                       valid_ids=ids[n_train:n_train + n_valid],

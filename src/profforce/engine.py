@@ -206,12 +206,13 @@ class DiscriminatorParams:
 
 @dataclass
 class UnrollResult:
+    """An unroll's outputs; a targeted row's ``sampled`` is what it was fed, draws included."""
+
     logits: Tensor | None                # [T, B, V]; None unless keep_outputs
     behavior: Tensor | None              # [T, B, width]
     hidden: Tensor                       # [T, B, H] top-layer states; lean, the last [1, B, H]
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: Tensor | None = None            # with targets: nats per step, batch mean
-    used_sample: np.ndarray | None = None  # with targets: [B, T] fed a model sample
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +300,6 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         caches.append((hs, zr, c))
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
-    used = np.zeros((n_tf, t_len), dtype=bool)
     inv_t = np.where(np.arange(batch)[:, None] < n_tf, 1.0, 1.0 / temperature)
     col, block = np.empty((batch, 1)), 1 if n_tf and p_sample > 0.0 else _NOISE_BLOCK
     blocks = (_gumbel_noise(rng, (min(block, t_len - s), batch - n_tf, vocab), temperature)
@@ -326,20 +326,18 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             if coin.any():   # drawn by the free rows' rule, at temperature 1
                 drawn_tf = np.argmax(lg[:n_tf] + _gumbel_noise(rng, (n_tf, vocab), 1.0), 1)
                 nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
-            used[:, t + 1] = coin
     if include_outputs and whole:
         behavior[..., :top] = top_pre
     hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
-    outs = tuple(Tensor(a, copy=False) if whole else None for a in (logits, behavior))
-    outs += (Tensor(hs[1:] if whole else hs[t_len % 2, None], copy=False),)
+    outs = tuple(Tensor(a) if whole else None for a in (logits, behavior))
+    outs += (Tensor(hs[1:] if whole else hs[t_len % 2, None]),)
     res = UnrollResult(*outs, np.empty((batch, t_len), dtype=np.int64))
     res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     soft = None
     if n_tf:
         # Rows in step order, as [T * n, V], so the sum runs step by step.
         xent, e, s = _cross_entropy_rows(logits[:, :n_tf].reshape(-1, vocab), ids.T.reshape(-1))
-        res.nll = Tensor(np.sum(xent) * (1.0 / n_tf) / t_len, copy=False)
-        res.used_sample = used
+        res.nll = Tensor(np.sum(xent) * (1.0 / n_tf) / t_len)
         outs += (res.nll,)
         if taped:
             soft = (e / s[:, None]).reshape(t_len, n_tf, -1)
@@ -419,15 +417,15 @@ def unroll_teacher_forced(g: GeneratorParams, y_seq, *, include_outputs: bool = 
 
 def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator, *,
                         temperature: float = 1.0, batch: int = 1,
-                        include_outputs: bool = False,
                         keep_outputs: bool = True) -> UnrollResult:
     """Closed-loop unroll: step t reads the model's own previous sample.
 
     Sampling draws from softmax(logits / temperature).  Gradients flow
     through the hidden states and logits; the discrete sample is a
-    constant.  Ground-truth symbols are never consulted.  With
-    ``keep_outputs=False`` and no tape recording, only the draws and the
-    last state are kept: the logits and behavior are None.
+    constant.  Ground-truth symbols are never consulted.  The behavior is
+    the top candidate alone.  With ``keep_outputs=False`` and no tape
+    recording, only the draws and the last state are kept: the logits
+    and behavior are None.
     """
     if t_len < 1:
         raise ValueError("unroll length must be positive")
@@ -435,7 +433,7 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError(f"batch must be at least 1, got {batch}")
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs, keep_outputs)
+    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, False, keep_outputs)
 
 
 # ---------------------------------------------------------------------------
@@ -467,7 +465,7 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
         d_scores[..., 0] = g / t_len   # broadcast over the T steps
         return (d_scores,)
 
-    return _record(Tensor(s, copy=False), (scores,), back)
+    return _record(Tensor(s), (scores,), back)
 
 
 def _mean_neg_log(xs: tuple, of_one_minus: tuple, stacked: bool = False):
@@ -488,8 +486,7 @@ def _mean_neg_log(xs: tuple, of_one_minus: tuple, stacked: bool = False):
     if not isinstance(xs[0], Tensor):
         return reduce(add, [float(-np.sum(np.log(a)) / a.size) for a in logged])
     cs = [-1.0 / a.size for a in logged]
-    out = Tensor(reduce(add, [np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)]),
-                 copy=False)
+    out = Tensor(reduce(add, [np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)]))
 
     def back(g):
         grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]

@@ -30,16 +30,17 @@ and BLAS calls, with ``out`` passed positionally and 2-D products
 through ``np.dot``.  :func:`bigru_encode` (one tape node for both
 directions, each writing its half of one ``[T, B, 2H]`` array) and the
 generator unroll in :mod:`profforce.engine` both run it.  A taped
-recursion caches its
-states, gates and candidates; ``r * h`` goes through one scratch row,
-and :func:`_gru_bptt` recomputes it for ``U_c``'s gradient.
+recursion caches its states, gates and candidates; ``r * h`` goes
+through one scratch row, and :func:`_gru_bptt` recomputes it for
+``U_c``'s gradient.
 :func:`_gru_bptt` returns fresh gradients in their final shapes, which
 the tape keeps without a copy, and forms only those its caller needs.
 :func:`mlp_forward` is likewise one tape node for all its layers, which
 reads the encoder's ``[T, B, 2H]`` output as rows, with a hand-written
 backward whose bits are those of the composed ``matmul``/``add``/``relu``
 chain.  Both nodes are told which inputs a sweep reads (see
-:func:`profforce.tensor.backward`) and skip the products of the others.
+:func:`profforce.tensor.backward`) and skip the weight products of the
+others.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -88,8 +89,8 @@ class GruCellParams:
     def create(cls, hidden: int, input_size: int, rng: np.random.Generator) -> "GruCellParams":
         if hidden < 1 or input_size < 1:
             raise ValueError("hidden and input sizes must be positive")
-        W, U = (Tensor(np.stack([_weight_in_out(rng, fan_in, hidden).data for _ in "zrc"]),
-                       copy=False) for fan_in in (input_size, hidden))   # W's draws, then U's
+        W, U = (Tensor(np.stack([_weight_in_out(rng, fan_in, hidden).data for _ in "zrc"]))
+                for fan_in in (input_size, hidden))   # W's draws, then U's
         return cls(W=W, U=U, b=Tensor(np.zeros((3, hidden))))
 
     @property
@@ -246,7 +247,8 @@ def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
     frees once read.  The layers read the rows as one ``[N, in]`` view.
     Per layer the backward forms ``a.T @ g``, ``g.sum(axis=0)`` and ``g @
     W.T``, the products of the composed ``matmul``/``add``/``relu`` chain,
-    so its bits are that chain's.
+    so its bits are that chain's.  It always forms the input's gradient:
+    its input, the encoder's output, leads to every leaf a sweep reads.
     """
     ws, shape = [w.data for w, _ in layers], x.shape
     if x.data.ndim < 2 or shape[-1] != ws[0].shape[0]:
@@ -268,15 +270,13 @@ def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
                          g.sum(axis=0) if needs[2 * i + 2] else None]
             if i:
                 g = g @ ws[i].T
-        if not needs[0]:
-            return (None, *grads)
         d_x = np.empty(shape)   # written through a view, so it owns its data
         np.matmul(g, ws[0].T, out=d_x.reshape(len(g), -1))
         return (d_x, *grads)
 
     weights = tuple(t for layer in layers for t in layer)
     out = acts[-1].reshape(*shape[:-1], ws[-1].shape[1])
-    return _record(Tensor(out, copy=False), (x, *weights), back, told=True)
+    return _record(Tensor(out), (x, *weights), back, told=True)
 
 
 def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
@@ -310,5 +310,5 @@ def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
                 d_x = d_xk if d_x is None else np.add(d_x, d_xk, out=d_x)
         return (d_x, *grads)
 
-    return _record(Tensor(out, copy=False), (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b),
+    return _record(Tensor(out), (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b),
                    back, told=True)

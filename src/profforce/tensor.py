@@ -46,18 +46,13 @@ __all__ = [
 
 
 class Tensor:
-    """A row-major float64 array plus an optional same-shaped gradient."""
+    """A float64 array, held uncopied if given as one, plus an optional gradient."""
 
-    __slots__ = ("data", "grad", "node_id")
+    __slots__ = ("data", "grad")
 
-    def __init__(self, data, copy: bool = True):
-        if copy:
-            arr = np.array(data, dtype=np.float64)
-        else:
-            arr = np.asarray(data, dtype=np.float64)
-        self.data: np.ndarray = arr
+    def __init__(self, data):
+        self.data: np.ndarray = np.asarray(data, dtype=np.float64)
         self.grad: np.ndarray | None = None
-        self.node_id: int | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -65,7 +60,7 @@ class Tensor:
 
     def detach(self) -> "Tensor":
         """A new leaf sharing this tensor's values, cut off from any tape."""
-        return Tensor(self.data, copy=False)
+        return Tensor(self.data)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, data={self.data!r})"
@@ -128,8 +123,6 @@ def _record(out, inputs: tuple[Tensor, ...], backfn: Callable, told: bool = Fals
     if is_recording():
         tape = _TAPES[-1]
         outs = out if isinstance(out, tuple) else (out,)
-        for o in outs:
-            o.node_id = len(tape.nodes)
         if told:
             tape.told.add(len(tape.nodes))
         tape.nodes.append((outs, inputs, backfn))

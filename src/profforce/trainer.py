@@ -101,13 +101,6 @@ def _keep_freed_memory() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _freeze_ramp(cfg: TrainConfig) -> None:
-    """An ss run's ramp spans the ``max_steps`` it starts with, so a resume
-    to more steps continues it; the checkpointed config records it."""
-    if cfg.mode == "scheduled_sampling" and cfg.ss_ramp_steps is None:
-        cfg.ss_ramp_steps = cfg.max_steps
-
-
 def _behavior_width(cfg: TrainConfig) -> int:
     width = cfg.gen_hidden
     if cfg.include_outputs_in_behavior:
@@ -176,7 +169,8 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[GeneratorParams, TrainC
 class Trainer:
     def __init__(self, cfg: TrainConfig, out_dir, resume: Checkpoint | None = None):
         validate_config(cfg)
-        _freeze_ramp(cfg)
+        if cfg.mode == "scheduled_sampling" and cfg.ss_ramp_steps is None:
+            cfg.ss_ramp_steps = cfg.max_steps   # kept in checkpoints: a resume continues it
         _keep_freed_memory()
         self.out_dir = Path(out_dir)
         self.train_set, self.val_set, self.cfg = build_datasets(cfg)
@@ -231,11 +225,16 @@ class Trainer:
                 st[name] = float(text) if name == "best_val" else int(text)
             except (TypeError, ValueError):
                 st[name] = math.nan
-            if not (0 <= st[name] < _RNG_LIMITS.get(name, math.inf) or st[name] == math.inf):
+            # only the writer's own text: str() of a float is its repr
+            if str(st[name]) != text or not (0 <= st[name] < _RNG_LIMITS.get(name, math.inf)
+                                             or st[name] == math.inf):
                 raise CheckpointError(f"checkpoint state field {name!r} is missing or "
                                       f"malformed: {text!r}")
-        own_max = config_from_text(ckpt.config_text).max_steps   # a flaw of the file's own
-        for limit, error in ((own_max, CheckpointError), (self.cfg.max_steps, ConfigError)):
+        written = config_from_text(ckpt.config_text)   # flaws of the file's own
+        if written.mode == "scheduled_sampling" and written.ss_ramp_steps is None:
+            raise CheckpointError("scheduled-sampling checkpoint has no ss_ramp_steps")
+        for limit, error in ((written.max_steps, CheckpointError),
+                             (self.cfg.max_steps, ConfigError)):
             if limit < st["step"]:
                 raise error(f"max_steps {limit} is below the checkpoint's step {st['step']}")
         own = self._named_state_tensors()
@@ -268,7 +267,6 @@ class Trainer:
     def resume(cls, checkpoint_path, out_dir, max_steps: int | None = None) -> "Trainer":
         ckpt = load_checkpoint(checkpoint_path)
         cfg = config_from_text(ckpt.config_text)
-        _freeze_ramp(cfg)   # before max_steps moves: a file written without the key
         if max_steps is not None:
             cfg.max_steps = max_steps
         return cls(cfg, out_dir, resume=ckpt)

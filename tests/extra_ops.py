@@ -37,14 +37,14 @@ def item(t: Tensor) -> float:
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    out = Tensor(a.data * c, copy=False)
+    out = Tensor(a.data * c)
     return _record(out, (a,), lambda g: (g * c,))
 
 
 def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
     """Cut ``a`` into ``parts`` equal pieces along ``axis``."""
     pieces = np.split(a.data, parts, axis=axis)
-    out = tuple(Tensor(p, copy=False) for p in pieces)
+    out = tuple(Tensor(p) for p in pieces)
 
     def back(*gs):
         return (np.concatenate([np.zeros_like(p) if g is None else g
@@ -60,19 +60,19 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ValueError(f"matmul: expects 2D operands, got ranks {ad.ndim} and {bd.ndim}")
     if ad.shape[1] != bd.shape[0]:
         raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd, copy=False)
+    out = Tensor(ad @ bd)
     return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
 
 
 def tanh(a: Tensor) -> Tensor:
     t = np.tanh(a.data)
-    out = Tensor(t, copy=False)
+    out = Tensor(t)
     return _record(out, (a,), lambda g: (g * (1.0 - t * t),))
 
 
 def relu(a: Tensor) -> Tensor:
     ad = a.data
-    out = Tensor(np.maximum(ad, 0.0), copy=False)
+    out = Tensor(np.maximum(ad, 0.0))
     return _record(out, (a,), lambda g: (g * (ad > 0.0),))
 
 
@@ -100,7 +100,7 @@ def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Te
         d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, hs[:1], zr, c, g_h, g_pre)
         return d_h.reshape(hd.shape), d_x.reshape(xd.shape), d_W, d_U, d_b
 
-    out = (Tensor(hs[1].reshape(hd.shape), copy=False), Tensor(pre.reshape(hd.shape), copy=False))
+    out = (Tensor(hs[1].reshape(hd.shape)), Tensor(pre.reshape(hd.shape)))
     return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
@@ -119,7 +119,7 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
     try:
-        out = Tensor(fwd(a.data, b.data), copy=False)
+        out = Tensor(fwd(a.data, b.data))
     except ValueError as e:
         raise ValueError(f"{name}: shape mismatch {a.shape} vs {b.shape}") from e
     ash, bsh = a.shape, b.shape
@@ -144,14 +144,14 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def one_minus(a: Tensor) -> Tensor:
-    out = Tensor(1.0 - a.data, copy=False)
+    out = Tensor(1.0 - a.data)
     return _record(out, (a,), lambda g: (-g,))
 
 
 def sigmoid(a: Tensor) -> Tensor:
     """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
     s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    out = Tensor(s, copy=False)
+    out = Tensor(s)
     return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
 
 
@@ -159,7 +159,7 @@ def log(a: Tensor) -> Tensor:
     ad = a.data
     if not np.all(ad > 0.0):
         raise ValueError("log: inputs must be strictly positive")
-    out = Tensor(np.log(ad), copy=False)
+    out = Tensor(np.log(ad))
     return _record(out, (a,), lambda g: (g / ad,))
 
 
@@ -168,7 +168,7 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     if not lo < hi:
         raise ValueError(f"clip: need lo < hi, got [{lo}, {hi}]")
     ad = a.data
-    out = Tensor(np.clip(ad, lo, hi), copy=False)
+    out = Tensor(np.clip(ad, lo, hi))
     mask = (ad > lo) & (ad < hi)
     return _record(out, (a,), lambda g: (g * mask,))
 
@@ -179,7 +179,7 @@ def concat(parts: Sequence[Tensor] | Tensor, axis: int = 0) -> Tensor:
     parts = split(parts, parts.shape[0]) if isinstance(parts, Tensor) else list(parts)
     if not parts:
         raise ValueError("concat of an empty sequence")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis), copy=False)
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
     sizes = [p.data.shape[axis] for p in parts]
     bounds = np.cumsum(sizes)[:-1]
 
@@ -193,12 +193,12 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     if int(np.prod(shape)) != a.data.size:
         raise ValueError(f"reshape: cannot view {a.shape} as {shape}")
     src = a.shape
-    out = Tensor(a.data.reshape(shape), copy=False)
+    out = Tensor(a.data.reshape(shape))
     return _record(out, (a,), lambda g: (g.reshape(src),))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(np.sum(a.data)), copy=False)
+    out = Tensor(np.asarray(np.sum(a.data)))
     shape = a.shape
     return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
 
@@ -208,7 +208,7 @@ def mean_axis0(a: Tensor) -> Tensor:
     if a.data.ndim < 1 or a.data.shape[0] == 0:
         raise ValueError(f"mean_axis0 on shape {a.shape}")
     n = a.data.shape[0]
-    out = Tensor(np.sum(a.data, axis=0) / n, copy=False)
+    out = Tensor(np.sum(a.data, axis=0) / n)
     shape = a.shape
 
     def back(g):
@@ -236,20 +236,20 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
     def back(g, needs=(True,) * 4):
         return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse, needs=needs)[:4]
 
-    return _record(Tensor(states, copy=False), (xs, p.W, p.U, p.b), back, told=True)
+    return _record(Tensor(states), (xs, p.W, p.U, p.b), back, told=True)
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ValueError(f"transpose expects a 2D tensor, got shape {a.shape}")
-    out = Tensor(a.data.T, copy=False)
+    out = Tensor(a.data.T)
     return _record(out, (a,), lambda g: (g.T,))
 
 
 def softmax(a: Tensor) -> Tensor:
     """Softmax over the last axis, stabilised by max subtraction."""
     s = _stable_softmax(a.data)
-    out = Tensor(s, copy=False)
+    out = Tensor(s)
 
     def back(g):
         inner = np.sum(g * s, axis=-1, keepdims=True)
@@ -273,7 +273,7 @@ def embed(table: Tensor, ids) -> Tensor:
     rows = table.data.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ValueError(f"symbol id out of range for table with {rows} rows")
-    out = Tensor(table.data[idx], copy=False)
+    out = Tensor(table.data[idx])
 
     def back(g):
         gt = np.zeros_like(table.data)
@@ -285,7 +285,7 @@ def embed(table: Tensor, ids) -> Tensor:
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
-    out = Tensor(np.asarray(np.sum(a.data) / n), copy=False)
+    out = Tensor(np.asarray(np.sum(a.data) / n))
     shape = a.shape
     return _record(out, (a,), lambda g: (np.broadcast_to(g / n, shape),))
 
@@ -302,7 +302,7 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"target out of range for {x.shape[1]} classes")
     rows = np.arange(x.shape[0])
     loss, e, s = _cross_entropy_rows(x, t)
-    out = Tensor(loss, copy=False)
+    out = Tensor(loss)
 
     def back(g):
         p = e / s[:, None]

@@ -82,7 +82,12 @@ class TestTrainCommand:
         assert flag[0] in capsys.readouterr().err
         assert not out2.exists()
 
-    @pytest.mark.parametrize("field, value", [("rng_state", None), ("step", "x7")])
+    @pytest.mark.parametrize("field, value", [
+        ("rng_state", None), ("step", "x7"),
+        # text int() and float() accept but the writer never prints: these resumed
+        # at steps 20, 2, 3, 2 and 2, and at a best_val of inf
+        ("step", "2_0"), ("step", " 2"), ("step", "\u0663"), ("step", "+2"), ("step", "02"),
+        ("best_val", "Infinity")])
     def test_resume_with_malformed_state_field_exits_2(self, tmp_path, trained, capsys,
                                                        field, value):
         # a CRC-valid checkpoint whose state section lacks a field or garbles one
@@ -234,9 +239,11 @@ class TestPathErrors:
             "train_out": (train_args(afile), afile),
             "diagnose_out": (["diagnose", ckpt, "--out", str(afile)], afile),
         }[case]
+        capsys.readouterr()
         assert main(args) == 2
-        err = capsys.readouterr().err
+        out, err = capsys.readouterr()
         assert err.startswith("error: ") and str(named) in err
+        assert out == ""   # diagnose used to print its whole report first
         assert afile.read_text() == "kept\n" and not run.exists()
 
 

@@ -1,3 +1,7 @@
+import dataclasses
+import math
+import random
+
 import pytest
 
 from profforce.config import (
@@ -8,10 +12,13 @@ from profforce.config import (
     TrainConfig,
     build_config,
     canonical_text,
+    config_from_mapping,
     config_from_text,
     parse_kv_text,
     validate_config,
 )
+from profforce.data import RASTER_FAMILIES
+from profforce.trainer import Trainer
 
 
 class TestParseKvText:
@@ -181,3 +188,73 @@ class TestValidate:
         cfg.task = "corpus"
         with pytest.raises(ConfigError, match="corpus_path"):
             validate_config(cfg)
+
+
+class TestMappingsFailOnlyAsConfigError:
+    """Every mapping, of text or typed values, gives a config that sets up a
+    ``Trainer`` or fails as ``ConfigError``."""
+
+    # keys that size an allocation, drawn from -2..12 so no case holds more than a few MB
+    SIZES = {"seq_len", "vocab_size", "copy_pattern_len", "copy_count", "raster_width",
+             "raster_height", "raster_count", "val_count", "gen_hidden", "gen_embed",
+             "gen_layers", "disc_hidden", "batch_n"}
+    WORDS = {"task": ["copy", "raster", "corpus", "poetry", ""],
+             "mode": [*MODES, "pf"],
+             "raster_family": [*RASTER_FAMILIES, "blob"],
+             "vocab_symbols": ["97,98", "x", ""]}
+
+    @classmethod
+    def _value(cls, rng, field):
+        """A value for ``field``: of its type or not, typed or as text."""
+        base = str(field.type).replace(" | None", "")
+        if field.name in cls.WORDS:
+            v = rng.choice(cls.WORDS[field.name])
+        elif base == "bool":
+            v = rng.choice([True, False, "yes", "no", "maybe", 0, 1, 2, 1.0])
+        elif base == "float":
+            v = rng.choice([rng.uniform(-2.0, 2.0), 1e-4, 0.0, -1.0, math.nan, math.inf, 2])
+        elif field.name in cls.SIZES:
+            v = rng.randint(-2, 12)
+        else:   # seed, max_steps, val_every, ss_ramp_steps
+            v = rng.choice([rng.randint(-3, 50), 2**64])
+        v = rng.choice([v, v, v, float(v) if isinstance(v, int) else v, True, None, "x"])
+        return rng.choice([v, v, str(v), f" {v} "])
+
+    def test_fuzzed_mappings(self, tmp_path):
+        rng = random.Random(2411)
+        fields = [f for f in dataclasses.fields(TrainConfig)
+                  if f.name != "corpus_path"]   # a missing file is an OSError
+        escapes, accepted = [], 0
+        for case in range(600):
+            values = {f.name: self._value(rng, f) for f in rng.sample(fields, rng.randint(1, 6))}
+            if rng.random() < 0.8:
+                values["seed"] = rng.randint(0, 9)
+            try:
+                if case % 2:   # text through --set pairs, typed values as flags
+                    text = {k: v for k, v in values.items() if isinstance(v, str)}
+                    cfg = build_config(sets=[f"{k}={v}" for k, v in text.items()],
+                                       flag_overrides={k: v for k, v in values.items()
+                                                       if k not in text})
+                else:
+                    cfg = config_from_mapping(values)
+                Trainer(cfg, tmp_path / "run")
+                accepted += 1
+            except ConfigError:
+                pass
+            except Exception as e:   # any other type is the failure
+                escapes.append((values, repr(e)))
+        assert escapes == []
+        assert accepted >= 40   # the cases reach set-up, not only the parser
+
+    @pytest.mark.parametrize("values, msg", [
+        ({"gen_hidden": 3.0}, "'gen_hidden': cannot parse '3.0' as int"),
+        ({"vocab_size": 2.0}, "'vocab_size': cannot parse '2.0' as int"),
+        ({"seed": True}, "'seed': cannot parse 'True' as int"),
+        ({"vocab_size": "1"}, "vocab_size 1: copy task needs at least two symbols"),
+    ])
+    def test_escapes_the_fuzz_found(self, tmp_path, values, msg):
+        # the first two used to raise TypeError in set-up, the third to seed the run
+        with pytest.raises(ConfigError, match=msg):
+            Trainer(config_from_mapping({"seed": 1, **values}), tmp_path)
+        with pytest.raises(ConfigError, match=msg):
+            Trainer(build_config(flag_overrides={"seed": 1, **values}), tmp_path)

@@ -51,8 +51,9 @@ class TestLoadCorpus:
         text = "hello world, hello tests. " * 10
         p = tmp_path / "r.txt"
         p.write_text(text)
-        corpus = load_corpus(p, fractions=(1.0, 0.0, 0.0))
-        assert "".join(corpus.vocab[i] for i in corpus.train_ids) == text
+        corpus = load_corpus(p)
+        ids = np.concatenate([corpus.train_ids, corpus.valid_ids, corpus.test_ids])
+        assert "".join(corpus.vocab[i] for i in ids) == text
 
     def test_empty_file_rejected(self, tmp_path):
         p = tmp_path / "e.txt"

@@ -88,6 +88,12 @@ def ss_unroll(g, y, p_sample, rng, include_outputs=False):
     return engine._unroll(g, y, y.shape[1], y.shape[0], p_sample, rng, 1.0, include_outputs)
 
 
+def fr_unroll(g, t_len, rng, temperature=1.0, batch=1, include_outputs=False):
+    """Free running as ``train_step`` runs its free rows, whose behavior may
+    carry the softmax columns that ``unroll_free_running`` leaves out."""
+    return engine._unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
+
+
 def zeroed(g: GeneratorParams) -> GeneratorParams:
     for t in g.tensors():
         t.data[:] = 0.0
@@ -207,8 +213,7 @@ class TestFreeRunningUnroll:
 
     def test_behavior_mode_and_outputs(self):
         g = tiny_generator()
-        res = unroll_free_running(g, 4, np.random.default_rng(35), batch=2,
-                                  include_outputs=True)
+        res = fr_unroll(g, 4, np.random.default_rng(35), batch=2, include_outputs=True)
         assert res.behavior.shape == (4, 2, 9)
         np.testing.assert_allclose(res.behavior.data[..., 5:].sum(axis=-1),
                                    np.ones((4, 2)), atol=1e-12)
@@ -225,8 +230,8 @@ class TestFreeRunningUnroll:
 
     def test_only_free_running_softmax_rows_are_tempered(self):
         g = tiny_generator(seed=205)
-        fr = unroll_free_running(g, 4, np.random.default_rng(54), temperature=0.5,
-                                 batch=3, include_outputs=True)
+        fr = fr_unroll(g, 4, np.random.default_rng(54), temperature=0.5, batch=3,
+                       include_outputs=True)
         np.testing.assert_allclose(fr.behavior.data[..., 5:], softmax_rows(fr.logits.data / 0.5),
                                    rtol=0, atol=1e-12)
         tf = unroll_teacher_forced(g, fr.sampled, include_outputs=True)
@@ -244,7 +249,6 @@ class TestScheduledSampling:
         ss = ss_unroll(g, y, 0.0, rng)
         tf = unroll_teacher_forced(g, y)
         np.testing.assert_array_equal(ss.logits.data, tf.logits.data)
-        assert not ss.used_sample.any()
         # untouched stream: the next draw equals a fresh generator's first
         assert rng.random() == np.random.default_rng(36).random()
 
@@ -265,7 +269,6 @@ class TestScheduledSampling:
         # fed symbols trail the free-running samples by one step
         np.testing.assert_array_equal(ss.sampled[:, 1:], fr.sampled[:, :-1])
         np.testing.assert_array_equal(ss.logits.data, fr.logits.data)
-        assert ss.used_sample[:, 1:].all() and not ss.used_sample[:, 0].any()
 
     def test_targets_stay_ground_truth_at_p_one(self):
         g = zeroed(tiny_generator())
@@ -279,7 +282,12 @@ class TestScheduledSampling:
         b, t_len = 64, 9
         y = np.random.default_rng(40).integers(0, 4, (b, t_len))
         ss = ss_unroll(g, y, 0.5, np.random.default_rng(41))
-        flips = ss.used_sample[:, 1:]
+        # the per-step oracle draws the unroll's coins and returns them
+        *_, sampled, used = per_step_reference(g, y, t_len, b, 0.5, np.random.default_rng(41),
+                                               1.0, False)
+        np.testing.assert_array_equal(ss.sampled, sampled)
+        assert not used[:, 0].any()
+        flips = used[:, 1:]
         n = flips.size
         sd = math.sqrt(n * 0.25)
         assert abs(flips.sum() - 0.5 * n) < 4 * sd
@@ -351,9 +359,9 @@ class TestUnrollMatchesPerStepOracle:
         elif targets:
             res = ss_unroll(g, y, p, rng, include_outputs=include_outputs)
         else:
-            res = unroll_free_running(g, t_len, rng, temperature=temp, batch=batch,
-                                      include_outputs=include_outputs)
-        return res.logits, res.behavior, res.hidden, res.nll, res.sampled, res.used_sample
+            res = fr_unroll(g, t_len, rng, temperature=temp, batch=batch,
+                            include_outputs=include_outputs)
+        return res.logits, res.behavior, res.hidden, res.nll, res.sampled
 
     @staticmethod
     def _loss(outs, coef, reach):
@@ -425,10 +433,9 @@ class TestUnrollMatchesPerStepOracle:
         (new, new_grads, new_state), (ref, ref_grads, ref_state) = results
         np.testing.assert_array_equal(new[4], ref[4])
         if targets:
-            np.testing.assert_array_equal(new[5], ref[5])
             np.testing.assert_allclose(new[3].data, ref[3].data, rtol=0, atol=1e-12)
         else:
-            assert new[3] is None and new[5] is None
+            assert new[3] is None
         assert new_state == ref_state
         for k in range(3):
             assert len(ref[k]) == t_len
@@ -469,7 +476,6 @@ class TestTapedMatchesUntaped:
         np.testing.assert_array_equal(taped_outs[4], plain_outs[4])
         if taped_outs[3] is not None:
             assert taped_outs[3].data == plain_outs[3].data
-            np.testing.assert_array_equal(taped_outs[5], plain_outs[5])
 
     @pytest.mark.parametrize("batch", [1, 8, 16])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -588,8 +594,8 @@ class TestBufferedDraws:
                 rng = FixedExponentials(row)
                 assert gumbel_rows(rng, g.b_o.data[None]).tolist() == [symbol]
                 for include_outputs in (False, True):
-                    res = unroll_free_running(g, 3, rng, temperature=0.5, batch=2,
-                                              include_outputs=include_outputs)
+                    res = fr_unroll(g, 3, rng, temperature=0.5, batch=2,
+                                    include_outputs=include_outputs)
                     np.testing.assert_array_equal(res.sampled, np.full((2, 3), symbol))
                     # scheduled sampling at p=1 feeds back draws by the same rule
                     res = ss_unroll(g, np.zeros((2, 3), dtype=int), 1.0, rng, include_outputs)
@@ -689,7 +695,6 @@ class TestIdsOnlyUnroll:
             full, lean = self._both(lambda rng, keep: engine._unroll(
                 g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, keep))
         assert lean.nll.data == full.nll.data
-        np.testing.assert_array_equal(lean.used_sample, full.used_sample)
 
     def test_validation_nll_is_unchanged(self, tmp_path):
         from profforce.trainer import _VAL_CHUNK
@@ -1267,8 +1272,8 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
     with Tape() as gen_tape:
         rich = settings.include_outputs_in_behavior
         tf = unroll_teacher_forced(g, y, include_outputs=rich)
-        fr = unroll_free_running(g, t_len, rng, temperature=settings.temperature,
-                                 batch=b, include_outputs=rich)
+        fr = fr_unroll(g, t_len, rng, temperature=settings.temperature, batch=b,
+                       include_outputs=rich)
         with Tape() as d_tape:
             c_d = loss_discriminator(discriminate(d, tf.behavior.detach()),
                                      discriminate(d, fr.behavior.detach()))
@@ -1325,8 +1330,8 @@ class TestOnePassStepEdges:
         rich = settings.include_outputs_in_behavior
         with stop_recording():
             tf = unroll_teacher_forced(g, y, include_outputs=rich)
-            fr = unroll_free_running(g, y.shape[1], rng, temperature=settings.temperature,
-                                     batch=y.shape[0], include_outputs=rich)
+            fr = fr_unroll(g, y.shape[1], rng, temperature=settings.temperature,
+                           batch=y.shape[0], include_outputs=rich)
             p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
         pooled = np.log(p / (1.0 - p))
         d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
@@ -1469,10 +1474,11 @@ class TestGradientOwnership:
     def test_gate_open_step_leaves_grads_on_params_and_behavior_leaf_only(self, monkeypatch):
         # the adversarial term's per-row weights are a constant: no gradient
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-        tapes, sweep = [], engine.backward
+        tapes, outputs, sweep = [], set(), engine.backward
 
         def recording(tape, loss, **kw):
             tapes.append([t for _, ins, _ in tape.nodes for t in ins])   # before it is consumed
+            outputs.update(id(t) for outs, _, _ in tape.nodes for t in outs)
             sweep(tape, loss, **kw)
 
         monkeypatch.setattr(engine, "backward", recording)
@@ -1485,7 +1491,7 @@ class TestGradientOwnership:
                 if t.grad is not None and id(t) not in params}
         assert all(p.grad is not None for p in g.tensors() + d.tensors())
         (leaf,) = held.values()   # the detached stack the discriminator read
-        assert leaf.node_id is None and leaf.shape == (y.shape[1], 2 * y.shape[0], g.hidden_size)
+        assert id(leaf) not in outputs and leaf.shape == (y.shape[1], 2 * y.shape[0], g.hidden_size)
 
 
 class TestDeskStepPageFaults:

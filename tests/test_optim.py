@@ -46,7 +46,7 @@ class TestAdam:
         rng = np.random.default_rng(55)
         p0 = rng.uniform(-1, 1, (4, 3))
         grads = [rng.uniform(-1, 1, (4, 3)) for _ in range(10)]
-        p = Tensor(p0)
+        p = Tensor(p0.copy())
         st = AdamState.for_params([p], lr=0.01)
         for g in grads:
             adam_step(st, [p], [g])
@@ -57,7 +57,7 @@ class TestAdam:
         rng = np.random.default_rng(56)
         a0, b0 = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
         ga, gb = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 2)
-        a, b = Tensor(a0), Tensor(b0)
+        a, b = Tensor(a0.copy()), Tensor(b0.copy())
         st = AdamState.for_params([a, b], lr=0.05)
         for _ in range(3):
             adam_step(st, [a, b], [ga, gb])

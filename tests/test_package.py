@@ -23,7 +23,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2520   # may only come down
+SRC_LINE_CEILING = 2508   # may only come down
 
 
 def test_src_stays_within_its_line_budget():

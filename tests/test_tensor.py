@@ -318,7 +318,7 @@ class TestSweepReads:
         told, called = [], []
         with Tape() as tape:
             ab = mul(a, b)
-            out = Tensor(ab.data * c.data, copy=False)
+            out = Tensor(ab.data * c.data)
 
             def back(g, needs=(True, True)):
                 told.append(needs)
@@ -328,7 +328,7 @@ class TestSweepReads:
                 called.append(g)
                 return (2.0 * d.data * g,)
 
-            sq = _record(Tensor(d.data * d.data, copy=False), (d,), square_back)
+            sq = _record(Tensor(d.data * d.data), (d,), square_back)
             loss = sum_all(add(_record(out, (ab, c), back, told=True), sq))
         return tape, loss, (a, b, c, d), told, called
 
@@ -460,9 +460,13 @@ class TestGradCheckPrimitives:
 
 class TestTape:
     def test_no_tape_records_nothing(self):
-        x = Tensor([1.0])
-        y = mul(x, x)
-        assert y.node_id is None
+        # y's node went nowhere, so a later sweep through y stops at it
+        x, called = Tensor([1.0]), []
+        y = _record(Tensor(x.data * 3.0), (x,), lambda g: called.append(g) or (3.0 * g,))
+        with Tape() as tape:
+            loss = sum_all(mul(y, y))
+        backward(tape, loss)
+        assert called == [] and x.grad is None and y.grad.tolist() == [6.0]
 
     def test_stop_recording_inside_tape(self):
         x = Tensor([2.0])

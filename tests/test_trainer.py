@@ -343,11 +343,12 @@ class TestResume:
         resumed = Trainer.resume(tmp_path / "a" / "final.ckpt", tmp_path / "b", max_steps=9)
         assert resumed.cfg.ss_ramp_steps == 5
         assert [resumed._p_sample(s) for s in (0, 4, 8)] == [0.0, 0.5, 0.5]
-        # a checkpoint written without the key ramps over its own max_steps
+        # every ss run writes the key, so a checkpoint without it is refused
         ckpt.config_text = ckpt.config_text.replace("ss_ramp_steps=5\n", "")
         save_checkpoint(ckpt, tmp_path / "old.ckpt")
-        old = Trainer.resume(tmp_path / "old.ckpt", tmp_path / "c", max_steps=9)
-        assert old.cfg.ss_ramp_steps == 5
+        with pytest.raises(CheckpointError, match="no ss_ramp_steps"):
+            Trainer.resume(tmp_path / "old.ckpt", tmp_path / "c", max_steps=9)
+        assert not (tmp_path / "c").exists()
 
     def test_resume_into_own_directory_keeps_earlier_rows(self, tmp_path):
         def without_wallclock(path):
