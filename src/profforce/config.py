@@ -118,19 +118,18 @@ def _coerce(name: str, raw: str):
     base = str(ftype).replace(" ", "").replace("|None", "")
     if optional and raw.lower() in ("none", ""):
         return None
-    try:
-        if base == "int":
+    try:   # numbers only as plain ASCII decimal text: no '_', sign '+', spaces or other digits
+        if base == "int" and str(int(raw)) == raw:
             return int(raw)
-        if base == "float":
+        if base == "float" and raw.isascii() and "_" not in raw and raw == raw.strip():
             return float(raw)
-        if base == "bool":
-            word = raw.lower()
-            if word not in _BOOL_WORDS:
-                raise ValueError(raw)
-            return _BOOL_WORDS[word]
-        return raw
     except ValueError:
-        raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {base}") from None
+        pass
+    if base == "bool" and raw.lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[raw.lower()]
+    if base == "str":
+        return raw
+    raise ConfigError(f"config key {name!r}: cannot parse {raw!r} as {base}")
 
 
 def config_from_mapping(values: dict) -> TrainConfig:
@@ -145,19 +144,16 @@ def config_from_text(text: str) -> TrainConfig:
     return config_from_mapping(parse_kv_text(text))
 
 
+def _text(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
 def canonical_text(cfg: TrainConfig) -> str:
     """Sorted key=value rendering; None-valued keys are omitted."""
-    lines = []
-    for name in sorted(_FIELDS):
-        value = getattr(cfg, name)
-        if value is None:
-            continue
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{name}={value}")
-    return "\n".join(lines) + "\n"
+    return "".join(f"{name}={_text(getattr(cfg, name))}\n" for name in sorted(_FIELDS)
+                   if getattr(cfg, name) is not None)
 
 
 def build_config(config_path=None, preset: str | None = None,
@@ -204,8 +200,9 @@ def validate_config(cfg: TrainConfig) -> None:
             raise ConfigError(f"{name} must be positive")
     if cfg.task == "copy" and not 1 <= cfg.copy_pattern_len <= cfg.seq_len:
         raise ConfigError("need 1 <= copy_pattern_len <= seq_len")
-    if cfg.task == "copy" and cfg.vocab_size < 2:
-        raise ConfigError(f"vocab_size {cfg.vocab_size}: copy task needs at least two symbols")
+    if cfg.vocab_size < 2:
+        raise ConfigError(f"vocab_size {cfg.vocab_size}: {cfg.task} task needs at least "
+                          "two symbols")
     if cfg.task == "raster" and cfg.raster_family not in RASTER_FAMILIES:
         raise ConfigError(f"unknown raster_family {cfg.raster_family!r}; have {RASTER_FAMILIES}")
     for name in ("raster_width", "raster_height"):
@@ -226,3 +223,11 @@ def validate_config(cfg: TrainConfig) -> None:
     for name in ("val_every", "val_count"):
         if getattr(cfg, name) < 0:
             raise ConfigError(f"{name} must be nonnegative")
+    for name, value in vars(cfg).items():   # as canonical_text writes it for a checkpoint
+        try:
+            ok = value is None or getattr(config_from_text(f"{name}={_text(value)}"), name) == value
+        except ConfigError:   # a line break left a line without '='
+            ok = False
+        if not ok:
+            raise ConfigError(f"config key {name!r}: {value!r} does not read back from config "
+                              "text (a '#', a line break or edge spaces)")

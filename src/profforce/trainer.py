@@ -144,25 +144,33 @@ def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset |
     train = chunk_sequences(corpus.train_ids, cfg.seq_len, corpus.vocab_size)
     val = chunk_sequences(corpus.valid_ids, cfg.seq_len, corpus.vocab_size)
     if len(train) == 0:
-        raise ValueError("corpus too small for even one training sequence")
+        raise ConfigError(f"corpus too small for one sequence of seq_len {cfg.seq_len}")
     if len(val) == 0:
         val = None
     return train, val, cfg
+
+
+def _load_tensors(own: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> None:
+    """Copy each checkpoint tensor into the array of ``own`` of its name and shape;
+    every array of ``own`` must be filled."""
+    for name, arr in tensors.items():
+        if name not in own:
+            raise CheckpointError(f"checkpoint tensor {name!r} has no destination")
+        if own[name].shape != arr.shape:
+            raise CheckpointError(f"tensor {name!r}: shape {arr.shape} != {own[name].shape}")
+        own[name][...] = arr
+    missing = set(own) - set(tensors)
+    if missing:
+        raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:4]} ...")
 
 
 def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[GeneratorParams, TrainConfig]:
     """Rebuild just the generator, for sampling and diagnostics commands."""
     cfg = config_from_text(ckpt.config_text)
     g = GeneratorParams.create(cfg.vocab_size, cfg.gen_embed, cfg.gen_hidden,
-                               cfg.gen_layers, np.random.default_rng(0))
-    for name, tensor in g.named_params():
-        key = "g." + name
-        if key not in ckpt.tensors:
-            raise CheckpointError(f"checkpoint missing tensor {key!r}")
-        if ckpt.tensors[key].shape != tensor.data.shape:
-            raise CheckpointError(f"tensor {key!r} has shape {ckpt.tensors[key].shape}, "
-                                  f"expected {tensor.data.shape}")
-        tensor.data[...] = ckpt.tensors[key]
+                               cfg.gen_layers, np.random.default_rng(0))   # for the shapes
+    _load_tensors({"g." + name: t.data for name, t in g.named_params()},
+                  {name: arr for name, arr in ckpt.tensors.items() if name.startswith("g.")})
     return g, cfg
 
 
@@ -237,16 +245,7 @@ class Trainer:
                              (self.cfg.max_steps, ConfigError)):
             if limit < st["step"]:
                 raise error(f"max_steps {limit} is below the checkpoint's step {st['step']}")
-        own = self._named_state_tensors()
-        for name, arr in ckpt.tensors.items():
-            if name not in own:
-                raise CheckpointError(f"checkpoint tensor {name!r} has no destination")
-            if own[name].shape != arr.shape:
-                raise CheckpointError(f"tensor {name!r}: shape {arr.shape} != {own[name].shape}")
-            own[name][...] = arr
-        missing = set(own) - set(ckpt.tensors)
-        if missing:
-            raise CheckpointError(f"checkpoint missing tensors: {sorted(missing)[:4]} ...")
+        _load_tensors(self._named_state_tensors(), ckpt.tensors)
         self.step, self.g_adam.t = st["step"], st["adam_g_t"]
         if self.d_adam is not None:
             self.d_adam.t = st["adam_d_t"]

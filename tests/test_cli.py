@@ -112,6 +112,31 @@ class TestTrainCommand:
         assert code == 2
         assert "checkpoint missing tensors: ['d." in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["sample", "diagnose"])
+    def test_stray_generator_section_exits_2_as_on_resume(self, tmp_path, trained, capsys,
+                                                          command):
+        # sample and diagnose used to read the g.* tensors they knew and ignore the rest
+        ckpt = load_checkpoint(trained / "final.ckpt")
+        ckpt.tensors["g.extra"] = np.zeros(3)
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        capsys.readouterr()
+        assert main([command, str(tmp_path / "bad.ckpt")]) == 2
+        out, err = capsys.readouterr()
+        assert "checkpoint tensor 'g.extra' has no destination" in err and out == ""
+
+    @pytest.mark.parametrize("folder", ["we#ird", "we\nird"])
+    def test_value_config_text_cannot_hold_exits_2_before_writing(self, tmp_path, capsys,
+                                                                  folder):
+        # it used to train, and the resume cut the stored path at '#' or the line break
+        corpus = tmp_path / folder / "c.txt"
+        corpus.parent.mkdir()
+        corpus.write_text("ab" * 400)
+        out = tmp_path / "run"
+        extra = ["--set", "task=corpus", "--set", f"corpus_path={corpus}", "--set", "seq_len=8"]
+        assert main(train_args(out, extra=extra)) == 2
+        assert "config key 'corpus_path'" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_resume_with_malformed_state_line_exits_2(self, tmp_path, trained, capsys):
         # a CRC-valid checkpoint whose state section holds a line without "="
         ckpt = load_checkpoint(trained / "final.ckpt")

@@ -1,9 +1,11 @@
 import dataclasses
 import math
 import random
+import re
 
 import pytest
 
+from profforce.cli import main
 from profforce.config import (
     MODE_ALIASES,
     MODES,
@@ -64,6 +66,19 @@ class TestCoercion:
     def test_bad_bool(self):
         with pytest.raises(ConfigError, match="cannot parse"):
             config_from_text("use_ct=maybe\n")
+
+    @pytest.mark.parametrize("pair", ["seed=\u0663", "max_steps=1_0", "gen_hidden=+8",
+                                      "lr=1_0e-3", "adversarial_weight=\u0661.5"])
+    def test_numbers_only_as_plain_ascii_decimal_text(self, tmp_path, capsys, pair):
+        # int() and float() also read '_' separators, a sign '+' and non-ASCII digits
+        key, raw = pair.split("=")
+        with pytest.raises(ConfigError, match=re.escape(f"{key!r}: cannot parse {raw!r}")):
+            config_from_text(pair)
+        out = tmp_path / "run"
+        sets = ["seed=1", "max_steps=1", "seq_len=8", "gen_hidden=4", "disc_hidden=4", pair]
+        assert main(["train", "--out", str(out), *(a for p in sets for a in ("--set", p))]) == 2
+        assert f"cannot parse {raw!r}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCanonicalText:
@@ -170,6 +185,10 @@ class TestValidate:
         ("raster_count", 0, "raster_count must be positive"),
         ("val_count", -1, "val_count must be nonnegative"),
         ("seed", -1, "seed must be nonnegative, got -1"),
+        # a value its checkpoint's config text would read back as another
+        ("corpus_path", "we#ird/c.txt", "'corpus_path': 'we#ird/c.txt' does not read back"),
+        ("corpus_path", "a\nb", "'corpus_path': 'a\\\\nb' does not read back"),
+        ("raster_family", " rect", "'raster_family': ' rect' does not read back"),
     ])
     def test_rejections(self, field, value, msg):
         cfg = self._ok()
@@ -245,6 +264,36 @@ class TestMappingsFailOnlyAsConfigError:
                 escapes.append((values, repr(e)))
         assert escapes == []
         assert accepted >= 40   # the cases reach set-up, not only the parser
+
+    REFUSED_NUMBERS = ["1_0", "+3", "\u0663", "1_0e-3", "\u0661.5", " 2", "3 "]
+    UNWRITABLE = ["7#8", "rect#x", "a\nb", "x\nseed=3", "copy\n"]   # '#' or a line break
+
+    def test_fuzzed_refused_forms(self, tmp_path):
+        # mappings holding a number not in plain decimal text or a value config
+        # text cannot hold; whatever sets up a Trainer reads back from its text
+        rng = random.Random(2517)
+        fields = [f for f in dataclasses.fields(TrainConfig) if f.name != "corpus_path"]
+        escapes, accepted = [], 0
+        for case in range(200):
+            values = {f.name: self._value(rng, f) for f in rng.sample(fields, rng.randint(0, 2))}
+            values["seed"] = rng.randint(0, 9)
+            for name in rng.sample([f.name for f in fields] + ["corpus_path"], rng.randint(1, 2)):
+                values[name] = rng.choice(self.UNWRITABLE if name == "corpus_path"   # no file
+                                          else self.REFUSED_NUMBERS + self.UNWRITABLE)
+            try:
+                if case % 2:
+                    cfg = build_config(sets=[f"{k}={v}" for k, v in values.items()])
+                else:
+                    cfg = config_from_mapping(values)
+                Trainer(cfg, tmp_path / "run")
+                assert config_from_text(canonical_text(cfg)) == cfg
+                accepted += 1
+            except ConfigError:
+                pass
+            except Exception as e:   # any other type is the failure
+                escapes.append((values, repr(e)))
+        assert escapes == []
+        assert accepted >= 5   # such text in a free-text field, raster_family in a copy run
 
     @pytest.mark.parametrize("values, msg", [
         ({"gen_hidden": 3.0}, "'gen_hidden': cannot parse '3.0' as int"),

@@ -76,12 +76,18 @@ class TestBuildDatasets:
         assert train.sequences.shape == (72, 10)  # 720 train ids in 10-chunks
         assert val.sequences.shape == (4, 10)
 
-    def test_corpus_too_small(self, tmp_path):
+    @pytest.mark.parametrize("text, msg", [
+        ("ab", "corpus too small for one sequence of seq_len 10"),
+        ("a" * 400, "vocab_size 1: corpus task needs at least two symbols"),
+    ])
+    def test_corpus_that_cannot_train_is_a_config_error(self, tmp_path, text, msg):
+        # one symbol used to fail in GeneratorParams.create, naming neither
         f = tmp_path / "c.txt"
-        f.write_text("ab")
+        f.write_text(text)
         cfg = tiny_cfg(task="corpus", corpus_path=str(f), seq_len=10)
-        with pytest.raises(ValueError, match="too small"):
-            build_datasets(cfg)
+        with pytest.raises(ConfigError, match=msg):
+            Trainer(cfg, tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_deterministic_given_seed(self):
         a, _, _ = build_datasets(tiny_cfg())
