@@ -62,9 +62,6 @@ class Tensor:
         """A new leaf sharing this tensor's values, cut off from any tape."""
         return Tensor(self.data)
 
-    def __repr__(self) -> str:
-        return f"Tensor(shape={self.shape}, data={self.data!r})"
-
 
 # The innermost entry is the recording target.  A None entry disables
 # recording, so evaluation code can run inside a training tape.
@@ -91,6 +88,7 @@ class Tape:
         assert popped is self, "tape stack out of balance"
 
     def __len__(self) -> int:
+        """Nodes not yet swept; perfbench's tracer counts a step's nodes with it."""
         return len(self.nodes)
 
 

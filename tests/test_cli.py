@@ -457,17 +457,24 @@ class TestInspectCommand:
         assert "error:" in err and "section 'config' is not utf-8 text" in err
 
 
+def cli_in_subprocess(args, **env_vars) -> str:
+    """stderr of ``profforce <args>`` run in a fresh process, so that its
+    logging is set up from ``env_vars`` (once per process) and not by
+    whatever ran before; PF_LOG_LEVEL is unset unless given."""
+    env = {k: v for k, v in os.environ.items() if k != "PF_LOG_LEVEL"}
+    env.update(env_vars, PYTHONPATH=str(Path(profforce.__file__).parents[1]))
+    code = "import sys; from profforce.cli import main; sys.exit(main())"
+    return subprocess.run([sys.executable, "-c", code, *args], env=env,
+                          capture_output=True, text=True, check=True).stderr
+
+
 class TestResumeUnderAnotherThreadCount:
     """A run's bits depend on the BLAS thread count, so a resume under
     another one is loud (README, Determinism)."""
 
     @staticmethod
     def _train(threads, *args):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PF_LOG_LEVEL="info",
-                   PYTHONPATH=str(Path(profforce.__file__).parents[1]))
-        code = "import sys; from profforce.cli import main; sys.exit(main())"
-        return subprocess.run([sys.executable, "-c", code, "train", *args], env=env,
-                              capture_output=True, text=True, check=True).stderr
+        return cli_in_subprocess(["train", *args], OPENBLAS_NUM_THREADS=threads)
 
     def test_desk_run_resumed_at_two_threads_warns(self, tmp_path):
         first = self._train("1", "--preset", "desk-copy", "--seed", "4", "--steps", "3",
@@ -482,6 +489,16 @@ class TestResumeUnderAnotherThreadCount:
 
 
 class TestLogging:
+    @pytest.mark.parametrize("level, validation, per_step", [
+        (None, True, False), ("warning", False, False), ("debug", True, True)])
+    def test_level_decides_which_lines_a_run_logs(self, tmp_path, level, validation,
+                                                  per_step):
+        # info, the default, logs each validation; debug adds each step
+        args = train_args(tmp_path / "run", steps="2") + ["--set", "val_every=1"]
+        err = cli_in_subprocess(args, **({"PF_LOG_LEVEL": level} if level else {}))
+        assert ("validation nll/step" in err) == validation, err
+        assert ("step 0 nll/step" in err) == per_step, err
+
     def test_invalid_level_exits_2(self, monkeypatch, capsys):
         monkeypatch.setenv("PF_LOG_LEVEL", "chatty")
         with pytest.raises(SystemExit) as exc:
