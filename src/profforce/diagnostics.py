@@ -13,7 +13,6 @@ from pathlib import Path
 import numpy as np
 
 from .engine import GeneratorParams, unroll_free_running, unroll_teacher_forced
-from .tensor import stop_recording
 
 __all__ = [
     "centroid_distance",
@@ -85,9 +84,8 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
     t = t_len if timestep is None else int(timestep)
     if not 1 <= t <= t_len:
         raise ValueError(f"timestep {t} outside 1..{t_len}")
-    with stop_recording():
-        tf = unroll_teacher_forced(g, ids[:, :t], keep_outputs=False)
-        fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature, keep_outputs=False)
+    tf = unroll_teacher_forced(g, ids[:, :t], keep_outputs=False)
+    fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature, keep_outputs=False)
     return tf.hidden.data[0], fr.hidden.data[0]
 
 

@@ -180,14 +180,13 @@ class DiscriminatorParams:
     layers: list[tuple[Tensor, Tensor]]
 
     @classmethod
-    def create(cls, feature_width: int, hidden: int, rng: np.random.Generator,
-               mlp_hidden: int | None = None) -> "DiscriminatorParams":
+    def create(cls, feature_width: int, hidden: int,
+               rng: np.random.Generator) -> "DiscriminatorParams":
         if feature_width < 1 or hidden < 1:
             raise ValueError("discriminator sizes must be positive")
-        mh = hidden if mlp_hidden is None else mlp_hidden
         fwd, bwd = (GruCellParams.create(hidden, feature_width, rng) for _ in "fb")
-        # Three hidden ReLU layers, then a linear scalar score per step.
-        sizes = [2 * hidden, mh, mh, mh, 1]
+        # Three hidden ReLU layers of the encoder's width, then a linear scalar score per step.
+        sizes = [2 * hidden, hidden, hidden, hidden, 1]
         return cls(fwd, bwd, [(_weight_in_out(rng, n_in, n_out), Tensor(np.zeros(n_out)))
                               for n_in, n_out in zip(sizes[:-1], sizes[1:])])
 

@@ -37,7 +37,6 @@ import numpy as np
 __all__ = [
     "Tensor",
     "Tape",
-    "stop_recording",
     "is_recording",
     "backward",
     "grad_check",
@@ -63,9 +62,8 @@ class Tensor:
         return Tensor(self.data)
 
 
-# The innermost entry is the recording target.  A None entry disables
-# recording, so evaluation code can run inside a training tape.
-_TAPES: list["Tape | None"] = []
+# The innermost entry is the recording target.
+_TAPES: list["Tape"] = []
 
 
 class Tape:
@@ -92,27 +90,13 @@ class Tape:
         return len(self.nodes)
 
 
-class _RecordingOff:
-    def __enter__(self):
-        _TAPES.append(None)
-        return self
-
-    def __exit__(self, exc_type, exc, tb):
-        _TAPES.pop()
-
-
-def stop_recording() -> _RecordingOff:
-    """Context manager suppressing tape recording for evaluation-only math."""
-    return _RecordingOff()
-
-
 def is_recording() -> bool:
-    """Whether an op run now would be recorded on a tape.
+    """Whether an op run now would be recorded on a tape: inside a ``Tape`` block.
 
     Ops that cache intermediates only for their backward keep them
     only when this is true.
     """
-    return bool(_TAPES) and _TAPES[-1] is not None
+    return bool(_TAPES)
 
 
 def _record(out, inputs: tuple[Tensor, ...], backfn: Callable, told: bool = False):
@@ -220,8 +204,8 @@ def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> 
     """Worst relative error between tape gradients and central differences.
 
     ``f(params)`` must rebuild the scalar loss from scratch on every
-    call and must not open its own tape; ``grad_check`` records the
-    analytic pass itself and evaluates the probes without recording.
+    call and must not open its own tape; ``grad_check``, called with no
+    tape open, records the analytic pass itself and runs the probes untaped.
     The relative error uses ``max(|analytic|, |numeric|, 1e-8)`` as the
     denominator.
     """
@@ -231,11 +215,6 @@ def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> 
         loss = f(params)
     backward(tape, loss, params=params)
     analytic = [p.grad.copy() for p in params]
-
-    def value() -> float:
-        with stop_recording():
-            return float(f(params).data)
-
     worst = 0.0
     for p, ga in zip(params, analytic):
         flat = p.data.reshape(-1)
@@ -243,9 +222,9 @@ def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> 
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            fp = value()
+            fp = float(f(params).data)
             flat[i] = orig - epsilon
-            fm = value()
+            fm = float(f(params).data)
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * epsilon)
             err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)

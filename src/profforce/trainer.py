@@ -44,7 +44,6 @@ from .engine import (
     unroll_teacher_forced,
 )
 from .optim import AdamState
-from .tensor import stop_recording
 
 __all__ = ["Trainer", "TrainingDiverged", "generator_from_checkpoint"]
 
@@ -293,12 +292,11 @@ class Trainer:
         """Teacher-forced nll (nats per step) and bpc, a mean over the validation rows."""
         assert self.val_set is not None
         total = 0.0
-        with stop_recording():
-            seqs = self.val_set.sequences
-            for start in range(0, len(seqs), _VAL_CHUNK):
-                chunk = seqs[start:start + _VAL_CHUNK]
-                res = unroll_teacher_forced(self.g, chunk, keep_outputs=False)
-                total += float(res.nll.data) * chunk.shape[0]
+        seqs = self.val_set.sequences
+        for start in range(0, len(seqs), _VAL_CHUNK):
+            chunk = seqs[start:start + _VAL_CHUNK]
+            res = unroll_teacher_forced(self.g, chunk, keep_outputs=False)
+            total += float(res.nll.data) * chunk.shape[0]
         nll_per_step = total / len(seqs)
         return nll_per_step, nll_per_step / math.log(2.0)
 

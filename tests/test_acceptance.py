@@ -36,7 +36,6 @@ from profforce.tensor import (
     Tensor,
     backward,
     grad_check,
-    stop_recording,
     zero_grads,
 )
 from profforce.trainer import Trainer
@@ -224,8 +223,7 @@ class TestA1GradientIntegrity:
 
             # likelihood plus the fooling term through a fixed discriminator
             g2 = GeneratorParams.create(3, 2, 3, 1, np.random.default_rng(1003))
-            d2 = DiscriminatorParams.create(3, 3, np.random.default_rng(1004),
-                                            mlp_hidden=3)
+            d2 = DiscriminatorParams.create(3, 3, np.random.default_rng(1004))
             y2 = np.array([[0, 2, 1, 1, 0], [1, 1, 0, 2, 2]])
             fixed = unroll_free_running(g2, 5, np.random.default_rng(1005),
                                         batch=2).sampled
@@ -298,10 +296,9 @@ class TestA4DiscriminatorLearnability:
             step = 0
             for epoch in range(125):  # 4 updates per epoch
                 for batch in make_batches(ds, 8, np.random.default_rng([401, epoch])):
-                    with stop_recording():
-                        tf_b = unroll_teacher_forced(g, batch).behavior
-                        fr_b = unroll_free_running(g, batch.shape[1], fr_rng,
-                                                   batch=batch.shape[0]).behavior
+                    tf_b = unroll_teacher_forced(g, batch).behavior
+                    fr_b = unroll_free_running(g, batch.shape[1], fr_rng,
+                                               batch=batch.shape[0]).behavior
                     with Tape() as tape:
                         p_tf = discriminate(d, tf_b)
                         p_fr = discriminate(d, fr_b)

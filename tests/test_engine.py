@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import os
@@ -35,7 +36,6 @@ from profforce.tensor import (
     Tensor,
     backward,
     grad_check,
-    stop_recording,
     zero_grads,
 )
 from profforce.trainer import Trainer
@@ -460,14 +460,10 @@ class TestTapedMatchesUntaped:
         for taped in (True, False):
             g = tiny_generator(seed=321, layers=layers)
             rng = np.random.default_rng(322)
-            with Tape():
-                if taped:
-                    outs = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng,
-                                                                     include_outputs)
-                else:
-                    with stop_recording():
-                        outs = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng,
-                                                                         include_outputs)
+            with Tape() if taped else contextlib.nullcontext():
+                assert tensor.is_recording() is taped
+                outs = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng,
+                                                                 include_outputs)
             runs.append((outs, rng.bit_generator.state))
         (taped_outs, taped_state), (plain_outs, plain_state) = runs
         assert taped_state == plain_state
@@ -495,7 +491,7 @@ class TestTapedMatchesUntaped:
         runs = []
         for taped in (True, False):
             rng = np.random.default_rng(333)
-            with Tape() if taped else stop_recording():
+            with Tape() if taped else contextlib.nullcontext():
                 res = engine._unroll(g, ids if targeted else None, t_len,
                                      2 * batch if targeted else batch, 0.0, rng, temperature,
                                      include_outputs)
@@ -534,7 +530,7 @@ class TestBufferedDraws:
         t_len, top = 7, g.hidden_size
         ids = np.random.default_rng(402).integers(0, 4, (targeted, t_len))
         rng = np.random.default_rng(403)
-        with Tape() if taped else stop_recording():
+        with Tape() if taped else contextlib.nullcontext():
             res = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
                                  rng, temperature, include_outputs)
         ref = np.random.default_rng(403)
@@ -568,9 +564,8 @@ class TestBufferedDraws:
         for size in (engine._NOISE_BLOCK, block):
             monkeypatch.setattr(engine, "_NOISE_BLOCK", size)
             rng = np.random.default_rng(411)
-            with stop_recording():
-                res = engine._unroll(g, ids if targeted else None, 150, targeted + 8, 0.0, rng,
-                                     0.7, False, keep_outputs)
+            res = engine._unroll(g, ids if targeted else None, 150, targeted + 8, 0.0, rng,
+                                 0.7, False, keep_outputs)
             runs.append((res.sampled, rng.bit_generator.state))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
@@ -691,9 +686,8 @@ class TestIdsOnlyUnroll:
                                               free_rows):
         g = self._desk_generator(layers)
         ids = np.random.default_rng(342).integers(0, 8, (8, 50))
-        with stop_recording():
-            full, lean = self._both(lambda rng, keep: engine._unroll(
-                g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, keep))
+        full, lean = self._both(lambda rng, keep: engine._unroll(
+            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, keep))
         assert lean.nll.data == full.nll.data
 
     def test_validation_nll_is_unchanged(self, tmp_path):
@@ -702,10 +696,9 @@ class TestIdsOnlyUnroll:
         seqs = trainer.val_set.sequences
         assert len(seqs) > _VAL_CHUNK
         total = 0.0
-        with stop_recording():
-            for start in range(0, len(seqs), _VAL_CHUNK):
-                chunk = seqs[start:start + _VAL_CHUNK]
-                total += float(unroll_teacher_forced(trainer.g, chunk).nll.data) * len(chunk)
+        for start in range(0, len(seqs), _VAL_CHUNK):
+            chunk = seqs[start:start + _VAL_CHUNK]
+            total += float(unroll_teacher_forced(trainer.g, chunk).nll.data) * len(chunk)
         assert trainer.validate()[0] == total / len(seqs)
 
     def test_a_recording_tape_keeps_every_output(self):
@@ -862,8 +855,7 @@ class TestFusedDiscriminatorPass:
     def _run(route, loss_name, reads):
         d = tiny_discriminator(5, seed=210)
         leaf = Tensor(np.random.default_rng(211).uniform(-1, 1, (6, 8, 5)))
-        with stop_recording():   # push the rows above the median past the clamp
-            p = discriminate(d, leaf).data
+        p = discriminate(d, leaf).data   # push the rows above the median past the clamp
         pooled = np.log(p / (1.0 - p))
         d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
         fused = route == "fused"
@@ -1186,9 +1178,8 @@ class TestTrainStep:
         rng = np.random.default_rng(73)
         acc = 0.0
         for _ in range(300):
-            with stop_recording():
-                tf_b = unroll_teacher_forced(g, y).behavior
-                fr_b = unroll_free_running(g, t_len, rng, batch=b).behavior
+            tf_b = unroll_teacher_forced(g, y).behavior
+            fr_b = unroll_free_running(g, t_len, rng, batch=b).behavior
             with Tape() as tape:
                 p_tf = discriminate(d, tf_b)
                 p_fr = discriminate(d, fr_b)
@@ -1220,9 +1211,8 @@ class TestTrainStep:
             adam = AdamState.for_params(dp, lr=5e-3)
             rng = np.random.default_rng(77)
             for _ in range(200):
-                with stop_recording():
-                    tf_b = unroll_teacher_forced(g, y).behavior
-                    fr_b = unroll_free_running(g, t_len, rng, batch=b).behavior
+                tf_b = unroll_teacher_forced(g, y).behavior
+                fr_b = unroll_free_running(g, t_len, rng, batch=b).behavior
                 with Tape() as tape:
                     c_d = loss_discriminator(discriminate(d, tf_b),
                                              discriminate(d, fr_b))
@@ -1244,7 +1234,7 @@ class TestTrainStep:
     def test_gradient_of_combined_objective(self):
         rng = np.random.default_rng(80)
         g = GeneratorParams.create(3, 2, 3, 1, rng)
-        d = DiscriminatorParams.create(3, 3, rng, mlp_hidden=3)
+        d = DiscriminatorParams.create(3, 3, rng)
         y = np.array([[0, 2, 1], [1, 1, 0]])
         fr = unroll_free_running(g, 3, np.random.default_rng(81), batch=2)
         fixed_sample = fr.sampled
@@ -1328,11 +1318,10 @@ class TestOnePassStepEdges:
         above the median pass the clamp at 10 and the others do not."""
         rng = np.random.default_rng(93)   # the step's own draws
         rich = settings.include_outputs_in_behavior
-        with stop_recording():
-            tf = unroll_teacher_forced(g, y, include_outputs=rich)
-            fr = fr_unroll(g, y.shape[1], rng, temperature=settings.temperature,
-                           batch=y.shape[0], include_outputs=rich)
-            p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
+        tf = unroll_teacher_forced(g, y, include_outputs=rich)
+        fr = fr_unroll(g, y.shape[1], rng, temperature=settings.temperature,
+                       batch=y.shape[0], include_outputs=rich)
+        p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
         pooled = np.log(p / (1.0 - p))
         d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
         clipped = pooled - np.median(pooled) > 0

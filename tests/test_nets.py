@@ -263,11 +263,11 @@ class TestInit:
     def test_mlp_and_head_store_transposed_draws(self):
         # Each layer draws [out, in] after the cells and stores its
         # transpose [in, out], C-ordered; so does the head after the embedding.
-        d = DiscriminatorParams.create(3, 2, np.random.default_rng(11), mlp_hidden=4)
+        d = DiscriminatorParams.create(3, 2, np.random.default_rng(11))
         g = GeneratorParams.create(6, 3, 5, 1, np.random.default_rng(12))
         rng = np.random.default_rng(11)
         cells = [GruCellParams.create(2, 3, rng) for _ in "fb"]
-        drawn = [init_params(shape, rng).data for shape in ((4, 4), (4, 4), (4, 4), (1, 4))]
+        drawn = [init_params(shape, rng).data for shape in ((2, 4), (2, 2), (2, 2), (1, 2))]
         for (w, _), want in zip(d.layers, drawn):
             np.testing.assert_array_equal(w.data, want.T)
         for got, want in zip((d.fwd, d.bwd), cells):
@@ -332,9 +332,9 @@ class TestMlp:
         np.testing.assert_array_equal(mlp_forward(one_layer, Tensor(x)).data, [[-1.0, -2.0]])
 
     def test_discriminator_layer_sizes(self):
-        d = DiscriminatorParams.create(4, 3, np.random.default_rng(13), mlp_hidden=9)
-        assert [w.shape for w, _ in d.layers] == [(6, 9), (9, 9), (9, 9), (9, 1)]
-        assert [b.shape for _, b in d.layers] == [(9,), (9,), (9,), (1,)]
+        d = DiscriminatorParams.create(4, 3, np.random.default_rng(13))
+        assert [w.shape for w, _ in d.layers] == [(6, 3), (3, 3), (3, 3), (3, 1)]
+        assert [b.shape for _, b in d.layers] == [(3,), (3,), (3,), (1,)]
 
     def test_gradients(self):
         mlp = mlp_layers([3, 4, 1], np.random.default_rng(15))

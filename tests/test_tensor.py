@@ -9,7 +9,6 @@ from profforce.tensor import (
     _record,
     backward,
     grad_check,
-    stop_recording,
 )
 
 from extra_ops import (
@@ -212,8 +211,7 @@ class TestBackward:
         backward(tape, loss)
 
         def f():
-            with stop_recording():
-                return float(sum_all(sigmoid(matmul(w, x))).data)
+            return float(sum_all(sigmoid(matmul(w, x))).data)
 
         num = numerical_gradient(f, w.data)
         rel = np.abs(w.grad - num) / np.maximum(np.abs(num), 1e-8)
@@ -467,15 +465,6 @@ class TestTape:
             loss = sum_all(mul(y, y))
         backward(tape, loss)
         assert called == [] and x.grad is None and y.grad.tolist() == [6.0]
-
-    def test_stop_recording_inside_tape(self):
-        x = Tensor([2.0])
-        with Tape() as tape:
-            mul(x, x)
-            with stop_recording():
-                mul(x, x)
-            mul(x, x)
-        assert len(tape) == 2
 
     def test_nested_tapes_record_independently(self):
         x = Tensor([2.0])
