@@ -86,7 +86,7 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
         raise ValueError(f"timestep {t} outside 1..{t_len}")
     tf = unroll_teacher_forced(g, ids[:, :t], keep_outputs=False)
     fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature, keep_outputs=False)
-    return tf.hidden.data[0], fr.hidden.data[0]
+    return tf.hidden[0], fr.hidden[0]
 
 
 # ---------------------------------------------------------------------------

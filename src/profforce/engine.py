@@ -8,13 +8,14 @@ differ only in which symbol it feeds back.  Scheduled sampling spans
 them with one probability: p = 0 is teacher forcing and p = 1 is free
 running.  :func:`unroll_teacher_forced` and :func:`unroll_free_running`
 check their arguments and run that loop; :func:`train_step` runs it for
-every mode.  Every unroll emits its logits, its behavior (the GRU
-candidate pre-tanh values, optionally with the softmax outputs appended)
-and its top-layer states as time-major [T, B, .] tensors, and with
-targets also the cross entropy in nats per step.  An untaped caller that
-reads only the draws, the cross entropy or the last state (``sample``,
-validation, ``diagnose``) passes ``keep_outputs=False``: those three arrays
-then cycle through rows, so its memory grows with the ids alone.  The loop
+every mode, on ``[B, T]`` target ids.  Every unroll emits its logits and
+its behavior (the GRU candidate pre-tanh values, optionally with the
+softmax outputs appended) as time-major [T, B, .] tensors, its top-layer
+states as a [T, B, H] array no gradient reaches, and with targets also
+the cross entropy in nats per step.  An untaped caller that reads only
+the draws, the cross entropy or the last state (``sample``, validation,
+``diagnose``) passes ``keep_outputs=False``: those three arrays then
+cycle through rows, so its memory grows with the ids alone.  The loop
 runs the numpy GRU kernel of :mod:`profforce.nets` on arrays and views bound before the
 first step, so a step makes only ufunc and BLAS calls, and records the
 whole unroll as one tape node, whose backward runs the kernel's
@@ -209,7 +210,7 @@ class UnrollResult:
 
     logits: Tensor | None                # [T, B, V]; None unless keep_outputs
     behavior: Tensor | None              # [T, B, width]
-    hidden: Tensor                       # [T, B, H] top-layer states; lean, the last [1, B, H]
+    hidden: np.ndarray                   # [T, B, H] top-layer states; lean, the last [1, B, H]
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: Tensor | None = None            # with targets: nats per step, batch mean
 
@@ -218,17 +219,10 @@ class UnrollResult:
 # unrolls
 
 
-def _as_batch_ids(y_seq) -> np.ndarray:
-    ids = np.asarray(y_seq, dtype=np.int64)
-    if ids.ndim == 1:
-        ids = ids[None, :]
-    if ids.ndim != 2 or ids.shape[1] < 1:
-        raise ValueError(f"expected [T] or [B, T] symbol ids, got shape {ids.shape}")
-    return ids
-
-
 def _target_ids(g: GeneratorParams, y_seq) -> np.ndarray:
-    ids = _as_batch_ids(y_seq)
+    ids = np.asarray(y_seq, dtype=np.int64)
+    if ids.ndim != 2 or ids.shape[1] < 1:
+        raise ValueError(f"expected [B, T] symbol ids, got shape {ids.shape}")
     if ids.min() < 0 or ids.max() >= g.vocab_size:
         raise ValueError("symbol id outside the generator vocabulary")
     return ids
@@ -261,9 +255,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     from a per-symbol table.  Only while a tape records does every step keep
     its own cache rows (states, gates and candidates; ``r * h`` goes through
     one row in any case) and the unroll record one node, whose outputs are
-    the logits, behavior and hidden tensors and ``nll`` (see
-    :func:`_unroll_backward`).  Untaped, ``keep_outputs=False`` writes
-    those three into rows used in turn, as the caches are, and keeps the
+    the logits and behavior tensors and ``nll`` (see
+    :func:`_unroll_backward`); the top-layer states are an array no
+    gradient reaches.  Untaped, ``keep_outputs=False`` cycles the logits,
+    behavior and states through rows, as the caches are, and keeps the
     last state alone (``[1, B, H]``) and the targeted rows' logits, which
     ``nll`` sums in step order: memory grows with the draws alone.
     """
@@ -329,8 +324,8 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
         behavior[..., :top] = top_pre
     hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
     outs = tuple(Tensor(a) if whole else None for a in (logits, behavior))
-    outs += (Tensor(hs[1:] if whole else hs[t_len % 2, None]),)
-    res = UnrollResult(*outs, np.empty((batch, t_len), dtype=np.int64))
+    res = UnrollResult(*outs, hs[1:] if whole else hs[t_len % 2, None],
+                       np.empty((batch, t_len), dtype=np.int64))
     res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     soft = None
     if n_tf:
@@ -356,8 +351,8 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
     row's inverse temperature and, with targets, ``soft`` every targeted
     logits row's softmax.  The closure takes the gradients of the
-    logits, behavior and hidden outputs and of ``nll`` (None for one the
-    loss does not reach), forms the logits' gradient (from the logits,
+    logits and behavior outputs and of ``nll`` (None for one the loss
+    does not reach), forms the logits' gradient (from the logits,
     ``nll`` and the behavior's softmax columns), takes the head's and
     top states' gradients in one product each, runs :func:`_gru_bptt`
     per layer from the top and scatters the bottom layer's input
@@ -371,8 +366,8 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     emb, w_o = g.embedding.data, g.W_o.data
     top, vocab = w_o.shape
 
-    def back(g_lg, g_beh, g_hid, g_nll=None):
-        n = n_tf if g_lg is None and g_beh is None and g_hid is None else batch
+    def back(g_lg, g_beh, g_nll=None):
+        n = n_tf if g_lg is None and g_beh is None else batch
         d_lg = np.zeros((t_len, n, vocab)) if g_lg is None else np.array(g_lg)
         if g_nll is not None:
             p = soft.copy()
@@ -384,8 +379,6 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
             d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * inv_t
         d_lg = d_lg.reshape(t_len * n, vocab)
         d_out = (d_lg @ w_o.T).reshape(t_len, n, top)
-        if g_hid is not None:
-            d_out += g_hid
         d_wo = caches[-1][0][1:, :n].reshape(t_len * n, top).T @ d_lg
         cell_grads = []
         for i in range(len(g.cells) - 1, -1, -1):
@@ -420,9 +413,9 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
     """Closed-loop unroll: step t reads the model's own previous sample.
 
     Sampling draws from softmax(logits / temperature).  Gradients flow
-    through the hidden states and logits; the discrete sample is a
-    constant.  Ground-truth symbols are never consulted.  The behavior is
-    the top candidate alone.  With ``keep_outputs=False`` and no tape
+    through the logits and behavior; the discrete sample is a constant.
+    Ground-truth symbols are never consulted.  The behavior is the top
+    candidate alone.  With ``keep_outputs=False`` and no tape
     recording, only the draws and the last state are kept: the logits
     and behavior are None.
     """

@@ -10,9 +10,9 @@ The nodes a training step records are kernels: the generator unroll,
 the discriminator's head and losses in :mod:`profforce.engine`, the BiGRU
 encoder and MLP in :mod:`profforce.nets`; this module records no op of
 its own.  A node may have more than one output (an unroll records its
-[T, B, .] logits, behavior and hidden states and its cross entropy in
-nats per step); its closure gets ``None`` for each output the loss does
-not reach.
+[T, B, .] logits and behavior and its cross entropy in nats per step,
+not its top-layer states, which it returns as a plain array); its
+closure gets ``None`` for each output the loss does not reach.
 
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
 steps.  ``backward`` walks the tape in reverse recording order, which

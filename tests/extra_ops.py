@@ -18,7 +18,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from profforce.data import SequenceDataset
-from profforce.engine import _as_batch_ids
 from profforce.nets import GruCellParams, _gru_bptt, _gru_run
 from profforce.tensor import (
     Tensor,
@@ -315,7 +314,7 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
 def loss_nll(logits: Tensor, y_seq) -> Tensor:
     """Total sequence cross entropy of ``[T, B, V]`` logits, averaged over
     the batch rows."""
-    ids = _as_batch_ids(y_seq)
+    ids = np.asarray(y_seq, dtype=np.int64)
     t_len, batch, vocab = logits.shape
     if (batch, t_len) != ids.shape:
         raise ValueError(f"logits for {t_len} steps of {batch} rows, targets {ids.shape}")

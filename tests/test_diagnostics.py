@@ -137,7 +137,7 @@ class TestCollectClouds:
         tf, fr = collect_state_clouds(g, y, timestep=3, rng=np.random.default_rng(99))
         assert tf.shape == (6, 5) and fr.shape == (6, 5)
         # teacher forced first: its states are those of the given sequences
-        want = unroll_teacher_forced(g, y[:, :3]).hidden.data[-1]
+        want = unroll_teacher_forced(g, y[:, :3]).hidden[-1]
         np.testing.assert_array_equal(tf, want)
 
     def test_default_timestep_is_last(self):
@@ -182,13 +182,13 @@ class TestLeanClouds:
     def test_clouds_are_the_full_unrolls_states(self, layers, temperature):
         g, t_len, n = self._gen(layers), 50, 16
         y = np.random.default_rng(107).integers(0, 8, (n, t_len))
-        full_tf = unroll_teacher_forced(g, y).hidden.data
+        full_tf = unroll_teacher_forced(g, y).hidden
         full_fr = unroll_free_running(g, t_len, np.random.default_rng(108), batch=n,
-                                      temperature=temperature).hidden.data
+                                      temperature=temperature).hidden
         lean = unroll_free_running(g, t_len, np.random.default_rng(108), batch=n,
                                    temperature=temperature, keep_outputs=False)
         assert lean.logits is lean.behavior is None
-        np.testing.assert_array_equal(lean.hidden.data, full_fr[-1:])
+        np.testing.assert_array_equal(lean.hidden, full_fr[-1:])
         for timestep in (None, 1, 7, 50):
             tf, fr = collect_state_clouds(g, y, timestep, np.random.default_rng(108),
                                           temperature=temperature)

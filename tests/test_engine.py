@@ -94,6 +94,11 @@ def fr_unroll(g, t_len, rng, temperature=1.0, batch=1, include_outputs=False):
     return engine._unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
 
 
+def values(out) -> np.ndarray:
+    """An unroll output's array: a Tensor's data, or the top-layer states themselves."""
+    return out.data if isinstance(out, Tensor) else out
+
+
 def zeroed(g: GeneratorParams) -> GeneratorParams:
     for t in g.tensors():
         t.data[:] = 0.0
@@ -107,7 +112,7 @@ def zeroed(g: GeneratorParams) -> GeneratorParams:
 class TestTeacherForcedUnroll:
     def test_three_step_manual_oracle(self):
         g = tiny_generator()
-        y = np.array([2, 0, 3])
+        y = np.array([[2, 0, 3]])
         res = unroll_teacher_forced(g, y)
 
         cell = g.cells[0]
@@ -118,9 +123,9 @@ class TestTeacherForcedUnroll:
             h, pre = gru_oracle(cell, h, emb[prev])
             logits = h @ g.W_o.data + g.b_o.data
             np.testing.assert_allclose(res.logits.data[t, 0], logits, atol=1e-12)
-            np.testing.assert_allclose(res.hidden.data[t, 0], h, atol=1e-12)
+            np.testing.assert_allclose(res.hidden[t, 0], h, atol=1e-12)
             np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
-            prev = y[t]
+            prev = y[0, t]
 
     def test_zeroed_model_gives_uniform_logits(self):
         g = zeroed(tiny_generator())
@@ -132,7 +137,7 @@ class TestTeacherForcedUnroll:
 
     def test_two_layer_stack_chains_states(self):
         g = tiny_generator(seed=202, layers=2)
-        y = np.array([1, 2])
+        y = np.array([[1, 2]])
         res = unroll_teacher_forced(g, y)
 
         emb = g.embedding.data
@@ -141,16 +146,33 @@ class TestTeacherForcedUnroll:
         for t in range(2):
             h0, _ = gru_oracle(g.cells[0], h0, emb[prev])
             h1, pre = gru_oracle(g.cells[1], h1, h0)
-            np.testing.assert_allclose(res.hidden.data[t, 0], h1, atol=1e-12)
+            np.testing.assert_allclose(res.hidden[t, 0], h1, atol=1e-12)
             np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
-            prev = y[t]
+            prev = y[0, t]
 
     def test_rejects_out_of_range_ids(self):
         g = tiny_generator()
-        with pytest.raises(ValueError):
-            unroll_teacher_forced(g, np.array([0, 4]))
-        with pytest.raises(ValueError):
-            unroll_teacher_forced(g, np.array([-1, 0]))
+        with pytest.raises(ValueError, match="vocabulary"):
+            unroll_teacher_forced(g, np.array([[0, 4]]))
+        with pytest.raises(ValueError, match="vocabulary"):
+            unroll_teacher_forced(g, np.array([[-1, 0]]))
+
+    def test_rejects_the_ids_of_one_sequence(self):
+        # ids are [B, T]: one sequence is a batch of one row
+        with pytest.raises(ValueError, match=r"\[B, T\]"):
+            unroll_teacher_forced(tiny_generator(), [1, 2, 3])
+
+    def test_records_one_node_of_logits_behavior_and_nll(self):
+        g = tiny_generator()
+        y = np.array([[1, 2, 3], [0, 3, 2]])
+        with Tape() as tape:
+            res = unroll_teacher_forced(g, y)
+        [(outs, inputs, _)] = tape.nodes
+        assert outs == (res.logits, res.behavior, res.nll) and inputs == tuple(g.tensors())
+        # the top-layer states are an array no gradient reaches
+        assert type(res.hidden) is np.ndarray and res.hidden.shape == (3, 2, 5)
+        lean = unroll_teacher_forced(g, y, keep_outputs=False)
+        np.testing.assert_array_equal(res.hidden[-1:], lean.hidden)
 
     def test_behavior_mode_and_width(self):
         g = tiny_generator()
@@ -181,7 +203,7 @@ class TestFreeRunningUnroll:
     def test_near_zero_temperature_is_greedy_and_replayable(self):
         g = tiny_generator(seed=204)
         fr = unroll_free_running(g, 6, np.random.default_rng(32), temperature=1e-9)
-        replay = unroll_teacher_forced(g, fr.sampled[0])
+        replay = unroll_teacher_forced(g, fr.sampled)
         for t in range(6):
             np.testing.assert_allclose(replay.logits.data[t, 0],
                                        fr.logits.data[t, 0], atol=1e-12)
@@ -340,8 +362,8 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
 class TestUnrollMatchesPerStepOracle:
     """The one-node unroll against the per-step taped loop it replaced:
     identical draws, values to 1e-12 and gradients to 1e-10.  The unroll
-    emits [T, B, .] tensors, the reference a list of [B, .] rows per
-    output."""
+    emits [T, B, .] tensors (its states an array no gradient reaches), the
+    reference a list of [B, .] rows per output."""
 
     REGIMES = {  # name: (targets, p_sample, temperature)
         "tf": (True, 0.0, 1.0),
@@ -370,7 +392,7 @@ class TestUnrollMatchesPerStepOracle:
         coefficient row in the unroll's loss, and the reference's loss
         skips it, so that row's gradient is None there."""
         terms = []
-        for k, out in enumerate(outs[:3]):
+        for k, out in enumerate(outs[:2]):
             if k not in reach:
                 continue
             if isinstance(out, Tensor):
@@ -390,8 +412,8 @@ class TestUnrollMatchesPerStepOracle:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("include_outputs", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reach", [(0, 1, 2, 3), (2,), (1,)],
-                             ids=["all", "hidden_only", "behavior_only"])
+    @pytest.mark.parametrize("reach", [(0, 1, 3), (0,), (1,)],
+                             ids=["all", "logits_only", "behavior_only"])
     def test_matches_reference(self, regime, layers, include_outputs, batch, reach):
         vocab, hidden_size, t_len = 4, 5, 5
         seed = 300 + 10 * layers + batch
@@ -439,7 +461,7 @@ class TestUnrollMatchesPerStepOracle:
         assert new_state == ref_state
         for k in range(3):
             assert len(ref[k]) == t_len
-            np.testing.assert_allclose(new[k].data, np.stack([r.data for r in ref[k]]),
+            np.testing.assert_allclose(values(new[k]), np.stack([r.data for r in ref[k]]),
                                        rtol=0, atol=1e-12)
         assert any(np.any(gr != 0.0) for gr in new_grads)
         for a, b in zip(new_grads, ref_grads):
@@ -468,7 +490,7 @@ class TestTapedMatchesUntaped:
         (taped_outs, taped_state), (plain_outs, plain_state) = runs
         assert taped_state == plain_state
         for k in range(3):
-            np.testing.assert_array_equal(taped_outs[k].data, plain_outs[k].data)
+            np.testing.assert_array_equal(values(taped_outs[k]), values(plain_outs[k]))
         np.testing.assert_array_equal(taped_outs[4], plain_outs[4])
         if taped_outs[3] is not None:
             assert taped_outs[3].data == plain_outs[3].data
@@ -499,8 +521,8 @@ class TestTapedMatchesUntaped:
         (taped_res, taped_state), (plain_res, plain_state) = runs
         assert taped_state == plain_state
         for name in ("logits", "behavior", "hidden"):
-            np.testing.assert_array_equal(getattr(taped_res, name).data,
-                                          getattr(plain_res, name).data)
+            np.testing.assert_array_equal(values(getattr(taped_res, name)),
+                                          values(getattr(plain_res, name)))
         np.testing.assert_array_equal(taped_res.sampled, plain_res.sampled)
         if targeted:
             assert taped_res.nll.data == plain_res.nll.data
@@ -551,7 +573,7 @@ class TestBufferedDraws:
             assert res.nll.data == tf.nll.data
             for ours, alone in zip((res.logits, res.behavior, res.hidden),
                                    (tf.logits, tf.behavior, tf.hidden)):
-                np.testing.assert_array_equal(ours.data[:, :targeted], alone.data)
+                np.testing.assert_array_equal(values(ours)[:, :targeted], values(alone))
 
     @pytest.mark.parametrize("block", [1, 3, 1000])
     @pytest.mark.parametrize("keep_outputs", [True, False])
@@ -664,7 +686,7 @@ class TestIdsOnlyUnroll:
         (full, full_state), (lean, lean_state) = runs
         assert lean_state == full_state
         assert lean.logits is lean.behavior is None
-        np.testing.assert_array_equal(lean.hidden.data, full.hidden.data[-1:])   # the last state
+        np.testing.assert_array_equal(lean.hidden, full.hidden[-1:])   # the last state
         np.testing.assert_array_equal(lean.sampled, full.sampled)
         return full, lean
 
@@ -976,17 +998,17 @@ class TestLosses:
 
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()
-        y = np.array([1, 0, 2])
+        y = np.array([[1, 0, 2]])
         single = item(loss_nll(unroll_teacher_forced(g, y).logits, y))
-        pair = np.stack([y, y])
+        pair = np.concatenate([y, y])
         double = item(loss_nll(unroll_teacher_forced(g, pair).logits, pair))
         assert abs(single - double) < 1e-12
 
     def test_loss_nll_length_mismatch(self):
         g = tiny_generator()
-        res = unroll_teacher_forced(g, np.array([1, 0]))
+        res = unroll_teacher_forced(g, np.array([[1, 0]]))
         with pytest.raises(ValueError):
-            loss_nll(res.logits, np.array([1, 0, 2]))
+            loss_nll(res.logits, np.array([[1, 0, 2]]))
 
 
 class TestAccuracyAndGate:
@@ -1073,6 +1095,12 @@ def build_step_fixture(seed=60, vocab=4, hidden=5, batch=4, t_len=6,
 
 
 class TestTrainStep:
+    def test_rejects_the_ids_of_one_sequence(self):
+        g, d, y, ga, da = build_step_fixture()
+        with pytest.raises(ValueError, match=r"\[B, T\]"):
+            train_step(g, d, y[0], TrainConfig(), 0.0, np.random.default_rng(61), ga, da)
+        assert ga.t == 0
+
     def test_metrics_shape_and_finiteness(self):
         g, d, y, ga, da = build_step_fixture()
         m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(61), ga, da)
@@ -1657,8 +1685,8 @@ class TestTapeNodeCeiling:
         assert nodes == self.PF_CEILING
         # the discriminator's tape exits first, inside the generator's
         assert closures[0] == DISCRIMINATOR_NODES
-        # one unroll of both regimes: logits, behavior, hidden and nll
-        assert unroll_outputs == [4]
+        # one unroll of both regimes: logits, behavior and nll
+        assert unroll_outputs == [3]
         # one discriminator pass over both behaviors stacked, one sweep of its tape
         assert rows_scored == [2 * TINY_PF["batch_n"]]
         assert d_sweeps == 1
@@ -1667,5 +1695,5 @@ class TestTapeNodeCeiling:
         nodes, _, rows_scored, d_sweeps, unroll_outputs, _ = self._one_step(
             monkeypatch, tmp_path, "teacher_forcing")
         assert nodes == self.TF_CEILING
-        assert unroll_outputs == [4]
+        assert unroll_outputs == [3]
         assert rows_scored == [] and d_sweeps == 0

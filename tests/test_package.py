@@ -1,12 +1,17 @@
 import ast
+import contextlib
 import csv
+import functools
 import importlib
 import inspect
+import io
 import json
 import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
@@ -42,7 +47,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2451   # may only come down
+SRC_LINE_CEILING = 2444   # may only come down
 
 
 def test_src_stays_within_its_line_budget():
@@ -51,11 +56,23 @@ def test_src_stays_within_its_line_budget():
     assert lines <= SRC_LINE_CEILING, f"src/ is {lines} lines, over {SRC_LINE_CEILING}"
 
 
-# What no command reaches, each entry with the reason it stays in src/.
-UNREACHED_BY_COMMANDS = {
+# What no command runs, each entry with the reason it stays in src/: a
+# whole def as module.qualname, one statement of it as "module.qualname: <its
+# first line>".
+NOT_RUN_BY_COMMANDS = {
     "tensor.grad_check": "A1 checks every taped kernel's gradient with it",
     "engine.loss_discriminator": "A2 pins c_d's exact value with it and A4 trains on it",
     "tensor.Tape.__len__": "perfbench's tracer counts the nodes of each tape a step closes",
+    "tensor.backward: if all(g is None for g in grads) or not any(need): continue":
+        "the per-step oracle's chain of primitives records nodes its loss does not reach",
+    "tensor.backward: t.grad += gi": "A1's primitives read one tensor twice",
+    "tensor.backward: p.grad = np.zeros_like(p.data)":
+        "the per-step oracle's behavior-only loss does not reach the head's parameters",
+    "diagnostics.project_2d: return np.zeros((x.shape[0], 2)), np.zeros(2)":
+        "a cloud of identical points has no principal direction",
+    "trainer.Trainer._restore: log.warning(\"resuming in another environment than the "
+    "checkpoint was written in \"":
+        "a resume in another environment; TestResumeUnderAnotherThreadCount runs it",
 }
 
 # What no command sets, each keyword parameter with the reason it stays in src/.
@@ -70,24 +87,68 @@ _TINY = ["vocab_size=4", "seq_len=10", "copy_pattern_len=2", "copy_count=8", "va
 _GATE_OPENS = "lr=0.03"   # the tiny pf run's generator gate opens at step 1
 
 
-def _src_definitions() -> dict[tuple[str, int], str]:
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _src_statements() -> dict[str, list]:
     """Every def under src/, nested ones too, named by its module and the
-    classes and functions around it and keyed by its file and first line,
-    counted from its first decorator as a code object counts it."""
+    classes and functions around it, with the statements of its body.
+
+    A statement is ``(key, lines, inner)``: the first line of its source,
+    the (file, line) pairs any one of which runs it (all its lines, or for a
+    compound statement those of its header, from its first decorator) and
+    the statements of its own blocks.  A first line the def holds twice is
+    keyed after the header of the statement around it.  Exempt, so left
+    out: docstrings, ``raise``, ``except`` bodies, an ``if`` body that ends
+    in ``raise``, and the bodies of nested defs, which are defs of their own.
+    """
     defs = {}
 
-    def visit(node, path, prefix):
+    def head(s, text):   # text: the file's lines, as UTF-8, where col_offset counts
+        return text[s.lineno - 1][s.col_offset:].decode().strip()
+
+    def own_heads(node, text):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                yield head(child, text)
+            if not isinstance(child, _DEFS):
+                yield from own_heads(child, text)
+
+    def block(stmts, around, seen, text, file):
+        out = []
+        for s in stmts:
+            if isinstance(s, ast.Raise) or (isinstance(s, ast.Expr)
+                                            and isinstance(s.value, ast.Constant)
+                                            and isinstance(s.value.value, str)):
+                continue
+            first, last, inner, key = s.lineno, s.end_lineno, [], head(s, text)
+            if isinstance(s, _DEFS):
+                first = min([s.lineno] + [d.lineno for d in s.decorator_list])
+                last = max(s.lineno, s.body[0].lineno - 1)
+            elif hasattr(s, "body"):
+                last = max(s.lineno, s.body[0].lineno - 1)
+                bodies = [getattr(s, k, []) for k in ("body", "orelse", "finalbody")]
+                if isinstance(s, ast.If) and isinstance(s.body[-1], ast.Raise):
+                    bodies = bodies[1:]
+                inner = [st for b in bodies for st in block(b, key, seen, text, file)]
+            if seen[key] > 1:
+                key = f"{around} {key}"
+            out.append((key, {(file, n) for n in range(first, last + 1)}, inner))
+        return out
+
+    def visit(node, prefix, text, file):
         for child in ast.iter_child_nodes(node):
             name = prefix
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if isinstance(child, _DEFS):
                 name = f"{prefix}.{child.name}"
                 if not isinstance(child, ast.ClassDef):
-                    first = min([child.lineno] + [d.lineno for d in child.decorator_list])
-                    defs[(path, first)] = name
-            visit(child, path, name)
+                    seen = Counter(own_heads(child, text))
+                    defs[name] = block(child.body, "", seen, text, file)
+            visit(child, name, text, file)
 
     for path in SRC.glob("*.py"):
-        visit(ast.parse(path.read_text()), os.path.realpath(path), path.stem)
+        text = path.read_bytes()
+        visit(ast.parse(text), path.stem, text.splitlines(), os.path.realpath(path))
     return defs
 
 
@@ -119,6 +180,15 @@ def _src_keyword_defaults() -> dict[int, tuple[str, dict[str, object]]]:
     return found
 
 
+def _is_default(value, default) -> bool:
+    """Whether a binding leaves its parameter as its default: a number, text,
+    flag or None equal to it and of its exact type, anything else the very
+    default object."""
+    if type(value) in (int, float, str, bool, type(None)):
+        return type(value) is type(default) and value == default
+    return value is default
+
+
 def _train(tmp: Path, name: str, *sets: str, steps: str = "4", preset=()) -> list[str]:
     args = ["train", *preset, "--out", str(tmp / name), "--seed", "3", "--steps", steps]
     return args + [a for pair in _TINY + list(sets) for a in ("--set", pair)]
@@ -129,16 +199,20 @@ def _commands(tmp: Path) -> list[list[str]]:
     corpus = tmp / "corpus.txt"
     corpus.write_text("the cat sat on the mat\n" * 20)
     config = tmp / "tiny.cfg"   # a file spells out its mode: the tf alias is --mode's alone
-    config.write_text("\n".join(_TINY + ["mode=teacher_forcing"]) + "\n")
+    config.write_text("\n".join(["# a tiny tf run"] + _TINY + ["mode=teacher_forcing"]) + "\n")
     pf, tf = str(tmp / "pf" / "final.ckpt"), str(tmp / "tf" / "final.ckpt")
+    raster = ("raster_width=4", "raster_height=4", "raster_count=8")
     return [
-        _train(tmp, "tf", "mode=teacher_forcing"),
-        _train(tmp, "ss", "mode=scheduled_sampling", steps="3"),
-        _train(tmp, "pf", _GATE_OPENS, steps="3"),
-        _train(tmp, "raster", "raster_width=4", "raster_height=4", "raster_count=8",
+        _train(tmp, "tf", "mode=teacher_forcing", "temperature=0.7"),   # diagnose's temperature
+        _train(tmp, "ss", "mode=scheduled_sampling", "ss_ramp_steps=none", steps="3"),
+        _train(tmp, "pf", _GATE_OPENS, "include_outputs_in_behavior=true", steps="3"),
+        _train(tmp, "raster", *raster, preset=("--preset", "desk-raster")),
+        _train(tmp, "cross", *raster, "raster_family=cross", steps="1",
                preset=("--preset", "desk-raster")),
         _train(tmp, "corpus", "task=corpus", f"corpus_path={corpus}", "gen_layers=2",
                "include_outputs_in_behavior=true", "use_ct=true"),
+        # 23 validation symbols make no chunk of 30
+        _train(tmp, "no-val", "task=corpus", f"corpus_path={corpus}", "seq_len=30", steps="1"),
         ["train", "--config", str(config), "--out", str(tmp / "config"), "--seed", "3",
          "--steps", "2"],
         ["train", "--resume", pf, "--steps", "4", "--out", str(tmp / "pf")],
@@ -146,65 +220,85 @@ def _commands(tmp: Path) -> list[list[str]]:
          "--out", str(tmp / "ss-resumed")],
         ["sample", pf, "--count", "2"],
         ["sample", str(tmp / "corpus" / "final.ckpt"), "--count", "2", "--bias", "1"],
+        ["sample", tf, "--count", "2", "--out", str(tmp / "sample.txt")],
         ["diagnose", tf, "--count", "4", "--out", str(tmp / "diag")],
         ["inspect-checkpoint", pf],
     ]
 
 
-def _run_commands(tmp: Path, capsys, profile) -> None:
-    """Every command of :func:`_commands`, each exiting 0, under ``profile``."""
-    _parser.cache_clear()   # so that this process builds the parser again, under the profiler
-    commands, before = _commands(tmp), sys.getprofile()
-    sys.setprofile(profile)
-    try:
-        codes = [main(args) for args in commands]
-    finally:
-        sys.setprofile(before)
-    assert codes == [0] * len(commands), capsys.readouterr().err
+@dataclass
+class CommandTrace:
+    lines: set          # (file, line) of every line run under src/
+    called: set         # ids of the code objects of _src_keyword_defaults a command calls
+    set_: set           # (code id, parameter) some call binds to other than its default
+    keywords: dict      # _src_keyword_defaults()
 
 
-def test_every_src_function_is_reached(tmp_path, capsys):
-    # "no API that only tests call": every def under src/ runs in some
-    # command, or UNREACHED_BY_COMMANDS says why it stays
-    reached = set()
+@pytest.fixture(scope="module")
+def command_trace(tmp_path_factory) -> CommandTrace:
+    """Every command of :func:`_commands`, each exiting 0, run once under
+    ``sys.settrace``, which reports each line and call as it runs."""
+    tmp, keywords = tmp_path_factory.mktemp("commands"), _src_keyword_defaults()
+    trace = CommandTrace(set(), set(), set(), keywords)
+    real = functools.cache(os.path.realpath)
 
-    def profile(frame, event, arg):
-        if event == "call":
-            reached.add((frame.f_code.co_filename, frame.f_code.co_firstlineno,
-                         frame.f_code.co_name))
+    def line(frame, event, arg):
+        if event == "line":
+            trace.lines.add((frame.f_code.co_filename, frame.f_lineno))
+        return line
 
-    _run_commands(tmp_path, capsys, profile)
-    # <module>, <lambda> and comprehensions are no defs; the dataclass
-    # dunders are made from text, with the file name <string>
-    reached = {(os.path.realpath(file), line) for file, line, name in reached
-               if not name.startswith("<")}
-    defs = _src_definitions()
-    unreached = {name for key, name in defs.items() if key not in reached}
-    unlisted = sorted(unreached - UNREACHED_BY_COMMANDS.keys())
-    stale = sorted(UNREACHED_BY_COMMANDS.keys() - unreached)
-    assert not unlisted and not stale, (
-        f"no command reaches these, nor does UNREACHED_BY_COMMANDS list them: {unlisted}; "
-        f"UNREACHED_BY_COMMANDS lists these, which a command reaches or src/ lacks: {stale}")
-
-
-def test_every_keyword_parameter_is_set_by_a_command(tmp_path, capsys):
-    # no switch that only tests flip: a keyword parameter of a def some
-    # command calls is bound, in some call, to an object that is not its
-    # default, or SET_ONLY_BY_TESTS says why it stays
-    keywords = _src_keyword_defaults()
-    called, set_ = set(), set()
-
-    def profile(frame, event, arg):
+    def call(frame, event, arg):
         key = id(frame.f_code)
-        if event == "call" and key in keywords:
-            called.add(key)
+        if key in keywords:
+            trace.called.add(key)
             bound = frame.f_locals
-            set_.update((key, p) for p, default in keywords[key][1].items()
-                        if bound[p] is not default)
+            trace.set_.update((key, p) for p, default in keywords[key][1].items()
+                              if not _is_default(bound[p], default))
+        return line if real(frame.f_code.co_filename).startswith(str(SRC) + os.sep) else None
 
-    _run_commands(tmp_path, capsys, profile)
-    unset = {f"{keywords[key][0]}({p})" for key in called for p in keywords[key][1]
-             if (key, p) not in set_}
+    _parser.cache_clear()   # so that this process builds the parser again, traced
+    commands, err = _commands(tmp), io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        sys.settrace(call)
+        try:
+            codes = [main(args) for args in commands]
+        finally:
+            sys.settrace(None)
+    assert codes == [0] * len(commands), err.getvalue()
+    trace.lines = {(real(file), n) for file, n in trace.lines}
+    return trace
+
+
+def _not_run(stmts: list, ran: set, name: str) -> list[str]:
+    """The outermost statements of ``stmts`` that did not run, as keys."""
+    out = []
+    for head, lines, inner in stmts:
+        out += _not_run(inner, ran, name) if lines & ran else [f"{name}: {head}"]
+    return out
+
+
+def test_every_src_statement_runs(command_trace):
+    # "no API that only tests call", statement by statement: every statement
+    # of a def under src/ runs in some command, or NOT_RUN_BY_COMMANDS says why
+    # it stays; a def none of whose statements runs is named whole
+    ran, not_run = command_trace.lines, set()
+    for name, stmts in _src_statements().items():
+        whole = stmts and not any(lines & ran for _, lines, _ in stmts)
+        not_run.update([name] if whole else _not_run(stmts, ran, name))
+    unlisted = sorted(not_run - NOT_RUN_BY_COMMANDS.keys())
+    stale = sorted(NOT_RUN_BY_COMMANDS.keys() - not_run)
+    assert not unlisted and not stale, (
+        f"no command runs these, nor does NOT_RUN_BY_COMMANDS list them: {unlisted}; "
+        f"NOT_RUN_BY_COMMANDS lists these, which a command runs or src/ lacks: {stale}")
+
+
+def test_every_keyword_parameter_is_set_by_a_command(command_trace):
+    # no switch that only tests flip: a keyword parameter of a def some
+    # command calls is bound, in some call, to other than its default (see
+    # _is_default), or SET_ONLY_BY_TESTS says why it stays
+    keywords = command_trace.keywords
+    unset = {f"{keywords[key][0]}({p})" for key in command_trace.called
+             for p in keywords[key][1] if (key, p) not in command_trace.set_}
     unlisted = sorted(unset - SET_ONLY_BY_TESTS.keys())
     stale = sorted(SET_ONLY_BY_TESTS.keys() - unset)
     assert not unlisted and not stale, (
@@ -227,12 +321,7 @@ print(json.dumps([codes, broken]))
 def test_commands_run_clean_in_dev_mode(tmp_path):
     # under python -X dev -W error a stray warning raises, and a file
     # handle left open is reported as it is collected
-    pf = str(tmp_path / "pf" / "final.ckpt")
-    commands = [_train(tmp_path, "pf", _GATE_OPENS, steps="3"),
-                ["train", "--resume", pf, "--steps", "4", "--out", str(tmp_path / "pf")],
-                ["sample", pf, "--count", "2"],
-                ["diagnose", pf, "--count", "4", "--out", str(tmp_path / "diag")],
-                ["inspect-checkpoint", pf]]
+    commands = _commands(tmp_path)
     out = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", _DEV_MODE,
                           json.dumps(commands)], env=dict(os.environ, PYTHONPATH=str(SRC.parent)),
                          capture_output=True, text=True)
