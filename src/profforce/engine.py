@@ -8,10 +8,10 @@ differ only in which symbol it feeds back.  Scheduled sampling spans
 them with one probability: p = 0 is teacher forcing and p = 1 is free
 running.  :func:`unroll_teacher_forced` and :func:`unroll_free_running`
 check their arguments and run that loop; :func:`train_step` runs it for
-every mode, on ``[B, T]`` target ids.  Every unroll emits its logits and
-its behavior (the GRU candidate pre-tanh values, optionally with the
-softmax outputs appended) as time-major [T, B, .] tensors, its top-layer
-states as a [T, B, H] array no gradient reaches, and with targets also
+every mode, on ``[B, T]`` target ids.  Every unroll emits its behavior
+(the GRU candidate pre-tanh values, optionally with the softmax outputs
+appended) as a time-major [T, B, .] tensor, its logits and top-layer
+states as [T, B, .] arrays no gradient reaches, and with targets also
 the cross entropy in nats per step.  An untaped caller that reads only
 the draws, the cross entropy or the last state (``sample``, validation,
 ``diagnose``) passes ``keep_outputs=False``: those three arrays then
@@ -33,15 +33,16 @@ teacher forced:
     c_f        mean(-log D(b_fr))                     generator side
     c_t        mean(-log(1 - D(b_tf)))                optional extra
 
-c_d is c_f + c_t with the labels swapped: ``loss_discriminator(d_fr,
-d_tf)`` is the generator's term with ``use_ct``.  The adversarial signal
-reaches the generator only while the discriminator's batch accuracy is
-above 0.75, and the discriminator itself stops updating once its
-accuracy exceeds 0.99.
+c_d is c_f + c_t with the labels swapped, so with ``use_ct`` the
+generator's term is c_d of the stack with its halves exchanged.  The
+adversarial signal reaches the generator only while the discriminator's
+batch accuracy is above 0.75, and the discriminator itself stops
+updating once its accuracy exceeds 0.99.
 
-Each loss records one node on a tape (c_d one over both halves, given
-as two tensors or as one stack), and all of them reject probabilities
-outside (0, 1) on either route.
+c_d is the one loss recorded on a tape, as one node over the ``[2B]``
+stack of probabilities, teacher-forced rows first; it rejects
+probabilities outside (0, 1).  c_f and c_t are reported values only:
+the generator's adversarial term reaches it through c_d's sweep.
 
 A training step unrolls both regimes as one batch, teacher-forced rows
 first, runs the discriminator on its behavior once and sweeps its tape
@@ -57,9 +58,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import chain, cycle, islice, repeat
-from operator import add
 
 import numpy as np
 
@@ -94,9 +93,6 @@ __all__ = [
     "unroll_teacher_forced",
     "unroll_free_running",
     "discriminate",
-    "loss_discriminator",
-    "loss_fool_free_running",
-    "loss_match_teacher_forced",
     "gate",
     "accuracy_from_probs",
     "train_step",
@@ -208,7 +204,7 @@ class DiscriminatorParams:
 class UnrollResult:
     """An unroll's outputs; a targeted row's ``sampled`` is what it was fed, draws included."""
 
-    logits: Tensor | None                # [T, B, V]; None unless keep_outputs
+    logits: np.ndarray | None            # [T, B, V]; None unless keep_outputs
     behavior: Tensor | None              # [T, B, width]
     hidden: np.ndarray                   # [T, B, H] top-layer states; lean, the last [1, B, H]
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
@@ -255,12 +251,12 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     from a per-symbol table.  Only while a tape records does every step keep
     its own cache rows (states, gates and candidates; ``r * h`` goes through
     one row in any case) and the unroll record one node, whose outputs are
-    the logits and behavior tensors and ``nll`` (see
-    :func:`_unroll_backward`); the top-layer states are an array no
-    gradient reaches.  Untaped, ``keep_outputs=False`` cycles the logits,
-    behavior and states through rows, as the caches are, and keeps the
-    last state alone (``[1, B, H]``) and the targeted rows' logits, which
-    ``nll`` sums in step order: memory grows with the draws alone.
+    the behavior tensor and ``nll`` (see :func:`_unroll_backward`); the
+    logits and top-layer states are arrays no gradient reaches.  Untaped,
+    ``keep_outputs=False`` cycles the logits, behavior and states through
+    rows, as the caches are, and keeps the last state alone (``[1, B, H]``)
+    and the targeted rows' logits, which ``nll`` sums in step order:
+    memory grows with the draws alone.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
@@ -323,9 +319,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     if include_outputs and whole:
         behavior[..., :top] = top_pre
     hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
-    outs = tuple(Tensor(a) if whole else None for a in (logits, behavior))
-    res = UnrollResult(*outs, hs[1:] if whole else hs[t_len % 2, None],
+    res = UnrollResult(logits if whole else None, Tensor(behavior) if whole else None,
+                       hs[1:] if whole else hs[t_len % 2, None],
                        np.empty((batch, t_len), dtype=np.int64))
+    outs = (res.behavior,)
     res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     soft = None
     if n_tf:
@@ -351,12 +348,11 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
     row's inverse temperature and, with targets, ``soft`` every targeted
     logits row's softmax.  The closure takes the gradients of the
-    logits and behavior outputs and of ``nll`` (None for one the loss
-    does not reach), forms the logits' gradient (from the logits,
-    ``nll`` and the behavior's softmax columns), takes the head's and
-    top states' gradients in one product each, runs :func:`_gru_bptt`
-    per layer from the top and scatters the bottom layer's input
-    gradient into the embedding.  Rows are independent, so when only
+    behavior output and of ``nll`` (None for one the loss does not
+    reach), forms the logits' gradient (from ``nll`` and the behavior's
+    softmax columns), takes the head's and top states' gradients in one
+    product each, runs :func:`_gru_bptt` per layer from the top and
+    scatters the bottom layer's input gradient into the embedding.  Rows are independent, so when only
     ``nll`` is reached it runs the targeted rows alone.  The bottom
     inputs are looked up again, as no update runs before every sweep
     has.  Returns one gradient per input, in ``g.tensors()`` order.
@@ -366,9 +362,9 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     emb, w_o = g.embedding.data, g.W_o.data
     top, vocab = w_o.shape
 
-    def back(g_lg, g_beh, g_nll=None):
-        n = n_tf if g_lg is None and g_beh is None else batch
-        d_lg = np.zeros((t_len, n, vocab)) if g_lg is None else np.array(g_lg)
+    def back(g_beh, g_nll=None):
+        n = n_tf if g_beh is None else batch
+        d_lg = np.zeros((t_len, n, vocab))
         if g_nll is not None:
             p = soft.copy()
             p[np.arange(t_len)[:, None], np.arange(n_tf), ids.T] -= 1.0
@@ -395,16 +391,16 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     return back
 
 
-def unroll_teacher_forced(g: GeneratorParams, y_seq, *, include_outputs: bool = False,
+def unroll_teacher_forced(g: GeneratorParams, y_seq, *,
                           keep_outputs: bool = True) -> UnrollResult:
     """Open-loop unroll: step t reads the true y[t-1] (start token at t=0).
 
-    With ``keep_outputs=False`` and no tape recording, the logits and
-    behavior are None and ``hidden`` holds the last state alone.
+    The behavior is the top candidate alone.  With ``keep_outputs=False``
+    and no tape recording, the logits and behavior are None and
+    ``hidden`` holds the last state alone.
     """
     ids = _target_ids(g, y_seq)
-    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs,
-                   keep_outputs)
+    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, False, keep_outputs)
 
 
 def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator, *,
@@ -413,7 +409,7 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
     """Closed-loop unroll: step t reads the model's own previous sample.
 
     Sampling draws from softmax(logits / temperature).  Gradients flow
-    through the logits and behavior; the discrete sample is a constant.
+    through the behavior; the discrete sample is a constant.
     Ground-truth symbols are never consulted.  The behavior is the top
     candidate alone.  With ``keep_outputs=False`` and no tape
     recording, only the draws and the last state are kept: the logits
@@ -460,52 +456,24 @@ def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
     return _record(Tensor(s), (scores,), back)
 
 
-def _mean_neg_log(xs: tuple, of_one_minus: tuple, stacked: bool = False):
-    """The sum over pieces x of mean(-log x), or of mean(-log(1 - x)) where
-    ``of_one_minus`` says so: a float, or for Tensors a scalar Tensor recorded
-    as one node.  ``xs`` holds one piece per flag or, if ``stacked``, one
-    array or Tensor cut into that many equal pieces along axis 0.  Each piece
-    must be non-empty and lie strictly inside (0, 1)."""
-    if len(xs) != (1 if stacked else len(of_one_minus)):
-        raise ValueError(f"{len(xs)} inputs for the flags {of_one_minus} (stacked={stacked})")
-    arrays = [x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64) for x in xs]
-    pieces = np.split(arrays[0], len(of_one_minus)) if stacked else arrays
-    logged = []
-    for a, flag in zip(pieces, of_one_minus):
+def _c_d(probs: Tensor) -> Tensor:
+    """c_d over the ``[2B]`` stack of the discriminator's probabilities,
+    teacher-forced rows first, recorded as one node.  Each half must be
+    non-empty and lie strictly inside (0, 1)."""
+    p_tf, p_fr = np.split(probs.data, 2)
+    for a in (p_tf, p_fr):
         if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
-        logged.append(1.0 - a if flag else a)
-    if not isinstance(xs[0], Tensor):
-        return reduce(add, [float(-np.sum(np.log(a)) / a.size) for a in logged])
+    logged = (p_tf, 1.0 - p_fr)
     cs = [-1.0 / a.size for a in logged]
-    out = Tensor(reduce(add, [np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)]))
+    out = Tensor(np.asarray(np.sum(np.log(logged[0]))) * cs[0]
+                 + np.asarray(np.sum(np.log(logged[1]))) * cs[1])
 
     def back(g):
-        grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
-        grads = [-d if flag else d for d, flag in zip(grads, of_one_minus)]
-        return (np.concatenate(grads),) if stacked else tuple(grads)
+        d_tf, d_fr = (np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs))
+        return (np.concatenate((d_tf, -d_fr)),)
 
-    return _record(out, tuple(xs), back)
-
-
-def loss_fool_free_running(d_fr):
-    """mean(-log D(b_fr)): low when free-running behavior reads as teacher forced."""
-    return _mean_neg_log((d_fr,), (False,))
-
-
-def loss_match_teacher_forced(d_tf):
-    """mean(-log(1 - D(b_tf))): the optional generator term on the other mode."""
-    return _mean_neg_log((d_tf,), (True,))
-
-
-def loss_discriminator(d_tf, d_fr):
-    """Binary cross entropy with teacher forced labelled 1.
-
-    Built from the same two means as the generator-side terms, so
-    swapping their arguments reproduces this loss term for term.
-    :func:`train_step` records it over the one ``[2B]`` stack of both.
-    """
-    return _mean_neg_log((d_tf, d_fr), (False, True))
+    return _record(out, (probs,), back)
 
 
 def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
@@ -578,7 +546,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
             leaf = res.behavior.detach()
             with Tape() as d_tape:
                 probs = discriminate(d, leaf)   # [2B], teacher-forced rows first
-                c_d = _mean_neg_log((probs,), (False, True), stacked=True)   # loss_discriminator's
+                c_d = _c_d(probs)
             p_tf, p_fr = np.split(probs.data, 2)
             gs = gate(accuracy_from_probs(p_tf, p_fr))
             update_d = not cfg.freeze_discriminator and gs.update_discriminator
@@ -589,8 +557,8 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
                 backward(d_tape, c_d, reads=reads)
             del d_tape   # swept or not, nothing reads it again: free it before the G sweep
             metrics.update(c_d=float(c_d.data),
-                           c_f=loss_fool_free_running(p_fr),
-                           c_t=loss_match_teacher_forced(p_tf),
+                           c_f=float(-np.sum(np.log(p_fr)) / p_fr.size),
+                           c_t=float(-np.sum(np.log(1.0 - p_tf)) / p_tf.size),
                            disc_acc=gs.disc_accuracy,
                            gate_gen=gs.adversarial_to_generator,
                            gate_disc=gs.update_discriminator)
@@ -603,7 +571,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
 
     g_params = g.tensors()
     zero_grads(g_params)
-    backward(gen_tape, res.nll, params=g_params)
+    backward(gen_tape, res.nll, reads=g_params)
     adam_step(g_adam, g_params, [p.grad for p in g_params])
     if update_d:
         adam_step(d_adam, d_params, [p.grad for p in d_params])

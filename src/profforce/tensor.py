@@ -7,11 +7,11 @@ numpy math, which is how evaluation-only code paths (sampling,
 validation, metric probes) run without autodiff overhead.
 
 The nodes a training step records are kernels: the generator unroll,
-the discriminator's head and losses in :mod:`profforce.engine`, the BiGRU
+the discriminator's head and c_d in :mod:`profforce.engine`, the BiGRU
 encoder and MLP in :mod:`profforce.nets`; this module records no op of
 its own.  A node may have more than one output (an unroll records its
-[T, B, .] logits and behavior and its cross entropy in nats per step,
-not its top-layer states, which it returns as a plain array); its
+[T, B, .] behavior and its cross entropy in nats per step, not its
+logits or top-layer states, which it returns as plain arrays); its
 closure gets ``None`` for each output the loss does not reach.
 
 Gradients accumulate into ``Tensor.grad``; callers zero grads between
@@ -24,7 +24,8 @@ run, and leaves a ``grad`` on leaves (parameters, detached inputs) alone;
 sweeping the emptied tape again raises ``ValueError``.
 
 A sweep forms only the gradients its caller reads, when the caller
-names those leaves; the encoder and MLP nodes of :mod:`profforce.nets`
+names those leaves, and gives each of them a gradient, zeros if the loss
+does not reach it; the encoder and MLP nodes of :mod:`profforce.nets`
 are told which inputs lead to them and skip the products of the others.
 """
 
@@ -39,7 +40,6 @@ __all__ = [
     "Tape",
     "is_recording",
     "backward",
-    "grad_check",
     "zero_grads",
 ]
 
@@ -122,8 +122,7 @@ def _needs(tape: Tape, reads: Sequence[Tensor] | None) -> list[tuple[bool, ...]]
     return needs
 
 
-def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
-             reads: Sequence[Tensor] | None = None) -> None:
+def backward(tape: Tape, loss: Tensor, reads: Sequence[Tensor] | None = None) -> None:
     """Reverse sweep over ``tape`` accumulating gradients of ``loss``.
 
     Gradients add into each input tensor's ``grad``; the caller is
@@ -132,14 +131,13 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
     before raises ``ValueError``.  A gradient already on a recorded
     tensor when the sweep starts counts as part of the loss's gradient
     there: its node's closure receives it, as if a term ``sum(tensor *
-    grad)`` had been added to the loss.  When ``params`` is given, any of
-    them left untouched by the sweep (not reachable from the loss) gets
-    an exact zero gradient.
-    ``reads`` names the leaves the caller reads, which count as
-    ``params`` too: the sweep then forms only the gradients that lead to
+    grad)`` had been added to the loss.  ``reads`` names the leaves the
+    caller reads: the sweep then forms only the gradients that lead to
     one of them, skips a node none of whose inputs does, and passes a
     ``told`` closure ``needs``, one bool per input, so that it can skip
-    the products of the others.  What it forms keeps its bits.
+    the products of the others.  What it forms keeps its bits.  A leaf
+    of ``reads`` that the loss does not reach gets an exact zero
+    gradient.
     """
     if loss.data.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -168,7 +166,7 @@ def backward(tape: Tape, loss: Tensor, params: Sequence[Tensor] | None = None,
             else:
                 t.grad += gi
         got = gi = None   # before the next closure runs
-    for p in [*(params or ()), *(reads or ())]:
+    for p in reads or ():
         if p.grad is None:
             p.grad = np.zeros_like(p.data)
 
@@ -198,35 +196,3 @@ def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):
     e = np.exp(x - m[:, None])
     s = np.sum(e, axis=-1)
     return m + np.log(s) - x[np.arange(x.shape[0]), t], e, s
-
-
-def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> float:
-    """Worst relative error between tape gradients and central differences.
-
-    ``f(params)`` must rebuild the scalar loss from scratch on every
-    call and must not open its own tape; ``grad_check``, called with no
-    tape open, records the analytic pass itself and runs the probes untaped.
-    The relative error uses ``max(|analytic|, |numeric|, 1e-8)`` as the
-    denominator.
-    """
-    params = list(params)
-    zero_grads(params)
-    with Tape() as tape:
-        loss = f(params)
-    backward(tape, loss, params=params)
-    analytic = [p.grad.copy() for p in params]
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
-        gflat = ga.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + epsilon
-            fp = float(f(params).data)
-            flat[i] = orig - epsilon
-            fm = float(f(params).data)
-            flat[i] = orig
-            numeric = (fp - fm) / (2.0 * epsilon)
-            err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    return worst

@@ -6,24 +6,31 @@ do; the gradient checks and the per-step reference unrolls use them,
 and the composed chains of them are what the fused nodes of
 :mod:`profforce.nets` and :mod:`profforce.engine` are checked against.
 :func:`gru_sequence` runs one GRU direction as one node.
-:func:`loss_nll` is the taped sequence cross entropy that the unroll's
-own per-step ``nll`` is checked against once divided by T,
+:func:`grad_check` checks a taped loss's gradients against central
+differences.  :func:`loss_discriminator`, :func:`loss_fool_free_running`
+and :func:`loss_match_teacher_forced` record c_d, c_f and c_t as one
+node each, on their own tensors; ``profforce.engine`` records c_d alone,
+on one stack.  :func:`loss_nll` is the numpy sequence cross entropy that
+the unroll's own per-step ``nll`` is checked against once divided by T,
 :func:`make_batches` shuffles a dataset into one epoch of batches,
 :func:`gumbel_rows` is the per-step sampler the unroll's draws are
 checked against, and :func:`item` reads a one-element tensor as a float.
 """
 
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from profforce.data import SequenceDataset
 from profforce.nets import GruCellParams, _gru_bptt, _gru_run
 from profforce.tensor import (
+    Tape,
     Tensor,
     _cross_entropy_rows,
     _record,
     _stable_softmax,
+    backward,
+    zero_grads,
 )
 
 
@@ -311,7 +318,7 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     return _record(out, (logits,), back)
 
 
-def loss_nll(logits: Tensor, y_seq) -> Tensor:
+def loss_nll(logits: np.ndarray, y_seq) -> float:
     """Total sequence cross entropy of ``[T, B, V]`` logits, averaged over
     the batch rows."""
     ids = np.asarray(y_seq, dtype=np.int64)
@@ -319,9 +326,78 @@ def loss_nll(logits: Tensor, y_seq) -> Tensor:
     if (batch, t_len) != ids.shape:
         raise ValueError(f"logits for {t_len} steps of {batch} rows, targets {ids.shape}")
     # rows in step order, so the sum runs in the order of the unroll's nll
-    rows = reshape(logits, (t_len * batch, vocab))
-    xents = softmax_cross_entropy_rows(rows, ids.T.reshape(-1))
-    return scale(sum_all(xents), 1.0 / ids.shape[0])
+    xents = _cross_entropy_rows(logits.reshape(t_len * batch, vocab), ids.T.reshape(-1))[0]
+    return float(np.sum(xents) * (1.0 / batch))
+
+
+def _mean_neg_log(xs: tuple[Tensor, ...], of_one_minus: tuple[bool, ...]) -> Tensor:
+    """The sum over pieces x of mean(-log x), or of mean(-log(1 - x)) where
+    ``of_one_minus`` says so, recorded as one node.  Each piece must be
+    non-empty and lie strictly inside (0, 1)."""
+    if len(xs) != len(of_one_minus):
+        raise ValueError(f"{len(xs)} inputs for the flags {of_one_minus}")
+    logged = []
+    for x, flag in zip(xs, of_one_minus):
+        a = x.data
+        if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
+            raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
+        logged.append(1.0 - a if flag else a)
+    cs = [-1.0 / a.size for a in logged]
+    out = Tensor(sum(np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)))
+
+    def back(g):
+        grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
+        return tuple(-d if flag else d for d, flag in zip(grads, of_one_minus))
+
+    return _record(out, tuple(xs), back)
+
+
+def loss_discriminator(d_tf: Tensor, d_fr: Tensor) -> Tensor:
+    """c_d, binary cross entropy with teacher forced labelled 1: the
+    generator-side terms with their arguments swapped, term for term."""
+    return _mean_neg_log((d_tf, d_fr), (False, True))
+
+
+def loss_fool_free_running(d_fr: Tensor) -> Tensor:
+    """c_f, mean(-log D(b_fr)): low when free-running behavior reads as teacher forced."""
+    return _mean_neg_log((d_fr,), (False,))
+
+
+def loss_match_teacher_forced(d_tf: Tensor) -> Tensor:
+    """c_t, mean(-log(1 - D(b_tf))): the optional generator term on the other mode."""
+    return _mean_neg_log((d_tf,), (True,))
+
+
+def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> float:
+    """Worst relative error between tape gradients and central differences.
+
+    ``f(params)`` must rebuild the scalar loss from scratch on every
+    call and must not open its own tape; ``grad_check``, called with no
+    tape open, records the analytic pass itself and runs the probes untaped.
+    The relative error uses ``max(|analytic|, |numeric|, 1e-8)`` as the
+    denominator.
+    """
+    params = list(params)
+    zero_grads(params)
+    with Tape() as tape:
+        loss = f(params)
+    backward(tape, loss, reads=params)
+    analytic = [p.grad.copy() for p in params]
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.reshape(-1)
+        gflat = ga.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + epsilon
+            fp = float(f(params).data)
+            flat[i] = orig - epsilon
+            fm = float(f(params).data)
+            flat[i] = orig
+            numeric = (fp - fm) / (2.0 * epsilon)
+            err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)
+            worst = max(worst, err)
+    return worst
 
 
 def make_batches(ds: SequenceDataset, batch_size: int,

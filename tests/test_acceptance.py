@@ -12,6 +12,7 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from profforce import engine
 from profforce.checkpoint import load_checkpoint, save_checkpoint
 from profforce.cli import main as cli_main
 from profforce.config import PRESETS, TrainConfig
@@ -23,9 +24,6 @@ from profforce.engine import (
     accuracy_from_probs,
     discriminate,
     gate,
-    loss_discriminator,
-    loss_fool_free_running,
-    loss_match_teacher_forced,
     unroll_free_running,
     unroll_teacher_forced,
 )
@@ -35,7 +33,6 @@ from profforce.tensor import (
     Tape,
     Tensor,
     backward,
-    grad_check,
     zero_grads,
 )
 from profforce.trainer import Trainer
@@ -45,11 +42,14 @@ from extra_ops import (
     clip,
     concat,
     embed,
+    grad_check,
     gru_sequence,
     gru_step,
     item,
     log,
-    loss_nll,
+    loss_discriminator,
+    loss_fool_free_running,
+    loss_match_teacher_forced,
     make_batches,
     matmul,
     mean_all,
@@ -133,7 +133,7 @@ def unroll_case(rng, batch, t_len=4):
     y = rng.integers(0, 4, (batch, t_len))
 
     def loss(_):
-        res = unroll_teacher_forced(g, y, include_outputs=True)
+        res = engine._unroll(g, y, t_len, batch, 0.0, None, 1.0, True)
         return add(res.nll, sum_all(tanh(concat(res.behavior, axis=0))))
 
     return loss, g.tensors()
@@ -215,8 +215,7 @@ class TestA1GradientIntegrity:
             y = np.array([[1, 3, 0, 2, 2], [2, 0, 0, 1, 3]])
 
             def unroll_loss(_):
-                res = unroll_teacher_forced(g, y)
-                return loss_nll(res.logits, y)
+                return unroll_teacher_forced(g, y).nll
 
             err_unroll = grad_check(unroll_loss, g.tensors(), 1e-5)
             assert err_unroll < 1e-4, f"5-step unroll: relative error {err_unroll}"
@@ -229,8 +228,7 @@ class TestA1GradientIntegrity:
                                         batch=2).sampled
 
             def combined(_):
-                tf_res = unroll_teacher_forced(g2, y2)
-                nll = scale(loss_nll(tf_res.logits, y2), 1.0 / 5)
+                nll = unroll_teacher_forced(g2, y2).nll   # nats per step: T = 5
                 replay = unroll_teacher_forced(g2, fixed)
                 return add(nll, loss_fool_free_running(discriminate(d2, replay.behavior)))
 
@@ -247,17 +245,18 @@ class TestA1GradientIntegrity:
 class TestA2ChancePoint:
     def test_a2_loss_identities_at_chance(self, capsys):
         with verdict(capsys, "[A2] chance-point loss identities") as info:
-            half = np.full(9, 0.5)
-            c_d = loss_discriminator(half, half)
-            c_f = loss_fool_free_running(half)
-            c_t = loss_match_teacher_forced(half)
+            half = Tensor(np.full(9, 0.5))
+            c_d = item(loss_discriminator(half, half))
+            c_f = item(loss_fool_free_running(half))
+            c_t = item(loss_match_teacher_forced(half))
             assert abs(c_d - 2 * math.log(2)) < 1e-12
             assert abs(c_f - math.log(2)) < 1e-12
             assert abs(c_t - math.log(2)) < 1e-12
-            tensor_c_d = loss_discriminator(Tensor(half), Tensor(half))
-            assert abs(item(tensor_c_d) - 2 * math.log(2)) < 1e-12
+            # the node train_step records over its [2B] stack and writes to curves.csv
+            stacked = item(engine._c_d(Tensor(np.full(18, 0.5))))
+            assert abs(stacked - 2 * math.log(2)) < 1e-12
             info["detail"] = (f"c_d={c_d!r} (2ln2={2 * math.log(2)!r}), "
-                              f"c_f=c_t={c_f!r}")
+                              f"stacked c_d={stacked!r}, c_f=c_t={c_f!r}")
 
 
 class TestA3Convergence:
@@ -304,7 +303,7 @@ class TestA4DiscriminatorLearnability:
                         p_fr = discriminate(d, fr_b)
                         c_d = loss_discriminator(p_tf, p_fr)
                     zero_grads(d_params)
-                    backward(tape, c_d, params=d_params)
+                    backward(tape, c_d, reads=d_params)
                     adam_step(opt, d_params, [p.grad for p in d_params])
                     acc = accuracy_from_probs(p_tf.data, p_fr.data)
                     if acc > 0.75:

@@ -22,9 +22,6 @@ from profforce.engine import (
     accuracy_from_probs,
     discriminate,
     gate,
-    loss_discriminator,
-    loss_fool_free_running,
-    loss_match_teacher_forced,
     train_step,
     unroll_free_running,
     unroll_teacher_forced,
@@ -35,21 +32,25 @@ from profforce.tensor import (
     Tape,
     Tensor,
     backward,
-    grad_check,
     zero_grads,
 )
 from profforce.trainer import Trainer
 
 from extra_ops import (
+    _mean_neg_log,
     add,
     clip,
     concat,
     embed,
+    grad_check,
     gru_sequence,
     gru_step,
     gumbel_rows,
     item,
     log,
+    loss_discriminator,
+    loss_fool_free_running,
+    loss_match_teacher_forced,
     loss_nll,
     matmul,
     mean_axis0,
@@ -83,7 +84,9 @@ def softmax_rows(x):
 
 def ss_unroll(g, y, p_sample, rng, include_outputs=False):
     """Scheduled sampling as ``train_step`` runs it: every row of ``y``
-    [B, T] fed its targets, or with probability ``p_sample`` a draw."""
+    [B, T] fed its targets, or with probability ``p_sample`` a draw.  At
+    ``p_sample`` 0 (``rng`` may then be None) it is teacher forcing, whose
+    behavior may carry the softmax columns ``unroll_teacher_forced`` leaves out."""
     y = np.atleast_2d(y)
     return engine._unroll(g, y, y.shape[1], y.shape[0], p_sample, rng, 1.0, include_outputs)
 
@@ -95,7 +98,7 @@ def fr_unroll(g, t_len, rng, temperature=1.0, batch=1, include_outputs=False):
 
 
 def values(out) -> np.ndarray:
-    """An unroll output's array: a Tensor's data, or the top-layer states themselves."""
+    """An unroll output's array: the behavior's data, or the logits or states themselves."""
     return out.data if isinstance(out, Tensor) else out
 
 
@@ -122,7 +125,7 @@ class TestTeacherForcedUnroll:
         for t in range(3):
             h, pre = gru_oracle(cell, h, emb[prev])
             logits = h @ g.W_o.data + g.b_o.data
-            np.testing.assert_allclose(res.logits.data[t, 0], logits, atol=1e-12)
+            np.testing.assert_allclose(res.logits[t, 0], logits, atol=1e-12)
             np.testing.assert_allclose(res.hidden[t, 0], h, atol=1e-12)
             np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
             prev = y[0, t]
@@ -131,9 +134,8 @@ class TestTeacherForcedUnroll:
         g = zeroed(tiny_generator())
         y = np.array([[0, 1, 2, 3, 0]])
         res = unroll_teacher_forced(g, y)
-        np.testing.assert_array_equal(res.logits.data, np.zeros((5, 1, 4)))
-        nll = loss_nll(res.logits, y)
-        assert abs(item(nll) - 5 * math.log(4)) < 1e-12
+        np.testing.assert_array_equal(res.logits, np.zeros((5, 1, 4)))
+        assert abs(loss_nll(res.logits, y) - 5 * math.log(4)) < 1e-12
 
     def test_two_layer_stack_chains_states(self):
         g = tiny_generator(seed=202, layers=2)
@@ -162,14 +164,15 @@ class TestTeacherForcedUnroll:
         with pytest.raises(ValueError, match=r"\[B, T\]"):
             unroll_teacher_forced(tiny_generator(), [1, 2, 3])
 
-    def test_records_one_node_of_logits_behavior_and_nll(self):
+    def test_records_one_node_of_behavior_and_nll(self):
         g = tiny_generator()
         y = np.array([[1, 2, 3], [0, 3, 2]])
         with Tape() as tape:
             res = unroll_teacher_forced(g, y)
         [(outs, inputs, _)] = tape.nodes
-        assert outs == (res.logits, res.behavior, res.nll) and inputs == tuple(g.tensors())
-        # the top-layer states are an array no gradient reaches
+        assert outs == (res.behavior, res.nll) and inputs == tuple(g.tensors())
+        # the logits and top-layer states are arrays no gradient reaches
+        assert type(res.logits) is np.ndarray and res.logits.shape == (3, 2, 4)
         assert type(res.hidden) is np.ndarray and res.hidden.shape == (3, 2, 5)
         lean = unroll_teacher_forced(g, y, keep_outputs=False)
         np.testing.assert_array_equal(res.hidden[-1:], lean.hidden)
@@ -179,7 +182,7 @@ class TestTeacherForcedUnroll:
         y = np.array([[0, 1], [2, 3]])
         plain = unroll_teacher_forced(g, y)
         assert plain.behavior.shape == (2, 2, 5)
-        rich = unroll_teacher_forced(g, y, include_outputs=True)
+        rich = ss_unroll(g, y, 0.0, None, include_outputs=True)
         assert rich.behavior.shape == (2, 2, 5 + 4)
         np.testing.assert_allclose(rich.behavior.data[..., 5:].sum(axis=-1),
                                    np.ones((2, 2)), atol=1e-12)
@@ -191,7 +194,7 @@ class TestFreeRunningUnroll:
         a = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
         b = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
         np.testing.assert_array_equal(a.sampled, b.sampled)
-        np.testing.assert_array_equal(a.logits.data, b.logits.data)
+        np.testing.assert_array_equal(a.logits, b.logits)
 
     def test_degenerate_head_pins_samples(self):
         g = tiny_generator()
@@ -205,9 +208,9 @@ class TestFreeRunningUnroll:
         fr = unroll_free_running(g, 6, np.random.default_rng(32), temperature=1e-9)
         replay = unroll_teacher_forced(g, fr.sampled)
         for t in range(6):
-            np.testing.assert_allclose(replay.logits.data[t, 0],
-                                       fr.logits.data[t, 0], atol=1e-12)
-            assert fr.sampled[0, t] == int(np.argmax(replay.logits.data[t, 0]))
+            np.testing.assert_allclose(replay.logits[t, 0],
+                                       fr.logits[t, 0], atol=1e-12)
+            assert fr.sampled[0, t] == int(np.argmax(replay.logits[t, 0]))
 
     def test_first_step_frequencies_near_uniform(self):
         g = zeroed(tiny_generator())
@@ -254,12 +257,12 @@ class TestFreeRunningUnroll:
         g = tiny_generator(seed=205)
         fr = fr_unroll(g, 4, np.random.default_rng(54), temperature=0.5, batch=3,
                        include_outputs=True)
-        np.testing.assert_allclose(fr.behavior.data[..., 5:], softmax_rows(fr.logits.data / 0.5),
+        np.testing.assert_allclose(fr.behavior.data[..., 5:], softmax_rows(fr.logits / 0.5),
                                    rtol=0, atol=1e-12)
-        tf = unroll_teacher_forced(g, fr.sampled, include_outputs=True)
+        tf = ss_unroll(g, fr.sampled, 0.0, None, include_outputs=True)
         ss = ss_unroll(g, fr.sampled, 0.5, np.random.default_rng(55), include_outputs=True)
         for res in (tf, ss):
-            np.testing.assert_allclose(res.behavior.data[..., 5:], softmax_rows(res.logits.data),
+            np.testing.assert_allclose(res.behavior.data[..., 5:], softmax_rows(res.logits),
                                        rtol=0, atol=1e-12)
 
 
@@ -270,7 +273,7 @@ class TestScheduledSampling:
         rng = np.random.default_rng(36)
         ss = ss_unroll(g, y, 0.0, rng)
         tf = unroll_teacher_forced(g, y)
-        np.testing.assert_array_equal(ss.logits.data, tf.logits.data)
+        np.testing.assert_array_equal(ss.logits, tf.logits)
         # untouched stream: the next draw equals a fresh generator's first
         assert rng.random() == np.random.default_rng(36).random()
 
@@ -279,9 +282,9 @@ class TestScheduledSampling:
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         ss = ss_unroll(g, y, 0.0, np.random.default_rng(37))
         tf = unroll_teacher_forced(g, y)
-        assert abs(item(ss.nll) - item(loss_nll(tf.logits, y)) / 4) < 1e-12
+        assert abs(item(ss.nll) - loss_nll(tf.logits, y) / 4) < 1e-12
         # the teacher-forced unroll carries the same sum, term for term, per step
-        assert item(tf.nll) == item(loss_nll(tf.logits, y)) / 4
+        assert item(tf.nll) == loss_nll(tf.logits, y) / 4
 
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
@@ -290,7 +293,7 @@ class TestScheduledSampling:
         fr = unroll_free_running(g, 5, np.random.default_rng(38), batch=3)
         # fed symbols trail the free-running samples by one step
         np.testing.assert_array_equal(ss.sampled[:, 1:], fr.sampled[:, :-1])
-        np.testing.assert_array_equal(ss.logits.data, fr.logits.data)
+        np.testing.assert_array_equal(ss.logits, fr.logits)
 
     def test_targets_stay_ground_truth_at_p_one(self):
         g = zeroed(tiny_generator())
@@ -362,8 +365,9 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
 class TestUnrollMatchesPerStepOracle:
     """The one-node unroll against the per-step taped loop it replaced:
     identical draws, values to 1e-12 and gradients to 1e-10.  The unroll
-    emits [T, B, .] tensors (its states an array no gradient reaches), the
-    reference a list of [B, .] rows per output."""
+    emits [T, B, .] outputs (its logits and states arrays no gradient
+    reaches, its behavior a tensor), the reference a list of [B, .] rows
+    per output."""
 
     REGIMES = {  # name: (targets, p_sample, temperature)
         "tf": (True, 0.0, 1.0),
@@ -376,8 +380,8 @@ class TestUnrollMatchesPerStepOracle:
     def _unroll(self, g, regime, y, rng, include_outputs):
         targets, p, temp = self.REGIMES[regime]
         t_len, batch = y.shape[1], y.shape[0]
-        if regime == "tf":
-            res = unroll_teacher_forced(g, y, include_outputs=include_outputs)
+        if regime == "tf" and not include_outputs:
+            res = unroll_teacher_forced(g, y)
         elif targets:
             res = ss_unroll(g, y, p, rng, include_outputs=include_outputs)
         else:
@@ -387,22 +391,19 @@ class TestUnrollMatchesPerStepOracle:
 
     @staticmethod
     def _loss(outs, coef, reach):
-        """A fixed random linear combination of the reached outputs.  Each
-        step's row is left out of it with probability 0.3: it has a zero
+        """A fixed random linear combination of the behavior and, if
+        ``reach`` holds 3, ``nll`` (outputs 1 and 3).  Each step's behavior
+        row is left out of it with probability 0.3: it has a zero
         coefficient row in the unroll's loss, and the reference's loss
         skips it, so that row's gradient is None there."""
-        terms = []
-        for k, out in enumerate(outs[:2]):
-            if k not in reach:
-                continue
-            if isinstance(out, Tensor):
-                terms.append(sum_all(mul(out, Tensor(coef[k][..., :out.shape[-1]]))))
-                continue
-            for row, c in zip(out, coef[k]):
-                if c.any():
-                    terms.append(sum_all(mul(row, Tensor(c[:, :row.shape[1]]))))
+        (c_beh, c_nll), behavior = coef, outs[1]
+        if isinstance(behavior, Tensor):
+            terms = [sum_all(mul(behavior, Tensor(c_beh[..., :behavior.shape[-1]])))]
+        else:
+            terms = [sum_all(mul(row, Tensor(c[:, :row.shape[1]])))
+                     for row, c in zip(behavior, c_beh) if c.any()]
         if 3 in reach and outs[3] is not None:
-            terms.append(scale(outs[3], coef[3]))
+            terms.append(scale(outs[3], c_nll))
         loss = terms[0]
         for term in terms[1:]:
             loss = add(loss, term)
@@ -412,19 +413,17 @@ class TestUnrollMatchesPerStepOracle:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("include_outputs", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reach", [(0, 1, 3), (0,), (1,)],
-                             ids=["all", "logits_only", "behavior_only"])
+    @pytest.mark.parametrize("reach", [(1, 3), (1,)], ids=["all", "behavior_only"])
     def test_matches_reference(self, regime, layers, include_outputs, batch, reach):
         vocab, hidden_size, t_len = 4, 5, 5
         seed = 300 + 10 * layers + batch
         crng = np.random.default_rng(seed + 1)
         y = crng.integers(0, vocab, (batch, t_len))
-        draws = [[(crng.random() > 0.3, crng.uniform(-1, 1, (batch, hidden_size + vocab)))
-                  for _ in range(t_len)] for _ in range(3)]
-        for rows in draws:
-            rows[-1] = (True, rows[-1][1])   # at least one row of each kind
-        coef = [np.stack([c if keep else np.zeros_like(c) for keep, c in rows])
-                for rows in draws] + [crng.uniform(0.5, 1.5)]
+        rows = [(crng.random() > 0.3, crng.uniform(-1, 1, (batch, hidden_size + vocab)))
+                for _ in range(t_len)]
+        rows[-1] = (True, rows[-1][1])   # at least one row of each kind
+        coef = (np.stack([c if keep else np.zeros_like(c) for keep, c in rows]),
+                crng.uniform(0.5, 1.5))
         targets, p, temp = self.REGIMES[regime]
 
         def swept(run):
@@ -442,7 +441,7 @@ class TestUnrollMatchesPerStepOracle:
                 loss = self._loss(outs, coef, reach)
             params = g.tensors()
             zero_grads(params)
-            backward(tape, loss, params=params)
+            backward(tape, loss, reads=params)
             return outs, [t.grad.copy() for t in params], rng.bit_generator.state
 
         results = []
@@ -557,7 +556,7 @@ class TestBufferedDraws:
                                  rng, temperature, include_outputs)
         ref = np.random.default_rng(403)
         for t in range(t_len):
-            lg = res.logits.data[t]
+            lg = res.logits[t]
             np.testing.assert_array_equal(res.sampled[targeted:, t],
                                           gumbel_rows(ref, lg[targeted:], temperature))
             if include_outputs:
@@ -569,7 +568,7 @@ class TestBufferedDraws:
         assert rng.bit_generator.state == ref.bit_generator.state
         if targeted:
             np.testing.assert_array_equal(res.sampled[:targeted, 1:], ids[:, :-1])
-            tf = unroll_teacher_forced(g, ids, include_outputs=include_outputs)
+            tf = ss_unroll(g, ids, 0.0, None, include_outputs)
             assert res.nll.data == tf.nll.data
             for ours, alone in zip((res.logits, res.behavior, res.hidden),
                                    (tf.logits, tf.behavior, tf.hidden)):
@@ -638,10 +637,10 @@ class TestBufferedDraws:
             with Tape() as tape:
                 res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
                                       0.8, include_outputs) if merged
-                       else unroll_teacher_forced(g, ids, include_outputs=include_outputs))
+                       else ss_unroll(g, ids, 0.0, None, include_outputs))
             params = g.tensors()
             zero_grads(params)
-            backward(tape, res.nll, params=params)
+            backward(tape, res.nll, reads=params)
             grads.append([p.grad for p in params])
         assert bptt_rows == [b] * (2 * layers)
         for ours, alone in zip(*grads):
@@ -819,7 +818,7 @@ class TestDiscriminate:
 
         def sweep(tape, loss, x):
             zero_grads(d.tensors() + [x])
-            backward(tape, loss, params=d.tensors())
+            backward(tape, loss, reads=d.tensors() + [x])
             return [x.grad.copy()] + [t.grad.copy() for t in d.tensors()]
 
         built = [build(x) for x in xs]   # both before either sweep
@@ -829,7 +828,7 @@ class TestDiscriminate:
 
 
 # the nodes of a pf step's discriminator tape, by the function that records each
-DISCRIMINATOR_NODES = ["bigru_encode", "mlp_forward", "discriminate", "_mean_neg_log"]
+DISCRIMINATOR_NODES = ["bigru_encode", "mlp_forward", "discriminate", "_c_d"]
 
 
 def recorders(nodes):
@@ -861,8 +860,7 @@ class TestFusedDiscriminatorPass:
     chain of generic nodes they replaced."""
 
     LOSSES = {   # name: (fused on the stack, chained on its two halves)
-        "c_d": (lambda probs: engine._mean_neg_log((probs,), (False, True), stacked=True),
-                chained_c_d),   # as train_step
+        "c_d": (engine._c_d, chained_c_d),   # as train_step
         "c_d_halves": (lambda probs: loss_discriminator(*split(probs, 2)), chained_c_d),
         "c_f": (lambda probs: loss_fool_free_running(split(probs, 2)[1]),
                 lambda tf, fr: chained_mean_neg_log(fr)),
@@ -929,7 +927,7 @@ class TestPreseededAdversarialGradient:
             if preseed:
                 res.behavior.grad = w
             zero_grads(g.tensors())
-            backward(tape, loss, params=g.tensors())
+            backward(tape, loss, reads=g.tensors())
             np.testing.assert_array_equal(w, kept)   # read, not written
             assert res.behavior.grad is None
             return [t.grad for t in g.tensors()]
@@ -944,64 +942,52 @@ class TestPreseededAdversarialGradient:
 
 class TestLosses:
     def test_chance_point_values(self):
-        half = np.full(6, 0.5)
-        assert abs(loss_discriminator(half, half) - 2 * math.log(2)) < 1e-12
-        assert abs(loss_fool_free_running(half) - math.log(2)) < 1e-12
-        assert abs(loss_match_teacher_forced(half) - math.log(2)) < 1e-12
+        half = Tensor(np.full(6, 0.5))
+        assert abs(item(engine._c_d(Tensor(np.full(12, 0.5)))) - 2 * math.log(2)) < 1e-12
+        assert abs(item(loss_discriminator(half, half)) - 2 * math.log(2)) < 1e-12
+        assert abs(item(loss_fool_free_running(half)) - math.log(2)) < 1e-12
+        assert abs(item(loss_match_teacher_forced(half)) - math.log(2)) < 1e-12
 
     def test_confident_correct_discriminator(self):
-        c_d = loss_discriminator(np.array([0.9]), np.array([0.1]))
+        c_d = item(engine._c_d(Tensor(np.array([0.9, 0.1]))))
         assert abs(c_d - (-math.log(0.9) - math.log(0.9))) < 1e-12
-        assert abs(loss_fool_free_running(np.array([0.1])) + math.log(0.1)) < 1e-12
-        assert abs(loss_match_teacher_forced(np.array([0.9]))
+        assert item(loss_discriminator(Tensor(np.array([0.9])), Tensor(np.array([0.1])))) == c_d
+        assert abs(item(loss_fool_free_running(Tensor(np.array([0.1])))) + math.log(0.1)) < 1e-12
+        assert abs(item(loss_match_teacher_forced(Tensor(np.array([0.9]))))
                    + math.log(0.1)) < 1e-12
 
     def test_discriminator_loss_is_sum_of_generator_terms_swapped(self):
         rng = np.random.default_rng(48)
-        d_tf = rng.uniform(0.05, 0.95, 7)
-        d_fr = rng.uniform(0.05, 0.95, 7)
-        lhs = loss_discriminator(d_tf, d_fr)
-        rhs = loss_fool_free_running(d_tf) + loss_match_teacher_forced(d_fr)
+        d_tf = Tensor(rng.uniform(0.05, 0.95, 7))
+        d_fr = Tensor(rng.uniform(0.05, 0.95, 7))
+        lhs = item(engine._c_d(Tensor(np.concatenate((d_tf.data, d_fr.data)))))
+        assert item(loss_discriminator(d_tf, d_fr)) == lhs
+        rhs = item(loss_fool_free_running(d_tf)) + item(loss_match_teacher_forced(d_fr))
         assert lhs == rhs
 
-    def test_tensor_route_matches_float_route(self):
-        rng = np.random.default_rng(49)
-        vals_tf = rng.uniform(0.1, 0.9, 5)
-        vals_fr = rng.uniform(0.1, 0.9, 5)
-        t = loss_discriminator(Tensor(vals_tf), Tensor(vals_fr))
-        f = loss_discriminator(vals_tf, vals_fr)
-        assert abs(item(t) - f) < 1e-12
-
-    @pytest.mark.parametrize("route", [np.array, Tensor], ids=["array", "tensor"])
     @pytest.mark.parametrize("bad", [[1.0], [0.0], [], [1.5], [-0.5], [0.5, math.nan]],
                              ids=["one", "zero", "empty", "above_one", "negative", "nan"])
-    def test_rejects_saturated_probabilities(self, route, bad):
-        half, bad = route(np.array([0.5])), route(np.array(bad))
-        with pytest.raises(ValueError):
-            loss_discriminator(bad, half)
-        with pytest.raises(ValueError):
-            loss_discriminator(half, bad)
-        with pytest.raises(ValueError):
-            loss_fool_free_running(bad)
-        with pytest.raises(ValueError):
-            loss_match_teacher_forced(bad)
+    def test_rejects_saturated_probabilities(self, bad):
+        bad = np.array(bad)
+        half = np.full(bad.size, 0.5)
+        for stack in ((bad, half), (half, bad)):
+            with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                engine._c_d(Tensor(np.concatenate(stack)))
 
-    @pytest.mark.parametrize("n_inputs, flags, stacked", [
-        (2, (False,), False), (3, (False, True), False), (1, (False, True), False),
-        (2, (False, True), True)])
-    def test_mean_neg_log_refuses_inputs_that_do_not_match_its_flags(self, n_inputs, flags,
-                                                                    stacked):
+    @pytest.mark.parametrize("n_inputs, flags", [
+        (2, (False,)), (3, (False, True)), (1, (False, True))])
+    def test_mean_neg_log_refuses_inputs_that_do_not_match_its_flags(self, n_inputs, flags):
         # a mismatch used to drop inputs silently through zip
         xs = tuple(Tensor(np.full(4, 0.5)) for _ in range(n_inputs))
         with pytest.raises(ValueError, match=f"{n_inputs} inputs for the flags"):
-            engine._mean_neg_log(xs, flags, stacked=stacked)
+            _mean_neg_log(xs, flags)
 
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()
         y = np.array([[1, 0, 2]])
-        single = item(loss_nll(unroll_teacher_forced(g, y).logits, y))
+        single = loss_nll(unroll_teacher_forced(g, y).logits, y)
         pair = np.concatenate([y, y])
-        double = item(loss_nll(unroll_teacher_forced(g, pair).logits, pair))
+        double = loss_nll(unroll_teacher_forced(g, pair).logits, pair)
         assert abs(single - double) < 1e-12
 
     def test_loss_nll_length_mismatch(self):
@@ -1213,7 +1199,7 @@ class TestTrainStep:
                 p_fr = discriminate(d, fr_b)
                 c_d = loss_discriminator(p_tf, p_fr)
             zero_grads(d_params)
-            backward(tape, c_d, params=d_params)
+            backward(tape, c_d, reads=d_params)
             from profforce.optim import adam_step
             adam_step(adam, d_params, [p.grad for p in d_params])
             acc = accuracy_from_probs(p_tf.data, p_fr.data)
@@ -1245,7 +1231,7 @@ class TestTrainStep:
                     c_d = loss_discriminator(discriminate(d, tf_b),
                                              discriminate(d, fr_b))
                 zero_grads(dp)
-                backward(tape, c_d, params=dp)
+                backward(tape, c_d, reads=dp)
                 from profforce.optim import adam_step
                 adam_step(adam, dp, [p.grad for p in dp])
             ga = AdamState.for_params(g.tensors(), lr=1e-3)
@@ -1269,8 +1255,7 @@ class TestTrainStep:
         params = g.tensors() + d.tensors()
 
         def f(_):
-            tf = unroll_teacher_forced(g, y)
-            nll = scale(loss_nll(tf.logits, y), 1.0 / 3)
+            nll = unroll_teacher_forced(g, y).nll   # nats per step: T = 3
             replay = unroll_teacher_forced(g, fixed_sample)
             adv = loss_fool_free_running(discriminate(d, replay.behavior))
             return add(nll, adv)
@@ -1289,7 +1274,7 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
     b, t_len = y.shape
     with Tape() as gen_tape:
         rich = settings.include_outputs_in_behavior
-        tf = unroll_teacher_forced(g, y, include_outputs=rich)
+        tf = ss_unroll(g, y, 0.0, None, include_outputs=rich)
         fr = fr_unroll(g, t_len, rng, temperature=settings.temperature, batch=b,
                        include_outputs=rich)
         with Tape() as d_tape:
@@ -1298,15 +1283,14 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
         adv = loss_fool_free_running(discriminate(d, fr.behavior))
         if settings.use_ct:
             adv = add(adv, loss_match_teacher_forced(discriminate(d, tf.behavior)))
-        loss = add(scale(loss_nll(tf.logits, y), 1.0 / t_len),
-                   scale(adv, settings.adversarial_weight))
+        loss = add(tf.nll, scale(adv, settings.adversarial_weight))
     g_params, d_params = g.tensors(), d.tensors()
     zero_grads(g_params)
-    backward(gen_tape, loss, params=g_params)
+    backward(gen_tape, loss, reads=g_params)
     adam_step(g_adam, g_params, [p.grad for p in g_params])
     if not settings.freeze_discriminator:
         zero_grads(d_params)
-        backward(d_tape, c_d, params=d_params)
+        backward(d_tape, c_d, reads=d_params)
         adam_step(d_adam, d_params, [p.grad for p in d_params])
 
 
@@ -1346,7 +1330,7 @@ class TestOnePassStepEdges:
         above the median pass the clamp at 10 and the others do not."""
         rng = np.random.default_rng(93)   # the step's own draws
         rich = settings.include_outputs_in_behavior
-        tf = unroll_teacher_forced(g, y, include_outputs=rich)
+        tf = ss_unroll(g, y, 0.0, None, include_outputs=rich)
         fr = fr_unroll(g, y.shape[1], rng, temperature=settings.temperature,
                        batch=y.shape[0], include_outputs=rich)
         p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
@@ -1570,11 +1554,12 @@ class TestDiscriminatorTapeFreedBeforeGeneratorSweep:
             cached.append(weakref.ref(out.data))
             return out
 
-        def checking(tape, loss, **kw):
-            if "params" in kw:   # the generator's sweep
+        def checking(tape, loss, reads):
+            generator = reads[0] is tr.g.embedding   # its sweep reads the generator's tensors
+            if generator:
                 alive.append(("generator sweep starts", sum(r() is not None for r in cached)))
-            sweep(tape, loss, **kw)
-            if "reads" in kw:   # the discriminator's
+            sweep(tape, loss, reads=reads)
+            if not generator:
                 alive.append(("discriminator sweep ends", sum(r() is not None for r in cached)))
 
         monkeypatch.setattr(nets, "_gru_run", caching_run)
@@ -1671,10 +1656,11 @@ class TestTapeNodeCeiling:
         trainer = Trainer(cfg, tmp_path)
         row = trainer.run()[0]
         d_sweeps = sum(any(tape is d_tape for d_tape in d_tapes) for tape in swept)
-        # outputs of every generator unroll node, the only nodes reading the embedding
+        # the outputs' ranks of every generator unroll node, the only nodes
+        # reading the embedding: [T, B, .] behavior and a scalar nll, no logits
         emb = trainer.g.embedding
-        unroll_outputs = [len(outs) for nodes in recorded for outs, inputs, _ in nodes
-                          if inputs and inputs[0] is emb]
+        unroll_outputs = [tuple(o.data.ndim for o in outs) for nodes in recorded
+                          for outs, inputs, _ in nodes if inputs and inputs[0] is emb]
         return (sum(len(nodes) for nodes in recorded), row, rows_scored, d_sweeps,
                 unroll_outputs, closures)
 
@@ -1685,8 +1671,8 @@ class TestTapeNodeCeiling:
         assert nodes == self.PF_CEILING
         # the discriminator's tape exits first, inside the generator's
         assert closures[0] == DISCRIMINATOR_NODES
-        # one unroll of both regimes: logits, behavior and nll
-        assert unroll_outputs == [3]
+        # one unroll of both regimes: behavior and nll
+        assert unroll_outputs == [(3, 0)]
         # one discriminator pass over both behaviors stacked, one sweep of its tape
         assert rows_scored == [2 * TINY_PF["batch_n"]]
         assert d_sweeps == 1
@@ -1695,5 +1681,5 @@ class TestTapeNodeCeiling:
         nodes, _, rows_scored, d_sweeps, unroll_outputs, _ = self._one_step(
             monkeypatch, tmp_path, "teacher_forcing")
         assert nodes == self.TF_CEILING
-        assert unroll_outputs == [3]
+        assert unroll_outputs == [(3, 0)]
         assert rows_scored == [] and d_sweeps == 0

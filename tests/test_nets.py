@@ -17,13 +17,13 @@ from profforce.tensor import (
     Tape,
     Tensor,
     backward,
-    grad_check,
     zero_grads,
 )
 
 from extra_ops import (
     add,
     concat,
+    grad_check,
     gru_sequence,
     gru_step,
     matmul,
@@ -185,7 +185,7 @@ class TestGruSequence:
                 loss = add(add(sum_all(tanh(gru_sequence(small_cell, xs, reverse=True))),
                                sum_all(tanh(h))), sum_all(tanh(pre)))
             zero_grads(leaves)
-            backward(tape, loss, params=leaves)
+            backward(tape, loss, reads=leaves)
             grads.append([t.grad.copy() for t in leaves])
         for a, b in zip(*grads):
             np.testing.assert_array_equal(a, b)
@@ -368,7 +368,7 @@ class TestFusedMlp:
             out = forward(mlp, leaf)
             loss = sum_all(mul(out, Tensor(weights)))
         nodes = len(tape)   # the sweep consumes the tape
-        backward(tape, loss, params=params)
+        backward(tape, loss, reads=[leaf] + params)
         return nodes, out.data, [leaf.grad] + [p.grad.copy() for p in params]
 
     def _check(self, mlp, x, weights):

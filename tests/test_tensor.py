@@ -8,7 +8,6 @@ from profforce.tensor import (
     Tensor,
     _record,
     backward,
-    grad_check,
 )
 
 from extra_ops import (
@@ -16,6 +15,7 @@ from extra_ops import (
     clip,
     concat,
     embed,
+    grad_check,
     item,
     log,
     matmul,
@@ -222,7 +222,7 @@ class TestBackward:
         unused = Tensor([5.0])
         with Tape() as tape:
             loss = sum_all(mul(used, used))
-        backward(tape, loss, params=[used, unused])
+        backward(tape, loss, reads=[used, unused])
         np.testing.assert_array_equal(unused.grad, [0.0])
 
     def test_loss_must_be_scalar(self):
@@ -291,7 +291,7 @@ class TestBackward:
         w = Tensor(rng.uniform(-2, 2, (6, 6)))
         with Tape() as tape:
             loss = mean_all(sigmoid(matmul(w, w)))
-        backward(tape, loss, params=[w])
+        backward(tape, loss, reads=[w])
         assert np.all(np.isfinite(loss.data)) and np.all(np.isfinite(w.grad))
 
 

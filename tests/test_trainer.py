@@ -526,13 +526,13 @@ class TestValidation:
         assert t.rng.bit_generator.state == before
 
     def test_validate_value_is_plain_nll(self, tmp_path):
-        from extra_ops import item, loss_nll
+        from extra_ops import loss_nll
         from profforce.engine import unroll_teacher_forced
         t = Trainer(tiny_cfg(), tmp_path / "a")
         nll, bpc = t.validate()
         seqs = t.val_set.sequences
         res = unroll_teacher_forced(t.g, seqs)
-        want = item(loss_nll(res.logits, seqs)) / seqs.shape[1]
+        want = loss_nll(res.logits, seqs) / seqs.shape[1]
         assert nll == pytest.approx(want, abs=1e-12)
         assert bpc == pytest.approx(nll / math.log(2), abs=1e-12)
 
