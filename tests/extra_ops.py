@@ -10,7 +10,7 @@ and the composed chains of them are what the fused nodes of
 differences.  :func:`loss_discriminator`, :func:`loss_fool_free_running`
 and :func:`loss_match_teacher_forced` record c_d, c_f and c_t as one
 node each, on their own tensors; ``profforce.engine`` records c_d alone,
-on one stack.  :func:`loss_nll` is the numpy sequence cross entropy that
+on one stack, as :func:`_mean_neg_log` does with ``stacked``.  :func:`loss_nll` is the numpy sequence cross entropy that
 the unroll's own per-step ``nll`` is checked against once divided by T,
 :func:`make_batches` shuffles a dataset into one epoch of batches,
 :func:`gumbel_rows` is the per-step sampler the unroll's draws are
@@ -330,15 +330,17 @@ def loss_nll(logits: np.ndarray, y_seq) -> float:
     return float(np.sum(xents) * (1.0 / batch))
 
 
-def _mean_neg_log(xs: tuple[Tensor, ...], of_one_minus: tuple[bool, ...]) -> Tensor:
+def _mean_neg_log(xs: tuple[Tensor, ...], of_one_minus: tuple[bool, ...],
+                  stacked: bool = False) -> Tensor:
     """The sum over pieces x of mean(-log x), or of mean(-log(1 - x)) where
-    ``of_one_minus`` says so, recorded as one node.  Each piece must be
-    non-empty and lie strictly inside (0, 1)."""
-    if len(xs) != len(of_one_minus):
-        raise ValueError(f"{len(xs)} inputs for the flags {of_one_minus}")
+    ``of_one_minus`` says so, recorded as one node.  ``xs`` holds one piece
+    per flag or, if ``stacked``, one tensor cut into that many equal pieces
+    along axis 0.  Each piece must be non-empty and lie strictly inside (0, 1)."""
+    if len(xs) != (1 if stacked else len(of_one_minus)):
+        raise ValueError(f"{len(xs)} inputs for the flags {of_one_minus} (stacked={stacked})")
+    pieces = np.split(xs[0].data, len(of_one_minus)) if stacked else [x.data for x in xs]
     logged = []
-    for x, flag in zip(xs, of_one_minus):
-        a = x.data
+    for a, flag in zip(pieces, of_one_minus):
         if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
         logged.append(1.0 - a if flag else a)
@@ -347,7 +349,8 @@ def _mean_neg_log(xs: tuple[Tensor, ...], of_one_minus: tuple[bool, ...]) -> Ten
 
     def back(g):
         grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
-        return tuple(-d if flag else d for d, flag in zip(grads, of_one_minus))
+        grads = [-d if flag else d for d, flag in zip(grads, of_one_minus)]
+        return (np.concatenate(grads),) if stacked else tuple(grads)
 
     return _record(out, tuple(xs), back)
 

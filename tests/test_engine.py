@@ -390,20 +390,31 @@ class TestUnrollMatchesPerStepOracle:
         return res.logits, res.behavior, res.hidden, res.nll, res.sampled
 
     @staticmethod
-    def _loss(outs, coef, reach):
-        """A fixed random linear combination of the behavior and, if
-        ``reach`` holds 3, ``nll`` (outputs 1 and 3).  Each step's behavior
-        row is left out of it with probability 0.3: it has a zero
-        coefficient row in the unroll's loss, and the reference's loss
-        skips it, so that row's gradient is None there."""
+    def _loss(outs, coef, reach, hidden_size):
+        """A fixed random linear combination of the behavior (output 1) if
+        ``reach`` holds 1, and of ``nll`` (output 3) if it holds 3.  Reach 0,
+        the logits, stands for what the unroll differentiates through them:
+        ``nll`` and the behavior's softmax columns, which a free-running
+        unroll without those columns lacks (the loss is then None).  Each
+        step's behavior row is left out of it with probability 0.3: it has
+        a zero coefficient row in the unroll's loss, and the reference's
+        loss skips it, so that row's gradient is None there."""
         (c_beh, c_nll), behavior = coef, outs[1]
-        if isinstance(behavior, Tensor):
-            terms = [sum_all(mul(behavior, Tensor(c_beh[..., :behavior.shape[-1]])))]
-        else:
-            terms = [sum_all(mul(row, Tensor(c[:, :row.shape[1]])))
-                     for row, c in zip(behavior, c_beh) if c.any()]
+        width = behavior.shape[-1] if isinstance(behavior, Tensor) else behavior[0].shape[1]
+        if 0 in reach:
+            c_beh = c_beh.copy()
+            c_beh[..., :hidden_size] = 0.0
+            reach = (1, 3) if width > hidden_size else (3,)
+        terms = []
+        if 1 in reach and isinstance(behavior, Tensor):
+            terms.append(sum_all(mul(behavior, Tensor(c_beh[..., :width]))))
+        elif 1 in reach:
+            terms += [sum_all(mul(row, Tensor(c[:, :width])))
+                      for row, c in zip(behavior, c_beh) if c.any()]
         if 3 in reach and outs[3] is not None:
             terms.append(scale(outs[3], c_nll))
+        if not terms:
+            return None
         loss = terms[0]
         for term in terms[1:]:
             loss = add(loss, term)
@@ -413,7 +424,8 @@ class TestUnrollMatchesPerStepOracle:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("include_outputs", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reach", [(1, 3), (1,)], ids=["all", "behavior_only"])
+    @pytest.mark.parametrize("reach", [(1, 3), (0,), (1,)],
+                             ids=["all", "logits_only", "behavior_only"])
     def test_matches_reference(self, regime, layers, include_outputs, batch, reach):
         vocab, hidden_size, t_len = 4, 5, 5
         seed = 300 + 10 * layers + batch
@@ -438,7 +450,9 @@ class TestUnrollMatchesPerStepOracle:
                 else:
                     outs = per_step_reference(g, y if targets else None, t_len, batch, p,
                                               rng, temp, include_outputs)
-                loss = self._loss(outs, coef, reach)
+                loss = self._loss(outs, coef, reach, hidden_size)
+            if loss is None:
+                return outs, None, rng.bit_generator.state
             params = g.tensors()
             zero_grads(params)
             backward(tape, loss, reads=params)
@@ -447,9 +461,10 @@ class TestUnrollMatchesPerStepOracle:
         results = []
         for run in ("unroll", "reference"):
             outs, grads, state = swept(run)
-            # a sweep consumes its tape: one rebuilt from the same seeds gives the same gradients
-            for a, b in zip(grads, swept(run)[1]):
-                np.testing.assert_array_equal(a, b)
+            if grads is not None:
+                # a sweep consumes its tape: one rebuilt from the same seeds gives the same gradients
+                for a, b in zip(grads, swept(run)[1]):
+                    np.testing.assert_array_equal(a, b)
             results.append((outs, grads, state))
         (new, new_grads, new_state), (ref, ref_grads, ref_state) = results
         np.testing.assert_array_equal(new[4], ref[4])
@@ -462,6 +477,9 @@ class TestUnrollMatchesPerStepOracle:
             assert len(ref[k]) == t_len
             np.testing.assert_allclose(values(new[k]), np.stack([r.data for r in ref[k]]),
                                        rtol=0, atol=1e-12)
+        if new_grads is None:   # a free run without softmax columns: its logits feed only draws
+            assert ref_grads is None and not targets and not include_outputs and reach == (0,)
+            return
         assert any(np.any(gr != 0.0) for gr in new_grads)
         for a, b in zip(new_grads, ref_grads):
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
@@ -960,27 +978,59 @@ class TestLosses:
         rng = np.random.default_rng(48)
         d_tf = Tensor(rng.uniform(0.05, 0.95, 7))
         d_fr = Tensor(rng.uniform(0.05, 0.95, 7))
-        lhs = item(engine._c_d(Tensor(np.concatenate((d_tf.data, d_fr.data)))))
+        stack = Tensor(np.concatenate((d_tf.data, d_fr.data)))
+        lhs = item(engine._c_d(stack))
         assert item(loss_discriminator(d_tf, d_fr)) == lhs
+        # the stacked reference runs the same expressions in the same order
+        assert item(_mean_neg_log((stack,), (False, True), stacked=True)) == lhs
         rhs = item(loss_fool_free_running(d_tf)) + item(loss_match_teacher_forced(d_fr))
         assert lhs == rhs
 
+    def test_tensor_route_matches_float_route(self, monkeypatch):
+        # train_step writes c_f and c_t as floats from the stack its c_d node reads
+        stacks, c_d = [], engine._c_d
+
+        def keeping(probs):
+            stacks.append(probs.data.copy())
+            return c_d(probs)
+
+        monkeypatch.setattr(engine, "_c_d", keeping)
+        g, d, y, ga, da = build_step_fixture(seed=49)
+        m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(49), ga, da)
+        [stack] = stacks
+        p_tf, p_fr = (Tensor(half) for half in np.split(stack, 2))
+        assert abs(item(loss_discriminator(p_tf, p_fr)) - m["c_d"]) < 1e-12
+        assert abs(item(loss_fool_free_running(p_fr)) - m["c_f"]) < 1e-12
+        assert abs(item(loss_match_teacher_forced(p_tf)) - m["c_t"]) < 1e-12
+
+    # "array": the [2B] probability array train_step stacks, into src's c_d
+    # node; "tensor": each piece its own tensor, into the reference forms
+    @pytest.mark.parametrize("route", ["array", "tensor"])
     @pytest.mark.parametrize("bad", [[1.0], [0.0], [], [1.5], [-0.5], [0.5, math.nan]],
                              ids=["one", "zero", "empty", "above_one", "negative", "nan"])
-    def test_rejects_saturated_probabilities(self, bad):
+    def test_rejects_saturated_probabilities(self, route, bad):
         bad = np.array(bad)
         half = np.full(bad.size, 0.5)
-        for stack in ((bad, half), (half, bad)):
+        if route == "array":
+            for stack in ((bad, half), (half, bad)):
+                with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
+                    engine._c_d(Tensor(np.concatenate(stack)))
+            return
+        bad, half = Tensor(bad), Tensor(np.array([0.5]))
+        for loss in (lambda: loss_discriminator(bad, half), lambda: loss_discriminator(half, bad),
+                     lambda: loss_fool_free_running(bad), lambda: loss_match_teacher_forced(bad)):
             with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
-                engine._c_d(Tensor(np.concatenate(stack)))
+                loss()
 
-    @pytest.mark.parametrize("n_inputs, flags", [
-        (2, (False,)), (3, (False, True)), (1, (False, True))])
-    def test_mean_neg_log_refuses_inputs_that_do_not_match_its_flags(self, n_inputs, flags):
+    @pytest.mark.parametrize("n_inputs, flags, stacked", [
+        (2, (False,), False), (3, (False, True), False), (1, (False, True), False),
+        (2, (False, True), True)])
+    def test_mean_neg_log_refuses_inputs_that_do_not_match_its_flags(self, n_inputs, flags,
+                                                                    stacked):
         # a mismatch used to drop inputs silently through zip
         xs = tuple(Tensor(np.full(4, 0.5)) for _ in range(n_inputs))
         with pytest.raises(ValueError, match=f"{n_inputs} inputs for the flags"):
-            _mean_neg_log(xs, flags)
+            _mean_neg_log(xs, flags, stacked=stacked)
 
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()
