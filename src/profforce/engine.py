@@ -10,20 +10,21 @@ running.  :func:`unroll_teacher_forced` and :func:`unroll_free_running`
 check their arguments and run that loop; :func:`train_step` runs it for
 every mode, on ``[B, T]`` target ids.  Every unroll emits its behavior
 (the GRU candidate pre-tanh values, optionally with the softmax outputs
-appended) as a time-major [T, B, .] tensor, its logits and top-layer
-states as [T, B, .] arrays no gradient reaches, and with targets also
-the cross entropy in nats per step.  An untaped caller that reads only
-the draws, the cross entropy or the last state (``sample``, validation,
-``diagnose``) passes ``keep_outputs=False``: those three arrays then
-cycle through rows, so its memory grows with the ids alone.  The loop
-runs the numpy GRU kernel of :mod:`profforce.nets` on arrays and views bound before the
-first step, so a step makes only ufunc and BLAS calls, and records the
-whole unroll as one tape node, whose backward runs the kernel's
-recursion for each layer.  A bidirectional-GRU discriminator
-scores behavior sequences as teacher forced vs free running, and its
-judgement is fed back into the generator so the free-running dynamics
-are pulled toward the teacher-forced ones.  Every draw is the argmax of
-the logits plus ``-T log e``, e ~ Exp(1) (Gumbel-max).
+appended), its logits and its top-layer states as time-major [T, B, .]
+arrays, and with targets also the cross entropy in nats per step.  A
+caller that reads only the draws, the cross entropy or the last state
+(``sample``, validation, ``diagnose``) passes ``keep_outputs=False``:
+those three arrays then cycle through rows, so its memory grows with the
+ids alone.  The loop runs the numpy GRU kernel of :mod:`profforce.nets`
+on arrays and views bound before the first step, so a step makes only
+ufunc and BLAS calls.  A taped unroll (``train_step``'s) also returns
+its backward closure, which runs the kernel's recursion for each layer
+from the gradients of the behavior and the cross entropy.  A
+bidirectional-GRU discriminator scores behavior sequences as teacher
+forced vs free running, and its judgement is fed back into the generator
+so the free-running dynamics are pulled toward the teacher-forced ones.
+Every draw is the argmax of the logits plus ``-T log e``, e ~ Exp(1)
+(Gumbel-max).
 
 Loss pieces, with D(b) the discriminator probability that behavior b is
 teacher forced:
@@ -39,19 +40,18 @@ adversarial signal reaches the generator only while the discriminator's
 batch accuracy is above 0.75, and the discriminator itself stops
 updating once its accuracy exceeds 0.99.
 
-c_d is the one loss recorded on a tape, as one node over the ``[2B]``
-stack of probabilities, teacher-forced rows first; it rejects
-probabilities outside (0, 1).  c_f and c_t are reported values only:
-the generator's adversarial term reaches it through c_d's sweep.
+c_d is the one loss with a backward, formed over the ``[2B]`` stack of
+probabilities, teacher-forced rows first; it rejects probabilities
+outside (0, 1).  c_f and c_t are reported values only: the generator's
+adversarial term reaches it through c_d's gradient.
 
 A training step unrolls both regimes as one batch, teacher-forced rows
-first, runs the discriminator on its behavior once and sweeps its tape
-at most once; every term above comes from that forward and that sweep
-(see :func:`train_step`).  It records kernel nodes only: the unroll on
-the generator's tape, whose ``nll`` is the loss it sweeps, and the
-encoder, MLP, head and c_d on the discriminator's.  The adversarial term
-reaches the generator as a gradient put on the unroll's behavior before
-its sweep.
+first, and runs the discriminator on its behavior once.  Each of the
+five kernels it runs (the unroll, the encoder, MLP and head of
+:func:`discriminate`, and c_d) returns its value with its backward
+closure, and the step calls those closures in a straight line, each at
+most once: every term above comes from that forward and that backward
+(see :func:`train_step`).
 """
 
 from __future__ import annotations
@@ -59,6 +59,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain, cycle, islice, repeat
+from typing import Callable
 
 import numpy as np
 
@@ -74,16 +75,7 @@ from .nets import (
     mlp_forward,
 )
 from .optim import AdamState, adam_step
-from .tensor import (
-    Tape,
-    Tensor,
-    _cross_entropy_rows,
-    _record,
-    _stable_softmax,
-    backward,
-    is_recording,
-    zero_grads,
-)
+from .tensor import Tensor, _cross_entropy_rows, _stable_softmax
 
 __all__ = [
     "GateState",
@@ -205,10 +197,11 @@ class UnrollResult:
     """An unroll's outputs; a targeted row's ``sampled`` is what it was fed, draws included."""
 
     logits: np.ndarray | None            # [T, B, V]; None unless keep_outputs
-    behavior: Tensor | None              # [T, B, width]
+    behavior: np.ndarray | None          # [T, B, width]
     hidden: np.ndarray                   # [T, B, H] top-layer states; lean, the last [1, B, H]
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
-    nll: Tensor | None = None            # with targets: nats per step, batch mean
+    nll: np.float64 | None               # with targets: nats per step, batch mean
+    back: Callable | None                # taped: see _unroll_backward
 
 
 # ---------------------------------------------------------------------------
@@ -232,8 +225,8 @@ def _gumbel_noise(rng: np.random.Generator, shape: tuple, temperature: float) ->
 
 def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             p_sample: float, rng: np.random.Generator | None, temperature: float,
-            include_outputs: bool, keep_outputs: bool = True) -> UnrollResult:
-    """The one step loop behind every unroll, recorded as one tape node.
+            include_outputs: bool, taped: bool, keep_outputs: bool = True) -> UnrollResult:
+    """The one step loop behind every unroll.
 
     Each step looks up the fed symbols' embeddings, runs every GRU layer
     once, applies the output head and fills the step's rows.  Rows
@@ -248,15 +241,15 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     and views bound before the first step; layer 0 reads ``x W + b``
-    from a per-symbol table.  Only while a tape records does every step keep
-    its own cache rows (states, gates and candidates; ``r * h`` goes through
-    one row in any case) and the unroll record one node, whose outputs are
-    the behavior tensor and ``nll`` (see :func:`_unroll_backward`); the
-    logits and top-layer states are arrays no gradient reaches.  Untaped,
-    ``keep_outputs=False`` cycles the logits, behavior and states through
-    rows, as the caches are, and keeps the last state alone (``[1, B, H]``)
-    and the targeted rows' logits, which ``nll`` sums in step order:
-    memory grows with the draws alone.
+    from a per-symbol table.  Only ``taped`` does every step keep its own
+    cache rows (states, gates and candidates; ``r * h`` goes through one
+    row in any case) and the result carry ``back``, the closure of
+    :func:`_unroll_backward`, which takes the gradients of the behavior
+    and of ``nll``; no gradient reaches the logits or top-layer states.
+    Untaped, ``keep_outputs=False`` cycles the logits, behavior and states
+    through rows, as the caches are, and keeps the last state alone
+    (``[1, B, H]``) and the targeted rows' logits, which ``nll`` sums in
+    step order: memory grows with the draws alone.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
@@ -264,7 +257,6 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     w_head, b_head = g.W_o.data, g.b_o.data
     vocab, top = g.vocab_size, g.hidden_size
     n_tf = 0 if ids is None else ids.shape[0]
-    taped = is_recording()
     whole = taped or keep_outputs   # outputs kept [T, B, .], else rows in turn
     kept = t_len if taped else 1   # step rows each cache keeps
     logits = np.empty((t_len if whole or n_tf else 1, batch, vocab))
@@ -318,51 +310,48 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
                 nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
     if include_outputs and whole:
         behavior[..., :top] = top_pre
-    hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
-    res = UnrollResult(logits if whole else None, Tensor(behavior) if whole else None,
-                       hs[1:] if whole else hs[t_len % 2, None],
-                       np.empty((batch, t_len), dtype=np.int64))
-    outs = (res.behavior,)
-    res.sampled[:n_tf], res.sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
-    soft = None
+    sampled = np.empty((batch, t_len), dtype=np.int64)
+    sampled[:n_tf], sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
+    nll = soft = back = None
     if n_tf:
         # Rows in step order, as [T * n, V], so the sum runs step by step.
         xent, e, s = _cross_entropy_rows(logits[:, :n_tf].reshape(-1, vocab), ids.T.reshape(-1))
-        res.nll = Tensor(np.sum(xent) * (1.0 / n_tf) / t_len)
-        outs += (res.nll,)
+        nll = np.sum(xent) * (1.0 / n_tf) / t_len
         if taped:
             soft = (e / s[:, None]).reshape(t_len, n_tf, -1)
     if taped:
         back = _unroll_backward(g, caches, nxt[:-1], behavior, soft, ids, inv_t,
                                 include_outputs)
-        _record(outs, tuple(g.tensors()), back)
-    return res
+    hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
+    return UnrollResult(logits if whole else None, behavior if whole else None,
+                        hs[1:] if whole else hs[t_len % 2, None], sampled, nll, back)
 
 
 def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
                      behavior: np.ndarray, soft: np.ndarray | None,
                      ids: np.ndarray | None, inv_t: np.ndarray, include_outputs: bool):
-    """The backward closure of one unroll node.
+    """The backward closure of one taped unroll.
 
     ``caches[i]`` holds layer i's states, zr and c, ``fed`` the
     [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
     row's inverse temperature and, with targets, ``soft`` every targeted
     logits row's softmax.  The closure takes the gradients of the
-    behavior output and of ``nll`` (None for one the loss does not
-    reach), forms the logits' gradient (from ``nll`` and the behavior's
-    softmax columns), takes the head's and top states' gradients in one
-    product each, runs :func:`_gru_bptt` per layer from the top and
-    scatters the bottom layer's input gradient into the embedding.  Rows are independent, so when only
-    ``nll`` is reached it runs the targeted rows alone.  The bottom
-    inputs are looked up again, as no update runs before every sweep
-    has.  Returns one gradient per input, in ``g.tensors()`` order.
+    behavior and of ``nll`` (None for one the loss does not reach),
+    forms the logits' gradient (from ``nll`` and the behavior's softmax
+    columns), takes the head's and top states' gradients in one product
+    each, runs :func:`_gru_bptt` per layer from the top and scatters the
+    bottom layer's input gradient into the embedding.  Rows are
+    independent, so when only ``nll`` is reached it runs the targeted rows
+    alone.  The bottom inputs are looked up again, as no update runs
+    before the closure has.  Returns the gradient of every parameter, in
+    ``g.tensors()`` order.
     """
     t_len, batch = fed.shape
     n_tf = 0 if ids is None else ids.shape[0]
     emb, w_o = g.embedding.data, g.W_o.data
     top, vocab = w_o.shape
 
-    def back(g_beh, g_nll=None):
+    def back(g_beh, g_nll):
         n = n_tf if g_beh is None else batch
         d_lg = np.zeros((t_len, n, vocab))
         if g_nll is not None:
@@ -386,7 +375,7 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
             cell_grads[:0] = [d_w, d_u, d_b]
         d_emb = np.zeros_like(emb)
         np.add.at(d_emb, fed[:, :n].reshape(-1), d_out.reshape(t_len * n, -1))
-        return (d_emb, *cell_grads, d_wo, d_lg.sum(axis=0))
+        return [d_emb, *cell_grads, d_wo, d_lg.sum(axis=0)]
 
     return back
 
@@ -396,11 +385,12 @@ def unroll_teacher_forced(g: GeneratorParams, y_seq, *,
     """Open-loop unroll: step t reads the true y[t-1] (start token at t=0).
 
     The behavior is the top candidate alone.  With ``keep_outputs=False``
-    and no tape recording, the logits and behavior are None and
-    ``hidden`` holds the last state alone.
+    the logits and behavior are None and ``hidden`` holds the last state
+    alone.  No backward closure is kept.
     """
     ids = _target_ids(g, y_seq)
-    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, False, keep_outputs)
+    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, False,
+                   taped=False, keep_outputs=keep_outputs)
 
 
 def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator, *,
@@ -408,12 +398,11 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
                         keep_outputs: bool = True) -> UnrollResult:
     """Closed-loop unroll: step t reads the model's own previous sample.
 
-    Sampling draws from softmax(logits / temperature).  Gradients flow
-    through the behavior; the discrete sample is a constant.
-    Ground-truth symbols are never consulted.  The behavior is the top
-    candidate alone.  With ``keep_outputs=False`` and no tape
-    recording, only the draws and the last state are kept: the logits
-    and behavior are None.
+    Sampling draws from softmax(logits / temperature).  Ground-truth
+    symbols are never consulted.  The behavior is the top candidate
+    alone.  With ``keep_outputs=False`` only the draws and the last state
+    are kept: the logits and behavior are None.  No backward closure is
+    kept.
     """
     if t_len < 1:
         raise ValueError("unroll length must be positive")
@@ -421,59 +410,71 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError(f"batch must be at least 1, got {batch}")
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, False, keep_outputs)
+    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, False,
+                   taped=False, keep_outputs=keep_outputs)
 
 
 # ---------------------------------------------------------------------------
 # discriminator and losses
 
 
-def discriminate(d: DiscriminatorParams, seq: Tensor) -> Tensor:
+def discriminate(d: DiscriminatorParams, seq: np.ndarray):
     """Probability per sequence that the behavior is teacher forced.
 
-    ``seq`` is a time-major ``[T, B, width]`` behavior tensor.  BiGRU
-    encoding, a shared per-step MLP score, then one head node: mean
-    pooling over time, a clamp of the pooled logit to [-10, 10] and a
-    sigmoid.  The head's backward forms the pooling, clamp and sigmoid
-    gradients one after another, as a chain of those three ops would.
+    ``seq`` is a time-major ``[T, B, width]`` behavior array.  BiGRU
+    encoding, a shared per-step MLP score, then the head: mean pooling
+    over time, a clamp of the pooled logit to [-10, 10] and a sigmoid.
+    Returns the ``[B]`` probabilities and the backward closure
+    ``back(g, learns, reads_seq)``, which runs the head, then the MLP's
+    closure, then the encoder's, each freed once run.  The head forms the
+    sigmoid, clamp and pooling gradients one after another, as a chain of
+    those three ops would.  The weight gradients are formed if
+    ``learns``, the gradient of ``seq`` if ``reads_seq``; the closure
+    returns that gradient (else None) and the list of the weights'
+    (Nones if not ``learns``) in ``d.tensors()`` order.
     """
     t_len, batch, width = seq.shape
     if width != d.feature_width:
         raise ValueError(f"behavior width {width} does not match "
                          f"discriminator input {d.feature_width}")
-    scores = mlp_forward(d.layers, bigru_encode(d.fwd, d.bwd, seq))   # [T, B, 1]
-    pooled = np.sum(scores.data.reshape(t_len, batch), axis=0) / t_len
+    states, enc_back = bigru_encode(d.fwd, d.bwd, seq)
+    scores, mlp_back = mlp_forward(d.layers, states)   # [T, B, 1]
+    pooled = np.sum(scores.reshape(t_len, batch), axis=0) / t_len
     mask = (pooled > -LOGIT_CLIP) & (pooled < LOGIT_CLIP)
     s = 0.5 * (1.0 + np.tanh(0.5 * np.clip(pooled, -LOGIT_CLIP, LOGIT_CLIP)))
+    backs = [enc_back, mlp_back]
 
-    def back(g):
+    def back(g, learns, reads_seq):
         g = g * s * (1.0 - s)
         g = g * mask
-        d_scores = np.empty((t_len, batch, 1))   # owns its data, so the sweep keeps it
+        d_scores = np.empty((t_len, batch, 1))
         d_scores[..., 0] = g / t_len   # broadcast over the T steps
-        return (d_scores,)
+        d_states, *mlp_grads = backs.pop()(d_scores, (True,) + (learns,) * 2 * len(d.layers))
+        d_seq, *enc_grads = backs.pop()(d_states, (reads_seq,) + (learns,) * 6)
+        return d_seq, enc_grads + mlp_grads
 
-    return _record(Tensor(s), (scores,), back)
+    return s, back
 
 
-def _c_d(probs: Tensor) -> Tensor:
+def _c_d(probs: np.ndarray):
     """c_d over the ``[2B]`` stack of the discriminator's probabilities,
-    teacher-forced rows first, recorded as one node.  Each half must be
-    non-empty and lie strictly inside (0, 1)."""
-    p_tf, p_fr = np.split(probs.data, 2)
+    teacher-forced rows first, and its backward closure, which maps c_d's
+    gradient to the stack's.  Each half must be non-empty and lie strictly
+    inside (0, 1)."""
+    p_tf, p_fr = np.split(probs, 2)
     for a in (p_tf, p_fr):
         if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
     logged = (p_tf, 1.0 - p_fr)
     cs = [-1.0 / a.size for a in logged]
-    out = Tensor(np.asarray(np.sum(np.log(logged[0]))) * cs[0]
-                 + np.asarray(np.sum(np.log(logged[1]))) * cs[1])
+    out = (np.asarray(np.sum(np.log(logged[0]))) * cs[0]
+           + np.asarray(np.sum(np.log(logged[1]))) * cs[1])
 
     def back(g):
         d_tf, d_fr = (np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs))
-        return (np.concatenate((d_tf, -d_fr)),)
+        return np.concatenate((d_tf, -d_fr))
 
-    return _record(out, (probs,), back)
+    return out, back
 
 
 def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
@@ -494,32 +495,33 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
 
     Order of work:
 
-    1. On the generator tape, unroll both regimes in one ``[T, 2B, .]``
-       unroll: rows [0, B) are fed the targets (ss or tf) and rows
-       [B, 2B) run free at ``temperature``.  Its behavior is the stack
-       the discriminator reads, teacher-forced rows first; its ``nll``
-       covers rows [0, B), and when only ``nll`` reaches it the
-       backward runs those rows alone.
-    2. Run the discriminator once, on a detached leaf of that stack and
-       on a tape of its own.  Its probabilities give the accuracy, the
-       gate, c_d and the generator-side c_f (plus c_t with ``use_ct``,
-       which makes the generator term c_d with the labels swapped).
-    3. Sweep the discriminator tape at most once, for c_d, forming only
-       what is read: its parameters' gradients if the gate lets it
-       learn, the leaf's if the adversarial term reaches the generator.
-    4. If the term reaches the generator, put its gradient at the leaf on
-       the stack as ``stack.grad``, which the generator sweep counts as
-       part of the loss's gradient there (see :func:`profforce.tensor.backward`).
-       That gradient is the c_d sweep's, scaled per row i by d(adv)/dl_i /
-       d(c_d)/dl_i, l_i the row's pooled logit: ``-w (1 - p) / p`` on
-       free-running rows, and with ``use_ct`` ``-w p / (1 - p)`` on
-       teacher-forced ones (else 0).  This is exact because each row's
-       pooled logit depends on that row of the stack alone, and the
-       clamp keeps p inside (0, 1); a clamped row's gradient is zero
+    1. Unroll both regimes in one taped ``[T, 2B, .]`` unroll: rows
+       [0, B) are fed the targets (ss or tf) and rows [B, 2B) run free at
+       ``temperature``.  Its behavior is the stack the discriminator
+       reads, teacher-forced rows first; its ``nll`` covers rows [0, B),
+       and when only ``nll`` reaches it the backward runs those rows
+       alone.
+    2. Run the discriminator once on that stack.  Its probabilities give
+       the accuracy, the gate, c_d and the generator-side c_f (plus c_t
+       with ``use_ct``, which makes the generator term c_d with the labels
+       swapped).
+    3. Call c_d's closure, then the discriminator's, at most once, forming
+       only what is read: the discriminator's gradients if the gate lets
+       it learn, the stack's if the adversarial term reaches the
+       generator.  Then drop both closures, run or not, so that nothing
+       they cached is alive during the generator's backward.
+    4. If the term reaches the generator, scale the stack's gradient per
+       row i by d(adv)/dl_i / d(c_d)/dl_i, l_i the row's pooled logit:
+       ``-w (1 - p) / p`` on free-running rows, and with ``use_ct`` ``-w p
+       / (1 - p)`` on teacher-forced ones (else 0).  This is exact because
+       each row's pooled logit depends on that row of the stack alone, and
+       the clamp keeps p inside (0, 1); a clamped row's gradient is zero
        under either term.
-    5. Sweep the generator tape, then take both Adam steps.  Adam
-       mutates weights that the backward closures read, so no update
-       runs before every sweep has finished.
+    5. Call the unroll's closure with that gradient (None if the term does
+       not reach the generator) and a gradient of 1 on ``nll``, then take
+       both Adam steps on the gradients the closures returned.  Adam
+       mutates weights that the closures read, so no update runs before
+       every closure has.
 
     Without a discriminator (``d`` None: teacher forcing and scheduled
     sampling build none, nor its Adam state), or when the adversarial
@@ -535,47 +537,36 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
     nan = float("nan")
     metrics = {"c_d": nan, "c_f": nan, "c_t": nan, "disc_acc": nan,
                "gate_gen": False, "gate_disc": False}
-    update_d = False
+    update_d, g_beh = False, None
 
-    with Tape() as gen_tape:
-        # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
-        res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng,
-                      cfg.temperature, cfg.include_outputs_in_behavior and run_adv)
-        if run_adv:
-            d_params = d.tensors()
-            leaf = res.behavior.detach()
-            with Tape() as d_tape:
-                probs = discriminate(d, leaf)   # [2B], teacher-forced rows first
-                c_d = _c_d(probs)
-            p_tf, p_fr = np.split(probs.data, 2)
-            gs = gate(accuracy_from_probs(p_tf, p_fr))
-            update_d = not cfg.freeze_discriminator and gs.update_discriminator
-            adv_on = cfg.adversarial_weight != 0.0 and gs.adversarial_to_generator
-            reads = (d_params if update_d else []) + ([leaf] if adv_on else [])
-            if reads:
-                zero_grads(d_params)
-                backward(d_tape, c_d, reads=reads)
-            del d_tape   # swept or not, nothing reads it again: free it before the G sweep
-            metrics.update(c_d=float(c_d.data),
-                           c_f=float(-np.sum(np.log(p_fr)) / p_fr.size),
-                           c_t=float(-np.sum(np.log(1.0 - p_tf)) / p_tf.size),
-                           disc_acc=gs.disc_accuracy,
-                           gate_gen=gs.adversarial_to_generator,
-                           gate_disc=gs.update_discriminator)
-            if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
-                tf_rows = p_tf / (1.0 - p_tf) if cfg.use_ct else np.zeros_like(p_tf)
-                rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
-                w = leaf.grad
-                w *= (-cfg.adversarial_weight * rows)[:, None]
-                res.behavior.grad = w   # the sweep adds it to the loss's gradient there
+    # rows [0, B) fed the targets; with the discriminator, rows [B, 2B) run free
+    res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng, cfg.temperature,
+                  cfg.include_outputs_in_behavior and run_adv, taped=True)
+    if run_adv:
+        probs, d_back = discriminate(d, res.behavior)   # [2B], teacher-forced rows first
+        c_d, c_d_back = _c_d(probs)
+        p_tf, p_fr = np.split(probs, 2)
+        gs = gate(accuracy_from_probs(p_tf, p_fr))
+        update_d = not cfg.freeze_discriminator and gs.update_discriminator
+        adv_on = cfg.adversarial_weight != 0.0 and gs.adversarial_to_generator
+        if update_d or adv_on:
+            g_beh, d_grads = d_back(c_d_back(np.ones(())), update_d, adv_on)
+        del d_back, c_d_back   # run or not, free their caches before the generator's backward
+        metrics.update(c_d=float(c_d),
+                       c_f=float(-np.sum(np.log(p_fr)) / p_fr.size),
+                       c_t=float(-np.sum(np.log(1.0 - p_tf)) / p_tf.size),
+                       disc_acc=gs.disc_accuracy,
+                       gate_gen=gs.adversarial_to_generator,
+                       gate_disc=gs.update_discriminator)
+        if adv_on:   # d(adv)/dl_i over d(c_d)/dl_i, row by row
+            tf_rows = p_tf / (1.0 - p_tf) if cfg.use_ct else np.zeros_like(p_tf)
+            rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
+            g_beh *= (-cfg.adversarial_weight * rows)[:, None]
 
-    g_params = g.tensors()
-    zero_grads(g_params)
-    backward(gen_tape, res.nll, reads=g_params)
-    adam_step(g_adam, g_params, [p.grad for p in g_params])
+    adam_step(g_adam, g.tensors(), res.back(g_beh, np.ones(())))
     if update_d:
-        adam_step(d_adam, d_params, [p.grad for p in d_params])
+        adam_step(d_adam, d.tensors(), d_grads)
 
-    nll_per_step = float(res.nll.data)
+    nll_per_step = float(res.nll)
     metrics.update(nll_per_step=nll_per_step, bpc=nll_per_step / math.log(2.0))
     return metrics

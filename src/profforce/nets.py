@@ -1,6 +1,6 @@
 """GRU cells, the per-step MLP and the bidirectional GRU encoder.
 
-All parameters are plain :class:`~profforce.tensor.Tensor` leaves, which
+All parameters are plain :class:`~profforce.tensor.Tensor` arrays, which
 the players of :mod:`profforce.engine` hold themselves: a cell is a
 :class:`GruCellParams`, an MLP a list of ``(W, b)`` layers and the
 encoder two cells, one per direction.  The recursions work on time-major
@@ -27,20 +27,24 @@ known inputs, the views a step reads) is made once per sequence.
 :func:`_gru_step_into` writes a step into preallocated arrays and
 :func:`_gru_bptt` runs the recursion backward; a step makes only ufunc
 and BLAS calls, with ``out`` passed positionally and 2-D products
-through ``np.dot``.  :func:`bigru_encode` (one tape node for both
-directions, each writing its half of one ``[T, B, 2H]`` array) and the
-generator unroll in :mod:`profforce.engine` both run it.  A taped
-recursion caches its states, gates and candidates; ``r * h`` goes
+through ``np.dot``.  :func:`bigru_encode` (both directions, each writing
+its half of one ``[T, B, 2H]`` array) and the generator unroll in
+:mod:`profforce.engine` both run it.  A recursion that will be
+differentiated caches its states, gates and candidates; ``r * h`` goes
 through one scratch row, and :func:`_gru_bptt` recomputes it for
-``U_c``'s gradient.
-:func:`_gru_bptt` returns fresh gradients in their final shapes, which
-the tape keeps without a copy, and forms only those its caller needs.
-:func:`mlp_forward` is likewise one tape node for all its layers, which
-reads the encoder's ``[T, B, 2H]`` output as rows, with a hand-written
+``U_c``'s gradient.  :func:`_gru_bptt` returns fresh gradients in their
+final shapes and forms only those its caller needs.
+
+:func:`bigru_encode` and :func:`mlp_forward` work on arrays and return
+their output with its backward closure ``back(g, needs)``: ``g`` is the
+output's gradient and ``needs`` one bool per input (the array, then each
+weight in order), false for an input whose gradient nobody reads, whose
+products the closure then skips.  It returns one gradient per input,
+None where ``needs`` is false.  A closure runs once: it frees its caches
+as it reads them.  :func:`mlp_forward` runs all its layers over the
+encoder's ``[T, B, 2H]`` output read as rows, with a hand-written
 backward whose bits are those of the composed ``matmul``/``add``/``relu``
-chain.  Both nodes are told which inputs a sweep reads (see
-:func:`profforce.tensor.backward`) and skip the weight products of the
-others.
+chain.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -54,7 +58,7 @@ from itertools import repeat
 
 import numpy as np
 
-from .tensor import Tensor, _record
+from .tensor import Tensor
 
 __all__ = [
     "GruCellParams",
@@ -238,22 +242,23 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     return d_x, d_W, d_U, d_b, d_h
 
 
-def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
+def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: np.ndarray):
     """Run the affine ``(W [in, out], b [out])`` layers over the rows of ``x``
     ``[..., in]``, with ReLU between them; the last stays linear.
 
-    One tape node, which keeps only each layer's input; a ReLU output is
-    the next layer's input and its own mask, which the backward (run once)
-    frees once read.  The layers read the rows as one ``[N, in]`` view.
-    Per layer the backward forms ``a.T @ g``, ``g.sum(axis=0)`` and ``g @
-    W.T``, the products of the composed ``matmul``/``add``/``relu`` chain,
-    so its bits are that chain's.  It always forms the input's gradient:
-    its input, the encoder's output, leads to every leaf a sweep reads.
+    Returns the output ``[..., out]`` and its backward closure (see the
+    module notes).  The closure keeps only each layer's input; a ReLU
+    output is the next layer's input and its own mask, freed once read.
+    The layers read the rows as one ``[N, in]`` view.  Per layer the
+    backward forms ``a.T @ g``, ``g.sum(axis=0)`` and ``g @ W.T``, the
+    products of the composed ``matmul``/``add``/``relu`` chain, so its bits
+    are that chain's.  It always forms the input's gradient: the
+    encoder's weights and input both lie behind it.
     """
     ws, shape = [w.data for w, _ in layers], x.shape
-    if x.data.ndim < 2 or shape[-1] != ws[0].shape[0]:
+    if x.ndim < 2 or shape[-1] != ws[0].shape[0]:
         raise ValueError(f"mlp_forward: expects [..., {ws[0].shape[0]}] rows, got {shape}")
-    acts = [x.data.reshape(-1, shape[-1])]   # each layer's input, then the output
+    acts = [x.reshape(-1, shape[-1])]   # each layer's input, then the output
     for i, (w, b) in enumerate(layers):
         a = acts[-1] @ w.data
         a += b.data
@@ -261,10 +266,10 @@ def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
             np.maximum(a, 0.0, out=a)
         acts.append(a)
 
-    def back(g, needs=(True,) * (1 + 2 * len(ws))):
+    def back(g, needs):
         g, grads = g.reshape(acts[-1].shape), []
         for i in range(len(ws) - 1, -1, -1):
-            if i != len(ws) - 1:   # g is this node's own product here
+            if i != len(ws) - 1:   # g is this closure's own product here
                 g *= acts.pop(i + 1) > 0.0   # layer i's output, freed once read
             grads[:0] = [acts[i].T @ g if needs[2 * i + 1] else None,
                          g.sum(axis=0) if needs[2 * i + 2] else None]
@@ -274,32 +279,31 @@ def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: Tensor) -> Tensor:
         np.matmul(g, ws[0].T, out=d_x.reshape(len(g), -1))
         return (d_x, *grads)
 
-    weights = tuple(t for layer in layers for t in layer)
-    out = acts[-1].reshape(*shape[:-1], ws[-1].shape[1])
-    return _record(Tensor(out), (x, *weights), back, told=True)
+    return acts[-1].reshape(*shape[:-1], ws[-1].shape[1]), back
 
 
-def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
+def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: np.ndarray):
     """Run cell ``fwd`` forward and ``bwd`` backward over ``[T, B, I]`` from zero states.
 
-    Returns ``[T, B, 2H]``: step t holds ``[fwd_t ; bwd_t]``, so every
-    output step depends on the whole input sequence.  One tape node,
-    whose backward runs :func:`_gru_bptt` for ``bwd`` first, on its half
-    of the gradient, and frees that direction's caches before ``fwd``'s.
+    Returns ``[T, B, 2H]``, step t holding ``[fwd_t ; bwd_t]`` so that
+    every output step depends on the whole input sequence, and its
+    backward closure (see the module notes), whose gradients are those
+    of ``seq``, then ``fwd``'s W, U, b and ``bwd``'s.  The closure runs
+    :func:`_gru_bptt` for ``bwd`` first, on its half of the gradient, and
+    frees that direction's caches before ``fwd``'s.
     """
-    xd = seq.data
-    if xd.ndim != 3 or xd.shape[0] == 0:
-        raise ValueError(f"bigru_encode expects a nonempty [T, B, I] input, got {xd.shape}")
-    T, B, _ = xd.shape
+    if seq.ndim != 3 or seq.shape[0] == 0:
+        raise ValueError(f"bigru_encode expects a nonempty [T, B, I] input, got {seq.shape}")
+    T, B, _ = seq.shape
     H = fwd.hidden_size
     out, runs = np.empty((T, B, 2 * H)), []
     for k, p in enumerate((fwd, bwd)):
-        hs, zr, _, c = _gru_run(p, xd, np.zeros((B, H)), k == 1)
+        hs, zr, _, c = _gru_run(p, seq, np.zeros((B, H)), k == 1)
         states, h_prev = (hs[:T], hs[1:]) if k else (hs[1:], hs[:T])
         out[..., k * H:(k + 1) * H] = states
-        runs.append((p, xd, h_prev, zr, c))
+        runs.append((p, seq, h_prev, zr, c))
 
-    def back(g, needs=(True,) * 7):
+    def back(g, needs):
         d_x, grads = None, []
         while runs:   # bwd first; a direction's caches go once swept
             k = len(runs) - 1
@@ -310,5 +314,4 @@ def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
                 d_x = d_xk if d_x is None else np.add(d_x, d_xk, out=d_x)
         return (d_x, *grads)
 
-    return _record(Tensor(out), (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b),
-                   back, told=True)
+    return out, back

@@ -296,7 +296,7 @@ class Trainer:
         for start in range(0, len(seqs), _VAL_CHUNK):
             chunk = seqs[start:start + _VAL_CHUNK]
             res = unroll_teacher_forced(self.g, chunk, keep_outputs=False)
-            total += float(res.nll.data) * chunk.shape[0]
+            total += float(res.nll) * chunk.shape[0]
         nll_per_step = total / len(seqs)
         return nll_per_step, nll_per_step / math.log(2.0)
 

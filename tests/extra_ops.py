@@ -1,37 +1,85 @@
-"""Tensor primitives and helpers that only the tests use.
+"""Tensor primitives, a reverse-mode tape and helpers that only the tests use.
 
-Each primitive records one node on the active
-:class:`profforce.tensor.Tape`, as the kernels in :mod:`profforce`
-do; the gradient checks and the per-step reference unrolls use them,
-and the composed chains of them are what the fused nodes of
-:mod:`profforce.nets` and :mod:`profforce.engine` are checked against.
-:func:`gru_sequence` runs one GRU direction as one node.
+The tape is the reference chain the kernels of :mod:`profforce` are
+checked against.  Each primitive records one node on the active
+:class:`Tape`, and :func:`backward` sweeps it.  The composed chains of
+primitives are what the kernels' own backward closures are checked
+against; :func:`gru_sequence` runs one GRU direction as one node.
+:func:`unroll_node`, :func:`encode_node`, :func:`mlp_node` and
+:func:`discriminate_node` record a kernel of :mod:`profforce` as one node,
+over its own closure, so that a chain may end in one.
 :func:`grad_check` checks a taped loss's gradients against central
 differences.  :func:`loss_discriminator`, :func:`loss_fool_free_running`
 and :func:`loss_match_teacher_forced` record c_d, c_f and c_t as one
-node each, on their own tensors; ``profforce.engine`` records c_d alone,
-on one stack, as :func:`_mean_neg_log` does with ``stacked``.  :func:`loss_nll` is the numpy sequence cross entropy that
-the unroll's own per-step ``nll`` is checked against once divided by T,
+node each, on their own tensors; ``profforce.engine`` forms c_d alone,
+on one stack, as :func:`_mean_neg_log` does with ``stacked``.
+:func:`loss_nll` is the numpy sequence cross entropy that the unroll's
+own per-step ``nll`` is checked against once divided by T,
 :func:`make_batches` shuffles a dataset into one epoch of batches,
 :func:`gumbel_rows` is the per-step sampler the unroll's draws are
 checked against, and :func:`item` reads a one-element tensor as a float.
 """
 
+import dataclasses
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
+from profforce import engine
 from profforce.data import SequenceDataset
-from profforce.nets import GruCellParams, _gru_bptt, _gru_run
-from profforce.tensor import (
-    Tape,
-    Tensor,
-    _cross_entropy_rows,
-    _record,
-    _stable_softmax,
-    backward,
-    zero_grads,
-)
+from profforce.nets import GruCellParams, _gru_bptt, _gru_run, bigru_encode, mlp_forward
+from profforce.tensor import Tensor, _cross_entropy_rows, _stable_softmax
+
+# The innermost entry is the recording target.
+_TAPES: list["Tape"] = []
+
+
+class Tape:
+    """Ordered record of the nodes run inside its ``with`` block."""
+
+    def __init__(self):
+        # node: (output tensors, input tensors, backward closure); the
+        # closure takes one gradient per output, None for an output the
+        # loss does not reach, and returns one gradient per input.
+        self.nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
+
+    def __enter__(self) -> "Tape":
+        _TAPES.append(self)
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        _TAPES.pop()
+
+
+def _record(out, inputs: tuple[Tensor, ...], backfn: Callable):
+    """Record one node on the active tape, if any; ``out`` is a Tensor or a
+    tuple of output Tensors."""
+    if _TAPES:
+        _TAPES[-1].nodes.append((out if isinstance(out, tuple) else (out,), inputs, backfn))
+    return out
+
+
+def backward(tape: Tape, loss: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
+    """The gradient of the scalar ``loss`` with respect to each of ``leaves``.
+
+    Sweeps ``tape`` in reverse recording order, a valid topological
+    order, adding up the gradients that reach each tensor; a node none of
+    whose outputs the loss reaches is skipped.  A leaf the loss does not
+    reach gets zeros.  Sweep a tape once: the kernels' closures free
+    their caches as they run.
+    """
+    if loss.data.shape != ():
+        raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
+    grads = {id(loss): np.ones(())}
+    for outs, inputs, backfn in reversed(tape.nodes):
+        got = [grads.get(id(out)) for out in outs]
+        if all(g is None for g in got):
+            continue
+        for t, gi in zip(inputs, backfn(*got)):
+            if gi is not None:
+                grads[id(t)] = gi if id(t) not in grads else grads[id(t)] + gi
+    return [np.array(grads[id(t)]) if id(t) in grads else np.zeros_like(t.data)
+            for t in leaves]
 
 
 def item(t: Tensor) -> float:
@@ -239,10 +287,10 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
     hs, zr, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
     states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
 
-    def back(g, needs=(True,) * 4):
-        return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse, needs=needs)[:4]
+    def back(g):
+        return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse)[:4]
 
-    return _record(Tensor(states), (xs, p.W, p.U, p.b), back, told=True)
+    return _record(Tensor(states), (xs, p.W, p.U, p.b), back)
 
 
 def transpose(a: Tensor) -> Tensor:
@@ -381,11 +429,9 @@ def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> 
     denominator.
     """
     params = list(params)
-    zero_grads(params)
     with Tape() as tape:
         loss = f(params)
-    backward(tape, loss, reads=params)
-    analytic = [p.grad.copy() for p in params]
+    analytic = backward(tape, loss, params)
     worst = 0.0
     for p, ga in zip(params, analytic):
         flat = p.data.reshape(-1)
@@ -401,6 +447,53 @@ def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> 
             err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)
             worst = max(worst, err)
     return worst
+
+
+def unroll_node(g, ids, t_len: int, batch: int, p_sample: float, rng, temperature: float,
+                include_outputs: bool) -> engine.UnrollResult:
+    """``engine._unroll``, taped, recorded as one node over the generator's
+    parameters through the unroll's closure.  The result holds its
+    behavior and, with targets, its ``nll`` as the node's output tensors."""
+    res = engine._unroll(g, ids, t_len, batch, p_sample, rng, temperature, include_outputs,
+                         taped=True)
+    behavior = Tensor(res.behavior)
+    if res.nll is None:
+        _record(behavior, tuple(g.tensors()), lambda g_beh: res.back(g_beh, None))
+        return dataclasses.replace(res, behavior=behavior)
+    nll = Tensor(res.nll)
+    _record((behavior, nll), tuple(g.tensors()), res.back)
+    return dataclasses.replace(res, behavior=behavior, nll=nll)
+
+
+def teacher_forced_node(g, y_seq, include_outputs: bool = False) -> engine.UnrollResult:
+    """:func:`unroll_node` of the ``[B, T]`` targets ``y_seq``, teacher forced."""
+    ids = np.asarray(y_seq)
+    return unroll_node(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs)
+
+
+def encode_node(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
+    """``nets.bigru_encode`` recorded as one node over its closure."""
+    out, back = bigru_encode(fwd, bwd, seq.data)
+    inputs = (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
+    return _record(Tensor(out), inputs, lambda g: back(g, (True,) * len(inputs)))
+
+
+def mlp_node(layers, x: Tensor) -> Tensor:
+    """``nets.mlp_forward`` recorded as one node over its closure."""
+    out, back = mlp_forward(layers, x.data)
+    inputs = (x, *(t for layer in layers for t in layer))
+    return _record(Tensor(out), inputs, lambda g: back(g, (True,) * len(inputs)))
+
+
+def discriminate_node(d, seq: Tensor) -> Tensor:
+    """``engine.discriminate`` recorded as one node over its closure."""
+    probs, back = engine.discriminate(d, seq.data)
+
+    def node_back(g):
+        d_seq, grads = back(g, True, True)
+        return (d_seq, *grads)
+
+    return _record(Tensor(probs), (seq, *d.tensors()), node_back)
 
 
 def make_batches(ds: SequenceDataset, batch_size: int,

@@ -22,25 +22,22 @@ from profforce.engine import (
     DiscriminatorParams,
     GeneratorParams,
     accuracy_from_probs,
-    discriminate,
     gate,
     unroll_free_running,
     unroll_teacher_forced,
 )
 from profforce.nets import GruCellParams
 from profforce.optim import AdamState, adam_step
-from profforce.tensor import (
-    Tape,
-    Tensor,
-    backward,
-    zero_grads,
-)
+from profforce.tensor import Tensor
 from profforce.trainer import Trainer
 
 from extra_ops import (
+    Tape,
     add,
+    backward,
     clip,
     concat,
+    discriminate_node,
     embed,
     grad_check,
     gru_sequence,
@@ -67,7 +64,9 @@ from extra_ops import (
     sub,
     sum_all,
     tanh,
+    teacher_forced_node,
     transpose,
+    unroll_node,
 )
 
 
@@ -133,7 +132,7 @@ def unroll_case(rng, batch, t_len=4):
     y = rng.integers(0, 4, (batch, t_len))
 
     def loss(_):
-        res = engine._unroll(g, y, t_len, batch, 0.0, None, 1.0, True)
+        res = unroll_node(g, y, t_len, batch, 0.0, None, 1.0, True)
         return add(res.nll, sum_all(tanh(concat(res.behavior, axis=0))))
 
     return loss, g.tensors()
@@ -215,7 +214,7 @@ class TestA1GradientIntegrity:
             y = np.array([[1, 3, 0, 2, 2], [2, 0, 0, 1, 3]])
 
             def unroll_loss(_):
-                return unroll_teacher_forced(g, y).nll
+                return teacher_forced_node(g, y).nll
 
             err_unroll = grad_check(unroll_loss, g.tensors(), 1e-5)
             assert err_unroll < 1e-4, f"5-step unroll: relative error {err_unroll}"
@@ -228,9 +227,9 @@ class TestA1GradientIntegrity:
                                         batch=2).sampled
 
             def combined(_):
-                nll = unroll_teacher_forced(g2, y2).nll   # nats per step: T = 5
-                replay = unroll_teacher_forced(g2, fixed)
-                return add(nll, loss_fool_free_running(discriminate(d2, replay.behavior)))
+                nll = teacher_forced_node(g2, y2).nll   # nats per step: T = 5
+                replay = teacher_forced_node(g2, fixed)
+                return add(nll, loss_fool_free_running(discriminate_node(d2, replay.behavior)))
 
             err_combined = grad_check(combined, g2.tensors(), 1e-5)
             assert err_combined < 1e-3, f"combined objective: relative error {err_combined}"
@@ -252,8 +251,8 @@ class TestA2ChancePoint:
             assert abs(c_d - 2 * math.log(2)) < 1e-12
             assert abs(c_f - math.log(2)) < 1e-12
             assert abs(c_t - math.log(2)) < 1e-12
-            # the node train_step records over its [2B] stack and writes to curves.csv
-            stacked = item(engine._c_d(Tensor(np.full(18, 0.5))))
+            # the c_d train_step forms over its [2B] stack and writes to curves.csv
+            stacked = float(engine._c_d(np.full(18, 0.5))[0])
             assert abs(stacked - 2 * math.log(2)) < 1e-12
             info["detail"] = (f"c_d={c_d!r} (2ln2={2 * math.log(2)!r}), "
                               f"stacked c_d={stacked!r}, c_f=c_t={c_f!r}")
@@ -295,16 +294,14 @@ class TestA4DiscriminatorLearnability:
             step = 0
             for epoch in range(125):  # 4 updates per epoch
                 for batch in make_batches(ds, 8, np.random.default_rng([401, epoch])):
-                    tf_b = unroll_teacher_forced(g, batch).behavior
-                    fr_b = unroll_free_running(g, batch.shape[1], fr_rng,
-                                               batch=batch.shape[0]).behavior
+                    tf_b = Tensor(unroll_teacher_forced(g, batch).behavior)
+                    fr_b = Tensor(unroll_free_running(g, batch.shape[1], fr_rng,
+                                                      batch=batch.shape[0]).behavior)
                     with Tape() as tape:
-                        p_tf = discriminate(d, tf_b)
-                        p_fr = discriminate(d, fr_b)
+                        p_tf = discriminate_node(d, tf_b)
+                        p_fr = discriminate_node(d, fr_b)
                         c_d = loss_discriminator(p_tf, p_fr)
-                    zero_grads(d_params)
-                    backward(tape, c_d, reads=d_params)
-                    adam_step(opt, d_params, [p.grad for p in d_params])
+                    adam_step(opt, d_params, backward(tape, c_d, d_params))
                     acc = accuracy_from_probs(p_tf.data, p_fr.data)
                     if acc > 0.75:
                         first_above = step

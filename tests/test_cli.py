@@ -242,6 +242,17 @@ class TestNegativeSeed:
         assert not (tmp_path / "x").exists()
 
 
+class TestSeedZero:
+    @pytest.mark.parametrize("command", ["train", "sample", "diagnose"])
+    def test_is_accepted(self, trained, tmp_path, command):
+        # 0 is the lowest seed each command takes
+        ckpt = str(trained / "final.ckpt")
+        args = {"train": train_args(tmp_path / "x", steps="1", seed="0"),
+                "sample": ["sample", ckpt, "--seed", "0"],
+                "diagnose": ["diagnose", ckpt, "--count", "4", "--seed", "0"]}[command]
+        assert main(args) == 0
+
+
 class TestPathErrors:
     """A directory where a file is wanted, or an existing file where a
     directory is wanted, exits 2 with an error naming the path."""
@@ -411,13 +422,17 @@ class TestDiagnoseCommand:
         assert proj[0] == "mode,x,y"
         assert len(proj) == 9
 
-    @pytest.mark.parametrize("count", ["0", "-3"])
-    def test_nonpositive_count_exits_2(self, trained, tmp_path, capsys, count):
+    @pytest.mark.parametrize("count", ["0", "-3", "1"])
+    def test_count_must_be_at_least_one(self, trained, tmp_path, capsys, count):
         # --count -3 used to diagnose all but the last three sequences
         dest = tmp_path / "diag"
-        assert main(["diagnose", str(trained / "final.ckpt"), "--count", count,
-                     "--out", str(dest)]) == 2
+        code = main(["diagnose", str(trained / "final.ckpt"), "--count", count,
+                     "--out", str(dest)])
         captured = capsys.readouterr()
+        if count == "1":   # the lowest count it takes
+            assert code == 0 and "n_tf=1" in captured.out and dest.is_dir()
+            return
+        assert code == 2
         assert captured.out == ""
         assert f"--count must be at least 1, got {count}" in captured.err
         assert not dest.exists()

@@ -1,4 +1,4 @@
-import contextlib
+import inspect
 import itertools
 import math
 import os
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import profforce
-from profforce import engine, nets, tensor
+from profforce import engine, nets
 from profforce.config import TrainConfig, build_config
 from profforce.engine import (
     DiscriminatorParams,
@@ -28,19 +28,17 @@ from profforce.engine import (
 )
 from profforce.nets import mlp_forward
 from profforce.optim import AdamState, adam_step
-from profforce.tensor import (
-    Tape,
-    Tensor,
-    backward,
-    zero_grads,
-)
+from profforce.tensor import Tensor
 from profforce.trainer import Trainer
 
 from extra_ops import (
+    Tape,
     _mean_neg_log,
     add,
+    backward,
     clip,
     concat,
+    discriminate_node,
     embed,
     grad_check,
     gru_sequence,
@@ -54,6 +52,7 @@ from extra_ops import (
     loss_nll,
     matmul,
     mean_axis0,
+    mlp_node,
     mul,
     one_minus,
     reshape,
@@ -63,6 +62,8 @@ from extra_ops import (
     softmax_cross_entropy_rows,
     split,
     sum_all,
+    teacher_forced_node,
+    unroll_node,
 )
 from test_acceptance import TINY_PF
 from test_nets import gru_oracle
@@ -82,24 +83,20 @@ def softmax_rows(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ss_unroll(g, y, p_sample, rng, include_outputs=False):
+def ss_unroll(g, y, p_sample, rng, include_outputs=False, taped=False):
     """Scheduled sampling as ``train_step`` runs it: every row of ``y``
     [B, T] fed its targets, or with probability ``p_sample`` a draw.  At
     ``p_sample`` 0 (``rng`` may then be None) it is teacher forcing, whose
     behavior may carry the softmax columns ``unroll_teacher_forced`` leaves out."""
     y = np.atleast_2d(y)
-    return engine._unroll(g, y, y.shape[1], y.shape[0], p_sample, rng, 1.0, include_outputs)
+    return engine._unroll(g, y, y.shape[1], y.shape[0], p_sample, rng, 1.0, include_outputs,
+                          taped)
 
 
 def fr_unroll(g, t_len, rng, temperature=1.0, batch=1, include_outputs=False):
     """Free running as ``train_step`` runs its free rows, whose behavior may
     carry the softmax columns that ``unroll_free_running`` leaves out."""
-    return engine._unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
-
-
-def values(out) -> np.ndarray:
-    """An unroll output's array: the behavior's data, or the logits or states themselves."""
-    return out.data if isinstance(out, Tensor) else out
+    return engine._unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs, False)
 
 
 def zeroed(g: GeneratorParams) -> GeneratorParams:
@@ -127,7 +124,7 @@ class TestTeacherForcedUnroll:
             logits = h @ g.W_o.data + g.b_o.data
             np.testing.assert_allclose(res.logits[t, 0], logits, atol=1e-12)
             np.testing.assert_allclose(res.hidden[t, 0], h, atol=1e-12)
-            np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
+            np.testing.assert_allclose(res.behavior[t, 0], pre, atol=1e-12)
             prev = y[0, t]
 
     def test_zeroed_model_gives_uniform_logits(self):
@@ -149,7 +146,7 @@ class TestTeacherForcedUnroll:
             h0, _ = gru_oracle(g.cells[0], h0, emb[prev])
             h1, pre = gru_oracle(g.cells[1], h1, h0)
             np.testing.assert_allclose(res.hidden[t, 0], h1, atol=1e-12)
-            np.testing.assert_allclose(res.behavior.data[t, 0], pre, atol=1e-12)
+            np.testing.assert_allclose(res.behavior[t, 0], pre, atol=1e-12)
             prev = y[0, t]
 
     def test_rejects_out_of_range_ids(self):
@@ -164,13 +161,14 @@ class TestTeacherForcedUnroll:
         with pytest.raises(ValueError, match=r"\[B, T\]"):
             unroll_teacher_forced(tiny_generator(), [1, 2, 3])
 
-    def test_records_one_node_of_behavior_and_nll(self):
+    def test_closure_takes_behavior_and_nll_and_gives_every_parameter(self):
         g = tiny_generator()
         y = np.array([[1, 2, 3], [0, 3, 2]])
-        with Tape() as tape:
-            res = unroll_teacher_forced(g, y)
-        [(outs, inputs, _)] = tape.nodes
-        assert outs == (res.behavior, res.nll) and inputs == tuple(g.tensors())
+        assert unroll_teacher_forced(g, y).back is None   # untaped
+        res = ss_unroll(g, y, 0.0, None, taped=True)
+        assert list(inspect.signature(res.back).parameters) == ["g_beh", "g_nll"]
+        grads = res.back(np.ones(res.behavior.shape), np.ones(()))
+        assert [a.shape for a in grads] == [t.shape for t in g.tensors()]
         # the logits and top-layer states are arrays no gradient reaches
         assert type(res.logits) is np.ndarray and res.logits.shape == (3, 2, 4)
         assert type(res.hidden) is np.ndarray and res.hidden.shape == (3, 2, 5)
@@ -184,7 +182,7 @@ class TestTeacherForcedUnroll:
         assert plain.behavior.shape == (2, 2, 5)
         rich = ss_unroll(g, y, 0.0, None, include_outputs=True)
         assert rich.behavior.shape == (2, 2, 5 + 4)
-        np.testing.assert_allclose(rich.behavior.data[..., 5:].sum(axis=-1),
+        np.testing.assert_allclose(rich.behavior[..., 5:].sum(axis=-1),
                                    np.ones((2, 2)), atol=1e-12)
 
 
@@ -240,7 +238,7 @@ class TestFreeRunningUnroll:
         g = tiny_generator()
         res = fr_unroll(g, 4, np.random.default_rng(35), batch=2, include_outputs=True)
         assert res.behavior.shape == (4, 2, 9)
-        np.testing.assert_allclose(res.behavior.data[..., 5:].sum(axis=-1),
+        np.testing.assert_allclose(res.behavior[..., 5:].sum(axis=-1),
                                    np.ones((4, 2)), atol=1e-12)
 
     def test_advances_rng_by_one_exponential_per_row_symbol_and_step(self):
@@ -257,12 +255,12 @@ class TestFreeRunningUnroll:
         g = tiny_generator(seed=205)
         fr = fr_unroll(g, 4, np.random.default_rng(54), temperature=0.5, batch=3,
                        include_outputs=True)
-        np.testing.assert_allclose(fr.behavior.data[..., 5:], softmax_rows(fr.logits / 0.5),
+        np.testing.assert_allclose(fr.behavior[..., 5:], softmax_rows(fr.logits / 0.5),
                                    rtol=0, atol=1e-12)
         tf = ss_unroll(g, fr.sampled, 0.0, None, include_outputs=True)
         ss = ss_unroll(g, fr.sampled, 0.5, np.random.default_rng(55), include_outputs=True)
         for res in (tf, ss):
-            np.testing.assert_allclose(res.behavior.data[..., 5:], softmax_rows(res.logits),
+            np.testing.assert_allclose(res.behavior[..., 5:], softmax_rows(res.logits),
                                        rtol=0, atol=1e-12)
 
 
@@ -282,9 +280,9 @@ class TestScheduledSampling:
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         ss = ss_unroll(g, y, 0.0, np.random.default_rng(37))
         tf = unroll_teacher_forced(g, y)
-        assert abs(item(ss.nll) - loss_nll(tf.logits, y) / 4) < 1e-12
+        assert abs(float(ss.nll) - loss_nll(tf.logits, y) / 4) < 1e-12
         # the teacher-forced unroll carries the same sum, term for term, per step
-        assert item(tf.nll) == loss_nll(tf.logits, y) / 4
+        assert float(tf.nll) == loss_nll(tf.logits, y) / 4
 
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
@@ -300,7 +298,7 @@ class TestScheduledSampling:
         y = np.array([[0, 1, 2, 3]])
         ss = ss_unroll(g, y, 1.0, np.random.default_rng(39))
         # uniform logits: nll is ln V per step no matter what was fed
-        assert abs(item(ss.nll) - math.log(4)) < 1e-12
+        assert abs(float(ss.nll) - math.log(4)) < 1e-12
 
     def test_coin_rate_matches_p(self):
         g = tiny_generator()
@@ -363,11 +361,10 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
 
 
 class TestUnrollMatchesPerStepOracle:
-    """The one-node unroll against the per-step taped loop it replaced:
-    identical draws, values to 1e-12 and gradients to 1e-10.  The unroll
-    emits [T, B, .] outputs (its logits and states arrays no gradient
-    reaches, its behavior a tensor), the reference a list of [B, .] rows
-    per output."""
+    """The one-kernel unroll and its closure against the per-step taped
+    loop they replaced: identical draws, values to 1e-12 and gradients to
+    1e-10.  The unroll emits [T, B, .] arrays, the reference a list of
+    [B, .] rows per output."""
 
     REGIMES = {  # name: (targets, p_sample, temperature)
         "tf": (True, 0.0, 1.0),
@@ -377,41 +374,45 @@ class TestUnrollMatchesPerStepOracle:
         "ss_p1": (True, 1.0, 1.0),
     }
 
-    def _unroll(self, g, regime, y, rng, include_outputs):
+    def _unroll(self, g, regime, y, rng, include_outputs, taped):
         targets, p, temp = self.REGIMES[regime]
         t_len, batch = y.shape[1], y.shape[0]
-        if regime == "tf" and not include_outputs:
-            res = unroll_teacher_forced(g, y)
-        elif targets:
-            res = ss_unroll(g, y, p, rng, include_outputs=include_outputs)
-        else:
-            res = fr_unroll(g, t_len, rng, temperature=temp, batch=batch,
-                            include_outputs=include_outputs)
-        return res.logits, res.behavior, res.hidden, res.nll, res.sampled
+        if regime == "tf" and not include_outputs and not taped:
+            return unroll_teacher_forced(g, y)
+        return engine._unroll(g, y if targets else None, t_len, batch, p if targets else 0.0,
+                              rng, temp, include_outputs, taped)
 
     @staticmethod
-    def _loss(outs, coef, reach, hidden_size):
-        """A fixed random linear combination of the behavior (output 1) if
-        ``reach`` holds 1, and of ``nll`` (output 3) if it holds 3.  Reach 0,
-        the logits, stands for what the unroll differentiates through them:
-        ``nll`` and the behavior's softmax columns, which a free-running
-        unroll without those columns lacks (the loss is then None).  Each
-        step's behavior row is left out of it with probability 0.3: it has
-        a zero coefficient row in the unroll's loss, and the reference's
-        loss skips it, so that row's gradient is None there."""
-        (c_beh, c_nll), behavior = coef, outs[1]
-        width = behavior.shape[-1] if isinstance(behavior, Tensor) else behavior[0].shape[1]
+    def _seeds(coef, reach, hidden_size, width, targets):
+        """The gradients the unroll's closure takes for the loss of :meth:`_loss`:
+        its behavior coefficients and its ``nll`` coefficient, None for one
+        the loss leaves out (both None when it has no term)."""
+        (c_beh, c_nll) = coef
         if 0 in reach:
             c_beh = c_beh.copy()
             c_beh[..., :hidden_size] = 0.0
             reach = (1, 3) if width > hidden_size else (3,)
+        return (c_beh[..., :width] if 1 in reach else None,
+                c_nll if 3 in reach and targets else None)
+
+    @staticmethod
+    def _loss(outs, coef, reach, hidden_size):
+        """The reference's loss: a fixed random linear combination of the
+        behavior rows (output 1) if ``reach`` holds 1, and of ``nll`` (output
+        3) if it holds 3.  Reach 0, the logits, stands for what the unroll
+        differentiates through them: ``nll`` and the behavior's softmax
+        columns, which a free-running unroll without those columns lacks
+        (the loss is then None).  Each step's behavior row is left out of it
+        with probability 0.3: it has a zero coefficient row in the seeds of
+        the unroll's closure, and the reference's loss skips it, so that
+        row's gradient is None there."""
+        width = outs[1][0].shape[1]
+        c_beh, c_nll = TestUnrollMatchesPerStepOracle._seeds(coef, reach, hidden_size, width,
+                                                              outs[3] is not None)
         terms = []
-        if 1 in reach and isinstance(behavior, Tensor):
-            terms.append(sum_all(mul(behavior, Tensor(c_beh[..., :width]))))
-        elif 1 in reach:
-            terms += [sum_all(mul(row, Tensor(c[:, :width])))
-                      for row, c in zip(behavior, c_beh) if c.any()]
-        if 3 in reach and outs[3] is not None:
+        if c_beh is not None:
+            terms += [sum_all(mul(row, Tensor(c))) for row, c in zip(outs[1], c_beh) if c.any()]
+        if c_nll is not None:
             terms.append(scale(outs[3], c_nll))
         if not terms:
             return None
@@ -444,38 +445,39 @@ class TestUnrollMatchesPerStepOracle:
             for bias in [c.b for c in g.cells] + [g.b_o]:
                 bias.data[:] = brng.uniform(-0.5, 0.5, bias.shape)
             rng = np.random.default_rng(seed + 2)
+            if run == "unroll":
+                res = self._unroll(g, regime, y, rng, include_outputs, True)
+                outs = (res.logits, res.behavior, res.hidden, res.nll, res.sampled)
+                seeds = self._seeds(coef, reach, hidden_size, res.behavior.shape[-1], targets)
+                if all(x is None for x in seeds):
+                    return outs, None, rng.bit_generator.state
+                return outs, res.back(*seeds), rng.bit_generator.state
             with Tape() as tape:
-                if run == "unroll":
-                    outs = self._unroll(g, regime, y, rng, include_outputs)
-                else:
-                    outs = per_step_reference(g, y if targets else None, t_len, batch, p,
-                                              rng, temp, include_outputs)
+                outs = per_step_reference(g, y if targets else None, t_len, batch, p,
+                                          rng, temp, include_outputs)
                 loss = self._loss(outs, coef, reach, hidden_size)
             if loss is None:
                 return outs, None, rng.bit_generator.state
-            params = g.tensors()
-            zero_grads(params)
-            backward(tape, loss, reads=params)
-            return outs, [t.grad.copy() for t in params], rng.bit_generator.state
+            return outs, backward(tape, loss, g.tensors()), rng.bit_generator.state
 
         results = []
         for run in ("unroll", "reference"):
             outs, grads, state = swept(run)
             if grads is not None:
-                # a sweep consumes its tape: one rebuilt from the same seeds gives the same gradients
+                # the closure runs once: one rebuilt from the same seeds gives the same gradients
                 for a, b in zip(grads, swept(run)[1]):
                     np.testing.assert_array_equal(a, b)
             results.append((outs, grads, state))
         (new, new_grads, new_state), (ref, ref_grads, ref_state) = results
         np.testing.assert_array_equal(new[4], ref[4])
         if targets:
-            np.testing.assert_allclose(new[3].data, ref[3].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(new[3], ref[3].data, rtol=0, atol=1e-12)
         else:
             assert new[3] is None
         assert new_state == ref_state
         for k in range(3):
             assert len(ref[k]) == t_len
-            np.testing.assert_allclose(values(new[k]), np.stack([r.data for r in ref[k]]),
+            np.testing.assert_allclose(new[k], np.stack([r.data for r in ref[k]]),
                                        rtol=0, atol=1e-12)
         if new_grads is None:   # a free run without softmax columns: its logits feed only draws
             assert ref_grads is None and not targets and not include_outputs and reach == (0,)
@@ -499,18 +501,15 @@ class TestTapedMatchesUntaped:
         for taped in (True, False):
             g = tiny_generator(seed=321, layers=layers)
             rng = np.random.default_rng(322)
-            with Tape() if taped else contextlib.nullcontext():
-                assert tensor.is_recording() is taped
-                outs = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng,
-                                                                 include_outputs)
-            runs.append((outs, rng.bit_generator.state))
-        (taped_outs, taped_state), (plain_outs, plain_state) = runs
+            res = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng, include_outputs,
+                                                           taped)
+            assert (res.back is not None) is taped
+            runs.append((res, rng.bit_generator.state))
+        (taped_res, taped_state), (plain_res, plain_state) = runs
         assert taped_state == plain_state
-        for k in range(3):
-            np.testing.assert_array_equal(values(taped_outs[k]), values(plain_outs[k]))
-        np.testing.assert_array_equal(taped_outs[4], plain_outs[4])
-        if taped_outs[3] is not None:
-            assert taped_outs[3].data == plain_outs[3].data
+        for name in ("logits", "behavior", "hidden", "sampled"):
+            np.testing.assert_array_equal(getattr(taped_res, name), getattr(plain_res, name))
+        assert taped_res.nll == plain_res.nll
 
     @pytest.mark.parametrize("batch", [1, 8, 16])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -530,19 +529,17 @@ class TestTapedMatchesUntaped:
         runs = []
         for taped in (True, False):
             rng = np.random.default_rng(333)
-            with Tape() if taped else contextlib.nullcontext():
-                res = engine._unroll(g, ids if targeted else None, t_len,
-                                     2 * batch if targeted else batch, 0.0, rng, temperature,
-                                     include_outputs)
+            res = engine._unroll(g, ids if targeted else None, t_len,
+                                 2 * batch if targeted else batch, 0.0, rng, temperature,
+                                 include_outputs, taped)
             runs.append((res, rng.bit_generator.state))
         (taped_res, taped_state), (plain_res, plain_state) = runs
         assert taped_state == plain_state
         for name in ("logits", "behavior", "hidden"):
-            np.testing.assert_array_equal(values(getattr(taped_res, name)),
-                                          values(getattr(plain_res, name)))
+            np.testing.assert_array_equal(getattr(taped_res, name), getattr(plain_res, name))
         np.testing.assert_array_equal(taped_res.sampled, plain_res.sampled)
         if targeted:
-            assert taped_res.nll.data == plain_res.nll.data
+            assert taped_res.nll == plain_res.nll
 
 
 def per_step_softmax(x):
@@ -569,9 +566,8 @@ class TestBufferedDraws:
         t_len, top = 7, g.hidden_size
         ids = np.random.default_rng(402).integers(0, 4, (targeted, t_len))
         rng = np.random.default_rng(403)
-        with Tape() if taped else contextlib.nullcontext():
-            res = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
-                                 rng, temperature, include_outputs)
+        res = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
+                             rng, temperature, include_outputs, taped)
         ref = np.random.default_rng(403)
         for t in range(t_len):
             lg = res.logits[t]
@@ -579,18 +575,18 @@ class TestBufferedDraws:
                                           gumbel_rows(ref, lg[targeted:], temperature))
             if include_outputs:
                 tempered = lg[targeted:] * (1.0 / temperature)
-                np.testing.assert_array_equal(res.behavior.data[t, targeted:, top:],
+                np.testing.assert_array_equal(res.behavior[t, targeted:, top:],
                                               per_step_softmax(tempered))
-                np.testing.assert_array_equal(res.behavior.data[t, :targeted, top:],
+                np.testing.assert_array_equal(res.behavior[t, :targeted, top:],
                                               per_step_softmax(lg[:targeted] * 1.0))
         assert rng.bit_generator.state == ref.bit_generator.state
         if targeted:
             np.testing.assert_array_equal(res.sampled[:targeted, 1:], ids[:, :-1])
             tf = ss_unroll(g, ids, 0.0, None, include_outputs)
-            assert res.nll.data == tf.nll.data
+            assert res.nll == tf.nll
             for ours, alone in zip((res.logits, res.behavior, res.hidden),
                                    (tf.logits, tf.behavior, tf.hidden)):
-                np.testing.assert_array_equal(values(ours)[:, :targeted], values(alone))
+                np.testing.assert_array_equal(ours[:, :targeted], alone)
 
     @pytest.mark.parametrize("block", [1, 3, 1000])
     @pytest.mark.parametrize("keep_outputs", [True, False])
@@ -604,7 +600,7 @@ class TestBufferedDraws:
             monkeypatch.setattr(engine, "_NOISE_BLOCK", size)
             rng = np.random.default_rng(411)
             res = engine._unroll(g, ids if targeted else None, 150, targeted + 8, 0.0, rng,
-                                 0.7, False, keep_outputs)
+                                 0.7, False, False, keep_outputs)
             runs.append((res.sampled, rng.bit_generator.state))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
@@ -652,14 +648,10 @@ class TestBufferedDraws:
         monkeypatch.setattr(engine, "_gru_bptt", counting_bptt)
         for merged in (True, False):
             g = tiny_generator(seed=406, layers=layers)
-            with Tape() as tape:
-                res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
-                                      0.8, include_outputs) if merged
-                       else ss_unroll(g, ids, 0.0, None, include_outputs))
-            params = g.tensors()
-            zero_grads(params)
-            backward(tape, res.nll, reads=params)
-            grads.append([p.grad for p in params])
+            res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
+                                  0.8, include_outputs, True) if merged
+                   else ss_unroll(g, ids, 0.0, None, include_outputs, taped=True))
+            grads.append(res.back(None, np.ones(())))
         assert bptt_rows == [b] * (2 * layers)
         for ours, alone in zip(*grads):
             np.testing.assert_array_equal(ours, alone)
@@ -726,8 +718,8 @@ class TestIdsOnlyUnroll:
         g = self._desk_generator(layers)
         ids = np.random.default_rng(342).integers(0, 8, (8, 50))
         full, lean = self._both(lambda rng, keep: engine._unroll(
-            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, keep))
-        assert lean.nll.data == full.nll.data
+            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, False, keep))
+        assert lean.nll == full.nll
 
     def test_validation_nll_is_unchanged(self, tmp_path):
         from profforce.trainer import _VAL_CHUNK
@@ -737,13 +729,13 @@ class TestIdsOnlyUnroll:
         total = 0.0
         for start in range(0, len(seqs), _VAL_CHUNK):
             chunk = seqs[start:start + _VAL_CHUNK]
-            total += float(unroll_teacher_forced(trainer.g, chunk).nll.data) * len(chunk)
+            total += float(unroll_teacher_forced(trainer.g, chunk).nll) * len(chunk)
         assert trainer.validate()[0] == total / len(seqs)
 
-    def test_a_recording_tape_keeps_every_output(self):
+    def test_a_taped_unroll_keeps_every_output(self):
         g = tiny_generator()
-        with Tape():
-            res = unroll_teacher_forced(g, [[1, 2, 3]], keep_outputs=False)
+        res = engine._unroll(g, np.array([[1, 2, 3]]), 3, 1, 0.0, None, 1.0, False, True,
+                             keep_outputs=False)
         assert (res.logits.shape, res.behavior.shape, res.hidden.shape) == (
             (3, 1, 4), (3, 1, 5), (3, 1, 5))
 
@@ -780,15 +772,15 @@ class TestSampleMemoryPerSymbol:
 
 class TestDiscriminate:
     def _behavior(self, rng, t_len=4, batch=3, width=5):
-        return Tensor(rng.uniform(-1, 1, (t_len, batch, width)))
+        return rng.uniform(-1, 1, (t_len, batch, width))
 
     def test_zero_final_layer_means_exactly_half(self):
         d = tiny_discriminator(width=5)
         w, bias = d.layers[-1]
         w.data[:] = 0.0
         bias.data[:] = 0.0
-        p = discriminate(d, self._behavior(np.random.default_rng(43)))
-        np.testing.assert_array_equal(p.data, np.full(3, 0.5))
+        p, _ = discriminate(d, self._behavior(np.random.default_rng(43)))
+        np.testing.assert_array_equal(p, np.full(3, 0.5))
 
     def test_pooled_logit_is_clamped_before_sigmoid(self):
         d = tiny_discriminator(width=5)
@@ -796,18 +788,18 @@ class TestDiscriminate:
             w.data[:] = 0.0
             bias.data[:] = 0.0
         d.layers[-1][1].data[:] = 42.0
-        p = discriminate(d, self._behavior(np.random.default_rng(44)))
-        np.testing.assert_allclose(p.data, np.full(3, 1 / (1 + math.exp(-10.0))),
+        p, _ = discriminate(d, self._behavior(np.random.default_rng(44)))
+        np.testing.assert_allclose(p, np.full(3, 1 / (1 + math.exp(-10.0))),
                                    atol=1e-15)
 
     def test_matches_per_step_scoring_route(self):
         from profforce.nets import bigru_encode
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(45))
-        got = discriminate(d, b).data
+        got, _ = discriminate(d, b)
 
-        states = bigru_encode(d.fwd, d.bwd, b).data
-        scores = np.stack([mlp_forward(d.layers, Tensor(s)).data[:, 0] for s in states])
+        states, _ = bigru_encode(d.fwd, d.bwd, b)
+        scores = np.stack([mlp_forward(d.layers, s)[0][:, 0] for s in states])
         pooled = np.clip(scores.mean(axis=0), -10.0, 10.0)
         expected = 1.0 / (1.0 + np.exp(-pooled))
         np.testing.assert_allclose(got, expected, atol=1e-12)
@@ -820,45 +812,30 @@ class TestDiscriminate:
     def test_output_depends_on_time_order(self):
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(47))
-        fwd = discriminate(d, b).data
-        rev = Tensor(b.data[::-1])
-        assert np.max(np.abs(discriminate(d, rev).data - fwd)) > 1e-9
+        fwd, _ = discriminate(d, b)
+        rev, _ = discriminate(d, b[::-1])
+        assert np.max(np.abs(rev - fwd)) > 1e-9
 
-    def test_two_tapes_built_outside_a_step_both_sweep(self):
+    def test_two_closures_made_before_either_runs_both_agree(self):
         d = tiny_discriminator(5, seed=102)
         rng = np.random.default_rng(103)
-        xs = [Tensor(rng.uniform(-1, 1, (6, 3, 5))) for _ in range(2)]
+        xs = [rng.uniform(-1, 1, (6, 3, 5)) for _ in range(2)]
 
-        def build(x):
-            with Tape() as tape:
-                loss = sum_all(log(discriminate(d, x)))
-            return tape, loss
+        def run(probs, back):
+            d_seq, grads = back(1.0 / probs, True, True)   # the gradient of sum(log(probs))
+            return [d_seq] + grads
 
-        def sweep(tape, loss, x):
-            zero_grads(d.tensors() + [x])
-            backward(tape, loss, reads=d.tensors() + [x])
-            return [x.grad.copy()] + [t.grad.copy() for t in d.tensors()]
-
-        built = [build(x) for x in xs]   # both before either sweep
-        for (tape, loss), x in zip(built, xs):
-            for a, b in zip(sweep(tape, loss, x), sweep(*build(x), x)):
+        built = [discriminate(d, x) for x in xs]   # both before either runs
+        for made, x in zip(built, xs):
+            for a, b in zip(run(*made), run(*discriminate(d, x))):
                 np.testing.assert_array_equal(a, b)
-
-
-# the nodes of a pf step's discriminator tape, by the function that records each
-DISCRIMINATOR_NODES = ["bigru_encode", "mlp_forward", "discriminate", "_c_d"]
-
-
-def recorders(nodes):
-    """The function that recorded each of ``nodes``, by its closure's name."""
-    return [back.__qualname__.split(".")[0] for _, _, back in nodes]
 
 
 def chained_discriminate(d, seq):
     """``discriminate`` as the chain of generic nodes it replaced."""
     t_len, batch, _ = seq.shape
     states = concat((gru_sequence(d.fwd, seq), gru_sequence(d.bwd, seq, reverse=True)), axis=-1)
-    scores = mlp_forward(d.layers, reshape(states, (t_len * batch, states.shape[-1])))
+    scores = mlp_node(d.layers, reshape(states, (t_len * batch, states.shape[-1])))
     pooled = mean_axis0(reshape(scores, (t_len, batch)))
     return sigmoid(clip(pooled, -engine.LOGIT_CLIP, engine.LOGIT_CLIP))
 
@@ -873,85 +850,43 @@ def chained_c_d(tf, fr):
 
 
 class TestFusedDiscriminatorPass:
-    """The discriminator's pass records the encoder, MLP, head and loss as one
-    node each; value and every gradient a sweep forms carry the bits of the
-    chain of generic nodes they replaced."""
-
-    LOSSES = {   # name: (fused on the stack, chained on its two halves)
-        "c_d": (engine._c_d, chained_c_d),   # as train_step
-        "c_d_halves": (lambda probs: loss_discriminator(*split(probs, 2)), chained_c_d),
-        "c_f": (lambda probs: loss_fool_free_running(split(probs, 2)[1]),
-                lambda tf, fr: chained_mean_neg_log(fr)),
-        "c_t": (lambda probs: loss_match_teacher_forced(split(probs, 2)[0]),
-                lambda tf, fr: chained_mean_neg_log(tf, True)),
-    }
-    SPLIT_NODES = DISCRIMINATOR_NODES[:3] + ["split", "_mean_neg_log"]
-    FUSED_NODES = {"c_d": DISCRIMINATOR_NODES, "c_d_halves": SPLIT_NODES,
-                   "c_f": SPLIT_NODES, "c_t": SPLIT_NODES}
+    """The discriminator's closure, run on c_d's, against the chain of generic
+    nodes they replaced: the value and every gradient the closures form
+    carry the chain's bits."""
 
     @staticmethod
-    def _run(route, loss_name, reads):
+    def _setup():
         d = tiny_discriminator(5, seed=210)
-        leaf = Tensor(np.random.default_rng(211).uniform(-1, 1, (6, 8, 5)))
-        p = discriminate(d, leaf).data   # push the rows above the median past the clamp
+        leaf = np.random.default_rng(211).uniform(-1, 1, (6, 8, 5))
+        p, _ = discriminate(d, leaf)   # push the rows above the median past the clamp
         pooled = np.log(p / (1.0 - p))
         d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
-        fused = route == "fused"
-        loss_fn = TestFusedDiscriminatorPass.LOSSES[loss_name][0 if fused else 1]
-        with Tape() as tape:
-            probs = (discriminate if fused else chained_discriminate)(d, leaf)
-            loss = loss_fn(probs) if fused else loss_fn(*split(probs, 2))
-        if fused:
-            assert recorders(tape.nodes) == TestFusedDiscriminatorPass.FUSED_NODES[loss_name]
-        leaves = {"leaf": [leaf], "params": d.tensors()}
-        read = [t for k, ts in leaves.items() if reads in (k, "both") for t in ts]
-        backward(tape, loss, **({"reads": read} if reads != "all" else {}))
-        return probs.data, loss.data, [t.grad for ts in leaves.values() for t in ts]
+        return d, leaf
 
-    @pytest.mark.parametrize("reads", ["all", "both", "params", "leaf"])
-    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
-    def test_matches_the_chain(self, loss_name, reads):
-        probs, loss, grads = self._run("fused", loss_name, reads)
-        ref_probs, ref_loss, ref_grads = self._run("chained", loss_name, reads)
+    @pytest.mark.parametrize("learns, reads_seq", [(True, True), (True, False), (False, True)],
+                             ids=["both", "params", "leaf"])
+    def test_matches_the_chain(self, learns, reads_seq):
+        d, leaf = self._setup()
+        probs, d_back = discriminate(d, leaf)
+        loss, c_d_back = engine._c_d(probs)
+        d_leaf, grads = d_back(c_d_back(np.ones(())), learns, reads_seq)
+
+        d, leaf = self._setup()
+        seq = Tensor(leaf)
+        with Tape() as tape:
+            ref_probs = chained_discriminate(d, seq)
+            ref_loss = chained_c_d(*split(ref_probs, 2))
+        ref_grads = backward(tape, ref_loss, [seq] + d.tensors())
+
         clamped = probs == 0.5 * (1.0 + np.tanh(0.5 * engine.LOGIT_CLIP))
         assert 0 < clamped.sum() < clamped.size   # the clamp's mask is exercised
-        np.testing.assert_array_equal(probs, ref_probs)
-        assert loss.shape == () and loss.tobytes() == ref_loss.tobytes()
-        assert [g is None for g in grads] == [g is None for g in ref_grads]
-        assert (grads[0] is None) == (reads == "params")
-        for got, want in zip(grads, ref_grads):
+        np.testing.assert_array_equal(probs, ref_probs.data)
+        assert loss.shape == () and loss.tobytes() == ref_loss.data.tobytes()
+        assert (d_leaf is not None) == reads_seq
+        assert [g is not None for g in grads] == [learns] * len(d.tensors())
+        for got, want in zip([d_leaf] + grads, ref_grads):
             if got is not None:
                 np.testing.assert_array_equal(got, want)
-
-
-class TestPreseededAdversarialGradient:
-    """``train_step`` hands the adversarial term to the generator by putting
-    its gradient on the unroll's behavior before the sweep: every generator
-    gradient carries the bits of the recorded ``sum(behavior * w)`` term."""
-
-    @pytest.mark.parametrize("include_outputs", [False, True])
-    def test_matches_the_recorded_term(self, include_outputs):
-        def run(preseed):
-            g = tiny_generator(seed=212)
-            y = np.random.default_rng(213).integers(0, 4, (3, 5))
-            with Tape() as tape:
-                res = engine._unroll(g, y, 5, 6, 0.0, np.random.default_rng(214), 0.8,
-                                     include_outputs)
-                loss = res.nll
-                w = np.random.default_rng(215).uniform(-1, 1, res.behavior.shape)
-                if not preseed:
-                    loss = add(loss, sum_all(mul(res.behavior, Tensor(w))))
-            kept = w.copy()
-            if preseed:
-                res.behavior.grad = w
-            zero_grads(g.tensors())
-            backward(tape, loss, reads=g.tensors())
-            np.testing.assert_array_equal(w, kept)   # read, not written
-            assert res.behavior.grad is None
-            return [t.grad for t in g.tensors()]
-
-        for got, want in zip(run(True), run(False)):
-            np.testing.assert_array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -961,13 +896,13 @@ class TestPreseededAdversarialGradient:
 class TestLosses:
     def test_chance_point_values(self):
         half = Tensor(np.full(6, 0.5))
-        assert abs(item(engine._c_d(Tensor(np.full(12, 0.5)))) - 2 * math.log(2)) < 1e-12
+        assert abs(float(engine._c_d(np.full(12, 0.5))[0]) - 2 * math.log(2)) < 1e-12
         assert abs(item(loss_discriminator(half, half)) - 2 * math.log(2)) < 1e-12
         assert abs(item(loss_fool_free_running(half)) - math.log(2)) < 1e-12
         assert abs(item(loss_match_teacher_forced(half)) - math.log(2)) < 1e-12
 
     def test_confident_correct_discriminator(self):
-        c_d = item(engine._c_d(Tensor(np.array([0.9, 0.1]))))
+        c_d = float(engine._c_d(np.array([0.9, 0.1]))[0])
         assert abs(c_d - (-math.log(0.9) - math.log(0.9))) < 1e-12
         assert item(loss_discriminator(Tensor(np.array([0.9])), Tensor(np.array([0.1])))) == c_d
         assert abs(item(loss_fool_free_running(Tensor(np.array([0.1])))) + math.log(0.1)) < 1e-12
@@ -979,7 +914,7 @@ class TestLosses:
         d_tf = Tensor(rng.uniform(0.05, 0.95, 7))
         d_fr = Tensor(rng.uniform(0.05, 0.95, 7))
         stack = Tensor(np.concatenate((d_tf.data, d_fr.data)))
-        lhs = item(engine._c_d(stack))
+        lhs = float(engine._c_d(stack.data)[0])
         assert item(loss_discriminator(d_tf, d_fr)) == lhs
         # the stacked reference runs the same expressions in the same order
         assert item(_mean_neg_log((stack,), (False, True), stacked=True)) == lhs
@@ -991,7 +926,7 @@ class TestLosses:
         stacks, c_d = [], engine._c_d
 
         def keeping(probs):
-            stacks.append(probs.data.copy())
+            stacks.append(probs.copy())
             return c_d(probs)
 
         monkeypatch.setattr(engine, "_c_d", keeping)
@@ -1003,8 +938,8 @@ class TestLosses:
         assert abs(item(loss_fool_free_running(p_fr)) - m["c_f"]) < 1e-12
         assert abs(item(loss_match_teacher_forced(p_tf)) - m["c_t"]) < 1e-12
 
-    # "array": the [2B] probability array train_step stacks, into src's c_d
-    # node; "tensor": each piece its own tensor, into the reference forms
+    # "array": the [2B] probability array train_step stacks, into src's c_d;
+    # "tensor": each piece its own tensor, into the reference forms
     @pytest.mark.parametrize("route", ["array", "tensor"])
     @pytest.mark.parametrize("bad", [[1.0], [0.0], [], [1.5], [-0.5], [0.5, math.nan]],
                              ids=["one", "zero", "empty", "above_one", "negative", "nan"])
@@ -1014,7 +949,7 @@ class TestLosses:
         if route == "array":
             for stack in ((bad, half), (half, bad)):
                 with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
-                    engine._c_d(Tensor(np.concatenate(stack)))
+                    engine._c_d(np.concatenate(stack))
             return
         bad, half = Tensor(bad), Tensor(np.array([0.5]))
         for loss in (lambda: loss_discriminator(bad, half), lambda: loss_discriminator(half, bad),
@@ -1242,16 +1177,13 @@ class TestTrainStep:
         rng = np.random.default_rng(73)
         acc = 0.0
         for _ in range(300):
-            tf_b = unroll_teacher_forced(g, y).behavior
-            fr_b = unroll_free_running(g, t_len, rng, batch=b).behavior
+            tf_b = Tensor(unroll_teacher_forced(g, y).behavior)
+            fr_b = Tensor(unroll_free_running(g, t_len, rng, batch=b).behavior)
             with Tape() as tape:
-                p_tf = discriminate(d, tf_b)
-                p_fr = discriminate(d, fr_b)
+                p_tf = discriminate_node(d, tf_b)
+                p_fr = discriminate_node(d, fr_b)
                 c_d = loss_discriminator(p_tf, p_fr)
-            zero_grads(d_params)
-            backward(tape, c_d, reads=d_params)
-            from profforce.optim import adam_step
-            adam_step(adam, d_params, [p.grad for p in d_params])
+            adam_step(adam, d_params, backward(tape, c_d, d_params))
             acc = accuracy_from_probs(p_tf.data, p_fr.data)
         assert acc == 1.0, "pretraining should saturate on this separable setup"
 
@@ -1275,15 +1207,12 @@ class TestTrainStep:
             adam = AdamState.for_params(dp, lr=5e-3)
             rng = np.random.default_rng(77)
             for _ in range(200):
-                tf_b = unroll_teacher_forced(g, y).behavior
-                fr_b = unroll_free_running(g, t_len, rng, batch=b).behavior
+                tf_b = Tensor(unroll_teacher_forced(g, y).behavior)
+                fr_b = Tensor(unroll_free_running(g, t_len, rng, batch=b).behavior)
                 with Tape() as tape:
-                    c_d = loss_discriminator(discriminate(d, tf_b),
-                                             discriminate(d, fr_b))
-                zero_grads(dp)
-                backward(tape, c_d, reads=dp)
-                from profforce.optim import adam_step
-                adam_step(adam, dp, [p.grad for p in dp])
+                    c_d = loss_discriminator(discriminate_node(d, tf_b),
+                                             discriminate_node(d, fr_b))
+                adam_step(adam, dp, backward(tape, c_d, dp))
             ga = AdamState.for_params(g.tensors(), lr=1e-3)
             da = AdamState.for_params(dp, lr=1e-3)
             settings = TrainConfig(use_ct=use_ct)
@@ -1305,9 +1234,9 @@ class TestTrainStep:
         params = g.tensors() + d.tensors()
 
         def f(_):
-            nll = unroll_teacher_forced(g, y).nll   # nats per step: T = 3
-            replay = unroll_teacher_forced(g, fixed_sample)
-            adv = loss_fool_free_running(discriminate(d, replay.behavior))
+            nll = teacher_forced_node(g, y).nll   # nats per step: T = 3
+            replay = teacher_forced_node(g, fixed_sample)
+            adv = loss_fool_free_running(discriminate_node(d, replay.behavior))
             return add(nll, adv)
 
         assert grad_check(f, params, 1e-5) < 1e-4
@@ -1324,24 +1253,19 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
     b, t_len = y.shape
     with Tape() as gen_tape:
         rich = settings.include_outputs_in_behavior
-        tf = ss_unroll(g, y, 0.0, None, include_outputs=rich)
-        fr = fr_unroll(g, t_len, rng, temperature=settings.temperature, batch=b,
-                       include_outputs=rich)
-        with Tape() as d_tape:
-            c_d = loss_discriminator(discriminate(d, tf.behavior.detach()),
-                                     discriminate(d, fr.behavior.detach()))
-        adv = loss_fool_free_running(discriminate(d, fr.behavior))
+        tf = teacher_forced_node(g, y, include_outputs=rich)
+        fr = unroll_node(g, None, t_len, b, 0.0, rng, settings.temperature, rich)
+        with Tape() as d_tape:   # on leaves of their own, sharing the behaviors' values
+            c_d = loss_discriminator(discriminate_node(d, Tensor(tf.behavior.data)),
+                                     discriminate_node(d, Tensor(fr.behavior.data)))
+        adv = loss_fool_free_running(discriminate_node(d, fr.behavior))
         if settings.use_ct:
-            adv = add(adv, loss_match_teacher_forced(discriminate(d, tf.behavior)))
+            adv = add(adv, loss_match_teacher_forced(discriminate_node(d, tf.behavior)))
         loss = add(tf.nll, scale(adv, settings.adversarial_weight))
     g_params, d_params = g.tensors(), d.tensors()
-    zero_grads(g_params)
-    backward(gen_tape, loss, reads=g_params)
-    adam_step(g_adam, g_params, [p.grad for p in g_params])
+    adam_step(g_adam, g_params, backward(gen_tape, loss, g_params))
     if not settings.freeze_discriminator:
-        zero_grads(d_params)
-        backward(d_tape, c_d, reads=d_params)
-        adam_step(d_adam, d_params, [p.grad for p in d_params])
+        adam_step(d_adam, d_params, backward(d_tape, c_d, d_params))
 
 
 class TestOnePassStep:
@@ -1371,8 +1295,8 @@ class TestOnePassStep:
 
 
 class TestOnePassStepEdges:
-    """The one-sweep step against the two-pass reference where the row
-    scaling of the c_d sweep's leaf gradient could go wrong."""
+    """The one-pass step against the two-pass reference where the row
+    scaling of the behavior gradient c_d's closures give could go wrong."""
 
     @staticmethod
     def _clip_half_the_rows(g, d, y, settings):
@@ -1383,7 +1307,7 @@ class TestOnePassStepEdges:
         tf = ss_unroll(g, y, 0.0, None, include_outputs=rich)
         fr = fr_unroll(g, y.shape[1], rng, temperature=settings.temperature,
                        batch=y.shape[0], include_outputs=rich)
-        p = np.concatenate([discriminate(d, r.behavior).data for r in (tf, fr)])
+        p = np.concatenate([discriminate(d, r.behavior)[0] for r in (tf, fr)])
         pooled = np.log(p / (1.0 - p))
         d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
         clipped = pooled - np.median(pooled) > 0
@@ -1419,10 +1343,10 @@ class TestOnePassStepEdges:
 
 
 class TestStepSweepsWhatItReads:
-    """A desk pf step sweeps the discriminator tape for what it reads: the
-    discriminator's gradients when it updates, the behavior leaf's when the
-    adversarial term reaches the generator.  Each one formed has the bits a
-    sweep forming everything gives it."""
+    """A desk pf step runs the discriminator's closure for what it reads:
+    the discriminator's gradients when it updates, the behavior's when the
+    adversarial term reaches the generator.  Each one formed has the bits
+    the closure gives it when it forms everything."""
 
     @staticmethod
     def _step(monkeypatch, tmp_path, adversarial_gate, extra=()):
@@ -1430,34 +1354,32 @@ class TestStepSweepsWhatItReads:
         monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
         cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0", *extra],
                            {"seed": 1, "max_steps": 20})
-        sweep = engine.backward
+        discriminate_once = engine.discriminate
 
         def run(full):
-            """One step; with ``full`` its discriminator tape is swept forming everything."""
+            """One step; with ``full`` its discriminator closure forms everything."""
             tr = Trainer(cfg, tmp_path / f"full{int(full)}")
-            d_params, swept = tr.d.tensors(), []
+            formed = []
 
-            def recording(tape, loss, **kw):
-                # the sweep consumes the tape: find the leaf before it runs
-                ins = {id(t): t for _, inputs, _ in tape.nodes for t in inputs}
-                if not all(id(p) in ins for p in d_params):   # the generator's tape
-                    return sweep(tape, loss, **kw)
-                outs = {id(t) for outs, _, _ in tape.nodes for t in outs}
-                (leaf,) = [t for t in ins.values()
-                           if id(t) not in outs and all(t is not p for p in d_params)]
-                sweep(tape, loss, **({} if full else kw))
-                # as the sweep left them, before train_step scales the leaf's
-                swept.append([None if t.grad is None else t.grad.copy()
-                              for t in [leaf, *d_params]])
+            def recording(d, seq):
+                probs, back = discriminate_once(d, seq)
 
-            monkeypatch.setattr(engine, "backward", recording)
+                def told(g, learns, reads_seq):
+                    d_seq, grads = back(g, True, True) if full else back(g, learns, reads_seq)
+                    # as the closure formed them, before train_step scales the behavior's
+                    formed.append([None if a is None else a.copy() for a in [d_seq, *grads]])
+                    return d_seq, grads
+
+                return probs, told
+
+            monkeypatch.setattr(engine, "discriminate", recording)
             m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
                            tr.rng, tr.g_adam, tr.d_adam)
-            (grads,) = swept
+            (grads,) = formed
             return m, grads
 
         m, grads = run(False)
-        # the same tape, rebuilt from the same seeds, forming everything
+        # the same step, rebuilt from the same seeds, forming everything
         return m, grads, run(True)[1]
 
     def test_gate_closed_step_forms_no_leaf_gradient(self, monkeypatch, tmp_path):
@@ -1476,24 +1398,29 @@ class TestStepSweepsWhatItReads:
 
 
 class TestGradientOwnership:
-    """``backward`` keeps a closure's fresh gradient as it is and copies a
-    view or a gradient the node received; no two tensors may end up
-    holding one array.  A sweep drops every node output's gradient, so
-    only leaves keep one."""
+    """The gradients a pf step hands to the unroll's closure and to Adam
+    share no memory, so that scaling the behavior's gradient in place
+    reaches no other, and a step rebuilt from the same seeds hands over
+    the same bits."""
 
     def test_pf_step_grads_share_no_memory_and_sweep_again_alike(self, monkeypatch):
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-        monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
-        swept, sweep = [], engine.backward
+        handed, unroll = [], engine._unroll
+        monkeypatch.setattr(engine, "adam_step",   # weights stay put
+                            lambda state, params, grads: handed.append(list(grads)))
 
-        def recording(tape, loss, **kw):
-            # the sweep consumes the tape: take its outputs and leaves first
-            outputs = {id(t): t for outs, _, _ in tape.nodes for t in outs}
-            found = {id(t): t for _, ins, _ in tape.nodes for t in ins if id(t) not in outputs}
-            sweep(tape, loss, **kw)
-            # as the sweep left them, before train_step scales the leaf's
-            kept = [t for t in found.values() if t.grad is not None]
-            swept.append((list(outputs.values()), kept, [t.grad.copy() for t in kept]))
+        def recording(*a, **kw):
+            res = unroll(*a, **kw)
+            back = res.back
+
+            def kept(g_beh, g_nll):
+                handed.append([g_beh])   # as scaled for the generator
+                return back(g_beh, g_nll)
+
+            res.back = kept
+            return res
+
+        monkeypatch.setattr(engine, "_unroll", recording)
 
         def step():
             g, d, y, ga, da = build_step_fixture(seed=104)
@@ -1501,48 +1428,16 @@ class TestGradientOwnership:
             m = train_step(g, d, y, cfg, 0.0, np.random.default_rng(105), ga, da)
             return m, g, d
 
-        monkeypatch.setattr(engine, "backward", recording)
         m, g, d = step()
-        assert m["gate_gen"] and m["gate_disc"] and len(swept) == 2
-        for outputs, *_ in swept:
-            assert all(t.grad is None for t in outputs)
-        # every parameter of both players and the behavior leaf hold one
-        held = {id(t) for _, kept, _ in swept for t in kept}
-        assert all(id(t) in held for t in g.tensors() + d.tensors())
-        assert len(held) > len(g.tensors()) + len(d.tensors())
-        grads = [t.grad for _, kept, _ in swept for t in kept]
+        assert m["gate_gen"] and m["gate_disc"]
+        assert [len(h) for h in handed] == [1, len(g.tensors()), len(d.tensors())]
+        grads = [a for h in handed for a in h]
         for i, a in enumerate(grads):
             assert not any(np.shares_memory(a, b) for b in grads[i + 1:])
-        # Sweep each tape again, rebuilt from the same seeds: every gradient
-        # left gets the same bits.
+        first, handed[:] = [a.copy() for a in grads], []
         step()
-        for (_, _, before), (_, _, again) in zip(swept[:2], swept[2:]):
-            assert len(before) == len(again)
-            for a, b in zip(before, again):
-                np.testing.assert_array_equal(a, b)
-
-
-    def test_gate_open_step_leaves_grads_on_params_and_behavior_leaf_only(self, monkeypatch):
-        # the adversarial term's per-row weights are a constant: no gradient
-        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
-        tapes, outputs, sweep = [], set(), engine.backward
-
-        def recording(tape, loss, **kw):
-            tapes.append([t for _, ins, _ in tape.nodes for t in ins])   # before it is consumed
-            outputs.update(id(t) for outs, _, _ in tape.nodes for t in outs)
-            sweep(tape, loss, **kw)
-
-        monkeypatch.setattr(engine, "backward", recording)
-        g, d, y, ga, da = build_step_fixture(seed=104)
-        m = train_step(g, d, y, TrainConfig(use_ct=True), 0.0, np.random.default_rng(105),
-                       ga, da)
-        assert m["gate_gen"] and len(tapes) == 2
-        params = {id(t) for t in g.tensors() + d.tensors()}
-        held = {id(t): t for inputs in tapes for t in inputs
-                if t.grad is not None and id(t) not in params}
-        assert all(p.grad is not None for p in g.tensors() + d.tensors())
-        (leaf,) = held.values()   # the detached stack the discriminator read
-        assert id(leaf) not in outputs and leaf.shape == (y.shape[1], 2 * y.shape[0], g.hidden_size)
+        for a, b in zip(first, [a for h in handed for a in h], strict=True):
+            np.testing.assert_array_equal(a, b)
 
 
 class TestDeskStepPageFaults:
@@ -1578,21 +1473,22 @@ class TestDeskStepPageFaults:
         assert per_step <= self.CEILING, f"{per_step:.0f} minor faults per step"
 
 
-class TestDiscriminatorTapeFreedBeforeGeneratorSweep:
-    """A sweep consumes its tape, so once a desk pf step's discriminator sweep
-    has run, no array its BiGRU or scoring MLP nodes cached is alive; a
-    discriminator tape that the step never sweeps is dropped before the
-    generator sweep all the same."""
+class TestDiscriminatorCachesFreedBeforeGeneratorBackward:
+    """Once a desk pf step has run the discriminator's closures, or decided
+    not to, no array its BiGRU or scoring MLP cached is alive when the
+    generator's closure starts."""
 
     @pytest.mark.parametrize("case", ["gate_open", "frozen_gate_closed"])
-    def test_no_discriminator_cache_outlives_its_sweep(self, monkeypatch, tmp_path, case):
+    def test_no_discriminator_cache_is_alive(self, monkeypatch, tmp_path, case):
         gate, extra = {"gate_open": (-1.0, []),
                        "frozen_gate_closed": (2.0, ["freeze_discriminator=true"])}[case]
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", gate)
         cfg = build_config(None, "desk-copy", ["lr=1e-3", "val_every=0", *extra],
                            {"seed": 1, "max_steps": 20})
         tr = Trainer(cfg, tmp_path)
-        cached, alive, run, mlp, sweep = [], [], nets._gru_run, engine.mlp_forward, engine.backward
+        cached, alive, ran = [], [], []
+        run, mlp, unroll, discriminate_once = (nets._gru_run, engine.mlp_forward, engine._unroll,
+                                               engine.discriminate)
 
         def caching_run(*a, **kw):
             out = run(*a, **kw)
@@ -1600,36 +1496,51 @@ class TestDiscriminatorTapeFreedBeforeGeneratorSweep:
             return out
 
         def caching_mlp(*a):
-            out = mlp(*a)
-            cached.append(weakref.ref(out.data))
-            return out
+            out, back = mlp(*a)
+            cached.append(weakref.ref(out.base))   # the scores, which the closure keeps
+            return out, back
 
-        def checking(tape, loss, reads):
-            generator = reads[0] is tr.g.embedding   # its sweep reads the generator's tensors
-            if generator:
-                alive.append(("generator sweep starts", sum(r() is not None for r in cached)))
-            sweep(tape, loss, reads=reads)
-            if not generator:
-                alive.append(("discriminator sweep ends", sum(r() is not None for r in cached)))
+        def noting(*a):
+            probs, back = discriminate_once(*a)
+
+            def noted(*args):
+                ran.append("discriminator")
+                return back(*args)
+
+            return probs, noted
+
+        def checking(*a, **kw):
+            res = unroll(*a, **kw)
+            back = res.back
+
+            def checked(g_beh, g_nll):
+                alive.append(sum(r() is not None for r in cached))
+                return back(g_beh, g_nll)
+
+            res.back = checked
+            return res
 
         monkeypatch.setattr(nets, "_gru_run", caching_run)
         monkeypatch.setattr(engine, "mlp_forward", caching_mlp)
-        monkeypatch.setattr(engine, "backward", checking)
+        monkeypatch.setattr(engine, "discriminate", noting)
+        monkeypatch.setattr(engine, "_unroll", checking)
         m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
                        tr.rng, tr.g_adam, tr.d_adam)
         assert len(cached) == 9   # two directions' four arrays and the MLP's output
+        assert alive == [0]
         if case == "gate_open":
             assert m["gate_gen"] and m["gate_disc"]
-            assert alive == [("discriminator sweep ends", 0), ("generator sweep starts", 0)]
-        else:   # nothing reads the discriminator tape: it is never swept
+            assert ran == ["discriminator"]
+        else:   # nothing reads the discriminator's gradients: its closure never runs
             assert not m["gate_gen"]
-            assert alive == [("generator sweep starts", 0)]
+            assert ran == []
 
 
 class TestDeskStepPeakMemory:
-    """A desk-copy pf step with both gates open holds only what its sweeps
-    still read: a sweep pops each node once its closure has run, so what
-    the closure captured goes with it, and drops its output gradients; the
+    """A desk-copy pf step with both gates open holds only what its closures
+    still read: the discriminator's closure frees the MLP's and encoder's
+    closures, and with them what they captured, as each returns, and the
+    step drops the discriminator's before the generator's runs; the
     scoring MLP keeps one input per layer and frees each mask once read,
     and a recursion's backward forms its candidate factor in its cache
     (traced by tracemalloc, which numpy reports to)."""
@@ -1662,74 +1573,77 @@ class TestDeskStepPeakMemory:
         assert peak < self.CEILING_MIB * 2**20, f"{peak / 2**20:.2f} MiB traced"
 
 
-class TestTapeNodeCeiling:
-    """Tape nodes recorded by one training step at acceptance check A7's size.
+# the kernels whose closures a gate-open pf step runs, in the order it runs them
+PF_CLOSURES = ["_c_d", "discriminate", "mlp_forward", "bigru_encode", "_unroll"]
 
-    At desk sizes a step costs Python dispatch per tape node more than
-    arithmetic, so these ceilings guard the one-node generator unroll,
-    the one-node discriminator encoder, scoring MLP, head and loss, and
-    the single stacked discriminator pass, whose tape a pf step sweeps
-    once.  A change that records fewer nodes lowers them; none may raise
-    them.
+
+class TestBackwardClosureCeiling:
+    """Backward closures one training step runs, at acceptance check A7's size.
+
+    At desk sizes a step costs Python dispatch per kernel more than
+    arithmetic, so these ceilings guard the one-closure generator unroll,
+    the one-closure discriminator encoder, scoring MLP, head and loss, and
+    the single stacked discriminator pass, whose closures a pf step runs
+    once each.  A change that runs fewer lowers them; none may raise them.
     """
 
     PF_CEILING = 5    # 22 while the discriminator's pass recorded generic ops
-    TF_CEILING = 1    # the unroll alone: its nll is the loss
+    TF_CEILING = 1    # the unroll's alone: its nll is the loss
 
     def _one_step(self, monkeypatch, tmp_path, mode):
-        recorded, closures = [], []
-        tape_exit = Tape.__exit__
+        ran, rows_scored, unroll_seeds = [], [], []
 
-        def counting_exit(tape, *exc):
-            recorded.append(list(tape.nodes))   # as recorded: its sweep will consume it
-            closures.append(recorders(tape.nodes))
-            return tape_exit(tape, *exc)
+        def counting(name, kernel):
+            def made(*a, **kw):
+                out = kernel(*a, **kw)
+                if name == "_unroll":
+                    back = out.back
+                    if back is None:   # validation's untaped unroll
+                        return out
+                    assert list(inspect.signature(back).parameters) == ["g_beh", "g_nll"]
 
-        monkeypatch.setattr(Tape, "__exit__", counting_exit)
-        rows_scored, d_tapes, swept = [], [], []
-        discriminate_once, backward_once = engine.discriminate, engine.backward
+                    def counted_unroll(g_beh, g_nll):
+                        ran.append(name)
+                        unroll_seeds.append(tuple(None if x is None else x.ndim
+                                                  for x in (g_beh, g_nll)))
+                        return back(g_beh, g_nll)
 
-        def counting_discriminate(d, b):
-            rows_scored.append(b.shape[1])
-            d_tapes.append(tensor._TAPES[-1])
-            return discriminate_once(d, b)
+                    out.back = counted_unroll
+                    return out
+                if name == "discriminate":
+                    rows_scored.append(a[1].shape[1])
+                value, back = out
 
-        def counting_backward(tape, loss, **kw):
-            swept.append(tape)
-            return backward_once(tape, loss, **kw)
+                def counted(*args):
+                    ran.append(name)
+                    return back(*args)
 
-        monkeypatch.setattr(engine, "discriminate", counting_discriminate)
-        monkeypatch.setattr(engine, "backward", counting_backward)
+                return value, counted
+            return made
+
+        for name in PF_CLOSURES:
+            monkeypatch.setattr(engine, name, counting(name, getattr(engine, name)))
         # Open the generator's gate so the pf step does all its discriminator work.
         monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
         cfg = TrainConfig(**dict(TINY_PF, max_steps=1, mode=mode))
-        trainer = Trainer(cfg, tmp_path)
-        row = trainer.run()[0]
-        d_sweeps = sum(any(tape is d_tape for d_tape in d_tapes) for tape in swept)
-        # the outputs' ranks of every generator unroll node, the only nodes
-        # reading the embedding: [T, B, .] behavior and a scalar nll, no logits
-        emb = trainer.g.embedding
-        unroll_outputs = [tuple(o.data.ndim for o in outs) for nodes in recorded
-                          for outs, inputs, _ in nodes if inputs and inputs[0] is emb]
-        return (sum(len(nodes) for nodes in recorded), row, rows_scored, d_sweeps,
-                unroll_outputs, closures)
+        row = Trainer(cfg, tmp_path).run()[0]
+        return ran, row, rows_scored, unroll_seeds
 
     def test_professor_forcing_step(self, monkeypatch, tmp_path):
-        nodes, row, rows_scored, d_sweeps, unroll_outputs, closures = self._one_step(
-            monkeypatch, tmp_path, "professor_forcing")
+        ran, row, rows_scored, unroll_seeds = self._one_step(monkeypatch, tmp_path,
+                                                             "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
-        assert nodes == self.PF_CEILING
-        # the discriminator's tape exits first, inside the generator's
-        assert closures[0] == DISCRIMINATOR_NODES
-        # one unroll of both regimes: behavior and nll
-        assert unroll_outputs == [(3, 0)]
-        # one discriminator pass over both behaviors stacked, one sweep of its tape
+        assert len(ran) == self.PF_CEILING
+        # the discriminator's closures first, from its loss down to its encoder
+        assert ran == PF_CLOSURES
+        # one unroll of both regimes, seeded on its [T, 2B, .] behavior and scalar nll
+        assert unroll_seeds == [(3, 0)]
+        # one discriminator pass over both behaviors stacked
         assert rows_scored == [2 * TINY_PF["batch_n"]]
-        assert d_sweeps == 1
 
     def test_teacher_forcing_step(self, monkeypatch, tmp_path):
-        nodes, _, rows_scored, d_sweeps, unroll_outputs, _ = self._one_step(
-            monkeypatch, tmp_path, "teacher_forcing")
-        assert nodes == self.TF_CEILING
-        assert unroll_outputs == [(3, 0)]
-        assert rows_scored == [] and d_sweeps == 0
+        ran, _, rows_scored, unroll_seeds = self._one_step(monkeypatch, tmp_path,
+                                                           "teacher_forcing")
+        assert len(ran) == self.TF_CEILING
+        assert unroll_seeds == [(None, 0)]
+        assert rows_scored == []

@@ -13,20 +13,19 @@ from profforce.nets import (
     init_params,
     mlp_forward,
 )
-from profforce.tensor import (
-    Tape,
-    Tensor,
-    backward,
-    zero_grads,
-)
+from profforce.tensor import Tensor
 
 from extra_ops import (
+    Tape,
     add,
+    backward,
     concat,
+    encode_node,
     grad_check,
     gru_sequence,
     gru_step,
     matmul,
+    mlp_node,
     mul,
     relu,
     sum_all,
@@ -172,8 +171,8 @@ class TestGruSequence:
                 np.testing.assert_allclose(pre_step.data[i], pre, rtol=0, atol=1e-12)
 
     def test_second_sweep_gives_same_gradients(self, small_cell):
-        # the backward scales its factor arrays in place; a sweep consumes
-        # its tape, so the second sweep is of one rebuilt from the same seeds
+        # the backward scales its factor arrays in place, so the second
+        # sweep is of a tape rebuilt from the same seeds
         grads = []
         for _ in range(2):
             rng = np.random.default_rng(110)
@@ -184,15 +183,13 @@ class TestGruSequence:
                 h, pre = gru_step(small_cell, h0, x1)
                 loss = add(add(sum_all(tanh(gru_sequence(small_cell, xs, reverse=True))),
                                sum_all(tanh(h))), sum_all(tanh(pre)))
-            zero_grads(leaves)
-            backward(tape, loss, reads=leaves)
-            grads.append([t.grad.copy() for t in leaves])
+            grads.append(backward(tape, loss, leaves))
         for a, b in zip(*grads):
             np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_input_and_bias_gradients_are_fresh(self, small_cell, reverse):
-        # fresh arrays in their final shapes: backward keeps them without a copy
+        # fresh arrays in their final shapes, which no other array shares
         xs = Tensor(np.random.default_rng(111).uniform(-1, 1, (5, 3, 4)))
         with Tape() as tape:
             states = gru_sequence(small_cell, xs, reverse=reverse)
@@ -315,7 +312,7 @@ class TestMlp:
         rng = np.random.default_rng(12)
         mlp = mlp_layers([4, 2], rng)
         x = rng.uniform(-1, 1, (5, 4))
-        got = mlp_forward(mlp, Tensor(x)).data
+        got = mlp_forward(mlp, x)[0]
         w, b = mlp[0]
         np.testing.assert_allclose(got, x @ w.data + b.data, atol=1e-12)
 
@@ -326,10 +323,10 @@ class TestMlp:
         two_layer = [(neg, zero), (ident, zero)]
         x = np.array([[1.0, 2.0]])
         # first layer gives -x, ReLU kills it, second layer passes zeros on
-        np.testing.assert_array_equal(mlp_forward(two_layer, Tensor(x)).data, [[0.0, 0.0]])
+        np.testing.assert_array_equal(mlp_forward(two_layer, x)[0], [[0.0, 0.0]])
         one_layer = [(neg, zero)]
         # a lone layer stays linear: negative outputs survive
-        np.testing.assert_array_equal(mlp_forward(one_layer, Tensor(x)).data, [[-1.0, -2.0]])
+        np.testing.assert_array_equal(mlp_forward(one_layer, x)[0], [[-1.0, -2.0]])
 
     def test_discriminator_layer_sizes(self):
         d = DiscriminatorParams.create(4, 3, np.random.default_rng(13))
@@ -340,7 +337,7 @@ class TestMlp:
         mlp = mlp_layers([3, 4, 1], np.random.default_rng(15))
         x = np.random.default_rng(16).uniform(-1, 1, (2, 3)) + 0.5
         params = flat(mlp)
-        assert grad_check(lambda _: sum_all(tanh(mlp_forward(mlp, Tensor(x)))),
+        assert grad_check(lambda _: sum_all(tanh(mlp_node(mlp, Tensor(x)))),
                           params, 1e-5) < 1e-4
 
 
@@ -356,25 +353,23 @@ def composed_mlp(layers, x: Tensor) -> Tensor:
 
 
 class TestFusedMlp:
-    """``mlp_forward`` is one tape node whose output and gradients carry the
-    bits of the composed matmul/add/relu chain."""
+    """``mlp_forward``'s output and its closure's gradients carry the bits of
+    the composed matmul/add/relu chain."""
 
     @staticmethod
-    def _run(forward, mlp, x, weights):
-        params = flat(mlp)
+    def _chain(mlp, x, weights):
+        """The chain's output and the gradients of ``sum(out * weights)``."""
         leaf = Tensor(x)
-        zero_grads(params)
         with Tape() as tape:
-            out = forward(mlp, leaf)
+            out = composed_mlp(mlp, leaf)
             loss = sum_all(mul(out, Tensor(weights)))
-        nodes = len(tape)   # the sweep consumes the tape
-        backward(tape, loss, reads=[leaf] + params)
-        return nodes, out.data, [leaf.grad] + [p.grad.copy() for p in params]
+        return out.data, backward(tape, loss, [leaf] + flat(mlp))
 
     def _check(self, mlp, x, weights):
-        nodes, out, grads = self._run(mlp_forward, mlp, x, weights)
-        ref_nodes, ref_out, ref_grads = self._run(composed_mlp, mlp, x, weights)
-        assert nodes == 3 and ref_nodes == 3 * len(mlp) + 1   # MLP, mul, sum
+        out, back = mlp_forward(mlp, x)
+        # the loss's gradient at the output is ``weights`` itself
+        grads = back(weights, (True,) * (1 + 2 * len(mlp)))
+        ref_out, ref_grads = self._chain(mlp, x, weights)
         np.testing.assert_array_equal(out, ref_out)
         assert len(grads) == len(ref_grads) == 2 * len(mlp) + 1
         for got, want in zip(grads, ref_grads):
@@ -406,9 +401,9 @@ class TestFusedMlp:
     def test_rejects_wrong_width(self):
         mlp = mlp_layers([4, 3, 1], np.random.default_rng(17))
         with pytest.raises(ValueError, match="mlp_forward"):
-            mlp_forward(mlp, Tensor(np.zeros((2, 5))))
+            mlp_forward(mlp, np.zeros((2, 5)))
         with pytest.raises(ValueError, match="mlp_forward"):
-            mlp_forward(mlp, Tensor(np.zeros(4)))
+            mlp_forward(mlp, np.zeros(4))
 
 
 def bigru_cells(input_size, hidden, seed):
@@ -421,7 +416,7 @@ class TestBiGru:
         enc = bigru_cells(input_size=3, hidden=4, seed=17)
         rng = np.random.default_rng(18)
         seq_np = [rng.uniform(-1, 1, 3) for _ in range(3)]
-        got = bigru_encode(*enc, Tensor(np.stack(seq_np)[:, None, :])).data
+        got = bigru_encode(*enc, np.stack(seq_np)[:, None, :])[0]
 
         h = np.zeros(4)
         fwd = []
@@ -444,60 +439,54 @@ class TestBiGru:
         enc = bigru_cells(input_size=2, hidden=3, seed=19)
         rng = np.random.default_rng(20)
         seq = rng.uniform(-1, 1, (4, 1, 2))
-        base = bigru_encode(*enc, Tensor(seq)).data
+        base = bigru_encode(*enc, seq)[0]
         bumped = seq.copy()
         bumped[-1] += 0.5
-        moved = bigru_encode(*enc, Tensor(bumped)).data
+        moved = bigru_encode(*enc, bumped)[0]
         # the first output must feel a change at the last input
         assert np.max(np.abs(base[0] - moved[0])) > 1e-9
 
     def test_batched_input(self):
         enc = bigru_cells(input_size=2, hidden=3, seed=21)
         rng = np.random.default_rng(22)
-        seq = Tensor(rng.uniform(-1, 1, (4, 5, 2)))
-        out = bigru_encode(*enc, seq)
+        out, _ = bigru_encode(*enc, rng.uniform(-1, 1, (4, 5, 2)))
         assert out.shape == (4, 5, 6)
 
     def test_rejects_empty_and_mismatched(self):
         enc = bigru_cells(input_size=2, hidden=3, seed=23)
         with pytest.raises(ValueError):
-            bigru_encode(*enc, Tensor(np.zeros((0, 1, 2))))
+            bigru_encode(*enc, np.zeros((0, 1, 2)))
         with pytest.raises(ValueError):
-            bigru_encode(*enc, Tensor(np.zeros((1, 1, 5))))
+            bigru_encode(*enc, np.zeros((1, 1, 5)))
 
     def test_gradients_of_both_cells_and_the_input(self):
         enc = bigru_cells(input_size=2, hidden=3, seed=24)
         rng = np.random.default_rng(25)
         seq, weights = Tensor(rng.uniform(-1, 1, (4, 2, 2))), Tensor(rng.uniform(-1, 1, (4, 2, 6)))
         params = [seq] + [t for cell in enc for _, t in cell.named()]
-        assert grad_check(lambda p: sum_all(mul(tanh(bigru_encode(*enc, p[0])), weights)),
+        assert grad_check(lambda p: sum_all(mul(tanh(encode_node(*enc, p[0])), weights)),
                           params, 1e-5) < 1e-4
 
     @pytest.mark.parametrize("reads", ["all", "input", "fwd", "bwd"])
     def test_matches_two_sequence_nodes_and_their_concat(self, reads):
-        # one node against the chain it replaced, bit for bit, for what a sweep reads
-        def run(encode):
-            enc = bigru_cells(input_size=3, hidden=4, seed=26)
-            rng = np.random.default_rng(27)
-            seq, weights = (Tensor(rng.uniform(-1, 1, (5, 3, 3))),
-                            Tensor(rng.uniform(-1, 1, (5, 3, 8))))
-            leaves = {"input": [seq], "fwd": [t for _, t in enc[0].named()],
-                      "bwd": [t for _, t in enc[1].named()]}
-            read = [t for k, ts in leaves.items() if reads in (k, "all") for t in ts]
-            with Tape() as tape:
-                out = encode(*enc, seq)
-                loss = sum_all(mul(out, weights))
-            backward(tape, loss, reads=read)
-            return out.data, [t.grad for ts in leaves.values() for t in ts]
+        # the closure against the chain it replaced, bit for bit, for what it is told to form
+        enc = bigru_cells(input_size=3, hidden=4, seed=26)
+        rng = np.random.default_rng(27)
+        seq, weights = rng.uniform(-1, 1, (5, 3, 3)), rng.uniform(-1, 1, (5, 3, 8))
+        needs = {"all": (True,) * 7, "input": (True,) + (False,) * 6,
+                 "fwd": (False,) * 1 + (True,) * 3 + (False,) * 3,
+                 "bwd": (False,) * 4 + (True,) * 3}[reads]
+        out, back = bigru_encode(*enc, seq)
+        grads = back(weights, needs)   # the gradient of sum(out * weights) at out
 
-        def chained(fwd, bwd, seq):
-            return concat((gru_sequence(fwd, seq), gru_sequence(bwd, seq, reverse=True)), axis=-1)
-
-        (out, grads), (ref_out, ref_grads) = run(bigru_encode), run(chained)
-        np.testing.assert_array_equal(out, ref_out)
-        assert sum(g is not None for g in grads) == (7 if reads == "all" else
-                                                      1 if reads == "input" else 3)
+        leaf = Tensor(seq)
+        with Tape() as tape:
+            ref = concat((gru_sequence(enc[0], leaf), gru_sequence(enc[1], leaf, reverse=True)),
+                         axis=-1)
+            loss = sum_all(mul(ref, Tensor(weights)))
+        ref_grads = backward(tape, loss, [leaf] + [t for cell in enc for _, t in cell.named()])
+        np.testing.assert_array_equal(out, ref.data)
+        assert [g is not None for g in grads] == list(needs)
         for got, want in zip(grads, ref_grads):
-            assert (got is None) == (want is None)
             if got is not None:
                 np.testing.assert_array_equal(got, want)

@@ -3,15 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from profforce.tensor import (
-    Tape,
-    Tensor,
-    _record,
-    backward,
-)
+from profforce.tensor import Tensor
 
 from extra_ops import (
+    Tape,
+    _record,
     add,
+    backward,
     clip,
     concat,
     embed,
@@ -184,10 +182,10 @@ class TestSoftmaxCrossEntropy:
         logits = Tensor(x)
         with Tape() as tape:
             loss = softmax_cross_entropy(logits, 4)
-        backward(tape, loss)
+        (grad,) = backward(tape, loss, [logits])
         expected = np.exp(x - x.max()) / np.exp(x - x.max()).sum()
         expected[4] -= 1
-        np.testing.assert_allclose(logits.grad, expected, atol=1e-12)
+        np.testing.assert_allclose(grad, expected, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -199,8 +197,7 @@ class TestBackward:
         x = Tensor([3.0])
         with Tape() as tape:
             y = sum_all(mul(x, x))
-        backward(tape, y)
-        assert x.grad[0] == 6.0
+        assert backward(tape, y, [x])[0][0] == 6.0
 
     def test_chain_matches_finite_differences(self):
         rng = np.random.default_rng(21)
@@ -208,13 +205,13 @@ class TestBackward:
         x = Tensor(rng.uniform(-1, 1, (3, 1)))
         with Tape() as tape:
             loss = sum_all(sigmoid(matmul(w, x)))
-        backward(tape, loss)
+        (grad,) = backward(tape, loss, [w])
 
         def f():
             return float(sum_all(sigmoid(matmul(w, x))).data)
 
         num = numerical_gradient(f, w.data)
-        rel = np.abs(w.grad - num) / np.maximum(np.abs(num), 1e-8)
+        rel = np.abs(grad - num) / np.maximum(np.abs(num), 1e-8)
         assert rel.max() < 1e-6
 
     def test_unused_param_gets_exact_zero(self):
@@ -222,36 +219,22 @@ class TestBackward:
         unused = Tensor([5.0])
         with Tape() as tape:
             loss = sum_all(mul(used, used))
-        backward(tape, loss, reads=[used, unused])
-        np.testing.assert_array_equal(unused.grad, [0.0])
+        np.testing.assert_array_equal(backward(tape, loss, [used, unused])[1], [0.0])
 
     def test_loss_must_be_scalar(self):
         x = Tensor([1.0, 2.0])
         with Tape() as tape:
             y = mul(x, x)
         with pytest.raises(ValueError):
-            backward(tape, y)
-
-    def test_a_sweep_consumes_its_tape(self):
-        x = Tensor([3.0])
-        with Tape() as tape:
-            y = sum_all(mul(x, x))
-        assert len(tape) == 2
-        backward(tape, y)
-        assert len(tape) == 0 and x.grad[0] == 6.0
-        with pytest.raises(ValueError, match="swept"):
-            backward(tape, y)   # it would form nothing: every node is gone
-        assert x.grad[0] == 6.0
+            backward(tape, y, [x])
 
     def test_accumulation_over_shared_input(self):
         x = Tensor([1.5])
         with Tape() as tape:
             y = sum_all(add(mul(x, x), mul(x, x)))
-        backward(tape, y)
-        assert x.grad[0] == 6.0
+        assert backward(tape, y, [x])[0][0] == 6.0
 
     def test_backward_bit_deterministic(self):
-        # a sweep consumes its tape: the second is of one rebuilt from the same seed
         grads = []
         for _ in range(2):
             rng = np.random.default_rng(22)
@@ -259,40 +242,28 @@ class TestBackward:
             x = Tensor(rng.uniform(-1, 1, (5, 5)))
             with Tape() as tape:
                 loss = sum_all(tanh(matmul(w, mul(x, x))))
-            backward(tape, loss)
-            grads.append(w.grad)
+            grads += backward(tape, loss, [w])
         assert np.array_equal(*grads)
 
-    def test_sweep_leaves_grads_on_leaves_only(self):
+    def test_fan_out_and_split_outputs_add_up_exactly(self):
         # h fans out to two consumers and split has two outputs, so the
-        # sweep must finish every reader of a gradient before dropping it.
-        def swept():
-            a, b = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
-            with Tape() as tape:
-                h = mul(a, b)
-                lo, hi = split(reshape(add(h, mul(h, a)), (3, 1)), 3)[::2]
-                loss = sum_all(add(lo, scale(hi, 2.0)))
-            outputs = [t for outs, _, _ in tape.nodes for t in outs]   # before it is consumed
-            backward(tape, loss)
-            assert all(t.grad is None for t in outputs)
-            return a, b
-
-        a, b = swept()
+        # sweep must finish every reader of a gradient before passing it on.
+        a, b = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
+        with Tape() as tape:
+            h = mul(a, b)
+            lo, hi = split(reshape(add(h, mul(h, a)), (3, 1)), 3)[::2]
+            loss = sum_all(add(lo, scale(hi, 2.0)))
+        d_a, d_b = backward(tape, loss, [a, b])
         # d/da = (1, 0, 2) * (b + 2ab), d/db = (1, 0, 2) * (a + a^2), exactly
-        np.testing.assert_array_equal(a.grad, [12.0, 0.0, 84.0])
-        np.testing.assert_array_equal(b.grad, [2.0, 0.0, 24.0])
-        first = [a.grad, b.grad]
-        a, b = swept()   # the same tape, rebuilt
-        np.testing.assert_array_equal(a.grad, first[0])
-        np.testing.assert_array_equal(b.grad, first[1])
+        np.testing.assert_array_equal(d_a, [12.0, 0.0, 84.0])
+        np.testing.assert_array_equal(d_b, [2.0, 0.0, 24.0])
 
     def test_no_nans_after_passes(self):
         rng = np.random.default_rng(23)
         w = Tensor(rng.uniform(-2, 2, (6, 6)))
         with Tape() as tape:
             loss = mean_all(sigmoid(matmul(w, w)))
-        backward(tape, loss, reads=[w])
-        assert np.all(np.isfinite(loss.data)) and np.all(np.isfinite(w.grad))
+        assert np.all(np.isfinite(loss.data)) and np.all(np.isfinite(backward(tape, loss, [w])))
 
 
 class TestClipGradient:
@@ -300,56 +271,8 @@ class TestClipGradient:
         x = Tensor([-11.0, -10.0, -9.999, 0.0, 9.999, 10.0, 11.0])
         with Tape() as tape:
             y = sum_all(clip(x, -10, 10))
-        backward(tape, y)
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-
-
-class TestSweepReads:
-    """``backward(..., reads=...)`` forms only the gradients that lead to
-    the named leaves, with the bits a sweep forming everything gives."""
-
-    @staticmethod
-    def _tape():
-        # a and b meet in one told node with c; d feeds a branch of its own
-        a, b, c, d = (Tensor([1.0, -2.0]), Tensor([3.0, 0.5]), Tensor([5.0, 7.0]),
-                      Tensor([2.0, 4.0]))
-        told, called = [], []
-        with Tape() as tape:
-            ab = mul(a, b)
-            out = Tensor(ab.data * c.data)
-
-            def back(g, needs=(True, True)):
-                told.append(needs)
-                return (g * c.data if needs[0] else None, g * ab.data if needs[1] else None)
-
-            def square_back(g):
-                called.append(g)
-                return (2.0 * d.data * g,)
-
-            sq = _record(Tensor(d.data * d.data), (d,), square_back)
-            loss = sum_all(add(_record(out, (ab, c), back, told=True), sq))
-        return tape, loss, (a, b, c, d), told, called
-
-    def test_input_leading_to_no_read_leaf_gets_no_gradient(self):
-        tape, loss, (a, b, c, d), told, called = self._tape()
-        backward(tape, loss, reads=[a])
-        assert told == [(True, False)]   # the told closure heard that c is not read
-        assert called == []               # d's branch leads to no read leaf: skipped
-        assert b.grad is None and c.grad is None and d.grad is None
-        partial = a.grad
-        tape, loss, (a, b, c, d), told, called = self._tape()
-        backward(tape, loss)              # the same tape, rebuilt, forming everything
-        assert told[-1] == (True, True) and len(called) == 1
-        np.testing.assert_array_equal(a.grad, partial)
-        assert b.grad is not None and c.grad is not None and d.grad is not None
-
-    def test_read_leaf_the_loss_never_reaches_gets_exact_zero(self):
-        tape, loss, leaves, told, _ = self._tape()
-        stray = Tensor([[1.0, 2.0]])
-        backward(tape, loss, reads=[leaves[2], stray])
-        assert told == [(False, True)]
-        np.testing.assert_array_equal(stray.grad, [[0.0, 0.0]])
-        assert all(t.grad is None for t in (leaves[0], leaves[1], leaves[3]))
+        np.testing.assert_array_equal(backward(tape, y, [x])[0],
+                                      [0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.0])
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +386,8 @@ class TestTape:
         y = _record(Tensor(x.data * 3.0), (x,), lambda g: called.append(g) or (3.0 * g,))
         with Tape() as tape:
             loss = sum_all(mul(y, y))
-        backward(tape, loss)
-        assert called == [] and x.grad is None and y.grad.tolist() == [6.0]
+        d_x, d_y = backward(tape, loss, [x, y])
+        assert called == [] and d_x.tolist() == [0.0] and d_y.tolist() == [6.0]
 
     def test_nested_tapes_record_independently(self):
         x = Tensor([2.0])
@@ -472,4 +395,4 @@ class TestTape:
             mul(x, x)
             with Tape() as inner:
                 mul(x, x)
-        assert len(outer) == 1 and len(inner) == 1
+        assert len(outer.nodes) == 1 and len(inner.nodes) == 1
