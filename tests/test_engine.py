@@ -850,9 +850,19 @@ def chained_c_d(tf, fr):
 
 
 class TestFusedDiscriminatorPass:
-    """The discriminator's closure, run on c_d's, against the chain of generic
-    nodes they replaced: the value and every gradient the closures form
-    carry the chain's bits."""
+    """The discriminator's closure, run on the gradient of each loss a step
+    takes of its probabilities, against the chain of generic nodes they
+    replaced: the value and every gradient the closure forms carry the
+    chain's bits."""
+
+    LOSSES = {   # name: (on the stack, chained on its two halves)
+        "c_d": (None, chained_c_d),   # c_d's own closure, as train_step
+        "c_d_halves": (lambda probs: loss_discriminator(*split(probs, 2)), chained_c_d),
+        "c_f": (lambda probs: loss_fool_free_running(split(probs, 2)[1]),
+                lambda tf, fr: chained_mean_neg_log(fr)),
+        "c_t": (lambda probs: loss_match_teacher_forced(split(probs, 2)[0]),
+                lambda tf, fr: chained_mean_neg_log(tf, True)),
+    }
 
     @staticmethod
     def _setup():
@@ -863,19 +873,31 @@ class TestFusedDiscriminatorPass:
         d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
         return d, leaf
 
+    @staticmethod
+    def _loss_and_grad(loss_name, probs):
+        """The loss on ``probs`` and its gradient there."""
+        if loss_name == "c_d":
+            loss, c_d_back = engine._c_d(probs)
+            return loss, c_d_back(np.ones(()))
+        stack = Tensor(probs)
+        with Tape() as tape:
+            loss = TestFusedDiscriminatorPass.LOSSES[loss_name][0](stack)
+        return loss.data, backward(tape, loss, [stack])[0]
+
     @pytest.mark.parametrize("learns, reads_seq", [(True, True), (True, False), (False, True)],
                              ids=["both", "params", "leaf"])
-    def test_matches_the_chain(self, learns, reads_seq):
+    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
+    def test_matches_the_chain(self, loss_name, learns, reads_seq):
         d, leaf = self._setup()
         probs, d_back = discriminate(d, leaf)
-        loss, c_d_back = engine._c_d(probs)
-        d_leaf, grads = d_back(c_d_back(np.ones(())), learns, reads_seq)
+        loss, d_probs = self._loss_and_grad(loss_name, probs)
+        d_leaf, grads = d_back(d_probs, learns, reads_seq)
 
         d, leaf = self._setup()
         seq = Tensor(leaf)
         with Tape() as tape:
             ref_probs = chained_discriminate(d, seq)
-            ref_loss = chained_c_d(*split(ref_probs, 2))
+            ref_loss = self.LOSSES[loss_name][1](*split(ref_probs, 2))
         ref_grads = backward(tape, ref_loss, [seq] + d.tensors())
 
         clamped = probs == 0.5 * (1.0 + np.tanh(0.5 * engine.LOGIT_CLIP))
@@ -887,6 +909,34 @@ class TestFusedDiscriminatorPass:
         for got, want in zip([d_leaf] + grads, ref_grads):
             if got is not None:
                 np.testing.assert_array_equal(got, want)
+
+
+class TestPreseededAdversarialGradient:
+    """``train_step`` hands the adversarial term to the generator as the
+    gradient it passes the unroll's closure for the behavior: every
+    generator gradient carries the bits of a recorded ``sum(behavior * w)``
+    term added to ``nll``."""
+
+    @pytest.mark.parametrize("include_outputs", [False, True])
+    def test_matches_the_recorded_term(self, include_outputs):
+        g = tiny_generator(seed=212)
+        y = np.random.default_rng(213).integers(0, 4, (3, 5))
+        res = engine._unroll(g, y, 5, 6, 0.0, np.random.default_rng(214), 0.8,
+                             include_outputs, taped=True)
+        w = np.random.default_rng(215).uniform(-1, 1, res.behavior.shape)
+        kept = w.copy()
+        got = res.back(w, np.ones(()))
+        np.testing.assert_array_equal(w, kept)   # read, not written
+
+        g = tiny_generator(seed=212)
+        with Tape() as tape:
+            ref = unroll_node(g, y, 5, 6, 0.0, np.random.default_rng(214), 0.8,
+                              include_outputs)
+            loss = add(ref.nll, sum_all(mul(ref.behavior, Tensor(w))))
+        want = backward(tape, loss, g.tensors())
+        assert len(got) == len(want) == len(g.tensors())
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b)
 
 
 # ---------------------------------------------------------------------------

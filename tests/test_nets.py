@@ -398,6 +398,27 @@ class TestFusedMlp:
         assert np.any(pre == 0.0) and np.any(pre > 0.0)
         self._check(mlp, x, rng.uniform(-1, 1, (30, 2)))
 
+    @pytest.mark.parametrize("reads", ["all", "input", "first", "last"])
+    def test_forms_what_it_is_told_and_always_the_input(self, reads):
+        # the discriminator's MLP runs with its weights' gradients off when
+        # only the generator learns; the input's gradient is formed always
+        rng = np.random.default_rng(18)
+        mlp = mlp_layers([6, 5, 5, 2], rng)
+        for _, b in mlp:
+            b.data[:] = rng.uniform(-0.5, 0.5, b.shape)
+        x, weights = rng.uniform(-1, 1, (20, 6)), rng.uniform(-1, 1, (20, 2))
+        needs = {"all": (True,) * 7, "input": (True,) + (False,) * 6,
+                 "first": (False, True, True) + (False,) * 4,
+                 "last": (False,) * 5 + (True, True)}[reads]
+        out, back = mlp_forward(mlp, x)
+        grads = back(weights, needs)
+        ref_out, ref_grads = self._chain(mlp, x, weights)
+        np.testing.assert_array_equal(out, ref_out)
+        assert [g is not None for g in grads] == [True] + list(needs[1:])
+        for got, want in zip(grads, ref_grads):
+            if got is not None:
+                np.testing.assert_array_equal(got, want)
+
     def test_rejects_wrong_width(self):
         mlp = mlp_layers([4, 3, 1], np.random.default_rng(17))
         with pytest.raises(ValueError, match="mlp_forward"):
