@@ -1,9 +1,9 @@
 """Adversarial matching of teacher-forced and free-running GRU dynamics.
 
-A self-contained float64 implementation: parameter tensors and kernels
-that return their backward closures (``profforce.tensor``,
-``profforce.nets``), GRU generator and bidirectional-GRU discriminator
-with the gated adversarial training step (``profforce.engine``), Adam
+A self-contained float64 implementation whose parameters are plain numpy
+arrays: kernels that return their backward closures (``profforce.nets``),
+GRU generator and bidirectional-GRU discriminator with the gated
+adversarial training step (``profforce.engine``), Adam
 (``profforce.optim``), the training loop and checkpoint reading
 (``profforce.trainer``), synthetic tasks, divergence diagnostics and a CLI.
 Each name is imported from the module that defines it.

@@ -126,8 +126,7 @@ def cmd_sample(args) -> int:
     bias = check_bias(args.bias if args.bias is not None else cfg.bias)
     temperature = 1.0 / (1.0 + bias)
     rng = _seeded_rng(args.seed)
-    res = unroll_free_running(g, length, rng, temperature=temperature, batch=args.count,
-                              keep_outputs=False)
+    res = unroll_free_running(g, length, rng, temperature=temperature, batch=args.count)
     text = "\n".join(_decode_rows(res.sampled, cfg.vocab_symbols)) + "\n"
     if args.out is not None:
         args.out.write_text(text)

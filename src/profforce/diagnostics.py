@@ -84,8 +84,8 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
     t = t_len if timestep is None else int(timestep)
     if not 1 <= t <= t_len:
         raise ValueError(f"timestep {t} outside 1..{t_len}")
-    tf = unroll_teacher_forced(g, ids[:, :t], keep_outputs=False)
-    fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature, keep_outputs=False)
+    tf = unroll_teacher_forced(g, ids[:, :t])
+    fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature)
     return tf.hidden[0], fr.hidden[0]
 
 

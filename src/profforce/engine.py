@@ -8,18 +8,19 @@ differ only in which symbol it feeds back.  Scheduled sampling spans
 them with one probability: p = 0 is teacher forcing and p = 1 is free
 running.  :func:`unroll_teacher_forced` and :func:`unroll_free_running`
 check their arguments and run that loop; :func:`train_step` runs it for
-every mode, on ``[B, T]`` target ids.  Every unroll emits its behavior
-(the GRU candidate pre-tanh values, optionally with the softmax outputs
-appended), its logits and its top-layer states as time-major [T, B, .]
-arrays, and with targets also the cross entropy in nats per step.  A
-caller that reads only the draws, the cross entropy or the last state
-(``sample``, validation, ``diagnose``) passes ``keep_outputs=False``:
-those three arrays then cycle through rows, so its memory grows with the
-ids alone.  The loop runs the numpy GRU kernel of :mod:`profforce.nets`
-on arrays and views bound before the first step, so a step makes only
-ufunc and BLAS calls.  A taped unroll (``train_step``'s) also returns
-its backward closure, which runs the kernel's recursion for each layer
-from the gradients of the behavior and the cross entropy.  A
+every mode, on ``[B, T]`` target ids.  Every unroll returns its draws,
+its last top-layer state and, with targets, the cross entropy in nats
+per step.  The commands (``sample``, validation, ``diagnose``) read no
+more, so there the per-step arrays cycle through rows and memory grows
+with the ids alone.  A taped unroll (``train_step``'s) keeps its
+behavior (the GRU candidate pre-tanh values, optionally with the softmax
+outputs appended), its logits and its top-layer states as time-major
+[T, B, .] arrays, and returns its backward closure, which runs the
+kernel's recursion for each layer from the gradients of the behavior and
+the cross entropy.  The loop runs the numpy GRU kernel of
+:mod:`profforce.nets` on arrays and views bound before the first step,
+so a step makes only ufunc and BLAS calls.  Every parameter is a plain
+float64 array that Adam updates in place and the checkpoint stores.  A
 bidirectional-GRU discriminator scores behavior sequences as teacher
 forced vs free running, and its judgement is fed back into the generator
 so the free-running dynamics are pulled toward the teacher-forced ones.
@@ -75,7 +76,6 @@ from .nets import (
     mlp_forward,
 )
 from .optim import AdamState, adam_step
-from .tensor import Tensor, _cross_entropy_rows, _stable_softmax
 
 __all__ = [
     "GateState",
@@ -121,10 +121,10 @@ class GeneratorParams:
     start-of-sequence token fed at the first step.
     """
 
-    embedding: Tensor
+    embedding: np.ndarray
     cells: list[GruCellParams]
-    W_o: Tensor
-    b_o: Tensor
+    W_o: np.ndarray
+    b_o: np.ndarray
 
     @classmethod
     def create(cls, vocab_size: int, embed_dim: int, hidden: int,
@@ -134,8 +134,7 @@ class GeneratorParams:
         emb = init_params((vocab_size + 1, embed_dim), rng)
         cells = [GruCellParams.create(hidden, embed_dim if i == 0 else hidden, rng)
                  for i in range(layers)]
-        return cls(emb, cells, _weight_in_out(rng, hidden, vocab_size),
-                   Tensor(np.zeros(vocab_size)))
+        return cls(emb, cells, _weight_in_out(rng, hidden, vocab_size), np.zeros(vocab_size))
 
     @property
     def vocab_size(self) -> int:
@@ -149,13 +148,13 @@ class GeneratorParams:
     def hidden_size(self) -> int:
         return self.cells[-1].hidden_size
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
+    def named_params(self) -> list[tuple[str, np.ndarray]]:
         out = [("embedding", self.embedding)]
         for i, c in enumerate(self.cells):
             out.extend(c.named(f"cells.{i}."))
         return out + [("head.W_o", self.W_o), ("head.b_o", self.b_o)]
 
-    def tensors(self) -> list[Tensor]:
+    def tensors(self) -> list[np.ndarray]:
         return [t for _, t in self.named_params()]
 
 
@@ -166,7 +165,7 @@ class DiscriminatorParams:
 
     fwd: GruCellParams
     bwd: GruCellParams
-    layers: list[tuple[Tensor, Tensor]]
+    layers: list[tuple[np.ndarray, np.ndarray]]
 
     @classmethod
     def create(cls, feature_width: int, hidden: int,
@@ -176,19 +175,19 @@ class DiscriminatorParams:
         fwd, bwd = (GruCellParams.create(hidden, feature_width, rng) for _ in "fb")
         # Three hidden ReLU layers of the encoder's width, then a linear scalar score per step.
         sizes = [2 * hidden, hidden, hidden, hidden, 1]
-        return cls(fwd, bwd, [(_weight_in_out(rng, n_in, n_out), Tensor(np.zeros(n_out)))
+        return cls(fwd, bwd, [(_weight_in_out(rng, n_in, n_out), np.zeros(n_out))
                               for n_in, n_out in zip(sizes[:-1], sizes[1:])])
 
     @property
     def feature_width(self) -> int:
         return self.fwd.input_size
 
-    def named_params(self) -> list[tuple[str, Tensor]]:
+    def named_params(self) -> list[tuple[str, np.ndarray]]:
         return (self.fwd.named("encoder.fwd.") + self.bwd.named("encoder.bwd.")
                 + [(f"classifier.{i}.{k}", t)
                    for i, layer in enumerate(self.layers) for k, t in zip("Wb", layer)])
 
-    def tensors(self) -> list[Tensor]:
+    def tensors(self) -> list[np.ndarray]:
         return [t for _, t in self.named_params()]
 
 
@@ -196,9 +195,9 @@ class DiscriminatorParams:
 class UnrollResult:
     """An unroll's outputs; a targeted row's ``sampled`` is what it was fed, draws included."""
 
-    logits: np.ndarray | None            # [T, B, V]; None unless keep_outputs
-    behavior: np.ndarray | None          # [T, B, width]
-    hidden: np.ndarray                   # [T, B, H] top-layer states; lean, the last [1, B, H]
+    logits: np.ndarray | None            # taped: [T, B, V]; else None
+    behavior: np.ndarray | None          # taped: [T, B, width]; else None
+    hidden: np.ndarray                   # taped: [T, B, H] top-layer states; else the last
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: np.float64 | None               # with targets: nats per step, batch mean
     back: Callable | None                # taped: see _unroll_backward
@@ -223,9 +222,31 @@ def _gumbel_noise(rng: np.random.Generator, shape: tuple, temperature: float) ->
         return np.log(rng.standard_exponential(shape)) * -temperature
 
 
+def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None,
+                    col: np.ndarray | None = None) -> np.ndarray:
+    """Softmax over the last axis, written into ``out`` if given (``x`` may be
+    it); both row reductions go into ``col`` ``[..., 1]`` if given."""
+    out = np.subtract(x, np.maximum.reduce(x, -1, None, col, True), out)
+    np.exp(out, out)
+    out /= np.add.reduce(out, -1, None, col, True)
+    return out
+
+
+def _cross_entropy_rows(x: np.ndarray, t: np.ndarray):
+    """Numpy cross entropy of each row of ``x`` [M, V] against its target.
+
+    Returns the M losses with ``exp(x - max)`` and its row sums, from
+    which the backward forms the softmax.
+    """
+    m = np.max(x, axis=-1)
+    e = np.exp(x - m[:, None])
+    s = np.sum(e, axis=-1)
+    return m + np.log(s) - x[np.arange(x.shape[0]), t], e, s
+
+
 def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             p_sample: float, rng: np.random.Generator | None, temperature: float,
-            include_outputs: bool, taped: bool, keep_outputs: bool = True) -> UnrollResult:
+            include_outputs: bool, taped: bool) -> UnrollResult:
     """The one step loop behind every unroll.
 
     Each step looks up the fed symbols' embeddings, runs every GRU layer
@@ -243,42 +264,40 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     and views bound before the first step; layer 0 reads ``x W + b``
     from a per-symbol table.  Only ``taped`` does every step keep its own
     cache rows (states, gates and candidates; ``r * h`` goes through one
-    row in any case) and the result carry ``back``, the closure of
-    :func:`_unroll_backward`, which takes the gradients of the behavior
-    and of ``nll``; no gradient reaches the logits or top-layer states.
-    Untaped, ``keep_outputs=False`` cycles the logits, behavior and states
-    through rows, as the caches are, and keeps the last state alone
-    (``[1, B, H]``) and the targeted rows' logits, which ``nll`` sums in
-    step order: memory grows with the draws alone.
+    row in any case), the result its logits, behavior and top-layer
+    states and ``back``, the closure of :func:`_unroll_backward`, which
+    takes the gradients of the behavior and of ``nll``; no gradient
+    reaches the logits or top-layer states.  Untaped, the logits,
+    behavior and states cycle through rows, as the caches do; the result
+    keeps the last state alone (``[1, B, H]``), and the unroll the
+    targeted rows' logits, which ``nll`` sums in step order: memory grows
+    with the draws alone.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
-    emb = g.embedding.data
-    w_head, b_head = g.W_o.data, g.b_o.data
+    emb, w_head, b_head = g.embedding, g.W_o, g.b_o
     vocab, top = g.vocab_size, g.hidden_size
     n_tf = 0 if ids is None else ids.shape[0]
-    whole = taped or keep_outputs   # outputs kept [T, B, .], else rows in turn
-    kept = t_len if taped else 1   # step rows each cache keeps
-    logits = np.empty((t_len if whole or n_tf else 1, batch, vocab))
-    behavior = np.empty((t_len if whole else 1, batch, top + vocab if include_outputs else top))
+    kept = t_len if taped else 1   # step rows each cache and output keeps
+    logits = np.empty((t_len if taped or n_tf else 1, batch, vocab))
+    behavior = np.empty((kept, batch, top + vocab if include_outputs else top))
     layers, caches = [], []   # per layer: x W + b, its views, U_zr, U_c, W, b, steps; caches
     for i, cell in enumerate(g.cells):
         h, is_top = cell.hidden_size, i == len(g.cells) - 1
         W, b, U_zr, U_c = _gru_weights(cell)
         W = emb @ W + b if i == 0 else W   # layer 0: a table of x W + b per symbol
-        per_step = taped or (is_top and whole)   # else states two in turn, scratch rows
-        hs = np.zeros((t_len + 1 if per_step else 2, batch, h))
+        hs = np.zeros((t_len + 1 if taped else 2, batch, h))   # untaped: two rows in turn
         # np.dot writes C-contiguous rows only: beside the softmax columns the
         # top candidate has rows of its own, copied in after the loop
         top_pre = pre = (behavior if is_top and not include_outputs
-                         else np.empty((t_len if is_top and whole else 1, batch, h)))
+                         else np.empty((t_len if is_top and taped else 1, batch, h)))
         xb, zr, rh, c = (np.empty((3, batch, h)), np.empty((kept, 2, batch, h)),
                          np.empty((1, batch, h)), np.empty((kept, batch, h)))
         # step t's views h, zr, 1 - z, r, rh, pre, c and h_new, cycling with their rows
         steps = zip(*(cycle(a) for a in (hs, zr, zr[:, 0], zr[:, 1], rh, pre, c)),
                     islice(cycle(hs), 1, None))
         layers.append((xb, xb[:2], xb[2], U_zr, U_c, W, b,
-                       cycle(list(islice(steps, t_len if per_step else 2)))))
+                       cycle(list(islice(steps, t_len if taped else 2)))))
         caches.append((hs, zr, c))
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
@@ -308,23 +327,22 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             if coin.any():   # drawn by the free rows' rule, at temperature 1
                 drawn_tf = np.argmax(lg[:n_tf] + _gumbel_noise(rng, (n_tf, vocab), 1.0), 1)
                 nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
-    if include_outputs and whole:
+    if include_outputs and taped:
         behavior[..., :top] = top_pre
     sampled = np.empty((batch, t_len), dtype=np.int64)
     sampled[:n_tf], sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
-    nll = soft = back = None
+    nll = soft = None
     if n_tf:
         # Rows in step order, as [T * n, V], so the sum runs step by step.
         xent, e, s = _cross_entropy_rows(logits[:, :n_tf].reshape(-1, vocab), ids.T.reshape(-1))
         nll = np.sum(xent) * (1.0 / n_tf) / t_len
         if taped:
             soft = (e / s[:, None]).reshape(t_len, n_tf, -1)
-    if taped:
-        back = _unroll_backward(g, caches, nxt[:-1], behavior, soft, ids, inv_t,
-                                include_outputs)
-    hs = caches[-1][0]   # lean: two rows in turn, the last state in row T % 2
-    return UnrollResult(logits if whole else None, behavior if whole else None,
-                        hs[1:] if whole else hs[t_len % 2, None], sampled, nll, back)
+    hs = caches[-1][0]
+    if not taped:   # two state rows in turn, the last state in row T % 2
+        return UnrollResult(None, None, hs[t_len % 2, None], sampled, nll, None)
+    back = _unroll_backward(g, caches, nxt[:-1], behavior, soft, ids, inv_t, include_outputs)
+    return UnrollResult(logits, behavior, hs[1:], sampled, nll, back)
 
 
 def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
@@ -335,26 +353,26 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     ``caches[i]`` holds layer i's states, zr and c, ``fed`` the
     [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
     row's inverse temperature and, with targets, ``soft`` every targeted
-    logits row's softmax.  The closure takes the gradients of the
-    behavior and of ``nll`` (None for one the loss does not reach),
-    forms the logits' gradient (from ``nll`` and the behavior's softmax
-    columns), takes the head's and top states' gradients in one product
-    each, runs :func:`_gru_bptt` per layer from the top and scatters the
-    bottom layer's input gradient into the embedding.  Rows are
-    independent, so when only ``nll`` is reached it runs the targeted rows
-    alone.  The bottom inputs are looked up again, as no update runs
-    before the closure has.  Returns the gradient of every parameter, in
-    ``g.tensors()`` order.
+    logits row's softmax.  The closure takes the behavior's gradient (None
+    if the loss does not reach it) and ``nll``'s (a scalar, read whenever
+    the unroll has targets), forms the logits' gradient (from ``nll`` and
+    the behavior's softmax columns), takes the head's and top states'
+    gradients in one product each, runs :func:`_gru_bptt` per layer from
+    the top and scatters the bottom layer's input gradient into the
+    embedding.  Rows are independent, so when only ``nll`` is reached it
+    runs the targeted rows alone.  The bottom inputs are looked up again,
+    as no update runs before the closure has.  Returns the gradient of
+    every parameter, in ``g.tensors()`` order.
     """
     t_len, batch = fed.shape
     n_tf = 0 if ids is None else ids.shape[0]
-    emb, w_o = g.embedding.data, g.W_o.data
+    emb, w_o = g.embedding, g.W_o
     top, vocab = w_o.shape
 
     def back(g_beh, g_nll):
         n = n_tf if g_beh is None else batch
         d_lg = np.zeros((t_len, n, vocab))
-        if g_nll is not None:
+        if n_tf:
             p = soft.copy()
             p[np.arange(t_len)[:, None], np.arange(n_tf), ids.T] -= 1.0
             d_lg[:, :n_tf] += p * (g_nll * (1.0 / t_len) * (1.0 / n_tf))
@@ -380,29 +398,23 @@ def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
     return back
 
 
-def unroll_teacher_forced(g: GeneratorParams, y_seq, *,
-                          keep_outputs: bool = True) -> UnrollResult:
+def unroll_teacher_forced(g: GeneratorParams, y_seq) -> UnrollResult:
     """Open-loop unroll: step t reads the true y[t-1] (start token at t=0).
 
-    The behavior is the top candidate alone.  With ``keep_outputs=False``
-    the logits and behavior are None and ``hidden`` holds the last state
-    alone.  No backward closure is kept.
+    Untaped: the result holds the fed symbols, ``nll`` and the last state
+    alone.
     """
     ids = _target_ids(g, y_seq)
-    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, False,
-                   taped=False, keep_outputs=keep_outputs)
+    return _unroll(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, False, taped=False)
 
 
 def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator, *,
-                        temperature: float = 1.0, batch: int = 1,
-                        keep_outputs: bool = True) -> UnrollResult:
+                        temperature: float = 1.0, batch: int = 1) -> UnrollResult:
     """Closed-loop unroll: step t reads the model's own previous sample.
 
     Sampling draws from softmax(logits / temperature).  Ground-truth
-    symbols are never consulted.  The behavior is the top candidate
-    alone.  With ``keep_outputs=False`` only the draws and the last state
-    are kept: the logits and behavior are None.  No backward closure is
-    kept.
+    symbols are never consulted.  Untaped: the result holds the draws
+    and the last state alone.
     """
     if t_len < 1:
         raise ValueError("unroll length must be positive")
@@ -410,8 +422,7 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError(f"batch must be at least 1, got {batch}")
     if not 0.0 < temperature < math.inf:
         raise ValueError(f"temperature must be positive and finite, got {temperature}")
-    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, False,
-                   taped=False, keep_outputs=keep_outputs)
+    return _unroll(g, None, t_len, batch, 0.0, rng, temperature, False, taped=False)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,7 @@
 """GRU cells, the per-step MLP and the bidirectional GRU encoder.
 
-All parameters are plain :class:`~profforce.tensor.Tensor` arrays, which
-the players of :mod:`profforce.engine` hold themselves: a cell is a
+All parameters are plain C-contiguous float64 arrays, which the players
+of :mod:`profforce.engine` hold themselves: a cell is a
 :class:`GruCellParams`, an MLP a list of ``(W, b)`` layers and the
 encoder two cells, one per direction.  The recursions work on time-major
 ``[T, B, .]`` arrays, so a hidden state is a ``[B, H]`` row batch.
@@ -58,8 +58,6 @@ from itertools import repeat
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = [
     "GruCellParams",
     "init_params",
@@ -68,34 +66,34 @@ __all__ = [
 ]
 
 
-def init_params(shape: tuple[int, int], rng: np.random.Generator) -> Tensor:
+def init_params(shape: tuple[int, int], rng: np.random.Generator) -> np.ndarray:
     """A Glorot-uniform draw of a 2-D ``shape``, bound sqrt(6 / (rows + cols))."""
     rows, cols = shape
     s = np.sqrt(6.0 / (rows + cols))
-    return Tensor(rng.uniform(-s, s, size=(rows, cols)))
+    return rng.uniform(-s, s, size=(rows, cols))
 
 
-def _weight_in_out(rng: np.random.Generator, fan_in: int, fan_out: int) -> Tensor:
+def _weight_in_out(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     """A [fan_out, fan_in] draw transposed to [fan_in, fan_out], the layout ``x @ W`` reads."""
-    # .T is Fortran-ordered; in-place flat views need C order.
-    return Tensor(np.ascontiguousarray(init_params((fan_out, fan_in), rng).data.T))
+    # a C-ordered array of its own: .T is a Fortran-ordered view
+    return init_params((fan_out, fan_in), rng).T.copy()
 
 
 @dataclass
 class GruCellParams:
     """Gate-major weights, gate order z, r, c: W [3, I, H], U [3, H, H], b [3, H]."""
 
-    W: Tensor
-    U: Tensor
-    b: Tensor
+    W: np.ndarray
+    U: np.ndarray
+    b: np.ndarray
 
     @classmethod
     def create(cls, hidden: int, input_size: int, rng: np.random.Generator) -> "GruCellParams":
         if hidden < 1 or input_size < 1:
             raise ValueError("hidden and input sizes must be positive")
-        W, U = (Tensor(np.stack([_weight_in_out(rng, fan_in, hidden).data for _ in "zrc"]))
+        W, U = (np.stack([_weight_in_out(rng, fan_in, hidden) for _ in "zrc"])
                 for fan_in in (input_size, hidden))   # W's draws, then U's
-        return cls(W=W, U=U, b=Tensor(np.zeros((3, hidden))))
+        return cls(W=W, U=U, b=np.zeros((3, hidden)))
 
     @property
     def hidden_size(self) -> int:
@@ -105,7 +103,7 @@ class GruCellParams:
     def input_size(self) -> int:
         return self.W.shape[1]
 
-    def named(self, prefix: str = "") -> list[tuple[str, Tensor]]:
+    def named(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
 
 
@@ -117,7 +115,7 @@ def _gru_weights(p: GruCellParams):
     ``sigmoid(a) = (1 + tanh(a / 2)) / 2`` needs no scaling per step and
     the kernel holds ``1 - z = sigmoid(-a_z)`` in place of z."""
     s = np.array((-0.5, 0.5, 1.0))[:, None, None]
-    return p.W.data * s, p.b.data[:, None] * s, p.U.data[:2] * s[:2], p.U.data[2]
+    return p.W * s, p.b[:, None] * s, p.U[:2] * s[:2], p.U[2]
 
 
 _ONE, _HALF = np.array(1.0), np.array(0.5)   # a float operand is converted on every call
@@ -184,7 +182,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     before dx is allocated.
     """
     T, B, H = h_prev.shape
-    W, U = p.W.data, p.U.data
+    W, U = p.W, p.U
     U_t = U.transpose(0, 2, 1).copy()   # each U_k^T C-ordered: transposed views move BLAS bits
     keep, r = zr[:, 0], zr[:, 1]   # keep = 1 - z
     dzr = np.empty((2, T, B, H))
@@ -224,7 +222,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     x2, h2 = x.reshape(n, -1), h_prev.reshape(n, H)
     # each is written through views, so the arrays returned own their data
     d_x, (d_W, d_U, d_b) = None, (np.empty(a.shape) if need else None
-                                  for a, need in zip((W, U, p.b.data), needs[1:]))
+                                  for a, need in zip((W, U, p.b), needs[1:]))
     for k in range(3):
         if needs[1]:
             np.matmul(x2.T, da[k], out=d_W[k])
@@ -242,7 +240,7 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     return d_x, d_W, d_U, d_b, d_h
 
 
-def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: np.ndarray):
+def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     """Run the affine ``(W [in, out], b [out])`` layers over the rows of ``x``
     ``[..., in]``, with ReLU between them; the last stays linear.
 
@@ -255,13 +253,13 @@ def mlp_forward(layers: list[tuple[Tensor, Tensor]], x: np.ndarray):
     are that chain's.  It always forms the input's gradient: the
     encoder's weights and input both lie behind it.
     """
-    ws, shape = [w.data for w, _ in layers], x.shape
+    ws, shape = [w for w, _ in layers], x.shape
     if x.ndim < 2 or shape[-1] != ws[0].shape[0]:
         raise ValueError(f"mlp_forward: expects [..., {ws[0].shape[0]}] rows, got {shape}")
     acts = [x.reshape(-1, shape[-1])]   # each layer's input, then the output
     for i, (w, b) in enumerate(layers):
-        a = acts[-1] @ w.data
-        a += b.data
+        a = acts[-1] @ w
+        a += b
         if i != len(ws) - 1:
             np.maximum(a, 0.0, out=a)
         acts.append(a)

@@ -12,8 +12,6 @@ from typing import Sequence
 
 import numpy as np
 
-from .tensor import Tensor
-
 __all__ = ["AdamState", "adam_step"]
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -27,15 +25,15 @@ class AdamState:
     v: list[np.ndarray] = field(default_factory=list)
 
     @classmethod
-    def for_params(cls, params: Sequence[Tensor], lr: float = 1e-4) -> "AdamState":
+    def for_params(cls, params: Sequence[np.ndarray], lr: float = 1e-4) -> "AdamState":
         if lr <= 0.0:
             raise ValueError("learning rate must be positive")
         return cls(lr=lr, t=0,
-                   m=[np.zeros_like(p.data) for p in params],
-                   v=[np.zeros_like(p.data) for p in params])
+                   m=[np.zeros_like(p) for p in params],
+                   v=[np.zeros_like(p) for p in params])
 
 
-def adam_step(state: AdamState, params: Sequence[Tensor], grads: Sequence[np.ndarray]) -> None:
+def adam_step(state: AdamState, params: Sequence[np.ndarray], grads: Sequence[np.ndarray]) -> None:
     """One in-place update; the step counter advances exactly once per call."""
     if not (len(params) == len(grads) == len(state.m)):
         raise ValueError("params, grads and optimizer state must align")
@@ -43,10 +41,10 @@ def adam_step(state: AdamState, params: Sequence[Tensor], grads: Sequence[np.nda
     c1 = 1.0 - BETA1 ** state.t
     c2 = 1.0 - BETA2 ** state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.data.shape}")
+        if g.shape != p.shape:
+            raise ValueError(f"gradient shape {g.shape} != parameter shape {p.shape}")
         m *= BETA1
         m += (1.0 - BETA1) * g
         v *= BETA2
         v += (1.0 - BETA2) * (g * g)
-        p.data -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)
+        p -= state.lr * (m / c1) / (np.sqrt(v / c2) + EPS)

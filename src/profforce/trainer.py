@@ -168,7 +168,7 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[GeneratorParams, TrainC
     cfg = config_from_text(ckpt.config_text)
     g = GeneratorParams.create(cfg.vocab_size, cfg.gen_embed, cfg.gen_hidden,
                                cfg.gen_layers, np.random.default_rng(0))   # for the shapes
-    _load_tensors({"g." + name: t.data for name, t in g.named_params()},
+    _load_tensors({"g." + name: t for name, t in g.named_params()},
                   {name: arr for name, arr in ckpt.tensors.items() if name.startswith("g.")})
     return g, cfg
 
@@ -201,7 +201,7 @@ class Trainer:
             if net is None:
                 continue
             for (name, t), m, v in zip(net.named_params(), adam.m, adam.v):
-                out[f"{key}.{name}"] = t.data
+                out[f"{key}.{name}"] = t
                 out[f"adam_{key}.{name}.m"] = m
                 out[f"adam_{key}.{name}.v"] = v
         return out
@@ -295,7 +295,7 @@ class Trainer:
         seqs = self.val_set.sequences
         for start in range(0, len(seqs), _VAL_CHUNK):
             chunk = seqs[start:start + _VAL_CHUNK]
-            res = unroll_teacher_forced(self.g, chunk, keep_outputs=False)
+            res = unroll_teacher_forced(self.g, chunk)
             total += float(res.nll) * chunk.shape[0]
         nll_per_step = total / len(seqs)
         return nll_per_step, nll_per_step / math.log(2.0)

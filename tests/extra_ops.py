@@ -1,23 +1,27 @@
-"""Tensor primitives, a reverse-mode tape and helpers that only the tests use.
+"""Array primitives, a reverse-mode tape and helpers that only the tests use.
 
 The tape is the reference chain the kernels of :mod:`profforce` are
-checked against.  Each primitive records one node on the active
-:class:`Tape`, and :func:`backward` sweeps it.  The composed chains of
-primitives are what the kernels' own backward closures are checked
+checked against.  Each primitive takes and returns plain float64 arrays
+and records one node on the active :class:`Tape`, and :func:`backward`
+sweeps it, keying each gradient by its array's identity: one array given
+as two leaves is one leaf, so a test that wants two passes a copy.  The
+composed chains of primitives are what the kernels' own backward closures are checked
 against; :func:`gru_sequence` runs one GRU direction as one node.
 :func:`unroll_node`, :func:`encode_node`, :func:`mlp_node` and
 :func:`discriminate_node` record a kernel of :mod:`profforce` as one node,
-over its own closure, so that a chain may end in one.
+over its own closure, so that a chain may end in one; outside a tape,
+:func:`teacher_forced_node` and :func:`free_running_node` give the
+per-step outputs an untaped unroll does not keep.
 :func:`grad_check` checks a taped loss's gradients against central
 differences.  :func:`loss_discriminator`, :func:`loss_fool_free_running`
 and :func:`loss_match_teacher_forced` record c_d, c_f and c_t as one
-node each, on their own tensors; ``profforce.engine`` forms c_d alone,
+node each, on their own arrays; ``profforce.engine`` forms c_d alone,
 on one stack, as :func:`_mean_neg_log` does with ``stacked``.
 :func:`loss_nll` is the numpy sequence cross entropy that the unroll's
 own per-step ``nll`` is checked against once divided by T,
 :func:`make_batches` shuffles a dataset into one epoch of batches,
 :func:`gumbel_rows` is the per-step sampler the unroll's draws are
-checked against, and :func:`item` reads a one-element tensor as a float.
+checked against, and :func:`item` reads a one-element array as a float.
 """
 
 import dataclasses
@@ -27,8 +31,8 @@ import numpy as np
 
 from profforce import engine
 from profforce.data import SequenceDataset
+from profforce.engine import _cross_entropy_rows, _stable_softmax
 from profforce.nets import GruCellParams, _gru_bptt, _gru_run, bigru_encode, mlp_forward
-from profforce.tensor import Tensor, _cross_entropy_rows, _stable_softmax
 
 # The innermost entry is the recording target.
 _TAPES: list["Tape"] = []
@@ -38,10 +42,10 @@ class Tape:
     """Ordered record of the nodes run inside its ``with`` block."""
 
     def __init__(self):
-        # node: (output tensors, input tensors, backward closure); the
+        # node: (output arrays, input arrays, backward closure); the
         # closure takes one gradient per output, None for an output the
         # loss does not reach, and returns one gradient per input.
-        self.nodes: list[tuple[tuple[Tensor, ...], tuple[Tensor, ...], Callable]] = []
+        self.nodes: list[tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...], Callable]] = []
 
     def __enter__(self) -> "Tape":
         _TAPES.append(self)
@@ -51,24 +55,25 @@ class Tape:
         _TAPES.pop()
 
 
-def _record(out, inputs: tuple[Tensor, ...], backfn: Callable):
-    """Record one node on the active tape, if any; ``out`` is a Tensor or a
-    tuple of output Tensors."""
+def _record(out, inputs: tuple[np.ndarray, ...], backfn: Callable):
+    """Record one node on the active tape, if any; ``out`` is an array or a
+    tuple of output arrays, each made an ndarray (a 0-d one for a scalar)."""
+    outs = tuple(map(np.asarray, out if isinstance(out, tuple) else (out,)))
     if _TAPES:
-        _TAPES[-1].nodes.append((out if isinstance(out, tuple) else (out,), inputs, backfn))
-    return out
+        _TAPES[-1].nodes.append((outs, inputs, backfn))
+    return outs if isinstance(out, tuple) else outs[0]
 
 
-def backward(tape: Tape, loss: Tensor, leaves: Sequence[Tensor]) -> list[np.ndarray]:
+def backward(tape: Tape, loss: np.ndarray, leaves: Sequence[np.ndarray]) -> list[np.ndarray]:
     """The gradient of the scalar ``loss`` with respect to each of ``leaves``.
 
     Sweeps ``tape`` in reverse recording order, a valid topological
-    order, adding up the gradients that reach each tensor; a node none of
+    order, adding up the gradients that reach each array; a node none of
     whose outputs the loss reaches is skipped.  A leaf the loss does not
     reach gets zeros.  Sweep a tape once: the kernels' closures free
     their caches as they run.
     """
-    if loss.data.shape != ():
+    if loss.shape != ():
         raise ValueError(f"backward needs a scalar loss, got shape {loss.shape}")
     grads = {id(loss): np.ones(())}
     for outs, inputs, backfn in reversed(tape.nodes):
@@ -78,59 +83,53 @@ def backward(tape: Tape, loss: Tensor, leaves: Sequence[Tensor]) -> list[np.ndar
         for t, gi in zip(inputs, backfn(*got)):
             if gi is not None:
                 grads[id(t)] = gi if id(t) not in grads else grads[id(t)] + gi
-    return [np.array(grads[id(t)]) if id(t) in grads else np.zeros_like(t.data)
+    return [np.array(grads[id(t)]) if id(t) in grads else np.zeros_like(t)
             for t in leaves]
 
 
-def item(t: Tensor) -> float:
-    """The value of a one-element tensor."""
-    if t.data.size != 1:
-        raise ValueError(f"item() on tensor of shape {t.shape}")
-    return float(t.data)
+def item(t: np.ndarray) -> float:
+    """The value of a one-element array."""
+    if t.size != 1:
+        raise ValueError(f"item() on array of shape {t.shape}")
+    return float(t)
 
 
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: np.ndarray, c: float) -> np.ndarray:
     c = float(c)
-    out = Tensor(a.data * c)
-    return _record(out, (a,), lambda g: (g * c,))
+    return _record(a * c, (a,), lambda g: (g * c,))
 
 
-def split(a: Tensor, parts: int, axis: int = 0) -> tuple[Tensor, ...]:
+def split(a: np.ndarray, parts: int, axis: int = 0) -> tuple[np.ndarray, ...]:
     """Cut ``a`` into ``parts`` equal pieces along ``axis``."""
-    pieces = np.split(a.data, parts, axis=axis)
-    out = tuple(Tensor(p) for p in pieces)
+    pieces = np.split(a, parts, axis=axis)
 
     def back(*gs):
         return (np.concatenate([np.zeros_like(p) if g is None else g
                                 for p, g in zip(pieces, gs)], axis=axis),)
 
-    return _record(out, (a,), back)
+    return _record(tuple(pieces), (a,), back)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Matrix product of two 2D operands."""
-    ad, bd = a.data, b.data
-    if ad.ndim != 2 or bd.ndim != 2:
-        raise ValueError(f"matmul: expects 2D operands, got ranks {ad.ndim} and {bd.ndim}")
-    if ad.shape[1] != bd.shape[0]:
-        raise ValueError(f"matmul: inner dims differ, {ad.shape} @ {bd.shape}")
-    out = Tensor(ad @ bd)
-    return _record(out, (a, b), lambda g: (g @ bd.T, ad.T @ g))
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"matmul: expects 2D operands, got ranks {a.ndim} and {b.ndim}")
+    if a.shape[1] != b.shape[0]:
+        raise ValueError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
+    return _record(a @ b, (a, b), lambda g: (g @ b.T, a.T @ g))
 
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-    out = Tensor(t)
-    return _record(out, (a,), lambda g: (g * (1.0 - t * t),))
+def tanh(a: np.ndarray) -> np.ndarray:
+    t = np.tanh(a)
+    return _record(t, (a,), lambda g: (g * (1.0 - t * t),))
 
 
-def relu(a: Tensor) -> Tensor:
-    ad = a.data
-    out = Tensor(np.maximum(ad, 0.0))
-    return _record(out, (a,), lambda g: (g * (ad > 0.0),))
+def relu(a: np.ndarray) -> np.ndarray:
+    return _record(np.maximum(a, 0.0), (a,), lambda g: (g * (a > 0.0),))
 
 
-def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Tensor]:
+def gru_step(p: GruCellParams, h_prev: np.ndarray,
+             x_in: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """One GRU update; returns the new state and the candidate pre-tanh value.
 
     ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
@@ -138,23 +137,23 @@ def gru_step(p: GruCellParams, h_prev: Tensor, x_in: Tensor) -> tuple[Tensor, Te
     :func:`gru_sequence`, run for one step; either output
     may be left out of the loss.
     """
-    hd, xd = h_prev.data, x_in.data
     H = p.hidden_size
-    if hd.shape[-1] != H:
-        raise ValueError(f"state width {hd.shape[-1]} != hidden size {H}")
-    if hd.shape[:-1] != xd.shape[:-1] or hd.ndim > 2:
-        raise ValueError(f"state {hd.shape} and input {xd.shape} must both be [H]/[I] "
+    if h_prev.shape[-1] != H:
+        raise ValueError(f"state width {h_prev.shape[-1]} != hidden size {H}")
+    if h_prev.shape[:-1] != x_in.shape[:-1] or h_prev.ndim > 2:
+        raise ValueError(f"state {h_prev.shape} and input {x_in.shape} must both be [H]/[I] "
                          f"or share a leading batch dimension")
-    x, h = xd.reshape(1, -1, xd.shape[-1]), hd.reshape(1, -1, H)   # a one-step sequence
+    # a one-step sequence
+    x, h = x_in.reshape(1, -1, x_in.shape[-1]), h_prev.reshape(1, -1, H)
     hs, zr, pre, c = _gru_run(p, x, h[0])
 
     def back(g_h, g_pre):
         g_h = np.zeros(h.shape) if g_h is None else g_h.reshape(h.shape)
         g_pre = None if g_pre is None else g_pre.reshape(h.shape)
         d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, hs[:1], zr, c, g_h, g_pre)
-        return d_h.reshape(hd.shape), d_x.reshape(xd.shape), d_W, d_U, d_b
+        return d_h.reshape(h_prev.shape), d_x.reshape(x_in.shape), d_W, d_U, d_b
 
-    out = (Tensor(hs[1].reshape(hd.shape)), Tensor(pre.reshape(hd.shape)))
+    out = (hs[1].reshape(h_prev.shape), pre.reshape(h_prev.shape))
     return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
@@ -171,71 +170,62 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _binary(a: Tensor, b: Tensor, fwd, da, db, name: str) -> Tensor:
+def _binary(a: np.ndarray, b: np.ndarray, fwd, da, db, name: str) -> np.ndarray:
     try:
-        out = Tensor(fwd(a.data, b.data))
+        out = fwd(a, b)
     except ValueError as e:
         raise ValueError(f"{name}: shape mismatch {a.shape} vs {b.shape}") from e
-    ash, bsh = a.shape, b.shape
 
     def back(g):
-        return (_unbroadcast(da(g, a.data, b.data), ash),
-                _unbroadcast(db(g, a.data, b.data), bsh))
+        return _unbroadcast(da(g, a, b), a.shape), _unbroadcast(db(g, a, b), b.shape)
 
     return _record(out, (a, b), back)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _binary(a, b, np.add, lambda g, x, y: g, lambda g, x, y: g, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
+def sub(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _binary(a, b, np.subtract, lambda g, x, y: g, lambda g, x, y: -g, "sub")
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
+def mul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return _binary(a, b, np.multiply, lambda g, x, y: g * y, lambda g, x, y: g * x, "mul")
 
 
-def one_minus(a: Tensor) -> Tensor:
-    out = Tensor(1.0 - a.data)
-    return _record(out, (a,), lambda g: (-g,))
+def one_minus(a: np.ndarray) -> np.ndarray:
+    return _record(1.0 - a, (a,), lambda g: (-g,))
 
 
-def sigmoid(a: Tensor) -> Tensor:
+def sigmoid(a: np.ndarray) -> np.ndarray:
     """The logistic function as 0.5 * (1 + tanh(x / 2)): no overflow, no masks."""
-    s = 0.5 * (1.0 + np.tanh(0.5 * a.data))
-    out = Tensor(s)
-    return _record(out, (a,), lambda g: (g * s * (1.0 - s),))
+    s = 0.5 * (1.0 + np.tanh(0.5 * a))
+    return _record(s, (a,), lambda g: (g * s * (1.0 - s),))
 
 
-def log(a: Tensor) -> Tensor:
-    ad = a.data
-    if not np.all(ad > 0.0):
+def log(a: np.ndarray) -> np.ndarray:
+    if not np.all(a > 0.0):
         raise ValueError("log: inputs must be strictly positive")
-    out = Tensor(np.log(ad))
-    return _record(out, (a,), lambda g: (g / ad,))
+    return _record(np.log(a), (a,), lambda g: (g / a,))
 
 
-def clip(a: Tensor, lo: float, hi: float) -> Tensor:
+def clip(a: np.ndarray, lo: float, hi: float) -> np.ndarray:
     """Clamp to [lo, hi]; gradient is 1 strictly inside and exactly 0 outside."""
     if not lo < hi:
         raise ValueError(f"clip: need lo < hi, got [{lo}, {hi}]")
-    ad = a.data
-    out = Tensor(np.clip(ad, lo, hi))
-    mask = (ad > lo) & (ad < hi)
-    return _record(out, (a,), lambda g: (g * mask,))
+    mask = (a > lo) & (a < hi)
+    return _record(np.clip(a, lo, hi), (a,), lambda g: (g * mask,))
 
 
-def concat(parts: Sequence[Tensor] | Tensor, axis: int = 0) -> Tensor:
-    """Join ``parts`` along ``axis``; a Tensor given as ``parts`` is first
+def concat(parts: Sequence[np.ndarray] | np.ndarray, axis: int = 0) -> np.ndarray:
+    """Join ``parts`` along ``axis``; an array given as ``parts`` is first
     cut into its ``[1, ...]`` pieces along axis 0 by one :func:`split` node."""
-    parts = split(parts, parts.shape[0]) if isinstance(parts, Tensor) else list(parts)
+    parts = split(parts, parts.shape[0]) if isinstance(parts, np.ndarray) else list(parts)
     if not parts:
         raise ValueError("concat of an empty sequence")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum(sizes)[:-1]
+    out = np.concatenate(parts, axis=axis)
+    bounds = np.cumsum([p.shape[axis] for p in parts])[:-1]
 
     def back(g):
         return tuple(np.split(g, bounds, axis=axis))
@@ -243,35 +233,25 @@ def concat(parts: Sequence[Tensor] | Tensor, axis: int = 0) -> Tensor:
     return _record(out, tuple(parts), back)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape)) != a.data.size:
+def reshape(a: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    if int(np.prod(shape)) != a.size:
         raise ValueError(f"reshape: cannot view {a.shape} as {shape}")
-    src = a.shape
-    out = Tensor(a.data.reshape(shape))
-    return _record(out, (a,), lambda g: (g.reshape(src),))
+    return _record(a.reshape(shape), (a,), lambda g: (g.reshape(a.shape),))
 
 
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(np.asarray(np.sum(a.data)))
-    shape = a.shape
-    return _record(out, (a,), lambda g: (np.broadcast_to(g, shape),))
+def sum_all(a: np.ndarray) -> np.ndarray:
+    return _record(np.sum(a), (a,), lambda g: (np.broadcast_to(g, a.shape),))
 
 
-def mean_axis0(a: Tensor) -> Tensor:
+def mean_axis0(a: np.ndarray) -> np.ndarray:
     """Mean over the leading axis."""
-    if a.data.ndim < 1 or a.data.shape[0] == 0:
+    if a.ndim < 1 or a.shape[0] == 0:
         raise ValueError(f"mean_axis0 on shape {a.shape}")
-    n = a.data.shape[0]
-    out = Tensor(np.sum(a.data, axis=0) / n)
-    shape = a.shape
-
-    def back(g):
-        return (np.broadcast_to(g / n, shape),)
-
-    return _record(out, (a,), back)
+    n = a.shape[0]
+    return _record(np.sum(a, axis=0) / n, (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
-def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
+def gru_sequence(p: GruCellParams, xs: np.ndarray, reverse: bool = False) -> np.ndarray:
     """Run a cell over a whole ``[T, B, I]`` sequence from a zero state.
 
     Returns the states ``[T, B, H]``; with ``reverse`` the cell reads
@@ -280,75 +260,68 @@ def gru_sequence(p: GruCellParams, xs: Tensor, reverse: bool = False) -> Tensor:
     :func:`profforce.nets._gru_bptt`, the kernel both directions of
     :func:`profforce.nets.bigru_encode` run.
     """
-    xd = xs.data
-    if xd.ndim != 3 or xd.shape[0] == 0:
-        raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xd.shape}")
-    T, B, _ = xd.shape
-    hs, zr, _, c = _gru_run(p, xd, np.zeros((B, p.hidden_size)), reverse)
+    if xs.ndim != 3 or xs.shape[0] == 0:
+        raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xs.shape}")
+    T, B, _ = xs.shape
+    hs, zr, _, c = _gru_run(p, xs, np.zeros((B, p.hidden_size)), reverse)
     states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
 
     def back(g):
-        return _gru_bptt(p, xd, h_prev, zr, c, g, reverse=reverse)[:4]
+        return _gru_bptt(p, xs, h_prev, zr, c, g, reverse=reverse)[:4]
 
-    return _record(Tensor(states), (xs, p.W, p.U, p.b), back)
-
-
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise ValueError(f"transpose expects a 2D tensor, got shape {a.shape}")
-    out = Tensor(a.data.T)
-    return _record(out, (a,), lambda g: (g.T,))
+    return _record(states, (xs, p.W, p.U, p.b), back)
 
 
-def softmax(a: Tensor) -> Tensor:
+def transpose(a: np.ndarray) -> np.ndarray:
+    if a.ndim != 2:
+        raise ValueError(f"transpose expects a 2D array, got shape {a.shape}")
+    return _record(a.T, (a,), lambda g: (g.T,))
+
+
+def softmax(a: np.ndarray) -> np.ndarray:
     """Softmax over the last axis, stabilised by max subtraction."""
-    s = _stable_softmax(a.data)
-    out = Tensor(s)
+    s = _stable_softmax(a)
 
     def back(g):
         inner = np.sum(g * s, axis=-1, keepdims=True)
         return (s * (g - inner),)
 
-    return _record(out, (a,), back)
+    return _record(s, (a,), back)
 
 
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
+def softmax_cross_entropy(logits: np.ndarray, target: int) -> np.ndarray:
     """Negative log softmax probability of ``target`` for a 1D logit vector:
     :func:`softmax_cross_entropy_rows` over one row."""
-    if logits.data.ndim != 1:
+    if logits.ndim != 1:
         raise ValueError(f"softmax_cross_entropy expects 1D logits, got {logits.shape}")
     row = reshape(logits, (1, logits.shape[0]))
     return reshape(softmax_cross_entropy_rows(row, [int(target)]), ())
 
 
-def embed(table: Tensor, ids) -> Tensor:
+def embed(table: np.ndarray, ids) -> np.ndarray:
     """Row lookup into ``table``; the gradient scatter-adds into the table."""
     idx = np.asarray(ids, dtype=np.int64)
-    rows = table.data.shape[0]
+    rows = table.shape[0]
     if idx.size and (idx.min() < 0 or idx.max() >= rows):
         raise ValueError(f"symbol id out of range for table with {rows} rows")
-    out = Tensor(table.data[idx])
 
     def back(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros_like(table)
         np.add.at(gt, idx, g)
         return (gt,)
 
-    return _record(out, (table,), back)
+    return _record(table[idx], (table,), back)
 
 
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = Tensor(np.asarray(np.sum(a.data) / n))
-    shape = a.shape
-    return _record(out, (a,), lambda g: (np.broadcast_to(g / n, shape),))
+def mean_all(a: np.ndarray) -> np.ndarray:
+    n = a.size
+    return _record(np.sum(a) / n, (a,), lambda g: (np.broadcast_to(g / n, a.shape),))
 
 
-def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
+def softmax_cross_entropy_rows(x: np.ndarray, targets) -> np.ndarray:
     """Row-wise fused cross entropy: [M, V] logits and M targets give M losses."""
-    x = logits.data
     if x.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy_rows expects 2D logits, got {logits.shape}")
+        raise ValueError(f"softmax_cross_entropy_rows expects 2D logits, got {x.shape}")
     t = np.asarray(targets, dtype=np.int64)
     if t.shape != (x.shape[0],):
         raise ValueError(f"targets shape {t.shape} does not match {x.shape[0]} rows")
@@ -356,14 +329,13 @@ def softmax_cross_entropy_rows(logits: Tensor, targets) -> Tensor:
         raise ValueError(f"target out of range for {x.shape[1]} classes")
     rows = np.arange(x.shape[0])
     loss, e, s = _cross_entropy_rows(x, t)
-    out = Tensor(loss)
 
     def back(g):
         p = e / s[:, None]
         p[rows, t] -= 1.0
         return (p * g[:, None],)
 
-    return _record(out, (logits,), back)
+    return _record(loss, (x,), back)
 
 
 def loss_nll(logits: np.ndarray, y_seq) -> float:
@@ -378,22 +350,22 @@ def loss_nll(logits: np.ndarray, y_seq) -> float:
     return float(np.sum(xents) * (1.0 / batch))
 
 
-def _mean_neg_log(xs: tuple[Tensor, ...], of_one_minus: tuple[bool, ...],
-                  stacked: bool = False) -> Tensor:
+def _mean_neg_log(xs: tuple[np.ndarray, ...], of_one_minus: tuple[bool, ...],
+                  stacked: bool = False) -> np.ndarray:
     """The sum over pieces x of mean(-log x), or of mean(-log(1 - x)) where
     ``of_one_minus`` says so, recorded as one node.  ``xs`` holds one piece
-    per flag or, if ``stacked``, one tensor cut into that many equal pieces
+    per flag or, if ``stacked``, one array cut into that many equal pieces
     along axis 0.  Each piece must be non-empty and lie strictly inside (0, 1)."""
     if len(xs) != (1 if stacked else len(of_one_minus)):
         raise ValueError(f"{len(xs)} inputs for the flags {of_one_minus} (stacked={stacked})")
-    pieces = np.split(xs[0].data, len(of_one_minus)) if stacked else [x.data for x in xs]
+    pieces = np.split(xs[0], len(of_one_minus)) if stacked else list(xs)
     logged = []
     for a, flag in zip(pieces, of_one_minus):
         if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
             raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
         logged.append(1.0 - a if flag else a)
     cs = [-1.0 / a.size for a in logged]
-    out = Tensor(sum(np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs)))
+    out = sum(np.asarray(np.sum(np.log(a))) * c for a, c in zip(logged, cs))
 
     def back(g):
         grads = [np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs)]
@@ -403,30 +375,31 @@ def _mean_neg_log(xs: tuple[Tensor, ...], of_one_minus: tuple[bool, ...],
     return _record(out, tuple(xs), back)
 
 
-def loss_discriminator(d_tf: Tensor, d_fr: Tensor) -> Tensor:
+def loss_discriminator(d_tf: np.ndarray, d_fr: np.ndarray) -> np.ndarray:
     """c_d, binary cross entropy with teacher forced labelled 1: the
     generator-side terms with their arguments swapped, term for term."""
     return _mean_neg_log((d_tf, d_fr), (False, True))
 
 
-def loss_fool_free_running(d_fr: Tensor) -> Tensor:
+def loss_fool_free_running(d_fr: np.ndarray) -> np.ndarray:
     """c_f, mean(-log D(b_fr)): low when free-running behavior reads as teacher forced."""
     return _mean_neg_log((d_fr,), (False,))
 
 
-def loss_match_teacher_forced(d_tf: Tensor) -> Tensor:
+def loss_match_teacher_forced(d_tf: np.ndarray) -> np.ndarray:
     """c_t, mean(-log(1 - D(b_tf))): the optional generator term on the other mode."""
     return _mean_neg_log((d_tf,), (True,))
 
 
-def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> float:
+def grad_check(f: Callable, params: Sequence[np.ndarray], epsilon: float = 1e-5) -> float:
     """Worst relative error between tape gradients and central differences.
 
     ``f(params)`` must rebuild the scalar loss from scratch on every
     call and must not open its own tape; ``grad_check``, called with no
     tape open, records the analytic pass itself and runs the probes untaped.
-    The relative error uses ``max(|analytic|, |numeric|, 1e-8)`` as the
-    denominator.
+    Each parameter is probed through a flat view, so it must be
+    C-contiguous.  The relative error uses ``max(|analytic|, |numeric|,
+    1e-8)`` as the denominator.
     """
     params = list(params)
     with Tape() as tape:
@@ -434,14 +407,14 @@ def grad_check(f: Callable, params: Sequence[Tensor], epsilon: float = 1e-5) -> 
     analytic = backward(tape, loss, params)
     worst = 0.0
     for p, ga in zip(params, analytic):
-        flat = p.data.reshape(-1)
+        flat = p.reshape(-1)
         gflat = ga.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
             flat[i] = orig + epsilon
-            fp = float(f(params).data)
+            fp = float(f(params))
             flat[i] = orig - epsilon
-            fm = float(f(params).data)
+            fm = float(f(params))
             flat[i] = orig
             numeric = (fp - fm) / (2.0 * epsilon)
             err = abs(gflat[i] - numeric) / max(abs(gflat[i]), abs(numeric), 1e-8)
@@ -453,15 +426,15 @@ def unroll_node(g, ids, t_len: int, batch: int, p_sample: float, rng, temperatur
                 include_outputs: bool) -> engine.UnrollResult:
     """``engine._unroll``, taped, recorded as one node over the generator's
     parameters through the unroll's closure.  The result holds its
-    behavior and, with targets, its ``nll`` as the node's output tensors."""
+    behavior and, with targets, its ``nll`` (as a 0-d array) as the node's
+    outputs; an ``nll`` the loss does not reach gets a zero gradient."""
     res = engine._unroll(g, ids, t_len, batch, p_sample, rng, temperature, include_outputs,
                          taped=True)
-    behavior = Tensor(res.behavior)
     if res.nll is None:
-        _record(behavior, tuple(g.tensors()), lambda g_beh: res.back(g_beh, None))
-        return dataclasses.replace(res, behavior=behavior)
-    nll = Tensor(res.nll)
-    _record((behavior, nll), tuple(g.tensors()), res.back)
+        _record(res.behavior, tuple(g.tensors()), lambda g_beh: res.back(g_beh, np.zeros(())))
+        return res
+    behavior, nll = _record((res.behavior, res.nll), tuple(g.tensors()), lambda g_beh, g_nll:
+                            res.back(g_beh, np.zeros(()) if g_nll is None else g_nll))
     return dataclasses.replace(res, behavior=behavior, nll=nll)
 
 
@@ -471,29 +444,37 @@ def teacher_forced_node(g, y_seq, include_outputs: bool = False) -> engine.Unrol
     return unroll_node(g, ids, ids.shape[1], ids.shape[0], 0.0, None, 1.0, include_outputs)
 
 
-def encode_node(fwd: GruCellParams, bwd: GruCellParams, seq: Tensor) -> Tensor:
+def free_running_node(g, t_len: int, rng, temperature: float = 1.0, batch: int = 1,
+                      include_outputs: bool = False) -> engine.UnrollResult:
+    """:func:`unroll_node` of ``batch`` rows running free at ``temperature``:
+    ``unroll_free_running``'s draws, with the logits, behavior and states it
+    does not keep."""
+    return unroll_node(g, None, t_len, batch, 0.0, rng, temperature, include_outputs)
+
+
+def encode_node(fwd: GruCellParams, bwd: GruCellParams, seq: np.ndarray) -> np.ndarray:
     """``nets.bigru_encode`` recorded as one node over its closure."""
-    out, back = bigru_encode(fwd, bwd, seq.data)
+    out, back = bigru_encode(fwd, bwd, seq)
     inputs = (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
-    return _record(Tensor(out), inputs, lambda g: back(g, (True,) * len(inputs)))
+    return _record(out, inputs, lambda g: back(g, (True,) * len(inputs)))
 
 
-def mlp_node(layers, x: Tensor) -> Tensor:
+def mlp_node(layers, x: np.ndarray) -> np.ndarray:
     """``nets.mlp_forward`` recorded as one node over its closure."""
-    out, back = mlp_forward(layers, x.data)
+    out, back = mlp_forward(layers, x)
     inputs = (x, *(t for layer in layers for t in layer))
-    return _record(Tensor(out), inputs, lambda g: back(g, (True,) * len(inputs)))
+    return _record(out, inputs, lambda g: back(g, (True,) * len(inputs)))
 
 
-def discriminate_node(d, seq: Tensor) -> Tensor:
+def discriminate_node(d, seq: np.ndarray) -> np.ndarray:
     """``engine.discriminate`` recorded as one node over its closure."""
-    probs, back = engine.discriminate(d, seq.data)
+    probs, back = engine.discriminate(d, seq)
 
     def node_back(g):
         d_seq, grads = back(g, True, True)
         return (d_seq, *grads)
 
-    return _record(Tensor(probs), (seq, *d.tensors()), node_back)
+    return _record(probs, (seq, *d.tensors()), node_back)
 
 
 def make_batches(ds: SequenceDataset, batch_size: int,

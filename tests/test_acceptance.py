@@ -24,11 +24,9 @@ from profforce.engine import (
     accuracy_from_probs,
     gate,
     unroll_free_running,
-    unroll_teacher_forced,
 )
 from profforce.nets import GruCellParams
 from profforce.optim import AdamState, adam_step
-from profforce.tensor import Tensor
 from profforce.trainer import Trainer
 
 from extra_ops import (
@@ -39,6 +37,7 @@ from extra_ops import (
     concat,
     discriminate_node,
     embed,
+    free_running_node,
     grad_check,
     gru_sequence,
     gru_step,
@@ -108,14 +107,14 @@ def gru_params(rng, batch, hidden=4, width=3):
     """Leaves (h, x, W, U, b) for one fused GRU step, gate-major z, r, c."""
     shapes = [batch + (hidden,), batch + (width,), (3, width, hidden),
               (3, hidden, hidden), (3, hidden)]
-    return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
+    return [rng.uniform(-1.0, 1.0, s) for s in shapes]
 
 
 def gru_sequence_params(rng, t_len, batch, hidden=4, width=3):
     """Leaves (xs, W, U, b) for one whole-sequence GRU node over [T, B, I]."""
     shapes = [(t_len, batch, width), (3, width, hidden), (3, hidden, hidden),
               (3, hidden)]
-    return [Tensor(rng.uniform(-1.0, 1.0, s)) for s in shapes]
+    return [rng.uniform(-1.0, 1.0, s) for s in shapes]
 
 
 def gru_sequence_loss(reverse):
@@ -145,7 +144,7 @@ class TestA1GradientIntegrity:
             rng = np.random.default_rng(1001)
 
             def t(shape, lo=-2.0, hi=2.0):
-                return Tensor(rng.uniform(lo, hi, shape))
+                return rng.uniform(lo, hi, shape)
 
             ids = np.array([0, 3, 1])
             targets = np.array([1, 0, 2, 2])
@@ -163,7 +162,7 @@ class TestA1GradientIntegrity:
                 "sigmoid": (lambda p: sum_all(sigmoid(p[0])), [t((5, 2))]),
                 "tanh": (lambda p: sum_all(tanh(p[0])), [t((5, 2))]),
                 "relu": (lambda p: sum_all(relu(p[0])),
-                         [Tensor(np.array([-1.5, -0.7, 0.4, 1.2, 1.9]))]),
+                         [np.array([-1.5, -0.7, 0.4, 1.2, 1.9])]),
                 "log": (lambda p: sum_all(log(p[0])), [t((7,), 0.2, 2.0)]),
                 "clip": (lambda p: sum_all(clip(p[0], -1.8, 1.8)),
                          [t((8,), -1.5, 1.5)]),
@@ -244,7 +243,7 @@ class TestA1GradientIntegrity:
 class TestA2ChancePoint:
     def test_a2_loss_identities_at_chance(self, capsys):
         with verdict(capsys, "[A2] chance-point loss identities") as info:
-            half = Tensor(np.full(9, 0.5))
+            half = np.full(9, 0.5)
             c_d = item(loss_discriminator(half, half))
             c_f = item(loss_fool_free_running(half))
             c_t = item(loss_match_teacher_forced(half))
@@ -294,15 +293,15 @@ class TestA4DiscriminatorLearnability:
             step = 0
             for epoch in range(125):  # 4 updates per epoch
                 for batch in make_batches(ds, 8, np.random.default_rng([401, epoch])):
-                    tf_b = Tensor(unroll_teacher_forced(g, batch).behavior)
-                    fr_b = Tensor(unroll_free_running(g, batch.shape[1], fr_rng,
-                                                      batch=batch.shape[0]).behavior)
+                    tf_b = teacher_forced_node(g, batch).behavior
+                    fr_b = free_running_node(g, batch.shape[1], fr_rng,
+                                             batch=batch.shape[0]).behavior
                     with Tape() as tape:
                         p_tf = discriminate_node(d, tf_b)
                         p_fr = discriminate_node(d, fr_b)
                         c_d = loss_discriminator(p_tf, p_fr)
                     adam_step(opt, d_params, backward(tape, c_d, d_params))
-                    acc = accuracy_from_probs(p_tf.data, p_fr.data)
+                    acc = accuracy_from_probs(p_tf, p_fr)
                     if acc > 0.75:
                         first_above = step
                         break

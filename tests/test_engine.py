@@ -28,7 +28,6 @@ from profforce.engine import (
 )
 from profforce.nets import mlp_forward
 from profforce.optim import AdamState, adam_step
-from profforce.tensor import Tensor
 from profforce.trainer import Trainer
 
 from extra_ops import (
@@ -40,6 +39,7 @@ from extra_ops import (
     concat,
     discriminate_node,
     embed,
+    free_running_node,
     grad_check,
     gru_sequence,
     gru_step,
@@ -83,25 +83,20 @@ def softmax_rows(x):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def ss_unroll(g, y, p_sample, rng, include_outputs=False, taped=False):
-    """Scheduled sampling as ``train_step`` runs it: every row of ``y``
-    [B, T] fed its targets, or with probability ``p_sample`` a draw.  At
-    ``p_sample`` 0 (``rng`` may then be None) it is teacher forcing, whose
-    behavior may carry the softmax columns ``unroll_teacher_forced`` leaves out."""
+def ss_unroll(g, y, p_sample, rng, include_outputs=False):
+    """Scheduled sampling as ``train_step`` runs it, taped, so that every
+    output is kept: every row of ``y`` [B, T] fed its targets, or with
+    probability ``p_sample`` a draw.  At ``p_sample`` 0 (``rng`` may then be
+    None) it is teacher forcing, whose behavior may carry the softmax columns."""
     y = np.atleast_2d(y)
     return engine._unroll(g, y, y.shape[1], y.shape[0], p_sample, rng, 1.0, include_outputs,
-                          taped)
+                          taped=True)
 
-
-def fr_unroll(g, t_len, rng, temperature=1.0, batch=1, include_outputs=False):
-    """Free running as ``train_step`` runs its free rows, whose behavior may
-    carry the softmax columns that ``unroll_free_running`` leaves out."""
-    return engine._unroll(g, None, t_len, batch, 0.0, rng, temperature, include_outputs, False)
 
 
 def zeroed(g: GeneratorParams) -> GeneratorParams:
     for t in g.tensors():
-        t.data[:] = 0.0
+        t[:] = 0.0
     return g
 
 
@@ -113,15 +108,15 @@ class TestTeacherForcedUnroll:
     def test_three_step_manual_oracle(self):
         g = tiny_generator()
         y = np.array([[2, 0, 3]])
-        res = unroll_teacher_forced(g, y)
+        res = teacher_forced_node(g, y)
 
         cell = g.cells[0]
-        emb = g.embedding.data
+        emb = g.embedding
         h = np.zeros(5)
         prev = g.start_id
         for t in range(3):
             h, pre = gru_oracle(cell, h, emb[prev])
-            logits = h @ g.W_o.data + g.b_o.data
+            logits = h @ g.W_o + g.b_o
             np.testing.assert_allclose(res.logits[t, 0], logits, atol=1e-12)
             np.testing.assert_allclose(res.hidden[t, 0], h, atol=1e-12)
             np.testing.assert_allclose(res.behavior[t, 0], pre, atol=1e-12)
@@ -130,16 +125,16 @@ class TestTeacherForcedUnroll:
     def test_zeroed_model_gives_uniform_logits(self):
         g = zeroed(tiny_generator())
         y = np.array([[0, 1, 2, 3, 0]])
-        res = unroll_teacher_forced(g, y)
+        res = teacher_forced_node(g, y)
         np.testing.assert_array_equal(res.logits, np.zeros((5, 1, 4)))
         assert abs(loss_nll(res.logits, y) - 5 * math.log(4)) < 1e-12
 
     def test_two_layer_stack_chains_states(self):
         g = tiny_generator(seed=202, layers=2)
         y = np.array([[1, 2]])
-        res = unroll_teacher_forced(g, y)
+        res = teacher_forced_node(g, y)
 
-        emb = g.embedding.data
+        emb = g.embedding
         h0, h1 = np.zeros(5), np.zeros(5)
         prev = g.start_id
         for t in range(2):
@@ -165,20 +160,21 @@ class TestTeacherForcedUnroll:
         g = tiny_generator()
         y = np.array([[1, 2, 3], [0, 3, 2]])
         assert unroll_teacher_forced(g, y).back is None   # untaped
-        res = ss_unroll(g, y, 0.0, None, taped=True)
+        res = ss_unroll(g, y, 0.0, None)
         assert list(inspect.signature(res.back).parameters) == ["g_beh", "g_nll"]
         grads = res.back(np.ones(res.behavior.shape), np.ones(()))
         assert [a.shape for a in grads] == [t.shape for t in g.tensors()]
         # the logits and top-layer states are arrays no gradient reaches
         assert type(res.logits) is np.ndarray and res.logits.shape == (3, 2, 4)
         assert type(res.hidden) is np.ndarray and res.hidden.shape == (3, 2, 5)
-        lean = unroll_teacher_forced(g, y, keep_outputs=False)
+        lean = unroll_teacher_forced(g, y)
+        assert lean.logits is lean.behavior is None
         np.testing.assert_array_equal(res.hidden[-1:], lean.hidden)
 
     def test_behavior_mode_and_width(self):
         g = tiny_generator()
         y = np.array([[0, 1], [2, 3]])
-        plain = unroll_teacher_forced(g, y)
+        plain = ss_unroll(g, y, 0.0, None)
         assert plain.behavior.shape == (2, 2, 5)
         rich = ss_unroll(g, y, 0.0, None, include_outputs=True)
         assert rich.behavior.shape == (2, 2, 5 + 4)
@@ -189,22 +185,24 @@ class TestTeacherForcedUnroll:
 class TestFreeRunningUnroll:
     def test_same_seed_same_rollout(self):
         g = tiny_generator()
-        a = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
-        b = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
+        a = free_running_node(g, 6, np.random.default_rng(30), batch=3)
+        b = free_running_node(g, 6, np.random.default_rng(30), batch=3)
         np.testing.assert_array_equal(a.sampled, b.sampled)
         np.testing.assert_array_equal(a.logits, b.logits)
+        lean = unroll_free_running(g, 6, np.random.default_rng(30), batch=3)
+        np.testing.assert_array_equal(lean.sampled, a.sampled)
 
     def test_degenerate_head_pins_samples(self):
         g = tiny_generator()
-        g.b_o.data[:] = 0.0
-        g.b_o.data[2] = 50.0
+        g.b_o[:] = 0.0
+        g.b_o[2] = 50.0
         res = unroll_free_running(g, 5, np.random.default_rng(31), batch=4)
         np.testing.assert_array_equal(res.sampled, np.full((4, 5), 2))
 
     def test_near_zero_temperature_is_greedy_and_replayable(self):
         g = tiny_generator(seed=204)
-        fr = unroll_free_running(g, 6, np.random.default_rng(32), temperature=1e-9)
-        replay = unroll_teacher_forced(g, fr.sampled)
+        fr = free_running_node(g, 6, np.random.default_rng(32), temperature=1e-9)
+        replay = teacher_forced_node(g, fr.sampled)
         for t in range(6):
             np.testing.assert_allclose(replay.logits[t, 0],
                                        fr.logits[t, 0], atol=1e-12)
@@ -236,7 +234,7 @@ class TestFreeRunningUnroll:
 
     def test_behavior_mode_and_outputs(self):
         g = tiny_generator()
-        res = fr_unroll(g, 4, np.random.default_rng(35), batch=2, include_outputs=True)
+        res = free_running_node(g, 4, np.random.default_rng(35), batch=2, include_outputs=True)
         assert res.behavior.shape == (4, 2, 9)
         np.testing.assert_allclose(res.behavior[..., 5:].sum(axis=-1),
                                    np.ones((4, 2)), atol=1e-12)
@@ -253,7 +251,7 @@ class TestFreeRunningUnroll:
 
     def test_only_free_running_softmax_rows_are_tempered(self):
         g = tiny_generator(seed=205)
-        fr = fr_unroll(g, 4, np.random.default_rng(54), temperature=0.5, batch=3,
+        fr = free_running_node(g, 4, np.random.default_rng(54), temperature=0.5, batch=3,
                        include_outputs=True)
         np.testing.assert_allclose(fr.behavior[..., 5:], softmax_rows(fr.logits / 0.5),
                                    rtol=0, atol=1e-12)
@@ -270,7 +268,7 @@ class TestScheduledSampling:
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         rng = np.random.default_rng(36)
         ss = ss_unroll(g, y, 0.0, rng)
-        tf = unroll_teacher_forced(g, y)
+        tf = teacher_forced_node(g, y)
         np.testing.assert_array_equal(ss.logits, tf.logits)
         # untouched stream: the next draw equals a fresh generator's first
         assert rng.random() == np.random.default_rng(36).random()
@@ -279,16 +277,15 @@ class TestScheduledSampling:
         g = tiny_generator()
         y = np.array([[1, 3, 0, 2], [2, 2, 1, 0]])
         ss = ss_unroll(g, y, 0.0, np.random.default_rng(37))
-        tf = unroll_teacher_forced(g, y)
-        assert abs(float(ss.nll) - loss_nll(tf.logits, y) / 4) < 1e-12
+        assert abs(float(ss.nll) - loss_nll(ss.logits, y) / 4) < 1e-12
         # the teacher-forced unroll carries the same sum, term for term, per step
-        assert float(tf.nll) == loss_nll(tf.logits, y) / 4
+        assert float(unroll_teacher_forced(g, y).nll) == loss_nll(ss.logits, y) / 4
 
     def test_p_one_draws_like_free_running(self):
         g = tiny_generator()
         y = np.zeros((3, 5), dtype=np.int64)
         ss = ss_unroll(g, y, 1.0, np.random.default_rng(38))
-        fr = unroll_free_running(g, 5, np.random.default_rng(38), batch=3)
+        fr = free_running_node(g, 5, np.random.default_rng(38), batch=3)
         # fed symbols trail the free-running samples by one step
         np.testing.assert_array_equal(ss.sampled[:, 1:], fr.sampled[:, :-1])
         np.testing.assert_array_equal(ss.logits, fr.logits)
@@ -329,7 +326,7 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
     a temperature-1 draw with probability ``p_sample``.  Mirrors the
     one-node unroll draw for draw, so both consume the same randomness.
     """
-    states = [Tensor(np.zeros((batch, c.hidden_size))) for c in g.cells]
+    states = [np.zeros((batch, c.hidden_size)) for c in g.cells]
     prev = np.full(batch, g.start_id, dtype=np.int64)
     sampled = np.empty((batch, t_len), dtype=np.int64)
     used = np.zeros((batch, t_len), dtype=bool)
@@ -347,14 +344,14 @@ def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
         hidden.append(x)
         behavior.append(concat((pre, probs), axis=-1) if include_outputs else pre)
         if ids is None:
-            prev = sampled[:, t] = gumbel_rows(rng, lg.data, temperature)
+            prev = sampled[:, t] = gumbel_rows(rng, lg, temperature)
             continue
         xents.append(softmax_cross_entropy_rows(lg, ids[:, t]))
         prev = ids[:, t]
         if t + 1 < t_len and p_sample > 0.0:
             coin = np.ones(batch, dtype=bool) if p_sample >= 1.0 else rng.random(batch) < p_sample
             if coin.any():
-                prev = np.where(coin, gumbel_rows(rng, lg.data), prev)
+                prev = np.where(coin, gumbel_rows(rng, lg), prev)
             used[:, t + 1] = coin
     nll = None if ids is None else scale(sum_all(concat(xents, axis=0)), 1.0 / batch / t_len)
     return logits, behavior, hidden, nll, sampled, used
@@ -384,9 +381,10 @@ class TestUnrollMatchesPerStepOracle:
 
     @staticmethod
     def _seeds(coef, reach, hidden_size, width, targets):
-        """The gradients the unroll's closure takes for the loss of :meth:`_loss`:
-        its behavior coefficients and its ``nll`` coefficient, None for one
-        the loss leaves out (both None when it has no term)."""
+        """The coefficients of the loss of :meth:`_loss`: its behavior's and
+        its ``nll``'s, None for one the loss leaves out (both None when it
+        has no term).  The unroll's closure takes them as its gradients, a
+        0-d zero for a targeted ``nll`` left out."""
         (c_beh, c_nll) = coef
         if 0 in reach:
             c_beh = c_beh.copy()
@@ -411,7 +409,7 @@ class TestUnrollMatchesPerStepOracle:
                                                               outs[3] is not None)
         terms = []
         if c_beh is not None:
-            terms += [sum_all(mul(row, Tensor(c))) for row, c in zip(outs[1], c_beh) if c.any()]
+            terms += [sum_all(mul(row, c)) for row, c in zip(outs[1], c_beh) if c.any()]
         if c_nll is not None:
             terms.append(scale(outs[3], c_nll))
         if not terms:
@@ -443,15 +441,17 @@ class TestUnrollMatchesPerStepOracle:
             g = tiny_generator(seed=seed, vocab=vocab, hidden=hidden_size, layers=layers)
             brng = np.random.default_rng(seed + 3)   # biases start at zero; give them values
             for bias in [c.b for c in g.cells] + [g.b_o]:
-                bias.data[:] = brng.uniform(-0.5, 0.5, bias.shape)
+                bias[:] = brng.uniform(-0.5, 0.5, bias.shape)
             rng = np.random.default_rng(seed + 2)
             if run == "unroll":
                 res = self._unroll(g, regime, y, rng, include_outputs, True)
                 outs = (res.logits, res.behavior, res.hidden, res.nll, res.sampled)
-                seeds = self._seeds(coef, reach, hidden_size, res.behavior.shape[-1], targets)
-                if all(x is None for x in seeds):
+                c_beh, c_nll = self._seeds(coef, reach, hidden_size, res.behavior.shape[-1],
+                                           targets)
+                if c_beh is c_nll is None:
                     return outs, None, rng.bit_generator.state
-                return outs, res.back(*seeds), rng.bit_generator.state
+                g_nll = np.zeros(()) if c_nll is None else c_nll
+                return outs, res.back(c_beh, g_nll), rng.bit_generator.state
             with Tape() as tape:
                 outs = per_step_reference(g, y if targets else None, t_len, batch, p,
                                           rng, temp, include_outputs)
@@ -471,14 +471,13 @@ class TestUnrollMatchesPerStepOracle:
         (new, new_grads, new_state), (ref, ref_grads, ref_state) = results
         np.testing.assert_array_equal(new[4], ref[4])
         if targets:
-            np.testing.assert_allclose(new[3], ref[3].data, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(new[3], ref[3], rtol=0, atol=1e-12)
         else:
             assert new[3] is None
         assert new_state == ref_state
         for k in range(3):
             assert len(ref[k]) == t_len
-            np.testing.assert_allclose(new[k], np.stack([r.data for r in ref[k]]),
-                                       rtol=0, atol=1e-12)
+            np.testing.assert_allclose(new[k], np.stack(ref[k]), rtol=0, atol=1e-12)
         if new_grads is None:   # a free run without softmax columns: its logits feed only draws
             assert ref_grads is None and not targets and not include_outputs and reach == (0,)
             return
@@ -488,9 +487,10 @@ class TestUnrollMatchesPerStepOracle:
 
 
 class TestTapedMatchesUntaped:
-    """A taped unroll keeps every step's cache rows and an untaped one
-    reuses one row (two for lower layers' states); both must run the
-    same arithmetic."""
+    """A taped unroll keeps every step's cache rows and outputs, and an
+    untaped one reuses one row (two for states) and keeps the last state
+    alone; both must run the same arithmetic: the same draws, ``nll``,
+    last state and rng stream."""
 
     @pytest.mark.parametrize("regime", sorted(TestUnrollMatchesPerStepOracle.REGIMES))
     @pytest.mark.parametrize("layers", [1, 2])
@@ -507,8 +507,9 @@ class TestTapedMatchesUntaped:
             runs.append((res, rng.bit_generator.state))
         (taped_res, taped_state), (plain_res, plain_state) = runs
         assert taped_state == plain_state
-        for name in ("logits", "behavior", "hidden", "sampled"):
-            np.testing.assert_array_equal(getattr(taped_res, name), getattr(plain_res, name))
+        assert plain_res.logits is plain_res.behavior is None
+        np.testing.assert_array_equal(taped_res.sampled, plain_res.sampled)
+        np.testing.assert_array_equal(taped_res.hidden[-1:], plain_res.hidden)
         assert taped_res.nll == plain_res.nll
 
     @pytest.mark.parametrize("batch", [1, 8, 16])
@@ -524,7 +525,7 @@ class TestTapedMatchesUntaped:
         g = GeneratorParams.create(vocab, 16, 64, layers, np.random.default_rng(330 + layers))
         brng = np.random.default_rng(331)
         for t in [c.b for c in g.cells] + [g.b_o]:
-            t.data[:] = brng.uniform(-1, 1, t.shape)
+            t[:] = brng.uniform(-1, 1, t.shape)
         ids = np.random.default_rng(332).integers(0, vocab, (batch, t_len))
         runs = []
         for taped in (True, False):
@@ -535,8 +536,7 @@ class TestTapedMatchesUntaped:
             runs.append((res, rng.bit_generator.state))
         (taped_res, taped_state), (plain_res, plain_state) = runs
         assert taped_state == plain_state
-        for name in ("logits", "behavior", "hidden"):
-            np.testing.assert_array_equal(getattr(taped_res, name), getattr(plain_res, name))
+        np.testing.assert_array_equal(taped_res.hidden[-1:], plain_res.hidden)
         np.testing.assert_array_equal(taped_res.sampled, plain_res.sampled)
         if targeted:
             assert taped_res.nll == plain_res.nll
@@ -562,12 +562,20 @@ class TestBufferedDraws:
     def test_matches_per_step_gumbel_rows(self, temperature, batch, include_outputs, layers,
                                           targeted, taped):
         g = tiny_generator(seed=400 + batch, layers=layers)
-        g.b_o.data[:] = np.random.default_rng(401).uniform(-1, 1, 4)
+        g.b_o[:] = np.random.default_rng(401).uniform(-1, 1, 4)
         t_len, top = 7, g.hidden_size
         ids = np.random.default_rng(402).integers(0, 4, (targeted, t_len))
+        # the taped unroll keeps the logits the draws are checked on; an
+        # untaped one must draw the same ids from the same stream
         rng = np.random.default_rng(403)
         res = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
-                             rng, temperature, include_outputs, taped)
+                             rng, temperature, include_outputs, True)
+        if not taped:
+            rng = np.random.default_rng(403)
+            plain = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
+                                   rng, temperature, include_outputs, False)
+            np.testing.assert_array_equal(plain.sampled, res.sampled)
+            assert plain.nll == res.nll
         ref = np.random.default_rng(403)
         for t in range(t_len):
             lg = res.logits[t]
@@ -589,18 +597,18 @@ class TestBufferedDraws:
                 np.testing.assert_array_equal(ours[:, :targeted], alone)
 
     @pytest.mark.parametrize("block", [1, 3, 1000])
-    @pytest.mark.parametrize("keep_outputs", [True, False])
+    @pytest.mark.parametrize("taped", [True, False])
     @pytest.mark.parametrize("targeted", [0, 8], ids=["free", "with_targeted_rows"])
-    def test_noise_block_size_changes_no_draw(self, monkeypatch, block, keep_outputs, targeted):
+    def test_noise_block_size_changes_no_draw(self, monkeypatch, block, taped, targeted):
         g = GeneratorParams.create(8, 16, 64, 1, np.random.default_rng(408))
-        g.b_o.data[:] = np.random.default_rng(409).uniform(-1, 1, 8)
+        g.b_o[:] = np.random.default_rng(409).uniform(-1, 1, 8)
         ids = np.random.default_rng(410).integers(0, 8, (targeted, 150))
         runs = []
         for size in (engine._NOISE_BLOCK, block):
             monkeypatch.setattr(engine, "_NOISE_BLOCK", size)
             rng = np.random.default_rng(411)
             res = engine._unroll(g, ids if targeted else None, 150, targeted + 8, 0.0, rng,
-                                 0.7, False, False, keep_outputs)
+                                 0.7, False, taped)
             runs.append((res.sampled, rng.bit_generator.state))
         np.testing.assert_array_equal(runs[0][0], runs[1][0])
         assert runs[0][1] == runs[1][1]
@@ -616,15 +624,15 @@ class TestBufferedDraws:
                 return np.broadcast_to(self.row, shape).copy()
 
         g = zeroed(tiny_generator())   # logits are the head's bias at every step
-        g.b_o.data[:] = [0.0, 40.0, 0.0, 0.0]
+        g.b_o[:] = [0.0, 40.0, 0.0, 0.0]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for row, symbol in (([1.0, 1.0, 0.0, 1.0], 2), ([1.0, 0.0, 0.0, 1.0], 1),
                                 ([0.0, 1.0, 1.0, 0.0], 0), ([1.0, 1.0, 1.0, 1.0], 1)):
                 rng = FixedExponentials(row)
-                assert gumbel_rows(rng, g.b_o.data[None]).tolist() == [symbol]
+                assert gumbel_rows(rng, g.b_o[None]).tolist() == [symbol]
                 for include_outputs in (False, True):
-                    res = fr_unroll(g, 3, rng, temperature=0.5, batch=2,
+                    res = free_running_node(g, 3, rng, temperature=0.5, batch=2,
                                     include_outputs=include_outputs)
                     np.testing.assert_array_equal(res.sampled, np.full((2, 3), symbol))
                     # scheduled sampling at p=1 feeds back draws by the same rule
@@ -650,7 +658,7 @@ class TestBufferedDraws:
             g = tiny_generator(seed=406, layers=layers)
             res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
                                   0.8, include_outputs, True) if merged
-                   else ss_unroll(g, ids, 0.0, None, include_outputs, taped=True))
+                   else ss_unroll(g, ids, 0.0, None, include_outputs))
             grads.append(res.back(None, np.ones(())))
         assert bptt_rows == [b] * (2 * layers)
         for ours, alone in zip(*grads):
@@ -659,39 +667,42 @@ class TestBufferedDraws:
 
 class TestUnrollMemory:
     def test_untaped_unroll_keeps_no_step_caches(self):
-        # An untaped unroll should hold at its peak little more than what
-        # it returns: the logits, behavior and hidden tensors.
+        # An untaped unroll returns the draws and the last state alone, and
+        # at its peak holds less than a quarter of one [T, B, H] array
+        # (measured 0.29 MB against 4.1 MB): only the ids grow with T.
         g = GeneratorParams.create(8, 16, 64, 1, np.random.default_rng(56))
         tracemalloc.start()
         try:
             res = unroll_free_running(g, 1000, np.random.default_rng(57), batch=8)
-            held, peak = tracemalloc.get_traced_memory()
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert res.logits.shape[0] == 1000
-        assert peak <= 1.25 * held, f"peak {peak / 1e6:.2f} MB, held {held / 1e6:.2f} MB"
+        assert res.logits is res.behavior is None and res.hidden.shape == (1, 8, 64)
+        states = 1000 * 8 * 64 * 8   # bytes of one [T, B, H] float64 array
+        assert peak < 0.25 * states, f"peak {peak / 1e6:.2f} MB"
 
 
 class TestIdsOnlyUnroll:
-    """``keep_outputs=False`` writes the logits, behavior and top states
-    into rows used in turn and keeps the last state; the draws, ``nll``,
-    that state and the rng stream must keep their bits."""
+    """An untaped unroll writes the logits, behavior and top states into
+    rows used in turn and keeps the last state; the draws, ``nll``, that
+    state and the rng stream must keep the bits of the taped unroll, which
+    keeps them all."""
 
     @staticmethod
     def _desk_generator(layers):
         g = GeneratorParams.create(8, 16, 64, layers, np.random.default_rng(340 + layers))
         brng = np.random.default_rng(341)
         for t in [c.b for c in g.cells] + [g.b_o]:
-            t.data[:] = brng.uniform(-1, 1, t.shape)
+            t[:] = brng.uniform(-1, 1, t.shape)
         return g
 
     @staticmethod
     def _both(unroll, seed=343):
-        """``unroll(rng, keep)`` with outputs kept, then without, from one seed."""
+        """``unroll(rng, taped)`` taped, then untaped, from one seed."""
         runs = []
-        for keep in (True, False):
+        for taped in (True, False):
             rng = np.random.default_rng(seed)
-            runs.append((unroll(rng, keep), rng.bit_generator.state))
+            runs.append((unroll(rng, taped), rng.bit_generator.state))
         (full, full_state), (lean, lean_state) = runs
         assert lean_state == full_state
         assert lean.logits is lean.behavior is None
@@ -705,9 +716,8 @@ class TestIdsOnlyUnroll:
         # the sample command's draws, at its temperature 1 / (1 + bias)
         g = self._desk_generator(layers)
         for seed, count, t_len in itertools.product((1, 7, 123), (1, 8), (1, 2, 50, 1000)):
-            self._both(lambda rng, keep: unroll_free_running(
-                g, t_len, rng, temperature=1.0 / (1.0 + bias), batch=count,
-                keep_outputs=keep), seed)
+            self._both(lambda rng, taped: (free_running_node if taped else unroll_free_running)(
+                g, t_len, rng, temperature=1.0 / (1.0 + bias), batch=count), seed)
 
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("include_outputs", [False, True])
@@ -717,8 +727,8 @@ class TestIdsOnlyUnroll:
                                               free_rows):
         g = self._desk_generator(layers)
         ids = np.random.default_rng(342).integers(0, 8, (8, 50))
-        full, lean = self._both(lambda rng, keep: engine._unroll(
-            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, False, keep))
+        full, lean = self._both(lambda rng, taped: engine._unroll(
+            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, taped))
         assert lean.nll == full.nll
 
     def test_validation_nll_is_unchanged(self, tmp_path):
@@ -734,8 +744,7 @@ class TestIdsOnlyUnroll:
 
     def test_a_taped_unroll_keeps_every_output(self):
         g = tiny_generator()
-        res = engine._unroll(g, np.array([[1, 2, 3]]), 3, 1, 0.0, None, 1.0, False, True,
-                             keep_outputs=False)
+        res = engine._unroll(g, np.array([[1, 2, 3]]), 3, 1, 0.0, None, 1.0, False, True)
         assert (res.logits.shape, res.behavior.shape, res.hidden.shape) == (
             (3, 1, 4), (3, 1, 5), (3, 1, 5))
 
@@ -751,8 +760,7 @@ class TestSampleMemoryPerSymbol:
         g = GeneratorParams.create(8, 16, hidden, 1, np.random.default_rng(350))
         tracemalloc.start()
         try:
-            unroll_free_running(g, t_len, np.random.default_rng(351), batch=8,
-                                keep_outputs=False)
+            unroll_free_running(g, t_len, np.random.default_rng(351), batch=8)
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -777,17 +785,17 @@ class TestDiscriminate:
     def test_zero_final_layer_means_exactly_half(self):
         d = tiny_discriminator(width=5)
         w, bias = d.layers[-1]
-        w.data[:] = 0.0
-        bias.data[:] = 0.0
+        w[:] = 0.0
+        bias[:] = 0.0
         p, _ = discriminate(d, self._behavior(np.random.default_rng(43)))
         np.testing.assert_array_equal(p, np.full(3, 0.5))
 
     def test_pooled_logit_is_clamped_before_sigmoid(self):
         d = tiny_discriminator(width=5)
         for w, bias in d.layers:
-            w.data[:] = 0.0
-            bias.data[:] = 0.0
-        d.layers[-1][1].data[:] = 42.0
+            w[:] = 0.0
+            bias[:] = 0.0
+        d.layers[-1][1][:] = 42.0
         p, _ = discriminate(d, self._behavior(np.random.default_rng(44)))
         np.testing.assert_allclose(p, np.full(3, 1 / (1 + math.exp(-10.0))),
                                    atol=1e-15)
@@ -842,7 +850,7 @@ def chained_discriminate(d, seq):
 
 def chained_mean_neg_log(x, of_one_minus=False):
     """A loss term as the chain of generic nodes it replaced."""
-    return scale(sum_all(log(one_minus(x) if of_one_minus else x)), -1.0 / x.data.size)
+    return scale(sum_all(log(one_minus(x) if of_one_minus else x)), -1.0 / x.size)
 
 
 def chained_c_d(tf, fr):
@@ -870,7 +878,7 @@ class TestFusedDiscriminatorPass:
         leaf = np.random.default_rng(211).uniform(-1, 1, (6, 8, 5))
         p, _ = discriminate(d, leaf)   # push the rows above the median past the clamp
         pooled = np.log(p / (1.0 - p))
-        d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
+        d.layers[-1][1][...] += engine.LOGIT_CLIP - np.median(pooled)
         return d, leaf
 
     @staticmethod
@@ -879,10 +887,9 @@ class TestFusedDiscriminatorPass:
         if loss_name == "c_d":
             loss, c_d_back = engine._c_d(probs)
             return loss, c_d_back(np.ones(()))
-        stack = Tensor(probs)
         with Tape() as tape:
-            loss = TestFusedDiscriminatorPass.LOSSES[loss_name][0](stack)
-        return loss.data, backward(tape, loss, [stack])[0]
+            loss = TestFusedDiscriminatorPass.LOSSES[loss_name][0](probs)
+        return loss, backward(tape, loss, [probs])[0]
 
     @pytest.mark.parametrize("learns, reads_seq", [(True, True), (True, False), (False, True)],
                              ids=["both", "params", "leaf"])
@@ -894,16 +901,15 @@ class TestFusedDiscriminatorPass:
         d_leaf, grads = d_back(d_probs, learns, reads_seq)
 
         d, leaf = self._setup()
-        seq = Tensor(leaf)
         with Tape() as tape:
-            ref_probs = chained_discriminate(d, seq)
+            ref_probs = chained_discriminate(d, leaf)
             ref_loss = self.LOSSES[loss_name][1](*split(ref_probs, 2))
-        ref_grads = backward(tape, ref_loss, [seq] + d.tensors())
+        ref_grads = backward(tape, ref_loss, [leaf] + d.tensors())
 
         clamped = probs == 0.5 * (1.0 + np.tanh(0.5 * engine.LOGIT_CLIP))
         assert 0 < clamped.sum() < clamped.size   # the clamp's mask is exercised
-        np.testing.assert_array_equal(probs, ref_probs.data)
-        assert loss.shape == () and loss.tobytes() == ref_loss.data.tobytes()
+        np.testing.assert_array_equal(probs, ref_probs)
+        assert loss.shape == () and loss.tobytes() == ref_loss.tobytes()
         assert (d_leaf is not None) == reads_seq
         assert [g is not None for g in grads] == [learns] * len(d.tensors())
         for got, want in zip([d_leaf] + grads, ref_grads):
@@ -932,7 +938,7 @@ class TestPreseededAdversarialGradient:
         with Tape() as tape:
             ref = unroll_node(g, y, 5, 6, 0.0, np.random.default_rng(214), 0.8,
                               include_outputs)
-            loss = add(ref.nll, sum_all(mul(ref.behavior, Tensor(w))))
+            loss = add(ref.nll, sum_all(mul(ref.behavior, w)))
         want = backward(tape, loss, g.tensors())
         assert len(got) == len(want) == len(g.tensors())
         for a, b in zip(got, want):
@@ -945,7 +951,7 @@ class TestPreseededAdversarialGradient:
 
 class TestLosses:
     def test_chance_point_values(self):
-        half = Tensor(np.full(6, 0.5))
+        half = np.full(6, 0.5)
         assert abs(float(engine._c_d(np.full(12, 0.5))[0]) - 2 * math.log(2)) < 1e-12
         assert abs(item(loss_discriminator(half, half)) - 2 * math.log(2)) < 1e-12
         assert abs(item(loss_fool_free_running(half)) - math.log(2)) < 1e-12
@@ -954,17 +960,17 @@ class TestLosses:
     def test_confident_correct_discriminator(self):
         c_d = float(engine._c_d(np.array([0.9, 0.1]))[0])
         assert abs(c_d - (-math.log(0.9) - math.log(0.9))) < 1e-12
-        assert item(loss_discriminator(Tensor(np.array([0.9])), Tensor(np.array([0.1])))) == c_d
-        assert abs(item(loss_fool_free_running(Tensor(np.array([0.1])))) + math.log(0.1)) < 1e-12
-        assert abs(item(loss_match_teacher_forced(Tensor(np.array([0.9]))))
+        assert item(loss_discriminator(np.array([0.9]), np.array([0.1]))) == c_d
+        assert abs(item(loss_fool_free_running(np.array([0.1]))) + math.log(0.1)) < 1e-12
+        assert abs(item(loss_match_teacher_forced(np.array([0.9])))
                    + math.log(0.1)) < 1e-12
 
     def test_discriminator_loss_is_sum_of_generator_terms_swapped(self):
         rng = np.random.default_rng(48)
-        d_tf = Tensor(rng.uniform(0.05, 0.95, 7))
-        d_fr = Tensor(rng.uniform(0.05, 0.95, 7))
-        stack = Tensor(np.concatenate((d_tf.data, d_fr.data)))
-        lhs = float(engine._c_d(stack.data)[0])
+        d_tf = rng.uniform(0.05, 0.95, 7)
+        d_fr = rng.uniform(0.05, 0.95, 7)
+        stack = np.concatenate((d_tf, d_fr))
+        lhs = float(engine._c_d(stack)[0])
         assert item(loss_discriminator(d_tf, d_fr)) == lhs
         # the stacked reference runs the same expressions in the same order
         assert item(_mean_neg_log((stack,), (False, True), stacked=True)) == lhs
@@ -983,13 +989,13 @@ class TestLosses:
         g, d, y, ga, da = build_step_fixture(seed=49)
         m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(49), ga, da)
         [stack] = stacks
-        p_tf, p_fr = (Tensor(half) for half in np.split(stack, 2))
+        p_tf, p_fr = np.split(stack, 2)
         assert abs(item(loss_discriminator(p_tf, p_fr)) - m["c_d"]) < 1e-12
         assert abs(item(loss_fool_free_running(p_fr)) - m["c_f"]) < 1e-12
         assert abs(item(loss_match_teacher_forced(p_tf)) - m["c_t"]) < 1e-12
 
     # "array": the [2B] probability array train_step stacks, into src's c_d;
-    # "tensor": each piece its own tensor, into the reference forms
+    # "tensor": each piece its own array, into the reference forms
     @pytest.mark.parametrize("route", ["array", "tensor"])
     @pytest.mark.parametrize("bad", [[1.0], [0.0], [], [1.5], [-0.5], [0.5, math.nan]],
                              ids=["one", "zero", "empty", "above_one", "negative", "nan"])
@@ -1001,7 +1007,7 @@ class TestLosses:
                 with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
                     engine._c_d(np.concatenate(stack))
             return
-        bad, half = Tensor(bad), Tensor(np.array([0.5]))
+        half = np.array([0.5])
         for loss in (lambda: loss_discriminator(bad, half), lambda: loss_discriminator(half, bad),
                      lambda: loss_fool_free_running(bad), lambda: loss_match_teacher_forced(bad)):
             with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
@@ -1013,21 +1019,21 @@ class TestLosses:
     def test_mean_neg_log_refuses_inputs_that_do_not_match_its_flags(self, n_inputs, flags,
                                                                     stacked):
         # a mismatch used to drop inputs silently through zip
-        xs = tuple(Tensor(np.full(4, 0.5)) for _ in range(n_inputs))
+        xs = tuple(np.full(4, 0.5) for _ in range(n_inputs))
         with pytest.raises(ValueError, match=f"{n_inputs} inputs for the flags"):
             _mean_neg_log(xs, flags, stacked=stacked)
 
     def test_loss_nll_batch_mean(self):
         g = tiny_generator()
         y = np.array([[1, 0, 2]])
-        single = loss_nll(unroll_teacher_forced(g, y).logits, y)
+        single = loss_nll(teacher_forced_node(g, y).logits, y)
         pair = np.concatenate([y, y])
-        double = loss_nll(unroll_teacher_forced(g, pair).logits, pair)
+        double = loss_nll(teacher_forced_node(g, pair).logits, pair)
         assert abs(single - double) < 1e-12
 
     def test_loss_nll_length_mismatch(self):
         g = tiny_generator()
-        res = unroll_teacher_forced(g, np.array([[1, 0]]))
+        res = teacher_forced_node(g, np.array([[1, 0]]))
         with pytest.raises(ValueError):
             loss_nll(res.logits, np.array([[1, 0, 2]]))
 
@@ -1079,7 +1085,7 @@ class TestDrawFrequencies:
 
     def _head(self):
         g = zeroed(tiny_generator())   # the logits are the head's bias at every step
-        g.b_o.data[:] = self.BIAS
+        g.b_o[:] = self.BIAS
         return g
 
     @staticmethod
@@ -1091,7 +1097,7 @@ class TestDrawFrequencies:
     @pytest.mark.parametrize("temperature", [0.7, 1.0, 2.0])
     def test_free_running(self, temperature):
         res = unroll_free_running(self._head(), 2500, np.random.default_rng(61),
-                                  temperature=temperature, batch=8, keep_outputs=False)
+                                  temperature=temperature, batch=8)
         self._check(res.sampled, softmax_rows(self.BIAS / temperature))
 
     def test_scheduled_sampling_coins_at_p_one(self):
@@ -1138,8 +1144,8 @@ class TestTrainStep:
             rng = np.random.default_rng(62)
             ms = [train_step(g, d, y, TrainConfig(), 0.1, rng, ga, da)
                   for _ in range(3)]
-            runs.append((ms, [t.data.copy() for t in g.tensors()],
-                         [t.data.copy() for t in d.tensors()]))
+            runs.append((ms, [t.copy() for t in g.tensors()],
+                         [t.copy() for t in d.tensors()]))
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(a, b)
@@ -1163,15 +1169,15 @@ class TestTrainStep:
 
         assert m1["nll_per_step"] == m2["nll_per_step"]
         for a, b in zip(g1.tensors(), g2.tensors()):
-            np.testing.assert_array_equal(a.data, b.data)
+            np.testing.assert_array_equal(a, b)
 
     def test_skip_mode_leaves_discriminator_untouched(self):
         g, d, y, ga, da = build_step_fixture(seed=65)
-        before = [t.data.copy() for t in d.tensors()]
+        before = [t.copy() for t in d.tensors()]
         skip = TrainConfig(adversarial_weight=0.0, freeze_discriminator=True)
         train_step(g, d, y, skip, 0.0, np.random.default_rng(66), ga, da)
         for a, b in zip(before, d.tensors()):
-            np.testing.assert_array_equal(a, b.data)
+            np.testing.assert_array_equal(a, b)
         assert da.t == 0
 
     @pytest.mark.parametrize("p_sample", [0.0, 0.5], ids=["tf", "ss"])
@@ -1191,7 +1197,7 @@ class TestTrainStep:
             skip = TrainConfig(adversarial_weight=0.0, freeze_discriminator=True,
                                include_outputs_in_behavior=include_outputs)
             m = train_step(g, d, y, skip, p_sample, np.random.default_rng(72), ga, da)
-            runs.append((repr(m), [t.data.copy() for t in g.tensors() + d.tensors()]))
+            runs.append((repr(m), [t.copy() for t in g.tensors() + d.tensors()]))
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(a, b)
@@ -1199,21 +1205,21 @@ class TestTrainStep:
 
     def test_explicit_freeze_flag_blocks_disc_updates(self):
         g, d, y, ga, da = build_step_fixture(seed=67)
-        before = [t.data.copy() for t in d.tensors()]
+        before = [t.copy() for t in d.tensors()]
         frozen = TrainConfig(adversarial_weight=1.0, freeze_discriminator=True)
         m = train_step(g, d, y, frozen, 0.0, np.random.default_rng(68), ga, da)
         assert math.isfinite(m["c_d"])  # still measured
         for a, b in zip(before, d.tensors()):
-            np.testing.assert_array_equal(a, b.data)
+            np.testing.assert_array_equal(a, b)
         assert da.t == 0 and ga.t == 1
 
     def test_near_chance_discriminator_updates_but_generator_gate_closed(self):
         g, d, y, ga, da = build_step_fixture(seed=69)
-        before = [t.data.copy() for t in d.tensors()]
+        before = [t.copy() for t in d.tensors()]
         m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(70), ga, da)
         assert not m["gate_gen"] and m["gate_disc"]
         assert da.t == 1
-        assert any(not np.array_equal(a, b.data)
+        assert any(not np.array_equal(a, b)
                    for a, b in zip(before, d.tensors()))
 
     def test_saturated_discriminator_freezes_itself(self):
@@ -1227,24 +1233,24 @@ class TestTrainStep:
         rng = np.random.default_rng(73)
         acc = 0.0
         for _ in range(300):
-            tf_b = Tensor(unroll_teacher_forced(g, y).behavior)
-            fr_b = Tensor(unroll_free_running(g, t_len, rng, batch=b).behavior)
+            tf_b = teacher_forced_node(g, y).behavior
+            fr_b = free_running_node(g, t_len, rng, batch=b).behavior
             with Tape() as tape:
                 p_tf = discriminate_node(d, tf_b)
                 p_fr = discriminate_node(d, fr_b)
                 c_d = loss_discriminator(p_tf, p_fr)
             adam_step(adam, d_params, backward(tape, c_d, d_params))
-            acc = accuracy_from_probs(p_tf.data, p_fr.data)
+            acc = accuracy_from_probs(p_tf, p_fr)
         assert acc == 1.0, "pretraining should saturate on this separable setup"
 
         ga = AdamState.for_params(g.tensors(), lr=1e-6)
         da = AdamState.for_params(d_params, lr=5e-3)
-        before = [t.data.copy() for t in d_params]
+        before = [t.copy() for t in d_params]
         m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(74), ga, da)
         assert m["disc_acc"] > 0.99
         assert m["gate_gen"] and not m["gate_disc"]
         for a, b_t in zip(before, d_params):
-            np.testing.assert_array_equal(a, b_t.data)
+            np.testing.assert_array_equal(a, b_t)
         assert da.t == 0
 
     def test_ct_term_changes_generator_update_when_gate_open(self):
@@ -1257,8 +1263,8 @@ class TestTrainStep:
             adam = AdamState.for_params(dp, lr=5e-3)
             rng = np.random.default_rng(77)
             for _ in range(200):
-                tf_b = Tensor(unroll_teacher_forced(g, y).behavior)
-                fr_b = Tensor(unroll_free_running(g, t_len, rng, batch=b).behavior)
+                tf_b = teacher_forced_node(g, y).behavior
+                fr_b = free_running_node(g, t_len, rng, batch=b).behavior
                 with Tape() as tape:
                     c_d = loss_discriminator(discriminate_node(d, tf_b),
                                              discriminate_node(d, fr_b))
@@ -1268,7 +1274,7 @@ class TestTrainStep:
             settings = TrainConfig(use_ct=use_ct)
             m = train_step(g, d, y, settings, 0.0, np.random.default_rng(78), ga, da)
             assert m["gate_gen"], "discriminator must be strong for this test"
-            return [t.data.copy() for t in g.tensors()]
+            return [t.copy() for t in g.tensors()]
 
         base = run(False)
         with_ct = run(True)
@@ -1305,9 +1311,9 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
         rich = settings.include_outputs_in_behavior
         tf = teacher_forced_node(g, y, include_outputs=rich)
         fr = unroll_node(g, None, t_len, b, 0.0, rng, settings.temperature, rich)
-        with Tape() as d_tape:   # on leaves of their own, sharing the behaviors' values
-            c_d = loss_discriminator(discriminate_node(d, Tensor(tf.behavior.data)),
-                                     discriminate_node(d, Tensor(fr.behavior.data)))
+        with Tape() as d_tape:   # a tape of its own: c_d's sweep stops at the behaviors
+            c_d = loss_discriminator(discriminate_node(d, tf.behavior),
+                                     discriminate_node(d, fr.behavior))
         adv = loss_fool_free_running(discriminate_node(d, fr.behavior))
         if settings.use_ct:
             adv = add(adv, loss_match_teacher_forced(discriminate_node(d, tf.behavior)))
@@ -1332,9 +1338,9 @@ class TestOnePassStep:
             y = np.random.default_rng(92).integers(0, vocab, (4, 6))
             ga = AdamState.for_params(g.tensors(), lr=1e-2)
             da = AdamState.for_params(d.tensors(), lr=1e-2)
-            before = [t.data.copy() for t in g.tensors() + d.tensors()]
+            before = [t.copy() for t in g.tensors() + d.tensors()]
             m = step(g, d, y, settings, 0.0, np.random.default_rng(93), ga, da)
-            after = [t.data.copy() for t in g.tensors() + d.tensors()]
+            after = [t.copy() for t in g.tensors() + d.tensors()]
             assert any(not np.array_equal(a, b) for a, b in zip(before, after))
             params.append(after)
             if m is not None:
@@ -1355,11 +1361,11 @@ class TestOnePassStepEdges:
         rng = np.random.default_rng(93)   # the step's own draws
         rich = settings.include_outputs_in_behavior
         tf = ss_unroll(g, y, 0.0, None, include_outputs=rich)
-        fr = fr_unroll(g, y.shape[1], rng, temperature=settings.temperature,
+        fr = free_running_node(g, y.shape[1], rng, temperature=settings.temperature,
                        batch=y.shape[0], include_outputs=rich)
         p = np.concatenate([discriminate(d, r.behavior)[0] for r in (tf, fr)])
         pooled = np.log(p / (1.0 - p))
-        d.layers[-1][1].data += engine.LOGIT_CLIP - np.median(pooled)
+        d.layers[-1][1][...] += engine.LOGIT_CLIP - np.median(pooled)
         clipped = pooled - np.median(pooled) > 0
         assert 0 < clipped.sum() < clipped.size
 
@@ -1379,15 +1385,15 @@ class TestOnePassStepEdges:
                 self._clip_half_the_rows(g, d, y, settings)
             ga = AdamState.for_params(g.tensors(), lr=1e-2)
             da = AdamState.for_params(d.tensors(), lr=1e-2)
-            d_before = [t.data.copy() for t in d.tensors()]
+            d_before = [t.copy() for t in d.tensors()]
             m = step(g, d, y, settings, 0.0, np.random.default_rng(93), ga, da)
-            params.append([t.data.copy() for t in g.tensors() + d.tensors()])
+            params.append([t.copy() for t in g.tensors() + d.tensors()])
             if m is not None:
                 assert m["gate_gen"] and m["gate_disc"]
                 assert ga.t == 1 and da.t == (0 if case == "frozen_d" else 1)
             if case == "frozen_d":
                 for a, b in zip(d_before, d.tensors()):
-                    np.testing.assert_array_equal(a, b.data)
+                    np.testing.assert_array_equal(a, b)
         for ours, ref in zip(*params):
             np.testing.assert_allclose(ours, ref, rtol=0, atol=1e-10)
 

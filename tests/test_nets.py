@@ -13,7 +13,6 @@ from profforce.nets import (
     init_params,
     mlp_forward,
 )
-from profforce.tensor import Tensor
 
 from extra_ops import (
     Tape,
@@ -40,7 +39,7 @@ def gru_oracle(cell: GruCellParams, h: np.ndarray, x: np.ndarray):
     (z, r, c for k = 0, 1, 2) is column i of W[k], U[k] and b[k].
     """
     H, I = cell.hidden_size, cell.input_size
-    W, U, b = cell.W.data, cell.U.data, cell.b.data
+    W, U, b = cell.W, cell.U, cell.b
     Z, R, C = 0, 1, 2
 
     def sig(v):
@@ -82,46 +81,46 @@ class TestGruStep:
         rng = np.random.default_rng(101)
         h = rng.uniform(-1, 1, 6)
         x = rng.uniform(-1, 1, 4)
-        got_h, got_pre = gru_step(small_cell, Tensor(h), Tensor(x))
+        got_h, got_pre = gru_step(small_cell, h, x)
         exp_h, exp_pre = gru_oracle(small_cell, h, x)
-        np.testing.assert_allclose(got_h.data, exp_h, atol=1e-12)
-        np.testing.assert_allclose(got_pre.data, exp_pre, atol=1e-12)
+        np.testing.assert_allclose(got_h, exp_h, atol=1e-12)
+        np.testing.assert_allclose(got_pre, exp_pre, atol=1e-12)
 
     def test_zero_state_zero_input_stays_zero(self, small_cell):
-        h, pre = gru_step(small_cell, Tensor(np.zeros(6)), Tensor(np.zeros(4)))
-        np.testing.assert_array_equal(h.data, np.zeros(6))
-        np.testing.assert_array_equal(pre.data, np.zeros(6))
+        h, pre = gru_step(small_cell, np.zeros(6), np.zeros(4))
+        np.testing.assert_array_equal(h, np.zeros(6))
+        np.testing.assert_array_equal(pre, np.zeros(6))
 
     def test_large_negative_update_bias_freezes_state(self, small_cell):
-        small_cell.b.data[0] = -50.0  # b_z
+        small_cell.b[0] = -50.0  # b_z
         rng = np.random.default_rng(102)
         h = rng.uniform(-1, 1, 6)
         x = rng.uniform(-1, 1, 4)
-        h_new, _ = gru_step(small_cell, Tensor(h), Tensor(x))
-        np.testing.assert_allclose(h_new.data, h, atol=1e-12)
+        h_new, _ = gru_step(small_cell, h, x)
+        np.testing.assert_allclose(h_new, h, atol=1e-12)
 
     def test_state_stays_in_unit_interval(self, small_cell):
         rng = np.random.default_rng(103)
-        h = Tensor(np.zeros(6))
+        h = np.zeros(6)
         for _ in range(50):
-            h, _ = gru_step(small_cell, h, Tensor(rng.uniform(-3, 3, 4)))
-            assert np.all(np.abs(h.data) < 1.0)
+            h, _ = gru_step(small_cell, h, rng.uniform(-3, 3, 4))
+            assert np.all(np.abs(h) < 1.0)
 
     def test_batched_rows_match_single(self, small_cell):
         rng = np.random.default_rng(104)
         hb = rng.uniform(-1, 1, (3, 6))
         xb = rng.uniform(-1, 1, (3, 4))
-        batch_h, batch_pre = gru_step(small_cell, Tensor(hb), Tensor(xb))
+        batch_h, batch_pre = gru_step(small_cell, hb, xb)
         for i in range(3):
-            hi, pi = gru_step(small_cell, Tensor(hb[i]), Tensor(xb[i]))
-            np.testing.assert_allclose(batch_h.data[i], hi.data, atol=1e-12)
-            np.testing.assert_allclose(batch_pre.data[i], pi.data, atol=1e-12)
+            hi, pi = gru_step(small_cell, hb[i], xb[i])
+            np.testing.assert_allclose(batch_h[i], hi, atol=1e-12)
+            np.testing.assert_allclose(batch_pre[i], pi, atol=1e-12)
 
     def test_shape_validation(self, small_cell):
         with pytest.raises(ValueError):
-            gru_step(small_cell, Tensor(np.zeros(5)), Tensor(np.zeros(4)))
+            gru_step(small_cell, np.zeros(5), np.zeros(4))
         with pytest.raises(ValueError):
-            gru_step(small_cell, Tensor(np.zeros(6)), Tensor(np.zeros(3)))
+            gru_step(small_cell, np.zeros(6), np.zeros(3))
 
     def test_five_step_unroll_gradients(self):
         cell = GruCellParams.create(hidden=3, input_size=2, rng=np.random.default_rng(105))
@@ -130,10 +129,10 @@ class TestGruStep:
         params = [t for _, t in cell.named()]
 
         def loss(_):
-            h = Tensor(np.zeros(3))
+            h = np.zeros(3)
             total = None
             for x in xs:
-                h, pre = gru_step(cell, h, Tensor(x))
+                h, pre = gru_step(cell, h, x)
                 s = sum_all(tanh(pre))
                 total = s if total is None else add(total, s)
             return add(total, sum_all(h))
@@ -146,29 +145,29 @@ class TestGruSequence:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_matches_chained_steps(self, small_cell, reverse, batch):
         xs = np.random.default_rng(107).uniform(-1, 1, (5, batch, 4))
-        got = gru_sequence(small_cell, Tensor(xs), reverse=reverse).data
+        got = gru_sequence(small_cell, xs, reverse=reverse)
         assert got.shape == (5, batch, 6)
-        h = Tensor(np.zeros((batch, 6)))
+        h = np.zeros((batch, 6))
         for t in (reversed(range(5)) if reverse else range(5)):
-            h, _ = gru_step(small_cell, h, Tensor(xs[t]))
-            np.testing.assert_allclose(got[t], h.data, atol=1e-12)
+            h, _ = gru_step(small_cell, h, xs[t])
+            np.testing.assert_allclose(got[t], h, atol=1e-12)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("t_len", [1, 5])
     def test_sequence_and_steps_match_scalar_oracle(self, small_cell, reverse, batch, t_len):
-        small_cell.b.data[:] = np.random.default_rng(108).uniform(-1, 1, (3, 6))
+        small_cell.b[:] = np.random.default_rng(108).uniform(-1, 1, (3, 6))
         xs = np.random.default_rng(109).uniform(-1, 1, (t_len, batch, 4))
-        states = gru_sequence(small_cell, Tensor(xs), reverse=reverse).data
-        h_step = Tensor(np.zeros((batch, 6)))
+        states = gru_sequence(small_cell, xs, reverse=reverse)
+        h_step = np.zeros((batch, 6))
         h_rows = [np.zeros(6) for _ in range(batch)]
         for t in (reversed(range(t_len)) if reverse else range(t_len)):
-            h_step, pre_step = gru_step(small_cell, h_step, Tensor(xs[t]))
+            h_step, pre_step = gru_step(small_cell, h_step, xs[t])
             for i in range(batch):
                 h_rows[i], pre = gru_oracle(small_cell, h_rows[i], xs[t, i])
                 np.testing.assert_allclose(states[t, i], h_rows[i], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(h_step.data[i], h_rows[i], rtol=0, atol=1e-12)
-                np.testing.assert_allclose(pre_step.data[i], pre, rtol=0, atol=1e-12)
+                np.testing.assert_allclose(h_step[i], h_rows[i], rtol=0, atol=1e-12)
+                np.testing.assert_allclose(pre_step[i], pre, rtol=0, atol=1e-12)
 
     def test_second_sweep_gives_same_gradients(self, small_cell):
         # the backward scales its factor arrays in place, so the second
@@ -176,8 +175,8 @@ class TestGruSequence:
         grads = []
         for _ in range(2):
             rng = np.random.default_rng(110)
-            xs = Tensor(rng.uniform(-1, 1, (5, 3, 4)))
-            h0, x1 = Tensor(rng.uniform(-1, 1, (3, 6))), Tensor(rng.uniform(-1, 1, (3, 4)))
+            xs = rng.uniform(-1, 1, (5, 3, 4))
+            h0, x1 = rng.uniform(-1, 1, (3, 6)), rng.uniform(-1, 1, (3, 4))
             leaves = [xs, h0, x1] + [t for _, t in small_cell.named()]
             with Tape() as tape:
                 h, pre = gru_step(small_cell, h0, x1)
@@ -190,7 +189,7 @@ class TestGruSequence:
     @pytest.mark.parametrize("reverse", [False, True])
     def test_input_and_bias_gradients_are_fresh(self, small_cell, reverse):
         # fresh arrays in their final shapes, which no other array shares
-        xs = Tensor(np.random.default_rng(111).uniform(-1, 1, (5, 3, 4)))
+        xs = np.random.default_rng(111).uniform(-1, 1, (5, 3, 4))
         with Tape() as tape:
             states = gru_sequence(small_cell, xs, reverse=reverse)
         (_, _, back), = tape.nodes
@@ -201,33 +200,33 @@ class TestGruSequence:
 
     def test_shape_validation(self, small_cell):
         with pytest.raises(ValueError):
-            gru_sequence(small_cell, Tensor(np.zeros((5, 4))))
+            gru_sequence(small_cell, np.zeros((5, 4)))
         with pytest.raises(ValueError):
-            gru_sequence(small_cell, Tensor(np.zeros((0, 2, 4))))
+            gru_sequence(small_cell, np.zeros((0, 2, 4)))
         with pytest.raises(ValueError):
-            gru_sequence(small_cell, Tensor(np.zeros((5, 2, 3))))
+            gru_sequence(small_cell, np.zeros((5, 2, 3)))
 
 
 class TestGruWeights:
     def test_bits_equal_the_scaled_copies(self):
         # each gate scaled on its own made them; U_c is U[2] itself
         p = GruCellParams.create(7, 5, np.random.default_rng(8))
-        p.b.data[:] = np.random.default_rng(9).uniform(-1, 1, p.b.shape)
-        p.W.data[0, 0, :3], p.U.data[2, 1, -3:], p.b.data.flat[::5] = -0.0, -0.0, -0.0
+        p.b[:] = np.random.default_rng(9).uniform(-1, 1, p.b.shape)
+        p.W[0, 0, :3], p.U[2, 1, -3:], p.b.flat[::5] = -0.0, -0.0, -0.0
         s = (-0.5, 0.5, 1.0)
-        expected = (np.stack([p.W.data[k] * s[k] for k in range(3)]),
-                    np.stack([p.b.data[k] * s[k] for k in range(3)])[:, None],
-                    np.stack([p.U.data[k] * s[k] for k in range(2)]), p.U.data[2].copy())
+        expected = (np.stack([p.W[k] * s[k] for k in range(3)]),
+                    np.stack([p.b[k] * s[k] for k in range(3)])[:, None],
+                    np.stack([p.U[k] * s[k] for k in range(2)]), p.U[2].copy())
         got = _gru_weights(p)
         for got_k, want in zip(got, expected):
             assert got_k.shape == want.shape and got_k.flags.c_contiguous
             assert got_k.tobytes() == want.tobytes()
-        assert np.shares_memory(got[3], p.U.data)
+        assert np.shares_memory(got[3], p.U)
 
     def test_traced_peak_is_one_copy_of_the_weights(self):
         # scaled W and U_zr, with U_c a view: 5/6 of W + U at I = H (measured 0.836x)
         p = GruCellParams.create(256, 256, np.random.default_rng(10))
-        weights = p.W.data.nbytes + p.U.data.nbytes
+        weights = p.W.nbytes + p.U.nbytes
         tracemalloc.start()
         try:
             _gru_weights(p)
@@ -242,20 +241,20 @@ class TestInit:
         a = GruCellParams.create(5, 3, np.random.default_rng(7))
         b = GruCellParams.create(5, 3, np.random.default_rng(7))
         for (_, ta), (_, tb) in zip(a.named(), b.named()):
-            assert np.array_equal(ta.data, tb.data)
+            assert np.array_equal(ta, tb)
 
     def test_gates_stacked_from_per_gate_draws(self):
         # The cell draws [H, I] blocks for z, r, c, then [H, H] blocks, and
         # stores their transposes gate-major, C-ordered.
         cell = GruCellParams.create(5, 3, np.random.default_rng(7))
         rng = np.random.default_rng(7)
-        w = [init_params((5, 3), rng).data for _ in range(3)]
-        u = [init_params((5, 5), rng).data for _ in range(3)]
+        w = [init_params((5, 3), rng) for _ in range(3)]
+        u = [init_params((5, 5), rng) for _ in range(3)]
         for k in range(3):
-            np.testing.assert_array_equal(cell.W.data[k], w[k].T)
-            np.testing.assert_array_equal(cell.U.data[k], u[k].T)
+            np.testing.assert_array_equal(cell.W[k], w[k].T)
+            np.testing.assert_array_equal(cell.U[k], u[k].T)
         assert cell.W.shape == (3, 3, 5) and cell.U.shape == (3, 5, 5) and cell.b.shape == (3, 5)
-        assert all(t.data.flags.c_contiguous for _, t in cell.named())
+        assert all(t.flags.c_contiguous for _, t in cell.named())
 
     def test_mlp_and_head_store_transposed_draws(self):
         # Each layer draws [out, in] after the cells and stores its
@@ -264,25 +263,25 @@ class TestInit:
         g = GeneratorParams.create(6, 3, 5, 1, np.random.default_rng(12))
         rng = np.random.default_rng(11)
         cells = [GruCellParams.create(2, 3, rng) for _ in "fb"]
-        drawn = [init_params(shape, rng).data for shape in ((2, 4), (2, 2), (2, 2), (1, 2))]
+        drawn = [init_params(shape, rng) for shape in ((2, 4), (2, 2), (2, 2), (1, 2))]
         for (w, _), want in zip(d.layers, drawn):
-            np.testing.assert_array_equal(w.data, want.T)
+            np.testing.assert_array_equal(w, want.T)
         for got, want in zip((d.fwd, d.bwd), cells):
-            np.testing.assert_array_equal(got.W.data, want.W.data)
+            np.testing.assert_array_equal(got.W, want.W)
         rng = np.random.default_rng(12)
         emb, _ = init_params((7, 3), rng), GruCellParams.create(5, 3, rng)
-        np.testing.assert_array_equal(g.embedding.data, emb.data)
-        np.testing.assert_array_equal(g.W_o.data, init_params((6, 5), rng).data.T)
+        np.testing.assert_array_equal(g.embedding, emb)
+        np.testing.assert_array_equal(g.W_o, init_params((6, 5), rng).T)
         assert g.W_o.shape == (5, 6)
-        assert all(t.data.flags.c_contiguous for t in d.tensors() + g.tensors())
+        assert all(t.flags.c_contiguous for t in d.tensors() + g.tensors())
 
     def test_biases_exactly_zero(self):
         cell = GruCellParams.create(5, 3, np.random.default_rng(8))
-        np.testing.assert_array_equal(cell.b.data, np.zeros((3, 5)))
+        np.testing.assert_array_equal(cell.b, np.zeros((3, 5)))
 
     def test_weight_bound_and_mean(self):
         rng = np.random.default_rng(9)
-        w = init_params((40, 60), rng).data
+        w = init_params((40, 60), rng)
         bound = math.sqrt(6.0 / (40 + 60))
         assert np.all(np.abs(w) <= bound)
         # mean of n uniforms on [-b, b] has sd b/sqrt(3n)
@@ -299,7 +298,7 @@ class TestInit:
 
 def mlp_layers(sizes, rng):
     """Glorot layers ``(W [in, out], b [out])``, drawn as the discriminator draws its own."""
-    return [(_weight_in_out(rng, n_in, n_out), Tensor(np.zeros(n_out)))
+    return [(_weight_in_out(rng, n_in, n_out), np.zeros(n_out))
             for n_in, n_out in zip(sizes[:-1], sizes[1:])]
 
 
@@ -314,12 +313,12 @@ class TestMlp:
         x = rng.uniform(-1, 1, (5, 4))
         got = mlp_forward(mlp, x)[0]
         w, b = mlp[0]
-        np.testing.assert_allclose(got, x @ w.data + b.data, atol=1e-12)
+        np.testing.assert_allclose(got, x @ w + b, atol=1e-12)
 
     def test_relu_between_but_not_after_last(self):
-        neg = Tensor(-np.eye(2))
-        ident = Tensor(np.eye(2))
-        zero = Tensor(np.zeros(2))
+        neg = -np.eye(2)
+        ident = np.eye(2)
+        zero = np.zeros(2)
         two_layer = [(neg, zero), (ident, zero)]
         x = np.array([[1.0, 2.0]])
         # first layer gives -x, ReLU kills it, second layer passes zeros on
@@ -337,11 +336,11 @@ class TestMlp:
         mlp = mlp_layers([3, 4, 1], np.random.default_rng(15))
         x = np.random.default_rng(16).uniform(-1, 1, (2, 3)) + 0.5
         params = flat(mlp)
-        assert grad_check(lambda _: sum_all(tanh(mlp_node(mlp, Tensor(x)))),
+        assert grad_check(lambda _: sum_all(tanh(mlp_node(mlp, x))),
                           params, 1e-5) < 1e-4
 
 
-def composed_mlp(layers, x: Tensor) -> Tensor:
+def composed_mlp(layers, x: np.ndarray) -> np.ndarray:
     """The MLP as a chain of primitive nodes: the reference the fused node
     must match bit for bit."""
     last = len(layers) - 1
@@ -359,11 +358,10 @@ class TestFusedMlp:
     @staticmethod
     def _chain(mlp, x, weights):
         """The chain's output and the gradients of ``sum(out * weights)``."""
-        leaf = Tensor(x)
         with Tape() as tape:
-            out = composed_mlp(mlp, leaf)
-            loss = sum_all(mul(out, Tensor(weights)))
-        return out.data, backward(tape, loss, [leaf] + flat(mlp))
+            out = composed_mlp(mlp, x)
+            loss = sum_all(mul(out, weights))
+        return out, backward(tape, loss, [x] + flat(mlp))
 
     def _check(self, mlp, x, weights):
         out, back = mlp_forward(mlp, x)
@@ -381,7 +379,7 @@ class TestFusedMlp:
         rng = np.random.default_rng(len(sizes) * 10 + sizes[-1])
         mlp = mlp_layers(sizes, rng)
         for _, b in mlp:
-            b.data[:] = rng.uniform(-0.5, 0.5, b.shape)
+            b[:] = rng.uniform(-0.5, 0.5, b.shape)
         self._check(mlp, rng.uniform(-1, 1, (40, 6)), rng.uniform(-1, 1, (40, sizes[-1])))
 
     @pytest.mark.parametrize("layers", [1, 2, 4])
@@ -390,11 +388,11 @@ class TestFusedMlp:
         # are exactly 0 (and some -0.0 is possible); ReLU's gradient there is 0.
         rng = np.random.default_rng(40 + layers)
         sizes = [5] + [4] * (layers - 1) + [2]
-        mlp = [(Tensor(rng.integers(-1, 2, (i, o)).astype(float)),
-                Tensor(rng.integers(-1, 2, o).astype(float)))
+        mlp = [(rng.integers(-1, 2, (i, o)).astype(float),
+                rng.integers(-1, 2, o).astype(float))
                for i, o in zip(sizes[:-1], sizes[1:])]
         x = rng.integers(-2, 3, (30, 5)).astype(float)
-        pre = x @ mlp[0][0].data + mlp[0][1].data
+        pre = x @ mlp[0][0] + mlp[0][1]
         assert np.any(pre == 0.0) and np.any(pre > 0.0)
         self._check(mlp, x, rng.uniform(-1, 1, (30, 2)))
 
@@ -405,7 +403,7 @@ class TestFusedMlp:
         rng = np.random.default_rng(18)
         mlp = mlp_layers([6, 5, 5, 2], rng)
         for _, b in mlp:
-            b.data[:] = rng.uniform(-0.5, 0.5, b.shape)
+            b[:] = rng.uniform(-0.5, 0.5, b.shape)
         x, weights = rng.uniform(-1, 1, (20, 6)), rng.uniform(-1, 1, (20, 2))
         needs = {"all": (True,) * 7, "input": (True,) + (False,) * 6,
                  "first": (False, True, True) + (False,) * 4,
@@ -483,7 +481,7 @@ class TestBiGru:
     def test_gradients_of_both_cells_and_the_input(self):
         enc = bigru_cells(input_size=2, hidden=3, seed=24)
         rng = np.random.default_rng(25)
-        seq, weights = Tensor(rng.uniform(-1, 1, (4, 2, 2))), Tensor(rng.uniform(-1, 1, (4, 2, 6)))
+        seq, weights = rng.uniform(-1, 1, (4, 2, 2)), rng.uniform(-1, 1, (4, 2, 6))
         params = [seq] + [t for cell in enc for _, t in cell.named()]
         assert grad_check(lambda p: sum_all(mul(tanh(encode_node(*enc, p[0])), weights)),
                           params, 1e-5) < 1e-4
@@ -500,13 +498,12 @@ class TestBiGru:
         out, back = bigru_encode(*enc, seq)
         grads = back(weights, needs)   # the gradient of sum(out * weights) at out
 
-        leaf = Tensor(seq)
         with Tape() as tape:
-            ref = concat((gru_sequence(enc[0], leaf), gru_sequence(enc[1], leaf, reverse=True)),
+            ref = concat((gru_sequence(enc[0], seq), gru_sequence(enc[1], seq, reverse=True)),
                          axis=-1)
-            loss = sum_all(mul(ref, Tensor(weights)))
-        ref_grads = backward(tape, loss, [leaf] + [t for cell in enc for _, t in cell.named()])
-        np.testing.assert_array_equal(out, ref.data)
+            loss = sum_all(mul(ref, weights))
+        ref_grads = backward(tape, loss, [seq] + [t for cell in enc for _, t in cell.named()])
+        np.testing.assert_array_equal(out, ref)
         assert [g is not None for g in grads] == list(needs)
         for got, want in zip(grads, ref_grads):
             if got is not None:

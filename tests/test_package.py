@@ -47,7 +47,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2226   # may only come down
+SRC_LINE_CEILING = 2181   # may only come down
 
 
 def test_src_stays_within_its_line_budget():

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from profforce.tensor import Tensor
 
 from extra_ops import (
     Tape,
@@ -72,117 +71,116 @@ def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
 
 class TestMatmul:
     def test_identity(self):
-        a = Tensor(np.arange(9.0).reshape(3, 3))
-        out = matmul(a, Tensor(np.eye(3)))
-        np.testing.assert_array_equal(out.data, a.data)
+        a = np.arange(9.0).reshape(3, 3)
+        out = matmul(a, np.eye(3))
+        np.testing.assert_array_equal(out, a)
 
     def test_small_known_product(self):
-        out = matmul(Tensor([[1.0, 2.0], [3.0, 4.0]]), Tensor([[1.0], [1.0]]))
-        np.testing.assert_array_equal(out.data, [[3.0], [7.0]])
+        out = matmul(np.array([[1.0, 2.0], [3.0, 4.0]]), np.array([[1.0], [1.0]]))
+        np.testing.assert_array_equal(out, [[3.0], [7.0]])
 
     def test_against_triple_loop_oracle(self):
         rng = np.random.default_rng(7)
         a = rng.uniform(-2, 2, (5, 7))
         b = rng.uniform(-2, 2, (7, 3))
-        got = matmul(Tensor(a), Tensor(b)).data
+        got = matmul(a, b)
         np.testing.assert_allclose(got, matmul_oracle(a, b), atol=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros((4, 2))))
+            matmul(np.zeros((2, 3)), np.zeros((4, 2)))
         with pytest.raises(ValueError, match="2D operands"):
-            matmul(Tensor(np.zeros((2, 3))), Tensor(np.zeros(3)))
+            matmul(np.zeros((2, 3)), np.zeros(3))
 
 
 class TestElementwise:
     def test_sigmoid_at_zero(self):
-        assert sigmoid(Tensor([0.0])).data[0] == 0.5
+        assert sigmoid(np.array([0.0]))[0] == 0.5
 
     def test_sigmoid_tanh_against_mpmath(self):
         import mpmath
         rng = np.random.default_rng(3)
         xs = rng.uniform(-2, 2, 25)
-        sig = sigmoid(Tensor(xs)).data
-        tah = tanh(Tensor(xs)).data
+        sig = sigmoid(xs)
+        tah = tanh(xs)
         for x, s, t in zip(xs, sig, tah):
             assert abs(s - float(1 / (1 + mpmath.exp(-mpmath.mpf(x))))) < 1e-12
             assert abs(t - float(mpmath.tanh(mpmath.mpf(x)))) < 1e-12
 
     def test_sigmoid_extreme_inputs_finite(self):
-        out = sigmoid(Tensor([-1e4, 1e4])).data
+        out = sigmoid(np.array([-1e4, 1e4]))
         assert np.all(np.isfinite(out))
         assert out[0] == 0.0 and out[1] == 1.0
 
     def test_clip_clamps(self):
-        assert clip(Tensor([37.2]), -10, 10).data[0] == 10.0
-        assert clip(Tensor([-37.2]), -10, 10).data[0] == -10.0
+        assert clip(np.array([37.2]), -10, 10)[0] == 10.0
+        assert clip(np.array([-37.2]), -10, 10)[0] == -10.0
 
     def test_relu(self):
-        np.testing.assert_array_equal(relu(Tensor([-1.0, 0.0, 2.0])).data, [0.0, 0.0, 2.0])
+        np.testing.assert_array_equal(relu(np.array([-1.0, 0.0, 2.0])), [0.0, 0.0, 2.0])
 
     def test_log_domain_error(self):
         with pytest.raises(ValueError):
-            log(Tensor([1.0, 0.0]))
+            log(np.array([1.0, 0.0]))
 
     def test_binary_shape_mismatch(self):
         with pytest.raises(ValueError):
-            add(Tensor(np.zeros(3)), Tensor(np.zeros(4)))
+            add(np.zeros(3), np.zeros(4))
 
     def test_one_minus(self):
-        np.testing.assert_array_equal(one_minus(Tensor([0.25, 1.0])).data, [0.75, 0.0])
+        np.testing.assert_array_equal(one_minus(np.array([0.25, 1.0])), [0.75, 0.0])
 
 
 class TestSoftmax:
     def test_rows_sum_to_one(self):
         rng = np.random.default_rng(11)
         x = rng.uniform(-5, 5, (6, 9))
-        s = softmax(Tensor(x)).data
+        s = softmax(x)
         np.testing.assert_allclose(s.sum(axis=-1), np.ones(6), atol=1e-12)
         assert np.all(s > 0)
 
     def test_shift_invariance(self):
         rng = np.random.default_rng(12)
         x = rng.uniform(-3, 3, 8)
-        a = softmax(Tensor(x)).data
-        b = softmax(Tensor(x + 123.456)).data
+        a = softmax(x)
+        b = softmax(x + 123.456)
         np.testing.assert_allclose(a, b, atol=1e-12)
 
     def test_large_logits_stable(self):
-        s = softmax(Tensor([1000.0, 0.0, -1000.0])).data
+        s = softmax(np.array([1000.0, 0.0, -1000.0]))
         assert np.all(np.isfinite(s))
         assert abs(s[0] - 1.0) < 1e-12
 
 
 class TestSoftmaxCrossEntropy:
     def test_uniform_logits(self):
-        assert abs(item(softmax_cross_entropy(Tensor(np.zeros(4)), 2))
+        assert abs(item(softmax_cross_entropy(np.zeros(4), 2))
                    - math.log(4)) < 1e-12
-        assert abs(item(softmax_cross_entropy(Tensor(np.zeros(50)), 0))
+        assert abs(item(softmax_cross_entropy(np.zeros(50), 0))
                    - math.log(50)) < 1e-12
 
     def test_confident_correct(self):
-        loss = item(softmax_cross_entropy(Tensor([10.0, -10.0]), 0))
+        loss = item(softmax_cross_entropy(np.array([10.0, -10.0]), 0))
         assert loss < 1e-8
 
     def test_target_out_of_range(self):
         with pytest.raises(ValueError):
-            softmax_cross_entropy(Tensor(np.zeros(3)), 3)
+            softmax_cross_entropy(np.zeros(3), 3)
 
     def test_rows_match_1d(self):
         rng = np.random.default_rng(13)
         x = rng.uniform(-2, 2, (4, 5))
         t = rng.integers(0, 5, 4)
-        rows = softmax_cross_entropy_rows(Tensor(x), t).data
-        singles = [item(softmax_cross_entropy(Tensor(x[i]), int(t[i]))) for i in range(4)]
+        rows = softmax_cross_entropy_rows(x, t)
+        singles = [item(softmax_cross_entropy(x[i], int(t[i]))) for i in range(4)]
         np.testing.assert_allclose(rows, singles, atol=1e-12)
 
     def test_gradient_is_softmax_minus_onehot(self):
         rng = np.random.default_rng(14)
         x = rng.uniform(-2, 2, 6)
-        logits = Tensor(x)
         with Tape() as tape:
-            loss = softmax_cross_entropy(logits, 4)
-        (grad,) = backward(tape, loss, [logits])
+            loss = softmax_cross_entropy(x, 4)
+        (grad,) = backward(tape, loss, [x])
         expected = np.exp(x - x.max()) / np.exp(x - x.max()).sum()
         expected[4] -= 1
         np.testing.assert_allclose(grad, expected, atol=1e-12)
@@ -194,42 +192,42 @@ class TestSoftmaxCrossEntropy:
 
 class TestBackward:
     def test_square_at_three(self):
-        x = Tensor([3.0])
+        x = np.array([3.0])
         with Tape() as tape:
             y = sum_all(mul(x, x))
         assert backward(tape, y, [x])[0][0] == 6.0
 
     def test_chain_matches_finite_differences(self):
         rng = np.random.default_rng(21)
-        w = Tensor(rng.uniform(-1, 1, (4, 3)))
-        x = Tensor(rng.uniform(-1, 1, (3, 1)))
+        w = rng.uniform(-1, 1, (4, 3))
+        x = rng.uniform(-1, 1, (3, 1))
         with Tape() as tape:
             loss = sum_all(sigmoid(matmul(w, x)))
         (grad,) = backward(tape, loss, [w])
 
         def f():
-            return float(sum_all(sigmoid(matmul(w, x))).data)
+            return float(sum_all(sigmoid(matmul(w, x))))
 
-        num = numerical_gradient(f, w.data)
+        num = numerical_gradient(f, w)
         rel = np.abs(grad - num) / np.maximum(np.abs(num), 1e-8)
         assert rel.max() < 1e-6
 
     def test_unused_param_gets_exact_zero(self):
-        used = Tensor([2.0])
-        unused = Tensor([5.0])
+        used = np.array([2.0])
+        unused = np.array([5.0])
         with Tape() as tape:
             loss = sum_all(mul(used, used))
         np.testing.assert_array_equal(backward(tape, loss, [used, unused])[1], [0.0])
 
     def test_loss_must_be_scalar(self):
-        x = Tensor([1.0, 2.0])
+        x = np.array([1.0, 2.0])
         with Tape() as tape:
             y = mul(x, x)
         with pytest.raises(ValueError):
             backward(tape, y, [x])
 
     def test_accumulation_over_shared_input(self):
-        x = Tensor([1.5])
+        x = np.array([1.5])
         with Tape() as tape:
             y = sum_all(add(mul(x, x), mul(x, x)))
         assert backward(tape, y, [x])[0][0] == 6.0
@@ -238,8 +236,8 @@ class TestBackward:
         grads = []
         for _ in range(2):
             rng = np.random.default_rng(22)
-            w = Tensor(rng.uniform(-1, 1, (5, 5)))
-            x = Tensor(rng.uniform(-1, 1, (5, 5)))
+            w = rng.uniform(-1, 1, (5, 5))
+            x = rng.uniform(-1, 1, (5, 5))
             with Tape() as tape:
                 loss = sum_all(tanh(matmul(w, mul(x, x))))
             grads += backward(tape, loss, [w])
@@ -248,7 +246,7 @@ class TestBackward:
     def test_fan_out_and_split_outputs_add_up_exactly(self):
         # h fans out to two consumers and split has two outputs, so the
         # sweep must finish every reader of a gradient before passing it on.
-        a, b = Tensor([1.0, 2.0, 3.0]), Tensor([4.0, 5.0, 6.0])
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([4.0, 5.0, 6.0])
         with Tape() as tape:
             h = mul(a, b)
             lo, hi = split(reshape(add(h, mul(h, a)), (3, 1)), 3)[::2]
@@ -260,15 +258,15 @@ class TestBackward:
 
     def test_no_nans_after_passes(self):
         rng = np.random.default_rng(23)
-        w = Tensor(rng.uniform(-2, 2, (6, 6)))
+        w = rng.uniform(-2, 2, (6, 6))
         with Tape() as tape:
             loss = mean_all(sigmoid(matmul(w, w)))
-        assert np.all(np.isfinite(loss.data)) and np.all(np.isfinite(backward(tape, loss, [w])))
+        assert np.all(np.isfinite(loss)) and np.all(np.isfinite(backward(tape, loss, [w])))
 
 
 class TestClipGradient:
     def test_exactly_zero_outside_one_inside(self):
-        x = Tensor([-11.0, -10.0, -9.999, 0.0, 9.999, 10.0, 11.0])
+        x = np.array([-11.0, -10.0, -9.999, 0.0, 9.999, 10.0, 11.0])
         with Tape() as tape:
             y = sum_all(clip(x, -10, 10))
         np.testing.assert_array_equal(backward(tape, y, [x])[0],
@@ -283,7 +281,7 @@ EPS = 1e-5
 
 
 def _rand(rng, shape, lo=-2.0, hi=2.0):
-    return Tensor(rng.uniform(lo, hi, shape))
+    return rng.uniform(lo, hi, shape)
 
 
 class TestGradCheckPrimitives:
@@ -324,8 +322,7 @@ class TestGradCheckPrimitives:
         rng = np.random.default_rng(37)
         x = rng.uniform(-2, 2, 20)
         x = x[np.abs(x) > 0.05][:10]
-        a = Tensor(x)
-        assert grad_check(lambda p: sum_all(relu(p[0])), [a], EPS) < GRADCHECK_TOL
+        assert grad_check(lambda p: sum_all(relu(p[0])), [x], EPS) < GRADCHECK_TOL
 
     def test_log(self):
         rng = np.random.default_rng(38)
@@ -382,15 +379,15 @@ class TestGradCheckPrimitives:
 class TestTape:
     def test_no_tape_records_nothing(self):
         # y's node went nowhere, so a later sweep through y stops at it
-        x, called = Tensor([1.0]), []
-        y = _record(Tensor(x.data * 3.0), (x,), lambda g: called.append(g) or (3.0 * g,))
+        x, called = np.array([1.0]), []
+        y = _record(x * 3.0, (x,), lambda g: called.append(g) or (3.0 * g,))
         with Tape() as tape:
             loss = sum_all(mul(y, y))
         d_x, d_y = backward(tape, loss, [x, y])
         assert called == [] and d_x.tolist() == [0.0] and d_y.tolist() == [6.0]
 
     def test_nested_tapes_record_independently(self):
-        x = Tensor([2.0])
+        x = np.array([2.0])
         with Tape() as outer:
             mul(x, x)
             with Tape() as inner:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from profforce.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from profforce import engine
 from profforce import trainer as trainer_module
 from profforce.config import ConfigError, TrainConfig, build_config
 from profforce.trainer import (
@@ -430,6 +431,49 @@ class TestResume:
             Trainer(cfg, tmp_path / "b", resume=ckpt)
 
 
+class TestParametersArePlainArrays:
+    """Every parameter is one plain array: the object Adam updates in place
+    and ``checkpoint()`` stores under its name.  A parameter rebound to a
+    new array would split the two without an error."""
+
+    @staticmethod
+    def _step(monkeypatch, tr):
+        """Run ``tr`` with both players' gates open; returns the parameter
+        lists each ``adam_step`` call was handed, by the id of its state."""
+        updated, adam_step = {}, engine.adam_step
+
+        def spying(state, params, grads):
+            updated[id(state)] = list(params)
+            return adam_step(state, params, grads)
+
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        monkeypatch.setattr(engine, "adam_step", spying)
+        row = tr.run()[-1]
+        assert row["gate_gen"] and row["gate_disc"]
+        return updated
+
+    @staticmethod
+    def _check(tr, updated):
+        tensors = tr.checkpoint().tensors
+        for key, net, adam in (("g", tr.g, tr.g_adam), ("d", tr.d, tr.d_adam)):
+            named = net.named_params()
+            assert len(updated[id(adam)]) == len(named)
+            for (name, a), stepped in zip(named, updated[id(adam)]):
+                assert type(a) is np.ndarray and a.dtype == np.float64, name
+                assert a.flags.c_contiguous and a.base is None, name   # no view
+                assert stepped is a and tensors[f"{key}.{name}"] is a, name
+
+    def test_after_a_gate_open_step(self, monkeypatch, tmp_path):
+        tr = Trainer(tiny_cfg(max_steps=1), tmp_path)
+        self._check(tr, self._step(monkeypatch, tr))
+
+    def test_after_a_resume_loads_the_tensors(self, monkeypatch, tmp_path):
+        Trainer(tiny_cfg(max_steps=1), tmp_path / "a").run()
+        # as ``train --resume`` builds it: the checkpoint's arrays copied into the players'
+        resumed = Trainer.resume(tmp_path / "a" / "final.ckpt", tmp_path / "b", max_steps=2)
+        self._check(resumed, self._step(monkeypatch, resumed))
+
+
 class TestResumeEnvironment:
     """Checkpoints record the BLAS library, its thread setting, numpy and
     Python; a resume in another environment says so."""
@@ -508,7 +552,7 @@ class TestGeneratorFromCheckpoint:
         g, cfg = generator_from_checkpoint(ckpt)
         assert cfg.seed == 5
         for name, tensor in g.named_params():
-            np.testing.assert_array_equal(tensor.data, ckpt.tensors["g." + name])
+            np.testing.assert_array_equal(tensor, ckpt.tensors["g." + name])
 
     def test_shape_mismatch_rejected(self, tmp_path):
         Trainer(tiny_cfg(max_steps=1, val_every=0), tmp_path / "a").run()
@@ -526,12 +570,11 @@ class TestValidation:
         assert t.rng.bit_generator.state == before
 
     def test_validate_value_is_plain_nll(self, tmp_path):
-        from extra_ops import loss_nll
-        from profforce.engine import unroll_teacher_forced
+        from extra_ops import loss_nll, teacher_forced_node
         t = Trainer(tiny_cfg(), tmp_path / "a")
         nll, bpc = t.validate()
         seqs = t.val_set.sequences
-        res = unroll_teacher_forced(t.g, seqs)
+        res = teacher_forced_node(t.g, seqs)
         want = loss_nll(res.logits, seqs) / seqs.shape[1]
         assert nll == pytest.approx(want, abs=1e-12)
         assert bpc == pytest.approx(nll / math.log(2), abs=1e-12)
