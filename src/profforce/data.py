@@ -64,7 +64,6 @@ class SequenceDataset:
     """Fixed-length symbol sequences, one row each."""
 
     sequences: np.ndarray  # [N, L] int64
-    vocab_size: int
 
     def __post_init__(self):
         self.sequences = np.asarray(self.sequences, dtype=np.int64)
@@ -75,7 +74,7 @@ class SequenceDataset:
         return self.sequences.shape[0]
 
 
-def chunk_sequences(ids, length: int, vocab_size: int) -> SequenceDataset:
+def chunk_sequences(ids, length: int) -> SequenceDataset:
     """Cut a flat id stream into floor(n/length) non-overlapping chunks.
 
     The remainder after the last full chunk is dropped.
@@ -84,7 +83,7 @@ def chunk_sequences(ids, length: int, vocab_size: int) -> SequenceDataset:
         raise ValueError("chunk length must be positive")
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.shape[0] // length
-    return SequenceDataset(ids[:n * length].reshape(n, length), vocab_size)
+    return SequenceDataset(ids[:n * length].reshape(n, length))
 
 
 def synth_copy_task(vocab_size: int, pattern_len: int, seq_len: int, count: int,
@@ -104,7 +103,7 @@ def synth_copy_task(vocab_size: int, pattern_len: int, seq_len: int, count: int,
     for i in range(count):
         pattern = rng.integers(0, vocab_size, size=pattern_len)
         rows[i] = np.tile(pattern, reps)[:seq_len]
-    return SequenceDataset(rows, vocab_size)
+    return SequenceDataset(rows)
 
 
 def synth_raster_task(width: int, height: int, shape_family: str, count: int,
@@ -128,4 +127,4 @@ def synth_raster_task(width: int, height: int, shape_family: str, count: int,
         elif shape_family == "cross":
             grid[rng.integers(0, height)] = 1
             grid[:, rng.integers(0, width)] = 1
-    return SequenceDataset(grids.reshape(count, height * width), vocab_size=2)
+    return SequenceDataset(grids.reshape(count, height * width))

@@ -19,7 +19,6 @@ __all__ = [
     "mean_cross_distance",
     "project_2d",
     "collect_state_clouds",
-    "CURVE_COLUMNS",
     "write_cloud_csv",
     "write_projection_csv",
 ]
@@ -93,21 +92,6 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
 # CSV output
 
 CLOUD_MODES = ("teacher_forced", "free_running")
-CURVE_COLUMNS = ("step", "nll_per_step", "bpc", "c_d", "c_f", "c_t",
-                 "disc_acc", "gate_gen", "gate_disc", "wallclock_ms")
-
-
-def _format_value(key: str, value) -> str:
-    if key == "step":
-        return str(int(value))
-    if key in ("gate_gen", "gate_disc"):
-        return str(int(bool(value)))
-    return repr(float(value))
-
-
-def format_curve_row(row: dict) -> str:
-    """One curves.csv row; floats keep full round-trip precision."""
-    return ",".join(_format_value(k, row[k]) for k in CURVE_COLUMNS)
 
 
 def write_cloud_csv(clouds: tuple[np.ndarray, np.ndarray], timestep: int, path) -> None:

@@ -255,10 +255,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     step the true symbol, or with probability ``p_sample`` a draw at
     temperature 1 (if a next step exists); their cross entropy, a batch
     mean divided by T, gives ``nll`` in nats per step.  Rows [n, batch)
-    run free at ``temperature``, as do their behavior softmax columns.  A
-    draw is the argmax of the logits plus :func:`_gumbel_noise`, which
-    free rows read in blocks of steps (one step beside coins): the block
-    size changes no draw.
+    run free at ``temperature``, as do the behavior's softmax columns,
+    formed only taped, with ``include_outputs``.  A draw is the argmax of
+    the logits plus :func:`_gumbel_noise`, which free rows read in blocks
+    of steps (one step beside coins): the block size changes no draw.
 
     Each step runs :func:`nets._gru_step_into` per layer, on arrays
     and views bound before the first step; layer 0 reads ``x W + b``
@@ -327,7 +327,7 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             if coin.any():   # drawn by the free rows' rule, at temperature 1
                 drawn_tf = np.argmax(lg[:n_tf] + _gumbel_noise(rng, (n_tf, vocab), 1.0), 1)
                 nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
-    if include_outputs and taped:
+    if include_outputs:
         behavior[..., :top] = top_pre
     sampled = np.empty((batch, t_len), dtype=np.int64)
     sampled[:n_tf], sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
@@ -460,8 +460,8 @@ def discriminate(d: DiscriminatorParams, seq: np.ndarray):
         g = g * mask
         d_scores = np.empty((t_len, batch, 1))
         d_scores[..., 0] = g / t_len   # broadcast over the T steps
-        d_states, *mlp_grads = backs.pop()(d_scores, (True,) + (learns,) * 2 * len(d.layers))
-        d_seq, *enc_grads = backs.pop()(d_states, (reads_seq,) + (learns,) * 6)
+        d_states, *mlp_grads = backs.pop()(d_scores, learns)
+        d_seq, *enc_grads = backs.pop()(d_states, reads_seq, learns)
         return d_seq, enc_grads + mlp_grads
 
     return s, back

@@ -33,18 +33,18 @@ its half of one ``[T, B, 2H]`` array) and the generator unroll in
 differentiated caches its states, gates and candidates; ``r * h`` goes
 through one scratch row, and :func:`_gru_bptt` recomputes it for
 ``U_c``'s gradient.  :func:`_gru_bptt` returns fresh gradients in their
-final shapes and forms only those its caller needs.
+final shapes and forms only those its caller asks for.
 
 :func:`bigru_encode` and :func:`mlp_forward` work on arrays and return
-their output with its backward closure ``back(g, needs)``: ``g`` is the
-output's gradient and ``needs`` one bool per input (the array, then each
-weight in order), false for an input whose gradient nobody reads, whose
-products the closure then skips.  It returns one gradient per input,
-None where ``needs`` is false.  A closure runs once: it frees its caches
-as it reads them.  :func:`mlp_forward` runs all its layers over the
-encoder's ``[T, B, 2H]`` output read as rows, with a hand-written
-backward whose bits are those of the composed ``matmul``/``add``/``relu``
-chain.
+their output with its backward closure, ``back(g, reads_seq, learns)``
+for the encoder and ``back(g, learns)`` for the MLP: ``g`` is the
+output's gradient, ``learns`` forms the weights' gradients and
+``reads_seq`` the encoder input's.  A closure returns one gradient per
+input (the array, then each weight in order), None for one it is not
+told to form, and runs once: it frees its caches as it reads them.
+:func:`mlp_forward` runs all its layers over the encoder's ``[T, B,
+2H]`` output read as rows, with a hand-written backward whose bits are
+those of the composed ``matmul``/``add``/``relu`` chain.
 
 The candidate's pre-tanh value ``x W_c + (r * h) U_c + b_c`` is exposed
 alongside the new state because it is the per-step feature the
@@ -167,7 +167,7 @@ def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = Fa
 
 def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarray,
               c: np.ndarray, g_h: np.ndarray, g_pre: np.ndarray | None = None,
-              reverse: bool = False, needs: tuple[bool, ...] = (True,) * 4):
+              reverse: bool = False, reads_x: bool = True, learns: bool = True):
     """Backward through cell ``p`` run over ``T`` steps.
 
     Arrays are time-major: inputs ``x`` ``[T, B, I]``, the states
@@ -175,9 +175,9 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     :func:`_gru_step_into`; ``g_h[t]`` and ``g_pre[t]`` reach step t's
     state and pre-tanh value from outside the recursion.  ``(c - h) z (1 -
     z)``, ``h r (1 - r)`` and ``z (1 - c^2)`` are formed for all steps
-    first, in the slots a step scales; the last is c, swept once.  Returns dx,
-    dW, dU, db (one product per gate each; None where ``needs``, one bool
-    each, is false) and the gradient into the first state read.  ``r * h``
+    first, in the slots a step scales; the last is c, swept once.  Returns dx
+    (None unless ``reads_x``), dW, dU, db (one product per gate each; None
+    unless ``learns``) and the gradient into the first state read.  ``r * h``
     is recomputed for dU_c after the other weight products and freed
     before dx is allocated.
     """
@@ -221,18 +221,16 @@ def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarra
     da = [a.reshape(n, H) for a in da]
     x2, h2 = x.reshape(n, -1), h_prev.reshape(n, H)
     # each is written through views, so the arrays returned own their data
-    d_x, (d_W, d_U, d_b) = None, (np.empty(a.shape) if need else None
-                                  for a, need in zip((W, U, p.b), needs[1:]))
-    for k in range(3):
-        if needs[1]:
+    d_x = d_W = d_U = d_b = None
+    if learns:
+        d_W, d_U, d_b = (np.empty(a.shape) for a in (W, U, p.b))
+        for k in range(3):   # U_c's input is r * h, recomputed and freed before d_x is made
             np.matmul(x2.T, da[k], out=d_W[k])
-        if needs[2]:   # U_c's input is r * h, recomputed and freed before d_x is made
             inp = h2 if k < 2 else np.multiply(r, h_prev).reshape(n, H)
             np.matmul(inp.T, da[k], out=d_U[k])
-        if needs[3]:
             np.sum(da[k], axis=0, out=d_b[k])
-    inp = None
-    if needs[0]:
+        inp = None
+    if reads_x:
         d_x = np.empty(x.shape)
         d_x2 = np.matmul(da[0], W[0].T, out=d_x.reshape(n, -1))
         d_x2 += da[1] @ W[1].T
@@ -264,13 +262,12 @@ def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
             np.maximum(a, 0.0, out=a)
         acts.append(a)
 
-    def back(g, needs):
+    def back(g, learns):
         g, grads = g.reshape(acts[-1].shape), []
         for i in range(len(ws) - 1, -1, -1):
             if i != len(ws) - 1:   # g is this closure's own product here
                 g *= acts.pop(i + 1) > 0.0   # layer i's output, freed once read
-            grads[:0] = [acts[i].T @ g if needs[2 * i + 1] else None,
-                         g.sum(axis=0) if needs[2 * i + 2] else None]
+            grads[:0] = [acts[i].T @ g, g.sum(axis=0)] if learns else [None, None]
             if i:
                 g = g @ ws[i].T
         d_x = np.empty(shape)   # written through a view, so it owns its data
@@ -301,12 +298,12 @@ def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: np.ndarray):
         out[..., k * H:(k + 1) * H] = states
         runs.append((p, seq, h_prev, zr, c))
 
-    def back(g, needs):
+    def back(g, reads_seq, learns):
         d_x, grads = None, []
         while runs:   # bwd first; a direction's caches go once swept
             k = len(runs) - 1
             d_xk, *dk = _gru_bptt(*runs.pop(), g[..., k * H:(k + 1) * H], reverse=k == 1,
-                                  needs=(needs[0], *needs[1 + 3 * k:4 + 3 * k]))[:4]
+                                  reads_x=reads_seq, learns=learns)[:4]
             grads[:0] = dk
             if d_xk is not None:
                 d_x = d_xk if d_x is None else np.add(d_x, d_xk, out=d_x)

@@ -36,7 +36,6 @@ from .data import (
     synth_copy_task,
     synth_raster_task,
 )
-from .diagnostics import CURVE_COLUMNS, format_curve_row
 from .engine import (
     DiscriminatorParams,
     GeneratorParams,
@@ -51,9 +50,24 @@ log = logging.getLogger("profforce")
 
 _VAL_CHUNK = 64
 
+CURVE_COLUMNS = ("step", "nll_per_step", "bpc", "c_d", "c_f", "c_t",
+                 "disc_acc", "gate_gen", "gate_disc", "wallclock_ms")
+VAL_COLUMNS = ("step", "val_nll_per_step", "val_bpc")
+
 
 class TrainingDiverged(RuntimeError):
     pass
+
+
+def _format_value(key: str, value) -> str:
+    if key in ("step", "gate_gen", "gate_disc"):   # an int, or a bool as 0 or 1
+        return str(int(value))
+    return repr(float(value))
+
+
+def format_curve_row(row: dict, columns: tuple[str, ...]) -> str:
+    """One CSV row of ``row``'s ``columns``; floats keep full round-trip precision."""
+    return ",".join(_format_value(k, row[k]) for k in columns)
 
 
 def _earlier_rows(path: Path, header: str, last_step: int) -> list[str]:
@@ -140,8 +154,8 @@ def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset |
     corpus = load_corpus(cfg.corpus_path)
     cfg.vocab_size = corpus.vocab_size
     cfg.vocab_symbols = ",".join(str(ord(ch)) for ch in corpus.vocab)
-    train = chunk_sequences(corpus.train_ids, cfg.seq_len, corpus.vocab_size)
-    val = chunk_sequences(corpus.valid_ids, cfg.seq_len, corpus.vocab_size)
+    train = chunk_sequences(corpus.train_ids, cfg.seq_len)
+    val = chunk_sequences(corpus.valid_ids, cfg.seq_len)
     if len(train) == 0:
         raise ConfigError(f"corpus too small for one sequence of seq_len {cfg.seq_len}")
     if len(val) == 0:
@@ -311,7 +325,7 @@ class Trainer:
         curves_path = self.out_dir / "curves.csv"
         val_path = self.out_dir / "val.csv"
         curves_lines = _earlier_rows(curves_path, ",".join(CURVE_COLUMNS), self.step - 1)
-        val_lines = _earlier_rows(val_path, "step,val_nll_per_step,val_bpc", self.step)
+        val_lines = _earlier_rows(val_path, ",".join(VAL_COLUMNS), self.step)
         with open(curves_path, "w") as curves, open(val_path, "w") as valf:
             curves.write("".join(line + "\n" for line in curves_lines))
             valf.write("".join(line + "\n" for line in val_lines))
@@ -325,7 +339,7 @@ class Trainer:
                 wallclock_ms = (time.perf_counter() - t0) * 1e3
                 row = {"step": step, **metrics, "wallclock_ms": wallclock_ms}
                 rows.append(row)
-                curves.write(format_curve_row(row) + "\n")
+                curves.write(format_curve_row(row, CURVE_COLUMNS) + "\n")
                 curves.flush()
                 self._check_finite(row)
                 self.step = step + 1
@@ -333,7 +347,8 @@ class Trainer:
                 if self.val_set is not None and cfg.val_every and (
                         self.step % cfg.val_every == 0 or self.step == cfg.max_steps):
                     val_nll, val_bpc = self.validate()
-                    valf.write(f"{self.step},{val_nll!r},{val_bpc!r}\n")
+                    valf.write(format_curve_row({"step": self.step, "val_nll_per_step": val_nll,
+                                                 "val_bpc": val_bpc}, VAL_COLUMNS) + "\n")
                     valf.flush()
                     log.info("step %d validation nll/step %.4f bpc %.4f",
                              self.step, val_nll, val_bpc)

@@ -455,15 +455,14 @@ def free_running_node(g, t_len: int, rng, temperature: float = 1.0, batch: int =
 def encode_node(fwd: GruCellParams, bwd: GruCellParams, seq: np.ndarray) -> np.ndarray:
     """``nets.bigru_encode`` recorded as one node over its closure."""
     out, back = bigru_encode(fwd, bwd, seq)
-    inputs = (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b)
-    return _record(out, inputs, lambda g: back(g, (True,) * len(inputs)))
+    return _record(out, (seq, fwd.W, fwd.U, fwd.b, bwd.W, bwd.U, bwd.b),
+                   lambda g: back(g, True, True))
 
 
 def mlp_node(layers, x: np.ndarray) -> np.ndarray:
     """``nets.mlp_forward`` recorded as one node over its closure."""
     out, back = mlp_forward(layers, x)
-    inputs = (x, *(t for layer in layers for t in layer))
-    return _record(out, inputs, lambda g: back(g, (True,) * len(inputs)))
+    return _record(out, (x, *(t for layer in layers for t in layer)), lambda g: back(g, True))
 
 
 def discriminate_node(d, seq: np.ndarray) -> np.ndarray:

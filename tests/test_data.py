@@ -70,23 +70,23 @@ class TestLoadCorpus:
 
 class TestChunking:
     def test_exact_counts_and_remainder_drop(self):
-        ds = chunk_sequences(np.arange(1250), length=500, vocab_size=1250)
+        ds = chunk_sequences(np.arange(1250), length=500)
         assert ds.sequences.shape == (2, 500)
         np.testing.assert_array_equal(ds.sequences[0], np.arange(500))
         np.testing.assert_array_equal(ds.sequences[1], np.arange(500, 1000))
 
     def test_stream_shorter_than_chunk(self):
-        ds = chunk_sequences(np.arange(10), length=50, vocab_size=10)
+        ds = chunk_sequences(np.arange(10), length=50)
         assert len(ds) == 0
 
     def test_bad_length(self):
         with pytest.raises(ValueError):
-            chunk_sequences(np.arange(10), length=0, vocab_size=10)
+            chunk_sequences(np.arange(10), length=0)
 
 
 class TestBatches:
     def _ds(self, n=10, l=4):
-        return SequenceDataset(np.arange(n * l).reshape(n, l) % 7, vocab_size=7)
+        return SequenceDataset(np.arange(n * l).reshape(n, l) % 7)
 
     def test_sizes_with_short_tail(self):
         batches = list(make_batches(self._ds(10), 4, np.random.default_rng(0)))
@@ -120,7 +120,7 @@ class TestCopyTask:
     def test_rows_are_tiled_patterns(self):
         ds = synth_copy_task(vocab_size=8, pattern_len=2, seq_len=7, count=20,
                              rng=np.random.default_rng(5))
-        assert ds.sequences.shape == (20, 7) and ds.vocab_size == 8
+        assert ds.sequences.shape == (20, 7)
         for row in ds.sequences:
             pattern = row[:2]
             np.testing.assert_array_equal(row, np.tile(pattern, 4)[:7])
@@ -185,7 +185,7 @@ class TestRasterTask:
 
     def test_dataset_stacking(self):
         ds = synth_raster_task(5, 4, "rect", 6, np.random.default_rng(14))
-        assert ds.sequences.shape == (6, 20) and ds.vocab_size == 2
+        assert ds.sequences.shape == (6, 20)
 
     @pytest.mark.parametrize("family", ["rect", "cross", "blank"])
     def test_bits_are_binary(self, family):

@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from profforce.diagnostics import (
-    CURVE_COLUMNS,
     centroid_distance,
     collect_state_clouds,
-    format_curve_row,
     mean_cross_distance,
     project_2d,
     write_cloud_csv,
@@ -228,31 +226,6 @@ class TestLeanClouds:
 
 
 class TestCsvOutput:
-    def _row(self, step):
-        return {"step": step, "nll_per_step": 1.25, "bpc": 1.25 / math.log(2),
-                "c_d": 2 * math.log(2), "c_f": math.log(2), "c_t": float("nan"),
-                "disc_acc": 0.5, "gate_gen": False, "gate_disc": True,
-                "wallclock_ms": 12.5}
-
-    def test_header_is_pinned(self):
-        assert CURVE_COLUMNS == ("step", "nll_per_step", "bpc", "c_d", "c_f",
-                                 "c_t", "disc_acc", "gate_gen", "gate_disc",
-                                 "wallclock_ms")
-
-    def test_round_trip_precision(self):
-        fields = format_curve_row(self._row(0)).split(",")
-        assert len(fields) == len(CURVE_COLUMNS)
-        assert fields[0] == "0"
-        assert float(fields[1]) == 1.25
-        assert float(fields[3]) == 2 * math.log(2)  # repr round-trips exactly
-        assert fields[5] == "nan"
-        assert fields[7] == "0" and fields[8] == "1"
-
-    def test_gate_values_are_integers(self):
-        row = format_curve_row(self._row(3))
-        parts = row.split(",")
-        assert parts[7] in ("0", "1") and parts[8] in ("0", "1")
-
     def test_cloud_csv_layout(self, tmp_path):
         a = cloud([[1.0, 2.0], [3.0, 4.0]])
         b = cloud([[5.0, 6.0]])

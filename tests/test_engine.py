@@ -486,60 +486,100 @@ class TestUnrollMatchesPerStepOracle:
             np.testing.assert_allclose(a, b, rtol=0, atol=1e-10)
 
 
+def desk_generator(layers, seed):
+    """A generator of the sizes the benchmark runs (vocab 8, embedding 16,
+    hidden 64) with nonzero biases."""
+    g = GeneratorParams.create(8, 16, 64, layers, np.random.default_rng(seed + layers))
+    brng = np.random.default_rng(seed + 1)
+    for t in [c.b for c in g.cells] + [g.b_o]:
+        t[:] = brng.uniform(-1, 1, t.shape)
+    return g
+
+
 class TestTapedMatchesUntaped:
-    """A taped unroll keeps every step's cache rows and outputs, and an
-    untaped one reuses one row (two for states) and keeps the last state
-    alone; both must run the same arithmetic: the same draws, ``nll``,
-    last state and rng stream."""
+    """A taped unroll keeps every step's cache rows and outputs; an untaped
+    one writes them into rows used in turn (two for states), keeps the
+    last state alone and, passed ``include_outputs`` False, forms no
+    softmax columns.  Both must run the same arithmetic: the same draws,
+    ``nll``, last state and rng stream.  Each input below yields its
+    ``unroll(rng, taped)`` runs, each with its rng seed."""
 
-    @pytest.mark.parametrize("regime", sorted(TestUnrollMatchesPerStepOracle.REGIMES))
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("include_outputs", [False, True])
-    def test_bit_identical(self, regime, layers, include_outputs):
+    @staticmethod
+    def _tiny(regime, layers, include_outputs):
+        # the per-step oracle's regimes at its sizes
+        g = tiny_generator(seed=321, layers=layers)
         y = np.random.default_rng(320).integers(0, 4, (3, 6))
-        runs = []
-        for taped in (True, False):
-            g = tiny_generator(seed=321, layers=layers)
-            rng = np.random.default_rng(322)
-            res = TestUnrollMatchesPerStepOracle()._unroll(g, regime, y, rng, include_outputs,
-                                                           taped)
-            assert (res.back is not None) is taped
-            runs.append((res, rng.bit_generator.state))
-        (taped_res, taped_state), (plain_res, plain_state) = runs
-        assert taped_state == plain_state
-        assert plain_res.logits is plain_res.behavior is None
-        np.testing.assert_array_equal(taped_res.sampled, plain_res.sampled)
-        np.testing.assert_array_equal(taped_res.hidden[-1:], plain_res.hidden)
-        assert taped_res.nll == plain_res.nll
+        yield (lambda rng, taped: TestUnrollMatchesPerStepOracle()._unroll(
+            g, regime, y, rng, include_outputs and taped, taped)), 322
 
-    @pytest.mark.parametrize("batch", [1, 8, 16])
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("include_outputs", [False, True])
-    @pytest.mark.parametrize("temperature", [1.0, 0.7])
-    @pytest.mark.parametrize("targeted", [False, True], ids=["free", "pf_rows"])
-    def test_bit_identical_at_desk_size(self, batch, layers, include_outputs, temperature,
-                                        targeted):
-        # the sizes the benchmark runs: vocab 8, hidden 64, T=50; with targets,
-        # B teacher-forced and B free rows, as a pf step unrolls them
-        t_len, vocab = 50, 8
-        g = GeneratorParams.create(vocab, 16, 64, layers, np.random.default_rng(330 + layers))
-        brng = np.random.default_rng(331)
-        for t in [c.b for c in g.cells] + [g.b_o]:
-            t[:] = brng.uniform(-1, 1, t.shape)
-        ids = np.random.default_rng(332).integers(0, vocab, (batch, t_len))
-        runs = []
-        for taped in (True, False):
-            rng = np.random.default_rng(333)
-            res = engine._unroll(g, ids if targeted else None, t_len,
-                                 2 * batch if targeted else batch, 0.0, rng, temperature,
-                                 include_outputs, taped)
-            runs.append((res, rng.bit_generator.state))
-        (taped_res, taped_state), (plain_res, plain_state) = runs
-        assert taped_state == plain_state
-        np.testing.assert_array_equal(taped_res.hidden[-1:], plain_res.hidden)
-        np.testing.assert_array_equal(taped_res.sampled, plain_res.sampled)
-        if targeted:
-            assert taped_res.nll == plain_res.nll
+    @staticmethod
+    def _desk(batch, layers, include_outputs, temperature, targeted):
+        # T=50 at the benchmark's sizes; with targets, B teacher-forced and B
+        # free rows, as a pf step unrolls them
+        g = desk_generator(layers, 330)
+        ids = np.random.default_rng(332).integers(0, 8, (batch, 50))
+        yield (lambda rng, taped: engine._unroll(
+            g, ids if targeted else None, 50, 2 * batch if targeted else batch, 0.0, rng,
+            temperature, include_outputs and taped, taped)), 333
+
+    @staticmethod
+    def _sample(layers, bias):
+        # the sample command's draws, at its temperature 1 / (1 + bias)
+        g = desk_generator(layers, 340)
+        for seed, count, t_len in itertools.product((1, 7, 123), (1, 8), (1, 2, 50, 1000)):
+            yield (lambda rng, taped: (free_running_node if taped else unroll_free_running)(
+                g, t_len, rng, temperature=1.0 / (1.0 + bias), batch=count)), seed
+
+    @staticmethod
+    def _targeted(layers, include_outputs, p_sample, free_rows):
+        g = desk_generator(layers, 340)
+        ids = np.random.default_rng(342).integers(0, 8, (8, 50))
+        yield (lambda rng, taped: engine._unroll(
+            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs and taped,
+            taped)), 343
+
+    INPUTS = ([("tiny", *c) for c in itertools.product(
+                  sorted(TestUnrollMatchesPerStepOracle.REGIMES), (1, 2), (False, True))]
+              + [("desk", *c) for c in itertools.product(
+                  (1, 8, 16), (1, 2), (False, True), (1.0, 0.7), (False, True))]
+              + [("sample", *c) for c in itertools.product((1, 2), (0.0, 0.5))]
+              + [("targeted", *c) for c in itertools.product(
+                  (1, 2), (False, True), (0.0, 0.5), (0, 8))])
+
+    @pytest.mark.parametrize("case", INPUTS, ids=lambda c: "-".join(map(str, c)))
+    def test_bit_identical(self, case):
+        kind, *args = case
+        # an input's lambdas read its loop variables: each runs before the next is made
+        for unroll, seed in getattr(self, f"_{kind}")(*args):
+            runs = []
+            for taped in (True, False):
+                rng = np.random.default_rng(seed)
+                res = unroll(rng, taped)
+                assert (res.back is not None) is taped
+                runs.append((res, rng.bit_generator.state))
+            (full, full_state), (lean, lean_state) = runs
+            assert lean_state == full_state
+            assert lean.logits is lean.behavior is None
+            np.testing.assert_array_equal(lean.hidden, full.hidden[-1:])   # the last state
+            np.testing.assert_array_equal(lean.sampled, full.sampled)
+            assert lean.nll == full.nll
+
+    def test_validation_nll_is_unchanged(self, tmp_path):
+        from profforce.trainer import _VAL_CHUNK
+        trainer = Trainer(TrainConfig(**{**TINY_PF, "val_count": 100}), tmp_path)
+        seqs = trainer.val_set.sequences
+        assert len(seqs) > _VAL_CHUNK
+        total = 0.0
+        for start in range(0, len(seqs), _VAL_CHUNK):
+            chunk = seqs[start:start + _VAL_CHUNK]
+            total += float(unroll_teacher_forced(trainer.g, chunk).nll) * len(chunk)
+        assert trainer.validate()[0] == total / len(seqs)
+
+    def test_a_taped_unroll_keeps_every_output(self):
+        g = tiny_generator()
+        res = engine._unroll(g, np.array([[1, 2, 3]]), 3, 1, 0.0, None, 1.0, False, True)
+        assert (res.logits.shape, res.behavior.shape, res.hidden.shape) == (
+            (3, 1, 4), (3, 1, 5), (3, 1, 5))
 
 
 def per_step_softmax(x):
@@ -573,7 +613,7 @@ class TestBufferedDraws:
         if not taped:
             rng = np.random.default_rng(403)
             plain = engine._unroll(g, ids if targeted else None, t_len, targeted + batch, 0.0,
-                                   rng, temperature, include_outputs, False)
+                                   rng, temperature, False, False)
             np.testing.assert_array_equal(plain.sampled, res.sampled)
             assert plain.nll == res.nll
         ref = np.random.default_rng(403)
@@ -680,73 +720,6 @@ class TestUnrollMemory:
         assert res.logits is res.behavior is None and res.hidden.shape == (1, 8, 64)
         states = 1000 * 8 * 64 * 8   # bytes of one [T, B, H] float64 array
         assert peak < 0.25 * states, f"peak {peak / 1e6:.2f} MB"
-
-
-class TestIdsOnlyUnroll:
-    """An untaped unroll writes the logits, behavior and top states into
-    rows used in turn and keeps the last state; the draws, ``nll``, that
-    state and the rng stream must keep the bits of the taped unroll, which
-    keeps them all."""
-
-    @staticmethod
-    def _desk_generator(layers):
-        g = GeneratorParams.create(8, 16, 64, layers, np.random.default_rng(340 + layers))
-        brng = np.random.default_rng(341)
-        for t in [c.b for c in g.cells] + [g.b_o]:
-            t[:] = brng.uniform(-1, 1, t.shape)
-        return g
-
-    @staticmethod
-    def _both(unroll, seed=343):
-        """``unroll(rng, taped)`` taped, then untaped, from one seed."""
-        runs = []
-        for taped in (True, False):
-            rng = np.random.default_rng(seed)
-            runs.append((unroll(rng, taped), rng.bit_generator.state))
-        (full, full_state), (lean, lean_state) = runs
-        assert lean_state == full_state
-        assert lean.logits is lean.behavior is None
-        np.testing.assert_array_equal(lean.hidden, full.hidden[-1:])   # the last state
-        np.testing.assert_array_equal(lean.sampled, full.sampled)
-        return full, lean
-
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("bias", [0.0, 0.5])
-    def test_samples_match_the_full_unroll(self, layers, bias):
-        # the sample command's draws, at its temperature 1 / (1 + bias)
-        g = self._desk_generator(layers)
-        for seed, count, t_len in itertools.product((1, 7, 123), (1, 8), (1, 2, 50, 1000)):
-            self._both(lambda rng, taped: (free_running_node if taped else unroll_free_running)(
-                g, t_len, rng, temperature=1.0 / (1.0 + bias), batch=count), seed)
-
-    @pytest.mark.parametrize("layers", [1, 2])
-    @pytest.mark.parametrize("include_outputs", [False, True])
-    @pytest.mark.parametrize("p_sample", [0.0, 0.5])
-    @pytest.mark.parametrize("free_rows", [0, 8])
-    def test_targeted_rows_keep_nll_and_draws(self, layers, include_outputs, p_sample,
-                                              free_rows):
-        g = self._desk_generator(layers)
-        ids = np.random.default_rng(342).integers(0, 8, (8, 50))
-        full, lean = self._both(lambda rng, taped: engine._unroll(
-            g, ids, 50, 8 + free_rows, p_sample, rng, 0.7, include_outputs, taped))
-        assert lean.nll == full.nll
-
-    def test_validation_nll_is_unchanged(self, tmp_path):
-        from profforce.trainer import _VAL_CHUNK
-        trainer = Trainer(TrainConfig(**{**TINY_PF, "val_count": 100}), tmp_path)
-        seqs = trainer.val_set.sequences
-        assert len(seqs) > _VAL_CHUNK
-        total = 0.0
-        for start in range(0, len(seqs), _VAL_CHUNK):
-            chunk = seqs[start:start + _VAL_CHUNK]
-            total += float(unroll_teacher_forced(trainer.g, chunk).nll) * len(chunk)
-        assert trainer.validate()[0] == total / len(seqs)
-
-    def test_a_taped_unroll_keeps_every_output(self):
-        g = tiny_generator()
-        res = engine._unroll(g, np.array([[1, 2, 3]]), 3, 1, 0.0, None, 1.0, False, True)
-        assert (res.logits.shape, res.behavior.shape, res.hidden.shape) == (
-            (3, 1, 4), (3, 1, 5), (3, 1, 5))
 
 
 class TestSampleMemoryPerSymbol:

@@ -366,7 +366,7 @@ class TestFusedMlp:
     def _check(self, mlp, x, weights):
         out, back = mlp_forward(mlp, x)
         # the loss's gradient at the output is ``weights`` itself
-        grads = back(weights, (True,) * (1 + 2 * len(mlp)))
+        grads = back(weights, True)
         ref_out, ref_grads = self._chain(mlp, x, weights)
         np.testing.assert_array_equal(out, ref_out)
         assert len(grads) == len(ref_grads) == 2 * len(mlp) + 1
@@ -396,8 +396,8 @@ class TestFusedMlp:
         assert np.any(pre == 0.0) and np.any(pre > 0.0)
         self._check(mlp, x, rng.uniform(-1, 1, (30, 2)))
 
-    @pytest.mark.parametrize("reads", ["all", "input", "first", "last"])
-    def test_forms_what_it_is_told_and_always_the_input(self, reads):
+    @pytest.mark.parametrize("learns", [True, False])
+    def test_forms_what_it_is_told_and_always_the_input(self, learns):
         # the discriminator's MLP runs with its weights' gradients off when
         # only the generator learns; the input's gradient is formed always
         rng = np.random.default_rng(18)
@@ -405,14 +405,11 @@ class TestFusedMlp:
         for _, b in mlp:
             b[:] = rng.uniform(-0.5, 0.5, b.shape)
         x, weights = rng.uniform(-1, 1, (20, 6)), rng.uniform(-1, 1, (20, 2))
-        needs = {"all": (True,) * 7, "input": (True,) + (False,) * 6,
-                 "first": (False, True, True) + (False,) * 4,
-                 "last": (False,) * 5 + (True, True)}[reads]
         out, back = mlp_forward(mlp, x)
-        grads = back(weights, needs)
+        grads = back(weights, learns)
         ref_out, ref_grads = self._chain(mlp, x, weights)
         np.testing.assert_array_equal(out, ref_out)
-        assert [g is not None for g in grads] == [True] + list(needs[1:])
+        assert [g is not None for g in grads] == [True] + [learns] * 6
         for got, want in zip(grads, ref_grads):
             if got is not None:
                 np.testing.assert_array_equal(got, want)
@@ -486,17 +483,14 @@ class TestBiGru:
         assert grad_check(lambda p: sum_all(mul(tanh(encode_node(*enc, p[0])), weights)),
                           params, 1e-5) < 1e-4
 
-    @pytest.mark.parametrize("reads", ["all", "input", "fwd", "bwd"])
-    def test_matches_two_sequence_nodes_and_their_concat(self, reads):
+    @pytest.mark.parametrize("reads_seq, learns", [(True, True), (True, False), (False, True)])
+    def test_matches_two_sequence_nodes_and_their_concat(self, reads_seq, learns):
         # the closure against the chain it replaced, bit for bit, for what it is told to form
         enc = bigru_cells(input_size=3, hidden=4, seed=26)
         rng = np.random.default_rng(27)
         seq, weights = rng.uniform(-1, 1, (5, 3, 3)), rng.uniform(-1, 1, (5, 3, 8))
-        needs = {"all": (True,) * 7, "input": (True,) + (False,) * 6,
-                 "fwd": (False,) * 1 + (True,) * 3 + (False,) * 3,
-                 "bwd": (False,) * 4 + (True,) * 3}[reads]
         out, back = bigru_encode(*enc, seq)
-        grads = back(weights, needs)   # the gradient of sum(out * weights) at out
+        grads = back(weights, reads_seq, learns)   # the gradient of sum(out * weights) at out
 
         with Tape() as tape:
             ref = concat((gru_sequence(enc[0], seq), gru_sequence(enc[1], seq, reverse=True)),
@@ -504,7 +498,7 @@ class TestBiGru:
             loss = sum_all(mul(ref, weights))
         ref_grads = backward(tape, loss, [seq] + [t for cell in enc for _, t in cell.named()])
         np.testing.assert_array_equal(out, ref)
-        assert [g is not None for g in grads] == list(needs)
+        assert [g is not None for g in grads] == [reads_seq] + [learns] * 6
         for got, want in zip(grads, ref_grads):
             if got is not None:
                 np.testing.assert_array_equal(got, want)

@@ -47,7 +47,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2181   # may only come down
+SRC_LINE_CEILING = 2176   # may only come down
 
 
 def test_src_stays_within_its_line_budget():
@@ -69,6 +69,10 @@ NOT_RUN_BY_COMMANDS = {
 
 # What no command sets, each keyword parameter with the reason it stays in src/.
 SET_ONLY_BY_TESTS: dict[str, str] = {}
+
+# What commands give one way only, each bool parameter with the reason it stays a switch.
+GIVEN_ONE_WAY_BY_COMMANDS: dict[str, str] = {}
+
 
 def _closure_defaults() -> list[str]:
     """Every ``def`` or ``lambda`` nested in a function under src/ that
@@ -99,6 +103,9 @@ _TINY = ["vocab_size=4", "seq_len=10", "copy_pattern_len=2", "copy_count=8", "va
          "gen_hidden=6", "gen_embed=4", "disc_hidden=6", "batch_n=4", "val_every=2",
          "lr=0.001"]
 _GATE_OPENS = "lr=0.03"   # the tiny pf run's generator gate opens at step 1
+# one row per batch: at step 1 the discriminator is sure (accuracy 1.0), so
+# it stops learning while its judgement reaches the generator
+_SURE = ("batch_n=1", "lr=0.1")
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -220,6 +227,7 @@ def _commands(tmp: Path) -> list[list[str]]:
         _train(tmp, "tf", "mode=teacher_forcing", "temperature=0.7"),   # diagnose's temperature
         _train(tmp, "ss", "mode=scheduled_sampling", "ss_ramp_steps=none", steps="3"),
         _train(tmp, "pf", _GATE_OPENS, "include_outputs_in_behavior=true", steps="3"),
+        _train(tmp, "sure", *_SURE, steps="2"),
         _train(tmp, "raster", *raster, preset=("--preset", "desk-raster")),
         _train(tmp, "cross", *raster, "raster_family=cross", steps="1",
                preset=("--preset", "desk-raster")),
@@ -246,6 +254,7 @@ class CommandTrace:
     called: set         # ids of the code objects of _src_keyword_defaults a command calls
     set_: set           # (code id, parameter) some call binds to other than its default
     keywords: dict      # _src_keyword_defaults()
+    bools: dict         # "module.qualname(parameter)": the bools calls bind it to
 
 
 @pytest.fixture(scope="module")
@@ -253,8 +262,16 @@ def command_trace(tmp_path_factory) -> CommandTrace:
     """Every command of :func:`_commands`, each exiting 0, run once under
     ``sys.settrace``, which reports each line and call as it runs."""
     tmp, keywords = tmp_path_factory.mktemp("commands"), _src_keyword_defaults()
-    trace = CommandTrace(set(), set(), set(), keywords)
+    trace = CommandTrace(set(), set(), set(), keywords, {})
     real = functools.cache(os.path.realpath)
+
+    @functools.cache
+    def params(code):   # a src/ code object's name and parameters, closures' too; else None
+        if not real(code.co_filename).startswith(str(SRC) + os.sep):
+            return None
+        names = code.co_varnames[:code.co_argcount + code.co_kwonlyargcount]
+        qualname = getattr(code, "co_qualname", code.co_name)   # Python 3.10: the name alone
+        return f"{Path(code.co_filename).stem}.{qualname}", names
 
     def line(frame, event, arg):
         if event == "line":
@@ -268,7 +285,16 @@ def command_trace(tmp_path_factory) -> CommandTrace:
             bound = frame.f_locals
             trace.set_.update((key, p) for p, default in keywords[key][1].items()
                               if not _is_default(bound[p], default))
-        return line if real(frame.f_code.co_filename).startswith(str(SRC) + os.sep) else None
+        own = params(frame.f_code)
+        if own is None:
+            return None
+        name, names = own
+        if names:
+            bound = frame.f_locals
+            for p in names:
+                if bound[p] is True or bound[p] is False:
+                    trace.bools.setdefault(f"{name}({p})", set()).add(bound[p])
+        return line
 
     _parser.cache_clear()   # so that this process builds the parser again, traced
     commands, err = _commands(tmp), io.StringIO()
@@ -321,6 +347,19 @@ def test_every_keyword_parameter_is_set_by_a_command(command_trace):
         f"lacks: {stale}")
 
 
+def test_every_bool_switch_is_given_both_ways_by_a_command(command_trace):
+    # no switch that only tests flip, closures' included: a parameter some
+    # command binds to a bool is bound to True and to False, or
+    # GIVEN_ONE_WAY_BY_COMMANDS says why it stays
+    one_way = {name for name, values in command_trace.bools.items() if len(values) < 2}
+    unlisted = sorted(one_way - GIVEN_ONE_WAY_BY_COMMANDS.keys())
+    stale = sorted(GIVEN_ONE_WAY_BY_COMMANDS.keys() - one_way)
+    assert not unlisted and not stale, (
+        f"commands give these one way only, nor does GIVEN_ONE_WAY_BY_COMMANDS list them: "
+        f"{unlisted}; GIVEN_ONE_WAY_BY_COMMANDS lists these, which commands give both "
+        f"ways or never: {stale}")
+
+
 _DEV_MODE = """
 import gc, json, sys
 from profforce.cli import main
@@ -344,3 +383,6 @@ def test_commands_run_clean_in_dev_mode(tmp_path):
     assert codes == [0] * len(commands) and broken == [], out.stderr
     with open(tmp_path / "pf" / "curves.csv", newline="") as f:
         assert "1" in [row["gate_gen"] for row in csv.DictReader(f)]
+    # a step that runs the discriminator's backward with learns=False
+    with open(tmp_path / "sure" / "curves.csv", newline="") as f:
+        assert ("1", "0") in [(row["gate_gen"], row["gate_disc"]) for row in csv.DictReader(f)]

@@ -11,10 +11,13 @@ from profforce import engine
 from profforce import trainer as trainer_module
 from profforce.config import ConfigError, TrainConfig, build_config
 from profforce.trainer import (
+    CURVE_COLUMNS,
+    VAL_COLUMNS,
     Trainer,
     TrainingDiverged,
     build_datasets,
     build_models,
+    format_curve_row,
     generator_from_checkpoint,
 )
 
@@ -44,6 +47,34 @@ def assert_rows_equal(a, b):
                 assert isinstance(vb, float) and math.isnan(vb), k
             else:
                 assert va == vb, k
+
+
+class TestCsvRows:
+    def _row(self, step):
+        return {"step": step, "nll_per_step": 1.25, "bpc": 1.25 / math.log(2),
+                "c_d": 2 * math.log(2), "c_f": math.log(2), "c_t": float("nan"),
+                "disc_acc": 0.5, "gate_gen": False, "gate_disc": True,
+                "wallclock_ms": 12.5}
+
+    def test_header_is_pinned(self):
+        assert CURVE_COLUMNS == ("step", "nll_per_step", "bpc", "c_d", "c_f",
+                                 "c_t", "disc_acc", "gate_gen", "gate_disc",
+                                 "wallclock_ms")
+        assert VAL_COLUMNS == ("step", "val_nll_per_step", "val_bpc")
+
+    def test_round_trip_precision(self):
+        fields = format_curve_row(self._row(0), CURVE_COLUMNS).split(",")
+        assert len(fields) == len(CURVE_COLUMNS)
+        assert fields[0] == "0"
+        assert float(fields[1]) == 1.25
+        assert float(fields[3]) == 2 * math.log(2)  # repr round-trips exactly
+        assert fields[5] == "nan"
+        assert fields[7] == "0" and fields[8] == "1"
+
+    def test_gate_values_are_integers(self):
+        row = format_curve_row(self._row(3), CURVE_COLUMNS)
+        parts = row.split(",")
+        assert parts[7] in ("0", "1") and parts[8] in ("0", "1")
 
 
 class TestAdversaryOnlyInProfessorForcing:
