@@ -76,6 +76,28 @@ class TestCsvRows:
         parts = row.split(",")
         assert parts[7] in ("0", "1") and parts[8] in ("0", "1")
 
+    def test_val_rows_keep_the_text_of_repr(self):
+        # val.csv rows were once ``f"{step},{nll!r},{bpc!r}"`` of Python floats;
+        # the shared formatter must write the same bytes, numpy scalars included
+        for nll in (1.25, math.log(2) / 3, 1e-17, 123456.789, float("nan"), float("inf"),
+                    np.float64(0.1)):
+            bpc = nll / math.log(2.0)
+            row = {"step": 6, "val_nll_per_step": nll, "val_bpc": bpc}
+            assert format_curve_row(row, VAL_COLUMNS) == f"6,{float(nll)!r},{float(bpc)!r}"
+
+    def test_run_writes_val_rows_at_full_precision(self, tmp_path):
+        t = Trainer(tiny_cfg(), tmp_path / "run")
+        t.run()
+        lines = (tmp_path / "run" / "val.csv").read_text().splitlines()
+        assert lines[0] == ",".join(VAL_COLUMNS)
+        rows = [dict(zip(VAL_COLUMNS, line.split(","))) for line in lines[1:]]
+        assert rows and all(len(line.split(",")) == len(VAL_COLUMNS) for line in lines[1:])
+        for row in rows:
+            nll = float(row["val_nll_per_step"])
+            assert int(row["step"]) > 0 and float(row["val_bpc"]) == nll / math.log(2.0)
+        # the last row is the final generator's validation, bit for bit
+        assert float(rows[-1]["val_nll_per_step"]) == t.validate()[0]
+
 
 class TestAdversaryOnlyInProfessorForcing:
     @pytest.mark.parametrize("mode", ["teacher_forcing", "scheduled_sampling"])
