@@ -27,7 +27,6 @@ class CharCorpus:
     vocab: list[str]
     train_ids: np.ndarray
     valid_ids: np.ndarray
-    test_ids: np.ndarray
 
     @property
     def vocab_size(self) -> int:
@@ -35,10 +34,11 @@ class CharCorpus:
 
 
 def load_corpus(path) -> CharCorpus:
-    """Read a text file, build a sorted character vocabulary, split 0.9/0.05/0.05.
+    """Read a text file, build a sorted character vocabulary, split 0.9/0.05.
 
     Splits are contiguous spans of the id stream, in file order: the first
-    ``int(0.9 n)`` ids train, the next ``int(0.05 n)`` validate, the rest test.
+    ``int(0.9 n)`` ids train, the next ``int(0.05 n)`` validate.  The last
+    5% is held out, and nothing reads it.
     """
     raw = Path(path).read_bytes()
     if not raw:
@@ -55,8 +55,7 @@ def load_corpus(path) -> CharCorpus:
     n_valid = int(n * 0.05)
     return CharCorpus(vocab=vocab,
                       train_ids=ids[:n_train],
-                      valid_ids=ids[n_train:n_train + n_valid],
-                      test_ids=ids[n_train + n_valid:])
+                      valid_ids=ids[n_train:n_train + n_valid])
 
 
 @dataclass

@@ -41,18 +41,20 @@ adversarial signal reaches the generator only while the discriminator's
 batch accuracy is above 0.75, and the discriminator itself stops
 updating once its accuracy exceeds 0.99.
 
-c_d is the one loss with a backward, formed over the ``[2B]`` stack of
-probabilities, teacher-forced rows first; it rejects probabilities
-outside (0, 1).  c_f and c_t are reported values only: the generator's
+c_d is the one loss with a backward of its own: :func:`discriminate`
+forms it over the ``[2B]`` stack of probabilities, teacher-forced rows
+first.  c_f and c_t are reported values only: the generator's
 adversarial term reaches it through c_d's gradient.
 
 A training step unrolls both regimes as one batch, teacher-forced rows
 first, and runs the discriminator on its behavior once.  Each of the
-five kernels it runs (the unroll, the encoder, MLP and head of
-:func:`discriminate`, and c_d) returns its value with its backward
-closure, and the step calls those closures in a straight line, each at
-most once: every term above comes from that forward and that backward
-(see :func:`train_step`).
+four kernels it runs (the unroll, and the encoder, MLP and head of
+:func:`discriminate`) returns its value with its backward closure, and
+each player's closures differentiate that player's own loss: the
+discriminator's c_d, the unroll's ``nll`` plus the behavior's term the
+step hands it.  The step calls those closures in a straight line, each
+at most once, and seeds none: every term above comes from that forward
+and that backward (see :func:`train_step`).
 """
 
 from __future__ import annotations
@@ -200,7 +202,7 @@ class UnrollResult:
     hidden: np.ndarray                   # taped: [T, B, H] top-layer states; else the last
     sampled: np.ndarray                  # [B, T] per row: draws if free running, else fed
     nll: np.float64 | None               # with targets: nats per step, batch mean
-    back: Callable | None                # taped: see _unroll_backward
+    back: Callable | None                # taped: see _unroll
 
 
 # ---------------------------------------------------------------------------
@@ -265,9 +267,17 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     from a per-symbol table.  Only ``taped`` does every step keep its own
     cache rows (states, gates and candidates; ``r * h`` goes through one
     row in any case), the result its logits, behavior and top-layer
-    states and ``back``, the closure of :func:`_unroll_backward`, which
-    takes the gradients of the behavior and of ``nll``; no gradient
-    reaches the logits or top-layer states.  Untaped, the logits,
+    states and ``back``, its backward closure.  ``back(g_beh)`` takes the
+    behavior's gradient (None if the loss does not reach it) and adds
+    ``nll`` at weight 1: it forms the logits' gradient (from ``nll`` and
+    the behavior's softmax columns), takes the head's and top states'
+    gradients in one product each, runs :func:`_gru_bptt` per layer from
+    the top and scatters the bottom layer's input gradient into the
+    embedding.  Rows are independent, so with no behavior gradient it
+    runs the targeted rows alone.  The bottom inputs are looked up again,
+    as no update runs before the closure has.  It returns the gradient
+    of every parameter, in ``g.tensors()`` order; no gradient reaches the
+    logits or top-layer states.  Untaped, the logits,
     behavior and states cycle through rows, as the caches do; the result
     keeps the last state alone (``[1, B, H]``), and the unroll the
     targeted rows' logits, which ``nll`` sums in step order: memory grows
@@ -341,61 +351,34 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     hs = caches[-1][0]
     if not taped:   # two state rows in turn, the last state in row T % 2
         return UnrollResult(None, None, hs[t_len % 2, None], sampled, nll, None)
-    back = _unroll_backward(g, caches, nxt[:-1], behavior, soft, ids, inv_t, include_outputs)
-    return UnrollResult(logits, behavior, hs[1:], sampled, nll, back)
 
-
-def _unroll_backward(g: GeneratorParams, caches: list, fed: np.ndarray,
-                     behavior: np.ndarray, soft: np.ndarray | None,
-                     ids: np.ndarray | None, inv_t: np.ndarray, include_outputs: bool):
-    """The backward closure of one taped unroll.
-
-    ``caches[i]`` holds layer i's states, zr and c, ``fed`` the
-    [T, B] symbols read, ``behavior`` the behavior array, ``inv_t`` each
-    row's inverse temperature and, with targets, ``soft`` every targeted
-    logits row's softmax.  The closure takes the behavior's gradient (None
-    if the loss does not reach it) and ``nll``'s (a scalar, read whenever
-    the unroll has targets), forms the logits' gradient (from ``nll`` and
-    the behavior's softmax columns), takes the head's and top states'
-    gradients in one product each, runs :func:`_gru_bptt` per layer from
-    the top and scatters the bottom layer's input gradient into the
-    embedding.  Rows are independent, so when only ``nll`` is reached it
-    runs the targeted rows alone.  The bottom inputs are looked up again,
-    as no update runs before the closure has.  Returns the gradient of
-    every parameter, in ``g.tensors()`` order.
-    """
-    t_len, batch = fed.shape
-    n_tf = 0 if ids is None else ids.shape[0]
-    emb, w_o = g.embedding, g.W_o
-    top, vocab = w_o.shape
-
-    def back(g_beh, g_nll):
+    def back(g_beh):
         n = n_tf if g_beh is None else batch
         d_lg = np.zeros((t_len, n, vocab))
         if n_tf:
             p = soft.copy()
             p[np.arange(t_len)[:, None], np.arange(n_tf), ids.T] -= 1.0
-            d_lg[:, :n_tf] += p * (g_nll * (1.0 / t_len) * (1.0 / n_tf))
+            d_lg[:, :n_tf] += p * ((1.0 / t_len) * (1.0 / n_tf))
         g_pre = None if g_beh is None else g_beh[..., :top]
         if g_beh is not None and include_outputs:
             sm, gp = behavior[..., top:], g_beh[..., top:]
             d_lg += sm * (gp - np.sum(gp * sm, axis=-1, keepdims=True)) * inv_t
         d_lg = d_lg.reshape(t_len * n, vocab)
-        d_out = (d_lg @ w_o.T).reshape(t_len, n, top)
+        d_out = (d_lg @ w_head.T).reshape(t_len, n, top)
         d_wo = caches[-1][0][1:, :n].reshape(t_len * n, top).T @ d_lg
         cell_grads = []
         for i in range(len(g.cells) - 1, -1, -1):
             hs, zr, c = caches[i]
-            x = caches[i - 1][0][1:, :n] if i else emb[fed[:, :n]]
+            x = caches[i - 1][0][1:, :n] if i else emb[nxt[:-1, :n]]
             d_out, d_w, d_u, d_b, _ = _gru_bptt(g.cells[i], x, hs[:-1, :n], zr[:, :, :n],
                                                 c[:, :n], d_out, g_pre)
             g_pre = None   # only the top layer's candidate is in the behavior
             cell_grads[:0] = [d_w, d_u, d_b]
         d_emb = np.zeros_like(emb)
-        np.add.at(d_emb, fed[:, :n].reshape(-1), d_out.reshape(t_len * n, -1))
+        np.add.at(d_emb, nxt[:-1, :n].reshape(-1), d_out.reshape(t_len * n, -1))
         return [d_emb, *cell_grads, d_wo, d_lg.sum(axis=0)]
 
-    return back
+    return UnrollResult(logits, behavior, hs[1:], sampled, nll, back)
 
 
 def unroll_teacher_forced(g: GeneratorParams, y_seq) -> UnrollResult:
@@ -429,63 +412,48 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
 # discriminator and losses
 
 
-def discriminate(d: DiscriminatorParams, seq: np.ndarray):
-    """Probability per sequence that the behavior is teacher forced.
+def discriminate(d: DiscriminatorParams, stack: np.ndarray):
+    """c_d of a stack of behaviors, with the probability per sequence that
+    its behavior is teacher forced.
 
-    ``seq`` is a time-major ``[T, B, width]`` behavior array.  BiGRU
-    encoding, a shared per-step MLP score, then the head: mean pooling
-    over time, a clamp of the pooled logit to [-10, 10] and a sigmoid.
-    Returns the ``[B]`` probabilities and the backward closure
-    ``back(g, learns, reads_seq)``, which runs the head, then the MLP's
-    closure, then the encoder's, each freed once run.  The head forms the
-    sigmoid, clamp and pooling gradients one after another, as a chain of
-    those three ops would.  The weight gradients are formed if
-    ``learns``, the gradient of ``seq`` if ``reads_seq``; the closure
-    returns that gradient (else None) and the list of the weights'
-    (Nones if not ``learns``) in ``d.tensors()`` order.
+    ``stack`` is a time-major ``[T, 2B, width]`` behavior array, its
+    teacher-forced rows first.  BiGRU encoding, a shared per-step MLP
+    score, then the head: mean pooling over time, a clamp of the pooled
+    logit to [-10, 10] and a sigmoid.  Returns the ``[2B]`` probabilities,
+    c_d and the backward closure ``back(learns, reads_seq)``, which runs
+    the head, then the MLP's closure, then the encoder's, each freed once
+    run.  The head forms the gradients of c_d's logs, the sigmoid, the
+    clamp and the pooling one after another, as a chain of those ops
+    would.  The weight gradients are formed if ``learns``, the gradient of
+    ``stack`` if ``reads_seq``; the closure returns that gradient (else
+    None) and the list of the weights' (Nones if not ``learns``) in
+    ``d.tensors()`` order.
     """
-    t_len, batch, width = seq.shape
+    t_len, batch, width = stack.shape
     if width != d.feature_width:
         raise ValueError(f"behavior width {width} does not match "
                          f"discriminator input {d.feature_width}")
-    states, enc_back = bigru_encode(d.fwd, d.bwd, seq)
-    scores, mlp_back = mlp_forward(d.layers, states)   # [T, B, 1]
+    states, enc_back = bigru_encode(d.fwd, d.bwd, stack)
+    scores, mlp_back = mlp_forward(d.layers, states)   # [T, 2B, 1]
     pooled = np.sum(scores.reshape(t_len, batch), axis=0) / t_len
     mask = (pooled > -LOGIT_CLIP) & (pooled < LOGIT_CLIP)
     s = 0.5 * (1.0 + np.tanh(0.5 * np.clip(pooled, -LOGIT_CLIP, LOGIT_CLIP)))
+    p_tf, p_fr = np.split(s, 2)
+    c = -1.0 / p_tf.size
+    c_d = np.sum(np.log(p_tf)) * c + np.sum(np.log(1.0 - p_fr)) * c
     backs = [enc_back, mlp_back]
 
-    def back(g, learns, reads_seq):
+    def back(learns, reads_seq):
+        g = np.concatenate((c / p_tf, -(c / (1.0 - p_fr))))
         g = g * s * (1.0 - s)
         g = g * mask
         d_scores = np.empty((t_len, batch, 1))
         d_scores[..., 0] = g / t_len   # broadcast over the T steps
         d_states, *mlp_grads = backs.pop()(d_scores, learns)
-        d_seq, *enc_grads = backs.pop()(d_states, reads_seq, learns)
-        return d_seq, enc_grads + mlp_grads
+        d_stack, *enc_grads = backs.pop()(d_states, reads_seq, learns)
+        return d_stack, enc_grads + mlp_grads
 
-    return s, back
-
-
-def _c_d(probs: np.ndarray):
-    """c_d over the ``[2B]`` stack of the discriminator's probabilities,
-    teacher-forced rows first, and its backward closure, which maps c_d's
-    gradient to the stack's.  Each half must be non-empty and lie strictly
-    inside (0, 1)."""
-    p_tf, p_fr = np.split(probs, 2)
-    for a in (p_tf, p_fr):
-        if a.size == 0 or not np.all((a > 0.0) & (a < 1.0)):
-            raise ValueError(f"probabilities must lie strictly inside (0, 1), got {a}")
-    logged = (p_tf, 1.0 - p_fr)
-    cs = [-1.0 / a.size for a in logged]
-    out = (np.asarray(np.sum(np.log(logged[0]))) * cs[0]
-           + np.asarray(np.sum(np.log(logged[1]))) * cs[1])
-
-    def back(g):
-        d_tf, d_fr = (np.broadcast_to(g * c, a.shape) / a for a, c in zip(logged, cs))
-        return np.concatenate((d_tf, -d_fr))
-
-    return out, back
+    return s, c_d, back
 
 
 def accuracy_from_probs(p_tf: np.ndarray, p_fr: np.ndarray) -> float:
@@ -512,15 +480,15 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
        reads, teacher-forced rows first; its ``nll`` covers rows [0, B),
        and when only ``nll`` reaches it the backward runs those rows
        alone.
-    2. Run the discriminator once on that stack.  Its probabilities give
-       the accuracy, the gate, c_d and the generator-side c_f (plus c_t
-       with ``use_ct``, which makes the generator term c_d with the labels
-       swapped).
-    3. Call c_d's closure, then the discriminator's, at most once, forming
-       only what is read: the discriminator's gradients if the gate lets
-       it learn, the stack's if the adversarial term reaches the
-       generator.  Then drop both closures, run or not, so that nothing
-       they cached is alive during the generator's backward.
+    2. Run the discriminator once on that stack.  It returns c_d and its
+       probabilities, which give the accuracy, the gate and the
+       generator-side c_f (plus c_t with ``use_ct``, which makes the
+       generator term c_d with the labels swapped).
+    3. Call the discriminator's closure at most once, forming only what
+       is read of c_d's gradient: the discriminator's weights' if the gate
+       lets it learn, the stack's if the adversarial term reaches the
+       generator.  Then drop the closure, run or not, so that nothing it
+       cached is alive during the generator's backward.
     4. If the term reaches the generator, scale the stack's gradient per
        row i by d(adv)/dl_i / d(c_d)/dl_i, l_i the row's pooled logit:
        ``-w (1 - p) / p`` on free-running rows, and with ``use_ct`` ``-w p
@@ -529,8 +497,8 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
        the clamp keeps p inside (0, 1); a clamped row's gradient is zero
        under either term.
     5. Call the unroll's closure with that gradient (None if the term does
-       not reach the generator) and a gradient of 1 on ``nll``, then take
-       both Adam steps on the gradients the closures returned.  Adam
+       not reach the generator); it adds ``nll``'s own.  Then take both
+       Adam steps on the gradients the closures returned.  Adam
        mutates weights that the closures read, so no update runs before
        every closure has.
 
@@ -554,15 +522,14 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
     res = _unroll(g, ids, t_len, 2 * b if run_adv else b, p_sample, rng, cfg.temperature,
                   cfg.include_outputs_in_behavior and run_adv, taped=True)
     if run_adv:
-        probs, d_back = discriminate(d, res.behavior)   # [2B], teacher-forced rows first
-        c_d, c_d_back = _c_d(probs)
+        probs, c_d, d_back = discriminate(d, res.behavior)   # [2B], teacher-forced rows first
         p_tf, p_fr = np.split(probs, 2)
         gs = gate(accuracy_from_probs(p_tf, p_fr))
         update_d = not cfg.freeze_discriminator and gs.update_discriminator
         adv_on = cfg.adversarial_weight != 0.0 and gs.adversarial_to_generator
         if update_d or adv_on:
-            g_beh, d_grads = d_back(c_d_back(np.ones(())), update_d, adv_on)
-        del d_back, c_d_back   # run or not, free their caches before the generator's backward
+            g_beh, d_grads = d_back(update_d, adv_on)
+        del d_back   # run or not, free its caches before the generator's backward
         metrics.update(c_d=float(c_d),
                        c_f=float(-np.sum(np.log(p_fr)) / p_fr.size),
                        c_t=float(-np.sum(np.log(1.0 - p_tf)) / p_tf.size),
@@ -574,7 +541,7 @@ def train_step(g: GeneratorParams, d: DiscriminatorParams | None, y_batch,
             rows = np.concatenate((tf_rows, (1.0 - p_fr) / p_fr))
             g_beh *= (-cfg.adversarial_weight * rows)[:, None]
 
-    adam_step(g_adam, g.tensors(), res.back(g_beh, np.ones(())))
+    adam_step(g_adam, g.tensors(), res.back(g_beh))
     if update_d:
         adam_step(d_adam, d.tensors(), d_grads)
 

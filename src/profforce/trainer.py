@@ -360,7 +360,7 @@ class Trainer:
 
     def _check_finite(self, row: dict) -> None:
         suspect = ["nll_per_step", "bpc"]
-        if not math.isnan(row["c_d"]):
+        if not math.isnan(row["disc_acc"]):   # nan exactly when no discriminator ran
             suspect += ["c_d", "c_f", "c_t", "disc_acc"]
         bad = [k for k in suspect if not math.isfinite(row[k])]
         if bad:

@@ -15,8 +15,8 @@ per-step outputs an untaped unroll does not keep.
 :func:`grad_check` checks a taped loss's gradients against central
 differences.  :func:`loss_discriminator`, :func:`loss_fool_free_running`
 and :func:`loss_match_teacher_forced` record c_d, c_f and c_t as one
-node each, on their own arrays; ``profforce.engine`` forms c_d alone,
-on one stack, as :func:`_mean_neg_log` does with ``stacked``.
+node each, on their own arrays; ``profforce.engine.discriminate`` forms
+c_d alone, on one stack, as :func:`_mean_neg_log` does with ``stacked``.
 :func:`loss_nll` is the numpy sequence cross entropy that the unroll's
 own per-step ``nll`` is checked against once divided by T,
 :func:`make_batches` shuffles a dataset into one epoch of batches,
@@ -427,14 +427,21 @@ def unroll_node(g, ids, t_len: int, batch: int, p_sample: float, rng, temperatur
     """``engine._unroll``, taped, recorded as one node over the generator's
     parameters through the unroll's closure.  The result holds its
     behavior and, with targets, its ``nll`` (as a 0-d array) as the node's
-    outputs; an ``nll`` the loss does not reach gets a zero gradient."""
+    outputs.  The closure differentiates ``nll`` at weight 1, so a loss
+    over a targeted unroll adds its ``nll`` once, unscaled; the node
+    refuses any other gradient of it."""
     res = engine._unroll(g, ids, t_len, batch, p_sample, rng, temperature, include_outputs,
                          taped=True)
     if res.nll is None:
-        _record(res.behavior, tuple(g.tensors()), lambda g_beh: res.back(g_beh, np.zeros(())))
+        _record(res.behavior, tuple(g.tensors()), res.back)
         return res
-    behavior, nll = _record((res.behavior, res.nll), tuple(g.tensors()), lambda g_beh, g_nll:
-                            res.back(g_beh, np.zeros(()) if g_nll is None else g_nll))
+
+    def back(g_beh, g_nll):
+        if g_nll is None or g_nll != 1.0:
+            raise ValueError(f"the unroll's closure takes nll at weight 1, not {g_nll}")
+        return res.back(g_beh)
+
+    behavior, nll = _record((res.behavior, res.nll), tuple(g.tensors()), back)
     return dataclasses.replace(res, behavior=behavior, nll=nll)
 
 
@@ -465,15 +472,17 @@ def mlp_node(layers, x: np.ndarray) -> np.ndarray:
     return _record(out, (x, *(t for layer in layers for t in layer)), lambda g: back(g, True))
 
 
-def discriminate_node(d, seq: np.ndarray) -> np.ndarray:
-    """``engine.discriminate`` recorded as one node over its closure."""
-    probs, back = engine.discriminate(d, seq)
+def discriminate_node(d, stack: np.ndarray) -> np.ndarray:
+    """``engine.discriminate``'s c_d of the ``[T, 2B, width]`` stack,
+    teacher-forced rows first, recorded as one node over its closure,
+    whose gradients of c_d the node scales by c_d's own."""
+    _, c_d, back = engine.discriminate(d, stack)
 
     def node_back(g):
-        d_seq, grads = back(g, True, True)
-        return (d_seq, *grads)
+        d_stack, grads = back(True, True)
+        return tuple(a * g for a in (d_stack, *grads))
 
-    return _record(probs, (seq, *d.tensors()), node_back)
+    return _record(c_d, (stack, *d.tensors()), node_back)
 
 
 def make_batches(ds: SequenceDataset, batch_size: int,

@@ -23,16 +23,13 @@ from profforce.engine import (
     GeneratorParams,
     accuracy_from_probs,
     gate,
-    unroll_free_running,
 )
 from profforce.nets import GruCellParams
 from profforce.optim import AdamState, adam_step
 from profforce.trainer import Trainer
 
 from extra_ops import (
-    Tape,
     add,
-    backward,
     clip,
     concat,
     discriminate_node,
@@ -218,19 +215,18 @@ class TestA1GradientIntegrity:
             err_unroll = grad_check(unroll_loss, g.tensors(), 1e-5)
             assert err_unroll < 1e-4, f"5-step unroll: relative error {err_unroll}"
 
-            # likelihood plus the fooling term through a fixed discriminator
+            # likelihood plus the discriminator's c_d, through both players'
+            # closures, on the stack of one unroll of both regimes (its
+            # teacher-forced rows first), as a training step forms them
             g2 = GeneratorParams.create(3, 2, 3, 1, np.random.default_rng(1003))
             d2 = DiscriminatorParams.create(3, 3, np.random.default_rng(1004))
             y2 = np.array([[0, 2, 1, 1, 0], [1, 1, 0, 2, 2]])
-            fixed = unroll_free_running(g2, 5, np.random.default_rng(1005),
-                                        batch=2).sampled
 
             def combined(_):
-                nll = teacher_forced_node(g2, y2).nll   # nats per step: T = 5
-                replay = teacher_forced_node(g2, fixed)
-                return add(nll, loss_fool_free_running(discriminate_node(d2, replay.behavior)))
+                res = unroll_node(g2, y2, 5, 4, 0.0, np.random.default_rng(1005), 1.0, False)
+                return add(res.nll, discriminate_node(d2, res.behavior))   # nll: T = 5
 
-            err_combined = grad_check(combined, g2.tensors(), 1e-5)
+            err_combined = grad_check(combined, g2.tensors() + d2.tensors(), 1e-5)
             assert err_combined < 1e-3, f"combined objective: relative error {err_combined}"
 
             elapsed = time.perf_counter() - t0
@@ -250,8 +246,16 @@ class TestA2ChancePoint:
             assert abs(c_d - 2 * math.log(2)) < 1e-12
             assert abs(c_f - math.log(2)) < 1e-12
             assert abs(c_t - math.log(2)) < 1e-12
-            # the c_d train_step forms over its [2B] stack and writes to curves.csv
-            stacked = float(engine._c_d(np.full(18, 0.5))[0])
+            # the c_d discriminate forms over its [2B] stack, which train_step
+            # writes to curves.csv: with its last layer zero, every pooled
+            # logit is 0 and every probability exactly 0.5
+            d = DiscriminatorParams.create(3, 4, np.random.default_rng(1006))
+            for a in d.layers[-1]:
+                a[:] = 0.0
+            stack = np.random.default_rng(1007).uniform(-1.0, 1.0, (5, 18, 3))
+            probs, stacked, _ = engine.discriminate(d, stack)
+            assert np.all(probs == 0.5)
+            stacked = float(stacked)
             assert abs(stacked - 2 * math.log(2)) < 1e-12
             info["detail"] = (f"c_d={c_d!r} (2ln2={2 * math.log(2)!r}), "
                               f"stacked c_d={stacked!r}, c_f=c_t={c_f!r}")
@@ -296,12 +300,10 @@ class TestA4DiscriminatorLearnability:
                     tf_b = teacher_forced_node(g, batch).behavior
                     fr_b = free_running_node(g, batch.shape[1], fr_rng,
                                              batch=batch.shape[0]).behavior
-                    with Tape() as tape:
-                        p_tf = discriminate_node(d, tf_b)
-                        p_fr = discriminate_node(d, fr_b)
-                        c_d = loss_discriminator(p_tf, p_fr)
-                    adam_step(opt, d_params, backward(tape, c_d, d_params))
-                    acc = accuracy_from_probs(p_tf, p_fr)
+                    # one [T, 2B] stack, teacher-forced rows first, per update
+                    probs, _, back = engine.discriminate(d, np.concatenate((tf_b, fr_b), 1))
+                    adam_step(opt, d_params, back(True, False)[1])
+                    acc = accuracy_from_probs(*np.split(probs, 2))
                     if acc > 0.75:
                         first_above = step
                         break

@@ -149,6 +149,16 @@ class TestTrainCommand:
         assert (f"section 'state', line {line}: expected key=value, got 'garbage-line'"
                 in capsys.readouterr().err)
 
+    def test_diverging_pf_run_exits_3(self, tmp_path, capsys):
+        # the discriminator's probabilities are nan at step 1, nll still finite
+        sets = ["mode=professor_forcing", "seq_len=10", "gen_hidden=8", "disc_hidden=8",
+                "val_count=0", "val_every=0", "lr=1e300"]
+        with np.errstate(all="ignore"):
+            code = main(train_args(tmp_path / "x", [a for p in sets for a in ("--set", p)],
+                                   steps="6", seed="3"))
+        assert code == 3
+        assert "non-finite metrics ['c_d', 'c_f', 'c_t'] at step 1;" in capsys.readouterr().err
+
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["train", "--preset", "galaxy", "--seed", "1",
                      "--out", str(tmp_path / "x")]) == 2

@@ -156,13 +156,13 @@ class TestTeacherForcedUnroll:
         with pytest.raises(ValueError, match=r"\[B, T\]"):
             unroll_teacher_forced(tiny_generator(), [1, 2, 3])
 
-    def test_closure_takes_behavior_and_nll_and_gives_every_parameter(self):
+    def test_closure_takes_the_behavior_gradient_and_gives_every_parameter(self):
         g = tiny_generator()
         y = np.array([[1, 2, 3], [0, 3, 2]])
         assert unroll_teacher_forced(g, y).back is None   # untaped
         res = ss_unroll(g, y, 0.0, None)
-        assert list(inspect.signature(res.back).parameters) == ["g_beh", "g_nll"]
-        grads = res.back(np.ones(res.behavior.shape), np.ones(()))
+        assert list(inspect.signature(res.back).parameters) == ["g_beh"]   # nll at weight 1
+        grads = res.back(np.ones(res.behavior.shape))
         assert [a.shape for a in grads] == [t.shape for t in g.tensors()]
         # the logits and top-layer states are arrays no gradient reaches
         assert type(res.logits) is np.ndarray and res.logits.shape == (3, 2, 4)
@@ -380,38 +380,34 @@ class TestUnrollMatchesPerStepOracle:
                               rng, temp, include_outputs, taped)
 
     @staticmethod
-    def _seeds(coef, reach, hidden_size, width, targets):
-        """The coefficients of the loss of :meth:`_loss`: its behavior's and
-        its ``nll``'s, None for one the loss leaves out (both None when it
-        has no term).  The unroll's closure takes them as its gradients, a
-        0-d zero for a targeted ``nll`` left out."""
-        (c_beh, c_nll) = coef
-        if 0 in reach:
-            c_beh = c_beh.copy()
+    def _seeds(coef, reach, hidden_size, width):
+        """The behavior's gradient the unroll's closure takes for the loss of
+        :meth:`_loss`: ``coef``'s rows over every behavior column for
+        "all", over the softmax columns alone for "logits_only" (None for a
+        behavior without them), and None for "nll_only"."""
+        if reach == "nll_only" or (reach == "logits_only" and width == hidden_size):
+            return None
+        c_beh = coef[..., :width].copy()
+        if reach == "logits_only":
             c_beh[..., :hidden_size] = 0.0
-            reach = (1, 3) if width > hidden_size else (3,)
-        return (c_beh[..., :width] if 1 in reach else None,
-                c_nll if 3 in reach and targets else None)
+        return c_beh
 
     @staticmethod
     def _loss(outs, coef, reach, hidden_size):
-        """The reference's loss: a fixed random linear combination of the
-        behavior rows (output 1) if ``reach`` holds 1, and of ``nll`` (output
-        3) if it holds 3.  Reach 0, the logits, stands for what the unroll
-        differentiates through them: ``nll`` and the behavior's softmax
-        columns, which a free-running unroll without those columns lacks
-        (the loss is then None).  Each step's behavior row is left out of it
-        with probability 0.3: it has a zero coefficient row in the seeds of
-        the unroll's closure, and the reference's loss skips it, so that
-        row's gradient is None there."""
-        width = outs[1][0].shape[1]
-        c_beh, c_nll = TestUnrollMatchesPerStepOracle._seeds(coef, reach, hidden_size, width,
-                                                              outs[3] is not None)
-        terms = []
+        """The reference's loss: ``nll`` (output 3) at weight 1, as the
+        unroll's closure takes it, if the unroll has targets, plus a fixed
+        random linear combination of the behavior rows (output 1) as
+        :meth:`_seeds` gives it.  "logits_only" stands for what the unroll
+        differentiates through the logits: ``nll`` and the behavior's
+        softmax columns.  A free run's loss with neither is None.  Each
+        step's behavior row is left out of it with probability 0.3: it has
+        a zero coefficient row in the seed of the unroll's closure, and the
+        reference's loss skips it, so that row's gradient is None there."""
+        c_beh = TestUnrollMatchesPerStepOracle._seeds(coef, reach, hidden_size,
+                                                       outs[1][0].shape[1])
+        terms = [] if outs[3] is None else [outs[3]]
         if c_beh is not None:
             terms += [sum_all(mul(row, c)) for row, c in zip(outs[1], c_beh) if c.any()]
-        if c_nll is not None:
-            terms.append(scale(outs[3], c_nll))
         if not terms:
             return None
         loss = terms[0]
@@ -423,8 +419,7 @@ class TestUnrollMatchesPerStepOracle:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("include_outputs", [False, True])
     @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("reach", [(1, 3), (0,), (1,)],
-                             ids=["all", "logits_only", "behavior_only"])
+    @pytest.mark.parametrize("reach", ["all", "logits_only", "nll_only"])
     def test_matches_reference(self, regime, layers, include_outputs, batch, reach):
         vocab, hidden_size, t_len = 4, 5, 5
         seed = 300 + 10 * layers + batch
@@ -433,8 +428,7 @@ class TestUnrollMatchesPerStepOracle:
         rows = [(crng.random() > 0.3, crng.uniform(-1, 1, (batch, hidden_size + vocab)))
                 for _ in range(t_len)]
         rows[-1] = (True, rows[-1][1])   # at least one row of each kind
-        coef = (np.stack([c if keep else np.zeros_like(c) for keep, c in rows]),
-                crng.uniform(0.5, 1.5))
+        coef = np.stack([c if keep else np.zeros_like(c) for keep, c in rows])
         targets, p, temp = self.REGIMES[regime]
 
         def swept(run):
@@ -446,12 +440,10 @@ class TestUnrollMatchesPerStepOracle:
             if run == "unroll":
                 res = self._unroll(g, regime, y, rng, include_outputs, True)
                 outs = (res.logits, res.behavior, res.hidden, res.nll, res.sampled)
-                c_beh, c_nll = self._seeds(coef, reach, hidden_size, res.behavior.shape[-1],
-                                           targets)
-                if c_beh is c_nll is None:
+                c_beh = self._seeds(coef, reach, hidden_size, res.behavior.shape[-1])
+                if c_beh is None and not targets:
                     return outs, None, rng.bit_generator.state
-                g_nll = np.zeros(()) if c_nll is None else c_nll
-                return outs, res.back(c_beh, g_nll), rng.bit_generator.state
+                return outs, res.back(c_beh), rng.bit_generator.state
             with Tape() as tape:
                 outs = per_step_reference(g, y if targets else None, t_len, batch, p,
                                           rng, temp, include_outputs)
@@ -478,8 +470,9 @@ class TestUnrollMatchesPerStepOracle:
         for k in range(3):
             assert len(ref[k]) == t_len
             np.testing.assert_allclose(new[k], np.stack(ref[k]), rtol=0, atol=1e-12)
-        if new_grads is None:   # a free run without softmax columns: its logits feed only draws
-            assert ref_grads is None and not targets and not include_outputs and reach == (0,)
+        if new_grads is None:   # a free run whose loss reaches no behavior column
+            assert ref_grads is None and not targets and reach != "all"
+            assert reach == "nll_only" or not include_outputs
             return
         assert any(np.any(gr != 0.0) for gr in new_grads)
         for a, b in zip(new_grads, ref_grads):
@@ -699,7 +692,7 @@ class TestBufferedDraws:
             res = (engine._unroll(g, ids, t_len, 2 * b, 0.0, np.random.default_rng(407),
                                   0.8, include_outputs, True) if merged
                    else ss_unroll(g, ids, 0.0, None, include_outputs))
-            grads.append(res.back(None, np.ones(())))
+            grads.append(res.back(None))
         assert bptt_rows == [b] * (2 * layers)
         for ours, alone in zip(*grads):
             np.testing.assert_array_equal(ours, alone)
@@ -752,7 +745,7 @@ class TestSampleMemoryPerSymbol:
 
 
 class TestDiscriminate:
-    def _behavior(self, rng, t_len=4, batch=3, width=5):
+    def _behavior(self, rng, t_len=4, batch=4, width=5):
         return rng.uniform(-1, 1, (t_len, batch, width))
 
     def test_zero_final_layer_means_exactly_half(self):
@@ -760,8 +753,9 @@ class TestDiscriminate:
         w, bias = d.layers[-1]
         w[:] = 0.0
         bias[:] = 0.0
-        p, _ = discriminate(d, self._behavior(np.random.default_rng(43)))
-        np.testing.assert_array_equal(p, np.full(3, 0.5))
+        p, c_d, _ = discriminate(d, self._behavior(np.random.default_rng(43)))
+        np.testing.assert_array_equal(p, np.full(4, 0.5))
+        assert abs(float(c_d) - 2 * math.log(2)) < 1e-12   # c_d at chance
 
     def test_pooled_logit_is_clamped_before_sigmoid(self):
         d = tiny_discriminator(width=5)
@@ -769,15 +763,15 @@ class TestDiscriminate:
             w[:] = 0.0
             bias[:] = 0.0
         d.layers[-1][1][:] = 42.0
-        p, _ = discriminate(d, self._behavior(np.random.default_rng(44)))
-        np.testing.assert_allclose(p, np.full(3, 1 / (1 + math.exp(-10.0))),
+        p = discriminate(d, self._behavior(np.random.default_rng(44)))[0]
+        np.testing.assert_allclose(p, np.full(4, 1 / (1 + math.exp(-10.0))),
                                    atol=1e-15)
 
     def test_matches_per_step_scoring_route(self):
         from profforce.nets import bigru_encode
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(45))
-        got, _ = discriminate(d, b)
+        got = discriminate(d, b)[0]
 
         states, _ = bigru_encode(d.fwd, d.bwd, b)
         scores = np.stack([mlp_forward(d.layers, s)[0][:, 0] for s in states])
@@ -793,18 +787,18 @@ class TestDiscriminate:
     def test_output_depends_on_time_order(self):
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(47))
-        fwd, _ = discriminate(d, b)
-        rev, _ = discriminate(d, b[::-1])
+        fwd = discriminate(d, b)[0]
+        rev = discriminate(d, b[::-1])[0]
         assert np.max(np.abs(rev - fwd)) > 1e-9
 
     def test_two_closures_made_before_either_runs_both_agree(self):
         d = tiny_discriminator(5, seed=102)
         rng = np.random.default_rng(103)
-        xs = [rng.uniform(-1, 1, (6, 3, 5)) for _ in range(2)]
+        xs = [rng.uniform(-1, 1, (6, 4, 5)) for _ in range(2)]
 
-        def run(probs, back):
-            d_seq, grads = back(1.0 / probs, True, True)   # the gradient of sum(log(probs))
-            return [d_seq] + grads
+        def run(probs, c_d, back):
+            d_stack, grads = back(True, True)
+            return [d_stack] + grads
 
         built = [discriminate(d, x) for x in xs]   # both before either runs
         for made, x in zip(built, xs):
@@ -831,52 +825,30 @@ def chained_c_d(tf, fr):
 
 
 class TestFusedDiscriminatorPass:
-    """The discriminator's closure, run on the gradient of each loss a step
-    takes of its probabilities, against the chain of generic nodes they
-    replaced: the value and every gradient the closure forms carry the
-    chain's bits."""
-
-    LOSSES = {   # name: (on the stack, chained on its two halves)
-        "c_d": (None, chained_c_d),   # c_d's own closure, as train_step
-        "c_d_halves": (lambda probs: loss_discriminator(*split(probs, 2)), chained_c_d),
-        "c_f": (lambda probs: loss_fool_free_running(split(probs, 2)[1]),
-                lambda tf, fr: chained_mean_neg_log(fr)),
-        "c_t": (lambda probs: loss_match_teacher_forced(split(probs, 2)[0]),
-                lambda tf, fr: chained_mean_neg_log(tf, True)),
-    }
+    """The discriminator's c_d and its closure against the chain of generic
+    nodes they replaced: c_d and every gradient of it the closure forms
+    carry the chain's bits."""
 
     @staticmethod
     def _setup():
         d = tiny_discriminator(5, seed=210)
         leaf = np.random.default_rng(211).uniform(-1, 1, (6, 8, 5))
-        p, _ = discriminate(d, leaf)   # push the rows above the median past the clamp
+        p = discriminate(d, leaf)[0]   # push the rows above the median past the clamp
         pooled = np.log(p / (1.0 - p))
         d.layers[-1][1][...] += engine.LOGIT_CLIP - np.median(pooled)
         return d, leaf
 
-    @staticmethod
-    def _loss_and_grad(loss_name, probs):
-        """The loss on ``probs`` and its gradient there."""
-        if loss_name == "c_d":
-            loss, c_d_back = engine._c_d(probs)
-            return loss, c_d_back(np.ones(()))
-        with Tape() as tape:
-            loss = TestFusedDiscriminatorPass.LOSSES[loss_name][0](probs)
-        return loss, backward(tape, loss, [probs])[0]
-
     @pytest.mark.parametrize("learns, reads_seq", [(True, True), (True, False), (False, True)],
                              ids=["both", "params", "leaf"])
-    @pytest.mark.parametrize("loss_name", sorted(LOSSES))
-    def test_matches_the_chain(self, loss_name, learns, reads_seq):
+    def test_matches_the_chain(self, learns, reads_seq):
         d, leaf = self._setup()
-        probs, d_back = discriminate(d, leaf)
-        loss, d_probs = self._loss_and_grad(loss_name, probs)
-        d_leaf, grads = d_back(d_probs, learns, reads_seq)
+        probs, loss, d_back = discriminate(d, leaf)
+        d_leaf, grads = d_back(learns, reads_seq)
 
         d, leaf = self._setup()
         with Tape() as tape:
             ref_probs = chained_discriminate(d, leaf)
-            ref_loss = self.LOSSES[loss_name][1](*split(ref_probs, 2))
+            ref_loss = chained_c_d(*split(ref_probs, 2))
         ref_grads = backward(tape, ref_loss, [leaf] + d.tensors())
 
         clamped = probs == 0.5 * (1.0 + np.tanh(0.5 * engine.LOGIT_CLIP))
@@ -888,6 +860,73 @@ class TestFusedDiscriminatorPass:
         for got, want in zip([d_leaf] + grads, ref_grads):
             if got is not None:
                 np.testing.assert_array_equal(got, want)
+
+
+class TestAdversarialRowScale:
+    """The generator's side of the discriminator's closure: the stack's
+    gradient of c_d, scaled row by row as ``train_step`` scales it, is the
+    gradient of ``w * (c_f [+ c_t])`` at the stack, clamped rows included.
+    ``TestOnePassStep`` reads this gradient only through Adam's first step,
+    which divides each gradient by its own scale; this reads it directly."""
+
+    @staticmethod
+    def _step(monkeypatch, cfg, clipped):
+        """The behavior stack of one gate-open pf step and the gradient the
+        step hands the unroll's closure for it, with ``d`` as the step read it."""
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        monkeypatch.setattr(engine, "adam_step", lambda *a: None)   # weights stay put
+        seen, unroll = [], engine._unroll
+
+        def recording(*a, **kw):
+            res = unroll(*a, **kw)
+            back = res.back
+
+            def kept(g_beh):
+                seen.append((res.behavior.copy(), g_beh.copy()))
+                return back(g_beh)
+
+            res.back = kept
+            return res
+
+        monkeypatch.setattr(engine, "_unroll", recording)
+        g, d, y, ga, da = build_step_fixture(seed=216)
+        train_step(g, d, y, cfg, 0.0, np.random.default_rng(217), ga, da)
+        if clipped:   # push the rows above the median past the clamp, then step again
+            p = discriminate(d, seen.pop()[0])[0]
+            pooled = np.log(p / (1.0 - p))
+            d.layers[-1][1][...] += engine.LOGIT_CLIP - np.median(pooled)
+            m = train_step(g, d, y, cfg, 0.0, np.random.default_rng(217), ga, da)
+            assert m["gate_gen"]
+        [(stack, g_beh)] = seen
+        return d, stack, g_beh
+
+    @pytest.mark.parametrize("weight", [0.7, 2.5])
+    @pytest.mark.parametrize("use_ct", [False, True], ids=["c_f", "c_f_and_c_t"])
+    @pytest.mark.parametrize("clipped", [False, True], ids=["unclipped", "clipped_rows"])
+    def test_matches_the_chain(self, monkeypatch, weight, use_ct, clipped):
+        cfg = TrainConfig(adversarial_weight=weight, use_ct=use_ct,
+                          include_outputs_in_behavior=False)
+        d, stack, got = self._step(monkeypatch, cfg, clipped)
+
+        with Tape() as tape:
+            p_tf, p_fr = split(chained_discriminate(d, stack), 2)
+            adv = chained_mean_neg_log(p_fr)
+            if use_ct:
+                adv = add(adv, chained_mean_neg_log(p_tf, True))
+            loss = scale(adv, weight)
+        [want] = backward(tape, loss, [stack])
+
+        probs = discriminate(d, stack)[0]
+        clamped = probs == 0.5 * (1.0 + np.tanh(0.5 * engine.LOGIT_CLIP))
+        if clipped:   # a clamped row's gradient is zero under either term
+            assert 0 < clamped.sum() < clamped.size
+            assert not np.any(got[:, clamped]) and not np.any(want[:, clamped])
+        else:
+            assert not clamped.any()
+        if not use_ct:   # c_f alone reaches no teacher-forced row
+            assert not np.any(got[:, :stack.shape[1] // 2])
+        assert np.any(got)
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-15)
 
 
 class TestPreseededAdversarialGradient:
@@ -904,7 +943,7 @@ class TestPreseededAdversarialGradient:
                              include_outputs, taped=True)
         w = np.random.default_rng(215).uniform(-1, 1, res.behavior.shape)
         kept = w.copy()
-        got = res.back(w, np.ones(()))
+        got = res.back(w)
         np.testing.assert_array_equal(w, kept)   # read, not written
 
         g = tiny_generator(seed=212)
@@ -925,15 +964,13 @@ class TestPreseededAdversarialGradient:
 class TestLosses:
     def test_chance_point_values(self):
         half = np.full(6, 0.5)
-        assert abs(float(engine._c_d(np.full(12, 0.5))[0]) - 2 * math.log(2)) < 1e-12
         assert abs(item(loss_discriminator(half, half)) - 2 * math.log(2)) < 1e-12
         assert abs(item(loss_fool_free_running(half)) - math.log(2)) < 1e-12
         assert abs(item(loss_match_teacher_forced(half)) - math.log(2)) < 1e-12
 
     def test_confident_correct_discriminator(self):
-        c_d = float(engine._c_d(np.array([0.9, 0.1]))[0])
+        c_d = item(loss_discriminator(np.array([0.9]), np.array([0.1])))
         assert abs(c_d - (-math.log(0.9) - math.log(0.9))) < 1e-12
-        assert item(loss_discriminator(np.array([0.9]), np.array([0.1]))) == c_d
         assert abs(item(loss_fool_free_running(np.array([0.1]))) + math.log(0.1)) < 1e-12
         assert abs(item(loss_match_teacher_forced(np.array([0.9])))
                    + math.log(0.1)) < 1e-12
@@ -943,43 +980,39 @@ class TestLosses:
         d_tf = rng.uniform(0.05, 0.95, 7)
         d_fr = rng.uniform(0.05, 0.95, 7)
         stack = np.concatenate((d_tf, d_fr))
-        lhs = float(engine._c_d(stack)[0])
-        assert item(loss_discriminator(d_tf, d_fr)) == lhs
-        # the stacked reference runs the same expressions in the same order
+        lhs = item(loss_discriminator(d_tf, d_fr))
+        # the stacked form, discriminate's, runs the same expressions in the same order
         assert item(_mean_neg_log((stack,), (False, True), stacked=True)) == lhs
         rhs = item(loss_fool_free_running(d_tf)) + item(loss_match_teacher_forced(d_fr))
         assert lhs == rhs
 
     def test_tensor_route_matches_float_route(self, monkeypatch):
-        # train_step writes c_f and c_t as floats from the stack its c_d node reads
-        stacks, c_d = [], engine._c_d
+        # train_step writes c_d as discriminate gives it, and c_f and c_t as
+        # floats from the same probabilities
+        kept, discriminate_once = [], engine.discriminate
 
-        def keeping(probs):
-            stacks.append(probs.copy())
-            return c_d(probs)
+        def keeping(d, stack):
+            probs, c_d, back = discriminate_once(d, stack)
+            kept.append((probs.copy(), c_d))
+            return probs, c_d, back
 
-        monkeypatch.setattr(engine, "_c_d", keeping)
+        monkeypatch.setattr(engine, "discriminate", keeping)
         g, d, y, ga, da = build_step_fixture(seed=49)
         m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(49), ga, da)
-        [stack] = stacks
+        [(stack, c_d)] = kept
         p_tf, p_fr = np.split(stack, 2)
+        assert float(c_d) == m["c_d"]
         assert abs(item(loss_discriminator(p_tf, p_fr)) - m["c_d"]) < 1e-12
         assert abs(item(loss_fool_free_running(p_fr)) - m["c_f"]) < 1e-12
         assert abs(item(loss_match_teacher_forced(p_tf)) - m["c_t"]) < 1e-12
 
-    # "array": the [2B] probability array train_step stacks, into src's c_d;
-    # "tensor": each piece its own array, into the reference forms
-    @pytest.mark.parametrize("route", ["array", "tensor"])
+    # each piece its own array, into the reference forms.  discriminate's
+    # c_d checks nothing: its clamp keeps every finite pooled logit's
+    # probability inside (0, 1), and a nan one reaches Trainer's divergence check
     @pytest.mark.parametrize("bad", [[1.0], [0.0], [], [1.5], [-0.5], [0.5, math.nan]],
                              ids=["one", "zero", "empty", "above_one", "negative", "nan"])
-    def test_rejects_saturated_probabilities(self, route, bad):
+    def test_rejects_saturated_probabilities(self, bad):
         bad = np.array(bad)
-        half = np.full(bad.size, 0.5)
-        if route == "array":
-            for stack in ((bad, half), (half, bad)):
-                with pytest.raises(ValueError, match=r"strictly inside \(0, 1\)"):
-                    engine._c_d(np.concatenate(stack))
-            return
         half = np.array([0.5])
         for loss in (lambda: loss_discriminator(bad, half), lambda: loss_discriminator(half, bad),
                      lambda: loss_fool_free_running(bad), lambda: loss_match_teacher_forced(bad)):
@@ -1082,6 +1115,14 @@ class TestDrawFrequencies:
 
 # ---------------------------------------------------------------------------
 # the combined step
+
+
+def learn_c_d(d, adam, tf_b, fr_b):
+    """One Adam step of ``d`` on c_d of the stack of two behaviors, teacher
+    forced first, through its own closure; returns the stack's probabilities."""
+    probs, _, back = discriminate(d, np.concatenate((tf_b, fr_b), axis=1))
+    adam_step(adam, d.tensors(), back(True, False)[1])
+    return probs
 
 
 def build_step_fixture(seed=60, vocab=4, hidden=5, batch=4, t_len=6,
@@ -1208,12 +1249,7 @@ class TestTrainStep:
         for _ in range(300):
             tf_b = teacher_forced_node(g, y).behavior
             fr_b = free_running_node(g, t_len, rng, batch=b).behavior
-            with Tape() as tape:
-                p_tf = discriminate_node(d, tf_b)
-                p_fr = discriminate_node(d, fr_b)
-                c_d = loss_discriminator(p_tf, p_fr)
-            adam_step(adam, d_params, backward(tape, c_d, d_params))
-            acc = accuracy_from_probs(p_tf, p_fr)
+            acc = accuracy_from_probs(*np.split(learn_c_d(d, adam, tf_b, fr_b), 2))
         assert acc == 1.0, "pretraining should saturate on this separable setup"
 
         ga = AdamState.for_params(g.tensors(), lr=1e-6)
@@ -1238,10 +1274,7 @@ class TestTrainStep:
             for _ in range(200):
                 tf_b = teacher_forced_node(g, y).behavior
                 fr_b = free_running_node(g, t_len, rng, batch=b).behavior
-                with Tape() as tape:
-                    c_d = loss_discriminator(discriminate_node(d, tf_b),
-                                             discriminate_node(d, fr_b))
-                adam_step(adam, dp, backward(tape, c_d, dp))
+                learn_c_d(d, adam, tf_b, fr_b)
             ga = AdamState.for_params(g.tensors(), lr=1e-3)
             da = AdamState.for_params(dp, lr=1e-3)
             settings = TrainConfig(use_ct=use_ct)
@@ -1254,19 +1287,17 @@ class TestTrainStep:
         assert any(not np.array_equal(a, b) for a, b in zip(base, with_ct))
 
     def test_gradient_of_combined_objective(self):
+        # nll plus c_d through both players' closures, on one unroll of both
+        # regimes, teacher-forced rows first, as a step forms them
         rng = np.random.default_rng(80)
         g = GeneratorParams.create(3, 2, 3, 1, rng)
         d = DiscriminatorParams.create(3, 3, rng)
         y = np.array([[0, 2, 1], [1, 1, 0]])
-        fr = unroll_free_running(g, 3, np.random.default_rng(81), batch=2)
-        fixed_sample = fr.sampled
         params = g.tensors() + d.tensors()
 
         def f(_):
-            nll = teacher_forced_node(g, y).nll   # nats per step: T = 3
-            replay = teacher_forced_node(g, fixed_sample)
-            adv = loss_fool_free_running(discriminate_node(d, replay.behavior))
-            return add(nll, adv)
+            res = unroll_node(g, y, 3, 4, 0.0, np.random.default_rng(81), 1.0, False)
+            return add(res.nll, discriminate_node(d, res.behavior))
 
         assert grad_check(f, params, 1e-5) < 1e-4
 
@@ -1285,11 +1316,11 @@ def two_pass_step(g, d, y, settings, p_sample, rng, g_adam, d_adam):
         tf = teacher_forced_node(g, y, include_outputs=rich)
         fr = unroll_node(g, None, t_len, b, 0.0, rng, settings.temperature, rich)
         with Tape() as d_tape:   # a tape of its own: c_d's sweep stops at the behaviors
-            c_d = loss_discriminator(discriminate_node(d, tf.behavior),
-                                     discriminate_node(d, fr.behavior))
-        adv = loss_fool_free_running(discriminate_node(d, fr.behavior))
+            c_d = loss_discriminator(chained_discriminate(d, tf.behavior),
+                                     chained_discriminate(d, fr.behavior))
+        adv = loss_fool_free_running(chained_discriminate(d, fr.behavior))
         if settings.use_ct:
-            adv = add(adv, loss_match_teacher_forced(discriminate_node(d, tf.behavior)))
+            adv = add(adv, loss_match_teacher_forced(chained_discriminate(d, tf.behavior)))
         loss = add(tf.nll, scale(adv, settings.adversarial_weight))
     g_params, d_params = g.tensors(), d.tensors()
     adam_step(g_adam, g_params, backward(gen_tape, loss, g_params))
@@ -1390,16 +1421,16 @@ class TestStepSweepsWhatItReads:
             tr = Trainer(cfg, tmp_path / f"full{int(full)}")
             formed = []
 
-            def recording(d, seq):
-                probs, back = discriminate_once(d, seq)
+            def recording(d, stack):
+                probs, c_d, back = discriminate_once(d, stack)
 
-                def told(g, learns, reads_seq):
-                    d_seq, grads = back(g, True, True) if full else back(g, learns, reads_seq)
+                def told(learns, reads_seq):
+                    d_stack, grads = back(True, True) if full else back(learns, reads_seq)
                     # as the closure formed them, before train_step scales the behavior's
-                    formed.append([None if a is None else a.copy() for a in [d_seq, *grads]])
-                    return d_seq, grads
+                    formed.append([None if a is None else a.copy() for a in [d_stack, *grads]])
+                    return d_stack, grads
 
-                return probs, told
+                return probs, c_d, told
 
             monkeypatch.setattr(engine, "discriminate", recording)
             m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
@@ -1442,9 +1473,9 @@ class TestGradientOwnership:
             res = unroll(*a, **kw)
             back = res.back
 
-            def kept(g_beh, g_nll):
+            def kept(g_beh):
                 handed.append([g_beh])   # as scaled for the generator
-                return back(g_beh, g_nll)
+                return back(g_beh)
 
             res.back = kept
             return res
@@ -1530,21 +1561,21 @@ class TestDiscriminatorCachesFreedBeforeGeneratorBackward:
             return out, back
 
         def noting(*a):
-            probs, back = discriminate_once(*a)
+            probs, c_d, back = discriminate_once(*a)
 
             def noted(*args):
                 ran.append("discriminator")
                 return back(*args)
 
-            return probs, noted
+            return probs, c_d, noted
 
         def checking(*a, **kw):
             res = unroll(*a, **kw)
             back = res.back
 
-            def checked(g_beh, g_nll):
+            def checked(g_beh):
                 alive.append(sum(r() is not None for r in cached))
-                return back(g_beh, g_nll)
+                return back(g_beh)
 
             res.back = checked
             return res
@@ -1603,7 +1634,7 @@ class TestDeskStepPeakMemory:
 
 
 # the kernels whose closures a gate-open pf step runs, in the order it runs them
-PF_CLOSURES = ["_c_d", "discriminate", "mlp_forward", "bigru_encode", "_unroll"]
+PF_CLOSURES = ["discriminate", "mlp_forward", "bigru_encode", "_unroll"]
 
 
 class TestBackwardClosureCeiling:
@@ -1611,12 +1642,15 @@ class TestBackwardClosureCeiling:
 
     At desk sizes a step costs Python dispatch per kernel more than
     arithmetic, so these ceilings guard the one-closure generator unroll,
-    the one-closure discriminator encoder, scoring MLP, head and loss, and
-    the single stacked discriminator pass, whose closures a pf step runs
-    once each.  A change that runs fewer lowers them; none may raise them.
+    the one-closure discriminator encoder, scoring MLP and head with its
+    loss, and the single stacked discriminator pass, whose closures a pf
+    step runs once each, seeding none.  A change that runs fewer lowers
+    them; none may raise them.
     """
 
-    PF_CEILING = 5    # 22 while the discriminator's pass recorded generic ops
+    # 5 while c_d's closure ran on its own, 22 while the discriminator's
+    # pass recorded generic ops
+    PF_CEILING = 4
     TF_CEILING = 1    # the unroll's alone: its nll is the loss
 
     def _one_step(self, monkeypatch, tmp_path, mode):
@@ -1629,25 +1663,25 @@ class TestBackwardClosureCeiling:
                     back = out.back
                     if back is None:   # validation's untaped unroll
                         return out
-                    assert list(inspect.signature(back).parameters) == ["g_beh", "g_nll"]
+                    assert list(inspect.signature(back).parameters) == ["g_beh"]
 
-                    def counted_unroll(g_beh, g_nll):
+                    def counted_unroll(g_beh):
                         ran.append(name)
-                        unroll_seeds.append(tuple(None if x is None else x.ndim
-                                                  for x in (g_beh, g_nll)))
-                        return back(g_beh, g_nll)
+                        unroll_seeds.append(None if g_beh is None else g_beh.ndim)
+                        return back(g_beh)
 
                     out.back = counted_unroll
                     return out
+                *values, back = out
                 if name == "discriminate":
                     rows_scored.append(a[1].shape[1])
-                value, back = out
+                    assert list(inspect.signature(back).parameters) == ["learns", "reads_seq"]
 
                 def counted(*args):
                     ran.append(name)
                     return back(*args)
 
-                return value, counted
+                return (*values, counted)
             return made
 
         for name in PF_CLOSURES:
@@ -1663,10 +1697,10 @@ class TestBackwardClosureCeiling:
                                                              "professor_forcing")
         assert row["gate_gen"] and row["gate_disc"]
         assert len(ran) == self.PF_CEILING
-        # the discriminator's closures first, from its loss down to its encoder
+        # the discriminator's closures first, from its head and loss down to its encoder
         assert ran == PF_CLOSURES
-        # one unroll of both regimes, seeded on its [T, 2B, .] behavior and scalar nll
-        assert unroll_seeds == [(3, 0)]
+        # one unroll of both regimes, given its [T, 2B, .] behavior's gradient alone
+        assert unroll_seeds == [3]
         # one discriminator pass over both behaviors stacked
         assert rows_scored == [2 * TINY_PF["batch_n"]]
 
@@ -1674,5 +1708,5 @@ class TestBackwardClosureCeiling:
         ran, _, rows_scored, unroll_seeds = self._one_step(monkeypatch, tmp_path,
                                                            "teacher_forcing")
         assert len(ran) == self.TF_CEILING
-        assert unroll_seeds == [(None, 0)]
+        assert unroll_seeds == [None]
         assert rows_scored == []

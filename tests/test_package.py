@@ -14,6 +14,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import profforce
@@ -47,7 +48,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2176   # may only come down
+SRC_LINE_CEILING = 2142   # may only come down
 
 
 def test_src_stays_within_its_line_budget():
@@ -72,6 +73,9 @@ SET_ONLY_BY_TESTS: dict[str, str] = {}
 
 # What commands give one way only, each bool parameter with the reason it stays a switch.
 GIVEN_ONE_WAY_BY_COMMANDS: dict[str, str] = {}
+
+# What every command binds to one constant, each closure parameter with the reason it stays.
+CONSTANT_IN_EVERY_COMMAND: dict[str, str] = {}
 
 
 def _closure_defaults() -> list[str]:
@@ -210,6 +214,17 @@ def _is_default(value, default) -> bool:
     return value is default
 
 
+def _fingerprint(value):
+    """What a binding is, for telling constants apart: a number, text, flag
+    or None by its type and repr, an ndarray of at most one element by its
+    dtype, shape and bytes; None for anything else, which counts as varying."""
+    if type(value) in (int, float, str, bool, type(None)):
+        return type(value).__name__, repr(value)
+    if isinstance(value, np.ndarray) and value.size <= 1:
+        return value.dtype.str, value.shape, value.tobytes()
+    return None
+
+
 def _train(tmp: Path, name: str, *sets: str, steps: str = "4", preset=()) -> list[str]:
     args = ["train", *preset, "--out", str(tmp / name), "--seed", "3", "--steps", steps]
     return args + [a for pair in _TINY + list(sets) for a in ("--set", pair)]
@@ -255,6 +270,7 @@ class CommandTrace:
     set_: set           # (code id, parameter) some call binds to other than its default
     keywords: dict      # _src_keyword_defaults()
     bools: dict         # "module.qualname(parameter)": the bools calls bind it to
+    closures: dict      # "module.qualname(parameter)" of a nested def: its bindings' _fingerprint
 
 
 @pytest.fixture(scope="module")
@@ -262,7 +278,7 @@ def command_trace(tmp_path_factory) -> CommandTrace:
     """Every command of :func:`_commands`, each exiting 0, run once under
     ``sys.settrace``, which reports each line and call as it runs."""
     tmp, keywords = tmp_path_factory.mktemp("commands"), _src_keyword_defaults()
-    trace = CommandTrace(set(), set(), set(), keywords, {})
+    trace = CommandTrace(set(), set(), set(), keywords, {}, {})
     real = functools.cache(os.path.realpath)
 
     @functools.cache
@@ -294,6 +310,8 @@ def command_trace(tmp_path_factory) -> CommandTrace:
             for p in names:
                 if bound[p] is True or bound[p] is False:
                     trace.bools.setdefault(f"{name}({p})", set()).add(bound[p])
+                if "<locals>" in name:
+                    trace.closures.setdefault(f"{name}({p})", set()).add(_fingerprint(bound[p]))
         return line
 
     _parser.cache_clear()   # so that this process builds the parser again, traced
@@ -358,6 +376,20 @@ def test_every_bool_switch_is_given_both_ways_by_a_command(command_trace):
         f"commands give these one way only, nor does GIVEN_ONE_WAY_BY_COMMANDS list them: "
         f"{unlisted}; GIVEN_ONE_WAY_BY_COMMANDS lists these, which commands give both "
         f"ways or never: {stale}")
+
+
+def test_no_closure_parameter_is_one_constant_in_every_command(command_trace):
+    # no input that only tests vary: a parameter of a nested def that every
+    # call binds to one constant (see _fingerprint) belongs in the closure's
+    # body, or CONSTANT_IN_EVERY_COMMAND says why it stays
+    constant = {name for name, seen in command_trace.closures.items()
+                if len(seen) == 1 and None not in seen}
+    unlisted = sorted(constant - CONSTANT_IN_EVERY_COMMAND.keys())
+    stale = sorted(CONSTANT_IN_EVERY_COMMAND.keys() - constant)
+    assert not unlisted and not stale, (
+        f"every command binds these to one constant, nor does CONSTANT_IN_EVERY_COMMAND "
+        f"list them: {unlisted}; CONSTANT_IN_EVERY_COMMAND lists these, which commands "
+        f"vary or never bind: {stale}")
 
 
 _DEV_MODE = """

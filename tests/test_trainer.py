@@ -640,6 +640,28 @@ class TestValidation:
         with pytest.raises(TrainingDiverged, match="step 3"):
             t._check_finite(row)
 
+    def test_diverging_pf_run_raises_training_diverged(self, tmp_path):
+        # at step 1 the behavior is nan while nll is still finite: the
+        # discriminator ran (disc_acc is a number), so its nan losses count
+        cfg = tiny_cfg(seq_len=10, gen_hidden=8, disc_hidden=8, val_count=0, seed=3,
+                       lr=1e300, val_every=0)
+        with np.errstate(all="ignore"):
+            with pytest.raises(TrainingDiverged, match=r"\['c_d', 'c_f', 'c_t'\] at step 1;"):
+                Trainer(cfg, tmp_path / "a").run()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")], ids=["nan", "inf"])
+    @pytest.mark.parametrize("column", ["c_d", "c_f", "c_t"])
+    def test_finite_check_reads_adversarial_metrics_once_the_discriminator_ran(
+            self, tmp_path, column, bad):
+        # disc_acc is a number exactly when the discriminator ran; a nan c_d
+        # is then a divergence, not a skipped discriminator
+        t = Trainer(tiny_cfg(), tmp_path / "a")
+        row = {"step": 5, "nll_per_step": 1.0, "bpc": 1.4,
+               "c_d": 1.3, "c_f": 0.7, "c_t": 0.6, "disc_acc": 0.5}
+        row[column] = bad
+        with pytest.raises(TrainingDiverged, match=rf"\['{column}'\] at step 5;"):
+            t._check_finite(row)
+
     def test_finite_check_tolerates_nan_adversarial_metrics(self, tmp_path):
         t = Trainer(tiny_cfg(), tmp_path / "a")
         row = {"step": 0, "nll_per_step": 1.0, "bpc": 1.4,
