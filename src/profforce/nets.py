@@ -141,28 +141,28 @@ def _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, h_new) ->
     h_new += c
 
 
-def _gru_run(p: GruCellParams, x: np.ndarray, h0: np.ndarray, reverse: bool = False):
-    """Run a cell over ``x`` ``[T, B, I]`` from ``h0`` (step ``T-1`` first with
-    ``reverse``), projecting all inputs in one product.  Returns the states
-    ``[T+1, B, H]``, ``h0`` in row 0 and step t's in row t+1 (rows T and t
-    with ``reverse``), the cache zr, the last step's pre-tanh value
-    ``[1, B, H]`` and the cache c; every step writes ``r * h`` into one row."""
+def _gru_run(p: GruCellParams, x: np.ndarray, reverse: bool = False):
+    """Run a cell over ``x`` ``[T, B, I]`` from a zero state (step ``T-1``
+    first with ``reverse``), projecting all inputs in one product.  Returns
+    the states ``[T+1, B, H]``, zeros in row 0 and step t's in row t+1
+    (rows T and t with ``reverse``), and the caches zr and c; every step
+    writes ``r * h`` and its pre-tanh value into one row each."""
     if x.shape[-1] != p.input_size:
         raise ValueError(f"input width {x.shape[-1]} != cell input size {p.input_size}")
     T, B, _ = x.shape
     H = p.hidden_size
     W, b, U_zr, U_c = _gru_weights(p)
     hs, zr = np.empty((T + 1, B, H)), np.empty((T, 2, B, H))
-    rh, c, pre = np.empty((B, H)), np.empty((T, B, H)), np.empty((1, B, H))
+    rh, c, pre = np.empty((B, H)), np.empty((T, B, H)), np.empty((B, H))
     xb = x[:, None] @ W
     xb += b
-    hs[T if reverse else 0] = h0
+    hs[T if reverse else 0] = 0.0
     read, write = (hs[1:], hs[:-1]) if reverse else (hs[:-1], hs[1:])
-    s, pre_0 = slice(None, None, -1 if reverse else 1), pre[0]
+    s = slice(None, None, -1 if reverse else 1)
     for h, xb_zr, xb_c, zr_t, keep, r, c_t, h_new in zip(
             read[s], xb[s, :2], xb[s, 2], zr[s], zr[s, 0], zr[s, 1], c[s], write[s]):
-        _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr_t, keep, r, rh, pre_0, c_t, h_new)
-    return hs, zr, pre, c
+        _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr_t, keep, r, rh, pre, c_t, h_new)
+    return hs, zr, c
 
 
 def _gru_bptt(p: GruCellParams, x: np.ndarray, h_prev: np.ndarray, zr: np.ndarray,
@@ -293,7 +293,7 @@ def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: np.ndarray):
     H = fwd.hidden_size
     out, runs = np.empty((T, B, 2 * H)), []
     for k, p in enumerate((fwd, bwd)):
-        hs, zr, _, c = _gru_run(p, seq, np.zeros((B, H)), k == 1)
+        hs, zr, c = _gru_run(p, seq, k == 1)
         states, h_prev = (hs[:T], hs[1:]) if k else (hs[1:], hs[:T])
         out[..., k * H:(k + 1) * H] = states
         runs.append((p, seq, h_prev, zr, c))

@@ -11,8 +11,8 @@ Scheduled sampling ramps its sampling probability over ``ss_ramp_steps``.
 Determinism contract: given one config (seed included), the metrics
 rows, final parameters and checkpoints are bit-identical between runs,
 except for the wallclock column.  Resuming from a checkpoint continues
-the exact same trajectory because the batch order is a pure function of
-(seed, step) and the sampling rng state is stored in the checkpoint.
+the exact same trajectory because a step's batch and its draws are pure
+functions of (seed, step), so a checkpoint stores no sampler state.
 """
 
 from __future__ import annotations
@@ -83,10 +83,6 @@ def _earlier_rows(path: Path, header: str, last_step: int) -> list[str]:
             if step.isdigit() and int(step) <= last_step:
                 kept.append(line)
     return kept
-
-
-# Checkpoint state fields are at least 0 and, for the rng's, below these bounds.
-_RNG_LIMITS = {"rng_state": 2**128, "rng_inc": 2**128, "rng_has_uint32": 2, "rng_uinteger": 2**32}
 
 
 def _environment() -> dict[str, str]:
@@ -200,7 +196,6 @@ class Trainer:
         self.g_adam = AdamState.for_params(self.g.tensors(), lr=self.cfg.lr)
         self.d_adam = (None if self.d is None
                        else AdamState.for_params(self.d.tensors(), lr=self.cfg.lr))
-        self.rng = np.random.default_rng(self.cfg.seed)
         self.step, self._order = 0, (None, None)   # the last epoch's batch order
         self.best_val = math.inf
         if resume is not None:
@@ -222,16 +217,11 @@ class Trainer:
 
     def checkpoint(self) -> Checkpoint:
         """The run's state; its tensors are the live arrays, so save it before the next step."""
-        rs = self.rng.bit_generator.state
         state = {
             "step": str(self.step),
             "adam_g_t": str(self.g_adam.t),
             **({} if self.d_adam is None else {"adam_d_t": str(self.d_adam.t)}),
             "best_val": repr(self.best_val),
-            "rng_state": str(rs["state"]["state"]),
-            "rng_inc": str(rs["state"]["inc"]),
-            "rng_has_uint32": str(rs["has_uint32"]),
-            "rng_uinteger": str(rs["uinteger"]),
             **_environment(),
         }
         return Checkpoint(config_text=canonical_text(self.cfg), state=state,
@@ -240,15 +230,14 @@ class Trainer:
     def _restore(self, ckpt: Checkpoint) -> None:
         st = {}
         d_t = () if self.d is None else ("adam_d_t",)
-        for name in ("step", "adam_g_t", *d_t, "best_val", *_RNG_LIMITS):
+        for name in ("step", "adam_g_t", *d_t, "best_val"):
             text = ckpt.state.get(name)
             try:
                 st[name] = float(text) if name == "best_val" else int(text)
             except (TypeError, ValueError):
                 st[name] = math.nan
             # only the writer's own text: str() of a float is its repr
-            if str(st[name]) != text or not (0 <= st[name] < _RNG_LIMITS.get(name, math.inf)
-                                             or st[name] == math.inf):
+            if str(st[name]) != text or not 0 <= st[name]:
                 raise CheckpointError(f"checkpoint state field {name!r} is missing or "
                                       f"malformed: {text!r}")
         written = config_from_text(ckpt.config_text)   # flaws of the file's own
@@ -263,12 +252,6 @@ class Trainer:
         if self.d_adam is not None:
             self.d_adam.t = st["adam_d_t"]
         self.best_val = st["best_val"]
-        self.rng.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": st["rng_state"], "inc": st["rng_inc"]},
-            "has_uint32": st["rng_has_uint32"],
-            "uinteger": st["rng_uinteger"],
-        }
         moved = [f"{k} {ckpt.state.get(k, 'unknown')} -> {v}" for k, v in _environment().items()
                  if ckpt.state.get(k, "unknown") != v]
         if moved:   # a warning, not an error: see the README's Determinism section
@@ -332,11 +315,13 @@ class Trainer:
             while self.step < cfg.max_steps:
                 step = self.step
                 batch = self._batch_for_step(step)
-                t0 = time.perf_counter()
-                metrics = train_step(self.g, self.d, batch, cfg,
-                                     self._p_sample(step), self.rng,
-                                     self.g_adam, self.d_adam)
-                wallclock_ms = (time.perf_counter() - t0) * 1e3
+                # a pure function of (seed, step), as the batch is: a resume needs no rng state
+                rng = np.random.default_rng([cfg.seed, 41, step])
+                with np.errstate(over="ignore", invalid="ignore"):   # reported by _check_finite
+                    t0 = time.perf_counter()
+                    metrics = train_step(self.g, self.d, batch, cfg, self._p_sample(step), rng,
+                                         self.g_adam, self.d_adam)
+                    wallclock_ms = (time.perf_counter() - t0) * 1e3
                 row = {"step": step, **metrics, "wallclock_ms": wallclock_ms}
                 rows.append(row)
                 curves.write(format_curve_row(row, CURVE_COLUMNS) + "\n")

@@ -32,7 +32,15 @@ import numpy as np
 from profforce import engine
 from profforce.data import SequenceDataset
 from profforce.engine import _cross_entropy_rows, _stable_softmax
-from profforce.nets import GruCellParams, _gru_bptt, _gru_run, bigru_encode, mlp_forward
+from profforce.nets import (
+    GruCellParams,
+    _gru_bptt,
+    _gru_run,
+    _gru_step_into,
+    _gru_weights,
+    bigru_encode,
+    mlp_forward,
+)
 
 # The innermost entry is the recording target.
 _TAPES: list["Tape"] = []
@@ -133,8 +141,9 @@ def gru_step(p: GruCellParams, h_prev: np.ndarray,
     """One GRU update; returns the new state and the candidate pre-tanh value.
 
     ``h_prev`` and ``x_in`` are both single vectors or both ``[B, .]``
-    row batches.  The step is one tape node over the kernel of
-    :func:`gru_sequence`, run for one step; either output
+    row batches.  The step is one tape node over the kernels of
+    :func:`gru_sequence`, :func:`profforce.nets._gru_step_into` and
+    :func:`profforce.nets._gru_bptt`, run for one step; either output
     may be left out of the loss.
     """
     H = p.hidden_size
@@ -144,16 +153,23 @@ def gru_step(p: GruCellParams, h_prev: np.ndarray,
         raise ValueError(f"state {h_prev.shape} and input {x_in.shape} must both be [H]/[I] "
                          f"or share a leading batch dimension")
     # a one-step sequence
-    x, h = x_in.reshape(1, -1, x_in.shape[-1]), h_prev.reshape(1, -1, H)
-    hs, zr, pre, c = _gru_run(p, x, h[0])
+    x, h = x_in.reshape(1, -1, x_in.shape[-1]), np.array(h_prev, float).reshape(1, -1, H)
+    B = h.shape[1]
+    W, b, U_zr, U_c = _gru_weights(p)
+    xb = x[:, None] @ W
+    xb += b
+    zr, c = np.empty((1, 2, B, H)), np.empty((1, B, H))
+    rh, pre, h_new = np.empty((B, H)), np.empty((B, H)), np.empty((B, H))
+    _gru_step_into(U_zr, U_c, h[0], xb[0, :2], xb[0, 2], zr[0], zr[0, 0], zr[0, 1], rh, pre,
+                   c[0], h_new)
 
     def back(g_h, g_pre):
         g_h = np.zeros(h.shape) if g_h is None else g_h.reshape(h.shape)
         g_pre = None if g_pre is None else g_pre.reshape(h.shape)
-        d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, hs[:1], zr, c, g_h, g_pre)
+        d_x, d_W, d_U, d_b, d_h = _gru_bptt(p, x, h, zr, c, g_h, g_pre)
         return d_h.reshape(h_prev.shape), d_x.reshape(x_in.shape), d_W, d_U, d_b
 
-    out = (hs[1].reshape(h_prev.shape), pre.reshape(h_prev.shape))
+    out = (h_new.reshape(h_prev.shape), pre.reshape(h_prev.shape))
     return _record(out, (h_prev, x_in, p.W, p.U, p.b), back)
 
 
@@ -263,7 +279,7 @@ def gru_sequence(p: GruCellParams, xs: np.ndarray, reverse: bool = False) -> np.
     if xs.ndim != 3 or xs.shape[0] == 0:
         raise ValueError(f"gru_sequence expects a nonempty [T, B, I] input, got {xs.shape}")
     T, B, _ = xs.shape
-    hs, zr, _, c = _gru_run(p, xs, np.zeros((B, p.hidden_size)), reverse)
+    hs, zr, c = _gru_run(p, xs, reverse)
     states, h_prev = (hs[:T], hs[1:]) if reverse else (hs[1:], hs[:T])
 
     def back(g):

@@ -52,7 +52,7 @@ def sample():
     rng = np.random.default_rng(110)
     return Checkpoint(
         config_text="seed=1\ntask=copy\n",
-        state={"step": "42", "best_val": "1.25", "rng_state": "123456789"},
+        state={"step": "42", "best_val": "1.25", "adam_g_t": "123456789"},
         tensors={
             "g.embedding": rng.normal(0, 1, (5, 3)),
             "g.head.b_o": rng.normal(0, 1, 4),

@@ -83,7 +83,7 @@ class TestTrainCommand:
         assert not out2.exists()
 
     @pytest.mark.parametrize("field, value", [
-        ("rng_state", None), ("step", "x7"),
+        ("adam_g_t", None), ("step", "x7"),
         # text int() and float() accept but the writer never prints: these resumed
         # at steps 20, 2, 3, 2 and 2, and at a best_val of inf
         ("step", "2_0"), ("step", " 2"), ("step", "\u0663"), ("step", "+2"), ("step", "02"),
@@ -153,11 +153,24 @@ class TestTrainCommand:
         # the discriminator's probabilities are nan at step 1, nll still finite
         sets = ["mode=professor_forcing", "seq_len=10", "gen_hidden=8", "disc_hidden=8",
                 "val_count=0", "val_every=0", "lr=1e300"]
-        with np.errstate(all="ignore"):
-            code = main(train_args(tmp_path / "x", [a for p in sets for a in ("--set", p)],
-                                   steps="6", seed="3"))
+        code = main(train_args(tmp_path / "x", [a for p in sets for a in ("--set", p)],
+                               steps="6", seed="3"))
         assert code == 3
         assert "non-finite metrics ['c_d', 'c_f', 'c_t'] at step 1;" in capsys.readouterr().err
+
+    def test_diverging_desk_run_reports_only_its_error_in_dev_mode(self, tmp_path):
+        # at desk size numpy warns of overflow, which -W error would raise
+        # first: the run's own finiteness check must report the divergence
+        env = dict(os.environ, PYTHONPATH=str(Path(profforce.__file__).parents[1]))
+        code = "import sys; from profforce.cli import main; sys.exit(main())"
+        args = ["train", "--preset", "desk-copy", "--seed", "1", "--steps", "6", "--mode", "pf",
+                "--set", "lr=1e300", "--set", "val_every=0", "--out", str(tmp_path / "x")]
+        out = subprocess.run([sys.executable, "-X", "dev", "-W", "error", "-c", code, *args],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 3, out.stderr
+        assert out.stderr.splitlines() == [
+            "error: non-finite metrics ['c_d', 'c_f', 'c_t'] at step 1; "
+            "inspect the learning rate or the adversarial weight"]
 
     def test_unknown_preset_exits_2(self, tmp_path, capsys):
         assert main(["train", "--preset", "galaxy", "--seed", "1",

@@ -1434,7 +1434,7 @@ class TestStepSweepsWhatItReads:
 
             monkeypatch.setattr(engine, "discriminate", recording)
             m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
-                           tr.rng, tr.g_adam, tr.d_adam)
+                           np.random.default_rng([cfg.seed, 41, 0]), tr.g_adam, tr.d_adam)
             (grads,) = formed
             return m, grads
 
@@ -1511,6 +1511,7 @@ class TestDeskStepPageFaults:
         pytest.importorskip("resource")
         script = textwrap.dedent("""
             import resource, sys
+            import numpy as np
             from profforce.config import build_config
             from profforce.engine import train_step
             from profforce.trainer import Trainer
@@ -1521,8 +1522,8 @@ class TestDeskStepPageFaults:
             for step in range(20):
                 if step == 5:   # warm up first
                     start = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-                train_step(tr.g, tr.d, tr._batch_for_step(step), settings, 0.0, tr.rng,
-                           tr.g_adam, tr.d_adam)
+                train_step(tr.g, tr.d, tr._batch_for_step(step), settings, 0.0,
+                           np.random.default_rng([cfg.seed, 41, step]), tr.g_adam, tr.d_adam)
             print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - start) / 15)
         """)
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
@@ -1552,7 +1553,7 @@ class TestDiscriminatorCachesFreedBeforeGeneratorBackward:
 
         def caching_run(*a, **kw):
             out = run(*a, **kw)
-            cached.extend(weakref.ref(x) for x in out)   # states, zr, the last pre and c
+            cached.extend(weakref.ref(x) for x in out)   # states, zr and c
             return out
 
         def caching_mlp(*a):
@@ -1585,8 +1586,8 @@ class TestDiscriminatorCachesFreedBeforeGeneratorBackward:
         monkeypatch.setattr(engine, "discriminate", noting)
         monkeypatch.setattr(engine, "_unroll", checking)
         m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
-                       tr.rng, tr.g_adam, tr.d_adam)
-        assert len(cached) == 9   # two directions' four arrays and the MLP's output
+                       np.random.default_rng([cfg.seed, 41, 0]), tr.g_adam, tr.d_adam)
+        assert len(cached) == 7   # two directions' three arrays and the MLP's output
         assert alive == [0]
         if case == "gate_open":
             assert m["gate_gen"] and m["gate_disc"]
@@ -1618,8 +1619,8 @@ class TestDeskStepPeakMemory:
         settings = tr.cfg
 
         def step(i):
-            return train_step(tr.g, tr.d, tr._batch_for_step(i), settings, 0.0, tr.rng,
-                              tr.g_adam, tr.d_adam)
+            return train_step(tr.g, tr.d, tr._batch_for_step(i), settings, 0.0,
+                              np.random.default_rng([cfg.seed, 41, i]), tr.g_adam, tr.d_adam)
 
         for i in range(3):   # warm up first
             step(i)

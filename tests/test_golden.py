@@ -26,7 +26,7 @@ import pytest
 import profforce
 
 # 12 steps of desk-copy at seed 3; the pf run opens the generator's gate on
-# steps 6, 7, 8 and 10.
+# steps 6, 7, 8, 10 and 11.
 COMMON = ["--preset", "desk-copy", "--seed", "3", "--steps", "12",
           "--set", "lr=1e-3", "--set", "val_every=6"]
 RUNS = {
@@ -41,13 +41,13 @@ RECORDED_UNDER = {"blas": "scipy-openblas 0.3.31.188.0", "blas_threads": "1",
 DIGESTS = {
     "tf": {"curves.csv": "a1c64a5538c69eaf4593d1636c30bf7d1486f0873e0e78364eea76792092fee1",
            "val.csv": "6266306dc8387d6bdde686aef66a493b8a6ff1328baca753e7f843a4a385710d",
-           "final.ckpt": "2394677f4697d6fa299ee68f322a1d4f94fc2369f2ab576d8d1d9b11778ba597"},
-    "ss": {"curves.csv": "0db2ee65b51b636230fdba2897164848da22441458c1a8fdf16a3cde7e0d9f4e",
-           "val.csv": "0fa2ebe27756760a0d84aa475133559ea47d7a8af6e1c9846b97c35bba157793",
-           "final.ckpt": "5af5fe8f3876c160449560ee80040a31acf071c23aeeb758a821116e0df25dc5"},
-    "pf": {"curves.csv": "fb019b18d0609ee6be7537d76c23289998031ad13e8f7bcb03e370c8ab11d016",
-           "val.csv": "157e55d9dcd1f33065d2a4f3ee09f916ce146e368c30c3e488709a1d0446aa91",
-           "final.ckpt": "9ce48c0a88c0ee36efd5bb8c06c824ae4009917601e60b2fc08a4ca5f293579d"},
+           "final.ckpt": "12b33d428af08f3bd209b26cda8dc8d90dba5310a82be9e2bb83145cab34a4d3"},
+    "ss": {"curves.csv": "95a2558f3d801b08d8324cf471596a0cc650f42238db005ebe8fabbc416220f0",
+           "val.csv": "df225503a8fbcbdc59e61fd83e0b4cf19a48e6dda288de271ee274337b0030c9",
+           "final.ckpt": "fb180701b23ebebc70410c66cffacdddd0b977ca42672326df6297e557edd6ed"},
+    "pf": {"curves.csv": "3f09cafeb94abfc9b87fe893a2d6e2606e281a94a2be674de1ef868d64469913",
+           "val.csv": "f217f2a8f4d0688b418e5a122d01c7d9a3e58a53f552c44410b6e777e26c5930",
+           "final.ckpt": "7bc83e03f1b62d24d5fc1ece513f84b77f1d9b16218d23c42ef598701bd6bc38"},
     "sample": {"sample.txt": "3c8ab6c88adec7a2a6b551ff9785e7455c9a1c29ca04de3fc915102eca999646"},
 }
 

@@ -48,7 +48,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2142   # may only come down
+SRC_LINE_CEILING = 2127   # may only come down
 
 
 def test_src_stays_within_its_line_budget():
@@ -106,10 +106,10 @@ def test_no_closure_declares_a_parameter_default():
 _TINY = ["vocab_size=4", "seq_len=10", "copy_pattern_len=2", "copy_count=8", "val_count=4",
          "gen_hidden=6", "gen_embed=4", "disc_hidden=6", "batch_n=4", "val_every=2",
          "lr=0.001"]
-_GATE_OPENS = "lr=0.03"   # the tiny pf run's generator gate opens at step 1
+_GATE_OPENS = "lr=0.01"   # the tiny pf run's generator gate opens at step 5 of 6
 # one row per batch: at step 1 the discriminator is sure (accuracy 1.0), so
 # it stops learning while its judgement reaches the generator
-_SURE = ("batch_n=1", "lr=0.1")
+_SURE = ("batch_n=1", "lr=0.06")
 
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
@@ -241,7 +241,7 @@ def _commands(tmp: Path) -> list[list[str]]:
     return [
         _train(tmp, "tf", "mode=teacher_forcing", "temperature=0.7"),   # diagnose's temperature
         _train(tmp, "ss", "mode=scheduled_sampling", "ss_ramp_steps=none", steps="3"),
-        _train(tmp, "pf", _GATE_OPENS, "include_outputs_in_behavior=true", steps="3"),
+        _train(tmp, "pf", _GATE_OPENS, "include_outputs_in_behavior=true", steps="6"),
         _train(tmp, "sure", *_SURE, steps="2"),
         _train(tmp, "raster", *raster, preset=("--preset", "desk-raster")),
         _train(tmp, "cross", *raster, "raster_family=cross", steps="1",
@@ -252,7 +252,7 @@ def _commands(tmp: Path) -> list[list[str]]:
         _train(tmp, "no-val", "task=corpus", f"corpus_path={corpus}", "seq_len=30", steps="1"),
         ["train", "--config", str(config), "--out", str(tmp / "config"), "--seed", "3",
          "--steps", "2"],
-        ["train", "--resume", pf, "--steps", "4", "--out", str(tmp / "pf")],
+        ["train", "--resume", pf, "--steps", "7", "--out", str(tmp / "pf")],
         ["train", "--resume", str(tmp / "ss" / "final.ckpt"), "--steps", "4",
          "--out", str(tmp / "ss-resumed")],
         ["sample", pf, "--count", "2"],
@@ -413,8 +413,10 @@ def test_commands_run_clean_in_dev_mode(tmp_path):
     assert out.returncode == 0, out.stderr
     codes, broken = json.loads(out.stdout.splitlines()[-1])
     assert codes == [0] * len(commands) and broken == [], out.stderr
-    with open(tmp_path / "pf" / "curves.csv", newline="") as f:
-        assert "1" in [row["gate_gen"] for row in csv.DictReader(f)]
+    gates = {}   # each run's (gate_gen, gate_disc) per step, shown when a gate never opens
+    for run in ("pf", "sure"):
+        with open(tmp_path / run / "curves.csv", newline="") as f:
+            gates[run] = [(row["gate_gen"], row["gate_disc"]) for row in csv.DictReader(f)]
+    assert "1" in [gen for gen, _ in gates["pf"]], gates
     # a step that runs the discriminator's backward with learns=False
-    with open(tmp_path / "sure" / "curves.csv", newline="") as f:
-        assert ("1", "0") in [(row["gate_gen"], row["gate_disc"]) for row in csv.DictReader(f)]
+    assert ("1", "0") in gates["sure"], gates
