@@ -183,6 +183,16 @@ def check_bias(bias: float) -> float:
     return bias
 
 
+def check_vocab_symbols(symbols: str | None, vocab_size: int) -> None:
+    """Refuse ``symbols`` unless it decodes ``vocab_size`` ids: as many comma-separated
+    plain ASCII decimals, each a code point (so of at most 7 digits; int() stops at 4300)."""
+    points = [] if symbols is None else symbols.split(",")   # None: ids print as numbers
+    if points and (len(points) != vocab_size or not all(
+            p.isascii() and p.isdigit() and len(p) <= 7 and int(p) <= 0x10FFFF for p in points)):
+        raise ConfigError(f"vocab_symbols must be {vocab_size} comma-separated code points "
+                          f"(ASCII decimals up to {0x10FFFF}), got {symbols!r}")
+
+
 def validate_config(cfg: TrainConfig) -> None:
     if cfg.seed is None:
         raise ConfigError("seed is required")
@@ -203,6 +213,7 @@ def validate_config(cfg: TrainConfig) -> None:
     if cfg.vocab_size < 2:
         raise ConfigError(f"vocab_size {cfg.vocab_size}: {cfg.task} task needs at least "
                           "two symbols")
+    check_vocab_symbols(cfg.vocab_symbols, 2 if cfg.task == "raster" else cfg.vocab_size)
     if cfg.task == "raster" and cfg.raster_family not in RASTER_FAMILIES:
         raise ConfigError(f"unknown raster_family {cfg.raster_family!r}; have {RASTER_FAMILIES}")
     for name in ("raster_width", "raster_height"):

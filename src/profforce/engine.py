@@ -224,13 +224,10 @@ def _gumbel_noise(rng: np.random.Generator, shape: tuple, temperature: float) ->
         return np.log(rng.standard_exponential(shape)) * -temperature
 
 
-def _stable_softmax(x: np.ndarray, out: np.ndarray | None = None,
-                    col: np.ndarray | None = None) -> np.ndarray:
-    """Softmax over the last axis, written into ``out`` if given (``x`` may be
-    it); both row reductions go into ``col`` ``[..., 1]`` if given."""
-    out = np.subtract(x, np.maximum.reduce(x, -1, None, col, True), out)
-    np.exp(out, out)
-    out /= np.add.reduce(out, -1, None, col, True)
+def _stable_softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    out = np.exp(x - np.max(x, axis=-1, keepdims=True))
+    out /= np.sum(out, axis=-1, keepdims=True)
     return out
 
 
@@ -257,31 +254,32 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     step the true symbol, or with probability ``p_sample`` a draw at
     temperature 1 (if a next step exists); their cross entropy, a batch
     mean divided by T, gives ``nll`` in nats per step.  Rows [n, batch)
-    run free at ``temperature``, as do the behavior's softmax columns,
-    formed only taped, with ``include_outputs``.  A draw is the argmax of
-    the logits plus :func:`_gumbel_noise`, which free rows read in blocks
-    of steps (one step beside coins): the block size changes no draw.
+    run free at ``temperature``.  A draw is the argmax of the logits plus
+    :func:`_gumbel_noise`, which free rows read in blocks of steps; as no
+    caller flips coins beside free rows, no draw depends on the blocks.
 
-    Each step runs :func:`nets._gru_step_into` per layer, on arrays
-    and views bound before the first step; layer 0 reads ``x W + b``
-    from a per-symbol table.  Only ``taped`` does every step keep its own
-    cache rows (states, gates and candidates; ``r * h`` goes through one
-    row in any case), the result its logits, behavior and top-layer
-    states and ``back``, its backward closure.  ``back(g_beh)`` takes the
-    behavior's gradient (None if the loss does not reach it) and adds
-    ``nll`` at weight 1: it forms the logits' gradient (from ``nll`` and
-    the behavior's softmax columns), takes the head's and top states'
-    gradients in one product each, runs :func:`_gru_bptt` per layer from
-    the top and scatters the bottom layer's input gradient into the
-    embedding.  Rows are independent, so with no behavior gradient it
-    runs the targeted rows alone.  The bottom inputs are looked up again,
-    as no update runs before the closure has.  It returns the gradient
-    of every parameter, in ``g.tensors()`` order; no gradient reaches the
-    logits or top-layer states.  Untaped, the logits,
-    behavior and states cycle through rows, as the caches do; the result
-    keeps the last state alone (``[1, B, H]``), and the unroll the
-    targeted rows' logits, which ``nll`` sums in step order: memory grows
-    with the draws alone.
+    Each step runs :func:`nets._gru_step_into` per layer, on arrays and
+    views bound before the first step; layer 0 reads ``x W + b`` from a
+    per-symbol table.  Only ``taped`` does every step keep its own cache
+    rows (states, gates and candidates; ``r * h`` goes through one row
+    in any case), the result its logits, behavior and top-layer states
+    and ``back``, its backward closure.  The behavior is formed after
+    the loop: the top layer's candidates, with ``include_outputs``
+    followed by one softmax of the logits, the free rows' at
+    ``temperature``.  ``back(g_beh)`` takes the behavior's gradient
+    (None if the loss does not reach it) and adds ``nll`` at weight 1:
+    it forms the logits' gradient (from ``nll`` and the behavior's
+    softmax columns), takes the head's and top states' gradients in one
+    product each, runs :func:`_gru_bptt` per layer from the top and
+    scatters the bottom layer's input gradient into the embedding.  Rows
+    are independent, so with no behavior gradient it runs the targeted
+    rows alone.  The bottom inputs are looked up again, as no update
+    runs before the closure has.  It returns the gradient of every
+    parameter, in ``g.tensors()`` order; no gradient reaches the logits
+    or top-layer states.  Untaped, the logits and states cycle through
+    rows, as the caches do; the result keeps the last state alone
+    (``[1, B, H]``), and the unroll the targeted rows' logits, which
+    ``nll`` sums in step order: memory grows with the draws alone.
     """
     if not 0.0 <= p_sample <= 1.0:
         raise ValueError(f"p_sample {p_sample} outside [0, 1]")
@@ -290,17 +288,14 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     n_tf = 0 if ids is None else ids.shape[0]
     kept = t_len if taped else 1   # step rows each cache and output keeps
     logits = np.empty((t_len if taped or n_tf else 1, batch, vocab))
-    behavior = np.empty((kept, batch, top + vocab if include_outputs else top))
+    cand = np.empty((kept, batch, top))   # the top layer's candidates: the behavior's first columns
     layers, caches = [], []   # per layer: x W + b, its views, U_zr, U_c, W, b, steps; caches
     for i, cell in enumerate(g.cells):
         h, is_top = cell.hidden_size, i == len(g.cells) - 1
         W, b, U_zr, U_c = _gru_weights(cell)
         W = emb @ W + b if i == 0 else W   # layer 0: a table of x W + b per symbol
         hs = np.zeros((t_len + 1 if taped else 2, batch, h))   # untaped: two rows in turn
-        # np.dot writes C-contiguous rows only: beside the softmax columns the
-        # top candidate has rows of its own, copied in after the loop
-        top_pre = pre = (behavior if is_top and not include_outputs
-                         else np.empty((t_len if is_top and taped else 1, batch, h)))
+        pre = cand if is_top else np.empty((1, batch, h))
         xb, zr, rh, c = (np.empty((3, batch, h)), np.empty((kept, 2, batch, h)),
                          np.empty((1, batch, h)), np.empty((kept, batch, h)))
         # step t's views h, zr, 1 - z, r, rh, pre, c and h_new, cycling with their rows
@@ -312,12 +307,10 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     nxt = np.empty((t_len + 1, batch), dtype=np.int64)   # row t: the symbols step t reads
     nxt[0], nxt[1:, :n_tf] = g.start_id, ids.T if n_tf else 0
     inv_t = np.where(np.arange(batch)[:, None] < n_tf, 1.0, 1.0 / temperature)
-    col, block = np.empty((batch, 1)), 1 if n_tf and p_sample > 0.0 else _NOISE_BLOCK
-    blocks = (_gumbel_noise(rng, (min(block, t_len - s), batch - n_tf, vocab), temperature)
-              for s in range(0, t_len, block))   # each read from rng as its first step starts
+    blocks = (_gumbel_noise(rng, (min(_NOISE_BLOCK, t_len - s), batch - n_tf, vocab), temperature)
+              for s in range(0, t_len, _NOISE_BLOCK))   # each read from rng as its step starts
     noise = chain.from_iterable(blocks) if n_tf < batch else repeat(None)
-    step_rows = (a if len(a) == t_len else cycle(a) for a in (logits, behavior[..., top:]))
-    for t, (fed, lg, p, noise_t, drawn) in enumerate(zip(nxt, *step_rows, noise, nxt[1:, n_tf:])):
+    for t, (fed, lg, noise_t, drawn) in enumerate(zip(nxt, cycle(logits), noise, nxt[1:, n_tf:])):
         for i, (xb, xb_zr, xb_c, U_zr, U_c, W, b, steps) in enumerate(layers):
             if i:
                 np.matmul(x, W, xb)
@@ -328,8 +321,6 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             _gru_step_into(U_zr, U_c, h, xb_zr, xb_c, zr, keep, r, rh, pre, c, x)
         np.dot(x, w_head, lg)
         lg += b_head
-        if include_outputs:
-            _stable_softmax(np.multiply(lg, inv_t, p), p, col)
         if n_tf < batch:
             np.add(lg[n_tf:], noise_t, noise_t).argmax(1, drawn)
         if n_tf and t + 1 < t_len and p_sample > 0.0:
@@ -337,8 +328,6 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
             if coin.any():   # drawn by the free rows' rule, at temperature 1
                 drawn_tf = np.argmax(lg[:n_tf] + _gumbel_noise(rng, (n_tf, vocab), 1.0), 1)
                 nxt[t + 1, :n_tf] = np.where(coin, drawn_tf, ids[:, t])
-    if include_outputs:
-        behavior[..., :top] = top_pre
     sampled = np.empty((batch, t_len), dtype=np.int64)
     sampled[:n_tf], sampled[n_tf:] = nxt[:-1, :n_tf].T, nxt[1:, n_tf:].T
     nll = soft = None
@@ -351,6 +340,8 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     hs = caches[-1][0]
     if not taped:   # two state rows in turn, the last state in row T % 2
         return UnrollResult(None, None, hs[t_len % 2, None], sampled, nll, None)
+    behavior = (np.concatenate((cand, _stable_softmax(logits * inv_t)), axis=-1)
+                if include_outputs else cand)
 
     def back(g_beh):
         n = n_tf if g_beh is None else batch

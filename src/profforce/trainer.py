@@ -110,21 +110,15 @@ def _keep_freed_memory() -> None:
     mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
 
 
-def _behavior_width(cfg: TrainConfig) -> int:
-    width = cfg.gen_hidden
-    if cfg.include_outputs_in_behavior:
-        width += cfg.vocab_size
-    return width
-
-
 def build_models(cfg: TrainConfig) -> tuple[GeneratorParams, DiscriminatorParams | None]:
     """The generator, and the discriminator in professor forcing only."""
     g = GeneratorParams.create(cfg.vocab_size, cfg.gen_embed, cfg.gen_hidden,
                                cfg.gen_layers, np.random.default_rng([cfg.seed, 11]))
     if cfg.mode != "professor_forcing":
         return g, None
+    width = g.hidden_size + (g.vocab_size if cfg.include_outputs_in_behavior else 0)
     d_rng = np.random.default_rng([cfg.seed, 12])
-    return g, DiscriminatorParams.create(_behavior_width(cfg), cfg.disc_hidden, d_rng)
+    return g, DiscriminatorParams.create(width, cfg.disc_hidden, d_rng)
 
 
 def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset | None, TrainConfig]:
@@ -252,11 +246,13 @@ class Trainer:
         if self.d_adam is not None:
             self.d_adam.t = st["adam_d_t"]
         self.best_val = st["best_val"]
-        moved = [f"{k} {ckpt.state.get(k, 'unknown')} -> {v}" for k, v in _environment().items()
+        env = _environment()
+        notes = [f"{k} {ckpt.state.get(k, 'unknown')} -> {v}" for k, v in env.items()
                  if ckpt.state.get(k, "unknown") != v]
-        if moved:   # a warning, not an error: see the README's Determinism section
-            log.warning("resuming in another environment than the checkpoint was written in "
-                        "(%s); the run may not continue bit for bit", ", ".join(moved))
+        notes += [f"{k} ignored" for k in sorted(ckpt.state.keys() - st.keys() - env.keys())]
+        if notes:   # a warning, not an error: see the README's Determinism section
+            log.warning("resuming where the checkpoint's environment or state keys differ "
+                        "(%s); the run may not continue bit for bit", ", ".join(notes))
 
     @classmethod
     def resume(cls, checkpoint_path, out_dir, max_steps: int | None = None) -> "Trainer":

@@ -199,6 +199,18 @@ class TestTrainCommand:
                 in capsys.readouterr().err)
         assert not out.exists()
 
+    @pytest.mark.parametrize("symbols", ["65", "65,66,67,68,69", "65,66,67,x", "65,66,,68",
+                                         "65,66,67,99999999999", "65,66,67,1114112",
+                                         "65,66,67,+68", "65,66,67,\u0663"])
+    def test_vocab_symbols_that_cannot_decode_exits_2_before_writing(self, tmp_path, capsys,
+                                                                     symbols):
+        # it used to train, leaving a checkpoint that sample could not decode
+        out = tmp_path / "x"
+        assert main(train_args(out, extra=["--set", f"vocab_symbols={symbols}"])) == 2
+        assert (f"vocab_symbols must be 4 comma-separated code points (ASCII decimals up to "
+                f"1114111), got {symbols!r}") in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("pairs, msg", [
         (["copy_count=0"], "copy_count must be positive"),
         (["copy_count=-2"], "copy_count must be positive"),
@@ -382,6 +394,32 @@ class TestSampleCommand:
         lines = capsys.readouterr().out.strip().splitlines()
         assert len(lines) == 2
         assert all(set(l) <= {"a", "b"} and len(l) == 10 for l in lines)
+
+    @pytest.mark.parametrize("symbols", ["65", "65,66,67,99999999999", "65,66,67,x"])
+    def test_vocab_symbols_that_cannot_decode_exits_2(self, trained, tmp_path, capsys, symbols):
+        # no train writes such a checkpoint now; sample died of an IndexError or an
+        # OverflowError on them, or reported int()'s complaint without naming the key
+        ckpt = load_checkpoint(trained / "final.ckpt")
+        ckpt.config_text += f"vocab_symbols={symbols}\n"
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        capsys.readouterr()
+        assert main(["sample", str(tmp_path / "bad.ckpt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            f"error: vocab_symbols must be 4 comma-separated code points (ASCII decimals up to "
+            f"1114111), got {symbols!r}"]
+
+    @pytest.mark.parametrize("pairs, alphabet", [
+        (["vocab_symbols=65,66,67,1114111"], "ABC\U0010ffff"),
+        # a raster run's vocabulary is its two pixel values, whatever vocab_size says
+        (["task=raster", "raster_width=4", "raster_height=4", "vocab_symbols=46,35"], ".#")])
+    def test_vocab_symbols_decode_the_checkpoint(self, tmp_path, capsys, pairs, alphabet):
+        out = tmp_path / "x"
+        assert main(train_args(out, extra=[a for p in pairs for a in ("--set", p)])) == 0
+        capsys.readouterr()
+        assert main(["sample", str(out / "final.ckpt"), "--count", "3"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 3 and all(set(l) <= set(alphabet) for l in lines)
 
     @pytest.mark.parametrize("vocab_symbols", [None, "97,98,10,233,32,48,9731,44,57,1000"])
     def test_decode_rows_matches_per_symbol_decoding(self, vocab_symbols):

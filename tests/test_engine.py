@@ -1194,17 +1194,22 @@ class TestTrainStep:
             np.testing.assert_array_equal(a, b)
         assert da.t == 0
 
-    @pytest.mark.parametrize("p_sample", [0.0, 0.5], ids=["tf", "ss"])
-    def test_skip_mode_computes_no_behavior_softmax(self, monkeypatch, p_sample):
-        # no discriminator reads the behavior, so include_outputs changes no
-        # bit; neither takes a softmax, as ss draws from the logits
-        softmax_rows, softmax_once = [], engine._stable_softmax
+    @pytest.fixture
+    def softmax_shapes(self, monkeypatch):
+        """The shape of each array ``engine._stable_softmax`` is called on."""
+        shapes, softmax_once = [], engine._stable_softmax
 
-        def counting(x, *buffers):
-            softmax_rows.append(len(x))
-            return softmax_once(x, *buffers)
+        def counting(x):
+            shapes.append(x.shape)
+            return softmax_once(x)
 
         monkeypatch.setattr(engine, "_stable_softmax", counting)
+        return shapes
+
+    @pytest.mark.parametrize("p_sample", [0.0, 0.5], ids=["tf", "ss"])
+    def test_skip_mode_computes_no_behavior_softmax(self, softmax_shapes, p_sample):
+        # no discriminator reads the behavior, so include_outputs changes no
+        # bit; neither takes a softmax, as ss draws from the logits
         runs = []
         for include_outputs in (False, True):
             g, d, y, ga, da = build_step_fixture(seed=71)
@@ -1215,7 +1220,19 @@ class TestTrainStep:
         assert runs[0][0] == runs[1][0]
         for a, b in zip(runs[0][1], runs[1][1]):
             np.testing.assert_array_equal(a, b)
-        assert softmax_rows == []
+        assert softmax_shapes == []
+
+    def test_gate_open_desk_step_takes_one_behavior_softmax(self, monkeypatch, tmp_path,
+                                                             softmax_shapes):
+        # the behavior's softmax columns are formed after the step loop, in
+        # one call over every step and row, not one call per step
+        monkeypatch.setattr(engine, "ADVERSARIAL_GATE", -1.0)
+        cfg = build_config(None, "desk-copy", ["include_outputs_in_behavior=true"], {"seed": 1})
+        tr = Trainer(cfg, tmp_path)
+        m = train_step(tr.g, tr.d, tr._batch_for_step(0), tr.cfg, 0.0,
+                       np.random.default_rng([cfg.seed, 41, 0]), tr.g_adam, tr.d_adam)
+        assert m["gate_gen"] and m["gate_disc"]
+        assert softmax_shapes == [(cfg.seq_len, 2 * cfg.batch_n, cfg.vocab_size)]
 
     def test_explicit_freeze_flag_blocks_disc_updates(self):
         g, d, y, ga, da = build_step_fixture(seed=67)

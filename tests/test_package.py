@@ -48,7 +48,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2127   # may only come down
+SRC_LINE_CEILING = 2126   # may only come down
 
 
 def test_src_stays_within_its_line_budget():
@@ -63,9 +63,10 @@ def test_src_stays_within_its_line_budget():
 NOT_RUN_BY_COMMANDS = {
     "diagnostics.project_2d: return np.zeros((x.shape[0], 2)), np.zeros(2)":
         "a cloud of identical points has no principal direction",
-    "trainer.Trainer._restore: log.warning(\"resuming in another environment than the "
-    "checkpoint was written in \"":
-        "a resume in another environment; TestResumeUnderAnotherThreadCount runs it",
+    "trainer.Trainer._restore: log.warning(\"resuming where the checkpoint's environment or "
+    "state keys differ \"":
+        "a resume in another environment or of a checkpoint with stray state keys; "
+        "TestResumeUnderAnotherThreadCount runs it",
 }
 
 # What no command sets, each keyword parameter with the reason it stays in src/.

@@ -35,6 +35,11 @@ def strip_wallclock(rows):
     return [{k: v for k, v in r.items() if k != "wallclock_ms"} for r in rows]
 
 
+def without_wallclock(path):
+    """The lines of the CSV at ``path``, each less its last (wallclock) column."""
+    return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
+
+
 def assert_rows_equal(a, b):
     """Bit-exact row comparison, except nan fields match each other."""
     a, b = strip_wallclock(a), strip_wallclock(b)
@@ -420,9 +425,6 @@ class TestResume:
         assert not (tmp_path / "c").exists()
 
     def test_resume_into_own_directory_keeps_earlier_rows(self, tmp_path):
-        def without_wallclock(path):
-            return [line.rsplit(",", 1)[0] for line in path.read_text().splitlines()]
-
         Trainer(tiny_cfg(max_steps=15, val_every=5), tmp_path / "full").run()
         Trainer(tiny_cfg(max_steps=10, val_every=5), tmp_path / "run").run()
         Trainer.resume(tmp_path / "run" / "final.ckpt", tmp_path / "run",
@@ -432,6 +434,21 @@ class TestResume:
         curves = without_wallclock(run / "curves.csv")
         assert len(curves) == 1 + 15
         assert curves == without_wallclock(full / "curves.csv")
+        assert (run / "val.csv").read_text() == (full / "val.csv").read_text()
+        assert (run / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
+
+    def test_frozen_discriminator_desk_run_resumes_bit_for_bit(self, tmp_path):
+        # such a run's checkpoints hold adam_d_t=0, which a resume must take as written
+        def cfg(steps):
+            return build_config(None, "desk-copy", ["freeze_discriminator=true", "val_every=10"],
+                                {"seed": 1, "max_steps": steps})
+
+        full, run = tmp_path / "full", tmp_path / "run"
+        Trainer(cfg(40), full).run()
+        Trainer(cfg(20), run).run()
+        assert load_checkpoint(run / "final.ckpt").state["adam_d_t"] == "0"
+        Trainer.resume(run / "final.ckpt", run, max_steps=40).run()
+        assert without_wallclock(run / "curves.csv") == without_wallclock(full / "curves.csv")
         assert (run / "val.csv").read_text() == (full / "val.csv").read_text()
         assert (run / "final.ckpt").read_bytes() == (full / "final.ckpt").read_bytes()
 
@@ -570,6 +587,24 @@ class TestResumeEnvironment:
         [record] = caplog.records
         assert f"numpy unknown -> {np.__version__}" in record.getMessage()
         assert "blas_threads unknown -> " in record.getMessage()
+
+    @pytest.mark.parametrize("mode, key", [("professor_forcing", "rng_state"),
+                                           ("teacher_forcing", "adam_d_t")])
+    def test_checkpoint_with_a_stray_state_key_loads_and_warns(self, tmp_path, caplog, mode,
+                                                                key):
+        # checkpoints written before the draws were a function of (seed, step)
+        # hold rng_* keys, which a resume ignores; so it says
+        Trainer(tiny_cfg(max_steps=2, val_every=0, mode=mode), tmp_path / "a").run()
+        ckpt = load_checkpoint(tmp_path / "a" / "final.ckpt")
+        ckpt.state[key] = "7"
+        from profforce.config import config_from_text
+        with caplog.at_level(logging.WARNING, logger="profforce"):
+            trainer = Trainer(config_from_text(ckpt.config_text), tmp_path / "b", resume=ckpt)
+        assert trainer.step == 2
+        [record] = caplog.records
+        assert record.getMessage() == (
+            "resuming where the checkpoint's environment or state keys differ "
+            f"({key} ignored); the run may not continue bit for bit")
 
 
 class TestCheckpointPeakMemory:
