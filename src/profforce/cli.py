@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import MAGIC, CheckpointError, load_checkpoint
-from .config import MODE_ALIASES, ConfigError, build_config, check_bias, check_vocab_symbols
+from .config import MODE_ALIASES, ConfigError, build_config, check_bias
 from .diagnostics import (
     centroid_distance,
     collect_state_clouds,
@@ -122,7 +122,6 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 
 def cmd_sample(args) -> int:
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
-    check_vocab_symbols(cfg.vocab_symbols, cfg.vocab_size)
     length = args.length if args.length is not None else cfg.seq_len
     bias = check_bias(args.bias if args.bias is not None else cfg.bias)
     temperature = 1.0 / (1.0 + bias)

@@ -210,7 +210,7 @@ def validate_config(cfg: TrainConfig) -> None:
             raise ConfigError(f"{name} must be positive")
     if cfg.task == "copy" and not 1 <= cfg.copy_pattern_len <= cfg.seq_len:
         raise ConfigError("need 1 <= copy_pattern_len <= seq_len")
-    if cfg.vocab_size < 2:
+    if cfg.task != "raster" and cfg.vocab_size < 2:   # a raster run's vocabulary is fixed at 2
         raise ConfigError(f"vocab_size {cfg.vocab_size}: {cfg.task} task needs at least "
                           "two symbols")
     check_vocab_symbols(cfg.vocab_symbols, 2 if cfg.task == "raster" else cfg.vocab_size)

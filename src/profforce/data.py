@@ -66,8 +66,6 @@ class SequenceDataset:
 
     def __post_init__(self):
         self.sequences = np.asarray(self.sequences, dtype=np.int64)
-        if self.sequences.ndim != 2:
-            raise ValueError("sequences must be a 2D [N, L] array")
 
     def __len__(self) -> int:
         return self.sequences.shape[0]
@@ -78,8 +76,6 @@ def chunk_sequences(ids, length: int) -> SequenceDataset:
 
     The remainder after the last full chunk is dropped.
     """
-    if length < 1:
-        raise ValueError("chunk length must be positive")
     ids = np.asarray(ids, dtype=np.int64)
     n = ids.shape[0] // length
     return SequenceDataset(ids[:n * length].reshape(n, length))
@@ -93,10 +89,6 @@ def synth_copy_task(vocab_size: int, pattern_len: int, seq_len: int, count: int,
     symbol pattern_len steps back, so an ideal infinite-data model
     approaches (pattern_len / seq_len) * ln(vocab_size) nats per step.
     """
-    if not 1 <= pattern_len <= seq_len:
-        raise ValueError("need 1 <= pattern_len <= seq_len")
-    if vocab_size < 2:
-        raise ValueError("copy task needs at least two symbols")
     reps = math.ceil(seq_len / pattern_len)
     rows = np.empty((count, seq_len), dtype=np.int64)
     for i in range(count):
@@ -113,10 +105,6 @@ def synth_raster_task(width: int, height: int, shape_family: str, count: int,
     Families: "rect" (filled axis-aligned rectangle), "cross" (one full
     row plus one full column), "blank" (all background).
     """
-    if width < 4 or height < 4:
-        raise ValueError("grid must be at least 4 x 4")
-    if shape_family not in RASTER_FAMILIES:
-        raise ValueError(f"unknown shape family {shape_family!r}")
     grids = np.zeros((count, height, width), dtype=np.int64)
     for grid in grids:
         if shape_family == "rect":

@@ -24,14 +24,8 @@ __all__ = [
 ]
 
 
-def _check_pair(a: np.ndarray, b: np.ndarray) -> None:
-    if a.shape[1] != b.shape[1]:
-        raise ValueError(f"cloud dims differ: {a.shape[1]} vs {b.shape[1]}")
-
-
 def centroid_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Euclidean distance between the means of two [n, d] clouds."""
-    _check_pair(a, b)
     return float(np.linalg.norm(a.mean(axis=0) - b.mean(axis=0)))
 
 
@@ -40,7 +34,6 @@ def mean_cross_distance(a: np.ndarray, b: np.ndarray) -> float:
 
     By Jensen's inequality this is never below the centroid distance.
     """
-    _check_pair(a, b)
     diff = a[:, None, :] - b[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=-1)).mean())
 
@@ -57,8 +50,6 @@ def project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
         raise ValueError("project_2d needs at least 2 points of dimension >= 2")
     centered = x - x.mean(axis=0)
-    if not centered.any():
-        return np.zeros((x.shape[0], 2)), np.zeros(2)
     cov = (centered.T @ centered) / (x.shape[0] - 1)
     evals, vecs = np.linalg.eigh(cov)
     top = vecs[:, :-3:-1]   # eigenvalues ascend: the last two, largest first
@@ -77,8 +68,6 @@ def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
     draw there what a full-length unroll draws (noise is read in step order).
     """
     ids = np.asarray(y_sample, dtype=np.int64)
-    if ids.ndim != 2:
-        raise ValueError("y_sample must be [n, T]")
     n, t_len = ids.shape
     t = t_len if timestep is None else int(timestep)
     if not 1 <= t <= t_len:

@@ -107,8 +107,6 @@ class GateState:
 
 def gate(disc_accuracy: float) -> GateState:
     acc = float(disc_accuracy)
-    if not 0.0 <= acc <= 1.0:
-        raise ValueError(f"accuracy {acc} outside [0, 1]")
     return GateState(disc_accuracy=acc,
                      adversarial_to_generator=acc > ADVERSARIAL_GATE,
                      update_discriminator=acc <= FREEZE_GATE)
@@ -131,8 +129,6 @@ class GeneratorParams:
     @classmethod
     def create(cls, vocab_size: int, embed_dim: int, hidden: int,
                layers: int, rng: np.random.Generator) -> "GeneratorParams":
-        if vocab_size < 2 or embed_dim < 1 or hidden < 1 or layers < 1:
-            raise ValueError("generator sizes must be positive (vocab at least 2)")
         emb = init_params((vocab_size + 1, embed_dim), rng)
         cells = [GruCellParams.create(hidden, embed_dim if i == 0 else hidden, rng)
                  for i in range(layers)]
@@ -172,17 +168,11 @@ class DiscriminatorParams:
     @classmethod
     def create(cls, feature_width: int, hidden: int,
                rng: np.random.Generator) -> "DiscriminatorParams":
-        if feature_width < 1 or hidden < 1:
-            raise ValueError("discriminator sizes must be positive")
         fwd, bwd = (GruCellParams.create(hidden, feature_width, rng) for _ in "fb")
         # Three hidden ReLU layers of the encoder's width, then a linear scalar score per step.
         sizes = [2 * hidden, hidden, hidden, hidden, 1]
         return cls(fwd, bwd, [(_weight_in_out(rng, n_in, n_out), np.zeros(n_out))
                               for n_in, n_out in zip(sizes[:-1], sizes[1:])])
-
-    @property
-    def feature_width(self) -> int:
-        return self.fwd.input_size
 
     def named_params(self) -> list[tuple[str, np.ndarray]]:
         return (self.fwd.named("encoder.fwd.") + self.bwd.named("encoder.bwd.")
@@ -211,8 +201,6 @@ class UnrollResult:
 
 def _target_ids(g: GeneratorParams, y_seq) -> np.ndarray:
     ids = np.asarray(y_seq, dtype=np.int64)
-    if ids.ndim != 2 or ids.shape[1] < 1:
-        raise ValueError(f"expected [B, T] symbol ids, got shape {ids.shape}")
     if ids.min() < 0 or ids.max() >= g.vocab_size:
         raise ValueError("symbol id outside the generator vocabulary")
     return ids
@@ -281,8 +269,6 @@ def _unroll(g: GeneratorParams, ids: np.ndarray | None, t_len: int, batch: int,
     (``[1, B, H]``), and the unroll the targeted rows' logits, which
     ``nll`` sums in step order: memory grows with the draws alone.
     """
-    if not 0.0 <= p_sample <= 1.0:
-        raise ValueError(f"p_sample {p_sample} outside [0, 1]")
     emb, w_head, b_head = g.embedding, g.W_o, g.b_o
     vocab, top = g.vocab_size, g.hidden_size
     n_tf = 0 if ids is None else ids.shape[0]
@@ -394,8 +380,6 @@ def unroll_free_running(g: GeneratorParams, t_len: int, rng: np.random.Generator
         raise ValueError("unroll length must be positive")
     if batch < 1:
         raise ValueError(f"batch must be at least 1, got {batch}")
-    if not 0.0 < temperature < math.inf:
-        raise ValueError(f"temperature must be positive and finite, got {temperature}")
     return _unroll(g, None, t_len, batch, 0.0, rng, temperature, False, taped=False)
 
 
@@ -420,10 +404,7 @@ def discriminate(d: DiscriminatorParams, stack: np.ndarray):
     None) and the list of the weights' (Nones if not ``learns``) in
     ``d.tensors()`` order.
     """
-    t_len, batch, width = stack.shape
-    if width != d.feature_width:
-        raise ValueError(f"behavior width {width} does not match "
-                         f"discriminator input {d.feature_width}")
+    t_len, batch, _ = stack.shape
     states, enc_back = bigru_encode(d.fwd, d.bwd, stack)
     scores, mlp_back = mlp_forward(d.layers, states)   # [T, 2B, 1]
     pooled = np.sum(scores.reshape(t_len, batch), axis=0) / t_len

@@ -89,8 +89,6 @@ class GruCellParams:
 
     @classmethod
     def create(cls, hidden: int, input_size: int, rng: np.random.Generator) -> "GruCellParams":
-        if hidden < 1 or input_size < 1:
-            raise ValueError("hidden and input sizes must be positive")
         W, U = (np.stack([_weight_in_out(rng, fan_in, hidden) for _ in "zrc"])
                 for fan_in in (input_size, hidden))   # W's draws, then U's
         return cls(W=W, U=U, b=np.zeros((3, hidden)))
@@ -98,10 +96,6 @@ class GruCellParams:
     @property
     def hidden_size(self) -> int:
         return self.U.shape[-1]
-
-    @property
-    def input_size(self) -> int:
-        return self.W.shape[1]
 
     def named(self, prefix: str = "") -> list[tuple[str, np.ndarray]]:
         return [(prefix + "W", self.W), (prefix + "U", self.U), (prefix + "b", self.b)]
@@ -147,8 +141,6 @@ def _gru_run(p: GruCellParams, x: np.ndarray, reverse: bool = False):
     the states ``[T+1, B, H]``, zeros in row 0 and step t's in row t+1
     (rows T and t with ``reverse``), and the caches zr and c; every step
     writes ``r * h`` and its pre-tanh value into one row each."""
-    if x.shape[-1] != p.input_size:
-        raise ValueError(f"input width {x.shape[-1]} != cell input size {p.input_size}")
     T, B, _ = x.shape
     H = p.hidden_size
     W, b, U_zr, U_c = _gru_weights(p)
@@ -252,8 +244,6 @@ def mlp_forward(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray):
     encoder's weights and input both lie behind it.
     """
     ws, shape = [w for w, _ in layers], x.shape
-    if x.ndim < 2 or shape[-1] != ws[0].shape[0]:
-        raise ValueError(f"mlp_forward: expects [..., {ws[0].shape[0]}] rows, got {shape}")
     acts = [x.reshape(-1, shape[-1])]   # each layer's input, then the output
     for i, (w, b) in enumerate(layers):
         a = acts[-1] @ w
@@ -287,8 +277,6 @@ def bigru_encode(fwd: GruCellParams, bwd: GruCellParams, seq: np.ndarray):
     :func:`_gru_bptt` for ``bwd`` first, on its half of the gradient, and
     frees that direction's caches before ``fwd``'s.
     """
-    if seq.ndim != 3 or seq.shape[0] == 0:
-        raise ValueError(f"bigru_encode expects a nonempty [T, B, I] input, got {seq.shape}")
     T, B, _ = seq.shape
     H = fwd.hidden_size
     out, runs = np.empty((T, B, 2 * H)), []

@@ -26,8 +26,6 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: Sequence[np.ndarray], lr: float = 1e-4) -> "AdamState":
-        if lr <= 0.0:
-            raise ValueError("learning rate must be positive")
         return cls(lr=lr, t=0,
                    m=[np.zeros_like(p) for p in params],
                    v=[np.zeros_like(p) for p in params])

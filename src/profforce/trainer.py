@@ -168,8 +168,9 @@ def _load_tensors(own: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) ->
 
 
 def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[GeneratorParams, TrainConfig]:
-    """Rebuild just the generator, for sampling and diagnostics commands."""
+    """The generator, for ``sample`` and ``diagnose``, of a config that ``train`` accepts."""
     cfg = config_from_text(ckpt.config_text)
+    validate_config(cfg)
     g = GeneratorParams.create(cfg.vocab_size, cfg.gen_embed, cfg.gen_hidden,
                                cfg.gen_layers, np.random.default_rng(0))   # for the shapes
     _load_tensors({"g." + name: t for name, t in g.named_params()},

@@ -1,3 +1,4 @@
+import logging
 import os
 import stat
 import struct
@@ -259,16 +260,19 @@ class TestFuzz:
     Byte flips and truncations, and mutations resealed under a valid CRC
     so that they reach the parser: of the section count, a name or body
     length, a tensor's rank or dims (header alone, or with a consistent
-    body), a section name and the state values.  The config text is left
-    alone: its sizes could ask for large allocations.  Whatever
-    ``load_checkpoint``, ``Trainer.resume`` and ``generator_from_checkpoint``
-    refuse, they refuse with ``CheckpointError``; ``sample`` and
-    ``inspect-checkpoint`` exit 2 on a file that does not load.
+    body), a section name and the state values, and a stray ``rng_state``
+    line in the state, as a checkpoint written before per-step draws holds.
+    The config text is left alone: its sizes could ask for large
+    allocations.  Whatever ``load_checkpoint``, ``Trainer.resume`` and
+    ``generator_from_checkpoint`` refuse, they refuse with
+    ``CheckpointError``; ``sample`` and ``inspect-checkpoint`` exit 2 on a
+    file that does not load.  A stray key alone refuses nothing: such a
+    checkpoint loads, resumes with a warning naming the key and samples.
     """
 
     CASES = 360
     KINDS = ("flip", "truncate", "count", "name_len", "body_len", "rank", "dims",
-             "name", "state")
+             "name", "state", "stray")
 
     @staticmethod
     def _mutant(kind, blob, rng):
@@ -322,20 +326,24 @@ class TestFuzz:
             i = int(rng.integers(len(lines)))
             key = lines[i].partition("=")[0]
             digits = "".join(map(str, rng.integers(0, 10, int(rng.integers(1, 45)))))
-            lines[i] = pick([f"{key}={v}" for v in (digits, "-" + digits, "", "nan", "inf",
-                                                    "-inf", "1e309", "0x10", "1.5", "\u0663",
-                                                    " 7", "2" * 40)]
-                            + ["", "no-equals-sign", f"{key}", f"={digits}"])
+            if kind == "stray":   # or a line of a key no reader knows put before it
+                lines.insert(i, f"rng_state={digits}")
+            else:
+                lines[i] = pick([f"{key}={v}" for v in (digits, "-" + digits, "", "nan", "inf",
+                                                        "-inf", "1e309", "0x10", "1.5",
+                                                        "\u0663", " 7", "2" * 40)]
+                                + ["", "no-equals-sign", f"{key}", f"={digits}"])
             f[3] = "\n".join(lines).encode() + b"\n"
             f[2] = struct.pack("<Q", len(f[3]))
         return sealed(struct.pack("<I", count) + b"".join(b"".join(f) for f in fields))
 
-    def test_only_checkpoint_errors_escape(self, tmp_path, capsys):
+    def test_only_checkpoint_errors_escape(self, tmp_path, capsys, caplog):
         base = tmp_path / "base"
         Trainer(TrainConfig(**dict(TINY_PF, max_steps=2)), base).run()
         blob = (base / "final.ckpt").read_bytes()
         rng = np.random.default_rng(2024)
         path, escapes, refused = tmp_path / "m.ckpt", [], 0
+        caplog.set_level(logging.WARNING, logger="profforce")
         for case in range(self.CASES):
             kind = self.KINDS[case % len(self.KINDS)]
             path.write_bytes(self._mutant(kind, blob, rng))
@@ -356,6 +364,10 @@ class TestFuzz:
                      cli_main(["sample", str(path), "--length", "2"]))
             assert codes == (0 if loads else 2, 0 if rebuilds else 2), (case, kind)
             refused += not loads
+            if kind == "stray":
+                assert results == [True] * 3 and codes == (0, 0), case
+                assert "rng_state ignored" in caplog.text, case
             capsys.readouterr()
+            caplog.clear()
         assert escapes == []
         assert refused > self.CASES // 2   # most mutations must reach a refusal

@@ -243,6 +243,13 @@ class TestTrainCommand:
         assert msg in capsys.readouterr().err
         assert not out.exists()
 
+    def test_raster_run_does_not_judge_the_vocab_size_it_ignores(self, tmp_path, capsys):
+        # its vocabulary is the two pixel values; vocab_size=1 used to exit 2
+        out = tmp_path / "x"
+        assert main(["train", "--preset", "desk-raster", "--seed", "1", "--steps", "1",
+                     "--out", str(out), "--set", "vocab_size=1", "--set", "val_every=0"]) == 0
+        assert "vocab_size=2\n" in load_checkpoint(out / "final.ckpt").config_text
+
     def test_resume_to_fewer_steps_exits_2_and_writes_nothing(self, trained, capsys):
         # it used to train nothing and rewrite final.ckpt with step 4 but max_steps 3
         before = {p.name: p.read_bytes() for p in trained.iterdir()}
@@ -502,6 +509,24 @@ class TestDiagnoseCommand:
         assert main(["diagnose", str(trained / "final.ckpt"), "--count", "4",
                      "--timestep", "99"]) == 2
         assert "error:" in capsys.readouterr().err
+
+
+class TestCheckpointConfigGate:
+    @pytest.mark.parametrize("command", [
+        ["sample"], ["diagnose", "--count", "4"], ["train", "--out", "{tmp}/resumed", "--resume"]])
+    def test_config_train_refuses_exits_2_naming_the_key(self, trained, tmp_path, capsys,
+                                                           command):
+        # sample, diagnose and a resume apply train's checks to the checkpoint's config:
+        # sample drew from this one, and diagnose died in the copy task's own check
+        ckpt = load_checkpoint(trained / "final.ckpt")
+        ckpt.config_text += "copy_pattern_len=0\n"
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        capsys.readouterr()
+        args = [a.format(tmp=tmp_path) for a in command]
+        assert main(args + [str(tmp_path / "bad.ckpt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: need 1 <= copy_pattern_len <= seq_len"]
+        assert not (tmp_path / "resumed").exists()
 
 
 class TestInspectCommand:

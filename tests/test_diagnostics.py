@@ -59,10 +59,6 @@ class TestDistances:
         c2 = centroid_distance(cloud(pa + shift), cloud(pb + shift))
         assert abs(c1 - c2) < 1e-9
 
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            centroid_distance(cloud([[1.0, 2.0]]), cloud([[1.0, 2.0, 3.0]]))
-
     def test_clouds_of_different_sizes(self):
         a, b = cloud([[0.0, 0.0], [1.0, 1.0]]), cloud([[3.0, 4.0]])
         assert len(a) == 2 and len(b) == 1

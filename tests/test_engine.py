@@ -151,11 +151,6 @@ class TestTeacherForcedUnroll:
         with pytest.raises(ValueError, match="vocabulary"):
             unroll_teacher_forced(g, np.array([[-1, 0]]))
 
-    def test_rejects_the_ids_of_one_sequence(self):
-        # ids are [B, T]: one sequence is a batch of one row
-        with pytest.raises(ValueError, match=r"\[B, T\]"):
-            unroll_teacher_forced(tiny_generator(), [1, 2, 3])
-
     def test_closure_takes_the_behavior_gradient_and_gives_every_parameter(self):
         g = tiny_generator()
         y = np.array([[1, 2, 3], [0, 3, 2]])
@@ -220,11 +215,8 @@ class TestFreeRunningUnroll:
     def test_validation(self):
         g = tiny_generator()
         rng = np.random.default_rng(34)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="unroll length must be positive"):
             unroll_free_running(g, 0, rng)
-        for temperature in (0.0, -1.0, math.nan, math.inf):
-            with pytest.raises(ValueError, match="temperature must be positive and finite"):
-                unroll_free_running(g, 3, rng, temperature=temperature)
 
     def test_rejects_nonpositive_batch(self):
         g = tiny_generator()
@@ -311,11 +303,6 @@ class TestScheduledSampling:
         n = flips.size
         sd = math.sqrt(n * 0.25)
         assert abs(flips.sum() - 0.5 * n) < 4 * sd
-
-    def test_p_out_of_range(self):
-        g = tiny_generator()
-        with pytest.raises(ValueError):
-            ss_unroll(g, np.array([0]), 1.5, np.random.default_rng(42))
 
 
 def per_step_reference(g, ids, t_len, batch, p_sample, rng, temperature,
@@ -779,11 +766,6 @@ class TestDiscriminate:
         expected = 1.0 / (1.0 + np.exp(-pooled))
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
-    def test_width_mismatch(self):
-        d = tiny_discriminator(width=5)
-        with pytest.raises(ValueError):
-            discriminate(d, self._behavior(np.random.default_rng(46), width=6))
-
     def test_output_depends_on_time_order(self):
         d = tiny_discriminator(width=5)
         b = self._behavior(np.random.default_rng(47))
@@ -1060,8 +1042,6 @@ class TestAccuracyAndGate:
         assert not gate(0.9900001).update_discriminator
         g = gate(1.0)
         assert g.adversarial_to_generator and not g.update_discriminator
-        with pytest.raises(ValueError):
-            gate(1.5)
 
 
 class TestGumbelRows:
@@ -1136,12 +1116,6 @@ def build_step_fixture(seed=60, vocab=4, hidden=5, batch=4, t_len=6,
 
 
 class TestTrainStep:
-    def test_rejects_the_ids_of_one_sequence(self):
-        g, d, y, ga, da = build_step_fixture()
-        with pytest.raises(ValueError, match=r"\[B, T\]"):
-            train_step(g, d, y[0], TrainConfig(), 0.0, np.random.default_rng(61), ga, da)
-        assert ga.t == 0
-
     def test_metrics_shape_and_finiteness(self):
         g, d, y, ga, da = build_step_fixture()
         m = train_step(g, d, y, TrainConfig(), 0.0, np.random.default_rng(61), ga, da)

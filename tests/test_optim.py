@@ -77,7 +77,3 @@ class TestAdam:
             adam_step(st, [p], [np.zeros(1), np.zeros(1)])
         with pytest.raises(ValueError):
             adam_step(st, [p], [np.zeros(2)])
-
-    def test_rejects_nonpositive_lr(self):
-        with pytest.raises(ValueError):
-            AdamState.for_params([np.array([1.0])], lr=0.0)
