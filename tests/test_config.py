@@ -196,6 +196,34 @@ class TestValidate:
         with pytest.raises(ConfigError, match=msg):
             validate_config(cfg)
 
+    # The kernels trust their caller, so this check is the only guard left on
+    # each value: the id names the kernel check that re-checked it once.
+    @pytest.mark.parametrize("overrides,msg", [
+        pytest.param(dict(copy_pattern_len=0), "copy_pattern_len", id="copy_pattern"),
+        pytest.param(dict(vocab_size=1), "copy task needs at least two symbols",
+                     id="copy_vocab"),
+        pytest.param(dict(task="raster", raster_width=3), "raster_width must be at least 4",
+                     id="raster_width"),
+        pytest.param(dict(task="raster", raster_height=3), "raster_height must be at least 4",
+                     id="raster_height"),
+        pytest.param(dict(task="raster", raster_family="blob"), "unknown raster_family",
+                     id="raster_family"),
+        pytest.param(dict(gen_hidden=0), "gen_hidden must be positive", id="gru_hidden"),
+        pytest.param(dict(gen_embed=0), "gen_embed must be positive", id="gru_input"),
+        pytest.param(dict(gen_layers=0), "gen_layers must be positive", id="generator_layers"),
+        pytest.param(dict(disc_hidden=0), "disc_hidden must be positive",
+                     id="discriminator_hidden"),
+        pytest.param(dict(temperature=0.0), "positive", id="unroll_temperature_zero"),
+        pytest.param(dict(temperature=math.nan), "finite", id="unroll_temperature_nan"),
+        pytest.param(dict(temperature=math.inf), "finite", id="unroll_temperature_inf"),
+        pytest.param(dict(lr=-1.0), "positive", id="adam_lr_negative"),
+        pytest.param(dict(lr=math.nan), "finite", id="adam_lr_nan"),
+    ])
+    def test_refuses_what_the_kernels_no_longer_check(self, overrides, msg):
+        cfg = dataclasses.replace(self._ok(), **overrides)
+        with pytest.raises(ConfigError, match=msg):
+            validate_config(cfg)
+
     def test_copy_pattern_bound(self):
         cfg = self._ok()
         cfg.copy_pattern_len = cfg.seq_len + 1
