@@ -123,6 +123,9 @@ def _seeded_rng(seed: int) -> np.random.Generator:
 def cmd_sample(args) -> int:
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
     length = args.length if args.length is not None else cfg.seq_len
+    for flag, value in (("--length", length), ("--count", args.count)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be at least 1, got {value}")
     bias = check_bias(args.bias if args.bias is not None else cfg.bias)
     temperature = 1.0 / (1.0 + bias)
     rng = _seeded_rng(args.seed)
@@ -139,12 +142,15 @@ def cmd_diagnose(args) -> int:
     if args.count < 1:
         raise ConfigError(f"--count must be at least 1, got {args.count}")
     g, cfg = generator_from_checkpoint(load_checkpoint(args.checkpoint))
-    train_set, val_set, cfg = build_datasets(cfg)
+    train_set, val_set = build_datasets(cfg)
     pool = val_set if val_set is not None and len(val_set) >= args.count else train_set
     seqs = pool.sequences[:args.count]
-    if seqs.shape[0] == 0:
-        raise ConfigError("no sequences available for diagnosis")
     timestep = args.timestep if args.timestep is not None else seqs.shape[1]
+    if not 1 <= timestep <= seqs.shape[1]:
+        raise ConfigError(f"--timestep must lie in 1..{seqs.shape[1]}, got {timestep}")
+    if args.out is not None and g.hidden_size < 2:   # its projection takes two directions
+        raise ConfigError(f"--out needs a generator of hidden size at least 2, "
+                          f"got {g.hidden_size}")
     rng = _seeded_rng(args.seed)
     clouds = collect_state_clouds(g, seqs, timestep, rng, temperature=cfg.temperature)
     if args.out is not None:   # before the report, so a bad --out prints none

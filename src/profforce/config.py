@@ -43,8 +43,8 @@ class TrainConfig:
     task: str = "copy"
     corpus_path: str | None = None
     seq_len: int = 50
-    vocab_size: int = 8                 # derived from the file for corpus tasks
-    vocab_symbols: str | None = None    # comma-separated codepoints, corpus only
+    vocab_size: int = 8                 # copy only: raster has 2, corpus its file's count
+    vocab_symbols: str | None = None    # comma-separated codepoints; corpus: the file's own
     copy_pattern_len: int = 5
     copy_count: int = 32
     raster_width: int = 10
@@ -210,10 +210,10 @@ def validate_config(cfg: TrainConfig) -> None:
             raise ConfigError(f"{name} must be positive")
     if cfg.task == "copy" and not 1 <= cfg.copy_pattern_len <= cfg.seq_len:
         raise ConfigError("need 1 <= copy_pattern_len <= seq_len")
-    if cfg.task != "raster" and cfg.vocab_size < 2:   # a raster run's vocabulary is fixed at 2
-        raise ConfigError(f"vocab_size {cfg.vocab_size}: {cfg.task} task needs at least "
-                          "two symbols")
-    check_vocab_symbols(cfg.vocab_symbols, 2 if cfg.task == "raster" else cfg.vocab_size)
+    if cfg.task == "copy" and cfg.vocab_size < 2:   # build_datasets sets the others' vocabulary
+        raise ConfigError(f"vocab_size {cfg.vocab_size}: copy task needs at least two symbols")
+    if cfg.task != "corpus":   # build_datasets judges a corpus run's against its file
+        check_vocab_symbols(cfg.vocab_symbols, 2 if cfg.task == "raster" else cfg.vocab_size)
     if cfg.task == "raster" and cfg.raster_family not in RASTER_FAMILIES:
         raise ConfigError(f"unknown raster_family {cfg.raster_family!r}; have {RASTER_FAMILIES}")
     for name in ("raster_width", "raster_height"):

@@ -41,8 +41,6 @@ def load_corpus(path) -> CharCorpus:
     5% is held out, and nothing reads it.
     """
     raw = Path(path).read_bytes()
-    if not raw:
-        raise ValueError(f"corpus file {path} is empty")
     try:
         text = raw.decode("utf-8")
     except UnicodeDecodeError:

@@ -44,11 +44,10 @@ def project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Returns the [n, 2] coordinates and the two variances, largest first.
     Each direction is signed so that its largest-magnitude entry is
     positive, so the projection is deterministic.  An all-identical
-    cloud reports zero variance and all-zero coordinates.
+    cloud reports zero variance and all-zero coordinates.  The caller
+    gives at least 2 points of dimension at least 2.
     """
     x = np.asarray(points, dtype=np.float64)
-    if x.ndim != 2 or x.shape[0] < 2 or x.shape[1] < 2:
-        raise ValueError("project_2d needs at least 2 points of dimension >= 2")
     centered = x - x.mean(axis=0)
     cov = (centered.T @ centered) / (x.shape[0] - 1)
     evals, vecs = np.linalg.eigh(cov)
@@ -60,20 +59,17 @@ def project_2d(points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def collect_state_clouds(g: GeneratorParams, y_sample, timestep: int | None,
                          rng: np.random.Generator,
                          temperature: float = 1.0) -> tuple[np.ndarray, np.ndarray]:
-    """Hidden states [n, H] at one timestep (1-based; default last) for both
-    regimes, teacher forced first.
+    """Hidden states [n, H] at one timestep (1-based, within the sequences;
+    None: the last) for both regimes, teacher forced first.
 
     Both unroll only to that step and keep no per-step outputs: teacher
     forced over the given sequences, free running as many rows, which
     draw there what a full-length unroll draws (noise is read in step order).
     """
     ids = np.asarray(y_sample, dtype=np.int64)
-    n, t_len = ids.shape
-    t = t_len if timestep is None else int(timestep)
-    if not 1 <= t <= t_len:
-        raise ValueError(f"timestep {t} outside 1..{t_len}")
+    t = ids.shape[1] if timestep is None else timestep
     tf = unroll_teacher_forced(g, ids[:, :t])
-    fr = unroll_free_running(g, t, rng, batch=n, temperature=temperature)
+    fr = unroll_free_running(g, t, rng, batch=ids.shape[0], temperature=temperature)
     return tf.hidden[0], fr.hidden[0]
 
 

@@ -28,7 +28,8 @@ from pathlib import Path
 import numpy as np
 
 from .checkpoint import Checkpoint, CheckpointError, load_checkpoint, save_checkpoint
-from .config import ConfigError, TrainConfig, canonical_text, config_from_text, validate_config
+from .config import (ConfigError, TrainConfig, canonical_text, check_vocab_symbols,
+                     config_from_text, validate_config)
 from .data import (
     SequenceDataset,
     chunk_sequences,
@@ -121,36 +122,41 @@ def build_models(cfg: TrainConfig) -> tuple[GeneratorParams, DiscriminatorParams
     return g, DiscriminatorParams.create(width, cfg.disc_hidden, d_rng)
 
 
-def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset | None, TrainConfig]:
-    """Training and validation sequences; corpus tasks fill in the vocabulary."""
+def build_datasets(cfg: TrainConfig) -> tuple[SequenceDataset, SequenceDataset | None]:
+    """Training and validation sequences.  Sets a raster run's vocabulary and seq_len,
+    and a corpus run's from its file, which a ``vocab_symbols`` already set must match."""
     if cfg.task == "copy":
         rng = np.random.default_rng([cfg.seed, 21])
         train = synth_copy_task(cfg.vocab_size, cfg.copy_pattern_len, cfg.seq_len,
                                 cfg.copy_count, rng)
         val = (synth_copy_task(cfg.vocab_size, cfg.copy_pattern_len, cfg.seq_len,
                                cfg.val_count, rng) if cfg.val_count else None)
-        return train, val, cfg
+        return train, val
     if cfg.task == "raster":
         rng = np.random.default_rng([cfg.seed, 21])
-        seq_len = cfg.raster_width * cfg.raster_height
         train = synth_raster_task(cfg.raster_width, cfg.raster_height,
                                   cfg.raster_family, cfg.raster_count, rng)
         val = (synth_raster_task(cfg.raster_width, cfg.raster_height,
                                  cfg.raster_family, cfg.val_count, rng)
                if cfg.val_count else None)
-        cfg.vocab_size = 2
-        cfg.seq_len = seq_len
-        return train, val, cfg
+        cfg.vocab_size, cfg.seq_len = 2, cfg.raster_width * cfg.raster_height
+        return train, val
     corpus = load_corpus(cfg.corpus_path)
-    cfg.vocab_size = corpus.vocab_size
-    cfg.vocab_symbols = ",".join(str(ord(ch)) for ch in corpus.vocab)
+    symbols = ",".join(str(ord(ch)) for ch in corpus.vocab)
+    if corpus.vocab_size < 2:
+        raise ConfigError(f"corpus_path {cfg.corpus_path} holds {corpus.vocab_size} distinct "
+                          "symbols; a corpus task needs at least two")
+    if cfg.vocab_symbols not in (None, symbols):   # a checkpoint's, or the user's
+        raise ConfigError(f"vocab_symbols {cfg.vocab_symbols} are not the symbols of "
+                          f"corpus_path {cfg.corpus_path} ({symbols})")
+    cfg.vocab_size, cfg.vocab_symbols = corpus.vocab_size, symbols
     train = chunk_sequences(corpus.train_ids, cfg.seq_len)
     val = chunk_sequences(corpus.valid_ids, cfg.seq_len)
     if len(train) == 0:
         raise ConfigError(f"corpus too small for one sequence of seq_len {cfg.seq_len}")
     if len(val) == 0:
         val = None
-    return train, val, cfg
+    return train, val
 
 
 def _load_tensors(own: dict[str, np.ndarray], tensors: dict[str, np.ndarray]) -> None:
@@ -171,6 +177,9 @@ def generator_from_checkpoint(ckpt: Checkpoint) -> tuple[GeneratorParams, TrainC
     """The generator, for ``sample`` and ``diagnose``, of a config that ``train`` accepts."""
     cfg = config_from_text(ckpt.config_text)
     validate_config(cfg)
+    if cfg.task == "corpus" and cfg.vocab_symbols is None:   # else diagnose takes the file's
+        raise CheckpointError("corpus checkpoint has no vocab_symbols")
+    check_vocab_symbols(cfg.vocab_symbols, cfg.vocab_size)   # sample reads no corpus file
     g = GeneratorParams.create(cfg.vocab_size, cfg.gen_embed, cfg.gen_hidden,
                                cfg.gen_layers, np.random.default_rng(0))   # for the shapes
     _load_tensors({"g." + name: t for name, t in g.named_params()},
@@ -184,9 +193,8 @@ class Trainer:
         if cfg.mode == "scheduled_sampling" and cfg.ss_ramp_steps is None:
             cfg.ss_ramp_steps = cfg.max_steps   # kept in checkpoints: a resume continues it
         _keep_freed_memory()
-        self.out_dir = Path(out_dir)
-        self.train_set, self.val_set, self.cfg = build_datasets(cfg)
-        validate_config(self.cfg)
+        self.out_dir, self.cfg = Path(out_dir), cfg
+        self.train_set, self.val_set = build_datasets(cfg)
         self.g, self.d = build_models(self.cfg)
         self.g_adam = AdamState.for_params(self.g.tensors(), lr=self.cfg.lr)
         self.d_adam = (None if self.d is None
@@ -238,6 +246,8 @@ class Trainer:
         written = config_from_text(ckpt.config_text)   # flaws of the file's own
         if written.mode == "scheduled_sampling" and written.ss_ramp_steps is None:
             raise CheckpointError("scheduled-sampling checkpoint has no ss_ramp_steps")
+        if written.task == "corpus" and written.vocab_symbols is None:   # the file's were taken
+            raise CheckpointError("corpus checkpoint has no vocab_symbols")
         for limit, error in ((written.max_steps, CheckpointError),
                              (self.cfg.max_steps, ConfigError)):
             if limit < st["step"]:

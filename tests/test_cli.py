@@ -35,6 +35,19 @@ def trained(tmp_path):
     return out
 
 
+CORPUS = "abcd" * 100   # 4 symbols: vocab_symbols=97,98,99,100
+
+
+@pytest.fixture
+def corpus_trained(tmp_path):
+    """A run directory of a 2-step tiny corpus run on ``CORPUS``, and its file."""
+    corpus, out = tmp_path / "corpus.txt", tmp_path / "corpus-run"
+    corpus.write_text(CORPUS)
+    extra = ["--set", "task=corpus", "--set", f"corpus_path={corpus}"]
+    assert main(train_args(out, extra=extra, steps="2")) == 0
+    return out, corpus
+
+
 class TestTrainCommand:
     def test_writes_outputs_and_reports(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -231,24 +244,38 @@ class TestTrainCommand:
         (["task=raster", "raster_height=2"], "raster_height must be at least 4"),
         (["vocab_size=1"], "copy task needs at least two symbols"),
         (["task=corpus", "corpus_path={tmp}/missing.txt"], "missing.txt"),
+        (["task=corpus", "corpus_path={tmp}/corpus.txt", "vocab_symbols=65,66"],
+         "vocab_symbols 65,66 are not the symbols of corpus_path {tmp}/corpus.txt"),
         # 10**13 rows ask for hundreds of TiB at once, past any address space
         (["val_count=10000000000000"], "Unable to allocate"),
     ])
     def test_failed_set_up_exits_2_without_a_run_directory(self, tmp_path, capsys, pairs,
                                                            msg):
         # the run directory used to be made before the data and models were built
+        (tmp_path / "corpus.txt").write_text(CORPUS)
         out = tmp_path / "x"
         extra = [arg for pair in pairs for arg in ("--set", pair.format(tmp=tmp_path))]
         assert main(train_args(out, extra=extra)) == 2
-        assert msg in capsys.readouterr().err
+        assert msg.format(tmp=tmp_path) in capsys.readouterr().err
         assert not out.exists()
 
-    def test_raster_run_does_not_judge_the_vocab_size_it_ignores(self, tmp_path, capsys):
-        # its vocabulary is the two pixel values; vocab_size=1 used to exit 2
+    @pytest.mark.parametrize("extra, derived", [
+        (["--preset", "desk-raster", "--set", "vocab_size=1"], {"vocab_size=2"}),
+        # a corpus run takes both keys from its file; each of these used to exit 2
+        (["--set", "task=corpus", "--set", "vocab_size=1"],
+         {"vocab_size=4", "vocab_symbols=97,98,99,100"}),
+        (["--set", "task=corpus", "--set", "vocab_symbols=97,98,99,100"],
+         {"vocab_size=4", "vocab_symbols=97,98,99,100"}),
+    ], ids=["raster", "corpus_vocab_size", "corpus_own_vocab_symbols"])
+    def test_raster_run_does_not_judge_the_vocab_size_it_ignores(self, tmp_path, capsys,
+                                                                 extra, derived):
+        # a raster run's vocabulary is the two pixel values; vocab_size=1 used to exit 2
+        (tmp_path / "corpus.txt").write_text(CORPUS)
         out = tmp_path / "x"
-        assert main(["train", "--preset", "desk-raster", "--seed", "1", "--steps", "1",
-                     "--out", str(out), "--set", "vocab_size=1", "--set", "val_every=0"]) == 0
-        assert "vocab_size=2\n" in load_checkpoint(out / "final.ckpt").config_text
+        assert main(["train", "--seed", "1", "--steps", "1", "--out", str(out),
+                     "--set", f"corpus_path={tmp_path / 'corpus.txt'}", "--set", "val_every=0",
+                     *extra]) == 0
+        assert derived <= set(load_checkpoint(out / "final.ckpt").config_text.splitlines())
 
     def test_resume_to_fewer_steps_exits_2_and_writes_nothing(self, trained, capsys):
         # it used to train nothing and rewrite final.ckpt with step 4 but max_steps 3
@@ -402,10 +429,15 @@ class TestSampleCommand:
         assert len(lines) == 2
         assert all(set(l) <= {"a", "b"} and len(l) == 10 for l in lines)
 
+    @pytest.mark.parametrize("run", ["trained", "corpus_trained"])
     @pytest.mark.parametrize("symbols", ["65", "65,66,67,99999999999", "65,66,67,x"])
-    def test_vocab_symbols_that_cannot_decode_exits_2(self, trained, tmp_path, capsys, symbols):
+    def test_vocab_symbols_that_cannot_decode_exits_2(self, request, tmp_path, capsys, symbols,
+                                                      run):
         # no train writes such a checkpoint now; sample died of an IndexError or an
-        # OverflowError on them, or reported int()'s complaint without naming the key
+        # OverflowError on them, or reported int()'s complaint without naming the key.
+        # sample reads no corpus file, so a corpus run's symbols are judged as a copy run's
+        trained = request.getfixturevalue(run)
+        trained = trained[0] if run == "corpus_trained" else trained
         ckpt = load_checkpoint(trained / "final.ckpt")
         ckpt.config_text += f"vocab_symbols={symbols}\n"
         save_checkpoint(ckpt, tmp_path / "bad.ckpt")
@@ -441,12 +473,13 @@ class TestSampleCommand:
         assert "\n".join(got).encode("utf-8") == "\n".join(expected).encode("utf-8")
         assert _decode_rows(rows[:, :0], vocab_symbols) == [""] * 5
 
+    @pytest.mark.parametrize("flag", ["--count", "--length"])
     @pytest.mark.parametrize("count", ["0", "-1"])
-    def test_nonpositive_count_exits_2(self, trained, capsys, count):
-        assert main(["sample", str(trained / "final.ckpt"), "--count", count]) == 2
+    def test_nonpositive_count_exits_2(self, trained, capsys, count, flag):
+        assert main(["sample", str(trained / "final.ckpt"), flag, count]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert f"batch must be at least 1, got {count}" in captured.err
+        assert captured.err.splitlines() == [f"error: {flag} must be at least 1, got {count}"]
 
     def test_length_too_large_to_allocate_exits_2(self, trained, capsys):
         # 10**13 steps of 8 rows ask for hundreds of TiB at once, past any
@@ -505,10 +538,65 @@ class TestDiagnoseCommand:
         assert f"--count must be at least 1, got {count}" in captured.err
         assert not dest.exists()
 
-    def test_bad_timestep_exits_2(self, trained, capsys):
+    @pytest.mark.parametrize("timestep", ["0", "9"])   # the sequences have 8 steps
+    def test_bad_timestep_exits_2(self, trained, capsys, timestep):
+        capsys.readouterr()
         assert main(["diagnose", str(trained / "final.ckpt"), "--count", "4",
-                     "--timestep", "99"]) == 2
-        assert "error:" in capsys.readouterr().err
+                     "--timestep", timestep]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines() == [f"error: --timestep must lie in 1..8, got {timestep}"]
+
+    def test_out_of_hidden_size_1_exits_2_before_reporting(self, tmp_path, capsys):
+        # it used to print its report and write clouds.csv, then fail in project_2d
+        run, dest = tmp_path / "run", tmp_path / "diag"
+        assert main(train_args(run, extra=["--set", "gen_hidden=1"], steps="2")) == 0
+        capsys.readouterr()
+        assert main(["diagnose", str(run / "final.ckpt"), "--count", "4",
+                     "--out", str(dest)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == [
+            "error: --out needs a generator of hidden size at least 2, got 1"]
+        assert not dest.exists()
+
+
+class TestCorpusEditedAfterTraining:
+    """diagnose and a resume read the corpus file again: its symbols must
+    still be the checkpoint's ``vocab_symbols``, or the ids mean other symbols."""
+
+    @pytest.mark.parametrize("edited", [CORPUS.replace("d", "e"), CORPUS + "e"],
+                             ids=["same_count", "grown"])
+    @pytest.mark.parametrize("command", [["diagnose", "--count", "4"],
+                                         ["train", "--steps", "4", "--out", "{run}", "--resume"]],
+                             ids=["diagnose", "resume"])
+    def test_exits_2_naming_vocab_symbols(self, corpus_trained, capsys, edited, command):
+        # a same-count edit used to diagnose and resume on another id mapping, and
+        # a grown file to fail a resume on adam_g.embedding.m's shape
+        run, corpus = corpus_trained
+        corpus.write_text(edited)
+        before = {p.name: p.read_bytes() for p in run.iterdir()}
+        capsys.readouterr()
+        args = [a.format(run=run) for a in command]
+        assert main(args + [str(run / "final.ckpt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith(
+            f"error: vocab_symbols 97,98,99,100 are not the symbols of corpus_path {corpus}")
+        assert {p.name: p.read_bytes() for p in run.iterdir()} == before
+
+    @pytest.mark.parametrize("command", [["sample"], ["diagnose", "--count", "4"],
+                                         ["train", "--out", "{tmp}/resumed", "--resume"]])
+    def test_checkpoint_without_vocab_symbols_exits_2(self, corpus_trained, tmp_path, capsys,
+                                                      command):
+        # diagnose and a resume would take the symbols of whatever the file now holds
+        ckpt = load_checkpoint(corpus_trained[0] / "final.ckpt")
+        ckpt.config_text = "".join(line for line in ckpt.config_text.splitlines(True)
+                                   if not line.startswith("vocab_symbols="))
+        save_checkpoint(ckpt, tmp_path / "bad.ckpt")
+        capsys.readouterr()
+        assert main([a.format(tmp=tmp_path) for a in command] + [str(tmp_path / "bad.ckpt")]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.splitlines() == ["error: corpus checkpoint has no vocab_symbols"]
+        assert not (tmp_path / "resumed").exists()
 
 
 class TestCheckpointConfigGate:

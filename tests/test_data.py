@@ -55,12 +55,6 @@ class TestLoadCorpus:
         ids = np.concatenate([corpus.train_ids, corpus.valid_ids])
         assert "".join(corpus.vocab[i] for i in ids) == text[:len(ids)]
 
-    def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "e.txt"
-        p.write_text("")
-        with pytest.raises(ValueError):
-            load_corpus(p)
-
     def test_non_utf8_falls_back(self, tmp_path):
         p = tmp_path / "l1.txt"
         p.write_bytes(b"caf\xe9" * 30)

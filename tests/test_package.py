@@ -48,7 +48,7 @@ def test_readme_quotes_checkpoint_format():
     assert f"`{MAGIC.decode('ascii')}`" in readme
 
 
-SRC_LINE_CEILING = 2070   # may only come down
+SRC_LINE_CEILING = 2069   # may only come down
 
 
 def test_src_stays_within_its_line_budget():
@@ -108,19 +108,6 @@ def test_no_closure_declares_a_parameter_default():
 # what it guards that the boundary cannot, or that numpy would not report.
 BOUNDARY = ("config", "checkpoint", "cli", "trainer")
 RAISES_BEHIND_THE_BOUNDARY = {
-    'data.load_corpus: raise ValueError(f"corpus file {path} is empty")':
-        "the corpus file itself is read only here",
-    'engine._target_ids: raise ValueError("symbol id outside the generator vocabulary")':
-        "diagnose reads the corpus file again, which may have changed since training",
-    'engine.unroll_free_running: raise ValueError("unroll length must be positive")':
-        "sample --length",
-    'engine.unroll_free_running: raise ValueError(f"batch must be at least 1, got {batch}")':
-        "sample --count",
-    'diagnostics.project_2d: raise ValueError("project_2d needs at least 2 points of '
-    'dimension >= 2")':
-        "diagnose --out of a generator of hidden size 1, which has no second direction",
-    'diagnostics.collect_state_clouds: raise ValueError(f"timestep {t} outside 1..{t_len}")':
-        "diagnose --timestep",
     'optim.adam_step: raise ValueError("params, grads and optimizer state must align")':
         "zip would silently drop the parameters past the shortest list",
     'optim.adam_step: raise ValueError(f"gradient shape {g.shape} != parameter shape '
@@ -312,6 +299,8 @@ def _commands(tmp: Path) -> list[list[str]]:
         ["sample", str(tmp / "corpus" / "final.ckpt"), "--count", "2", "--bias", "1"],
         ["sample", tf, "--count", "2", "--out", str(tmp / "sample.txt")],
         ["diagnose", tf, "--count", "4", "--out", str(tmp / "diag")],
+        # build_datasets checks the file's symbols against the checkpoint's
+        ["diagnose", str(tmp / "corpus" / "final.ckpt"), "--count", "2", "--timestep", "3"],
         ["inspect-checkpoint", pf],
     ]
 

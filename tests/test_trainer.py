@@ -114,14 +114,14 @@ class TestAdversaryOnlyInProfessorForcing:
 
 class TestBuildDatasets:
     def test_copy_counts(self):
-        train, val, _ = build_datasets(tiny_cfg())
+        train, val = build_datasets(tiny_cfg())
         assert train.sequences.shape == (8, 8)
         assert val.sequences.shape == (4, 8)
 
     def test_raster_fills_in_derived_fields(self):
         cfg = tiny_cfg(task="raster", raster_width=5, raster_height=4,
                        raster_count=6, val_count=2)
-        train, val, cfg = build_datasets(cfg)
+        train, val = build_datasets(cfg)
         assert cfg.vocab_size == 2 and cfg.seq_len == 20
         assert train.sequences.shape == (6, 20) and val.sequences.shape == (2, 20)
 
@@ -129,7 +129,7 @@ class TestBuildDatasets:
         f = tmp_path / "c.txt"
         f.write_text("ab" * 400)
         cfg = tiny_cfg(task="corpus", corpus_path=str(f), seq_len=10)
-        train, val, cfg = build_datasets(cfg)
+        train, val = build_datasets(cfg)
         assert cfg.vocab_size == 2
         assert cfg.vocab_symbols == f"{ord('a')},{ord('b')}"
         assert train.sequences.shape == (72, 10)  # 720 train ids in 10-chunks
@@ -137,8 +137,9 @@ class TestBuildDatasets:
 
     @pytest.mark.parametrize("text, msg", [
         ("ab", "corpus too small for one sequence of seq_len 10"),
-        ("a" * 400, "vocab_size 1: corpus task needs at least two symbols"),
-    ])
+        ("a" * 400, "holds 1 distinct symbols; a corpus task needs at least two"),
+        ("", "holds 0 distinct symbols; a corpus task needs at least two"),
+    ], ids=["too_short", "one_symbol", "empty"])
     def test_corpus_that_cannot_train_is_a_config_error(self, tmp_path, text, msg):
         # one symbol used to fail in GeneratorParams.create, naming neither
         f = tmp_path / "c.txt"
@@ -149,8 +150,8 @@ class TestBuildDatasets:
         assert not (tmp_path / "out").exists()
 
     def test_deterministic_given_seed(self):
-        a, _, _ = build_datasets(tiny_cfg())
-        b, _, _ = build_datasets(tiny_cfg())
+        a, _ = build_datasets(tiny_cfg())
+        b, _ = build_datasets(tiny_cfg())
         np.testing.assert_array_equal(a.sequences, b.sequences)
 
 
